@@ -37,7 +37,6 @@ import (
 
 	"repro"
 	"repro/internal/gpumem"
-	"repro/internal/kernels"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/sampling"
@@ -96,7 +95,6 @@ type Record struct {
 	Protocol      string        `json:"protocol"`
 	Benchmarks    []BenchResult `json:"benchmarks"`
 	Sweep         *ProcsSweep   `json:"procs_sweep,omitempty"`
-	TileSweep     *TileSweep    `json:"tile_sweep,omitempty"`
 	Workspace     struct {
 		Gets       int64 `json:"gets"`
 		Puts       int64 `json:"puts"`
@@ -707,14 +705,7 @@ func main() {
 	baselinePath := flag.String("baseline", "", "optional prior BENCH_*.json to diff against")
 	quick := flag.Bool("quick", false, "skip the multi-second experiment benchmarks")
 	procsFlag := flag.String("procs", "", "comma-separated GOMAXPROCS sweep for the kernel/Reconstruct benchmarks (e.g. 1,2,4); p>1 entries gain speedup_vs_p1 unless the host has 1 CPU")
-	tileSweep := flag.Bool("tile-sweep", false, "run the cache-blocking autotuner first: sweep GEMM (MR,JB) and SpMM band shapes per precision, record every candidate under tile_sweep, and run the main suite at the fastest shapes")
-	tileSweepQuick := flag.Bool("tile-sweep-quick", false, "tile sweep over a reduced grid and smaller fixtures (implies -tile-sweep); the CI smoke grid")
-	tileSweepOnly := flag.Bool("tile-sweep-only", false, "run only the tile sweep and skip the main benchmark suite (implies -tile-sweep)")
-	tileSweepAssert := flag.Bool("tile-sweep-assert", false, "exit non-zero unless the sweep explored ≥2 tiled shapes per axis and chose from them — the CI selectability check")
 	flag.Parse()
-	if *tileSweepQuick || *tileSweepOnly {
-		*tileSweep = true
-	}
 
 	procs, err := parseProcsList(*procsFlag)
 	if err != nil {
@@ -750,26 +741,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "bench: host maxprocs=%d num_cpu=%d\n", rec.MaxProcs, rec.NumCPU)
 
-	if *tileSweep {
-		sw := runTileSweep(*tileSweepQuick)
-		rec.TileSweep = sw
-		if *tileSweepAssert {
-			if err := assertTileSweep(sw); err != nil {
-				fmt.Fprintf(os.Stderr, "bench: tile-sweep-assert: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintln(os.Stderr, "bench: tile-sweep-assert ok")
-		}
-		// The main suite (and any -procs sweep) now runs at the shapes
-		// the sweep selected.
-		kernels.SetDefaultTiling(sw.Chosen)
-	}
-
-	suiteBenches := suite(*quick)
-	if *tileSweepOnly {
-		suiteBenches = nil
-	}
-	for _, nb := range suiteBenches {
+	for _, nb := range suite(*quick) {
 		fmt.Fprintf(os.Stderr, "running %s...\n", nb.name)
 		r := testing.Benchmark(nb.fn)
 		res := BenchResult{
@@ -789,7 +761,6 @@ func main() {
 	}
 
 	attachEngineSpeedup(rec)
-	attachTileMetrics(rec)
 
 	if len(procs) > 0 {
 		rec.Sweep = runSweep(procs)

@@ -19,14 +19,7 @@
 // other suffixed variant) family compares on the same host and run.
 // With -pair-min-bytes-drop N, the diff fails unless every pair's B/op
 // dropped by at least N percent, gating e.g. the float32 bandwidth win
-// mechanically; -pair-min-ns-drop N gates the ns/op ratio the same way
-// (N=0 means "the new suffix must not be slower" — the int8-beats-f32
-// speed gate). Unpaired rows are ignored.
-//
-// Two-record mode can also demand an improvement, not just the absence
-// of regressions: -require-ns-drop N (with -match scoping the claim)
-// fails unless at least one shared benchmark's ns/op dropped by ≥N
-// percent — how the tile-sweep's ≥15% GEMM/SpMM win is gated in CI.
+// mechanically. Unpaired rows are ignored.
 package main
 
 import (
@@ -74,10 +67,8 @@ func pct(old, new float64) float64 {
 
 // runPairMode compares rows named X<oldSuf> against X<newSuf> within
 // one record, printing the ns/op and B/op ratios, and returns the
-// number of pairs that missed a gate: B/op reduction below minBytesDrop
-// percent, or ns/op reduction below minNsDrop percent (minNsDrop < 0
-// disables the ns gate; 0 demands the new suffix be no slower).
-func runPairMode(rec *record, oldSuf, newSuf string, minBytesDrop, minNsDrop float64, matchRe *regexp.Regexp) int {
+// number of pairs whose B/op reduction is below minBytesDrop percent.
+func runPairMode(rec *record, oldSuf, newSuf string, minBytesDrop float64, matchRe *regexp.Regexp) int {
 	byName := map[string]benchResult{}
 	for _, b := range rec.Benchmarks {
 		byName[b.Name] = b
@@ -119,17 +110,9 @@ func runPairMode(rec *record, oldSuf, newSuf string, minBytesDrop, minNsDrop flo
 		if p.old.BytesPerOp > 0 {
 			bytesDrop = 100 * float64(p.old.BytesPerOp-p.new.BytesPerOp) / float64(p.old.BytesPerOp)
 		}
-		nsDrop := 0.0
-		if p.old.NsPerOp > 0 {
-			nsDrop = 100 * (p.old.NsPerOp - p.new.NsPerOp) / p.old.NsPerOp
-		}
 		verdict := ""
 		if minBytesDrop > 0 && bytesDrop < minBytesDrop {
 			verdict = fmt.Sprintf("  FAIL: B/op drop %.1f%% < %.0f%%", bytesDrop, minBytesDrop)
-			failures++
-		}
-		if minNsDrop >= 0 && nsDrop < minNsDrop {
-			verdict += fmt.Sprintf("  FAIL: ns/op drop %.1f%% < %.0f%%", nsDrop, minNsDrop)
 			failures++
 		}
 		fmt.Printf("%-40s %12.0f %12.0f %7.2fx %12d %12d %+7.1f%%%s\n",
@@ -139,30 +122,11 @@ func runPairMode(rec *record, oldSuf, newSuf string, minBytesDrop, minNsDrop flo
 	return failures
 }
 
-// maxNsDrop returns the largest ns/op percentage drop among benchmarks
-// present in both records, and the name of the benchmark achieving it.
-func maxNsDrop(oldBy map[string]benchResult, newBenches []benchResult) (best float64, name string) {
-	best = -1e18
-	for _, nb := range newBenches {
-		ob, ok := oldBy[nb.Name]
-		if !ok || ob.NsPerOp <= 0 {
-			continue
-		}
-		drop := 100 * (ob.NsPerOp - nb.NsPerOp) / ob.NsPerOp
-		if drop > best {
-			best, name = drop, nb.Name
-		}
-	}
-	return best, name
-}
-
 func main() {
 	nsTol := flag.Float64("ns-tol", 10, "ns/op growth tolerance in percent")
 	match := flag.String("match", "", "only compare benchmarks whose name matches this regexp")
 	pairSuffixes := flag.String("pair", "", "pair mode: compare rows suffixed OLD:NEW (e.g. _f64:_f32) within ONE record")
 	pairMinBytesDrop := flag.Float64("pair-min-bytes-drop", 0, "pair mode: fail unless every pair's B/op dropped by at least this percent")
-	pairMinNsDrop := flag.Float64("pair-min-ns-drop", -1, "pair mode: fail unless every pair's ns/op dropped by at least this percent (0 = new suffix must not be slower; negative disables)")
-	requireNsDrop := flag.Float64("require-ns-drop", 0, "two-record mode: fail unless at least one shared benchmark's ns/op dropped by at least this percent (scope with -match)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: benchdiff [flags] old.json new.json\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "       benchdiff -pair OLDSUF:NEWSUF [flags] record.json\n")
@@ -190,7 +154,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 			os.Exit(2)
 		}
-		failures := runPairMode(rec, parts[0], parts[1], *pairMinBytesDrop, *pairMinNsDrop, pairRe)
+		failures := runPairMode(rec, parts[0], parts[1], *pairMinBytesDrop, pairRe)
 		if failures > 0 {
 			fmt.Printf("\nbenchdiff: %d pair gate failure(s)\n", failures)
 			os.Exit(1)
@@ -271,15 +235,6 @@ func main() {
 		fmt.Printf("\nbenchdiff: %d regression(s) beyond tolerance (ns/op > +%.0f%% or any allocs/op growth)\n",
 			regressions, *nsTol)
 		os.Exit(1)
-	}
-	if *requireNsDrop > 0 {
-		best, name := maxNsDrop(oldBy, newRec.Benchmarks)
-		if best < *requireNsDrop {
-			fmt.Printf("\nbenchdiff: no shared benchmark improved ns/op by ≥%.0f%% (best: %s at %.1f%%)\n",
-				*requireNsDrop, name, best)
-			os.Exit(1)
-		}
-		fmt.Printf("\nbenchdiff: improvement gate met by %s (ns/op -%.1f%%)\n", name, best)
 	}
 	fmt.Println("\nbenchdiff: no regressions")
 }

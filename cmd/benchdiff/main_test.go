@@ -70,11 +70,11 @@ func pairRecord() *record {
 func TestRunPairModeGate(t *testing.T) {
 	rec := pairRecord()
 	// No gate: nothing fails.
-	if got := runPairMode(rec, "_f64", "_f32", 0, -1, nil); got != 0 {
+	if got := runPairMode(rec, "_f64", "_f32", 0, nil); got != 0 {
 		t.Fatalf("ungated pair mode reported %d failures", got)
 	}
 	// 25%% gate: the MatMul pair (5%% drop) fails, SpMM (50%%) passes.
-	if got := runPairMode(rec, "_f64", "_f32", 25, -1, nil); got != 1 {
+	if got := runPairMode(rec, "_f64", "_f32", 25, nil); got != 1 {
 		t.Fatalf("gated pair mode reported %d failures, want 1", got)
 	}
 }
@@ -83,7 +83,7 @@ func TestRunPairModeMatchFilter(t *testing.T) {
 	rec := pairRecord()
 	// Restricting to SpMM hides the failing MatMul pair.
 	re := mustCompile(t, "SpMM")
-	if got := runPairMode(rec, "_f64", "_f32", 25, -1, re); got != 0 {
+	if got := runPairMode(rec, "_f64", "_f32", 25, re); got != 0 {
 		t.Fatalf("filtered pair mode reported %d failures, want 0", got)
 	}
 }
@@ -95,40 +95,4 @@ func mustCompile(t *testing.T, expr string) *regexp.Regexp {
 		t.Fatal(err)
 	}
 	return re
-}
-
-func TestRunPairModeNsGate(t *testing.T) {
-	rec := pairRecord()
-	// SpMM drops 30% ns, MatMul only 10%: a 20% ns gate fails one pair.
-	if got := runPairMode(rec, "_f64", "_f32", 0, 20, nil); got != 1 {
-		t.Fatalf("ns-gated pair mode reported %d failures, want 1", got)
-	}
-	// Gate 0 ("must not be slower") passes: both pairs improved.
-	if got := runPairMode(rec, "_f64", "_f32", 0, 0, nil); got != 0 {
-		t.Fatalf("ns>=0 gate reported %d failures, want 0", got)
-	}
-	// A pair where the new suffix regressed fails the 0 gate.
-	rec.Benchmarks = append(rec.Benchmarks,
-		benchResult{Name: "BenchmarkSlow_f64", NsPerOp: 100, BytesPerOp: 100},
-		benchResult{Name: "BenchmarkSlow_f32", NsPerOp: 150, BytesPerOp: 10},
-	)
-	if got := runPairMode(rec, "_f64", "_f32", 0, 0, nil); got != 1 {
-		t.Fatalf("regressed pair reported %d failures, want 1", got)
-	}
-}
-
-func TestMaxNsDrop(t *testing.T) {
-	oldBy := map[string]benchResult{
-		"BenchmarkA": {Name: "BenchmarkA", NsPerOp: 1000},
-		"BenchmarkB": {Name: "BenchmarkB", NsPerOp: 2000},
-	}
-	newBenches := []benchResult{
-		{Name: "BenchmarkA", NsPerOp: 900},  // 10% drop
-		{Name: "BenchmarkB", NsPerOp: 1000}, // 50% drop
-		{Name: "BenchmarkC", NsPerOp: 5},    // unshared: ignored
-	}
-	best, name := maxNsDrop(oldBy, newBenches)
-	if name != "BenchmarkB" || best != 50 {
-		t.Fatalf("maxNsDrop = %.1f%% on %s, want 50%% on BenchmarkB", best, name)
-	}
 }

@@ -87,31 +87,4 @@ func main() {
 	}
 	fmt.Printf("float32 serving path: %d tracks, efficiency=%.3f (f64: %.3f)\n",
 		len(res32.Tracks), res32.Match.Efficiency(), res.Match.Efficiency())
-
-	// 6. Cache-blocked kernel layouts are on by default: every
-	// reconstructor above already ran the packed-panel tiled GEMM at
-	// the autotuned process defaults (and column-banded aggregation
-	// wherever the sweep chose a band), with results bit-identical to
-	// the flat kernels. recon.WithTiling overrides the shapes — e.g. to
-	// pin tiles measured by `cmd/bench -tile-sweep` on a specific host,
-	// or (negative fields) to fall back to the flat kernels when
-	// comparing. Passing recon.DefaultTiling() explicitly, as here,
-	// changes nothing.
-	rt, err := recon.New(spec,
-		recon.WithGNN(16, 3),
-		recon.WithSeed(7),
-		recon.WithTiling(recon.DefaultTiling()),
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := rt.LoadCheckpoint(ckpt); err != nil {
-		log.Fatal(err)
-	}
-	resT, err := rt.Reconstruct(ctx, test[0])
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("tiled kernels (default): %d tracks — identical to step 4: %v\n",
-		len(resT.Tracks), len(resT.Tracks) == len(res.Tracks))
 }

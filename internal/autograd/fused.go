@@ -3,7 +3,6 @@ package autograd
 import (
 	"fmt"
 
-	"repro/internal/kernels"
 	"repro/internal/sparse"
 	"repro/internal/tensor"
 )
@@ -128,30 +127,13 @@ func (t *Tape) AggregateRows(x *Node, idx []int, outRows int) *Node {
 		}
 	}
 	v := t.alloc(outRows, cols)
-	if band := kernels.ShapeFor[float64](t.kc).Band; band > 0 && m > 0 {
-		// Column-banded incidence SpMM: bitwise identical to the flat
-		// path (see sparse/blocked.go), so the training trajectory is
-		// unchanged — only the cache behaviour of the AGG step is.
-		if band > m {
-			band = m
-		}
-		nb := (m + band - 1) / band
-		s := &sparse.BlockedCSROf[float64]{
-			RowPtr: t.allocInt(nb * (outRows + 1)),
-			ColIdx: t.allocInt(m),
-			Vals:   t.allocF64(m),
-		}
-		sparse.BlockedIncidenceInto(s, outRows, idx, band)
-		sparse.BlockedSpMMIntoCtx(t.kc, v, s, x.Value)
-	} else {
-		s := &sparse.CSR{
-			RowPtr: t.allocInt(outRows + 1),
-			ColIdx: t.allocInt(m),
-			Vals:   t.allocF64(m),
-		}
-		sparse.IncidenceInto(s, outRows, idx)
-		sparse.SpMMIntoCtx(t.kc, v, s, x.Value)
+	s := &sparse.CSR{
+		RowPtr: t.allocInt(outRows + 1),
+		ColIdx: t.allocInt(m),
+		Vals:   t.allocF64(m),
 	}
+	sparse.IncidenceInto(s, outRows, idx)
+	sparse.SpMMIntoCtx(t.kc, v, s, x.Value)
 	var out *Node
 	out = t.newNode(v, x.needGrad, func() {
 		if !x.needGrad {

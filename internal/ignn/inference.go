@@ -101,28 +101,9 @@ func (inf *Inference[T]) EdgeScoresCtx(kc kernels.Context, arena *workspace.Aren
 }
 
 // aggregateRows computes out[v] = Σ_{e: idx[e]=v} x[e] as an incidence
-// SpMM — the same forward the autograd tape's AggregateRows runs. When
-// the Context's tile shape enables column banding (the default), the
-// incidence matrix builds directly in blocked-CSR form and the SpMM
-// runs band-by-band — bitwise identical to the flat path (see
-// sparse/blocked.go), with the x rows of one band kept cache-resident.
+// SpMM — the same forward the autograd tape's AggregateRows runs.
 func aggregateRows[T fp.Float](kc kernels.Context, arena *workspace.Arena, x *tensor.Matrix[T], idx []int, outRows int) *tensor.Matrix[T] {
 	m := len(idx)
-	if band := kernels.ShapeFor[T](kc).Band; band > 0 && m > 0 {
-		if band > m {
-			band = m
-		}
-		nb := (m + band - 1) / band
-		s := &sparse.BlockedCSROf[T]{
-			RowPtr: arenaInt(arena, nb*(outRows+1)),
-			ColIdx: arenaInt(arena, m),
-			Vals:   arenaFloat[T](arena, m),
-		}
-		sparse.BlockedIncidenceInto(s, outRows, idx, band)
-		v := tensor.NewFromOf[T](arena, outRows, x.Cols())
-		sparse.BlockedSpMMIntoCtx(kc, v, s, x)
-		return v
-	}
 	s := &sparse.CSROf[T]{
 		RowPtr: arenaInt(arena, outRows+1),
 		ColIdx: arenaInt(arena, m),

@@ -158,25 +158,9 @@ func (q *Quantized) EdgeScoresCtx(kc kernels.Context, arena *workspace.Arena, sr
 
 // aggregateQ is aggregateRows in int8: the implicit-ones incidence
 // matrix never materializes a value stream, products accumulate in
-// int32, and the epilogue requantizes directly to outScale. Under a
-// tile shape with column banding (the default) the incidence builds in
-// blocked form — integer accumulation makes banding exactly neutral.
+// int32, and the epilogue requantizes directly to outScale.
 func (q *Quantized) aggregateQ(kc kernels.Context, arena *workspace.Arena, x *tensor.QMat, idx []int, outRows int, outScale float32) *tensor.QMat {
 	m := len(idx)
-	if band := kc.ShapeI8().Band; band > 0 && m > 0 {
-		if band > m {
-			band = m
-		}
-		nb := (m + band - 1) / band
-		s := &sparse.QBlockedCSR{
-			RowPtr: arenaInt(arena, nb*(outRows+1)),
-			ColIdx: arenaInt(arena, m),
-		}
-		sparse.QBlockedIncidenceInto(s, outRows, idx, band)
-		v := tensor.NewQMatFrom(arena, outRows, x.Cols(), outScale)
-		sparse.QBlockedSpMMQuantInto(kc, v, s, x, outScale)
-		return v
-	}
 	s := &sparse.QCSR{
 		RowPtr: arenaInt(arena, outRows+1),
 		ColIdx: arenaInt(arena, m),

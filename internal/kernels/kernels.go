@@ -10,12 +10,8 @@
 // outer unit of concurrency runs its kernels under a Context sized so
 // that outer × inner never oversubscribes GOMAXPROCS.
 //
-// The Context also carries the per-precision cache-blocking shapes
-// (Tiling) the layout-tiled kernels run at; like the worker budget,
-// tiles never change results — only where the time goes.
-//
-// The package is a leaf (stdlib + internal/fp only) so tensor, sparse,
-// autograd, and the stage packages can all depend on it.
+// The package is a leaf (stdlib only) so tensor, sparse, autograd, and
+// the stage packages can all depend on it.
 package kernels
 
 import (
@@ -31,10 +27,6 @@ type Context struct {
 	// Workers is the maximum goroutines one kernel invocation may fan
 	// out to. 0 (or negative) means GOMAXPROCS.
 	Workers int
-	// Tiles carries the per-precision cache-blocking shapes of the
-	// tiled kernels. Zero fields resolve to the process default
-	// (DefaultTiling), so the zero Context runs tuned tiles.
-	Tiles Tiling
 }
 
 // Cap resolves the budget to a concrete worker count: Workers when

@@ -12,13 +12,6 @@ import (
 // matmulGrain is the minimum number of output rows per parallel chunk.
 const matmulGrain = 8
 
-// gemmTileJ is the column-tile width of the blocked GEMM: when the
-// output row is wider than this, the k-unrolled inner sweep runs per
-// column tile so the active bands of b and out stay cache-resident.
-// Tiling only regroups the j loop — each out[i,j] still accumulates
-// over k in the same order — so results are bitwise unchanged.
-const gemmTileJ = 512
-
 // The parallel kernel bodies below are named top-level generic
 // functions whose float64 and float32 instantiations are bound once
 // into package variables: materializing a generic func value inside a
@@ -31,8 +24,6 @@ func pickBody[T fp.Float, C any](v64, v32 any) func(C, int, int) {
 }
 
 var (
-	matMulBody64        any = matMulBody[float64]
-	matMulBody32        any = matMulBody[float32]
 	matMulTBody64       any = matMulTBody[float64]
 	matMulTBody32       any = matMulTBody[float32]
 	tMatMulBody64       any = tMatMulBody[float64]
@@ -59,22 +50,14 @@ func MatMul[T fp.Float](a, b *Matrix[T]) *Matrix[T] {
 // MatMulInto computes out = a×b. out must be preallocated with shape
 // a.rows × b.cols and must not alias a or b. Steady-state calls perform
 // no heap allocation.
-//
-// The kernel uses i-k-j loop order so the innermost loop streams
-// contiguously over rows of b and out, parallelizes across row blocks,
-// tiles wide outputs by gemmTileJ columns, and unrolls the k dimension
-// 4× so each pass over the output row does four fused accumulations per
-// store.
 func MatMulInto[T fp.Float](out, a, b *Matrix[T]) {
 	MatMulIntoCtx(kernels.Context{}, out, a, b)
 }
 
 // MatMulIntoCtx is MatMulInto under an explicit intra-op worker budget.
-// Row blocks partition statically, so the result is bitwise identical
-// at every worker count. When the Context's tile shape enables the
-// packed-panel layout (the default), the GEMM runs through the register
-// micro-kernels of tiled.go — bitwise identical to the flat kernel (see
-// the contract there), just faster.
+// It runs the packed-panel register micro-kernels of tiled.go, whose
+// file comment states the accumulation contract; row blocks partition
+// statically, so the result is bitwise identical at every worker count.
 func MatMulIntoCtx[T fp.Float](kc kernels.Context, out, a, b *Matrix[T]) {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", a.cols, b.rows))
@@ -82,56 +65,7 @@ func MatMulIntoCtx[T fp.Float](kc kernels.Context, out, a, b *Matrix[T]) {
 	if out.rows != a.rows || out.cols != b.cols {
 		panic("tensor: MatMulInto output shape mismatch")
 	}
-	if ts := kernels.ShapeFor[T](kc); !ts.GEMMOff() {
-		matMulTiled(kc, ts, out, a, b)
-		return
-	}
-	parallel.ForWithN(kc.Cap(), a.rows, matmulGrain, matCtx[T]{out, a, b},
-		pickBody[T, matCtx[T]](matMulBody64, matMulBody32))
-}
-
-// matMulBody computes rows [lo, hi) of out = a×b (see MatMulIntoCtx).
-func matMulBody[T fp.Float](c matCtx[T], lo, hi int) {
-	out, a, b := c.out, c.a, c.b
-	n, k := b.cols, a.cols
-	for i := lo; i < hi; i++ {
-		oRow := out.data[i*n : (i+1)*n]
-		for j := range oRow {
-			oRow[j] = 0
-		}
-		aRow := a.data[i*k : (i+1)*k]
-		for jt := 0; jt < n; jt += gemmTileJ {
-			jHi := jt + gemmTileJ
-			if jHi > n {
-				jHi = n
-			}
-			oTile := oRow[jt:jHi]
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				a0, a1, a2, a3 := aRow[p], aRow[p+1], aRow[p+2], aRow[p+3]
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				b0 := b.data[p*n+jt : p*n+jHi]
-				b1 := b.data[(p+1)*n+jt : (p+1)*n+jHi]
-				b2 := b.data[(p+2)*n+jt : (p+2)*n+jHi]
-				b3 := b.data[(p+3)*n+jt : (p+3)*n+jHi]
-				for j, bv := range b0 {
-					oTile[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				}
-			}
-			for ; p < k; p++ {
-				av := aRow[p]
-				if av == 0 {
-					continue
-				}
-				bRow := b.data[p*n+jt : p*n+jHi]
-				for j, bv := range bRow {
-					oTile[j] += av * bv
-				}
-			}
-		}
-	}
+	matMulTiled(kc, out, a, b)
 }
 
 // matCtx carries kernel operands into capture-free parallel bodies (see

@@ -10,30 +10,33 @@ import (
 // 4-column int8 panels and an MR×4 micro-kernel accumulates MR output
 // rows in int32 registers, applying the fused dequantize + bias (+ ReLU
 // + requantize) epilogue per 4-column block at store time. Integer
-// accumulation is exact and the epilogue is elementwise with exactly
-// qEpilogue's float32 expression, so the result is bitwise identical to
-// qgemmBody at any tile shape and worker count. Beyond the flat
-// kernel's byte savings, the tiled layout removes the pooled int32
-// accumulator row's k/4 read-modify-write passes — the "bytes into
-// time" step of the int8 path.
+// accumulation is exact and the epilogue is elementwise, so the result
+// is bitwise identical at any worker count.
+
+// qgemmMR (1, 2 or 4) and qgemmJB are the int8 micro-kernel height and
+// column-block width in output columns (see gemmMR / gemmJB in
+// tiled.go).
+const (
+	qgemmMR = 4
+	qgemmJB = 256
+)
 
 // qtileCtx carries the packed int8 GEMM operands into capture-free
 // parallel bodies.
 type qtileCtx struct {
 	qgemmCtx
-	wp     []int8 // w packed into 4-column panels, zero-padded
-	mr, jb int
+	wp []int8 // w packed into 4-column panels, zero-padded
 }
 
 // qgemmTiled runs the packed int8 GEMM for the fused epilogue carried
 // by c. Steady-state calls perform no heap allocation.
-func qgemmTiled(kc kernels.Context, ts kernels.TileShape, c qgemmCtx) {
+func qgemmTiled(kc kernels.Context, c qgemmCtx) {
 	n, k := c.w.cols, c.a.cols
 	np := (n + 3) / 4
 	wp := workspace.GetI8(np * 4 * k)
 	packPanelsI8(wp, c.w.data, k, n)
 	parallel.ForWithN(kc.Cap(), c.a.rows, qmatmulGrain,
-		qtileCtx{qgemmCtx: c, wp: wp, mr: ts.MR, jb: ts.JB}, qgemmTiledBody)
+		qtileCtx{qgemmCtx: c, wp: wp}, qgemmTiledBody)
 	workspace.PutI8(wp)
 }
 
@@ -71,10 +74,7 @@ func qgemmTiledBody(c qtileCtx, lo, hi int) {
 	a := c.a
 	n, k := c.w.cols, a.cols
 	np := (n + 3) / 4
-	jbp := c.jb / 4
-	if jbp < 1 {
-		jbp = 1
-	}
+	const jbp = qgemmJB / 4
 	var acc [16]int32
 	for q0 := 0; q0 < np; q0 += jbp {
 		q1 := q0 + jbp
@@ -84,9 +84,9 @@ func qgemmTiledBody(c qtileCtx, lo, hi int) {
 		for i := lo; i < hi; {
 			bs := hi - i
 			switch {
-			case c.mr >= 4 && bs >= 4:
-				bs = 4
-			case c.mr >= 2 && bs >= 2:
+			case bs >= qgemmMR:
+				bs = qgemmMR
+			case bs >= 2:
 				bs = 2
 			default:
 				bs = 1
@@ -115,8 +115,9 @@ func qgemmTiledBody(c qtileCtx, lo, hi int) {
 	}
 }
 
-// qStoreCols applies qEpilogue's exact per-element expression to the w
-// accumulated columns [j0, j0+w) of output row i.
+// qStoreCols applies dequantize + bias (+ ReLU, + requantize) to the w
+// accumulated columns [j0, j0+w) of output row i. Every element is
+// independent, so parallel partitioning cannot change the result.
 func qStoreCols(c *qgemmCtx, i, j0, w int, acc []int32) {
 	aScale := c.a.Scale
 	if c.outQ != nil {
@@ -144,7 +145,7 @@ func qStoreCols(c *qgemmCtx, i, j0, w int, acc []int32) {
 }
 
 // qMicroGEMM4 accumulates a 4×4 int32 block against one packed int8
-// panel — same k order and zero-skip as qgemmBody.
+// panel, k ascending with the float kernel's per-(row, quad) zero-skip.
 func qMicroGEMM4(acc *[16]int32, a0, a1, a2, a3, panel []int8) {
 	k := len(a0)
 	var c00, c01, c02, c03 int32

@@ -218,16 +218,11 @@ type qgemmCtx struct {
 //
 // Accumulation is exact integer arithmetic and rows partition
 // statically, so the result is bitwise identical at every worker count.
-// Steady-state calls perform no heap allocation (accumulator scratch
-// comes from the workspace pools).
+// Steady-state calls perform no heap allocation (the panel buffer comes
+// from the workspace pools).
 func QMatMulBiasInto(kc kernels.Context, out *Matrix[float32], a *QMat, w *QWeights, bias []float32, relu bool) {
 	checkQGEMM(a, w, bias, out.rows, out.cols, "QMatMulBiasInto")
-	c := qgemmCtx{outF: out, a: a, w: w, bias: bias, relu: relu}
-	if ts := kc.ShapeI8(); !ts.GEMMOff() {
-		qgemmTiled(kc, ts, c)
-		return
-	}
-	parallel.ForWithN(kc.Cap(), a.rows, qmatmulGrain, c, qgemmBody)
+	qgemmTiled(kc, qgemmCtx{outF: out, a: a, w: w, bias: bias, relu: relu})
 }
 
 // QMatMulBiasReLUQuantInto is the fully-fused hidden-layer kernel:
@@ -242,12 +237,7 @@ func QMatMulBiasReLUQuantInto(kc kernels.Context, out *QMat, a *QMat, w *QWeight
 		panic(fmt.Sprintf("tensor: QMatMulBiasReLUQuantInto scale %v", outScale))
 	}
 	out.Scale = outScale
-	c := qgemmCtx{outQ: out, a: a, w: w, bias: bias, relu: true}
-	if ts := kc.ShapeI8(); !ts.GEMMOff() {
-		qgemmTiled(kc, ts, c)
-		return
-	}
-	parallel.ForWithN(kc.Cap(), a.rows, qmatmulGrain, c, qgemmBody)
+	qgemmTiled(kc, qgemmCtx{outQ: out, a: a, w: w, bias: bias, relu: true})
 }
 
 func checkQGEMM(a *QMat, w *QWeights, bias []float32, outRows, outCols int, op string) {
@@ -259,79 +249,6 @@ func checkQGEMM(a *QMat, w *QWeights, bias []float32, outRows, outCols int, op s
 	}
 	if len(bias) != w.cols {
 		panic(fmt.Sprintf("tensor: %s bias length %d vs %d columns", op, len(bias), w.cols))
-	}
-}
-
-// qgemmBody computes rows [lo, hi) of the int8 GEMM with the fused
-// epilogue. The inner loops mirror matMulBody's i-k-j order with 4× k
-// unrolling; each output row accumulates in a pooled int32 scratch row,
-// and the epilogue writes float32 or requantized int8 depending on
-// which output the context carries.
-func qgemmBody(c qgemmCtx, lo, hi int) {
-	a, w := c.a, c.w
-	n, k := w.cols, a.cols
-	acc := workspace.GetI32(n)
-	for i := lo; i < hi; i++ {
-		for j := range acc {
-			acc[j] = 0
-		}
-		aRow := a.data[i*k : (i+1)*k]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			a0 := int32(aRow[p])
-			a1 := int32(aRow[p+1])
-			a2 := int32(aRow[p+2])
-			a3 := int32(aRow[p+3])
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			w0 := w.data[p*n : p*n+n]
-			w1 := w.data[(p+1)*n : (p+1)*n+n]
-			w2 := w.data[(p+2)*n : (p+2)*n+n]
-			w3 := w.data[(p+3)*n : (p+3)*n+n]
-			for j, wv := range w0 {
-				acc[j] += a0*int32(wv) + a1*int32(w1[j]) + a2*int32(w2[j]) + a3*int32(w3[j])
-			}
-		}
-		for ; p < k; p++ {
-			av := int32(aRow[p])
-			if av == 0 {
-				continue
-			}
-			wRow := w.data[p*n : p*n+n]
-			for j, wv := range wRow {
-				acc[j] += av * int32(wv)
-			}
-		}
-		qEpilogue(c, i, acc)
-	}
-	workspace.PutI32(acc)
-}
-
-// qEpilogue applies dequantize + bias (+ ReLU, + requantize) to one
-// accumulated output row. Every element is independent, so parallel
-// partitioning cannot change the result.
-func qEpilogue(c qgemmCtx, i int, acc []int32) {
-	aScale := c.a.Scale
-	if c.outQ != nil {
-		oRow := c.outQ.data[i*c.outQ.cols : (i+1)*c.outQ.cols]
-		outScale := float64(c.outQ.Scale)
-		for j, s := range acc {
-			f := float32(s)*aScale*c.w.ColScale[j] + c.bias[j]
-			if f < 0 {
-				f = 0
-			}
-			oRow[j] = quantizeValue(float64(f), outScale)
-		}
-		return
-	}
-	oRow := c.outF.data[i*c.outF.cols : (i+1)*c.outF.cols]
-	for j, s := range acc {
-		f := float32(s)*aScale*c.w.ColScale[j] + c.bias[j]
-		if c.relu && f < 0 {
-			f = 0
-		}
-		oRow[j] = f
 	}
 }
 

@@ -7,21 +7,36 @@ import (
 	"repro/internal/workspace"
 )
 
-// This file implements the cache-blocked GEMM layout: b packs once into
-// 4-column panels (panel-major, zero-padded to a multiple of 4 columns)
-// and an MR×4 register micro-kernel accumulates MR output rows against
-// one panel without touching the output row between k steps — the flat
-// kernel's k/4 read-modify-write passes over every output row collapse
-// into one store per element.
+// This file implements the GEMM: b packs once into 4-column panels
+// (panel-major, zero-padded to a multiple of 4 columns) and an MR×4
+// register micro-kernel accumulates MR output rows against one panel
+// without touching the output row between k steps, so every output
+// element is stored exactly once.
 //
-// Bitwise contract: for every out[i,j] the accumulation is exactly the
-// flat kernel's — ascending k in quads with the quad sum associated as
-// ((a0·b0 + a1·b1) + a2·b2) + a3·b3 added to the accumulator, then
-// single-k tail terms, with the same per-(row, k-quad) all-zero skip —
-// so the tiled path is bitwise identical to matMulBody for any tile
-// shape, any worker count, and any input (including Inf/NaN in b, which
-// the zero-skip masks identically). Padded panel columns accumulate
+// Bitwise contract: every out[i,j] accumulates from zero over ascending
+// k in quads, the quad sum associated as
+// ((a0·b0 + a1·b1) + a2·b2) + a3·b3 and added to the accumulator, then
+// single-k tail terms; a quad whose four a values are all zero (or a
+// zero tail a value) is skipped for that row, so Inf/NaN in the b rows
+// it would have touched never reach the accumulator. Row blocks
+// partition statically and no accumulation crosses rows, so the result
+// is identical at any worker count. Padded panel columns accumulate
 // zeros into accumulators that are never stored.
+
+// gemmJB is the column-block width in output columns (a multiple of
+// the 4-wide panel): the packed panels for 64 columns fit L1 alongside
+// the A rows. gemmMR is the micro-kernel height. Both are the shapes
+// that measured fastest per element type; PERF.md "Tile shapes" has the
+// tables and the command to re-measure. They regroup loops only, so no
+// value of either changes a result.
+const gemmJB = 64
+
+func gemmMR[T fp.Float]() int {
+	if fp.Is32[T]() {
+		return 2
+	}
+	return 4
+}
 
 var (
 	matMulTiledBody64 any = matMulTiledBody[float64]
@@ -33,18 +48,17 @@ var (
 type tileCtx[T fp.Float] struct {
 	out, a *Matrix[T]
 	bp     []T // b packed into 4-column panels, zero-padded
-	mr, jb int // resolved micro-kernel height and column-block width
 }
 
-// matMulTiled computes out = a×b through the packed-panel layout under
-// the given (already resolved) tile shape. Steady-state calls perform
-// no heap allocation: the pack buffer comes from the workspace pools.
-func matMulTiled[T fp.Float](kc kernels.Context, ts kernels.TileShape, out, a, b *Matrix[T]) {
+// matMulTiled computes out = a×b through the packed-panel layout.
+// Steady-state calls perform no heap allocation: the pack buffer comes
+// from the workspace pools.
+func matMulTiled[T fp.Float](kc kernels.Context, out, a, b *Matrix[T]) {
 	n, k := b.cols, a.cols
 	np := (n + 3) / 4
 	bp := workspace.GetFloat[T](np * 4 * k)
 	packPanels(bp, b)
-	parallel.ForWithN(kc.Cap(), a.rows, matmulGrain, tileCtx[T]{out, a, bp, ts.MR, ts.JB},
+	parallel.ForWithN(kc.Cap(), a.rows, matmulGrain, tileCtx[T]{out, a, bp},
 		pickBody[T, tileCtx[T]](matMulTiledBody64, matMulTiledBody32))
 	workspace.PutFloat(bp)
 }
@@ -81,17 +95,15 @@ func packPanels[T fp.Float](bp []T, b *Matrix[T]) {
 }
 
 // matMulTiledBody computes rows [lo, hi) of the packed GEMM: column
-// blocks of jb/4 panels outermost (so a block's panels stay hot across
-// row sweeps), MR-row blocks next, one micro-kernel call per
+// blocks of gemmJB/4 panels outermost (so a block's panels stay hot
+// across row sweeps), MR-row blocks next, one micro-kernel call per
 // (row-block, panel).
 func matMulTiledBody[T fp.Float](c tileCtx[T], lo, hi int) {
 	out, a := c.out, c.a
 	n, k := out.cols, a.cols
 	np := (n + 3) / 4
-	jbp := c.jb / 4
-	if jbp < 1 {
-		jbp = 1
-	}
+	mr := gemmMR[T]()
+	const jbp = gemmJB / 4
 	for q0 := 0; q0 < np; q0 += jbp {
 		q1 := q0 + jbp
 		if q1 > np {
@@ -100,9 +112,9 @@ func matMulTiledBody[T fp.Float](c tileCtx[T], lo, hi int) {
 		for i := lo; i < hi; {
 			bs := hi - i
 			switch {
-			case c.mr >= 4 && bs >= 4:
+			case mr >= 4 && bs >= 4:
 				bs = 4
-			case c.mr >= 2 && bs >= 2:
+			case bs >= 2:
 				bs = 2
 			default:
 				bs = 1
@@ -148,8 +160,8 @@ func storeCols[T fp.Float](o []T, c0, c1, c2, c3 T) {
 }
 
 // microGEMM4 accumulates a 4×4 output block in registers: rows a0..a3
-// against one packed panel, k ascending in quads with the flat kernel's
-// association and zero-skip, then stores each row once.
+// against one packed panel, k ascending in quads with the file
+// comment's association and zero-skip, then stores each row once.
 func microGEMM4[T fp.Float](o0, o1, o2, o3, a0, a1, a2, a3, panel []T) {
 	k := len(a0)
 	var c00, c01, c02, c03 T

@@ -4,33 +4,16 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/fp"
 	"repro/internal/kernels"
 	"repro/internal/rng"
 )
 
-// Tiled-GEMM coverage: the packed-panel register-blocked kernels must be
-// bitwise identical to the flat kernels at every tile shape, worker
-// count, and precision — including shapes with k-quad remainders,
-// non-multiple-of-4 column counts, and fewer rows than the register
-// block — and must hold the flat kernels' zero-skip masking of Inf/NaN.
-
-// flatF64 / flatF32 / flatI8 disable the tiled path for one precision so
-// the flat kernel serves as the parity reference.
-var (
-	flatF64 = kernels.Tiling{F64: kernels.TileShape{MR: -1, Band: -1}}
-	flatF32 = kernels.Tiling{F32: kernels.TileShape{MR: -1, Band: -1}}
-	flatI8  = kernels.Tiling{I8: kernels.TileShape{MR: -1, Band: -1}}
-)
-
-// tiledShapesUnderTest sweeps every implemented micro-kernel (MR 1, 2,
-// 4) and panel widths from degenerate (one panel group) to wider than
-// any test matrix.
-var tiledShapesUnderTest = []kernels.TileShape{
-	{MR: 1, JB: 4},
-	{MR: 2, JB: 8},
-	{MR: 4, JB: 4},
-	{MR: 4, JB: 512},
-}
+// GEMM coverage: the packed-panel register-blocked kernels must match a
+// serial scalar statement of their accumulation contract bit for bit at
+// every worker count and precision — including shapes with k-quad
+// remainders, non-multiple-of-4 column counts, and fewer rows than the
+// register block — and must mask Inf/NaN behind zero a values.
 
 // gemmShapesUnderTest exercises k%4 remainders (every residue), n%4
 // remainders (every residue), rows below the MR=4 block, and
@@ -45,73 +28,86 @@ var gemmShapesUnderTest = []struct{ m, k, n int }{
 	{7, 2, 6},
 }
 
-func f64BitsEqual(t *testing.T, name string, want, got *Dense) {
+// refMatMul is the accumulation contract of MatMulIntoCtx written flat,
+// one output element at a time with no packing, blocking or
+// parallelism: from zero, ascending k in quads associated
+// ((a0·b0 + a1·b1) + a2·b2) + a3·b3, then single-k tail terms; a quad
+// (or tail term) whose a values are all zero is skipped for that row,
+// so b is never read there.
+func refMatMul[T fp.Float](a, b *Matrix[T]) *Matrix[T] {
+	m, k, n := a.Rows(), a.Cols(), b.Cols()
+	out := NewOf[T](m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var acc T
+			p := 0
+			for ; p+4 <= k; p += 4 {
+				a0, a1, a2, a3 := a.At(i, p), a.At(i, p+1), a.At(i, p+2), a.At(i, p+3)
+				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+					continue
+				}
+				acc += a0*b.At(p, j) + a1*b.At(p+1, j) + a2*b.At(p+2, j) + a3*b.At(p+3, j)
+			}
+			for ; p < k; p++ {
+				if av := a.At(i, p); av != 0 {
+					acc += av * b.At(p, j)
+				}
+			}
+			out.Set(i, j, acc)
+		}
+	}
+	return out
+}
+
+// matBitsEqual compares Float64bits / Float32bits, so signed zeros and
+// NaN payloads count.
+func matBitsEqual[T fp.Float](t *testing.T, name string, want, got *Matrix[T]) {
 	t.Helper()
 	if !want.SameShape(got) {
 		t.Fatalf("%s: shape %dx%d vs %dx%d", name, want.Rows(), want.Cols(), got.Rows(), got.Cols())
 	}
 	wd, gd := want.Data(), got.Data()
 	for i := range wd {
-		if math.Float64bits(wd[i]) != math.Float64bits(gd[i]) {
+		same := math.Float64bits(float64(wd[i])) == math.Float64bits(float64(gd[i]))
+		if fp.Is32[T]() {
+			same = math.Float32bits(float32(wd[i])) == math.Float32bits(float32(gd[i]))
+		}
+		if !same {
 			t.Fatalf("%s: element %d differs: %v vs %v", name, i, wd[i], gd[i])
 		}
 	}
 }
 
-func TestTiledMatMulMatchesFlatBitwise(t *testing.T) {
+func testMatMulMatchesFlat[T fp.Float](t *testing.T, seedBase int) {
 	for _, sh := range gemmShapesUnderTest {
-		r := rng.New(uint64(100 + sh.m))
-		a := RandN(r, sh.m, sh.k, 1)
-		b := RandN(r, sh.k, sh.n, 1)
+		r := rng.New(uint64(seedBase + sh.m))
+		a := ConvertFrom[T](nil, RandN(r, sh.m, sh.k, 1))
+		b := ConvertFrom[T](nil, RandN(r, sh.k, sh.n, 1))
 		// Sprinkle zeros so the per-quad and per-element skip paths run.
 		ad := a.Data()
 		for i := 0; i < len(ad); i += 3 {
 			ad[i] = 0
 		}
-		ref := New(sh.m, sh.n)
-		MatMulIntoCtx(kernels.Context{Workers: 1, Tiles: flatF64}, ref, a, b)
-		for _, ts := range tiledShapesUnderTest {
-			for _, w := range parityWorkers {
-				kc := kernels.Context{Workers: w, Tiles: kernels.Tiling{F64: ts}}
-				got := New(sh.m, sh.n)
-				MatMulIntoCtx(kc, got, a, b)
-				f64BitsEqual(t, "tiled MatMul", ref, got)
-			}
+		want := refMatMul(a, b)
+		for _, w := range parityWorkers {
+			got := NewOf[T](sh.m, sh.n)
+			MatMulIntoCtx(kernels.Context{Workers: w}, got, a, b)
+			matBitsEqual(t, "MatMulIntoCtx", want, got)
 		}
 	}
 }
 
+func TestTiledMatMulMatchesFlatBitwise(t *testing.T) {
+	testMatMulMatchesFlat[float64](t, 100)
+}
+
 func TestTiledMatMulMatchesFlatBitwiseF32(t *testing.T) {
-	for _, sh := range gemmShapesUnderTest {
-		r := rng.New(uint64(200 + sh.m))
-		a := ConvertFrom[float32](nil, RandN(r, sh.m, sh.k, 1))
-		b := ConvertFrom[float32](nil, RandN(r, sh.k, sh.n, 1))
-		ad := a.Data()
-		for i := 0; i < len(ad); i += 3 {
-			ad[i] = 0
-		}
-		ref := NewOf[float32](sh.m, sh.n)
-		MatMulIntoCtx(kernels.Context{Workers: 1, Tiles: flatF32}, ref, a, b)
-		for _, ts := range tiledShapesUnderTest {
-			for _, w := range parityWorkers {
-				kc := kernels.Context{Workers: w, Tiles: kernels.Tiling{F32: ts}}
-				got := NewOf[float32](sh.m, sh.n)
-				MatMulIntoCtx(kc, got, a, b)
-				wd, gd := ref.Data(), got.Data()
-				for i := range wd {
-					if math.Float32bits(wd[i]) != math.Float32bits(gd[i]) {
-						t.Fatalf("tiled f32 MatMul: element %d differs: %v vs %v", i, wd[i], gd[i])
-					}
-				}
-			}
-		}
-	}
+	testMatMulMatchesFlat[float32](t, 200)
 }
 
 // TestTiledMatMulZeroSkipMasksSpecialValues pins the skip contract: a
 // zero a-quad (or zero tail element) must skip B entirely, so Inf/NaN
-// in the skipped B rows never reach the accumulators — exactly as the
-// flat kernel behaves.
+// in the skipped B rows never reach the accumulators.
 func TestTiledMatMulZeroSkipMasksSpecialValues(t *testing.T) {
 	const m, k, n = 6, 9, 10
 	r := rng.New(7)
@@ -131,15 +127,16 @@ func TestTiledMatMulZeroSkipMasksSpecialValues(t *testing.T) {
 		b.Set(2, j, math.NaN())
 		b.Set(8, j, math.Inf(-1))
 	}
-	ref := New(m, n)
-	MatMulIntoCtx(kernels.Context{Workers: 1, Tiles: flatF64}, ref, a, b)
-	for _, ts := range tiledShapesUnderTest {
-		for _, w := range parityWorkers {
-			kc := kernels.Context{Workers: w, Tiles: kernels.Tiling{F64: ts}}
-			got := New(m, n)
-			MatMulIntoCtx(kc, got, a, b)
-			f64BitsEqual(t, "tiled MatMul special values", ref, got)
+	want := refMatMul(a, b)
+	for j := 0; j < n; j++ {
+		if v := want.At(0, j); v != 0 {
+			t.Fatalf("reference row 0 col %d = %v, want the poison masked to 0", j, v)
 		}
+	}
+	for _, w := range parityWorkers {
+		got := New(m, n)
+		MatMulIntoCtx(kernels.Context{Workers: w}, got, a, b)
+		matBitsEqual(t, "MatMulIntoCtx special values", want, got)
 	}
 }
 
@@ -154,34 +151,32 @@ func TestTiledQGEMMMatchesFlatBitwise(t *testing.T) {
 		for j := range bias {
 			bias[j] = float32(j)*0.25 - 1
 		}
+		const outScale = 0.02
 		for _, relu := range []bool{false, true} {
-			ref := NewOf[float32](sh.m, sh.n)
-			QMatMulBiasInto(kernels.Context{Workers: 1, Tiles: flatI8}, ref, a, w, bias, relu)
-			for _, ts := range tiledShapesUnderTest {
-				for _, wk := range parityWorkers {
-					kc := kernels.Context{Workers: wk, Tiles: kernels.Tiling{I8: ts}}
-					got := NewOf[float32](sh.m, sh.n)
-					QMatMulBiasInto(kc, got, a, w, bias, relu)
-					bits32Equal(t, "tiled QMatMulBias", ref, got)
-				}
+			want := refQGEMM(a, w, bias, relu)
+			for _, wk := range parityWorkers {
+				got := NewOf[float32](sh.m, sh.n)
+				QMatMulBiasInto(kernels.Context{Workers: wk}, got, a, w, bias, relu)
+				matBitsEqual(t, "QMatMulBiasInto", want, got)
 			}
 		}
-		refQ := NewQMat(sh.m, sh.n, 0)
-		QMatMulBiasReLUQuantInto(kernels.Context{Workers: 1, Tiles: flatI8}, refQ, a, w, bias, 0.02)
-		for _, ts := range tiledShapesUnderTest {
-			for _, wk := range parityWorkers {
-				kc := kernels.Context{Workers: wk, Tiles: kernels.Tiling{I8: ts}}
-				gotQ := NewQMat(sh.m, sh.n, 0)
-				QMatMulBiasReLUQuantInto(kc, gotQ, a, w, bias, 0.02)
-				qbitsEqual(t, "tiled QMatMulBiasReLUQuant", refQ, gotQ)
-			}
+		// The requantizing epilogue is the float ReLU epilogue followed
+		// by quantizeValue at the output scale.
+		wantQ := NewQMat(sh.m, sh.n, outScale)
+		for i, f := range refQGEMM(a, w, bias, true).Data() {
+			wantQ.Data()[i] = quantizeValue(float64(f), outScale)
+		}
+		for _, wk := range parityWorkers {
+			gotQ := NewQMat(sh.m, sh.n, 0)
+			QMatMulBiasReLUQuantInto(kernels.Context{Workers: wk}, gotQ, a, w, bias, outScale)
+			qbitsEqual(t, "QMatMulBiasReLUQuantInto", wantQ, gotQ)
 		}
 	}
 }
 
 // TestTiledKernelsZeroAllocsWarm pins the pooled-workspace contract of
-// the default (tiled) GEMM paths: once the panel pools are warm, a call
-// performs no heap allocation.
+// the GEMM paths: once the panel pools are warm, a call performs no
+// heap allocation.
 func TestTiledKernelsZeroAllocsWarm(t *testing.T) {
 	a := benchMat(37, 24, 1)
 	b := benchMat(24, 29, 2)
@@ -194,9 +189,6 @@ func TestTiledKernelsZeroAllocsWarm(t *testing.T) {
 	qoutF := NewOf[float32](37, 29)
 	qoutQ := NewQMat(37, 29, 0)
 	kc := kernels.Context{Workers: 1}
-	if kernels.ShapeFor[float64](kc).GEMMOff() || kc.ShapeI8().GEMMOff() {
-		t.Fatal("default tiling must enable the tiled GEMM paths")
-	}
 	MatMulIntoCtx(kc, out, a, b) // warm the panel pools
 	QMatMulBiasInto(kc, qoutF, qa, qw, bias, true)
 	QMatMulBiasReLUQuantInto(kc, qoutQ, qa, qw, bias, 0.02)

@@ -150,6 +150,12 @@ func (r *Reconstructor) calibrate(ctx context.Context, events []*Event) (*i8Scal
 	defer a.Reset()
 	kctx := r.kernelCtx(ctx)
 	kc := kernels.From(kctx)
+	// The built-in adapters are replayed through the observers only at
+	// Int8, where they serve the snapshot being calibrated. At Float64
+	// and Float32 they run as themselves, like custom stages, so the
+	// filter's ranges go unobserved there and its exported scales stay 1
+	// (ROADMAP, correctness item).
+	i8 := r.set.precision == Int8
 	for _, ev := range events {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -160,11 +166,11 @@ func (r *Reconstructor) calibrate(ctx context.Context, events []*Event) (*i8Scal
 
 		var src, dst []int
 		var err error
-		if _, ok := r.builder.(radiusBuilder8); ok {
+		if _, ok := r.builder.(radiusBuilder32); ok && i8 {
 			src, dst = knnsearch.BuildRadiusGraphCtx(kc, emb, r.cfg.Radius, r.cfg.MaxDegree)
 		} else {
 			thunk := func() (*Matrix, error) {
-				if _, ok := r.embedder.(mlpEmbedder8); ok {
+				if _, ok := r.embedder.(mlpEmbedder32); ok && i8 {
 					return tensor.ConvertFrom[float64](nil, emb), nil
 				}
 				return r.embedder.Embed(kctx, a, ev)
@@ -175,7 +181,7 @@ func (r *Reconstructor) calibrate(ctx context.Context, events []*Event) (*i8Scal
 		}
 
 		var fsrc, fdst []int
-		if _, ok := r.filter.(mlpFilter8); ok {
+		if _, ok := r.filter.(mlpFilter32); ok && i8 {
 			if len(src) > 0 {
 				edgeFeat := detector.EdgeFeaturesWith(a, r.spec, ev, src, dst)
 				scores := filtCal.Observe(kc, a, feat, tensor.ConvertFrom[float32](a, edgeFeat), src, dst)

@@ -56,7 +56,6 @@ type Engine struct {
 	workers       int
 	queue         int
 	kernelWorkers int
-	tiling        kernels.Tiling
 	timeout       time.Duration
 
 	limit    int64        // admission window: workers + queueDepth events
@@ -125,15 +124,11 @@ func NewEngine(rec *Reconstructor, opts ...Option) (*Engine, error) {
 	if set.kernelWorkers == 0 {
 		set.kernelWorkers = rec.set.kernelWorkers
 	}
-	if set.tiling == (kernels.Tiling{}) {
-		set.tiling = rec.set.tiling
-	}
 	e := &Engine{
 		rec:            rec,
 		workers:        set.workers,
 		queue:          set.queueDepth,
 		kernelWorkers:  set.kernelWorkers,
-		tiling:         set.tiling,
 		timeout:        set.requestTimeout,
 		limit:          int64(set.workers + set.queueDepth),
 		batchWindow:    set.batchWindow,
@@ -186,9 +181,7 @@ func (e *Engine) unitCtx(wctx context.Context) (context.Context, context.CancelF
 // the host divided across the workers actually running, so
 // workers × kernel-workers never exceeds GOMAXPROCS.
 func (e *Engine) workerCtx(ctx context.Context, workers int) context.Context {
-	kc := kernels.Budget(workers, e.kernelWorkers)
-	kc.Tiles = e.tiling
-	return kernels.Into(ctx, kc)
+	return kernels.Into(ctx, kernels.Budget(workers, e.kernelWorkers))
 }
 
 // Reconstructor returns the engine's underlying reconstructor.

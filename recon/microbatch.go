@@ -229,7 +229,6 @@ func (e *Engine) runCoalesced(units []*mbUnit) {
 			arena := workspace.NewArena()
 			defer func() { arena.Reset() }()
 			budget := kernels.Budget(workers, e.kernelWorkers)
-			budget.Tiles = e.tiling
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= len(items) {

@@ -53,7 +53,6 @@ type settings struct {
 	workers        int
 	queueDepth     int
 	kernelWorkers  int
-	tiling         kernels.Tiling
 	requestTimeout time.Duration
 	batchWindow    time.Duration
 	maxBatchEvents int
@@ -422,36 +421,6 @@ func WithKernelWorkers(n int) Option {
 		}
 		s.kernelWorkers = n
 	}
-}
-
-// Tiling is the per-precision cache-blocking configuration of the hot
-// kernels — re-exported from the internal kernel layer so callers (and
-// the examples, which cannot import internal packages) can name it.
-type Tiling = kernels.Tiling
-
-// TileShape is one precision's cache-blocking shape: the GEMM register
-// block (MR rows × 4 columns), the GEMM panel width JB, and the
-// sparse-aggregation column band width. Zero fields resolve to the
-// tuned process defaults; negative MR or Band selects the untiled flat
-// kernel for that axis.
-type TileShape = kernels.TileShape
-
-// DefaultTiling returns the process-default tile shapes the kernels run
-// at when no override is installed — the shapes the tile-sweep
-// autotuner (cmd/bench -tile-sweep) selected for this build.
-func DefaultTiling() Tiling { return kernels.DefaultTiling() }
-
-// WithTiling overrides the cache-blocking tile shapes of the hot
-// kernels for this Reconstructor or Engine. Tiles are a pure layout
-// knob: results are bit-identical at every shape (including the flat
-// kernels selected by negative fields) — only cache behaviour changes.
-// The zero Tiling (and any zero field) resolves to DefaultTiling, so
-// serving runs tuned tiles with no configuration at all; reach for
-// this option only to pin shapes measured on a specific host (see
-// cmd/bench -tile-sweep) or to disable tiling when comparing against
-// the flat baselines.
-func WithTiling(t Tiling) Option {
-	return func(s *settings) { s.tiling = t }
 }
 
 // WithRanks sets the number of simulated DDP ranks P for

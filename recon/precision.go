@@ -1,9 +1,8 @@
 package recon
 
 import (
-	"repro/internal/embed"
-	"repro/internal/filter"
-	"repro/internal/ignn"
+	"repro/internal/kernels"
+	"repro/internal/tensor"
 )
 
 // Precision selects the element type the built-in inference stages run
@@ -79,23 +78,30 @@ func WithPrecision(p Precision) Option {
 	}
 }
 
-// f32Models holds the float32 snapshots of the default stages' trained
-// weights. The whole struct is rebuilt (never mutated in place) by
-// Reconstructor.syncInference, so concurrent readers that loaded the
-// pointer see a consistent snapshot; per the Reconstructor's
-// concurrency contract, Fit/LoadCheckpoint must not race inference.
-type f32Models struct {
-	embed  *embed.Inference[float32]
-	filter *filter.Inference[float32]
-	gnn    *ignn.Inference[float32]
-}
+// The reduced-precision forwards of the default stages — float32 weight
+// copies (embed/filter/ignn.Inference[float32]) at Float32, int8
+// quantized weights (embed/filter/ignn.Quantized) at Int8 — all take
+// and return float32 activations, so the one adapter set in
+// stages32.go serves both precisions through these interfaces.
+type (
+	embedForward32 interface {
+		EmbedCtx(kc kernels.Context, a *Arena, features *tensor.Dense32) *tensor.Dense32
+	}
+	filterForward32 interface {
+		KeepCtx(kc kernels.Context, a *Arena, nodeFeat, edgeFeat *tensor.Dense32, src, dst []int) []bool
+	}
+	gnnForward32 interface {
+		EdgeScoresCtx(kc kernels.Context, a *Arena, src, dst []int, x, y *tensor.Dense32) []float64
+	}
+)
 
-// i8Models holds the int8 quantized snapshots of the default stages'
-// trained weights plus the calibrated activation scales they were built
-// from. Rebuilt whole by Reconstructor.syncInference under the same
-// concurrency contract as f32Models.
-type i8Models struct {
-	embed  *embed.Quantized
-	filter *filter.Quantized
-	gnn    *ignn.Quantized
+// lowModels holds the reduced-precision snapshots of the default
+// stages' trained weights. The whole struct is rebuilt (never mutated
+// in place) by Reconstructor.syncInference, so concurrent readers that
+// loaded the pointer see a consistent snapshot; per the Reconstructor's
+// concurrency contract, Fit/LoadCheckpoint must not race inference.
+type lowModels struct {
+	embed  embedForward32
+	filter filterForward32
+	gnn    gnnForward32
 }

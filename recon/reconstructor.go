@@ -49,17 +49,15 @@ type Reconstructor struct {
 	// in play; Fit routes their training through the pipeline procedure.
 	p *pipeline.Pipeline
 
-	// f32 holds the float32 weight snapshots the reduced-precision stage
-	// adapters read (nil unless WithPrecision(Float32)); syncInference
-	// rebuilds it whenever the underlying f64 weights change.
-	f32 *f32Models
+	// low holds the weight snapshots the reduced-precision stage
+	// adapters read (nil at Float64); syncInference rebuilds it whenever
+	// the underlying f64 weights change.
+	low *lowModels
 
-	// i8 holds the quantized snapshots the Int8 stage adapters read;
-	// i8scales the calibrated activation scales they were built from
-	// (nil forces recalibration at the next sync), and calEvents the
-	// representative events calibration runs over (the latest Fit's
-	// training events; a synthetic batch when empty).
-	i8        *i8Models
+	// i8scales holds the calibrated activation scales the Int8 snapshot
+	// was built from (nil forces recalibration at the next sync), and
+	// calEvents the representative events calibration runs over (the
+	// latest Fit's training events; a synthetic batch when empty).
 	i8scales  *i8Scales
 	calEvents []*Event
 }
@@ -121,17 +119,13 @@ func applyConfig(cfg *pipeline.Config, set settings) {
 
 func assemble(spec DetectorSpec, cfg pipeline.Config, set settings, p *pipeline.Pipeline) (*Reconstructor, error) {
 	r := &Reconstructor{spec: spec, cfg: cfg, set: set, p: p}
-	f32 := set.precision == Float32
-	i8 := set.precision == Int8
+	low := set.precision != Float64
 
 	r.embedder = set.embedder
 	if r.embedder == nil {
-		switch {
-		case i8:
-			r.embedder = mlpEmbedder8{r}
-		case f32:
+		if low {
 			r.embedder = mlpEmbedder32{r}
-		default:
+		} else {
 			r.embedder = mlpEmbedder{p.Embedder}
 		}
 	}
@@ -140,14 +134,10 @@ func assemble(spec DetectorSpec, cfg pipeline.Config, set settings, p *pipeline.
 	case r.builder != nil:
 	case set.truthLevel:
 		r.builder = truthBuilder{fakeRatio: set.truthRatio, baseSeed: set.seed}
-	case i8 && set.embedder == nil:
-		// Like radiusBuilder32 one tier down: the fully-quantized radius
-		// builder embeds internally with the built-in int8 snapshot.
-		r.builder = radiusBuilder8{r: r, radius: cfg.Radius, maxDegree: cfg.MaxDegree}
-	case f32 && set.embedder == nil:
-		// The fully-f32 radius builder embeds internally with the built-in
-		// f32 snapshot; a custom Embedder must keep the thunk-consuming
-		// builder so its embedding is the one searched.
+	case low && set.embedder == nil:
+		// The reduced-precision radius builder embeds internally with the
+		// built-in snapshot; a custom Embedder must keep the
+		// thunk-consuming builder so its embedding is the one searched.
 		r.builder = radiusBuilder32{r: r, radius: cfg.Radius, maxDegree: cfg.MaxDegree}
 	default:
 		r.builder = radiusBuilder{radius: cfg.Radius, maxDegree: cfg.MaxDegree}
@@ -159,21 +149,16 @@ func assemble(spec DetectorSpec, cfg pipeline.Config, set settings, p *pipeline.
 		// Truth-level graphs bypass the filter, matching the pipeline's
 		// BuildTruthLevelGraph semantics.
 		r.filter = passFilter{}
-	case i8:
-		r.filter = mlpFilter8{r: r, spec: spec}
-	case f32:
+	case low:
 		r.filter = mlpFilter32{r: r, spec: spec}
 	default:
 		r.filter = mlpFilter{f: p.Filter, spec: spec}
 	}
 	r.classifier = set.classifier
 	if r.classifier == nil {
-		switch {
-		case i8:
-			r.classifier = gnnClassifier8{r}
-		case f32:
+		if low {
 			r.classifier = gnnClassifier32{r}
-		default:
+		} else {
 			r.classifier = gnnClassifier{p.GNN}
 		}
 	}
@@ -208,7 +193,7 @@ func assemble(spec DetectorSpec, cfg pipeline.Config, set settings, p *pipeline.
 func (r *Reconstructor) syncInference() error {
 	switch r.set.precision {
 	case Float32:
-		r.f32 = &f32Models{
+		r.low = &lowModels{
 			embed:  embed.NewInference[float32](r.p.Embedder),
 			filter: filter.NewInference[float32](r.p.Filter),
 			gnn:    ignn.NewInference[float32](r.p.GNN),
@@ -233,7 +218,7 @@ func (r *Reconstructor) syncInference() error {
 		if err != nil {
 			return fmt.Errorf("recon: quantize gnn: %w", err)
 		}
-		r.i8 = &i8Models{embed: emb, filter: filt, gnn: gnn}
+		r.low = &lowModels{embed: emb, filter: filt, gnn: gnn}
 	}
 	return nil
 }
@@ -251,9 +236,7 @@ func (r *Reconstructor) Threshold() float64 { return r.cfg.GNNThreshold }
 // default stage adapters (see stages.go). Engine workers install their
 // own divided budget instead.
 func (r *Reconstructor) kernelCtx(ctx context.Context) context.Context {
-	kc := kernels.Budget(1, r.set.kernelWorkers)
-	kc.Tiles = r.set.tiling
-	return kernels.Into(ctx, kc)
+	return kernels.Into(ctx, kernels.Budget(1, r.set.kernelWorkers))
 }
 
 // BuildGraph runs stages 1–3 on an event. The returned EventGraph is
@@ -458,7 +441,7 @@ func (r *Reconstructor) Fit(ctx context.Context, events []*Event) error {
 // pipeline's staged training procedure trains.
 func isDefaultEmbedder(e Embedder) bool {
 	switch e.(type) {
-	case mlpEmbedder, mlpEmbedder32, mlpEmbedder8:
+	case mlpEmbedder, mlpEmbedder32:
 		return true
 	}
 	return false
@@ -466,7 +449,7 @@ func isDefaultEmbedder(e Embedder) bool {
 
 func isDefaultFilter(f EdgeFilter) bool {
 	switch f.(type) {
-	case mlpFilter, mlpFilter32, mlpFilter8:
+	case mlpFilter, mlpFilter32:
 		return true
 	}
 	return false
@@ -474,7 +457,7 @@ func isDefaultFilter(f EdgeFilter) bool {
 
 func isDefaultClassifier(c EdgeClassifier) bool {
 	switch c.(type) {
-	case gnnClassifier, gnnClassifier32, gnnClassifier8:
+	case gnnClassifier, gnnClassifier32:
 		return true
 	}
 	return false

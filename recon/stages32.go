@@ -9,13 +9,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// The float32 stage adapters mirror the default adapters in stages.go
-// with every per-event kernel running in float32. Event features and
-// edge features (float64 at the detector boundary) convert to f32 once
-// per event from the worker's arena; trained weights were converted
-// once by syncInference. Scores and thresholds stay float64, so the
-// decision logic and the track extractor are shared with the f64 path
-// unchanged.
+// The reduced-precision stage adapters mirror the default adapters in
+// stages.go with float32 activations: event features and edge features
+// (float64 at the detector boundary) convert to f32 once per event from
+// the worker's arena, and the stage forwards run on the snapshot
+// syncInference built from the trained weights — float32 copies at
+// Float32, int8 quantized weights driving the fused int8 kernels at
+// Int8. Scores and thresholds stay float64, so the decision logic and
+// the track extractor are shared with the f64 path unchanged.
 //
 // Each adapter reads the current snapshot through the Reconstructor so
 // that Fit and LoadCheckpoint — which rebuild the snapshot — take
@@ -26,10 +27,11 @@ func features32(a *Arena, ev *Event) *tensor.Dense32 {
 	return tensor.ConvertFrom[float32](a, ev.Features)
 }
 
-// mlpEmbedder32 adapts the stage-1 MLP at float32. The stage interface
-// returns a float64 matrix, so the embedding widens (exactly) on the
-// way out — only custom graph builders consume it; the default f32
-// radius builder embeds internally and skips the widening.
+// mlpEmbedder32 adapts the stage-1 MLP at reduced precision. The stage
+// interface returns a float64 matrix, so the embedding widens (exactly)
+// on the way out — only custom graph builders consume it; the default
+// reduced-precision radius builder embeds internally and skips the
+// widening.
 type mlpEmbedder32 struct{ r *Reconstructor }
 
 func (e mlpEmbedder32) Embed(ctx context.Context, a *Arena, ev *Event) (*Matrix, error) {
@@ -38,7 +40,7 @@ func (e mlpEmbedder32) Embed(ctx context.Context, a *Arena, ev *Event) (*Matrix,
 	}
 	mark := a.Checkpoint()
 	kc := kernels.From(ctx)
-	emb := e.r.f32.embed.EmbedCtx(kc, a, features32(a, ev))
+	emb := e.r.low.embed.EmbedCtx(kc, a, features32(a, ev))
 	out := tensor.ConvertFrom[float64](nil, emb)
 	a.ResetTo(mark)
 	return out, nil
@@ -46,9 +48,9 @@ func (e mlpEmbedder32) Embed(ctx context.Context, a *Arena, ev *Event) (*Matrix,
 
 func (e mlpEmbedder32) Params() []*Param { return e.r.p.Embedder.Params() }
 
-// radiusBuilder32 is stage 2 at float32: embed the hits with the f32
-// MLP and answer the fixed-radius queries on the f32 embedding
-// directly (half the bytes per visited k-d node).
+// radiusBuilder32 is stage 2 at reduced precision: embed the hits with
+// the snapshot MLP and answer the fixed-radius queries on the f32
+// embedding it emits directly (half the bytes per visited k-d node).
 type radiusBuilder32 struct {
 	r         *Reconstructor
 	radius    float64
@@ -62,12 +64,12 @@ func (b radiusBuilder32) BuildEdges(ctx context.Context, a *Arena, ev *Event, _ 
 	mark := a.Checkpoint()
 	defer a.ResetTo(mark)
 	kc := kernels.From(ctx)
-	emb := b.r.f32.embed.EmbedCtx(kc, a, features32(a, ev))
+	emb := b.r.low.embed.EmbedCtx(kc, a, features32(a, ev))
 	src, dst = knnsearch.BuildRadiusGraphCtx(kc, emb, b.radius, b.maxDegree)
 	return src, dst, nil
 }
 
-// mlpFilter32 adapts the stage-3 edge-filter MLP at float32.
+// mlpFilter32 adapts the stage-3 edge-filter MLP at reduced precision.
 type mlpFilter32 struct {
 	r    *Reconstructor
 	spec DetectorSpec
@@ -83,7 +85,7 @@ func (f mlpFilter32) FilterEdges(ctx context.Context, a *Arena, ev *Event, src, 
 	mark := a.Checkpoint()
 	edgeFeat := detector.EdgeFeaturesWith(a, f.spec, ev, src, dst)
 	kc := kernels.From(ctx)
-	keep := f.r.f32.filter.KeepCtx(kc, a, features32(a, ev), tensor.ConvertFrom[float32](a, edgeFeat), src, dst)
+	keep := f.r.low.filter.KeepCtx(kc, a, features32(a, ev), tensor.ConvertFrom[float32](a, edgeFeat), src, dst)
 	a.ResetTo(mark)
 	for k := range src {
 		if keep[k] {
@@ -96,7 +98,8 @@ func (f mlpFilter32) FilterEdges(ctx context.Context, a *Arena, ev *Event, src, 
 
 func (f mlpFilter32) Params() []*Param { return f.r.p.Filter.Params() }
 
-// gnnClassifier32 adapts the stage-4 Interaction GNN at float32.
+// gnnClassifier32 adapts the stage-4 Interaction GNN at reduced
+// precision.
 type gnnClassifier32 struct{ r *Reconstructor }
 
 func (c gnnClassifier32) ScoreEdges(ctx context.Context, a *Arena, eg *EventGraph) ([]float64, error) {
@@ -107,7 +110,7 @@ func (c gnnClassifier32) ScoreEdges(ctx context.Context, a *Arena, eg *EventGrap
 	defer a.ResetTo(mark)
 	x := tensor.ConvertFrom[float32](a, eg.X)
 	y := tensor.ConvertFrom[float32](a, eg.Y)
-	return c.r.f32.gnn.EdgeScoresCtx(kernels.From(ctx), a, eg.G.Src, eg.G.Dst, x, y), nil
+	return c.r.low.gnn.EdgeScoresCtx(kernels.From(ctx), a, eg.G.Src, eg.G.Dst, x, y), nil
 }
 
 func (c gnnClassifier32) Params() []*Param { return c.r.p.GNN.Params() }
