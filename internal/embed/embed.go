@@ -46,6 +46,7 @@ func DefaultConfig(spec detector.Spec) Config {
 type Embedder struct {
 	cfg Config
 	mlp *nn.MLP
+	inf *Inference[float64] // tape-free forward over mlp's own parameters
 }
 
 // New creates an untrained embedder.
@@ -54,7 +55,7 @@ func New(cfg Config, r *rng.Rand) *Embedder {
 	for i := range hidden {
 		hidden[i] = cfg.Hidden
 	}
-	return &Embedder{
+	e := &Embedder{
 		cfg: cfg,
 		mlp: nn.NewMLP(r, "embed", nn.MLPConfig{
 			In:         cfg.InputFeatures,
@@ -63,6 +64,8 @@ func New(cfg Config, r *rng.Rand) *Embedder {
 			Activation: nn.ReLU,
 		}),
 	}
+	e.inf = NewInference[float64](e)
+	return e
 }
 
 // Params exposes the trainable parameters.
@@ -82,11 +85,10 @@ func (e *Embedder) EmbedWith(arena *workspace.Arena, features *tensor.Dense) *te
 
 // EmbedCtx is EmbedWith under an explicit intra-op worker budget for
 // the forward kernels; the embedding is bitwise identical at every
-// budget.
+// budget, and bitwise what the MLP's forward on a tape produces. It
+// runs the tape-free Inference[float64] view of the parameters.
 func (e *Embedder) EmbedCtx(kc kernels.Context, arena *workspace.Arena, features *tensor.Dense) *tensor.Dense {
-	t := autograd.NewTapeArena(arena)
-	t.SetKernels(kc)
-	return e.mlp.Forward(t, t.Constant(features)).Value
+	return e.inf.EmbedCtx(kc, arena, features)
 }
 
 // pairBatch holds a training batch of hit index pairs with labels.

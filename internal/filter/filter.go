@@ -5,8 +5,6 @@
 package filter
 
 import (
-	"math"
-
 	"repro/internal/autograd"
 	"repro/internal/kernels"
 	"repro/internal/nn"
@@ -45,6 +43,7 @@ func DefaultConfig(nodeFeatures, edgeFeatures, mlpLayers int) Config {
 type EdgeFilter struct {
 	cfg Config
 	mlp *nn.MLP
+	inf *Inference[float64] // tape-free forward over mlp's own parameters
 }
 
 // New creates an untrained filter.
@@ -53,7 +52,7 @@ func New(cfg Config, r *rng.Rand) *EdgeFilter {
 	for i := range hidden {
 		hidden[i] = cfg.Hidden
 	}
-	return &EdgeFilter{
+	f := &EdgeFilter{
 		cfg: cfg,
 		mlp: nn.NewMLP(r, "filter", nn.MLPConfig{
 			In:         2*cfg.NodeFeatures + cfg.EdgeFeatures,
@@ -62,6 +61,8 @@ func New(cfg Config, r *rng.Rand) *EdgeFilter {
 			Activation: nn.ReLU,
 		}),
 	}
+	f.inf = NewInference[float64](f)
+	return f
 }
 
 // Params exposes the trainable parameters.
@@ -91,20 +92,11 @@ func (f *EdgeFilter) ScoresWith(arena *workspace.Arena, nodeFeat, edgeFeat *tens
 }
 
 // ScoresCtx is ScoresWith under an explicit intra-op worker budget;
-// scores are bitwise identical at every budget.
+// scores are bitwise identical at every budget, and bitwise those of
+// the training forward on a tape. It runs the tape-free
+// Inference[float64] view of the parameters.
 func (f *EdgeFilter) ScoresCtx(kc kernels.Context, arena *workspace.Arena, nodeFeat, edgeFeat *tensor.Dense, src, dst []int) []float64 {
-	if arena != nil {
-		mark := arena.Checkpoint()
-		defer arena.ResetTo(mark)
-	}
-	t := autograd.NewTapeArena(arena)
-	t.SetKernels(kc)
-	logits := f.forward(t, nodeFeat, edgeFeat, src, dst)
-	scores := make([]float64, len(src))
-	for i := range scores {
-		scores[i] = sigmoid(logits.Value.At(i, 0))
-	}
-	return scores
+	return f.inf.ScoresCtx(kc, arena, nodeFeat, edgeFeat, src, dst)
 }
 
 // Keep returns the boolean keep mask at the configured threshold.
@@ -119,12 +111,7 @@ func (f *EdgeFilter) KeepWith(arena *workspace.Arena, nodeFeat, edgeFeat *tensor
 
 // KeepCtx is KeepWith under an explicit intra-op worker budget.
 func (f *EdgeFilter) KeepCtx(kc kernels.Context, arena *workspace.Arena, nodeFeat, edgeFeat *tensor.Dense, src, dst []int) []bool {
-	scores := f.ScoresCtx(kc, arena, nodeFeat, edgeFeat, src, dst)
-	keep := make([]bool, len(scores))
-	for i, s := range scores {
-		keep[i] = s >= f.cfg.Threshold
-	}
-	return keep
+	return f.inf.KeepCtx(kc, arena, nodeFeat, edgeFeat, src, dst)
 }
 
 // TrainStep runs one optimization step on one graph's edges.
@@ -152,12 +139,4 @@ func (f *EdgeFilter) TrainStepWith(arena *workspace.Arena, nodeFeat, edgeFeat *t
 	t.Backward(loss)
 	opt.Step(f.mlp.Params())
 	return loss.Value.At(0, 0)
-}
-
-func sigmoid(x float64) float64 {
-	if x >= 0 {
-		return 1 / (1 + math.Exp(-x))
-	}
-	e := math.Exp(x)
-	return e / (1 + e)
 }

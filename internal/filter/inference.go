@@ -9,17 +9,20 @@ import (
 )
 
 // Inference is the precision-generic, tape-free stage-3 forward pass:
-// weights convert to T once at construction, and per-event scoring runs
-// the fused gather+concat and the MLP entirely in T. Scores and the
-// keep threshold stay float64 — the precision boundary sits at the
-// logit. The float64 instantiation is bitwise identical to ScoresCtx.
-// Immutable and safe for concurrent use.
+// per-event scoring runs the MLP entirely in T, its first layer reading
+// [X[src] ‖ X[dst] ‖ EdgeFeat] as GEMM segments, so the gathered input
+// is never built. Scores and the keep threshold stay float64 — the
+// precision boundary sits at the logit. The float64 instantiation is a
+// view of the filter's own parameters (see nn.MLPInference) — it is
+// what ScoresCtx runs, bitwise identical to the tape forward; the
+// float32 instantiation converts the weights once at construction.
+// Safe for concurrent use while nothing writes the parameters.
 type Inference[T fp.Float] struct {
 	cfg Config
 	mlp *nn.MLPInference[T]
 }
 
-// NewInference snapshots f's trained weights at precision T.
+// NewInference returns f's inference forward at precision T.
 func NewInference[T fp.Float](f *EdgeFilter) *Inference[T] {
 	return &Inference[T]{cfg: f.cfg, mlp: nn.NewMLPInference[T](f.mlp)}
 }
@@ -30,13 +33,16 @@ func (inf *Inference[T]) Threshold() float64 { return inf.cfg.Threshold }
 // ScoresCtx returns the sigmoid score per edge (src, dst) with all
 // activations borrowed from the arena (released before returning).
 func (inf *Inference[T]) ScoresCtx(kc kernels.Context, arena *workspace.Arena, nodeFeat, edgeFeat *tensor.Matrix[T], src, dst []int) []float64 {
+	if len(src) == 0 {
+		// No edges, no scores — and a nil src could not say "gathered".
+		return []float64{}
+	}
 	if arena != nil {
 		mark := arena.Checkpoint()
 		defer arena.ResetTo(mark)
 	}
-	in := tensor.NewFromOf[T](arena, len(src), 2*nodeFeat.Cols()+edgeFeat.Cols())
-	tensor.GatherConcat3IntoCtx(kc, in, nodeFeat, src, nodeFeat, dst, edgeFeat, nil)
-	logits := inf.mlp.Forward(kc, arena, in)
+	logits := inf.mlp.Forward(kc, arena,
+		tensor.Seg[T]{M: nodeFeat, Idx: src}, tensor.Seg[T]{M: nodeFeat, Idx: dst}, tensor.Seg[T]{M: edgeFeat})
 	scores := make([]float64, len(src))
 	for i := range scores {
 		scores[i] = nn.SigmoidScore(logits.At(i, 0))

@@ -8,7 +8,6 @@ package ignn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/autograd"
 	"repro/internal/kernels"
@@ -35,6 +34,10 @@ type Model struct {
 	edgeNets    []*nn.MLP // per step: [Y' X'src X'dst] → Y_{l+1}
 	nodeNets    []*nn.MLP // per step: [Msrc Mdst X'] → X_{l+1}
 	head        *nn.MLP   // Y_L → logit
+
+	// inf is the tape-free forward over these parameters' own storage —
+	// what EdgeScores runs; Forward on a tape is the training path.
+	inf *Inference[float64]
 }
 
 // New builds a model with deterministic initialization.
@@ -67,6 +70,7 @@ func New(cfg Config, r *rng.Rand) *Model {
 	m.head = nn.NewMLP(r, "ignn.head", nn.MLPConfig{
 		In: h, Hidden: []int{h}, Out: 1, Activation: nn.ReLU,
 	})
+	m.inf = NewInference[float64](m)
 	return m
 }
 
@@ -156,28 +160,11 @@ func (m *Model) EdgeScoresWith(arena *workspace.Arena, src, dst []int, x, y *ten
 // EdgeScoresCtx is EdgeScoresWith under an explicit intra-op worker
 // budget for the forward kernels. Scores are bitwise identical at every
 // budget; the engine passes each worker its share of the host so
-// event-level and kernel-level parallelism compose.
+// event-level and kernel-level parallelism compose. It runs the
+// tape-free Inference[float64] view of the parameters, whose scores are
+// bitwise those of Forward on a tape.
 func (m *Model) EdgeScoresCtx(kc kernels.Context, arena *workspace.Arena, src, dst []int, x, y *tensor.Dense) []float64 {
-	if arena != nil {
-		mark := arena.Checkpoint()
-		defer arena.ResetTo(mark)
-	}
-	t := autograd.NewTapeArena(arena)
-	t.SetKernels(kc)
-	logits := m.Forward(t, src, dst, x, y)
-	out := make([]float64, len(src))
-	for i := range out {
-		out[i] = sigmoid(logits.Value.At(i, 0))
-	}
-	return out
-}
-
-func sigmoid(x float64) float64 {
-	if x >= 0 {
-		return 1 / (1 + math.Exp(-x))
-	}
-	e := math.Exp(x)
-	return e / (1 + e)
+	return m.inf.EdgeScoresCtx(kc, arena, src, dst, x, y)
 }
 
 // EstimateActivationElements predicts the number of float64 elements the

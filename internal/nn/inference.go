@@ -11,16 +11,21 @@ import (
 )
 
 // MLPInference is a precision-generic, tape-free forward pass over an
-// MLP's trained weights. Construction converts the float64 training
-// parameters to T once; Forward then runs entirely in T with no
-// autograd bookkeeping — the serving path of the paper's pipeline,
-// where float32 halves the bytes every GEMM and bias kernel moves.
+// MLP's trained weights. Forward runs entirely in T with no autograd
+// bookkeeping — the serving path of the paper's pipeline, where float32
+// halves the bytes every GEMM moves. Each linear layer is one GEMM
+// with the bias (and ReLU) applied in its epilogue, and the first layer
+// reads its input as column segments, so a concatenated or gathered
+// input is never built.
 //
-// For T = float64 the forward pass performs exactly the arithmetic of
-// MLP.Forward on a tape, in the same kernel order, so its output is
-// bitwise identical to the training-path forward (asserted by the
-// parity tests). An MLPInference is immutable after construction and
-// safe for concurrent use.
+// For T = float64 the weights alias the parameters' own storage: the
+// view tracks every in-place update (optimizer steps, DDP unflatten,
+// checkpoint load) with nothing to refresh, and its output is bitwise
+// identical to MLP.Forward on a tape, whose MatMul → AddBias[ReLU]
+// chain stores the same values (asserted by the parity tests). For
+// T = float32 construction converts the weights once and the result is
+// an immutable snapshot. Forward only reads the weights, so either
+// form is safe for concurrent use while nothing writes the parameters.
 type MLPInference[T fp.Float] struct {
 	cfg   MLPConfig
 	w, b  []*tensor.Matrix[T] // per linear layer (hidden... , output)
@@ -28,9 +33,9 @@ type MLPInference[T fp.Float] struct {
 	shift []*tensor.Matrix[T]
 }
 
-// NewMLPInference snapshots m's weights converted to T. The conversion
-// (float64→float32 rounds to nearest even) happens here, once — not
-// per event.
+// NewMLPInference returns the inference forward of m at precision T: a
+// view of m's parameters at float64, a converted copy at float32
+// (float64→float32 rounds to nearest even, here, once — not per event).
 func NewMLPInference[T fp.Float](m *MLP) *MLPInference[T] {
 	mi := &MLPInference[T]{cfg: m.cfg}
 	for _, l := range m.layers {
@@ -44,42 +49,62 @@ func NewMLPInference[T fp.Float](m *MLP) *MLPInference[T] {
 	return mi
 }
 
+// convertParam returns p's value at precision T: the parameter's own
+// matrix at float64 (Param.Value is only ever written in place, so the
+// alias stays current), a converted copy otherwise.
 func convertParam[T fp.Float](p *autograd.Param) *tensor.Matrix[T] {
+	if v, ok := any(p.Value).(*tensor.Matrix[T]); ok {
+		return v
+	}
 	return tensor.ConvertFrom[T](nil, p.Value)
 }
 
 // Config returns the configuration of the underlying MLP.
 func (mi *MLPInference[T]) Config() MLPConfig { return mi.cfg }
 
-// Forward runs the MLP on x under the given intra-op worker budget,
-// borrowing every activation from the arena (heap fallback when nil).
-// The caller owns the arena lifecycle: the returned matrix is valid
-// until the arena resets past it.
-func (mi *MLPInference[T]) Forward(kc kernels.Context, a *workspace.Arena, x *tensor.Matrix[T]) *tensor.Matrix[T] {
-	h := x
+// Forward runs the MLP on the rows [in₀ ‖ in₁ ‖ …] under the given
+// intra-op worker budget, borrowing every activation from the arena
+// (heap fallback when nil). The caller owns the arena lifecycle: the
+// returned matrix is valid until the arena resets past it.
+func (mi *MLPInference[T]) Forward(kc kernels.Context, a *workspace.Arena, in ...tensor.Seg[T]) *tensor.Matrix[T] {
+	rows, last := in[0].Rows(), len(mi.w)-1
+	hid := make([]*tensor.Matrix[T], last)
+	for i := range hid {
+		hid[i] = tensor.NewFromOf[T](a, rows, mi.w[i].Cols())
+	}
+	out := tensor.NewFromOf[T](a, rows, mi.w[last].Cols())
+	mi.ForwardInto(kc, out, hid, in...)
+	return out
+}
+
+// ForwardInto is Forward into caller-owned activations: hid[i] receives
+// hidden layer i's output and out the final layer's, every element of
+// each overwritten — so a caller running the same shape repeatedly (the
+// GNN's message-passing steps) reuses one set of buffers. Neither may
+// alias an input segment.
+func (mi *MLPInference[T]) ForwardInto(kc kernels.Context, out *tensor.Matrix[T], hid []*tensor.Matrix[T], in ...tensor.Seg[T]) {
 	last := len(mi.w) - 1
-	for i := 0; i < last; i++ {
-		z := tensor.NewFromOf[T](a, h.Rows(), mi.w[i].Cols())
-		tensor.MatMulIntoCtx(kc, z, h, mi.w[i])
-		if mi.cfg.Activation == ReLU {
-			tensor.AddBiasReLUIntoCtx(kc, z, z, mi.b[i])
-		} else {
-			tensor.AddBiasIntoCtx(kc, z, z, mi.b[i])
+	if len(hid) != last {
+		panic("nn: ForwardInto needs one buffer per hidden layer")
+	}
+	relu := mi.cfg.Activation == ReLU
+	var prev [1]tensor.Seg[T]
+	for i, z := range hid {
+		tensor.MatMulSegsIntoCtx(kc, z, mi.w[i], mi.b[i], relu, in...)
+		if !relu {
 			applyActivation(mi.cfg.Activation, z)
 		}
 		if mi.cfg.LayerNorm {
 			layerNormInto(z, mi.gain[i], mi.shift[i], 1e-5)
 		}
-		h = z
+		prev[0] = tensor.Seg[T]{M: z}
+		in = prev[:]
 	}
-	out := tensor.NewFromOf[T](a, h.Rows(), mi.w[last].Cols())
-	tensor.MatMulIntoCtx(kc, out, h, mi.w[last])
-	tensor.AddBiasIntoCtx(kc, out, out, mi.b[last])
-	return out
+	tensor.MatMulSegsIntoCtx(kc, out, mi.w[last], mi.b[last], false, in...)
 }
 
 // applyActivation applies the nonlinearity in place. ReLU is handled by
-// the fused bias kernel and never reaches here.
+// the GEMM epilogue and never reaches here.
 func applyActivation[T fp.Float](act Activation, m *tensor.Matrix[T]) {
 	switch act {
 	case Tanh:

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/autograd"
@@ -21,9 +22,10 @@ var inferenceConfigs = []MLPConfig{
 }
 
 // TestMLPInferenceF64MatchesTapeForward is the load-bearing refactor
-// guarantee: the tape-free float64 inference forward is bitwise
-// identical to MLP.Forward on an autograd tape — same kernels, same
-// order, no tape bookkeeping.
+// guarantee: the tape-free float64 inference forward — one GEMM with a
+// bias(+ReLU) epilogue per layer — is bitwise identical to MLP.Forward
+// on an autograd tape, which runs MatMul and the bias pass as separate
+// kernels.
 func TestMLPInferenceF64MatchesTapeForward(t *testing.T) {
 	for ci, cfg := range inferenceConfigs {
 		m := NewMLP(rng.New(uint64(40+ci)), "m", cfg)
@@ -35,15 +37,78 @@ func TestMLPInferenceF64MatchesTapeForward(t *testing.T) {
 		inf := NewMLPInference[float64](m)
 		arena := workspace.NewArena()
 		defer arena.Reset()
-		got := inf.Forward(kernels.Context{}, arena, x)
+		got := inf.Forward(kernels.Context{}, arena, tensor.Seg[float64]{M: x})
 		if want.MaxAbsDiff(got) != 0 {
 			t.Fatalf("config %d: inference forward differs from tape forward by %v",
 				ci, want.MaxAbsDiff(got))
 		}
 		// And at an explicit worker budget.
-		got2 := inf.Forward(kernels.Context{Workers: 3}, arena, x)
+		got2 := inf.Forward(kernels.Context{Workers: 3}, arena, tensor.Seg[float64]{M: x})
 		if want.MaxAbsDiff(got2) != 0 {
 			t.Fatalf("config %d: inference forward differs at 3 workers", ci)
+		}
+	}
+}
+
+// bitsEqual compares Float64bits, so a NaN left behind counts.
+func bitsEqual(want, got *tensor.Dense) bool {
+	if !want.SameShape(got) {
+		return false
+	}
+	for i, v := range want.Data() {
+		if math.Float64bits(v) != math.Float64bits(got.Data()[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMLPInferenceSegmentsMatchTape feeds the first layer the filter's
+// input shape [X[src] ‖ X[dst] ‖ E] as segments and compares with the
+// tape forward over the materialised gather+concat, at every worker
+// count. ForwardInto gets NaN-filled buffers: it must store every
+// element of the activations it is handed, which is what lets the GNN
+// reuse one set across message-passing steps.
+func TestMLPInferenceSegmentsMatchTape(t *testing.T) {
+	for ci, cfg := range inferenceConfigs {
+		r := rng.New(uint64(240 + ci))
+		const nodes, edges = 11, 23
+		wx := cfg.In / 3
+		x := tensor.RandN(r, nodes, wx, 1)
+		e := tensor.RandN(r, edges, cfg.In-2*wx, 1)
+		src, dst := make([]int, edges), make([]int, edges)
+		for i := range src {
+			src[i], dst[i] = r.Intn(nodes), r.Intn(nodes)
+		}
+		m := NewMLP(r, "m", cfg)
+		for _, p := range m.Params() {
+			for i, d := 0, p.Value.Data(); i < len(d); i++ {
+				d[i] += 0.1 * r.NormFloat64()
+			}
+		}
+
+		tape := autograd.NewTape()
+		xs := tape.Constant(x)
+		want := m.Forward(tape, tape.GatherConcat3(xs, src, xs, dst, tape.Constant(e), nil)).Value
+
+		inf := NewMLPInference[float64](m)
+		in := []tensor.Seg[float64]{{M: x, Idx: src}, {M: x, Idx: dst}, {M: e}}
+		for _, w := range []int{1, 2, 3} {
+			kc := kernels.Context{Workers: w}
+			if !bitsEqual(want, inf.Forward(kc, nil, in...)) {
+				t.Fatalf("config %d, %d workers: Forward differs from tape", ci, w)
+			}
+			out := tensor.New(edges, cfg.Out)
+			out.Fill(math.NaN())
+			hid := make([]*tensor.Dense, len(cfg.Hidden))
+			for i, h := range cfg.Hidden {
+				hid[i] = tensor.New(edges, h)
+				hid[i].Fill(math.NaN())
+			}
+			inf.ForwardInto(kc, out, hid, in...)
+			if !bitsEqual(want, out) {
+				t.Fatalf("config %d, %d workers: ForwardInto differs from tape", ci, w)
+			}
 		}
 	}
 }
@@ -56,11 +121,11 @@ func TestMLPInferenceF32WithinTolerance(t *testing.T) {
 		x64 := tensor.RandN(rng.New(uint64(190+ci)), 17, cfg.In, 1)
 
 		inf64 := NewMLPInference[float64](m)
-		want := inf64.Forward(kernels.Context{}, nil, x64)
+		want := inf64.Forward(kernels.Context{}, nil, tensor.Seg[float64]{M: x64})
 
 		inf32 := NewMLPInference[float32](m)
 		x32 := tensor.ConvertFrom[float32](nil, x64)
-		got := tensor.ConvertFrom[float64](nil, inf32.Forward(kernels.Context{}, nil, x32))
+		got := tensor.ConvertFrom[float64](nil, inf32.Forward(kernels.Context{}, nil, tensor.Seg[float32]{M: x32}))
 		if d := want.MaxAbsDiff(got); d > 1e-4 {
 			t.Fatalf("config %d: f32 forward drifts %v from f64", ci, d)
 		}
@@ -68,7 +133,7 @@ func TestMLPInferenceF32WithinTolerance(t *testing.T) {
 }
 
 // TestMLPInferenceImmutableUnderForward guards the concurrency
-// contract: Forward must not touch the converted weights.
+// contract: Forward must not touch the weights.
 func TestMLPInferenceImmutableUnderForward(t *testing.T) {
 	cfg := MLPConfig{In: 4, Hidden: []int{6}, Out: 2, Activation: ReLU, LayerNorm: true}
 	m := NewMLP(rng.New(7), "m", cfg)
@@ -78,7 +143,7 @@ func TestMLPInferenceImmutableUnderForward(t *testing.T) {
 		before[i] = w.Clone()
 	}
 	x := tensor.ConvertFrom[float32](nil, tensor.RandN(rng.New(8), 9, cfg.In, 1))
-	inf.Forward(kernels.Context{}, nil, x)
+	inf.Forward(kernels.Context{}, nil, tensor.Seg[float32]{M: x})
 	for i, w := range inf.w {
 		if w.MaxAbsDiff(before[i]) != 0 {
 			t.Fatalf("weight %d mutated by Forward", i)

@@ -96,7 +96,7 @@ func TestMLPQuantTracksFloatForward(t *testing.T) {
 		kc := kernels.Context{Workers: 1}
 		worst := 0.0
 		for _, x := range inputs {
-			want := inf.Forward(kc, nil, x)
+			want := inf.Forward(kc, nil, tensor.Seg[float32]{M: x})
 			got := q.Forward(kc, nil, x)
 			for i, v := range want.Data() {
 				if d := math.Abs(float64(v - got.Data()[i])); d > worst {

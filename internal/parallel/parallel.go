@@ -67,6 +67,15 @@ func ForWithN[T any](workers, n, grain int, ctx T, body func(ctx T, lo, hi int))
 	if chunkSize < grain {
 		chunkSize = grain
 	}
+	fanOut(n, chunkSize, ctx, body)
+}
+
+// fanOut runs body on each chunkSize-wide chunk of [0, n) in its own
+// goroutine and waits. It is split from ForWithN so that a ctx too
+// large for the goroutine closures to hold by value moves to the heap
+// here, on the parallel path only, and the serial path stays
+// allocation-free whatever ctx's size.
+func fanOut[T any](n, chunkSize int, ctx T, body func(ctx T, lo, hi int)) {
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunkSize {
 		hi := lo + chunkSize

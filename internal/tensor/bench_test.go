@@ -3,6 +3,7 @@ package tensor
 import (
 	"testing"
 
+	"repro/internal/kernels"
 	"repro/internal/rng"
 )
 
@@ -110,5 +111,30 @@ func BenchmarkGatherConcat3Into(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		GatherConcat3Into(out, e, nil, x, src, x, dst)
+	}
+}
+
+// BenchmarkMatMulSegs measures the segmented GEMM at the Interaction
+// GNN's edge-network shape on a recon_gnn_* event: E 2217 rows of six
+// 32-wide segments [Yl ‖ Y0 ‖ Xl[src] ‖ X0[src] ‖ Xl[dst] ‖ X0[dst]]
+// against a 192×32 first layer with the bias+ReLU epilogue — the call
+// that replaced GatherConcat3Into + MatMulInto + AddBiasReLUInto.
+func BenchmarkMatMulSegs(b *testing.B) {
+	const v, e, h = 1272, 2217, 32
+	xl, x0 := benchMat(v, h, 1), benchMat(v, h, 2)
+	yl, y0 := benchMat(e, h, 3), benchMat(e, h, 4)
+	w, bias := benchMat(6*h, h, 5), benchMat(1, h, 6)
+	r := rng.New(7)
+	src, dst := make([]int, e), make([]int, e)
+	for i := range src {
+		src[i], dst[i] = r.Intn(v), r.Intn(v)
+	}
+	out := New(e, h)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulSegsIntoCtx(kernels.Context{}, out, w, bias, true,
+			Seg[float64]{M: yl}, Seg[float64]{M: y0},
+			Seg[float64]{M: xl, Idx: src}, Seg[float64]{M: x0, Idx: src},
+			Seg[float64]{M: xl, Idx: dst}, Seg[float64]{M: x0, Idx: dst})
 	}
 }

@@ -55,17 +55,12 @@ func MatMulInto[T fp.Float](out, a, b *Matrix[T]) {
 }
 
 // MatMulIntoCtx is MatMulInto under an explicit intra-op worker budget.
-// It runs the packed-panel register micro-kernels of tiled.go, whose
-// file comment states the accumulation contract; row blocks partition
-// statically, so the result is bitwise identical at every worker count.
+// It is the one-segment, no-epilogue call of the packed-panel GEMM in
+// tiled.go, whose file comment states the accumulation contract: a is
+// read in place, and row blocks partition statically, so the result is
+// bitwise identical at every worker count.
 func MatMulIntoCtx[T fp.Float](kc kernels.Context, out, a, b *Matrix[T]) {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", a.cols, b.rows))
-	}
-	if out.rows != a.rows || out.cols != b.cols {
-		panic("tensor: MatMulInto output shape mismatch")
-	}
-	matMulTiled(kc, out, a, b)
+	MatMulSegsIntoCtx(kc, out, b, nil, false, Seg[T]{M: a})
 }
 
 // matCtx carries kernel operands into capture-free parallel bodies (see

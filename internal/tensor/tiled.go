@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+
 	"repro/internal/fp"
 	"repro/internal/kernels"
 	"repro/internal/parallel"
@@ -13,6 +15,14 @@ import (
 // without touching the output row between k steps, so every output
 // element is stored exactly once.
 //
+// The left operand is virtual: row i of A is the concatenation of up to
+// MaxSegs column segments, each a matrix row taken directly or gathered
+// through an index (Seg). A plain matrix is the one-segment case and is
+// read in place; anything else is copied MR rows at a time into an
+// L1-resident scratch, so the [rows × k] concatenation the GNN's edge
+// and node networks multiply is never materialised. An optional
+// epilogue adds a bias row (and applies ReLU) to each finished tile.
+//
 // Bitwise contract: every out[i,j] accumulates from zero over ascending
 // k in quads, the quad sum associated as
 // ((a0·b0 + a1·b1) + a2·b2) + a3·b3 and added to the accumulator, then
@@ -21,7 +31,11 @@ import (
 // it would have touched never reach the accumulator. Row blocks
 // partition statically and no accumulation crosses rows, so the result
 // is identical at any worker count. Padded panel columns accumulate
-// zeros into accumulators that are never stored.
+// zeros into accumulators that are never stored. The micro-kernels see
+// byte for byte the row ConcatColsIntoCtx/GatherConcat3IntoCtx would
+// have built, and the epilogue performs AddBias[ReLU]IntoCtx's
+// arithmetic on the stored sum, so MatMulSegsIntoCtx equals that
+// three-kernel chain bit for bit.
 
 // gemmJB is the column-block width in output columns (a multiple of
 // the 4-wide panel): the packed panels for 64 columns fit L1 alongside
@@ -38,29 +52,83 @@ func gemmMR[T fp.Float]() int {
 	return 4
 }
 
-var (
-	matMulTiledBody64 any = matMulTiledBody[float64]
-	matMulTiledBody32 any = matMulTiledBody[float32]
-)
-
-// tileCtx carries the packed-GEMM operands into capture-free parallel
-// bodies.
-type tileCtx[T fp.Float] struct {
-	out, a *Matrix[T]
-	bp     []T // b packed into 4-column panels, zero-padded
+// Seg is one column segment of a GEMM's virtual left operand: row i of
+// the segment is M.Row(Idx[i]) when Idx is non-nil and M.Row(i)
+// otherwise.
+type Seg[T fp.Float] struct {
+	M   *Matrix[T]
+	Idx []int
 }
 
-// matMulTiled computes out = a×b through the packed-panel layout.
-// Steady-state calls perform no heap allocation: the pack buffer comes
-// from the workspace pools.
-func matMulTiled[T fp.Float](kc kernels.Context, out, a, b *Matrix[T]) {
-	n, k := b.cols, a.cols
-	np := (n + 3) / 4
-	bp := workspace.GetFloat[T](np * 4 * k)
-	packPanels(bp, b)
-	parallel.ForWithN(kc.Cap(), a.rows, matmulGrain, tileCtx[T]{out, a, bp},
-		pickBody[T, tileCtx[T]](matMulTiledBody64, matMulTiledBody32))
-	workspace.PutFloat(bp)
+// Rows returns the segment's row count.
+func (s Seg[T]) Rows() int {
+	if s.Idx != nil {
+		return len(s.Idx)
+	}
+	return s.M.rows
+}
+
+// MaxSegs is the most segments one GEMM concatenates — the Interaction
+// GNN's edge network reads six.
+const MaxSegs = 6
+
+var (
+	gemmBody64 any = gemmBody[float64]
+	gemmBody32 any = gemmBody[float32]
+)
+
+// gemmCtx carries the packed-GEMM operands into capture-free parallel
+// bodies. The segments travel in a fixed-size array so a call captures
+// no slice header that would escape to the heap.
+type gemmCtx[T fp.Float] struct {
+	out  *Matrix[T]
+	segs [MaxSegs]Seg[T]
+	nseg int
+	k    int
+	bp   []T // b packed into 4-column panels, zero-padded
+	bias []T // epilogue bias row; nil for none
+	relu bool
+}
+
+// MatMulSegsIntoCtx computes out = [seg₀ ‖ seg₁ ‖ …]×b, then
+// out += bias on every row when bias is non-nil (a 1×b.cols row
+// vector) and out = max(0, out) when relu is set, without building the
+// concatenated operand: the result is bitwise what ConcatColsIntoCtx /
+// GatherConcat3IntoCtx → MatMulIntoCtx → AddBias[ReLU]IntoCtx store,
+// at every worker count. All segments must agree on the row count,
+// their widths must sum to b.rows, and out must not alias any operand.
+// Steady-state calls perform no heap allocation.
+func MatMulSegsIntoCtx[T fp.Float](kc kernels.Context, out, b, bias *Matrix[T], relu bool, segs ...Seg[T]) {
+	if len(segs) == 0 || len(segs) > MaxSegs {
+		panic(fmt.Sprintf("tensor: MatMulSegs takes 1 to %d segments, got %d", MaxSegs, len(segs)))
+	}
+	c := gemmCtx[T]{out: out, nseg: len(segs), relu: relu}
+	rows := segs[0].Rows()
+	for i, s := range segs {
+		if s.Rows() != rows {
+			panic(fmt.Sprintf("tensor: MatMulSegs row mismatch: segment %d has %d rows, segment 0 has %d", i, s.Rows(), rows))
+		}
+		c.segs[i] = s
+		c.k += s.M.cols
+	}
+	if c.k != b.rows {
+		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", c.k, b.rows))
+	}
+	if out.rows != rows || out.cols != b.cols {
+		panic("tensor: MatMulInto output shape mismatch")
+	}
+	if bias != nil {
+		if bias.rows != 1 || bias.cols != b.cols {
+			panic(fmt.Sprintf("tensor: MatMulSegs bias %dx%d vs output cols %d", bias.rows, bias.cols, b.cols))
+		}
+		c.bias = bias.data
+	} else if relu {
+		panic("tensor: MatMulSegs ReLU epilogue needs a bias")
+	}
+	c.bp = workspace.GetFloat[T]((b.cols + 3) / 4 * 4 * c.k)
+	packPanels(c.bp, b)
+	parallel.ForWithN(kc.Cap(), rows, matmulGrain, c, pickBody[T, gemmCtx[T]](gemmBody64, gemmBody32))
+	workspace.PutFloat(c.bp)
 }
 
 // packPanels copies b into 4-column panel-major layout: panel q holds
@@ -94,15 +162,24 @@ func packPanels[T fp.Float](bp []T, b *Matrix[T]) {
 	}
 }
 
-// matMulTiledBody computes rows [lo, hi) of the packed GEMM: column
-// blocks of gemmJB/4 panels outermost (so a block's panels stay hot
-// across row sweeps), MR-row blocks next, one micro-kernel call per
-// (row-block, panel).
-func matMulTiledBody[T fp.Float](c tileCtx[T], lo, hi int) {
-	out, a := c.out, c.a
-	n, k := out.cols, a.cols
+// gemmBody computes rows [lo, hi) of the packed GEMM: column blocks of
+// gemmJB/4 panels outermost (so a block's panels stay hot across row
+// sweeps), MR-row blocks next, one micro-kernel call per (row-block,
+// panel), then the epilogue over the block's finished tile. A lone
+// direct segment is read where it lies; otherwise each row block's
+// virtual rows are first assembled in a per-chunk scratch.
+func gemmBody[T fp.Float](c gemmCtx[T], lo, hi int) {
+	out, k := c.out, c.k
+	n := out.cols
 	np := (n + 3) / 4
 	mr := gemmMR[T]()
+	var plain, scratch []T
+	if c.nseg == 1 && c.segs[0].Idx == nil {
+		plain = c.segs[0].M.data
+	} else {
+		scratch = workspace.GetFloat[T](mr * k)
+		defer workspace.PutFloat(scratch)
+	}
 	const jbp = gemmJB / 4
 	for q0 := 0; q0 < np; q0 += jbp {
 		q1 := q0 + jbp
@@ -119,7 +196,22 @@ func matMulTiledBody[T fp.Float](c tileCtx[T], lo, hi int) {
 			default:
 				bs = 1
 			}
-			ad := a.data[i*k:]
+			ad := scratch
+			if plain != nil {
+				ad = plain[i*k:]
+			} else {
+				off := 0
+				for r := i; r < i+bs; r++ {
+					for _, s := range c.segs[:c.nseg] {
+						src, w := r, s.M.cols
+						if s.Idx != nil {
+							src = s.Idx[r]
+						}
+						copy(ad[off:off+w], s.M.data[src*w:(src+1)*w])
+						off += w
+					}
+				}
+			}
 			for q := q0; q < q1; q++ {
 				w := n - q*4
 				if w > 4 {
@@ -140,7 +232,35 @@ func matMulTiledBody[T fp.Float](c tileCtx[T], lo, hi int) {
 					microGEMM1(out.data[off:off+w], ad[:k], panel)
 				}
 			}
+			if c.bias != nil {
+				j0, j1 := q0*4, q1*4
+				if j1 > n {
+					j1 = n
+				}
+				for r := i; r < i+bs; r++ {
+					addBiasRow(out.data[r*n+j0:r*n+j1], c.bias[j0:j1], c.relu)
+				}
+			}
 			i += bs
+		}
+	}
+}
+
+// addBiasRow is the GEMM epilogue on one finished output row segment:
+// the arithmetic of addBiasBody, or of addBiasReLUBody when relu is
+// set, in place.
+func addBiasRow[T fp.Float](o, bias []T, relu bool) {
+	if !relu {
+		for j, v := range o {
+			o[j] = v + bias[j]
+		}
+		return
+	}
+	for j, v := range o {
+		if s := v + bias[j]; s > 0 {
+			o[j] = s
+		} else {
+			o[j] = 0
 		}
 	}
 }

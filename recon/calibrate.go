@@ -150,12 +150,22 @@ func (r *Reconstructor) calibrate(ctx context.Context, events []*Event) (*i8Scal
 	defer a.Reset()
 	kctx := r.kernelCtx(ctx)
 	kc := kernels.From(kctx)
-	// The built-in adapters are replayed through the observers only at
-	// Int8, where they serve the snapshot being calibrated. At Float64
-	// and Float32 they run as themselves, like custom stages, so the
-	// filter's ranges go unobserved there and its exported scales stay 1
-	// (ROADMAP, correctness item).
-	i8 := r.set.precision == Int8
+	// The built-in stages are the ones the int8 snapshot will replace,
+	// whichever precision's adapter stands for them here (an Int8
+	// export from a Float64 reconstructor included), so each replays
+	// through its observer. The radius search runs on the observed
+	// embedding only when the default embedder produced it: with a
+	// custom Embedder the thunk-consuming builder is in place and runs
+	// as itself.
+	embedObserved := isDefaultEmbedder(r.embedder)
+	searchObserved := false
+	switch r.builder.(type) {
+	case radiusBuilder32:
+		searchObserved = true
+	case radiusBuilder:
+		searchObserved = embedObserved
+	}
+	filterObserved := isDefaultFilter(r.filter)
 	for _, ev := range events {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -166,11 +176,11 @@ func (r *Reconstructor) calibrate(ctx context.Context, events []*Event) (*i8Scal
 
 		var src, dst []int
 		var err error
-		if _, ok := r.builder.(radiusBuilder32); ok && i8 {
+		if searchObserved {
 			src, dst = knnsearch.BuildRadiusGraphCtx(kc, emb, r.cfg.Radius, r.cfg.MaxDegree)
 		} else {
 			thunk := func() (*Matrix, error) {
-				if _, ok := r.embedder.(mlpEmbedder32); ok && i8 {
+				if embedObserved {
 					return tensor.ConvertFrom[float64](nil, emb), nil
 				}
 				return r.embedder.Embed(kctx, a, ev)
@@ -181,7 +191,7 @@ func (r *Reconstructor) calibrate(ctx context.Context, events []*Event) (*i8Scal
 		}
 
 		var fsrc, fdst []int
-		if _, ok := r.filter.(mlpFilter32); ok && i8 {
+		if filterObserved {
 			if len(src) > 0 {
 				edgeFeat := detector.EdgeFeaturesWith(a, r.spec, ev, src, dst)
 				scores := filtCal.Observe(kc, a, feat, tensor.ConvertFrom[float32](a, edgeFeat), src, dst)

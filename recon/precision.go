@@ -17,8 +17,9 @@ import (
 type Precision int
 
 const (
-	// Float64 is full precision — the default, bitwise identical to the
-	// training-path forward.
+	// Float64 is full precision — the default. The stages run tape-free
+	// views of the float64 parameters, bitwise identical to the
+	// training-path forward on a tape.
 	Float64 Precision = iota
 	// Float32 is the reduced-precision serving path.
 	Float32

@@ -414,3 +414,47 @@ func TestF32CheckpointServesIdentically(t *testing.T) {
 		}
 	}
 }
+
+// TestInt8ExportFromFloatCalibratesEveryStage: SaveCheckpointInt8 from
+// a fitted Float64 or Float32 reconstructor observes every default
+// stage, the filter included — no exported activation-scale table is
+// the all-ones table of a stage that never saw an input.
+func TestInt8ExportFromFloatCalibratesEveryStage(t *testing.T) {
+	spec := detector.Ex3Like(0.02)
+	spec.NumEvents = 2
+	train := detector.Generate(spec, 5).Events
+	for _, prec := range []Precision{Float64, Float32} {
+		opts := []Option{WithSeed(9), WithGNN(8, 2), WithPrecision(prec)}
+		r, err := New(spec, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Fit(context.Background(), train); err != nil {
+			t.Fatal(err)
+		}
+		ckpt := filepath.Join(t.TempDir(), "model.i8.ckpt.gz")
+		if err := r.SaveCheckpointInt8(ckpt); err != nil {
+			t.Fatal(err)
+		}
+		into, err := New(spec, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		act, err := nn.LoadParamsFileExt(ckpt, into.params())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(act) == 0 {
+			t.Fatalf("%v: v4 checkpoint carries no activation scales", prec)
+		}
+		for _, table := range act {
+			ones := true
+			for _, s := range table.Scales {
+				ones = ones && s == 1
+			}
+			if ones {
+				t.Errorf("%v: activation-scale table %q is all ones: the stage was never observed", prec, table.Name)
+			}
+		}
+	}
+}

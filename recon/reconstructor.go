@@ -184,12 +184,13 @@ func assemble(spec DetectorSpec, cfg pipeline.Config, set settings, p *pipeline.
 // syncInference refreshes the reduced-precision weight snapshots from
 // the pipeline's float64 parameters. Called at construction and after
 // every operation that rewrites the weights (Fit, LoadCheckpoint); a
-// no-op at Float64, where inference reads the training parameters
-// directly. At Int8 it additionally runs the activation-range
-// calibration pass when no valid scales are cached (fresh construction,
-// post-Fit invalidation, pre-v4 checkpoint load). Must not race
-// concurrent inference — the Reconstructor is documented as safe for
-// concurrent use only once training is done.
+// no-op at Float64, where the stage models' inference views alias the
+// training parameters' own storage and have nothing to refresh. At Int8
+// it additionally runs the activation-range calibration pass when no
+// valid scales are cached (fresh construction, post-Fit invalidation,
+// pre-v4 checkpoint load). Must not race concurrent inference — the
+// Reconstructor is documented as safe for concurrent use only once
+// training is done.
 func (r *Reconstructor) syncInference() error {
 	switch r.set.precision {
 	case Float32:

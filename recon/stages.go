@@ -18,6 +18,12 @@ import (
 // on serial entry points and the Engine installs each worker's share,
 // so custom stages see only the standard context.Context signature
 // while the built-in kernels compose with worker-level parallelism.
+//
+// None of them builds an autograd tape: embed.Embedder.EmbedCtx,
+// filter.EdgeFilter.KeepCtx and ignn.Model.EdgeScoresCtx run the
+// models' Inference[float64] views, which alias the parameters (so Fit
+// and LoadCheckpoint need no refresh here) and are gated bitwise
+// against the tape forward in their packages' tests.
 
 // mlpEmbedder adapts the stage-1 metric-learning MLP.
 type mlpEmbedder struct{ m *embed.Embedder }
