@@ -34,7 +34,7 @@ func benchOptions() repro.ExperimentOptions {
 func BenchmarkTable1_DatasetGeneration(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := repro.RunTable1(o)
+		rows, _ := repro.Table1(context.Background(), o)
 		if len(rows) != 2 {
 			b.Fatal("table 1 incomplete")
 		}
@@ -46,7 +46,7 @@ func BenchmarkTable1_DatasetGeneration(b *testing.B) {
 func benchmarkFigure3(b *testing.B, procs int) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := repro.RunFigure3(o, []int{procs})
+		rows, _ := repro.Figure3(context.Background(), o, []int{procs})
 		if len(rows) != 2 {
 			b.Fatal("figure 3 incomplete")
 		}
@@ -109,7 +109,7 @@ func BenchmarkFigure3_EpochTime_P8(b *testing.B) { benchmarkFigure3(b, 8) }
 func BenchmarkFigure4_Convergence(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		res := repro.RunFigure4(o)
+		res, _ := repro.Figure4(context.Background(), o)
 		if len(res.Ours.Points) != o.Epochs {
 			b.Fatal("figure 4 incomplete")
 		}
@@ -122,7 +122,7 @@ func BenchmarkFigure4_Convergence(b *testing.B) {
 func BenchmarkAblation_AllReduce(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := repro.RunAllReduceAblation(o, []int{2, 4, 8}, 5)
+		rows, _ := repro.AllReduceAblation(context.Background(), o, []int{2, 4, 8}, 5)
 		if len(rows) != 6 {
 			b.Fatal("ablation incomplete")
 		}
@@ -133,7 +133,7 @@ func BenchmarkAblation_AllReduce(b *testing.B) {
 func BenchmarkAblation_BulkK(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := repro.RunBulkKAblation(o, []int{1, 4})
+		rows, _ := repro.BulkKAblation(context.Background(), o, []int{1, 4})
 		if len(rows) != 2 {
 			b.Fatal("ablation incomplete")
 		}
@@ -145,23 +145,24 @@ func BenchmarkAblation_BulkK(b *testing.B) {
 func BenchmarkAblation_BatchSize(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := repro.RunBatchSizeAblation(o, []int{64, 256})
+		rows, _ := repro.BatchSizeAblation(context.Background(), o, []int{64, 256})
 		if len(rows) != 2 {
 			b.Fatal("ablation incomplete")
 		}
 	}
 }
 
-// BenchmarkPipeline_Reconstruct measures full five-stage inference on one
-// event (the production workload of the library).
-func BenchmarkPipeline_Reconstruct(b *testing.B) {
-	spec := repro.Ex3Like(0.03)
-	spec.NumEvents = 2
-	ds := repro.GenerateDataset(spec, 3)
-	p := repro.NewPipeline(repro.DefaultPipelineConfig(spec), 5)
+// BenchmarkEngine_ReconstructSerial measures full five-stage inference
+// one event at a time on the caller's goroutine (the production
+// workload of the library, and the engine rows' serial baseline).
+func BenchmarkEngine_ReconstructSerial(b *testing.B) {
+	r, events := engineBenchFixture(b)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Reconstruct(ds.Events[i%len(ds.Events)])
+		if _, err := r.Reconstruct(ctx, events[i%len(events)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

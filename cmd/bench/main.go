@@ -38,6 +38,7 @@ import (
 	"repro"
 	"repro/internal/gpumem"
 	"repro/internal/graph"
+	"repro/internal/pipeline"
 	"repro/internal/rng"
 	"repro/internal/sampling"
 	"repro/internal/sparse"
@@ -149,16 +150,6 @@ type namedBench struct {
 func suite(quick bool) []namedBench {
 	o := benchOptions()
 	benches := []namedBench{
-		{"BenchmarkPipeline_Reconstruct", func(b *testing.B) {
-			spec := repro.Ex3Like(0.03)
-			spec.NumEvents = 2
-			ds := repro.GenerateDataset(spec, 3)
-			p := repro.NewPipeline(repro.DefaultPipelineConfig(spec), 5)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Reconstruct(ds.Events[i%len(ds.Events)])
-			}
-		}},
 		{"BenchmarkEngine_ReconstructSerial", func(b *testing.B) {
 			r, events := engineFixture(b)
 			ctx := context.Background()
@@ -433,13 +424,13 @@ func suite(quick bool) []namedBench {
 		benches = append(benches,
 			namedBench{"BenchmarkFigure3_EpochTime_P1", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					rows := repro.RunFigure3(o, []int{1})
+					rows, _ := repro.Figure3(context.Background(), o, []int{1})
 					b.ReportMetric(repro.Figure3Speedups(rows)[1], "speedup")
 				}
 			}},
 			namedBench{"BenchmarkFigure3_EpochTime_P4", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					rows := repro.RunFigure3(o, []int{4})
+					rows, _ := repro.Figure3(context.Background(), o, []int{4})
 					b.ReportMetric(repro.Figure3Speedups(rows)[4], "speedup")
 				}
 			}},
@@ -461,7 +452,7 @@ var sweepNames = []string{
 	"BenchmarkAddBias",
 	"BenchmarkAddBiasReLUInto",
 	"BenchmarkGatherConcat3Into",
-	"BenchmarkPipeline_Reconstruct",
+	"BenchmarkEngine_ReconstructSerial",
 }
 
 // parseProcsList parses a -procs value like "1,2,4".
@@ -560,10 +551,9 @@ func distTrainFixture(b *testing.B) ([]*repro.EventGraph, repro.GNNConfig) {
 	spec := repro.Ex3Like(0.02)
 	spec.NumEvents = 2
 	ds := repro.GenerateDataset(spec, 42)
-	p := repro.NewPipeline(repro.DefaultPipelineConfig(spec), 44)
 	var graphs []*repro.EventGraph
 	for i, ev := range ds.Events {
-		graphs = append(graphs, p.BuildTruthLevelGraph(ev, 1.5, uint64(200+i)))
+		graphs = append(graphs, pipeline.TruthLevelGraph(spec, ev, 1.5, uint64(200+i)))
 	}
 	gnn := repro.GNNConfig{
 		NodeFeatures: spec.VertexFeatures,

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/pipeline"
 	"repro/internal/sampling"
 )
 
@@ -117,10 +118,9 @@ func main() {
 	spec := repro.Ex3Like(*scale)
 	spec.NumEvents = *events
 	ds := repro.GenerateDataset(spec, 42)
-	p := repro.NewPipeline(repro.DefaultPipelineConfig(spec), 44)
 	var graphs []*repro.EventGraph
 	for i, ev := range ds.Events {
-		graphs = append(graphs, p.BuildTruthLevelGraph(ev, 1.5, uint64(200+i)))
+		graphs = append(graphs, pipeline.TruthLevelGraph(spec, ev, 1.5, uint64(200+i)))
 	}
 	gnn := repro.GNNConfig{
 		NodeFeatures: spec.VertexFeatures,

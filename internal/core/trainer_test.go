@@ -17,11 +17,9 @@ func testGraphs(t *testing.T, events int, scale float64) ([]*pipeline.EventGraph
 	spec := detector.Ex3Like(scale)
 	spec.NumEvents = events
 	ds := detector.Generate(spec, 33)
-	pcfg := pipeline.DefaultConfig(spec)
-	p := pipeline.New(pcfg, 44)
 	var egs []*pipeline.EventGraph
 	for i, ev := range ds.Events {
-		egs = append(egs, p.BuildTruthLevelGraph(ev, 1.5, uint64(200+i)))
+		egs = append(egs, pipeline.TruthLevelGraph(spec, ev, 1.5, uint64(200+i)))
 	}
 	gnn := ignn.Config{
 		NodeFeatures: spec.VertexFeatures,

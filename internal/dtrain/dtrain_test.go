@@ -9,6 +9,7 @@ import (
 	"repro/internal/ddp"
 	"repro/internal/detector"
 	"repro/internal/ignn"
+	"repro/internal/kernels"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/sampling"
@@ -21,10 +22,9 @@ func testGraphs(t *testing.T, events int, scale float64) ([]*pipeline.EventGraph
 	spec := detector.Ex3Like(scale)
 	spec.NumEvents = events
 	ds := detector.Generate(spec, 33)
-	p := pipeline.New(pipeline.DefaultConfig(spec), 44)
 	var egs []*pipeline.EventGraph
 	for i, ev := range ds.Events {
-		egs = append(egs, p.BuildTruthLevelGraph(ev, 1.5, uint64(200+i)))
+		egs = append(egs, pipeline.TruthLevelGraph(spec, ev, 1.5, uint64(200+i)))
 	}
 	gnn := ignn.Config{
 		NodeFeatures: spec.VertexFeatures,
@@ -178,7 +178,7 @@ func TestLossDecreases(t *testing.T) {
 	// The trained model must produce non-degenerate edge scores
 	// (evaluation through the public surface lives in recon).
 	eg := egs[0]
-	scores := tr.Model().EdgeScores(eg.G.Src, eg.G.Dst, eg.X, eg.Y)
+	scores := tr.Model().EdgeScoresCtx(kernels.Context{}, nil, eg.G.Src, eg.G.Dst, eg.X, eg.Y)
 	counts := metrics.FromScores(scores, eg.Label, 0.5)
 	if counts.Precision() == 0 && counts.Recall() == 0 {
 		t.Fatal("trained model scored nothing")

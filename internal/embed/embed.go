@@ -71,22 +71,13 @@ func New(cfg Config, r *rng.Rand) *Embedder {
 // Params exposes the trainable parameters.
 func (e *Embedder) Params() []*autograd.Param { return e.mlp.Params() }
 
-// Embed maps an event's hit features into the embedding space.
-func (e *Embedder) Embed(features *tensor.Dense) *tensor.Dense {
-	return e.EmbedWith(nil, features)
-}
-
-// EmbedWith is Embed with the forward pass allocating from the arena's
-// workspace pools. The returned matrix is arena-owned: it is valid only
-// until the caller resets the arena. A nil arena falls back to the heap.
-func (e *Embedder) EmbedWith(arena *workspace.Arena, features *tensor.Dense) *tensor.Dense {
-	return e.EmbedCtx(kernels.Context{}, arena, features)
-}
-
-// EmbedCtx is EmbedWith under an explicit intra-op worker budget for
-// the forward kernels; the embedding is bitwise identical at every
-// budget, and bitwise what the MLP's forward on a tape produces. It
-// runs the tape-free Inference[float64] view of the parameters.
+// EmbedCtx maps an event's hit features into the embedding space under
+// an explicit intra-op worker budget for the forward kernels; the
+// embedding is bitwise identical at every budget, and bitwise what the
+// MLP's forward on a tape produces. It runs the tape-free
+// Inference[float64] view of the parameters. The returned matrix is
+// arena-owned: it is valid only until the caller resets the arena. A
+// nil arena falls back to the heap.
 func (e *Embedder) EmbedCtx(kc kernels.Context, arena *workspace.Arena, features *tensor.Dense) *tensor.Dense {
 	return e.inf.EmbedCtx(kc, arena, features)
 }
@@ -120,15 +111,12 @@ func buildPairs(ev *detector.Event, ratio float64, r *rng.Rand) pairBatch {
 	return pb
 }
 
-// TrainStep runs one optimization step on one event and returns the loss.
-func (e *Embedder) TrainStep(ev *detector.Event, opt nn.Optimizer, r *rng.Rand) float64 {
-	return e.TrainStepWith(nil, ev, opt, r)
-}
-
-// TrainStepWith is TrainStep with forward/backward activations borrowed
-// from the given arena (checkpointed around the step, so the caller's
-// other allocations survive). A nil arena uses a private one.
-func (e *Embedder) TrainStepWith(arena *workspace.Arena, ev *detector.Event, opt nn.Optimizer, r *rng.Rand) float64 {
+// TrainStepWith runs one optimization step on one event and returns the
+// loss, the tape kernels running under kc and the forward/backward
+// activations borrowed from the given arena (checkpointed around the
+// step, so the caller's other allocations survive). A nil arena uses a
+// private one.
+func (e *Embedder) TrainStepWith(kc kernels.Context, arena *workspace.Arena, ev *detector.Event, opt nn.Optimizer, r *rng.Rand) float64 {
 	pb := buildPairs(ev, e.cfg.NegativeRatio, r)
 	if len(pb.a) == 0 {
 		return 0
@@ -141,6 +129,7 @@ func (e *Embedder) TrainStepWith(arena *workspace.Arena, ev *detector.Event, opt
 		defer arena.ResetTo(mark)
 	}
 	t := autograd.NewTapeArena(arena)
+	t.SetKernels(kc)
 	emb := e.mlp.Forward(t, t.Constant(ev.Features))
 	ea := t.GatherRows(emb, pb.a)
 	eb := t.GatherRows(emb, pb.b)
@@ -152,18 +141,12 @@ func (e *Embedder) TrainStepWith(arena *workspace.Arena, ev *detector.Event, opt
 	return loss.Value.At(0, 0)
 }
 
-// Train fits the embedder on the training events for cfg.Epochs passes.
-// It returns the mean loss of the final epoch.
-func (e *Embedder) Train(events []*detector.Event, seed uint64) float64 {
-	loss, _ := e.TrainContext(context.Background(), events, seed)
-	return loss
-}
-
-// TrainContext is Train with cooperative cancellation between epochs
-// and one arena threaded through every step, so epoch loops recycle
-// warm activation buffers. Returns the last completed epoch's mean loss
-// alongside ctx.Err() when cancelled.
-func (e *Embedder) TrainContext(ctx context.Context, events []*detector.Event, seed uint64) (float64, error) {
+// TrainContext fits the embedder on the training events for cfg.Epochs
+// passes under the worker budget kc, with cooperative cancellation
+// between epochs and one arena threaded through every step, so epoch
+// loops recycle warm activation buffers. Returns the last completed
+// epoch's mean loss alongside ctx.Err() when cancelled.
+func (e *Embedder) TrainContext(ctx context.Context, kc kernels.Context, events []*detector.Event, seed uint64) (float64, error) {
 	r := rng.New(seed)
 	opt := nn.NewAdam(e.cfg.LR)
 	arena := workspace.NewArena()
@@ -175,7 +158,7 @@ func (e *Embedder) TrainContext(ctx context.Context, events []*detector.Event, s
 		}
 		sum := 0.0
 		for _, ev := range events {
-			sum += e.TrainStepWith(arena, ev, opt, r)
+			sum += e.TrainStepWith(kc, arena, ev, opt, r)
 		}
 		if len(events) > 0 {
 			last = sum / float64(len(events))

@@ -1,9 +1,11 @@
 package embed
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/detector"
+	"repro/internal/kernels"
 	"repro/internal/nn"
 	"repro/internal/rng"
 )
@@ -20,7 +22,7 @@ func TestEmbedShapes(t *testing.T) {
 	spec, evs := testEvents(t, 1)
 	cfg := DefaultConfig(spec)
 	e := New(cfg, rng.New(1))
-	out := e.Embed(evs[0].Features)
+	out := e.EmbedCtx(kernels.Context{}, nil, evs[0].Features)
 	if out.Rows() != evs[0].NumHits() || out.Cols() != cfg.EmbedDim {
 		t.Fatalf("embedding %dx%d", out.Rows(), out.Cols())
 	}
@@ -29,7 +31,7 @@ func TestEmbedShapes(t *testing.T) {
 // pairDistances measures mean squared distance of positive (truth-edge)
 // and random negative pairs in embedding space.
 func pairDistances(e *Embedder, ev *detector.Event, r *rng.Rand) (pos, neg float64) {
-	emb := e.Embed(ev.Features)
+	emb := e.EmbedCtx(kernels.Context{}, nil, ev.Features)
 	nPos := 0
 	for k := range ev.TruthSrc {
 		pos += sqDist(emb.Row(ev.TruthSrc[k]), emb.Row(ev.TruthDst[k]))
@@ -63,7 +65,9 @@ func TestTrainingSeparatesPairs(t *testing.T) {
 	cfg := DefaultConfig(spec)
 	cfg.Epochs = 15
 	e := New(cfg, rng.New(2))
-	e.Train(evs, 3)
+	if _, err := e.TrainContext(context.Background(), kernels.Context{}, evs, 3); err != nil {
+		t.Fatal(err)
+	}
 	r := rng.New(4)
 	pos, neg := pairDistances(e, evs[0], r)
 	// After metric learning, same-track pairs must sit much closer than
@@ -78,10 +82,10 @@ func TestTrainingReducesLoss(t *testing.T) {
 	cfg := DefaultConfig(spec)
 	cfg.Epochs = 1
 	e := New(cfg, rng.New(5))
-	first := e.Train(evs, 6)
+	first, _ := e.TrainContext(context.Background(), kernels.Context{}, evs, 6)
 	cfg.Epochs = 10
 	e2 := New(cfg, rng.New(5))
-	last := e2.Train(evs, 6)
+	last, _ := e2.TrainContext(context.Background(), kernels.Context{}, evs, 6)
 	if last >= first {
 		t.Fatalf("loss did not decrease: first-epoch %v vs 10-epoch %v", first, last)
 	}
@@ -92,9 +96,9 @@ func TestTrainStepHandlesTinyEvent(t *testing.T) {
 	cfg := DefaultConfig(spec)
 	e := New(cfg, rng.New(7))
 	// An event with a single particle (few or no truth edges) must not
-	// panic; TrainStep may return 0 loss.
+	// panic; TrainStepWith may return 0 loss.
 	sp := spec
 	sp.AvgParticles = 0.0001
 	single := detector.GenerateEvent(sp, rng.New(8))
-	_ = e.TrainStep(single, nn.NewSGD(0), rng.New(9))
+	_ = e.TrainStepWith(kernels.Context{}, nil, single, nn.NewSGD(0), rng.New(9))
 }

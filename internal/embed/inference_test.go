@@ -46,7 +46,7 @@ func TestInferenceF32WithinTolerance(t *testing.T) {
 	e := New(cfg, rng.New(5))
 	feat := tensor.RandN(rng.New(6), 40, cfg.InputFeatures, 1)
 
-	want := e.Embed(feat)
+	want := e.EmbedCtx(kernels.Context{}, nil, feat)
 	got32 := NewInference[float32](e).EmbedCtx(kernels.Context{}, nil, tensor.ConvertFrom[float32](nil, feat))
 	got := tensor.ConvertFrom[float64](nil, got32)
 	if d := want.MaxAbsDiff(got); d > 1e-4 {

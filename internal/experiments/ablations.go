@@ -19,15 +19,9 @@ type BulkKRow struct {
 	SamplerCalls int // bulk invocations per epoch (approximate: steps/k)
 }
 
-// RunBulkKAblation sweeps the bulk batch count k at fixed P and measures
-// the epoch-time phase split.
-func RunBulkKAblation(o Options, ks []int) []BulkKRow {
-	rows, _ := RunBulkKAblationContext(context.Background(), o, ks)
-	return rows
-}
-
-// RunBulkKAblationContext is RunBulkKAblation with cooperative
-// cancellation between sweep points.
+// RunBulkKAblationContext sweeps the bulk batch count k at fixed P and
+// measures the epoch-time phase split, checking the context between
+// sweep points.
 func RunBulkKAblationContext(ctx context.Context, o Options, ks []int) ([]BulkKRow, error) {
 	o = o.withDefaults()
 	if len(ks) == 0 {
@@ -69,15 +63,9 @@ type FanoutRow struct {
 	AvgSubgraphVertices float64
 }
 
-// RunFanoutAblation sweeps ShaDow (depth, fanout) pairs and reports
-// validation quality and epoch cost.
-func RunFanoutAblation(o Options, pairs [][2]int) []FanoutRow {
-	rows, _ := RunFanoutAblationContext(context.Background(), o, pairs)
-	return rows
-}
-
-// RunFanoutAblationContext is RunFanoutAblation with cooperative
-// cancellation between sweep points.
+// RunFanoutAblationContext sweeps ShaDow (depth, fanout) pairs and
+// reports validation quality and epoch cost, checking the context
+// between sweep points.
 func RunFanoutAblationContext(ctx context.Context, o Options, pairs [][2]int) ([]FanoutRow, error) {
 	o = o.withDefaults()
 	if len(pairs) == 0 {
@@ -121,15 +109,9 @@ type BatchSizeRow struct {
 	F1                float64
 }
 
-// RunBatchSizeAblation trains at several batch sizes for a fixed epoch
-// budget and reports final validation quality.
-func RunBatchSizeAblation(o Options, sizes []int) []BatchSizeRow {
-	rows, _ := RunBatchSizeAblationContext(context.Background(), o, sizes)
-	return rows
-}
-
-// RunBatchSizeAblationContext is RunBatchSizeAblation with cooperative
-// cancellation between sweep points.
+// RunBatchSizeAblationContext trains at several batch sizes for a fixed
+// epoch budget and reports final validation quality, checking the
+// context between sweep points.
 func RunBatchSizeAblationContext(ctx context.Context, o Options, sizes []int) ([]BatchSizeRow, error) {
 	o = o.withDefaults()
 	if len(sizes) == 0 {

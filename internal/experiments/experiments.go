@@ -105,11 +105,9 @@ func (o Options) spec() detector.Spec {
 func buildGraphs(o Options) (train, val []*pipeline.EventGraph, gnn ignn.Config) {
 	spec := o.spec()
 	ds := detector.Generate(spec, o.Seed)
-	pcfg := pipeline.DefaultConfig(spec)
-	p := pipeline.New(pcfg, o.Seed+1)
 	var egs []*pipeline.EventGraph
 	for i, ev := range ds.Events {
-		egs = append(egs, p.BuildTruthLevelGraph(ev, o.FakeRatio, o.Seed+uint64(10+i)))
+		egs = append(egs, pipeline.TruthLevelGraph(spec, ev, o.FakeRatio, o.Seed+uint64(10+i)))
 	}
 	nVal := len(egs) / 8
 	if nVal < 1 {
@@ -160,17 +158,11 @@ type Table1Row struct {
 	PaperEdges    float64
 }
 
-// RunTable1 generates both dataset families at the given scale and
-// measures their Table I statistics. The measured edge count is the
+// RunTable1Context generates both dataset families at the given scale
+// and measures their Table I statistics. The measured edge count is the
 // truth-level graph edge count at the configured fake ratio (the graphs
-// the GNN consumes).
-func RunTable1(o Options) []Table1Row {
-	rows, _ := RunTable1Context(context.Background(), o)
-	return rows
-}
-
-// RunTable1Context is RunTable1 with cooperative cancellation between
-// dataset families; it returns the rows completed so far and ctx.Err().
+// the GNN consumes). It checks the context between dataset families and
+// returns the rows completed so far alongside ctx.Err().
 func RunTable1Context(ctx context.Context, o Options) ([]Table1Row, error) {
 	o = o.withDefaults()
 	rows := make([]Table1Row, 0, 2)
@@ -212,17 +204,12 @@ type ConvergenceResult struct {
 	Skipped   int              // graphs skipped per epoch by full-graph
 }
 
-// RunFigure4 reproduces the convergence comparison on Ex3: full-graph
-// vs ShaDow with the PyG implementation vs ShaDow with our
+// RunFigure4Context reproduces the convergence comparison on Ex3:
+// full-graph vs ShaDow with the PyG implementation vs ShaDow with our
 // implementation, precision and recall per epoch on the validation set.
-func RunFigure4(o Options) *ConvergenceResult {
-	res, _ := RunFigure4Context(context.Background(), o)
-	return res
-}
-
-// RunFigure4Context is RunFigure4 with cooperative cancellation between
-// the three training runs; the partial result holds the curves finished
-// so far (later curves nil) alongside ctx.Err().
+// It checks the context between the three training runs; the partial
+// result holds the curves finished so far (later curves nil) alongside
+// ctx.Err().
 func RunFigure4Context(ctx context.Context, o Options) (*ConvergenceResult, error) {
 	o = o.withDefaults()
 	train, val, gnn := buildGraphs(o)
@@ -306,7 +293,7 @@ func (r EpochTimeRow) String() string {
 		r.Training.Round(time.Microsecond), r.AllReduce.Round(time.Microsecond), k)
 }
 
-// RunFigure3 measures epoch time across process counts for the PyG
+// RunFigure3Context measures epoch time across process counts for the PyG
 // baseline and our implementation — the stacked bars of Figure 3. The
 // paper sweeps P∈{4,8,16} on CTD and P∈{1,4,8} on Ex3.
 //
@@ -315,14 +302,9 @@ func (r EpochTimeRow) String() string {
 // small datasets exactly as the paper reports for Ex3), 15ms sampler
 // launch overhead, and a 25× accelerator compute model so the
 // sampling:training proportions match the published bars.
-func RunFigure3(o Options, procs []int) []EpochTimeRow {
-	rows, _ := RunFigure3Context(context.Background(), o, procs)
-	return rows
-}
-
-// RunFigure3Context is RunFigure3 with cooperative cancellation between
-// (process count, implementation) cells; it returns the rows measured
-// so far and ctx.Err().
+//
+// It checks the context between (process count, implementation) cells
+// and returns the rows measured so far alongside ctx.Err().
 func RunFigure3Context(ctx context.Context, o Options, procs []int) ([]EpochTimeRow, error) {
 	// Figure-3-specific defaults, applied before the generic ones.
 	if o.SamplerOverhead == 0 {
@@ -405,15 +387,9 @@ type AllReduceRow struct {
 	ModeledTime time.Duration
 }
 
-// RunAllReduceAblation measures the modeled cost of synchronizing the
-// IGNN gradient set under per-matrix vs coalesced all-reduce.
-func RunAllReduceAblation(o Options, procs []int, stepsPerEpoch int) []AllReduceRow {
-	rows, _ := RunAllReduceAblationContext(context.Background(), o, procs, stepsPerEpoch)
-	return rows
-}
-
-// RunAllReduceAblationContext is RunAllReduceAblation with cooperative
-// cancellation between cells.
+// RunAllReduceAblationContext measures the modeled cost of synchronizing
+// the IGNN gradient set under per-matrix vs coalesced all-reduce,
+// checking the context between cells.
 func RunAllReduceAblationContext(ctx context.Context, o Options, procs []int, stepsPerEpoch int) ([]AllReduceRow, error) {
 	o = o.withDefaults()
 	if len(procs) == 0 {

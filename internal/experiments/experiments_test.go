@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -20,7 +21,10 @@ func tinyOptions() Options {
 }
 
 func TestRunTable1Shapes(t *testing.T) {
-	rows := RunTable1(tinyOptions())
+	rows, err := RunTable1Context(context.Background(), tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 2 {
 		t.Fatalf("Table 1 has %d rows, want 2", len(rows))
 	}
@@ -47,7 +51,10 @@ func TestRunTable1Shapes(t *testing.T) {
 func TestRunFigure4Shapes(t *testing.T) {
 	o := tinyOptions()
 	o.Epochs = 4
-	res := RunFigure4(o)
+	res, err := RunFigure4Context(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, h := range map[string]interface{ lenPoints() int }{} {
 		_ = name
 		_ = h
@@ -74,7 +81,10 @@ func TestRunFigure3Shapes(t *testing.T) {
 	// is validated at real scale by the cmd/figure3 harness and recorded
 	// in EXPERIMENTS.md.
 	o := tinyOptions()
-	rows := RunFigure3(o, []int{1, 2})
+	rows, err := RunFigure3Context(context.Background(), o, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows, want 4", len(rows))
 	}
@@ -106,7 +116,10 @@ func TestRunFigure3Shapes(t *testing.T) {
 }
 
 func TestRunAllReduceAblation(t *testing.T) {
-	rows := RunAllReduceAblation(tinyOptions(), []int{2, 4}, 5)
+	rows, err := RunAllReduceAblationContext(context.Background(), tinyOptions(), []int{2, 4}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -131,7 +144,10 @@ func TestRunAllReduceAblation(t *testing.T) {
 }
 
 func TestRunBulkKAblation(t *testing.T) {
-	rows := RunBulkKAblation(tinyOptions(), []int{1, 4})
+	rows, err := RunBulkKAblationContext(context.Background(), tinyOptions(), []int{1, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -153,7 +169,10 @@ func TestRunBulkKAblation(t *testing.T) {
 func TestRunFanoutAblation(t *testing.T) {
 	o := tinyOptions()
 	o.Epochs = 2
-	rows := RunFanoutAblation(o, [][2]int{{1, 2}, {2, 4}})
+	rows, err := RunFanoutAblationContext(context.Background(), o, [][2]int{{1, 2}, {2, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -170,7 +189,10 @@ func TestRunFanoutAblation(t *testing.T) {
 func TestRunBatchSizeAblation(t *testing.T) {
 	o := tinyOptions()
 	o.Epochs = 2
-	rows := RunBatchSizeAblation(o, []int{32, 256})
+	rows, err := RunBatchSizeAblationContext(context.Background(), o, []int{32, 256})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}

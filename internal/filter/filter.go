@@ -79,50 +79,26 @@ func (f *EdgeFilter) forward(t *autograd.Tape, nodeFeat, edgeFeat *tensor.Dense,
 	return f.mlp.Forward(t, in)
 }
 
-// Scores returns the sigmoid score per edge.
-func (f *EdgeFilter) Scores(nodeFeat, edgeFeat *tensor.Dense, src, dst []int) []float64 {
-	return f.ScoresWith(nil, nodeFeat, edgeFeat, src, dst)
-}
-
-// ScoresWith is Scores with forward-pass activations borrowed from the
-// arena's workspace pools (released before returning). A nil arena
-// falls back to the heap.
-func (f *EdgeFilter) ScoresWith(arena *workspace.Arena, nodeFeat, edgeFeat *tensor.Dense, src, dst []int) []float64 {
-	return f.ScoresCtx(kernels.Context{}, arena, nodeFeat, edgeFeat, src, dst)
-}
-
-// ScoresCtx is ScoresWith under an explicit intra-op worker budget;
-// scores are bitwise identical at every budget, and bitwise those of
-// the training forward on a tape. It runs the tape-free
-// Inference[float64] view of the parameters.
+// ScoresCtx returns the sigmoid score per edge under an explicit
+// intra-op worker budget, with forward-pass activations borrowed from
+// the arena's workspace pools (released before returning; a nil arena
+// falls back to the heap). Scores are bitwise identical at every
+// budget, and bitwise those of the training forward on a tape. It runs
+// the tape-free Inference[float64] view of the parameters.
 func (f *EdgeFilter) ScoresCtx(kc kernels.Context, arena *workspace.Arena, nodeFeat, edgeFeat *tensor.Dense, src, dst []int) []float64 {
 	return f.inf.ScoresCtx(kc, arena, nodeFeat, edgeFeat, src, dst)
 }
 
-// Keep returns the boolean keep mask at the configured threshold.
-func (f *EdgeFilter) Keep(nodeFeat, edgeFeat *tensor.Dense, src, dst []int) []bool {
-	return f.KeepWith(nil, nodeFeat, edgeFeat, src, dst)
-}
-
-// KeepWith is Keep with workspace-pooled forward activations.
-func (f *EdgeFilter) KeepWith(arena *workspace.Arena, nodeFeat, edgeFeat *tensor.Dense, src, dst []int) []bool {
-	return f.KeepCtx(kernels.Context{}, arena, nodeFeat, edgeFeat, src, dst)
-}
-
-// KeepCtx is KeepWith under an explicit intra-op worker budget.
+// KeepCtx returns the boolean keep mask at the configured threshold.
 func (f *EdgeFilter) KeepCtx(kc kernels.Context, arena *workspace.Arena, nodeFeat, edgeFeat *tensor.Dense, src, dst []int) []bool {
 	return f.inf.KeepCtx(kc, arena, nodeFeat, edgeFeat, src, dst)
 }
 
-// TrainStep runs one optimization step on one graph's edges.
-func (f *EdgeFilter) TrainStep(nodeFeat, edgeFeat *tensor.Dense, src, dst []int, labels []float64, opt nn.Optimizer) float64 {
-	return f.TrainStepWith(nil, nodeFeat, edgeFeat, src, dst, labels, opt)
-}
-
-// TrainStepWith is TrainStep with forward/backward activations borrowed
-// from the given arena (checkpointed around the step). A nil arena uses
-// a private one.
-func (f *EdgeFilter) TrainStepWith(arena *workspace.Arena, nodeFeat, edgeFeat *tensor.Dense, src, dst []int, labels []float64, opt nn.Optimizer) float64 {
+// TrainStepWith runs one optimization step on one graph's edges, the
+// tape kernels running under kc and the forward/backward activations
+// borrowed from the given arena (checkpointed around the step). A nil
+// arena uses a private one.
+func (f *EdgeFilter) TrainStepWith(kc kernels.Context, arena *workspace.Arena, nodeFeat, edgeFeat *tensor.Dense, src, dst []int, labels []float64, opt nn.Optimizer) float64 {
 	if len(src) == 0 {
 		return 0
 	}
@@ -134,6 +110,7 @@ func (f *EdgeFilter) TrainStepWith(arena *workspace.Arena, nodeFeat, edgeFeat *t
 		defer arena.ResetTo(mark)
 	}
 	t := autograd.NewTapeArena(arena)
+	t.SetKernels(kc)
 	logits := f.forward(t, nodeFeat, edgeFeat, src, dst)
 	loss := t.BCEWithLogits(logits, labels, f.cfg.PosWeight)
 	t.Backward(loss)

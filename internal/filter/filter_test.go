@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/detector"
+	"repro/internal/kernels"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/rng"
@@ -43,12 +44,12 @@ func TestFilterLearnsToSeparate(t *testing.T) {
 	src, dst, labels := buildTrainingGraph(ev, 2, r)
 	edgeFeat := detector.EdgeFeatures(spec, ev, src, dst)
 
-	before := metrics.AUC(f.Scores(ev.Features, edgeFeat, src, dst), labels)
+	before := metrics.AUC(f.ScoresCtx(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst), labels)
 	opt := nn.NewAdam(cfg.LR)
 	for epoch := 0; epoch < 40; epoch++ {
-		f.TrainStep(ev.Features, edgeFeat, src, dst, labels, opt)
+		f.TrainStepWith(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst, labels, opt)
 	}
-	after := metrics.AUC(f.Scores(ev.Features, edgeFeat, src, dst), labels)
+	after := metrics.AUC(f.ScoresCtx(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst), labels)
 	if after < 0.9 {
 		t.Fatalf("filter AUC %v after training (before %v)", after, before)
 	}
@@ -67,8 +68,8 @@ func TestKeepMaskMatchesThreshold(t *testing.T) {
 	f := New(cfg, rng.New(3))
 	src, dst := ev.TruthSrc, ev.TruthDst
 	edgeFeat := detector.EdgeFeatures(spec, ev, src, dst)
-	scores := f.Scores(ev.Features, edgeFeat, src, dst)
-	keep := f.Keep(ev.Features, edgeFeat, src, dst)
+	scores := f.ScoresCtx(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst)
+	keep := f.KeepCtx(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst)
 	for i := range scores {
 		if keep[i] != (scores[i] >= 0.5) {
 			t.Fatalf("keep[%d]=%v but score %v", i, keep[i], scores[i])
@@ -83,7 +84,7 @@ func TestTrainStepEmptyEdges(t *testing.T) {
 	spec.NumEvents = 1
 	ds := detector.Generate(spec, 13)
 	ev := ds.Events[0]
-	loss := f.TrainStep(ev.Features, detector.EdgeFeatures(spec, ev, nil, nil), nil, nil, nil, nn.NewSGD(0.1))
+	loss := f.TrainStepWith(kernels.Context{}, nil, ev.Features, detector.EdgeFeatures(spec, ev, nil, nil), nil, nil, nil, nn.NewSGD(0.1))
 	if loss != 0 {
 		t.Fatalf("empty edge train step returned %v", loss)
 	}
@@ -108,9 +109,9 @@ func TestPosWeightShiftsScores(t *testing.T) {
 		f := New(cfg, rng.New(5))
 		opt := nn.NewSGD(0.05)
 		for i := 0; i < 10; i++ {
-			f.TrainStep(ev.Features, edgeFeat, src, dst, labels, opt)
+			f.TrainStepWith(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst, labels, opt)
 		}
-		s := f.Scores(ev.Features, edgeFeat, src, dst)
+		s := f.ScoresCtx(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst)
 		total := 0.0
 		for _, v := range s {
 			total += v

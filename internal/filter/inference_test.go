@@ -84,7 +84,7 @@ func TestInferenceDegenerateEvents(t *testing.T) {
 	inf32 := NewInference[float32](f)
 	node32 := tensor.ConvertFrom[float32](nil, nodeFeat)
 	for _, none := range [][]int{nil, {}} {
-		if got := f.Keep(nodeFeat, tensor.New(0, cfg.EdgeFeatures), none, none); len(got) != 0 {
+		if got := f.KeepCtx(kernels.Context{}, nil, nodeFeat, tensor.New(0, cfg.EdgeFeatures), none, none); len(got) != 0 {
 			t.Fatalf("f64, no edges: %d keeps", len(got))
 		}
 		got := inf32.ScoresCtx(kernels.Context{}, nil, node32, tensor.NewOf[float32](0, cfg.EdgeFeatures), none, none)
@@ -96,7 +96,7 @@ func TestInferenceDegenerateEvents(t *testing.T) {
 	oneHit := tensor.RandN(r, 1, cfg.NodeFeatures, 1)
 	loops := []int{0, 0}
 	edgeFeat := tensor.RandN(r, len(loops), cfg.EdgeFeatures, 1)
-	scoresBitsEqual(t, "one hit f64", tapeScores(f, oneHit, edgeFeat, loops, loops), f.Scores(oneHit, edgeFeat, loops, loops))
+	scoresBitsEqual(t, "one hit f64", tapeScores(f, oneHit, edgeFeat, loops, loops), f.ScoresCtx(kernels.Context{}, nil, oneHit, edgeFeat, loops, loops))
 
 	hit32, edge32 := tensor.ConvertFrom[float32](nil, oneHit), tensor.ConvertFrom[float32](nil, edgeFeat)
 	in := tensor.NewOf[float32](len(loops), 2*cfg.NodeFeatures+cfg.EdgeFeatures)
@@ -111,7 +111,7 @@ func TestInferenceDegenerateEvents(t *testing.T) {
 
 func TestInferenceF32WithinTolerance(t *testing.T) {
 	f, nodeFeat, edgeFeat, src, dst := inferenceFixture(13)
-	want := f.Scores(nodeFeat, edgeFeat, src, dst)
+	want := f.ScoresCtx(kernels.Context{}, nil, nodeFeat, edgeFeat, src, dst)
 	inf := NewInference[float32](f)
 	got := inf.ScoresCtx(kernels.Context{}, nil,
 		tensor.ConvertFrom[float32](nil, nodeFeat), tensor.ConvertFrom[float32](nil, edgeFeat), src, dst)

@@ -36,7 +36,7 @@ type Model struct {
 	head        *nn.MLP   // Y_L → logit
 
 	// inf is the tape-free forward over these parameters' own storage —
-	// what EdgeScores runs; Forward on a tape is the training path.
+	// what EdgeScoresCtx runs; Forward on a tape is the training path.
 	inf *Inference[float64]
 }
 
@@ -143,26 +143,16 @@ func (m *Model) Forward(t *autograd.Tape, src, dst []int, x, y *tensor.Dense) *a
 	return m.head.Forward(t, yl)
 }
 
-// EdgeScores runs inference and returns the per-edge sigmoid scores.
-func (m *Model) EdgeScores(src, dst []int, x, y *tensor.Dense) []float64 {
-	return m.EdgeScoresWith(nil, src, dst, x, y)
-}
-
-// EdgeScoresWith is EdgeScores with the forward pass's activations
-// borrowed from the arena's workspace pools; everything taken is
-// returned before the call completes, so steady-state inference reuses
-// one warm buffer set instead of allocating per event. A nil arena falls
-// back to heap allocation.
-func (m *Model) EdgeScoresWith(arena *workspace.Arena, src, dst []int, x, y *tensor.Dense) []float64 {
-	return m.EdgeScoresCtx(kernels.Context{}, arena, src, dst, x, y)
-}
-
-// EdgeScoresCtx is EdgeScoresWith under an explicit intra-op worker
-// budget for the forward kernels. Scores are bitwise identical at every
-// budget; the engine passes each worker its share of the host so
-// event-level and kernel-level parallelism compose. It runs the
-// tape-free Inference[float64] view of the parameters, whose scores are
-// bitwise those of Forward on a tape.
+// EdgeScoresCtx runs inference and returns the per-edge sigmoid scores
+// under an explicit intra-op worker budget for the forward kernels.
+// The forward pass's activations are borrowed from the arena's
+// workspace pools and returned before the call completes, so
+// steady-state inference reuses one warm buffer set instead of
+// allocating per event; a nil arena falls back to heap allocation.
+// Scores are bitwise identical at every budget; the engine passes each
+// worker its share of the host so event-level and kernel-level
+// parallelism compose. It runs the tape-free Inference[float64] view of
+// the parameters, whose scores are bitwise those of Forward on a tape.
 func (m *Model) EdgeScoresCtx(kc kernels.Context, arena *workspace.Arena, src, dst []int, x, y *tensor.Dense) []float64 {
 	return m.inf.EdgeScoresCtx(kc, arena, src, dst, x, y)
 }

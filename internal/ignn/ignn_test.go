@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/autograd"
+	"repro/internal/kernels"
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -74,8 +75,8 @@ func TestDeterministicForward(t *testing.T) {
 	b := New(cfg, rng.New(7))
 	r := rng.New(8)
 	src, dst, x, y := ring(r, 5, cfg)
-	sa := a.EdgeScores(src, dst, x, y)
-	sb := b.EdgeScores(src, dst, x, y)
+	sa := a.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
+	sb := b.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
 	for i := range sa {
 		if sa[i] != sb[i] {
 			t.Fatalf("same-seed models disagree at edge %d", i)
@@ -90,7 +91,7 @@ func TestPermutationEquivariance(t *testing.T) {
 	r := rng.New(4)
 	m := New(cfg, r)
 	src, dst, x, y := ring(r, 7, cfg)
-	base := m.EdgeScores(src, dst, x, y)
+	base := m.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
 
 	perm := rng.New(5).Perm(7)
 	inv := make([]int, 7)
@@ -104,7 +105,7 @@ func TestPermutationEquivariance(t *testing.T) {
 		psrc[k] = perm[src[k]]
 		pdst[k] = perm[dst[k]]
 	}
-	got := m.EdgeScores(psrc, pdst, px, y)
+	got := m.EdgeScoresCtx(kernels.Context{}, nil, psrc, pdst, px, y)
 	for k := range base {
 		if math.Abs(base[k]-got[k]) > 1e-9 {
 			t.Fatalf("edge %d score changed under relabeling: %v vs %v", k, base[k], got[k])
@@ -132,7 +133,7 @@ func TestLearnsEdgeParity(t *testing.T) {
 		tp.Backward(loss)
 		opt.Step(m.Params())
 	}
-	scores := m.EdgeScores(src, dst, x, y)
+	scores := m.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
 	correct := 0
 	for i, s := range scores {
 		if (s > 0.5) == (labels[i] > 0.5) {

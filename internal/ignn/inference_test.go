@@ -225,7 +225,7 @@ func TestInferenceDegenerateGraphs(t *testing.T) {
 		x := tensor.RandN(rng.New(18), nodes, cfg.NodeFeatures, 1)
 		for _, none := range [][]int{nil, {}} {
 			y := tensor.New(0, cfg.EdgeFeatures)
-			if got := m.EdgeScores(none, none, x, y); len(got) != 0 {
+			if got := m.EdgeScoresCtx(kernels.Context{}, nil, none, none, x, y); len(got) != 0 {
 				t.Fatalf("f64, %d nodes, no edges: %d scores", nodes, len(got))
 			}
 			got := inf32.EdgeScoresCtx(kernels.Context{}, nil, none, none,
@@ -238,7 +238,7 @@ func TestInferenceDegenerateGraphs(t *testing.T) {
 	loops := []int{0, 0, 0}
 	x := tensor.RandN(rng.New(19), 1, cfg.NodeFeatures, 1)
 	y := tensor.RandN(rng.New(20), len(loops), cfg.EdgeFeatures, 1)
-	scoresBitsEqual(t, "one hit f64", tapeScores(m, loops, loops, x, y), m.EdgeScores(loops, loops, x, y))
+	scoresBitsEqual(t, "one hit f64", tapeScores(m, loops, loops, x, y), m.EdgeScoresCtx(kernels.Context{}, nil, loops, loops, x, y))
 	x32, y32 := tensor.ConvertFrom[float32](nil, x), tensor.ConvertFrom[float32](nil, y)
 	scoresBitsEqual(t, "one hit f32",
 		refEdgeScores(kernels.Context{Workers: 1}, m, loops, loops, x32, y32),
@@ -254,11 +254,11 @@ func TestInferenceF64ViewTracksParams(t *testing.T) {
 	src, dst, x, y := ring(rng.New(22), 12, cfg)
 	x32, y32 := tensor.ConvertFrom[float32](nil, x), tensor.ConvertFrom[float32](nil, y)
 	inf32 := NewInference[float32](m)
-	before := m.EdgeScores(src, dst, x, y)
+	before := m.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
 	before32 := inf32.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x32, y32)
 
 	jitter(m, 210)
-	after := m.EdgeScores(src, dst, x, y)
+	after := m.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
 	scoresBitsEqual(t, "view after in-place update", tapeScores(m, src, dst, x, y), after)
 	same := true
 	for i := range before {
@@ -279,7 +279,7 @@ func TestInferenceF32WithinTolerance(t *testing.T) {
 	m := New(cfg, rng.New(5))
 	src, dst, x, y := ring(rng.New(6), 24, cfg)
 
-	want := m.EdgeScores(src, dst, x, y)
+	want := m.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
 	inf32 := NewInference[float32](m)
 	got := inf32.EdgeScoresCtx(kernels.Context{}, nil, src, dst,
 		tensor.ConvertFrom[float32](nil, x), tensor.ConvertFrom[float32](nil, y))

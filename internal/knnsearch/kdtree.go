@@ -133,7 +133,7 @@ func BruteRadiusNeighbors[T fp.Float](pts *tensor.Matrix[T], query []T, radius f
 	return out
 }
 
-// BuildRadiusGraph connects every pair of embedding rows within radius,
+// BuildRadiusGraphCtx connects every pair of embedding rows within radius,
 // each undirected pair emitted once (src < dst). maxDegree (if > 0) caps
 // the neighbors considered per query vertex, mirroring the k-cap used by
 // the production FRNN stage to bound graph size.
@@ -143,17 +143,11 @@ func BruteRadiusNeighbors[T fp.Float](pts *tensor.Matrix[T], query []T, radius f
 // smallest indices instead of sorting the full candidate list — the
 // output is identical to sorting ascending and truncating.
 //
-// The query loop is row-partitioned across workers with the same static
-// contiguous chunking the kernel layer uses: each worker answers a
-// disjoint range of query vertices into its own edge buffer and the
+// The query loop is row-partitioned across kc's workers with the same
+// static contiguous chunking the kernel layer uses: each worker answers
+// a disjoint range of query vertices into its own edge buffer and the
 // buffers concatenate in range order, so the output is bitwise
 // identical to the serial loop at every worker count.
-func BuildRadiusGraph[T fp.Float](embeddings *tensor.Matrix[T], radius float64, maxDegree int) (src, dst []int) {
-	return BuildRadiusGraphCtx(kernels.Context{}, embeddings, radius, maxDegree)
-}
-
-// BuildRadiusGraphCtx is BuildRadiusGraph under an explicit intra-op
-// worker budget.
 func BuildRadiusGraphCtx[T fp.Float](kc kernels.Context, embeddings *tensor.Matrix[T], radius float64, maxDegree int) (src, dst []int) {
 	t := Build(embeddings)
 	n := embeddings.Rows()

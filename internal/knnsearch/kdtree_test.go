@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kernels"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -62,7 +63,7 @@ func TestRadiusZeroFindsExactDuplicates(t *testing.T) {
 func TestBuildRadiusGraphPairsUniqueAndOrdered(t *testing.T) {
 	r := rng.New(3)
 	pts := tensor.RandN(r, 60, 3, 1)
-	src, dst := BuildRadiusGraph(pts, 0.8, 0)
+	src, dst := BuildRadiusGraphCtx(kernels.Context{}, pts, 0.8, 0)
 	seen := map[[2]int]bool{}
 	for k := range src {
 		if src[k] >= dst[k] {
@@ -80,7 +81,7 @@ func TestBuildRadiusGraphMatchesBrute(t *testing.T) {
 	r := rng.New(4)
 	pts := tensor.RandN(r, 40, 2, 1)
 	radius := 0.5
-	src, dst := BuildRadiusGraph(pts, radius, 0)
+	src, dst := BuildRadiusGraphCtx(kernels.Context{}, pts, radius, 0)
 	got := map[[2]int]bool{}
 	for k := range src {
 		got[[2]int{src[k], dst[k]}] = true
@@ -105,8 +106,8 @@ func TestBuildRadiusGraphMaxDegree(t *testing.T) {
 	// A dense cluster: cap should bound per-vertex emitted neighbors.
 	r := rng.New(5)
 	pts := tensor.RandN(r, 50, 2, 0.01)
-	srcUncapped, _ := BuildRadiusGraph(pts, 1.0, 0)
-	srcCapped, _ := BuildRadiusGraph(pts, 1.0, 5)
+	srcUncapped, _ := BuildRadiusGraphCtx(kernels.Context{}, pts, 1.0, 0)
+	srcCapped, _ := BuildRadiusGraphCtx(kernels.Context{}, pts, 1.0, 5)
 	if len(srcCapped) >= len(srcUncapped) {
 		t.Fatalf("degree cap did not reduce edges: %d vs %d", len(srcCapped), len(srcUncapped))
 	}
@@ -131,7 +132,7 @@ func TestBuildRadiusGraphMatchesSortTruncate(t *testing.T) {
 	r := rng.New(11)
 	pts := tensor.RandN(r, 300, 3, 1)
 	for _, maxDeg := range []int{0, 1, 3, 12, 1000} {
-		src, dst := BuildRadiusGraph(pts, 0.8, maxDeg)
+		src, dst := BuildRadiusGraphCtx(kernels.Context{}, pts, 0.8, maxDeg)
 		tree := Build(pts)
 		var wantSrc, wantDst []int
 		for i := 0; i < pts.Rows(); i++ {

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/detector"
+	"repro/internal/kernels"
 	"repro/internal/knnsearch"
 	"repro/internal/nn"
 	"repro/internal/workspace"
 )
 
-// TestFilterTrainEpochAllocsWarm is the TrainStages13 churn regression
+// TestFilterTrainEpochAllocsWarm is the FitStages13 churn regression
 // guard: the filter stage rebuilds radius graphs and edge features for
 // every event every epoch, and that rebuild must recycle the arena's
 // warm buffers rather than reallocating. With ~1000 hits across the
@@ -23,15 +24,17 @@ func TestFilterTrainEpochAllocsWarm(t *testing.T) {
 	spec := detector.Ex3Like(0.04)
 	spec.NumEvents = 2
 	ds := detector.Generate(spec, 21)
-	p := New(DefaultConfig(spec), 3)
+	cfg := DefaultConfig(spec)
+	emb, filt, _ := newModels(cfg, 3)
 
-	opt := nn.NewAdam(p.Cfg.Filter.LR)
+	opt := nn.NewAdam(cfg.Filter.LR)
 	arena := workspace.NewArena()
 	defer arena.Reset()
-	p.filterTrainEpoch(arena, opt, ds.Events) // warm pools + optimizer state
+	kc := kernels.Context{}
+	filterTrainEpoch(kc, arena, cfg, emb, filt, opt, ds.Events) // warm pools + optimizer state
 
 	allocs := testing.AllocsPerRun(5, func() {
-		p.filterTrainEpoch(arena, opt, ds.Events)
+		filterTrainEpoch(kc, arena, cfg, emb, filt, opt, ds.Events)
 	})
 	totalHits := 0
 	for _, ev := range ds.Events {
@@ -49,19 +52,20 @@ func TestKDTreeBuildAllocs(t *testing.T) {
 	spec := detector.Ex3Like(0.04)
 	spec.NumEvents = 1
 	ds := detector.Generate(spec, 22)
-	p := New(DefaultConfig(spec), 3)
+	cfg := DefaultConfig(spec)
+	emb, _, _ := newModels(cfg, 3)
 	ev := ds.Events[0]
 
 	arena := workspace.NewArena()
 	defer arena.Reset()
-	embedded := p.Embedder.EmbedWith(arena, ev.Features)
+	embedded := emb.EmbedCtx(kernels.Context{}, arena, ev.Features)
 	allocs := testing.AllocsPerRun(10, func() {
-		src, dst := knnsearch.BuildRadiusGraph(embedded, p.Cfg.Radius, p.Cfg.MaxDegree)
+		src, dst := knnsearch.BuildRadiusGraphCtx(kernels.Context{}, embedded, cfg.Radius, cfg.MaxDegree)
 		_, _ = src, dst
 	})
 	// Slab tree + edge-list growth: well under one alloc per hit.
 	if allocs > float64(ev.NumHits())/4 {
-		t.Fatalf("BuildRadiusGraph allocated %.0f times for %d hits — kd-tree slab regressed",
+		t.Fatalf("BuildRadiusGraphCtx allocated %.0f times for %d hits — kd-tree slab regressed",
 			allocs, ev.NumHits())
 	}
 }

@@ -1,9 +1,10 @@
-// Package pipeline assembles the five-stage Exa.TrkX track-reconstruction
-// pipeline (Figure 1 of the paper): (1) embed hits with an MLP, (2) build
-// a fixed-radius nearest-neighbor graph in embedding space, (3) shrink the
-// graph with an edge-filter MLP, (4) classify the surviving edges with an
-// Interaction GNN, and (5) extract track candidates as connected
-// components of the surviving true edges.
+// Package pipeline holds what the reconstruction front-end (recon), the
+// two trainers (core, dtrain) and the experiment harnesses share of the
+// five-stage Exa.TrkX pipeline (Figure 1 of the paper): the
+// hyperparameters, the event-graph and result types, truth-level graph
+// construction, and the staged fit procedure as functions over the
+// stage models. The pipeline itself — embed, radius graph, filter,
+// Interaction GNN, connected components — is composed in recon.
 package pipeline
 
 import (
@@ -16,6 +17,7 @@ import (
 	"repro/internal/filter"
 	"repro/internal/graph"
 	"repro/internal/ignn"
+	"repro/internal/kernels"
 	"repro/internal/knnsearch"
 	"repro/internal/metrics"
 	"repro/internal/nn"
@@ -61,25 +63,6 @@ func DefaultConfig(spec detector.Spec) Config {
 	}
 }
 
-// Pipeline holds the three trained models.
-type Pipeline struct {
-	Cfg      Config
-	Embedder *embed.Embedder
-	Filter   *filter.EdgeFilter
-	GNN      *ignn.Model
-}
-
-// New creates an untrained pipeline with deterministic initialization.
-func New(cfg Config, seed uint64) *Pipeline {
-	r := rng.New(seed)
-	return &Pipeline{
-		Cfg:      cfg,
-		Embedder: embed.New(cfg.Embed, r.Split()),
-		Filter:   filter.New(cfg.Filter, r.Split()),
-		GNN:      ignn.New(cfg.GNN, r.Split()),
-	}
-}
-
 // EventGraph is the constructed, filtered graph for one event — the input
 // the GNN stage trains and evaluates on.
 type EventGraph struct {
@@ -96,40 +79,12 @@ func (eg *EventGraph) NumVertices() int { return eg.G.N }
 // NumEdges returns the edge count.
 func (eg *EventGraph) NumEdges() int { return eg.G.NumEdges() }
 
-// BuildGraph runs stages 1–3 on an event: embed, radius graph, filter.
-// The returned EventGraph carries edge truth labels for training stage 4.
-// All intermediate activations live in one workspace arena released
-// before returning, so repeated graph building recycles warm buffers.
-func (p *Pipeline) BuildGraph(ev *detector.Event) *EventGraph {
-	arena := workspace.NewArena()
-	defer arena.Reset()
-
-	// Stage 1: embedding; stage 2: fixed-radius neighbors in that space.
-	embedded := p.Embedder.EmbedWith(arena, ev.Features)
-	src, dst := knnsearch.BuildRadiusGraph(embedded, p.Cfg.Radius, p.Cfg.MaxDegree)
-
-	// Stage 3: filter MLP prunes implausible edges.
-	edgeFeat := detector.EdgeFeatures(p.Cfg.Spec, ev, src, dst)
-	keep := p.Filter.KeepWith(arena, ev.Features, edgeFeat, src, dst)
-	var fsrc, fdst []int
-	for k := range src {
-		if keep[k] {
-			fsrc = append(fsrc, src[k])
-			fdst = append(fdst, dst[k])
-		}
-	}
-	return p.assembleGraph(ev, fsrc, fdst)
-}
-
-// BuildTruthLevelGraph constructs the event graph from truth edges plus
-// the given number of random fake edges per true edge — a shortcut used
-// by GNN-stage experiments (Figures 3 and 4) to decouple GNN training
-// quality from upstream stage tuning, while preserving realistic
-// vertex/edge ratios.
-func (p *Pipeline) BuildTruthLevelGraph(ev *detector.Event, fakeRatio float64, seed uint64) *EventGraph {
+// TruthLevelEdges returns an event's truth edges plus fakeRatio random
+// fake edges per true edge, drawn from rng.New(seed).
+func TruthLevelEdges(ev *detector.Event, fakeRatio float64, seed uint64) (src, dst []int) {
 	r := rng.New(seed)
-	src := append([]int(nil), ev.TruthSrc...)
-	dst := append([]int(nil), ev.TruthDst...)
+	src = append([]int(nil), ev.TruthSrc...)
+	dst = append([]int(nil), ev.TruthDst...)
 	n := ev.NumHits()
 	nFake := int(float64(len(src)) * fakeRatio)
 	for i := 0; i < nFake; i++ {
@@ -140,11 +95,16 @@ func (p *Pipeline) BuildTruthLevelGraph(ev *detector.Event, fakeRatio float64, s
 		src = append(src, a)
 		dst = append(dst, b)
 	}
-	return p.assembleGraph(ev, src, dst)
+	return src, dst
 }
 
-func (p *Pipeline) assembleGraph(ev *detector.Event, src, dst []int) *EventGraph {
-	return AssembleGraph(p.Cfg.Spec, ev, src, dst)
+// TruthLevelGraph constructs the event graph from TruthLevelEdges — a
+// shortcut used by GNN-stage experiments (Figures 3 and 4) to decouple
+// GNN training quality from upstream stage tuning, while preserving
+// realistic vertex/edge ratios.
+func TruthLevelGraph(spec detector.Spec, ev *detector.Event, fakeRatio float64, seed uint64) *EventGraph {
+	src, dst := TruthLevelEdges(ev, fakeRatio, seed)
+	return AssembleGraph(spec, ev, src, dst)
 }
 
 // AssembleGraph packages an edge list into an EventGraph with truth
@@ -190,84 +150,19 @@ type Result struct {
 	Match      metrics.TrackMatch
 }
 
-// Reconstruct runs all five stages on an event and scores the output
-// against truth.
-func (p *Pipeline) Reconstruct(ev *detector.Event) *Result {
-	eg := p.BuildGraph(ev)
-	return p.reconstructOn(eg)
-}
-
-// ReconstructOn runs stages 4–5 on a pre-built event graph.
-func (p *Pipeline) ReconstructOn(eg *EventGraph) *Result { return p.reconstructOn(eg) }
-
-func (p *Pipeline) reconstructOn(eg *EventGraph) *Result {
-	res := &Result{}
-	keep := make([]bool, eg.NumEdges())
-	if eg.NumEdges() > 0 {
-		arena := workspace.NewArena()
-		defer arena.Reset()
-		scores := p.GNN.EdgeScoresWith(arena, eg.G.Src, eg.G.Dst, eg.X, eg.Y)
-		for k, s := range scores {
-			keep[k] = s >= p.Cfg.GNNThreshold
-			res.EdgeCounts.Add(keep[k], eg.Label[k] > 0.5)
-		}
-	}
-	// Stage 5: connected components of surviving edges are the candidates.
-	final := eg.G.FilterEdges(keep)
-	labels, count := final.ConnectedComponents()
-	comps := graph.ComponentMembers(labels, count)
-	for _, c := range comps {
-		if len(c) >= p.Cfg.MinTrackHits {
-			res.Tracks = append(res.Tracks, c)
-		}
-	}
-	hitParticle := make([]int, eg.Event.NumHits())
-	for i, h := range eg.Event.Hits {
-		hitParticle[i] = h.Particle
-	}
-	res.Match = metrics.MatchTracks(res.Tracks, hitParticle, eg.Event.TrackHits(p.Cfg.MinTrackHits), p.Cfg.MinTrackHits)
-	return res
-}
-
-// allParams collects every trainable parameter of the three learned
-// stages in a stable order.
-func (p *Pipeline) allParams() []*autograd.Param {
-	var ps []*autograd.Param
-	ps = append(ps, p.Embedder.Params()...)
-	ps = append(ps, p.Filter.Params()...)
-	ps = append(ps, p.GNN.Params()...)
-	return ps
-}
-
-// SaveModels writes the trained weights of all three learned stages to a
-// single gzip-compressed checkpoint file.
-func (p *Pipeline) SaveModels(path string) error {
-	return nn.SaveParamsFile(path, p.allParams())
-}
-
-// LoadModels restores weights written by SaveModels into a pipeline built
-// with the same Config and seed layout.
-func (p *Pipeline) LoadModels(path string) error {
-	return nn.LoadParamsFile(path, p.allParams())
-}
-
-// TrainGNN trains the stage-4 Interaction GNN full-graph on pre-built
-// event graphs with Adam, returning the final-epoch mean loss. For the
-// paper's minibatch/DDP training use core.NewTrainer instead; this is the
-// simple path for examples and stage-wise pipeline fitting.
-func (p *Pipeline) TrainGNN(graphs []*EventGraph, epochs int, lr, posWeight float64) float64 {
-	loss, _ := p.TrainGNNContext(context.Background(), graphs, epochs, lr, posWeight)
-	return loss
-}
-
-// TrainGNNContext is TrainGNN with cooperative cancellation: it checks
-// the context between epochs and returns the last completed epoch's
-// mean loss alongside ctx.Err() when cancelled.
-func (p *Pipeline) TrainGNNContext(ctx context.Context, graphs []*EventGraph, epochs int, lr, posWeight float64) (float64, error) {
+// FitGNN trains the stage-4 Interaction GNN full-graph on pre-built
+// event graphs with Adam, every tape kernel running under the intra-op
+// worker budget kc (losses are bitwise equal at every budget). It
+// checks the context between epochs and returns the last completed
+// epoch's mean loss, alongside ctx.Err() when cancelled. For the
+// paper's minibatch/DDP training use core.NewTrainer or dtrain instead;
+// this is the simple path for stage-wise fitting.
+func FitGNN(ctx context.Context, kc kernels.Context, m *ignn.Model, graphs []*EventGraph, epochs int, lr, posWeight float64) (float64, error) {
 	opt := nn.NewAdam(lr)
 	arena := workspace.NewArena()
 	defer arena.Reset()
 	tape := autograd.NewTapeArena(arena)
+	tape.SetKernels(kc)
 	last := 0.0
 	for epoch := 0; epoch < epochs; epoch++ {
 		if err := ctx.Err(); err != nil {
@@ -279,10 +174,10 @@ func (p *Pipeline) TrainGNNContext(ctx context.Context, graphs []*EventGraph, ep
 				continue
 			}
 			tape.Reset()
-			logits := p.GNN.Forward(tape, eg.G.Src, eg.G.Dst, eg.X, eg.Y)
+			logits := m.Forward(tape, eg.G.Src, eg.G.Dst, eg.X, eg.Y)
 			loss := tape.BCEWithLogits(logits, eg.Label, posWeight)
 			tape.Backward(loss)
-			opt.Step(p.GNN.Params())
+			opt.Step(m.Params())
 			sum += loss.Value.At(0, 0)
 			n++
 			arena.Reset()
@@ -294,44 +189,30 @@ func (p *Pipeline) TrainGNNContext(ctx context.Context, graphs []*EventGraph, ep
 	return last, nil
 }
 
-// TrainStages13 trains the embedding and filter stages on the training
-// events. The filter trains on radius graphs built from the trained
+// FitStages13 trains the embedding and filter stages on the training
+// events under the worker budget kc, checking the context between
+// epochs. The filter trains on radius graphs built from the trained
 // embedder's output, mirroring the staged Exa.TrkX training procedure.
-func (p *Pipeline) TrainStages13(train []*detector.Event, seed uint64) error {
-	return p.TrainStages13Context(context.Background(), train, seed)
-}
-
-// TrainEmbedderContext trains only the stage-1 embedder, checking the
-// context between epochs.
-func (p *Pipeline) TrainEmbedderContext(ctx context.Context, train []*detector.Event, seed uint64) error {
+// Every per-event intermediate — embedding forward, edge features,
+// labels, and the filter step's activations — lives in one workspace
+// arena checkpointed around the event, so epoch loops recycle warm
+// buffers instead of reallocating graphs each pass.
+func FitStages13(ctx context.Context, kc kernels.Context, cfg Config, e *embed.Embedder, f *filter.EdgeFilter, train []*detector.Event, seed uint64) error {
 	if len(train) == 0 {
 		return fmt.Errorf("pipeline: no training events")
 	}
-	_, err := p.Embedder.TrainContext(ctx, train, seed)
-	return err
-}
-
-// TrainStages13Context is TrainStages13 with cooperative cancellation
-// between epochs. Every per-event intermediate — embedding forward,
-// edge features, labels, and the filter step's activations — lives in
-// one workspace arena checkpointed around the event, so epoch loops
-// recycle warm buffers instead of reallocating graphs each pass.
-func (p *Pipeline) TrainStages13Context(ctx context.Context, train []*detector.Event, seed uint64) error {
-	if len(train) == 0 {
-		return fmt.Errorf("pipeline: no training events")
-	}
-	if _, err := p.Embedder.TrainContext(ctx, train, seed); err != nil {
+	if _, err := e.TrainContext(ctx, kc, train, seed); err != nil {
 		return err
 	}
 
-	opt := nn.NewAdam(p.Cfg.Filter.LR)
+	opt := nn.NewAdam(cfg.Filter.LR)
 	arena := workspace.NewArena()
 	defer arena.Reset()
-	for epoch := 0; epoch < p.Cfg.Filter.Epochs; epoch++ {
+	for epoch := 0; epoch < cfg.Filter.Epochs; epoch++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		p.filterTrainEpoch(arena, opt, train)
+		filterTrainEpoch(kc, arena, cfg, e, f, opt, train)
 	}
 	return nil
 }
@@ -340,23 +221,23 @@ func (p *Pipeline) TrainStages13Context(ctx context.Context, train []*detector.E
 // per-event rebuild — embedding forward, radius graph, edge features,
 // labels, filter step — borrows everything from the arena and releases
 // it before moving on, so epochs after the first recycle warm buffers.
-func (p *Pipeline) filterTrainEpoch(arena *workspace.Arena, opt nn.Optimizer, train []*detector.Event) {
+func filterTrainEpoch(kc kernels.Context, arena *workspace.Arena, cfg Config, e *embed.Embedder, f *filter.EdgeFilter, opt nn.Optimizer, train []*detector.Event) {
 	for _, ev := range train {
 		mark := arena.Checkpoint()
-		embedded := p.Embedder.EmbedWith(arena, ev.Features)
-		src, dst := knnsearch.BuildRadiusGraph(embedded, p.Cfg.Radius, p.Cfg.MaxDegree)
+		embedded := e.EmbedCtx(kc, arena, ev.Features)
+		src, dst := knnsearch.BuildRadiusGraphCtx(kc, embedded, cfg.Radius, cfg.MaxDegree)
 		if len(src) == 0 {
 			arena.ResetTo(mark)
 			continue
 		}
-		edgeFeat := detector.EdgeFeaturesWith(arena, p.Cfg.Spec, ev, src, dst)
+		edgeFeat := detector.EdgeFeaturesWith(arena, cfg.Spec, ev, src, dst)
 		labels := arena.F64(len(src))
 		for k := range src {
 			if ev.IsTruthEdge(src[k], dst[k]) {
 				labels[k] = 1
 			}
 		}
-		p.Filter.TrainStepWith(arena, ev.Features, edgeFeat, src, dst, labels, opt)
+		f.TrainStepWith(kc, arena, ev.Features, edgeFeat, src, dst, labels, opt)
 		arena.ResetTo(mark)
 	}
 }

@@ -1,12 +1,19 @@
 package pipeline
 
 import (
-	"path/filepath"
+	"context"
+	"reflect"
 	"testing"
 
-	"repro/internal/autograd"
 	"repro/internal/detector"
-	"repro/internal/nn"
+	"repro/internal/embed"
+	"repro/internal/filter"
+	"repro/internal/graph"
+	"repro/internal/ignn"
+	"repro/internal/kernels"
+	"repro/internal/knnsearch"
+	"repro/internal/metrics"
+	"repro/internal/rng"
 )
 
 func smallDataset(t *testing.T, events int) (*detector.Dataset, Config) {
@@ -20,14 +27,21 @@ func smallDataset(t *testing.T, events int) (*detector.Dataset, Config) {
 	return ds, cfg
 }
 
-func TestBuildTruthLevelGraph(t *testing.T) {
+// newModels builds the three stage models the way recon does: one
+// split of rng.New(seed) each, in stage order.
+func newModels(cfg Config, seed uint64) (*embed.Embedder, *filter.EdgeFilter, *ignn.Model) {
+	r := rng.New(seed)
+	return embed.New(cfg.Embed, r.Split()), filter.New(cfg.Filter, r.Split()), ignn.New(cfg.GNN, r.Split())
+}
+
+func TestTruthLevelGraph(t *testing.T) {
 	ds, cfg := smallDataset(t, 1)
-	p := New(cfg, 1)
-	eg := p.BuildTruthLevelGraph(ds.Events[0], 1.5, 7)
-	if eg.NumVertices() != ds.Events[0].NumHits() {
-		t.Fatalf("graph has %d vertices for %d hits", eg.NumVertices(), ds.Events[0].NumHits())
+	ev := ds.Events[0]
+	eg := TruthLevelGraph(cfg.Spec, ev, 1.5, 7)
+	if eg.NumVertices() != ev.NumHits() {
+		t.Fatalf("graph has %d vertices for %d hits", eg.NumVertices(), ev.NumHits())
 	}
-	if eg.NumEdges() <= len(ds.Events[0].TruthSrc) {
+	if eg.NumEdges() <= len(ev.TruthSrc) {
 		t.Fatal("no fake edges were added")
 	}
 	eff, purity := eg.GraphQuality()
@@ -40,18 +54,37 @@ func TestBuildTruthLevelGraph(t *testing.T) {
 	if eg.Y.Rows() != eg.NumEdges() || len(eg.Label) != eg.NumEdges() {
 		t.Fatal("edge feature/label sizes inconsistent")
 	}
+	// The graph is TruthLevelEdges assembled: same seed, same edges.
+	src, dst := TruthLevelEdges(ev, 1.5, 7)
+	if !reflect.DeepEqual(src, eg.G.Src) || !reflect.DeepEqual(dst, eg.G.Dst) {
+		t.Fatal("TruthLevelGraph and TruthLevelEdges disagree under one seed")
+	}
+	if other, _ := TruthLevelEdges(ev, 1.5, 8); reflect.DeepEqual(src, other) {
+		t.Fatal("the seed does not reach the fake edges")
+	}
 }
 
 func TestStages13ImproveGraphQuality(t *testing.T) {
 	ds, cfg := smallDataset(t, 3)
 	cfg.Filter.Epochs = 6
-	p := New(cfg, 2)
+	emb, filt, _ := newModels(cfg, 2)
 	train, _, _ := ds.Split(0.7, 0.15)
 
-	if err := p.TrainStages13(train, 3); err != nil {
+	kc := kernels.Context{}
+	if err := FitStages13(context.Background(), kc, cfg, emb, filt, train, 3); err != nil {
 		t.Fatal(err)
 	}
-	eg := p.BuildGraph(ds.Events[len(ds.Events)-1]) // held-out event
+	ev := ds.Events[len(ds.Events)-1] // held-out event
+	src, dst := knnsearch.BuildRadiusGraphCtx(kc, emb.EmbedCtx(kc, nil, ev.Features), cfg.Radius, cfg.MaxDegree)
+	keep := filt.KeepCtx(kc, nil, ev.Features, detector.EdgeFeatures(cfg.Spec, ev, src, dst), src, dst)
+	var fsrc, fdst []int
+	for k := range src {
+		if keep[k] {
+			fsrc = append(fsrc, src[k])
+			fdst = append(fdst, dst[k])
+		}
+	}
+	eg := AssembleGraph(cfg.Spec, ev, fsrc, fdst)
 	eff, purity := eg.GraphQuality()
 	if eff < 0.5 {
 		t.Fatalf("trained stage 1-3 edge efficiency %v too low", eff)
@@ -64,49 +97,51 @@ func TestStages13ImproveGraphQuality(t *testing.T) {
 
 func TestReconstructAfterGNNTraining(t *testing.T) {
 	ds, cfg := smallDataset(t, 2)
-	p := New(cfg, 4)
+	_, _, gnn := newModels(cfg, 4)
 	// Train the GNN stage on truth-level graphs (decoupled from stages
 	// 1-3) with a short full-graph loop.
-	opt := nn.NewAdam(3e-3)
 	var egs []*EventGraph
 	for i, ev := range ds.Events {
-		egs = append(egs, p.BuildTruthLevelGraph(ev, 1.5, uint64(100+i)))
+		egs = append(egs, TruthLevelGraph(cfg.Spec, ev, 1.5, uint64(100+i)))
 	}
-	for epoch := 0; epoch < 30; epoch++ {
-		for _, eg := range egs {
-			tp := autograd.NewTape()
-			logits := p.GNN.Forward(tp, eg.G.Src, eg.G.Dst, eg.X, eg.Y)
-			loss := tp.BCEWithLogits(logits, eg.Label, 1)
-			tp.Backward(loss)
-			opt.Step(p.GNN.Params())
+	if _, err := FitGNN(context.Background(), kernels.Context{}, gnn, egs, 30, 3e-3, 1); err != nil {
+		t.Fatal(err)
+	}
+	// Stages 4 and 5 on the first graph: threshold the scores, take the
+	// connected components of what survives, match them to particles.
+	eg := egs[0]
+	scores := gnn.EdgeScoresCtx(kernels.Context{}, nil, eg.G.Src, eg.G.Dst, eg.X, eg.Y)
+	counts := metrics.FromScores(scores, eg.Label, cfg.GNNThreshold)
+	if counts.Precision() < 0.7 || counts.Recall() < 0.7 {
+		t.Fatalf("edge precision %.3f recall %.3f too low after training", counts.Precision(), counts.Recall())
+	}
+	keep := make([]bool, len(scores))
+	for k, s := range scores {
+		keep[k] = s >= cfg.GNNThreshold
+	}
+	labels, count := eg.G.FilterEdges(keep).ConnectedComponents()
+	var tracks [][]int
+	for _, c := range graph.ComponentMembers(labels, count) {
+		if len(c) >= cfg.MinTrackHits {
+			tracks = append(tracks, c)
 		}
 	}
-	res := p.ReconstructOn(egs[0])
-	if res.EdgeCounts.Precision() < 0.7 || res.EdgeCounts.Recall() < 0.7 {
-		t.Fatalf("edge precision %.3f recall %.3f too low after training",
-			res.EdgeCounts.Precision(), res.EdgeCounts.Recall())
+	hitParticle := make([]int, eg.Event.NumHits())
+	for i, h := range eg.Event.Hits {
+		hitParticle[i] = h.Particle
 	}
-	if res.Match.Efficiency() < 0.3 {
-		t.Fatalf("track efficiency %.3f too low", res.Match.Efficiency())
+	match := metrics.MatchTracks(tracks, hitParticle, eg.Event.TrackHits(cfg.MinTrackHits), cfg.MinTrackHits)
+	if match.Efficiency() < 0.3 {
+		t.Fatalf("track efficiency %.3f too low", match.Efficiency())
 	}
 	t.Logf("reconstruct: edgeP=%.3f edgeR=%.3f trackEff=%.3f fakeRate=%.3f tracks=%d",
-		res.EdgeCounts.Precision(), res.EdgeCounts.Recall(),
-		res.Match.Efficiency(), res.Match.FakeRate(), len(res.Tracks))
-}
-
-func TestReconstructUntrainedDoesNotPanic(t *testing.T) {
-	ds, cfg := smallDataset(t, 1)
-	p := New(cfg, 5)
-	res := p.Reconstruct(ds.Events[0])
-	if res == nil {
-		t.Fatal("nil result")
-	}
+		counts.Precision(), counts.Recall(), match.Efficiency(), match.FakeRate(), len(tracks))
 }
 
 func TestTrainStages13EmptyInput(t *testing.T) {
 	_, cfg := smallDataset(t, 1)
-	p := New(cfg, 6)
-	if err := p.TrainStages13(nil, 1); err == nil {
+	emb, filt, _ := newModels(cfg, 6)
+	if err := FitStages13(context.Background(), kernels.Context{}, cfg, emb, filt, nil, 1); err == nil {
 		t.Fatal("expected error on empty training set")
 	}
 }
@@ -119,62 +154,5 @@ func TestDefaultConfigFollowsSpec(t *testing.T) {
 	}
 	if cfg.Filter.HiddenLayers != 3 {
 		t.Fatalf("filter layers %d, want Table I's 3", cfg.Filter.HiddenLayers)
-	}
-}
-
-func TestSaveLoadModels(t *testing.T) {
-	ds, cfg := smallDataset(t, 1)
-	p := New(cfg, 7)
-	// Light training so weights differ from initialization.
-	eg := p.BuildTruthLevelGraph(ds.Events[0], 1.0, 3)
-	p.TrainGNN([]*EventGraph{eg}, 2, 1e-3, 1)
-
-	path := filepath.Join(t.TempDir(), "pipeline.ckpt.gz")
-	if err := p.SaveModels(path); err != nil {
-		t.Fatal(err)
-	}
-	// A same-config, different-seed pipeline scores differently until the
-	// checkpoint is loaded; after loading, scores match exactly.
-	q := New(cfg, 999)
-	want := p.GNN.EdgeScores(eg.G.Src, eg.G.Dst, eg.X, eg.Y)
-	before := q.GNN.EdgeScores(eg.G.Src, eg.G.Dst, eg.X, eg.Y)
-	same := true
-	for i := range want {
-		if want[i] != before[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds should score differently before load")
-	}
-	if err := q.LoadModels(path); err != nil {
-		t.Fatal(err)
-	}
-	got := q.GNN.EdgeScores(eg.G.Src, eg.G.Dst, eg.X, eg.Y)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("edge %d score %v != %v after load", i, got[i], want[i])
-		}
-	}
-	// Embedding stage restored too.
-	if q.Embedder.Embed(eg.X).MaxAbsDiff(p.Embedder.Embed(eg.X)) != 0 {
-		t.Fatal("embedder weights not restored")
-	}
-}
-
-func TestLoadModelsWrongConfigFails(t *testing.T) {
-	ds, cfg := smallDataset(t, 1)
-	_ = ds
-	p := New(cfg, 7)
-	path := filepath.Join(t.TempDir(), "pipeline.ckpt.gz")
-	if err := p.SaveModels(path); err != nil {
-		t.Fatal(err)
-	}
-	bigger := cfg
-	bigger.GNN.Hidden = cfg.GNN.Hidden * 2
-	q := New(bigger, 7)
-	if err := q.LoadModels(path); err == nil {
-		t.Fatal("loading into mismatched architecture should fail")
 	}
 }

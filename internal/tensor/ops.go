@@ -380,13 +380,6 @@ func (m *Matrix[T]) Norm2() float64 {
 	return math.Sqrt(float64(s))
 }
 
-// Apply returns f applied elementwise.
-func Apply[T fp.Float](m *Matrix[T], f func(T) T) *Matrix[T] {
-	out := NewOf[T](m.rows, m.cols)
-	ApplyInto(out, m, f)
-	return out
-}
-
 // ApplyInto computes out = f applied elementwise to m. out may alias m.
 func ApplyInto[T fp.Float](out, m *Matrix[T], f func(T) T) {
 	checkSame("ApplyInto", out, m)

@@ -117,21 +117,6 @@ func QuantizeWeights(w *Matrix[float64]) *QWeights {
 	return q
 }
 
-// QWeightsFromQuantized rebuilds a QWeights from an already-quantized
-// payload (the checkpoint-v4 load path). The payload and scales are
-// copied; lengths must match the shape.
-func QWeightsFromQuantized(rows, cols int, data []int8, colScale []float32) *QWeights {
-	if len(data) != rows*cols || len(colScale) != cols {
-		panic(fmt.Sprintf("tensor: QWeights payload %d/%d scales for %dx%d", len(data), len(colScale), rows, cols))
-	}
-	return &QWeights{
-		rows:     rows,
-		cols:     cols,
-		data:     append([]int8(nil), data...),
-		ColScale: append([]float32(nil), colScale...),
-	}
-}
-
 // quantizeValue rounds v/scale to the nearest integer (half away from
 // zero) and clamps to ±127.
 func quantizeValue(v, scale float64) int8 {

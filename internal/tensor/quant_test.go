@@ -32,9 +32,9 @@ func TestQuantizeValueSymmetricClamp(t *testing.T) {
 		want     int8
 	}{
 		{0, 1, 0},
-		{0.5, 1, 1},    // half rounds away from zero
-		{-0.5, 1, -1},  // symmetric on the negative side
-		{1e9, 1, 127},  // clamps high
+		{0.5, 1, 1},   // half rounds away from zero
+		{-0.5, 1, -1}, // symmetric on the negative side
+		{1e9, 1, 127}, // clamps high
 		{-1e9, 1, -127} /* never −128 */, {126.4, 1, 126},
 		{2.5, 0.5, 5},
 	}

@@ -252,17 +252,8 @@ func GrowFloat[T fp.Float](s []T, n int) []T { return grow(floatPool[T](), s, n)
 // GrowF64 grows a []float64 through the pools (see grow).
 func GrowF64(s []float64, n int) []float64 { return grow(f64Pools, s, n) }
 
-// GrowF32 grows a []float32 through the pools (see grow).
-func GrowF32(s []float32, n int) []float32 { return grow(f32Pools, s, n) }
-
 // GrowInt grows a []int through the pools (see grow).
 func GrowInt(s []int, n int) []int { return grow(intPools, s, n) }
 
 // GrowBool grows a []bool through the pools (see grow).
 func GrowBool(s []bool, n int) []bool { return grow(boolPools, s, n) }
-
-// GrowI8 grows a []int8 through the pools (see grow).
-func GrowI8(s []int8, n int) []int8 { return grow(i8Pools, s, n) }
-
-// GrowI32 grows a []int32 through the pools (see grow).
-func GrowI32(s []int32, n int) []int32 { return grow(i32Pools, s, n) }

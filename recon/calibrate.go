@@ -143,9 +143,9 @@ func (r *Reconstructor) calibrationEvents() []*Event {
 // and filters — run as themselves so the observed graph distribution
 // matches what int8 inference will actually see.
 func (r *Reconstructor) calibrate(ctx context.Context, events []*Event) (*i8Scales, error) {
-	embCal := embed.NewCalibrator(r.p.Embedder)
-	filtCal := filter.NewCalibrator(r.p.Filter)
-	gnnCal := ignn.NewCalibrator(r.p.GNN)
+	embCal := embed.NewCalibrator(r.embedModel)
+	filtCal := filter.NewCalibrator(r.filterModel)
+	gnnCal := ignn.NewCalibrator(r.gnnModel)
 	a := workspace.NewArena()
 	defer a.Reset()
 	kctx := r.kernelCtx(ctx)
@@ -155,23 +155,17 @@ func (r *Reconstructor) calibrate(ctx context.Context, events []*Event) (*i8Scal
 	// export from a Float64 reconstructor included), so each replays
 	// through its observer. The radius search runs on the observed
 	// embedding only when the default embedder produced it: with a
-	// custom Embedder the thunk-consuming builder is in place and runs
-	// as itself.
-	embedObserved := isDefaultEmbedder(r.embedder)
-	searchObserved := false
-	switch r.builder.(type) {
-	case radiusBuilder32:
-		searchObserved = true
-	case radiusBuilder:
-		searchObserved = embedObserved
-	}
-	filterObserved := isDefaultFilter(r.filter)
+	// custom Embedder the radius builder runs as itself on that
+	// embedder's output.
+	embedObserved := isDefault(r.embedder)
+	searchObserved := embedObserved && isDefault(r.builder)
+	filterObserved := isDefault(r.filter)
 	for _, ev := range events {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		mark := a.Checkpoint()
-		feat := features32(a, ev)
+		feat := tensor.ConvertFrom[float32](a, ev.Features)
 		emb := embCal.Observe(kc, a, feat)
 
 		var src, dst []int

@@ -141,8 +141,9 @@ func TrainDistributed(ctx context.Context, graphs []*EventGraph, opts ...Option)
 	tr := dtrain.New(cfg)
 	epochs, trainErr := tr.Train(ctx, graphs)
 
+	m := tr.Model()
 	res := &DistTrainResult{
-		Classifier: gnnClassifier{m: tr.Model()},
+		Classifier: gnnClassifier[float64]{m: m, fw: &forwards[float64]{gnn: m}},
 		Buckets:    tr.NumBuckets(),
 	}
 	for _, es := range epochs {

@@ -405,8 +405,8 @@ func WithStageWrapper(w StageWrapper) Option {
 }
 
 // WithKernelWorkers bounds the intra-op parallelism of the hot kernels
-// (GEMM, SpGEMM, SpMM, fused gathers) inside a single Reconstruct call
-// or TrainDistributed rank. 0 (the default) derives the budget
+// (GEMM, SpGEMM, SpMM, fused gathers) inside a single Reconstruct call,
+// a Fit, or a TrainDistributed rank. 0 (the default) derives the budget
 // automatically: GOMAXPROCS for serial use, divided by the worker or
 // rank count when an Engine or TrainDistributed runs units
 // concurrently, so inter-op × intra-op parallelism never oversubscribes

@@ -1,10 +1,5 @@
 package recon
 
-import (
-	"repro/internal/kernels"
-	"repro/internal/tensor"
-)
-
 // Precision selects the element type the built-in inference stages run
 // in. Training always runs in float64; WithPrecision(Float32) converts
 // the trained stage weights to float32 once (at construction, and again
@@ -58,8 +53,10 @@ func ParsePrecision(s string) (Precision, bool) {
 
 // WithPrecision selects the inference precision of the built-in stages
 // (default Float64). Float32 and Int8 apply to the default embedder,
-// filter, and GNN classifier adapters and the radius graph builder;
-// custom stage implementations run whatever precision they implement.
+// filter, and GNN classifier adapters and the radius graph builder
+// (which searches a custom Embedder's output in float64, as handed
+// over); custom stage implementations run whatever precision they
+// implement.
 // Track efficiency/purity at reduced precision matches Float64 within
 // the accuracy budget documented in PERF.md (and enforced by the recon
 // precision tests); per-edge scores differ at rounding/quantization
@@ -77,32 +74,4 @@ func WithPrecision(p Precision) Option {
 		}
 		s.precision = p
 	}
-}
-
-// The reduced-precision forwards of the default stages — float32 weight
-// copies (embed/filter/ignn.Inference[float32]) at Float32, int8
-// quantized weights (embed/filter/ignn.Quantized) at Int8 — all take
-// and return float32 activations, so the one adapter set in
-// stages32.go serves both precisions through these interfaces.
-type (
-	embedForward32 interface {
-		EmbedCtx(kc kernels.Context, a *Arena, features *tensor.Dense32) *tensor.Dense32
-	}
-	filterForward32 interface {
-		KeepCtx(kc kernels.Context, a *Arena, nodeFeat, edgeFeat *tensor.Dense32, src, dst []int) []bool
-	}
-	gnnForward32 interface {
-		EdgeScoresCtx(kc kernels.Context, a *Arena, src, dst []int, x, y *tensor.Dense32) []float64
-	}
-)
-
-// lowModels holds the reduced-precision snapshots of the default
-// stages' trained weights. The whole struct is rebuilt (never mutated
-// in place) by Reconstructor.syncInference, so concurrent readers that
-// loaded the pointer see a consistent snapshot; per the Reconstructor's
-// concurrency contract, Fit/LoadCheckpoint must not race inference.
-type lowModels struct {
-	embed  embedForward32
-	filter filterForward32
-	gnn    gnnForward32
 }

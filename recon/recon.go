@@ -94,7 +94,7 @@ type TrackExtractor interface {
 
 // Fitter is implemented by custom stages that learn from training
 // events; Reconstructor.Fit invokes it. The default stages train through
-// the pipeline's staged procedure and do not need it.
+// the staged Exa.TrkX procedure (see Fit) and do not need it.
 type Fitter interface {
 	Fit(ctx context.Context, events []*Event) error
 }

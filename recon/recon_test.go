@@ -1,13 +1,20 @@
 package recon_test
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/detector"
+	"repro/internal/embed"
+	"repro/internal/filter"
+	"repro/internal/ignn"
+	"repro/internal/nn"
 	"repro/internal/pipeline"
+	"repro/internal/rng"
 	"repro/recon"
 )
 
@@ -16,54 +23,6 @@ func testDataset(t *testing.T, scale float64, events int, seed uint64) *detector
 	spec := detector.Ex3Like(scale)
 	spec.NumEvents = events
 	return detector.Generate(spec, seed)
-}
-
-// TestFromPipelineParity: the recon stage decomposition must reproduce
-// the monolithic pipeline's output bit-for-bit.
-func TestFromPipelineParity(t *testing.T) {
-	ds := testDataset(t, 0.02, 3, 42)
-	p := pipeline.New(pipeline.DefaultConfig(ds.Spec), 5)
-	r, err := recon.FromPipeline(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ev := range ds.Events {
-		want := p.Reconstruct(ev)
-		got, err := r.Reconstruct(context.Background(), ev)
-		if err != nil {
-			t.Fatalf("event %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("event %d: recon result diverges from pipeline:\n got %+v\nwant %+v", i, got, want)
-		}
-	}
-}
-
-// TestNewMatchesFromPipeline: New with the same seed builds the same
-// models as pipeline.New.
-func TestNewMatchesFromPipeline(t *testing.T) {
-	ds := testDataset(t, 0.02, 2, 7)
-	r1, err := recon.New(ds.Spec, recon.WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := pipeline.New(pipeline.DefaultConfig(ds.Spec), 5)
-	r2, err := recon.FromPipeline(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := ds.Events[0]
-	a, err := r1.Reconstruct(context.Background(), ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := r2.Reconstruct(context.Background(), ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("New(seed) and FromPipeline(pipeline.New(seed)) disagree")
-	}
 }
 
 // TestTruthLevelGraphs: the truth-level builder keeps every truth edge,
@@ -165,16 +124,13 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := recon.New(spec, recon.WithKernelWorkers(-1)); err == nil {
 		t.Fatal("WithKernelWorkers(-1) accepted")
 	}
-	p := pipeline.New(pipeline.DefaultConfig(spec), 1)
-	if _, err := recon.FromPipeline(p, recon.WithGNN(8, 2)); err == nil {
-		t.Fatal("FromPipeline accepted WithGNN")
-	}
 }
 
 // TestKernelWorkersParity: the intra-op worker budget is a pure
 // performance knob — serial reconstruction at explicit budgets 1, 2,
-// and 7 must be bit-identical, and an engine combining worker-level and
-// kernel-level parallelism must match too.
+// and 7 must be bit-identical, an engine combining worker-level and
+// kernel-level parallelism must match too, and Fit, whose tapes run
+// under the same budget, must train to byte-identical checkpoints.
 func TestKernelWorkersParity(t *testing.T) {
 	ds := testDataset(t, 0.02, 6, 91)
 
@@ -214,49 +170,97 @@ func TestKernelWorkersParity(t *testing.T) {
 	if !reflect.DeepEqual(ref, batch) {
 		t.Fatal("engine with kernel workers diverges from serial")
 	}
+
+	var refCkpt []byte
+	for _, kw := range []int{1, 2} {
+		r, err := recon.New(ds.Spec, recon.WithSeed(5), recon.WithGNN(8, 2), recon.WithGNNTraining(2, 3e-3, 2.0), recon.WithKernelWorkers(kw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Fit(context.Background(), ds.Events[:2]); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "fit.ckpt")
+		if err := r.SaveCheckpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		ckpt, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refCkpt == nil {
+			refCkpt = ckpt
+		} else if !bytes.Equal(refCkpt, ckpt) {
+			t.Fatalf("kernel workers %d: Fit trained a different checkpoint than budget 1", kw)
+		}
+	}
 }
 
-// TestCheckpointInterchange: recon checkpoints and legacy
-// pipeline.SaveModels checkpoints are interchangeable, and loading
-// restores bit-identical inference.
+// TestCheckpointInterchange: a recon checkpoint is the plain nn
+// checkpoint of the three stage models' parameters in stage order
+// (embedder, filter, GNN) — the layout trainers and older files use —
+// in both directions, and loading restores bit-identical inference.
 func TestCheckpointInterchange(t *testing.T) {
 	ds := testDataset(t, 0.02, 2, 21)
 	dir := t.TempDir()
 
-	p := pipeline.New(pipeline.DefaultConfig(ds.Spec), 5)
-	legacy := filepath.Join(dir, "legacy.ckpt")
-	if err := p.SaveModels(legacy); err != nil {
+	// stageParams builds the models New builds for a seed and lists their
+	// parameters in stage order.
+	cfg := pipeline.DefaultConfig(ds.Spec)
+	stageParams := func(seed uint64) []*recon.Param {
+		r := rng.New(seed)
+		ps := embed.New(cfg.Embed, r.Split()).Params()
+		ps = append(ps, filter.New(cfg.Filter, r.Split()).Params()...)
+		return append(ps, ignn.New(cfg.GNN, r.Split()).Params()...)
+	}
+	reconstruct := func(r *recon.Reconstructor) *recon.Result {
+		t.Helper()
+		res, err := r.Reconstruct(context.Background(), ds.Events[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	seed5 := stageParams(5)
+	plain := filepath.Join(dir, "plain.ckpt")
+	if err := nn.SaveParamsFile(plain, seed5); err != nil {
 		t.Fatal(err)
 	}
-	want := p.Reconstruct(ds.Events[0])
+	r5, err := recon.New(ds.Spec, recon.WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reconstruct(r5)
 
-	// Fresh models with a different seed, then restore the legacy file.
+	// Fresh models with a different seed, then restore the plain file.
 	r, err := recon.New(ds.Spec, recon.WithSeed(99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.LoadCheckpoint(legacy); err != nil {
+	if reflect.DeepEqual(reconstruct(r), want) {
+		t.Fatal("seeds 5 and 99 reconstruct alike: the fixture cannot tell a load from no load")
+	}
+	if err := r.LoadCheckpoint(plain); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Reconstruct(context.Background(), ds.Events[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("inference diverges after loading a pipeline.SaveModels checkpoint")
+	if !reflect.DeepEqual(reconstruct(r), want) {
+		t.Fatal("inference diverges after loading a plain stage-order checkpoint")
 	}
 
-	// And the reverse: recon checkpoint into a pipeline.
+	// And the reverse: a recon checkpoint into plain stage-order models.
 	rckpt := filepath.Join(dir, "recon.ckpt")
 	if err := r.SaveCheckpoint(rckpt); err != nil {
 		t.Fatal(err)
 	}
-	p2 := pipeline.New(pipeline.DefaultConfig(ds.Spec), 123)
-	if err := p2.LoadModels(rckpt); err != nil {
+	into := stageParams(123)
+	if err := nn.LoadParamsFile(rckpt, into); err != nil {
 		t.Fatal(err)
 	}
-	if got2 := p2.Reconstruct(ds.Events[0]); !reflect.DeepEqual(got2, want) {
-		t.Fatal("pipeline inference diverges after loading a recon checkpoint")
+	for i, p := range into {
+		if !reflect.DeepEqual(p.Value.Data(), seed5[i].Value.Data()) {
+			t.Fatalf("parameter %q differs after loading a recon checkpoint into plain models", p.Name)
+		}
 	}
 }
 

@@ -8,18 +8,21 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/filter"
+	"repro/internal/fp"
 	"repro/internal/ignn"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/pipeline"
+	"repro/internal/rng"
 	"repro/internal/workspace"
 )
 
 // Reconstructor composes the five reconstruction stages behind one
-// context-aware, per-event entry point. Construct with New (fresh
-// models) or FromPipeline (adapt an existing trained pipeline), swap
-// stage variants with options, and wrap in an Engine for concurrency.
+// context-aware, per-event entry point, and owns the models of the
+// three learned default stages. Construct with New, swap stage variants
+// with options, restore trained weights with LoadCheckpoint, and wrap
+// in an Engine for concurrency.
 //
 // A Reconstructor is safe for concurrent use once training is done:
 // inference only reads model weights.
@@ -45,14 +48,18 @@ type Reconstructor struct {
 	runClassifier EdgeClassifier
 	runExtractor  TrackExtractor
 
-	// p holds the underlying staged models when the default adapters are
-	// in play; Fit routes their training through the pipeline procedure.
-	p *pipeline.Pipeline
+	// The models of the learned default stages: what the default
+	// adapters run, Fit trains and checkpoints persist. Initialised from
+	// rng.New(seed) in this order, so weights repeat per seed.
+	embedModel  *embed.Embedder
+	filterModel *filter.EdgeFilter
+	gnnModel    *ignn.Model
 
-	// low holds the weight snapshots the reduced-precision stage
-	// adapters read (nil at Float64); syncInference rebuilds it whenever
-	// the underlying f64 weights change.
-	low *lowModels
+	// low holds the float32 forwards the reduced-precision stage
+	// adapters read (nil at Float64, where the adapters run the models'
+	// own parameter-aliasing views); syncInference refills it whenever
+	// the float64 weights change.
+	low *forwards[float32]
 
 	// i8scales holds the calibrated activation scales the Int8 snapshot
 	// was built from (nil forces recalibration at the next sync), and
@@ -72,24 +79,7 @@ func New(spec DetectorSpec, opts ...Option) (*Reconstructor, error) {
 	}
 	cfg := pipeline.DefaultConfig(spec)
 	applyConfig(&cfg, set)
-	return assemble(spec, cfg, set, pipeline.New(cfg, set.seed))
-}
-
-// FromPipeline adapts an existing (typically trained) pipeline's models
-// behind the stage interfaces. Structural options (WithGNN) are invalid
-// here — the models already exist; runtime options (thresholds, radius,
-// truth-level graphs, workers) apply normally.
-func FromPipeline(p *pipeline.Pipeline, opts ...Option) (*Reconstructor, error) {
-	set, err := applyOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	if set.gnnHidden != nil || set.gnnSteps != nil {
-		return nil, errors.New("recon: WithGNN cannot reshape an existing pipeline's models")
-	}
-	cfg := p.Cfg
-	applyConfig(&cfg, set)
-	return assemble(cfg.Spec, cfg, set, p)
+	return assemble(spec, cfg, set)
 }
 
 // applyConfig folds option overrides into the resolved hyperparameters.
@@ -117,50 +107,22 @@ func applyConfig(cfg *pipeline.Config, set settings) {
 	}
 }
 
-func assemble(spec DetectorSpec, cfg pipeline.Config, set settings, p *pipeline.Pipeline) (*Reconstructor, error) {
-	r := &Reconstructor{spec: spec, cfg: cfg, set: set, p: p}
-	low := set.precision != Float64
-
-	r.embedder = set.embedder
-	if r.embedder == nil {
-		if low {
-			r.embedder = mlpEmbedder32{r}
-		} else {
-			r.embedder = mlpEmbedder{p.Embedder}
-		}
+func assemble(spec DetectorSpec, cfg pipeline.Config, set settings) (*Reconstructor, error) {
+	seeds := rng.New(set.seed)
+	r := &Reconstructor{
+		spec: spec, cfg: cfg, set: set,
+		embedModel:  embed.New(cfg.Embed, seeds.Split()),
+		filterModel: filter.New(cfg.Filter, seeds.Split()),
+		gnnModel:    ignn.New(cfg.GNN, seeds.Split()),
 	}
-	r.builder = set.builder
-	switch {
-	case r.builder != nil:
-	case set.truthLevel:
-		r.builder = truthBuilder{fakeRatio: set.truthRatio, baseSeed: set.seed}
-	case low && set.embedder == nil:
-		// The reduced-precision radius builder embeds internally with the
-		// built-in snapshot; a custom Embedder must keep the
-		// thunk-consuming builder so its embedding is the one searched.
-		r.builder = radiusBuilder32{r: r, radius: cfg.Radius, maxDegree: cfg.MaxDegree}
-	default:
-		r.builder = radiusBuilder{radius: cfg.Radius, maxDegree: cfg.MaxDegree}
-	}
-	r.filter = set.filter
-	switch {
-	case r.filter != nil:
-	case set.skipFilter || set.truthLevel:
-		// Truth-level graphs bypass the filter, matching the pipeline's
-		// BuildTruthLevelGraph semantics.
-		r.filter = passFilter{}
-	case low:
-		r.filter = mlpFilter32{r: r, spec: spec}
-	default:
-		r.filter = mlpFilter{f: p.Filter, spec: spec}
-	}
-	r.classifier = set.classifier
-	if r.classifier == nil {
-		if low {
-			r.classifier = gnnClassifier32{r}
-		} else {
-			r.classifier = gnnClassifier{p.GNN}
-		}
+	// The one place a precision picks the element type of the default
+	// adapters: float64 over the models themselves, float32 over the
+	// forwards syncInference fills in.
+	if set.precision == Float64 {
+		resolveStages(r, &forwards[float64]{embed: r.embedModel, filter: r.filterModel, gnn: r.gnnModel})
+	} else {
+		r.low = &forwards[float32]{}
+		resolveStages(r, r.low)
 	}
 	r.extractor = set.extractor
 	if r.extractor == nil {
@@ -181,8 +143,44 @@ func assemble(spec DetectorSpec, cfg pipeline.Config, set settings, p *pipeline.
 	return r, nil
 }
 
-// syncInference refreshes the reduced-precision weight snapshots from
-// the pipeline's float64 parameters. Called at construction and after
+// resolveStages settles stages 1–4: the option-supplied stage where
+// there is one, else the built-in adapter running fw at element type T.
+func resolveStages[T fp.Float](r *Reconstructor, fw *forwards[T]) {
+	set, cfg := r.set, r.cfg
+	r.embedder = set.embedder
+	if r.embedder == nil {
+		r.embedder = mlpEmbedder[T]{m: r.embedModel, fw: fw}
+	}
+	r.builder = set.builder
+	switch {
+	case r.builder != nil:
+	case set.truthLevel:
+		r.builder = truthBuilder{fakeRatio: set.truthRatio, baseSeed: set.seed}
+	case set.embedder != nil:
+		// A custom Embedder's output is searched as it is handed over,
+		// in float64, at every precision.
+		r.builder = radiusBuilder[float64]{radius: cfg.Radius, maxDegree: cfg.MaxDegree}
+	default:
+		r.builder = radiusBuilder[T]{radius: cfg.Radius, maxDegree: cfg.MaxDegree}
+	}
+	r.filter = set.filter
+	switch {
+	case r.filter != nil:
+	case set.skipFilter || set.truthLevel:
+		// Truth-level graphs bypass the filter, matching
+		// pipeline.TruthLevelGraph.
+		r.filter = passFilter{}
+	default:
+		r.filter = mlpFilter[T]{m: r.filterModel, fw: fw, spec: r.spec}
+	}
+	r.classifier = set.classifier
+	if r.classifier == nil {
+		r.classifier = gnnClassifier[T]{m: r.gnnModel, fw: fw}
+	}
+}
+
+// syncInference refreshes the reduced-precision forwards from the
+// models' float64 parameters. Called at construction and after
 // every operation that rewrites the weights (Fit, LoadCheckpoint); a
 // no-op at Float64, where the stage models' inference views alias the
 // training parameters' own storage and have nothing to refresh. At Int8
@@ -194,10 +192,10 @@ func assemble(spec DetectorSpec, cfg pipeline.Config, set settings, p *pipeline.
 func (r *Reconstructor) syncInference() error {
 	switch r.set.precision {
 	case Float32:
-		r.low = &lowModels{
-			embed:  embed.NewInference[float32](r.p.Embedder),
-			filter: filter.NewInference[float32](r.p.Filter),
-			gnn:    ignn.NewInference[float32](r.p.GNN),
+		*r.low = forwards[float32]{
+			embed:  embed.NewInference[float32](r.embedModel),
+			filter: filter.NewInference[float32](r.filterModel),
+			gnn:    ignn.NewInference[float32](r.gnnModel),
 		}
 	case Int8:
 		if r.i8scales == nil {
@@ -207,19 +205,19 @@ func (r *Reconstructor) syncInference() error {
 			}
 			r.i8scales = sc
 		}
-		emb, err := embed.NewQuantized(r.p.Embedder, r.i8scales.embed)
+		emb, err := embed.NewQuantized(r.embedModel, r.i8scales.embed)
 		if err != nil {
 			return fmt.Errorf("recon: quantize embedder: %w", err)
 		}
-		filt, err := filter.NewQuantized(r.p.Filter, r.i8scales.filter)
+		filt, err := filter.NewQuantized(r.filterModel, r.i8scales.filter)
 		if err != nil {
 			return fmt.Errorf("recon: quantize filter: %w", err)
 		}
-		gnn, err := ignn.NewQuantized(r.p.GNN, r.i8scales.gnn)
+		gnn, err := ignn.NewQuantized(r.gnnModel, r.i8scales.gnn)
 		if err != nil {
 			return fmt.Errorf("recon: quantize gnn: %w", err)
 		}
-		r.low = &lowModels{embed: emb, filter: filt, gnn: gnn}
+		*r.low = forwards[float32]{embed: emb, filter: filt, gnn: gnn}
 	}
 	return nil
 }
@@ -381,8 +379,10 @@ func (r *Reconstructor) Fit(ctx context.Context, events []*Event) error {
 	// runs over from here on; any previously calibrated scales are stale
 	// the moment the weights move.
 	r.calEvents = events
-	embedDefault := isDefaultEmbedder(r.embedder)
-	filterDefault := isDefaultFilter(r.filter)
+	embedDefault, filterDefault := isDefault(r.embedder), isDefault(r.filter)
+	// Training is serial: its tapes run under the serial entry points'
+	// budget (WithKernelWorkers).
+	kc := kernels.From(r.kernelCtx(ctx))
 	// The truth-level builder never consumes the embedding, so training
 	// the embedder under it would be pure waste; a custom builder might
 	// call the embed thunk, so it keeps embedder training.
@@ -391,13 +391,13 @@ func (r *Reconstructor) Fit(ctx context.Context, events []*Event) error {
 	case embedDefault && filterDefault:
 		// The staged Exa.TrkX procedure: embedder first, then the filter
 		// on radius graphs built in the trained embedding space.
-		if err := r.p.TrainStages13Context(ctx, events, r.set.seed+1); err != nil {
+		if err := pipeline.FitStages13(ctx, kc, r.cfg, r.embedModel, r.filterModel, events, r.set.seed+1); err != nil {
 			return err
 		}
 	case embedDefault && !truthLevel:
 		// Filter is skipped or custom (custom filters train through the
 		// Fitter loop below); the embedder still trains on its own.
-		if err := r.p.TrainEmbedderContext(ctx, events, r.set.seed+1); err != nil {
+		if _, err := r.embedModel.TrainContext(ctx, kc, events, r.set.seed+1); err != nil {
 			return err
 		}
 	case filterDefault:
@@ -417,7 +417,7 @@ func (r *Reconstructor) Fit(ctx context.Context, events []*Event) error {
 			}
 		}
 	}
-	if isDefaultClassifier(r.classifier) {
+	if isDefault(r.classifier) {
 		graphs := make([]*EventGraph, 0, len(events))
 		for _, ev := range events {
 			eg, err := r.BuildGraph(ctx, ev)
@@ -426,7 +426,7 @@ func (r *Reconstructor) Fit(ctx context.Context, events []*Event) error {
 			}
 			graphs = append(graphs, eg)
 		}
-		if _, err := r.p.TrainGNNContext(ctx, graphs, r.set.gnnEpochs, r.set.gnnLR, r.set.gnnPosWeight); err != nil {
+		if _, err := pipeline.FitGNN(ctx, kc, r.gnnModel, graphs, r.set.gnnEpochs, r.set.gnnLR, r.set.gnnPosWeight); err != nil {
 			return err
 		}
 	}
@@ -437,37 +437,9 @@ func (r *Reconstructor) Fit(ctx context.Context, events []*Event) error {
 	return r.syncInference()
 }
 
-// isDefaultEmbedder (and friends) report whether a stage is one of the
-// built-in adapters — at either precision — whose underlying models the
-// pipeline's staged training procedure trains.
-func isDefaultEmbedder(e Embedder) bool {
-	switch e.(type) {
-	case mlpEmbedder, mlpEmbedder32:
-		return true
-	}
-	return false
-}
-
-func isDefaultFilter(f EdgeFilter) bool {
-	switch f.(type) {
-	case mlpFilter, mlpFilter32:
-		return true
-	}
-	return false
-}
-
-func isDefaultClassifier(c EdgeClassifier) bool {
-	switch c.(type) {
-	case gnnClassifier, gnnClassifier32:
-		return true
-	}
-	return false
-}
-
 // params walks the five stages in order and collects the trainable
-// parameters of those that have any. For the default stage layout this
-// matches the pipeline checkpoint layout exactly, so recon checkpoints
-// and pipeline.SaveModels checkpoints are interchangeable.
+// parameters of those that have any: embedder, filter, GNN for the
+// default stage layout, which is the checkpoint layout.
 func (r *Reconstructor) params() []*Param {
 	var ps []*Param
 	for _, stage := range []any{r.embedder, r.builder, r.filter, r.classifier, r.extractor} {
@@ -484,30 +456,44 @@ func (r *Reconstructor) SaveCheckpoint(path string) error {
 	return nn.SaveParamsFile(path, r.params())
 }
 
-// LoadCheckpoint restores a checkpoint written by SaveCheckpoint,
-// SaveCheckpointInt8, or the legacy pipeline.SaveModels into a
-// reconstructor with the same stage layout and hyperparameters.
-// Mismatched shapes fail loudly before any parameter is modified. All
-// checkpoint versions load — v4 (int8 weights + activation scales,
+// LoadCheckpoint restores a checkpoint written by SaveCheckpoint or
+// SaveCheckpointInt8 into a reconstructor with the same stage layout
+// and hyperparameters. A file that is rejected — mismatched shapes, or
+// v4 activation-scale tables that do not fit the configured model —
+// leaves parameters, inference forwards and calibration as they were.
+// All checkpoint versions load — v4 (int8 weights + activation scales,
 // which at WithPrecision(Int8) are adopted so no recalibration runs),
 // v3 (dtype-tagged, f64 or f32 payloads), v2, and legacy headerless
-// files — and the reduced-precision inference snapshots are refreshed
-// from the loaded weights.
+// files — and the reduced-precision forwards are refreshed from the
+// loaded weights.
 func (r *Reconstructor) LoadCheckpoint(path string) error {
-	act, err := nn.LoadParamsFileExt(path, r.params())
+	params := r.params()
+	// nn validates shapes before it writes any parameter, but the
+	// activation tables can only be judged here, after it has: keep the
+	// old values to put back if they are rejected.
+	old := make([][]float64, len(params))
+	for i, p := range params {
+		old[i] = append([]float64(nil), p.Value.Data()...)
+	}
+	oldScales := r.i8scales
+	act, err := nn.LoadParamsFileExt(path, params)
 	if err != nil {
 		return err
 	}
+	// A pre-v4 file carries no calibration; any cached scales belong to
+	// the previous weights.
+	r.i8scales = nil
 	if len(act) > 0 {
-		sc, err := i8ScalesFromAct(act, r.cfg.GNN.Steps)
-		if err != nil {
-			return err
-		}
-		r.i8scales = sc
-	} else {
-		// A pre-v4 file carries no calibration; any cached scales belong
-		// to the previous weights.
-		r.i8scales = nil
+		r.i8scales, err = i8ScalesFromAct(act, r.cfg.GNN.Steps)
 	}
-	return r.syncInference()
+	if err == nil {
+		err = r.syncInference()
+	}
+	if err != nil {
+		for i, p := range params {
+			copy(p.Value.Data(), old[i])
+		}
+		r.i8scales = oldScales
+	}
+	return err
 }

@@ -29,10 +29,6 @@
 //	res, _ := r.Reconstruct(ctx, test[0])
 //	fmt.Println("track efficiency:", res.Match.Efficiency())
 //
-// The pipeline-centric constructors below (NewPipeline,
-// DefaultPipelineConfig) remain as thin deprecated shims for one
-// release; new code should use repro/recon.
-//
 // See the examples/ directory for runnable programs.
 package repro
 
@@ -47,12 +43,9 @@ import (
 	"repro/internal/ignn"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
-	"repro/internal/rng"
 	"repro/internal/sampling"
 	"repro/internal/trackio"
 )
-
-func rngNew(seed uint64) *rng.Rand { return rng.New(seed) }
 
 // Dataset types and generation.
 type (
@@ -90,8 +83,6 @@ func LoadDataset(path string) (*Dataset, error) { return trackio.Load(path) }
 
 // Pipeline types.
 type (
-	// Pipeline is the five-stage Exa.TrkX reconstruction pipeline.
-	Pipeline = pipeline.Pipeline
 	// PipelineConfig collects pipeline hyperparameters.
 	PipelineConfig = pipeline.Config
 	// EventGraph is a constructed event graph, the GNN stage's input.
@@ -103,28 +94,6 @@ type (
 	// InteractionGNN is the paper's GNN model (Algorithm 1).
 	InteractionGNN = ignn.Model
 )
-
-// DefaultPipelineConfig returns a laptop-scale pipeline configuration for
-// a dataset spec.
-//
-// Deprecated: use recon.New with functional options (recon.WithRadius,
-// recon.WithThreshold, recon.WithGNN, ...) instead of mutating nested
-// config structs. This shim remains for one release.
-func DefaultPipelineConfig(spec DetectorSpec) PipelineConfig {
-	return pipeline.DefaultConfig(spec)
-}
-
-// NewPipeline creates an untrained pipeline with deterministic
-// initialization.
-//
-// Deprecated: use recon.New (fresh models) or adapt an existing
-// pipeline with recon.FromPipeline. This shim remains for one release.
-func NewPipeline(cfg PipelineConfig, seed uint64) *Pipeline { return pipeline.New(cfg, seed) }
-
-// NewInteractionGNN builds a standalone Interaction GNN.
-func NewInteractionGNN(cfg GNNConfig, seed uint64) *InteractionGNN {
-	return ignn.New(cfg, rngNew(seed))
-}
 
 // Training types (the paper's contribution).
 type (
@@ -267,53 +236,4 @@ func FanoutAblation(ctx context.Context, o ExperimentOptions, pairs [][2]int) ([
 // BatchSizeAblation sweeps the training batch size.
 func BatchSizeAblation(ctx context.Context, o ExperimentOptions, sizes []int) ([]BatchSizeRow, error) {
 	return experiments.RunBatchSizeAblationContext(ctx, o, sizes)
-}
-
-// Deprecated shims: the pre-context experiment entry points, kept for
-// one release. New code should call the context-aware versions above.
-
-// RunTable1 regenerates Table I at the configured scale.
-//
-// Deprecated: use Table1.
-func RunTable1(o ExperimentOptions) []Table1Row { return experiments.RunTable1(o) }
-
-// RunFigure3 regenerates Figure 3 (epoch time across process counts).
-//
-// Deprecated: use Figure3.
-func RunFigure3(o ExperimentOptions, procs []int) []EpochTimeRow {
-	return experiments.RunFigure3(o, procs)
-}
-
-// RunFigure4 regenerates Figure 4 (convergence of full-graph vs ShaDow
-// minibatch training).
-//
-// Deprecated: use Figure4.
-func RunFigure4(o ExperimentOptions) *ConvergenceResult { return experiments.RunFigure4(o) }
-
-// RunAllReduceAblation measures per-matrix vs coalesced all-reduce cost.
-//
-// Deprecated: use AllReduceAblation.
-func RunAllReduceAblation(o ExperimentOptions, procs []int, steps int) []AllReduceRow {
-	return experiments.RunAllReduceAblation(o, procs, steps)
-}
-
-// RunBulkKAblation sweeps the bulk batch count.
-//
-// Deprecated: use BulkKAblation.
-func RunBulkKAblation(o ExperimentOptions, ks []int) []BulkKRow {
-	return experiments.RunBulkKAblation(o, ks)
-}
-
-// RunFanoutAblation sweeps ShaDow (depth, fanout).
-//
-// Deprecated: use FanoutAblation.
-func RunFanoutAblation(o ExperimentOptions, pairs [][2]int) []FanoutRow {
-	return experiments.RunFanoutAblation(o, pairs)
-}
-
-// RunBatchSizeAblation sweeps the training batch size.
-//
-// Deprecated: use BatchSizeAblation.
-func RunBatchSizeAblation(o ExperimentOptions, sizes []int) []BatchSizeRow {
-	return experiments.RunBatchSizeAblation(o, sizes)
 }
