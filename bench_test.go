@@ -4,7 +4,8 @@
 //
 // The experiment benchmarks execute the same harnesses as the cmd tools
 // at reduced scale so a full -bench pass completes in minutes on a
-// laptop; EXPERIMENTS.md records cmd-tool runs at the calibrated scales.
+// laptop; PERF.md ("Figure 3 timing model") records a cmd/figure3 run at
+// the calibrated scale.
 package repro_test
 
 import (

@@ -1,4 +1,4 @@
-// Command ablation runs the design-choice ablations DESIGN.md calls out:
+// Command ablation runs four design-choice ablations on the one trainer:
 // per-matrix vs coalesced all-reduce (§III-D), bulk batch count k
 // (§IV-C), ShaDow fanout/depth, and training batch size.
 package main
@@ -59,8 +59,8 @@ func main() {
 		var rows []repro.FanoutRow
 		rows, err = repro.FanoutAblation(ctx, o, [][2]int{{1, 4}, {2, 4}, {3, 6}, {2, 8}, {3, 8}})
 		for _, r := range rows {
-			fmt.Printf("  d=%d s=%d  precision=%.4f recall=%.4f epoch=%v\n",
-				r.Depth, r.Fanout, r.Precision, r.Recall, r.EpochTime.Round(time.Millisecond))
+			fmt.Printf("  d=%d s=%d  precision=%.4f recall=%.4f epoch=%v vertices/root=%.1f\n",
+				r.Depth, r.Fanout, r.Precision, r.Recall, r.EpochTime.Round(time.Millisecond), r.AvgSubgraphVertices)
 		}
 	case "batchsize":
 		fmt.Println("ABLATION: batch size vs generalization (Keskar et al. argument)")

@@ -402,12 +402,16 @@ func suite(quick bool) []namedBench {
 		}},
 		{"BenchmarkDistTrain_EpochP2_Bucketed", func(b *testing.B) {
 			graphs, gnn := distTrainFixture(b)
-			cfg := repro.DefaultDistTrainerConfig(gnn)
+			cfg := repro.DefaultTrainerConfig(gnn)
 			cfg.Ranks = 2
 			cfg.Strategy = repro.BucketedSync
 			cfg.BatchSize = 64
 			cfg.Shadow = sampling.Config{Depth: 2, Fanout: 4}
-			tr := repro.NewDistTrainer(cfg)
+			tr, err := repro.NewTrainer(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer tr.Close()
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -27,7 +27,7 @@ func main() {
 	batch := flag.Int("batch", 256, "global batch size (paper: 256)")
 	procsFlag := flag.String("procs", "", "comma-separated process counts (default per dataset)")
 	overhead := flag.Duration("sampler-overhead", 15*time.Millisecond,
-		"simulated per-invocation sampler launch overhead (calibration in EXPERIMENTS.md)")
+		"modelled per-invocation sampler launch overhead (calibration in PERF.md, \"Figure 3 timing model\")")
 	seed := flag.Uint64("seed", 7, "seed")
 	flag.Parse()
 
@@ -63,7 +63,7 @@ func main() {
 	defer stop()
 
 	fmt.Printf("FIGURE 3: epoch time, dataset=%s scale=%v procs=%v\n", *dataset, *scale, procs)
-	fmt.Println("(times are simulated-device epoch costs; see EXPERIMENTS.md for the timing model)")
+	fmt.Println("(measured compute sections under a modelled device clock; see \"Timing\" in internal/dtrain)")
 	rows, err := repro.Figure3(ctx, o, procs)
 	for _, r := range rows {
 		fmt.Println(" ", r)

@@ -1,9 +1,9 @@
-// Command scaling sweeps the distributed bulk-sampled trainer across
-// rank counts × bulk batch stacking × sync strategies and emits the
-// paper's strong-scaling table (Figures 5–6 shape) as a BENCH-style JSON
-// record: per-cell epoch wall time, sampling/training phase maxima,
-// modeled α–β collective time, charged calls and logical bytes, and the
-// final loss.
+// Command scaling sweeps the trainer across rank counts × bulk batch
+// stacking × sync strategies and emits the paper's strong-scaling table
+// (Figures 5–6 shape) as a BENCH-style JSON record: per-cell epoch wall
+// time, sampling/training phase maxima, measured collective wait beside
+// the modeled α–β collective time, charged calls and logical bytes, and
+// the final loss.
 //
 // Two cross-cell checks are embedded in the record:
 //
@@ -139,6 +139,8 @@ func main() {
 		Protocol: fmt.Sprintf("cmd/scaling: ranks %v × bulk %v × strategies %v; %d epochs, batch %d, "+
 			"hidden %d, steps %d, %d truth-level Ex3 events @ scale %v, grad-blocks %d, bucket-bytes %d, seed %d. "+
 			"ns_per_op is measured wall time per epoch (host-core contention included; modeled comm excluded); "+
+			"sampling_ns and training_ns are gated compute sections (max across ranks); "+
+			"comm_wait_ns is the measured time in collectives (max across ranks); "+
 			"comm_modeled_ns is the α–β ring time of the charged logical collectives.",
 			ranks, bulks, strategyOrder, *epochs, *batch, *hidden, *steps, *events, *scale, *gradBlocks, *bucketBytes, *seed),
 		ParityOK:    true,
@@ -153,7 +155,7 @@ func main() {
 		modeledByP[P] = map[string]float64{}
 		for _, stratName := range strategyOrder {
 			for _, k := range bulks {
-				cfg := repro.DefaultDistTrainerConfig(gnn)
+				cfg := repro.DefaultTrainerConfig(gnn)
 				cfg.Epochs = *epochs
 				cfg.BatchSize = *batch
 				cfg.Shadow = sampling.Config{Depth: 2, Fanout: 4}
@@ -164,10 +166,13 @@ func main() {
 				cfg.BulkBatches = k
 				cfg.GradBlocks = *gradBlocks
 				cfg.Seed = *seed
-				tr := repro.NewDistTrainer(cfg)
+				tr, err := repro.NewTrainer(cfg)
+				if err != nil {
+					log.Fatal(err)
+				}
 
 				var trajectory []float64
-				var sampT, trainT, commModeled time.Duration
+				var sampT, trainT, commModeled, commWait time.Duration
 				var stepCount int
 				start := time.Now()
 				for e := 0; e < *epochs; e++ {
@@ -179,10 +184,12 @@ func main() {
 					sampT += stats.Timer.Get("Sampling")
 					trainT += stats.Timer.Get("Training")
 					commModeled += stats.Comm.Modeled
+					commWait += stats.CommWait
 					stepCount += stats.Steps
 				}
 				wall := time.Since(start)
 				cs := tr.CommStats()
+				tr.Close()
 				if len(trajectory) == 0 {
 					log.Fatalf("%s: sweep produced no optimizer steps — dataset too small for the configured batch size", fmt.Sprintf("Scaling_P%d_k%d_%s", P, k, stratName))
 				}
@@ -204,6 +211,7 @@ func main() {
 						"sampling_ns":     float64(sampT.Nanoseconds()) / float64(*epochs),
 						"training_ns":     float64(trainT.Nanoseconds()) / float64(*epochs),
 						"comm_modeled_ns": float64(commModeled.Nanoseconds()) / float64(*epochs),
+						"comm_wait_ns":    float64(commWait.Nanoseconds()) / float64(*epochs),
 						// Run totals (across all epochs, including the
 						// one-time weight broadcast), unlike the per-epoch
 						// *_ns siblings.
@@ -218,9 +226,9 @@ func main() {
 					},
 				}
 				rec.Benchmarks = append(rec.Benchmarks, cell)
-				fmt.Printf("%-34s epoch=%8.2fms sampling=%7.2fms training=%8.2fms comm=%9.3fµs calls=%4d loss=%.6f\n",
+				fmt.Printf("%-34s epoch=%8.2fms sampling=%7.2fms training=%8.2fms comm=%9.3fµs wait=%8.2fms calls=%4d loss=%.6f\n",
 					name, ms(cell.NsPerOp), ms(cell.Metrics["sampling_ns"]), ms(cell.Metrics["training_ns"]),
-					cell.Metrics["comm_modeled_ns"]/1e3, cs.Calls, cell.Metrics["final_loss"])
+					cell.Metrics["comm_modeled_ns"]/1e3, ms(cell.Metrics["comm_wait_ns"]), cs.Calls, cell.Metrics["final_loss"])
 			}
 		}
 		if pm, ok := modeledByP[P]["permatrix"]; ok {

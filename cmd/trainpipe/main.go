@@ -1,13 +1,11 @@
-// Command trainpipe trains the GNN stage with the paper's minibatch DDP
-// pipeline on a dataset, printing per-epoch losses, phase times, and
-// validation precision/recall — the training workflow behind Figures 3
-// and 4, exposed directly.
-//
-// With -impl dist the GNN stage trains through the end-to-end
-// distributed trainer (recon.TrainDistributed): P rank goroutines,
-// bulk-sampled ShaDow minibatches, and the selected gradient
-// synchronization strategy (-sync permatrix|coalesced|bucketed), with a
-// loss trajectory that is bit-identical at every -procs value.
+// Command trainpipe trains the GNN stage on a dataset with the one
+// trainer, printing per-epoch losses, phase times, and validation
+// precision/recall — the training workflow behind Figures 3 and 4,
+// exposed directly. -impl picks the paper's pipeline (ours: bulk matrix
+// sampling, coalesced all-reduce) or one of its baselines (pyg: per-step
+// sampling, per-matrix all-reduce; fullgraph: one step per event graph);
+// the loss trajectory of ours and pyg is bit-identical, at every -procs,
+// -sync and -bulk value.
 package main
 
 import (
@@ -20,6 +18,8 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/kernels"
+	"repro/internal/metrics"
 	"repro/recon"
 )
 
@@ -30,11 +30,11 @@ func main() {
 	procs := flag.Int("procs", 2, "simulated GPUs")
 	hidden := flag.Int("hidden", 16, "GNN hidden width")
 	steps := flag.Int("steps", 3, "GNN layers")
-	impl := flag.String("impl", "ours", "training impl: ours | pyg | fullgraph | dist")
+	impl := flag.String("impl", "ours", "training impl: ours | pyg | fullgraph")
 	seed := flag.Uint64("seed", 11, "seed")
-	sync := flag.String("sync", "coalesced", "dist impl: gradient sync strategy (permatrix | coalesced | bucketed)")
-	bulk := flag.Int("bulk", 4, "dist impl: batches stacked per bulk sampler call")
-	bucketBytes := flag.Int("bucket-bytes", 0, "dist impl: bucket cap in bytes for -sync bucketed (0 = default)")
+	sync := flag.String("sync", "", "gradient sync strategy: permatrix | coalesced | bucketed (empty = the impl's own)")
+	bulk := flag.Int("bulk", 0, "batches stacked per bulk sampler call (0 = derived from device memory)")
+	bucketBytes := flag.Int("bucket-bytes", 0, "bucket cap in bytes for -sync bucketed (0 = default)")
 	flag.Parse()
 
 	var ds *repro.Dataset
@@ -49,6 +49,44 @@ func main() {
 		spec.NumEvents = 8
 		ds = repro.GenerateDataset(spec, 42)
 	}
+	gnn := repro.GNNConfig{
+		NodeFeatures: ds.Spec.VertexFeatures,
+		EdgeFeatures: ds.Spec.EdgeFeatures,
+		Hidden:       *hidden,
+		Steps:        *steps,
+	}
+	var cfg repro.TrainerConfig
+	switch *impl {
+	case "ours":
+		cfg = repro.OursConfig(gnn, *procs)
+	case "pyg":
+		cfg = repro.PyGBaselineConfig(gnn, *procs)
+	case "fullgraph":
+		cfg = repro.DefaultTrainerConfig(gnn)
+		cfg.Ranks = *procs
+		cfg.Sampler = repro.SamplerFullGraph
+	default:
+		log.Fatalf("unknown -impl %q", *impl)
+	}
+	switch *sync {
+	case "":
+	case "permatrix":
+		cfg.Strategy = repro.PerMatrixSync
+	case "coalesced":
+		cfg.Strategy = repro.CoalescedSync
+	case "bucketed":
+		cfg.Strategy = repro.BucketedSync
+	default:
+		log.Fatalf("unknown -sync %q", *sync)
+	}
+	if *bulk > 0 {
+		cfg.BulkBatches = *bulk
+	}
+	cfg.BucketBytes = *bucketBytes
+	cfg.BatchSize = *batch
+	cfg.Epochs = *epochs
+	cfg.Seed = *seed
+
 	trainEvs, valEvs, _ := ds.Split(0.75, 0.25)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -73,44 +111,25 @@ func main() {
 	}
 	train, val := buildAll(trainEvs), buildAll(valEvs)
 
-	if *impl == "dist" {
-		trainDistributed(ctx, train, val, *epochs, *batch, *procs, *hidden, *steps, *seed, *sync, *bulk, *bucketBytes)
-		return
+	tr, err := repro.NewTrainer(cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer tr.Close()
 
-	gnn := repro.GNNConfig{
-		NodeFeatures: ds.Spec.VertexFeatures,
-		EdgeFeatures: ds.Spec.EdgeFeatures,
-		Hidden:       *hidden,
-		Steps:        *steps,
-	}
-	var cfg repro.TrainerConfig
-	switch *impl {
-	case "pyg":
-		cfg = repro.PyGBaselineConfig(gnn, *procs)
-	case "fullgraph":
-		cfg = repro.DefaultTrainerConfig(gnn)
-	default:
-		cfg = repro.OursConfig(gnn, *procs)
-	}
-	cfg.BatchSize = *batch
-	cfg.Epochs = *epochs
-	cfg.Seed = *seed
-	tr := repro.NewTrainer(cfg)
-
-	fmt.Printf("training impl=%s procs=%d batch=%d on %d graphs\n", *impl, *procs, *batch, len(train))
+	fmt.Printf("training impl=%s procs=%d batch=%d sync=%s on %d graphs\n", *impl, *procs, *batch, cfg.Strategy, len(train))
+	start := time.Now()
 	for e := 0; e < *epochs; e++ {
-		if ctx.Err() != nil {
+		stats, err := tr.TrainEpoch(ctx, train)
+		if err != nil {
 			fmt.Println("interrupted")
 			return
 		}
-		var stats repro.EpochStats
-		if *impl == "fullgraph" {
-			stats = tr.TrainEpochFullGraph(train)
-		} else {
-			stats = tr.TrainEpochMinibatch(train)
+		var counts repro.BinaryCounts
+		for _, eg := range val {
+			scores := tr.Model().EdgeScoresCtx(kernels.Context{}, nil, eg.G.Src, eg.G.Dst, eg.X, eg.Y)
+			counts.Merge(metrics.FromScores(scores, eg.Label, 0.5))
 		}
-		counts := tr.Evaluate(val)
 		extra := ""
 		if stats.BulkK > 0 {
 			extra = fmt.Sprintf(" k=%d", stats.BulkK)
@@ -118,57 +137,14 @@ func main() {
 		if stats.Skipped > 0 {
 			extra += fmt.Sprintf(" skipped=%d", stats.Skipped)
 		}
-		fmt.Printf("epoch %2d: loss=%.4f steps=%d P=%.4f R=%.4f [%v]%s\n",
+		fmt.Printf("epoch %2d: loss=%.6f steps=%d P=%.4f R=%.4f [sampling=%v training=%v comm=%v]%s\n",
 			e, stats.Loss, stats.Steps, counts.Precision(), counts.Recall(),
-			stats.Timer.Total().Round(time.Millisecond), extra)
+			stats.Timer.Get(metrics.PhaseSampling).Round(time.Millisecond),
+			stats.Timer.Get(metrics.PhaseTraining).Round(time.Millisecond),
+			stats.Comm.Modeled.Round(time.Microsecond), extra)
 	}
-}
-
-// trainDistributed routes GNN-stage training through the end-to-end
-// distributed trainer and evaluates the resulting classifier.
-func trainDistributed(ctx context.Context, train, val []*repro.EventGraph,
-	epochs, batch, procs, hidden, steps int, seed uint64, sync string, bulk, bucketBytes int) {
-	strategy := recon.CoalescedSync
-	switch sync {
-	case "permatrix":
-		strategy = recon.PerMatrixSync
-	case "coalesced":
-	case "bucketed":
-		strategy = recon.BucketedSync
-	default:
-		log.Fatalf("unknown -sync %q", sync)
-	}
-	fmt.Printf("training impl=dist procs=%d batch=%d sync=%s bulk=%d on %d graphs\n",
-		procs, batch, sync, bulk, len(train))
-	start := time.Now()
-	res, err := recon.TrainDistributed(ctx, train,
-		recon.WithRanks(procs),
-		recon.WithSyncStrategy(strategy),
-		recon.WithBulkBatches(bulk),
-		recon.WithBucketBytes(bucketBytes),
-		recon.WithBatchSize(batch),
-		recon.WithGNN(hidden, steps),
-		recon.WithGNNTraining(epochs, 3e-3, 1),
-		recon.WithSeed(seed),
-	)
-	if err != nil && err != context.Canceled {
-		log.Fatal(err)
-	}
-	for e, ep := range res.Epochs {
-		fmt.Printf("epoch %2d: loss=%.4f steps=%d [sampling=%v training=%v comm=%v]\n",
-			e, ep.Loss, ep.Steps,
-			ep.Sampling.Round(time.Millisecond), ep.Training.Round(time.Millisecond),
-			ep.Comm.Round(time.Microsecond))
-	}
-	if err == context.Canceled {
-		fmt.Println("interrupted")
-		return
-	}
-	prec, rec, everr := res.Evaluate(ctx, val, 0.5)
-	if everr != nil {
-		log.Fatal(everr)
-	}
-	fmt.Printf("done in %v: %d collectives (%s), %.1f KiB logical, modeled comm %v, val P=%.4f R=%.4f\n",
-		time.Since(start).Round(time.Millisecond), res.Comm.Calls, sync,
-		float64(res.Comm.LogicalBytes)/1024, res.Comm.Modeled.Round(time.Microsecond), prec, rec)
+	cs := tr.CommStats()
+	fmt.Printf("done in %v: %d collectives, %.1f KiB logical, modeled comm %v\n",
+		time.Since(start).Round(time.Millisecond), cs.Calls,
+		float64(cs.LogicalBytes)/1024, cs.Modeled.Round(time.Microsecond))
 }

@@ -1,21 +1,20 @@
-// Package ddp implements distributed data parallelism over simulated
-// devices: P rank goroutines each hold a model replica and a shard of the
-// batch; after local backward passes, gradients are synchronized with an
-// all-reduce and averaged, so every replica takes the identical optimizer
-// step (§II-C of the paper).
+// Package ddp holds the vocabulary of distributed data parallelism the
+// trainer (internal/dtrain) is written in: P rank goroutines each hold a
+// model replica and a shard of the batch; after local backward passes,
+// gradients are synchronized with an all-reduce so every replica takes
+// the identical optimizer step (§II-C of the paper).
 //
-// Two synchronization strategies are provided, matching the paper's
-// §III-D comparison: PerMatrix runs one all-reduce per parameter matrix
-// (the baseline, paying ring latency once per matrix); Coalesced stacks
-// every gradient into one buffer and reduces once.
+// The synchronization strategies match the paper's §III-D comparison:
+// PerMatrix runs one all-reduce per parameter matrix (the baseline,
+// paying ring latency once per matrix); Coalesced stacks every gradient
+// into one buffer and reduces once; Bucketed is the PyTorch-DDP
+// refinement in between.
 package ddp
 
 import (
 	"sync"
 
 	"repro/internal/autograd"
-	"repro/internal/comm"
-	"repro/internal/nn"
 )
 
 // SyncStrategy selects how gradients cross the wire.
@@ -31,8 +30,6 @@ const (
 	// parameter order (the order backward completes them) and reduces one
 	// bucket at a time — the PyTorch-DDP refinement of coalescing that
 	// lets communication start before the full backward pass finishes.
-	// GradSyncer.Sync reduces the buckets synchronously; the distributed
-	// trainer overlaps them with backward.
 	Bucketed
 )
 
@@ -99,60 +96,6 @@ func BucketLayout(params []*autograd.Param, bucketBytes int) []Bucket {
 		hi = lo
 	}
 	return buckets
-}
-
-// GradSyncer synchronizes one rank's gradients across a group. Each rank
-// owns its own GradSyncer (the scratch buffer is per-rank state).
-type GradSyncer struct {
-	Group    *comm.Group
-	Rank     int
-	Strategy SyncStrategy
-	// BucketBytes caps each bucket for the Bucketed strategy
-	// (DefaultBucketBytes when zero).
-	BucketBytes int
-
-	buf     []float64
-	buckets []Bucket
-}
-
-// NewGradSyncer creates a syncer for a rank, sizing the coalescing
-// buffer for the given parameter set.
-func NewGradSyncer(group *comm.Group, rank int, strategy SyncStrategy, params []*autograd.Param) *GradSyncer {
-	s := &GradSyncer{Group: group, Rank: rank, Strategy: strategy}
-	if strategy == Coalesced || strategy == Bucketed {
-		s.buf = make([]float64, nn.GradElements(params))
-	}
-	return s
-}
-
-// Sync all-reduces the parameter gradients and divides by the group size,
-// leaving every replica with the mean gradient. Must be called
-// concurrently by all ranks.
-func (s *GradSyncer) Sync(params []*autograd.Param) {
-	switch s.Strategy {
-	case Coalesced:
-		nn.FlattenGrads(params, s.buf)
-		s.Group.AllReduceSum(s.Rank, s.buf)
-		nn.UnflattenGrads(params, s.buf)
-	case Bucketed:
-		// Buckets tile the flat buffer in reverse parameter order; each is
-		// reduced as its own collective. Without overlap this costs the
-		// same bytes as Coalesced plus (buckets−1) extra latency terms —
-		// still at most the PerMatrix latency since buckets ≤ matrices.
-		if s.buckets == nil {
-			s.buckets = BucketLayout(params, s.BucketBytes)
-		}
-		nn.FlattenGrads(params, s.buf)
-		for _, b := range s.buckets {
-			s.Group.AllReduceSum(s.Rank, s.buf[b.Lo:b.Hi])
-		}
-		nn.UnflattenGrads(params, s.buf)
-	default:
-		for _, p := range params {
-			s.Group.AllReduceSum(s.Rank, p.Grad.Data())
-		}
-	}
-	nn.ScaleGrads(params, 1/float64(s.Group.P))
 }
 
 // RunRanks executes body concurrently for ranks 0..p-1 and waits for all

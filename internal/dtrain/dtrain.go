@@ -1,20 +1,25 @@
-// Package dtrain is the end-to-end distributed bulk-sampled trainer —
-// the code path that actually composes the paper's two contributions:
+// Package dtrain is the trainer: the one place that knows how a
+// bulk-synchronous DDP epoch of the Interaction GNN is planned, sampled,
+// executed and charged. It composes the paper's two contributions,
 // ShaDow minibatches sampled in bulk as sparse-matrix operations
 // (internal/sampling) and gradient synchronization through coalesced
-// collectives (internal/comm, internal/ddp), driving the Interaction GNN
-// across P simulated ranks.
+// collectives (internal/comm, internal/ddp), and runs the two baselines
+// the paper measures them against as values of Config.Sampler rather
+// than as second training loops: SamplerStandard (the PyG baseline, one
+// sequential sampler invocation per step) and SamplerFullGraph (the
+// original Exa.TrkX pass, one step per event graph, skipping graphs
+// that do not fit Config.Device).
 //
 // Each rank is a goroutine owning a model replica, a pinned
 // workspace.Arena, and a contiguous range of the step's gradient
-// micro-blocks. Every step each rank bulk-samples the subgraphs of its
-// blocks (stacking up to BulkBatches batches into one matrix-sampler
-// invocation), runs forward/backward per block, and synchronizes
-// gradients under one of three strategies: one collective per parameter
-// matrix (the baseline), one coalesced collective (the paper's
-// optimization), or bucketed collectives overlapped with the backward
-// pass (the PyTorch-DDP refinement: a bucket enters the ring as soon as
-// its layer's backward completes).
+// micro-blocks. Every step each rank samples the subgraphs of its
+// blocks (the bulk sampler stacks up to k batches into one
+// matrix-sampler invocation), runs forward/backward per block, and
+// synchronizes gradients under one of three strategies: one collective
+// per parameter matrix (the baseline), one coalesced collective (the
+// paper's optimization), or bucketed collectives overlapped with the
+// backward pass (the PyTorch-DDP refinement: a bucket enters the ring
+// as soon as its layer's backward completes).
 //
 // # Determinism
 //
@@ -40,16 +45,49 @@
 //     tree makes the order a function of the block structure only.
 //
 // The sync strategy therefore changes which collectives are issued and
-// charged — never the numbers. The α–β cost model charges each strategy
-// the ring all-reduce a production NCCL deployment would run for the
-// same logical payload: k·2(P−1)·α latency for per-matrix, one 2(P−1)·α
-// for coalesced, and one per bucket for bucketed (overlapped with
-// backward compute, so its wall-clock exposure is lower still).
+// charged — never the numbers. Neither does the sampler: with the same
+// per-root streams SamplerStandard draws exactly the components the
+// bulk sampler draws, so the PyG baseline trains on identical subgraphs
+// and differs from Ours in cost only. The bulk batch count k (fixed by
+// Config.BulkBatches, or derived from device memory when that is 0)
+// only decides how batches are stacked into sampler calls.
+//
+// # Timing
+//
+// EpochStats separates what is measured from what is modelled.
+//
+// Measured: each rank times its compute sections (a sampler call; one
+// block's gather, forward, backward and flatten; the tree combine and
+// optimizer step) and, separately, the time it spends in its
+// collectives, packing payloads and blocked on the ring
+// (EpochStats.CommWait). Sampling, Training and CommWait
+// are each the maximum across ranks, the bulk-synchronous cost of a
+// data-parallel step.
+//
+// Modelled: AllReduce is the α–β ring time on NVLink 3.0 of the logical
+// collectives a production NCCL deployment would run for the same
+// payload (k·2(P−1)·α latency for per-matrix, one 2(P−1)·α for
+// coalesced, one per bucket for bucketed), because channel hops on a
+// host do not resemble a GPU interconnect. Config.SamplerOverhead is
+// added to Sampling once per sampler invocation per rank
+// (EpochStats.SamplerCalls), standing in for the kernel-launch and
+// dataloader cost that makes batch-by-batch GPU sampling expensive, and
+// Config.ComputeSpeedup divides Training, standing in for accelerator
+// dense-compute throughput. Both are applied where EpochStats is
+// assembled and charge nothing at their zero value; PERF.md ("Figure 3
+// timing model") records the calibration.
+//
+// The gate: compute sections run under a semaphore of
+// GOMAXPROCS / (kernel workers per rank) slots, so a rank is timed
+// while it has its share of the host to itself even when P exceeds the
+// cores (Figure 3 sweeps P up to 16). The gate is never held across a
+// collective, and never blocks when the ranks fit the host.
 package dtrain
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,6 +95,7 @@ import (
 	"repro/internal/autograd"
 	"repro/internal/comm"
 	"repro/internal/ddp"
+	"repro/internal/gpumem"
 	"repro/internal/ignn"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
@@ -69,7 +108,27 @@ import (
 	"repro/internal/workspace"
 )
 
-// Config collects the distributed trainer's hyperparameters.
+// Sampler selects how a step's training subgraphs are produced.
+type Sampler int
+
+const (
+	// SamplerMatrixBulk is the paper's matrix-based bulk ShaDow sampler:
+	// k consecutive batches per sampler invocation.
+	SamplerMatrixBulk Sampler = iota
+	// SamplerStandard is Algorithm 2 run once per step (the PyG
+	// baseline). It draws from the same per-root streams as the bulk
+	// sampler, so it changes cost, never numbers.
+	SamplerStandard
+	// SamplerFullGraph is the original Exa.TrkX pass: no sampling, one
+	// optimizer step per event graph, graphs that exceed Config.Device
+	// skipped.
+	SamplerFullGraph
+)
+
+// interconnect prices the charged collectives.
+var interconnect = comm.NVLink3()
+
+// Config collects the trainer's hyperparameters.
 type Config struct {
 	GNN       ignn.Config
 	Epochs    int
@@ -85,11 +144,18 @@ type Config struct {
 	// BucketBytes caps each bucket for ddp.Bucketed
 	// (ddp.DefaultBucketBytes when 0).
 	BucketBytes int
+	// Sampler selects bulk (the zero value), per-step or no sampling.
+	Sampler Sampler
 	// BulkBatches is k, the number of consecutive batches stacked into
 	// one bulk sampler invocation per rank (the paper's utilization
-	// optimization). Changing k never changes the numbers — only how
-	// much sampler work is amortized per call.
+	// optimization). 0 derives k per event graph from the aggregate
+	// memory of Ranks devices and a sampled batch's activation
+	// footprint. Changing k never changes the numbers — only how much
+	// sampler work is amortized per call.
 	BulkBatches int
+	// Device is the modelled accelerator: it bounds the graphs
+	// SamplerFullGraph trains on and sizes the derived k.
+	Device gpumem.Device
 	// GradBlocks is the number of canonical gradient micro-blocks per
 	// step. It bounds usable ranks' parallelism (ranks beyond GradBlocks
 	// idle through compute) and must stay fixed across runs that are
@@ -114,12 +180,15 @@ type Config struct {
 	// connections.
 	Network transport.Network
 
-	// CostModel prices the charged collectives; the zero value defaults
-	// to comm.NVLink3 unless UseZeroCost is set.
-	CostModel comm.CostModel
-	// UseZeroCost makes New honor an explicitly zero CostModel (charge
-	// nothing) instead of substituting the NVLink3 default.
-	UseZeroCost bool
+	// SamplerOverhead is the modelled fixed cost of one sampler
+	// invocation (kernel launch, dataloader orchestration), charged to
+	// the Sampling phase per invocation per rank.
+	SamplerOverhead time.Duration
+	// ComputeSpeedup models the dense-compute throughput of the device
+	// relative to this host: charged Training is measured Training
+	// divided by it (0 or 1 charges the measurement). Sampling is a
+	// sparse host-side workload and is never scaled.
+	ComputeSpeedup float64
 
 	Seed uint64
 }
@@ -136,9 +205,29 @@ func DefaultConfig(gnn ignn.Config) Config {
 		Ranks:       1,
 		Strategy:    ddp.Coalesced,
 		BulkBatches: 4,
+		Device:      gpumem.A100(),
 		GradBlocks:  8,
 		Seed:        1,
 	}
+}
+
+// PyGBaselineConfig configures the paper's baseline: sequential
+// per-step ShaDow sampling and per-matrix all-reduce.
+func PyGBaselineConfig(gnn ignn.Config, ranks int) Config {
+	cfg := DefaultConfig(gnn)
+	cfg.Ranks = ranks
+	cfg.Sampler = SamplerStandard
+	cfg.Strategy = ddp.PerMatrix
+	return cfg
+}
+
+// OursConfig configures the paper's optimized pipeline: matrix-based
+// bulk sampling with memory-derived k and coalesced all-reduce.
+func OursConfig(gnn ignn.Config, ranks int) Config {
+	cfg := DefaultConfig(gnn)
+	cfg.Ranks = ranks
+	cfg.BulkBatches = 0
+	return cfg
 }
 
 // CommStats summarizes the charged (logical) collective traffic.
@@ -154,7 +243,7 @@ type CommStats struct {
 	Modeled time.Duration
 }
 
-// EpochStats reports one epoch of distributed training.
+// EpochStats reports one epoch of training.
 type EpochStats struct {
 	// Loss is the mean canonical step loss (sum of per-edge losses over
 	// the global batch divided by its edge count).
@@ -164,11 +253,60 @@ type EpochStats struct {
 	StepLosses []float64
 	// Steps is the number of optimizer steps taken.
 	Steps int
-	// Timer breaks the epoch into Sampling / Training (max across
-	// ranks) and AllReduce (modeled collective time).
+	// Skipped is the number of event graphs SamplerFullGraph left out
+	// because their activations do not fit Config.Device.
+	Skipped int
+	// BulkK is the bulk batch count k of the last event graph planned
+	// (SamplerMatrixBulk only): Config.BulkBatches, or the derived k.
+	BulkK int
+	// SamplerCalls is the number of sampler invocations a rank made.
+	SamplerCalls int
+	// SampledVertices and SampledRoots count, across all ranks, the
+	// vertices of the sampled subgraphs and the batch vertices they
+	// were grown from.
+	SampledVertices, SampledRoots int
+	// Timer breaks the epoch into Sampling / Training (compute sections,
+	// max across ranks, with SamplerOverhead and ComputeSpeedup applied)
+	// and AllReduce (modeled collective time). See "Timing" in the
+	// package comment.
 	Timer *metrics.PhaseTimer
+	// CommWait is the measured time a rank spent in its collectives,
+	// packing their payloads and blocked on the ring (max across ranks).
+	CommWait time.Duration
 	// Comm is the charged collective traffic of this epoch.
 	Comm CommStats
+}
+
+// gate bounds how many ranks are inside a timed compute section at once
+// (see "Timing" in the package comment).
+type gate struct {
+	slots chan struct{}
+	// inside counts the sections in progress and peak is its high-water
+	// mark, kept apart from the channel so a test can check the bound.
+	inside, peak atomic.Int32
+}
+
+// enter blocks for a slot and starts the section's clock.
+func (g *gate) enter() time.Time {
+	g.slots <- struct{}{}
+	n := g.inside.Add(1)
+	for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
+	}
+	return time.Now()
+}
+
+// leave stops the clock, frees the slot and returns the section's time.
+func (g *gate) leave(start time.Time) time.Duration {
+	d := time.Since(start)
+	g.inside.Add(-1)
+	<-g.slots
+	return d
+}
+
+// rankEpoch is what one rank measures and counts during one epoch.
+type rankEpoch struct {
+	sampling, training, commWait                time.Duration
+	samplerCalls, sampledVertices, sampledRoots int
 }
 
 // rankState is one rank's private training state.
@@ -178,7 +316,7 @@ type rankState struct {
 	opt    nn.Optimizer
 	arena  *workspace.Arena
 	tape   *autograd.Tape
-	timer  *metrics.PhaseTimer
+	ep     rankEpoch
 
 	paramIdx map[*autograd.Param]int
 
@@ -191,7 +329,7 @@ type rankState struct {
 	ctrl       []float64   // 1: cancellation consensus flag
 }
 
-// Trainer drives distributed bulk-sampled minibatch training.
+// Trainer drives DDP training of the Interaction GNN.
 type Trainer struct {
 	Cfg Config
 
@@ -200,16 +338,16 @@ type Trainer struct {
 	bucketOfIdx  []int // param index → bucket index
 	paramOffsets []int // param index → offset in the flattened gradient
 	elems        int   // S: flattened gradient elements
+	gate         *gate
 
 	// Transport groups move real data through ring channels but charge
 	// no modeled time (their payloads are the simulation's reproducible
 	// per-block partials, not what a production ring would ship); the
-	// logical collectives are charged explicitly against CostModel.
+	// logical collectives are charged explicitly against interconnect.
+	groups       []*comm.Group // every group, for Close
 	bucketGroups []*comm.Group
 	metaGroup    *comm.Group
 	ctrlGroup    *comm.Group
-
-	model comm.CostModel
 
 	commCalls   int64
 	commBytes   int64
@@ -217,33 +355,34 @@ type Trainer struct {
 
 	epoch       int
 	edgeIndexes map[*pipeline.EventGraph]*sampling.EdgeIndex
-	stepLosses  []float64 // rank 0 appends; driver drains per epoch
+	bulkK       map[*pipeline.EventGraph]int // derived k, cached across epochs
+	stepLosses  []float64                    // rank 0 appends; driver drains per epoch
 }
 
 // New builds a trainer: P identically initialized replicas, per-rank
 // arenas and tapes, bucket layout, transport groups, and the initial
-// weight replication broadcast from rank 0.
-func New(cfg Config) *Trainer {
+// weight replication broadcast from rank 0. It fails only when the ring
+// links cannot be formed over Config.Network.
+func New(cfg Config) (*Trainer, error) {
 	if cfg.Ranks < 1 {
 		cfg.Ranks = 1
 	}
 	if cfg.GradBlocks < 1 {
 		cfg.GradBlocks = 8
 	}
-	if cfg.BulkBatches < 1 {
-		cfg.BulkBatches = 1
-	}
 	if cfg.BatchSize < 1 {
 		cfg.BatchSize = 64
 	}
-	model := cfg.CostModel
-	if !cfg.UseZeroCost && model == (comm.CostModel{}) {
-		model = comm.NVLink3()
+	kc := kernels.Budget(cfg.Ranks, cfg.KernelWorkers)
+	slots := runtime.GOMAXPROCS(0) / kc.Cap()
+	if slots < 1 {
+		slots = 1
 	}
 	t := &Trainer{
 		Cfg:         cfg,
-		model:       model,
+		gate:        &gate{slots: make(chan struct{}, slots)},
 		edgeIndexes: make(map[*pipeline.EventGraph]*sampling.EdgeIndex),
+		bulkK:       make(map[*pipeline.EventGraph]int),
 	}
 	replicas := ignn.Replicas(cfg.GNN, cfg.Seed+1000, cfg.Ranks)
 	t.elems = nn.GradElements(replicas[0].Params())
@@ -269,12 +408,16 @@ func New(cfg Config) *Trainer {
 		t.paramOffsets[i+1] = t.paramOffsets[i] + p.Grad.Size()
 	}
 
-	var zero comm.CostModel
-	for range t.buckets {
-		t.bucketGroups = append(t.bucketGroups, newGroup(cfg, zero))
+	nb := len(t.buckets)
+	for len(t.groups) < nb+2 {
+		g, err := newGroup(cfg)
+		if err != nil {
+			t.Close() // the formation error is the one to report
+			return nil, err
+		}
+		t.groups = append(t.groups, g)
 	}
-	t.metaGroup = newGroup(cfg, zero)
-	t.ctrlGroup = newGroup(cfg, zero)
+	t.bucketGroups, t.metaGroup, t.ctrlGroup = t.groups[:nb], t.groups[nb], t.groups[nb+1]
 
 	g := cfg.GradBlocks
 	levels := 1
@@ -287,7 +430,6 @@ func New(cfg Config) *Trainer {
 			params:   replicas[rank].Params(),
 			opt:      nn.NewAdam(cfg.LR),
 			arena:    workspace.NewArena(),
-			timer:    metrics.NewPhaseTimer(),
 			paramIdx: make(map[*autograd.Param]int),
 			flat:     make([]float64, t.elems),
 			meta:     make([]float64, 2*g),
@@ -295,7 +437,7 @@ func New(cfg Config) *Trainer {
 			ctrl:     make([]float64, 1),
 		}
 		st.tape = autograd.NewTapeArena(st.arena)
-		st.tape.SetKernels(kernels.Budget(cfg.Ranks, cfg.KernelWorkers))
+		st.tape.SetKernels(kc)
 		for i, p := range st.params {
 			st.paramIdx[p] = i
 		}
@@ -313,37 +455,33 @@ func New(cfg Config) *Trainer {
 	}
 
 	// Initial weight replication: rank 0 broadcasts its flattened
-	// parameters so every replica provably starts from the same bits
-	// (they already do — the broadcast is the protocol, not a repair).
+	// parameters over the control group so every replica provably starts
+	// from the same bits (they already do — the broadcast is the
+	// protocol, not a repair).
 	if cfg.Ranks > 1 {
-		bcast := newGroup(cfg, zero)
-		defer bcast.Close()
 		ddp.RunRanks(cfg.Ranks, func(rank int) {
 			st := t.ranks[rank]
 			buf := make([]float64, nn.ParamElements(st.params))
 			nn.FlattenParams(st.params, buf)
-			bcast.Broadcast(rank, buf, 0)
+			t.ctrlGroup.Broadcast(rank, buf, 0)
 			nn.UnflattenParams(st.params, buf)
 		})
-		t.charge(1, int64(t.elems*8), t.model.BroadcastTime(int64(t.elems*8), cfg.Ranks))
+		t.charge(1, int64(t.elems*8), interconnect.BroadcastTime(int64(t.elems*8), cfg.Ranks))
 	}
-	return t
+	return t, nil
 }
 
-// newGroup builds one transport group: direct in-process pipes by
-// default, ring links over cfg.Network when one is configured. Ring
-// formation over a network is a one-time startup rendezvous; a failure
-// there is a configuration error, surfaced as a panic because New's
-// legacy signature has no error path.
-func newGroup(cfg Config, model comm.CostModel) *comm.Group {
+// newGroup builds one uncharged transport group: direct in-process
+// pipes by default, ring links over cfg.Network when one is configured.
+func newGroup(cfg Config) (*comm.Group, error) {
 	if cfg.Network == nil {
-		return comm.NewGroup(cfg.Ranks, model)
+		return comm.NewGroup(cfg.Ranks, comm.CostModel{}), nil
 	}
-	g, err := comm.NewGroupNetwork(cfg.Ranks, model, cfg.Network, nil)
+	g, err := comm.NewGroupNetwork(cfg.Ranks, comm.CostModel{}, cfg.Network, nil)
 	if err != nil {
-		panic(fmt.Sprintf("dtrain: ring formation over network: %v", err))
+		return nil, fmt.Errorf("dtrain: ring formation over network: %w", err)
 	}
-	return g
+	return g, nil
 }
 
 // Close releases the trainer's transport groups. A trainer over
@@ -351,15 +489,7 @@ func newGroup(cfg Config, model comm.CostModel) *comm.Group {
 // (Config.Network) holds open sockets until closed.
 func (t *Trainer) Close() error {
 	var first error
-	for _, g := range t.bucketGroups {
-		if err := g.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, g := range []*comm.Group{t.metaGroup, t.ctrlGroup} {
-		if g == nil {
-			continue
-		}
+	for _, g := range t.groups {
 		if err := g.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -392,15 +522,6 @@ func (t *Trainer) Params() []*autograd.Param { return t.ranks[0].params }
 // NumBuckets reports how many collectives each step issues.
 func (t *Trainer) NumBuckets() int { return len(t.buckets) }
 
-func (t *Trainer) edgeIndex(eg *pipeline.EventGraph) *sampling.EdgeIndex {
-	if idx, ok := t.edgeIndexes[eg]; ok {
-		return idx
-	}
-	idx := sampling.NewEdgeIndex(eg.G)
-	t.edgeIndexes[eg] = idx
-	return idx
-}
-
 // fold mixes integers into a derived seed (splitmix-style), giving every
 // (epoch, event, batch, root) coordinate its own independent stream.
 func fold(seed uint64, parts ...uint64) uint64 {
@@ -424,17 +545,46 @@ type planStep struct {
 	event    int
 	batchIdx int   // batch ordinal within its event (stream coordinate)
 	roots    []int // global batch vertices
-	runLen   int   // >0 on the first step of a bulk sampling run
+	runLen   int   // >0 on the first step of a sampler invocation's run
+	// whole is the event graph as micro-block 0 of a SamplerFullGraph
+	// step; the step's other blocks are empty.
+	whole *sampling.Subgraph
 }
 
-// buildPlan lays out an epoch: per event, a seeded shuffle into batches,
-// and consecutive same-event batches grouped into bulk runs of up to
-// BulkBatches. The plan is a pure function of (seed, epoch, graphs) —
-// never of Ranks or Strategy.
-func (t *Trainer) buildPlan(epoch int, graphs []*pipeline.EventGraph) []planStep {
-	var plan []planStep
+// wholeGraph is the identity subgraph of an event graph.
+func wholeGraph(eg *pipeline.EventGraph) *sampling.Subgraph {
+	sub := &sampling.Subgraph{
+		Vertices: make([]int, eg.NumVertices()),
+		Src:      eg.G.Src,
+		Dst:      eg.G.Dst,
+		EdgeIDs:  make([]int, eg.NumEdges()),
+	}
+	for i := range sub.Vertices {
+		sub.Vertices[i] = i
+	}
+	for i := range sub.EdgeIDs {
+		sub.EdgeIDs[i] = i
+	}
+	return sub
+}
+
+// buildPlan lays out an epoch. For the sampled trainers: per event, a
+// seeded shuffle into batches, and consecutive same-event batches
+// grouped into sampler runs of k (1 for SamplerStandard). For
+// SamplerFullGraph: one step per event graph that fits Cfg.Device — the
+// one place that decision is made. The plan's steps and streams are a
+// pure function of (seed, epoch, graphs) — never of Ranks, Strategy or k.
+func (t *Trainer) buildPlan(epoch int, graphs []*pipeline.EventGraph) (plan []planStep, skipped, bulkK int) {
 	for ei, eg := range graphs {
 		if eg.NumVertices() == 0 || eg.NumEdges() == 0 {
+			continue
+		}
+		if t.Cfg.Sampler == SamplerFullGraph {
+			if !t.Cfg.Device.FitsActivations(ignn.EstimateActivationElements(t.Cfg.GNN, eg.NumVertices(), eg.NumEdges())) {
+				skipped++
+				continue
+			}
+			plan = append(plan, planStep{event: ei, whole: wholeGraph(eg)})
 			continue
 		}
 		perm := rng.New(fold(t.Cfg.Seed, tagPerm, uint64(epoch), uint64(ei))).Perm(eg.NumVertices())
@@ -448,15 +598,40 @@ func (t *Trainer) buildPlan(epoch int, graphs []*pipeline.EventGraph) []planStep
 			plan = append(plan, planStep{event: ei, batchIdx: bi, roots: perm[lo:hi]})
 			bi++
 		}
-		for i := start; i < len(plan); i += t.Cfg.BulkBatches {
+		k := 1
+		if t.Cfg.Sampler == SamplerMatrixBulk {
+			k = t.bulkBatches(epoch, eg, plan[start:])
+			bulkK = k
+		}
+		for i := start; i < len(plan); i += k {
 			run := len(plan) - i
-			if run > t.Cfg.BulkBatches {
-				run = t.Cfg.BulkBatches
+			if run > k {
+				run = k
 			}
 			plan[i].runLen = run
 		}
 	}
-	return plan
+	return plan, skipped, bulkK
+}
+
+// bulkBatches returns k for one event graph's batches: Cfg.BulkBatches
+// when set, otherwise as many batches as the aggregate activation
+// memory of Ranks devices holds. The footprint of a batch is estimated
+// from a probe sample of the first batch's micro-block 0, drawn from
+// that block's own streams, and the result is cached per event graph.
+func (t *Trainer) bulkBatches(epoch int, eg *pipeline.EventGraph, batches []planStep) int {
+	if t.Cfg.BulkBatches > 0 {
+		return t.Cfg.BulkBatches
+	}
+	if k, ok := t.bulkK[eg]; ok {
+		return k
+	}
+	roots, streams := t.rootStreams(epoch, batches[0], 0, 1)
+	probe := sampling.BulkMatrixShaDowStreams(eg.G, t.edgeIndexes[eg], roots, t.Cfg.Shadow, streams)[0]
+	perBatch := t.Cfg.GradBlocks * ignn.EstimateActivationElements(t.Cfg.GNN, probe.NumVertices(), probe.NumEdges())
+	k := gpumem.BulkBatchCount(t.Cfg.Device, t.Cfg.Ranks, perBatch, len(batches))
+	t.bulkK[eg] = k
+	return k
 }
 
 // blockBounds returns micro-block b's [lo, hi) within a batch of n roots.
@@ -523,26 +698,28 @@ func (t *Trainer) Train(ctx context.Context, graphs []*pipeline.EventGraph) ([]E
 func (t *Trainer) TrainEpoch(ctx context.Context, graphs []*pipeline.EventGraph) (EpochStats, error) {
 	epoch := t.epoch
 	t.epoch++
-	plan := t.buildPlan(epoch, graphs)
-	for _, eg := range graphs {
-		if eg.NumVertices() > 0 && eg.NumEdges() > 0 {
-			t.edgeIndex(eg)  // build shared indexes before ranks fan out
-			eg.G.Adjacency() // materialize the lazily cached CSR likewise
+	if t.Cfg.Sampler != SamplerFullGraph {
+		for _, eg := range graphs {
+			if _, ok := t.edgeIndexes[eg]; !ok && eg.NumVertices() > 0 && eg.NumEdges() > 0 {
+				// Build shared indexes before ranks fan out, and
+				// materialize the lazily cached CSR likewise.
+				t.edgeIndexes[eg] = sampling.NewEdgeIndex(eg.G)
+				eg.G.Adjacency()
+			}
 		}
 	}
+	stats := EpochStats{Timer: metrics.NewPhaseTimer()}
+	var plan []planStep
+	plan, stats.Skipped, stats.BulkK = t.buildPlan(epoch, graphs)
 
 	commBefore := t.CommStats()
 	t.stepLosses = t.stepLosses[:0]
-	for _, st := range t.ranks {
-		st.timer = metrics.NewPhaseTimer()
-	}
 	var stopped atomic.Bool
 
 	ddp.RunRanks(t.Cfg.Ranks, func(rank int) {
 		t.runEpochRank(ctx, rank, epoch, plan, graphs, &stopped)
 	})
 
-	stats := EpochStats{Timer: metrics.NewPhaseTimer()}
 	stats.StepLosses = append([]float64(nil), t.stepLosses...)
 	stats.Steps = len(stats.StepLosses)
 	if stats.Steps > 0 {
@@ -552,15 +729,23 @@ func (t *Trainer) TrainEpoch(ctx context.Context, graphs []*pipeline.EventGraph)
 		}
 		stats.Loss = sum / float64(stats.Steps)
 	}
-	for _, ph := range []metrics.Phase{metrics.PhaseSampling, metrics.PhaseTraining} {
-		var worst time.Duration
-		for _, st := range t.ranks {
-			if d := st.timer.Get(ph); d > worst {
-				worst = d
-			}
-		}
-		stats.Timer.AddDuration(ph, worst)
+	// The modelled device is a clock applied to the measured phases:
+	// one SamplerOverhead per invocation, Training over ComputeSpeedup.
+	var samplingMax, trainingMax time.Duration
+	for _, st := range t.ranks {
+		ep := st.ep
+		samplingMax = max(samplingMax, ep.sampling+time.Duration(ep.samplerCalls)*t.Cfg.SamplerOverhead)
+		trainingMax = max(trainingMax, ep.training)
+		stats.CommWait = max(stats.CommWait, ep.commWait)
+		stats.SamplerCalls = max(stats.SamplerCalls, ep.samplerCalls)
+		stats.SampledVertices += ep.sampledVertices
+		stats.SampledRoots += ep.sampledRoots
 	}
+	if t.Cfg.ComputeSpeedup > 1 {
+		trainingMax = time.Duration(float64(trainingMax) / t.Cfg.ComputeSpeedup)
+	}
+	stats.Timer.AddDuration(metrics.PhaseSampling, samplingMax)
+	stats.Timer.AddDuration(metrics.PhaseTraining, trainingMax)
 	after := t.CommStats()
 	stats.Comm = CommStats{
 		Calls:        after.Calls - commBefore.Calls,
@@ -577,11 +762,12 @@ func (t *Trainer) TrainEpoch(ctx context.Context, graphs []*pipeline.EventGraph)
 // runEpochRank is one rank's epoch body.
 func (t *Trainer) runEpochRank(ctx context.Context, rank, epoch int, plan []planStep, graphs []*pipeline.EventGraph, stopped *atomic.Bool) {
 	st := t.ranks[rank]
+	st.ep = rankEpoch{}
 	g := t.Cfg.GradBlocks
 	blkLo, blkHi := ddp.ShardRange(g, t.Cfg.Ranks, rank)
 	nLocal := blkHi - blkLo
 
-	// pending holds the bulk run's sampled subgraphs: nLocal per step.
+	// pending holds the sampler run's subgraphs: nLocal per step.
 	var pending []*sampling.Subgraph
 	pendingAt := 0 // plan index pending starts at
 
@@ -595,7 +781,9 @@ func (t *Trainer) runEpochRank(ctx context.Context, rank, epoch int, plan []plan
 		if ctx.Err() != nil {
 			st.ctrl[0] = 1
 		}
+		wait := time.Now()
 		t.ctrlGroup.AllReduceSum(rank, st.ctrl)
+		st.ep.commWait += time.Since(wait)
 		if st.ctrl[0] > 0 {
 			stopped.Store(true)
 			return
@@ -603,31 +791,44 @@ func (t *Trainer) runEpochRank(ctx context.Context, rank, epoch int, plan []plan
 
 		eg := graphs[step.event]
 
-		// Bulk sampling: on a run's first step, one matrix-sampler call
-		// stacks this rank's blocks across all runLen batches.
-		if step.runLen > 0 {
-			pending = pending[:0]
+		// Sampling: on a run's first step, one sampler invocation covers
+		// this rank's blocks across all runLen batches — stacked into one
+		// matrix-sampler call, or walked block by block by the standard
+		// sampler (whose runs are one batch long).
+		if step.runLen > 0 && nLocal > 0 {
+			start := t.gate.enter()
 			pendingAt = si
-			if nLocal > 0 {
-				start := time.Now()
-				var batches [][]int
-				var streams [][]*rng.Rand
-				for ri := 0; ri < step.runLen; ri++ {
-					b, s := t.rootStreams(epoch, plan[si+ri], blkLo, blkHi)
-					batches = append(batches, b...)
-					streams = append(streams, s...)
+			var batches [][]int
+			var streams [][]*rng.Rand
+			for ri := 0; ri < step.runLen; ri++ {
+				b, s := t.rootStreams(epoch, plan[si+ri], blkLo, blkHi)
+				batches = append(batches, b...)
+				streams = append(streams, s...)
+			}
+			if t.Cfg.Sampler == SamplerStandard {
+				pending = pending[:0]
+				for i, b := range batches {
+					pending = append(pending, sampling.StandardShaDowStreams(eg.G, t.edgeIndexes[eg], b, t.Cfg.Shadow, streams[i]))
 				}
+			} else {
 				pending = sampling.BulkMatrixShaDowStreams(eg.G, t.edgeIndexes[eg], batches, t.Cfg.Shadow, streams)
-				st.timer.AddDuration(metrics.PhaseSampling, time.Since(start))
+			}
+			for i, sub := range pending {
+				st.ep.sampledVertices += sub.NumVertices()
+				st.ep.sampledRoots += len(batches[i])
+			}
+			st.ep.samplerCalls++
+			st.ep.sampling += t.gate.leave(start)
+		}
+		if step.whole != nil {
+			pending, pendingAt = make([]*sampling.Subgraph, nLocal), si
+			if rank == 0 { // the owner of micro-block 0
+				pending[0] = step.whole
 			}
 		}
-		var subs []*sampling.Subgraph
-		if nLocal > 0 {
-			off := (si - pendingAt) * nLocal
-			subs = pending[off : off+nLocal]
-		}
+		off := (si - pendingAt) * nLocal
 
-		t.runStep(st, rank, eg, subs)
+		t.runStep(st, rank, eg, pending[off:off+nLocal])
 	}
 }
 
@@ -640,7 +841,6 @@ func (t *Trainer) runStep(st *rankState, rank int, eg *pipeline.EventGraph, subs
 	nLocal := len(subs)
 	bucketed := t.Cfg.Strategy == ddp.Bucketed
 
-	start := time.Now()
 	for i := range st.meta {
 		st.meta[i] = 0
 	}
@@ -677,15 +877,17 @@ func (t *Trainer) runStep(st *rankState, rank int, eg *pipeline.EventGraph, subs
 			t.bucketGroups[bi].AllReduceSum(rank, tr)
 			if rank == 0 && t.Cfg.Ranks > 1 {
 				logical := int64(w * 8)
-				t.charge(1, logical, t.model.RingAllReduceTime(logical, t.Cfg.Ranks))
+				t.charge(1, logical, interconnect.RingAllReduceTime(logical, t.Cfg.Ranks))
 			}
 		}()
 	}
 
-	// Per-block forward/backward. The final local block arms the
-	// param-grad hook under the bucketed strategy so each bucket's
-	// collective launches the moment its layer's backward completes,
-	// overlapping communication with the rest of the pass.
+	// Per-block forward/backward, one compute section per block. The
+	// final local block arms the param-grad hook under the bucketed
+	// strategy so each bucket's collective launches the moment its
+	// layer's backward completes, overlapping communication with the
+	// rest of the pass (the collective runs on its own goroutine, which
+	// does not hold the gate).
 	for j := 0; j < nLocal; j++ {
 		sub := subs[j]
 		final := j == nLocal-1
@@ -695,6 +897,7 @@ func (t *Trainer) runStep(st *rankState, rank int, eg *pipeline.EventGraph, subs
 			}
 			continue
 		}
+		start := t.gate.enter()
 		nn.ZeroGrads(st.params)
 		x := tensor.NewFrom(st.arena, len(sub.Vertices), eg.X.Cols())
 		tensor.GatherRowsInto(x, eg.X, sub.Vertices)
@@ -739,22 +942,24 @@ func (t *Trainer) runStep(st *rankState, rank int, eg *pipeline.EventGraph, subs
 		st.meta[2*gb] = loss.Value.At(0, 0)
 		st.meta[2*gb+1] = float64(len(sub.EdgeIDs))
 		st.arena.Reset()
+		st.ep.training += t.gate.leave(start)
 	}
 
 	// Issue whatever the hook did not: all buckets for the synchronous
 	// strategies; stragglers (empty final block, grad-free params) for
 	// the bucketed one. Order is deterministic; each bucket has its own
 	// transport group, so in-flight overlapped buckets are unaffected.
+	wait := time.Now()
 	for bi := range t.buckets {
 		if !launched[bi] {
 			launch(bi)
 		}
 	}
 	wg.Wait()
-	st.timer.AddDuration(metrics.PhaseTraining, time.Since(start))
 
 	// Share per-block loss sums and edge counts (control plane, uncharged).
 	t.metaGroup.AllReduceSum(rank, st.meta)
+	st.ep.commWait += time.Since(wait)
 
 	totalEdges := 0.0
 	for b := 0; b < g; b++ {
@@ -765,7 +970,7 @@ func (t *Trainer) runStep(st *rankState, rank int, eg *pipeline.EventGraph, subs
 		return
 	}
 
-	start = time.Now()
+	start := t.gate.enter()
 	// Canonical combine: fixed tree over global block index, identical
 	// on every rank, then the global-edge-count normalization.
 	for bi, b := range t.buckets {
@@ -777,7 +982,7 @@ func (t *Trainer) runStep(st *rankState, rank int, eg *pipeline.EventGraph, subs
 	}
 	nn.UnflattenGrads(st.params, st.flat)
 	st.opt.Step(st.params)
-	st.timer.AddDuration(metrics.PhaseTraining, time.Since(start))
+	st.ep.training += t.gate.leave(start)
 
 	if rank == 0 {
 		var lossSum float64

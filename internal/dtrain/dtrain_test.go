@@ -2,15 +2,20 @@ package dtrain
 
 import (
 	"context"
+	"errors"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/ddp"
 	"repro/internal/detector"
+	"repro/internal/gpumem"
 	"repro/internal/ignn"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
+	"repro/internal/nn"
 	"repro/internal/pipeline"
 	"repro/internal/sampling"
 	"repro/internal/transport"
@@ -45,12 +50,22 @@ func fastConfig(gnn ignn.Config) Config {
 	return cfg
 }
 
+// mustNew builds a trainer that is closed when the test ends.
+func mustNew(t *testing.T, cfg Config) *Trainer {
+	t.Helper()
+	tr, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	return tr
+}
+
 // trajectory trains a fresh trainer and returns the concatenated
 // per-step loss trajectory across epochs.
 func trajectory(t *testing.T, cfg Config, egs []*pipeline.EventGraph) []float64 {
 	t.Helper()
-	tr := New(cfg)
-	defer tr.Close()
+	tr := mustNew(t, cfg)
 	var losses []float64
 	for e := 0; e < cfg.Epochs; e++ {
 		stats, err := tr.TrainEpoch(context.Background(), egs)
@@ -148,7 +163,7 @@ func TestBulkBatchParity(t *testing.T) {
 	base.Ranks = 2
 	base.BulkBatches = 1
 	want := trajectory(t, base, egs)
-	for _, k := range []int{2, 4} {
+	for _, k := range []int{2, 4, 0} { // 0: k derived from device memory
 		cfg := base
 		cfg.BulkBatches = k
 		assertSameTrajectory(t, "bulk k", want, trajectory(t, cfg, egs))
@@ -164,7 +179,7 @@ func TestLossDecreases(t *testing.T) {
 	cfg := fastConfig(gnn)
 	cfg.Ranks = 2
 	cfg.Epochs = 6
-	tr := New(cfg)
+	tr := mustNew(t, cfg)
 	stats, err := tr.Train(context.Background(), egs)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +214,7 @@ func TestCommAccounting(t *testing.T) {
 			cfg.Strategy = strategy
 			cfg.BucketBytes = 4096
 			cfg.Epochs = 1
-			tr := New(cfg)
+			tr := mustNew(t, cfg)
 			if _, err := tr.TrainEpoch(context.Background(), egs); err != nil {
 				t.Fatal(err)
 			}
@@ -227,7 +242,7 @@ func TestSingleRankNoComm(t *testing.T) {
 	egs, gnn := testGraphs(t, 1, 0.02)
 	cfg := fastConfig(gnn)
 	cfg.Epochs = 1
-	tr := New(cfg)
+	tr := mustNew(t, cfg)
 	if _, err := tr.TrainEpoch(context.Background(), egs); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +262,7 @@ func TestCancellationMidEpoch(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	tr := New(cfg)
+	tr := mustNew(t, cfg)
 	// First epoch untouched, then cancel during the second.
 	if _, err := tr.TrainEpoch(ctx, egs); err != nil {
 		t.Fatal(err)
@@ -288,7 +303,7 @@ func TestAlreadyCancelled(t *testing.T) {
 	egs, gnn := testGraphs(t, 1, 0.02)
 	cfg := fastConfig(gnn)
 	cfg.Ranks = 2
-	tr := New(cfg)
+	tr := mustNew(t, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	stats, err := tr.TrainEpoch(ctx, egs)
@@ -311,4 +326,295 @@ func TestRanksExceedingBlocks(t *testing.T) {
 	cfg := base
 	cfg.Ranks = 3 // one rank owns no blocks
 	assertSameTrajectory(t, "P>G", want, trajectory(t, cfg, egs))
+}
+
+// runEpochs trains a fresh trainer for cfg.Epochs epochs and returns the
+// trainer with every epoch's stats.
+func runEpochs(t *testing.T, cfg Config, egs []*pipeline.EventGraph) (*Trainer, []EpochStats) {
+	t.Helper()
+	tr := mustNew(t, cfg)
+	stats, err := tr.Train(context.Background(), egs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, stats
+}
+
+func stepLosses(stats []EpochStats) []float64 {
+	var out []float64
+	for _, s := range stats {
+		out = append(out, s.StepLosses...)
+	}
+	return out
+}
+
+func flatParams(tr *Trainer) []float64 {
+	buf := make([]float64, nn.ParamElements(tr.Params()))
+	nn.FlattenParams(tr.Params(), buf)
+	return buf
+}
+
+// TestSamplerParity: the PyG baseline's sampler draws, from the same
+// per-root streams, exactly the subgraphs the bulk sampler draws — so it
+// changes what sampling costs (one invocation per step instead of one
+// per k batches), never a bit of the losses or the trained weights.
+func TestSamplerParity(t *testing.T) {
+	egs, gnn := testGraphs(t, 2, 0.02)
+	const overhead = time.Millisecond
+	for _, p := range []int{1, 2} {
+		std := fastConfig(gnn)
+		std.Ranks = p
+		std.Sampler = SamplerStandard
+		std.SamplerOverhead = overhead
+		stdTr, stdStats := runEpochs(t, std, egs)
+		for _, k := range []int{1, 4} {
+			bulk := std
+			bulk.Sampler = SamplerMatrixBulk
+			bulk.BulkBatches = k
+			bulkTr, bulkStats := runEpochs(t, bulk, egs)
+			assertSameTrajectory(t, "standard vs bulk", stepLosses(bulkStats), stepLosses(stdStats))
+			want, got := flatParams(bulkTr), flatParams(stdTr)
+			for i := range want {
+				if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+					t.Fatalf("P=%d k=%d: parameter %d differs between samplers", p, k, i)
+				}
+			}
+			wantCalls := 0
+			for _, eg := range egs {
+				batches := (eg.NumVertices() + bulk.BatchSize - 1) / bulk.BatchSize
+				wantCalls += (batches + k - 1) / k
+			}
+			for e, s := range bulkStats {
+				if s.SamplerCalls != wantCalls || s.BulkK != k {
+					t.Fatalf("P=%d k=%d: %d bulk sampler calls at k=%d, want %d", p, k, s.SamplerCalls, s.BulkK, wantCalls)
+				}
+				if s.SampledVertices != stdStats[e].SampledVertices || s.SampledRoots != stdStats[e].SampledRoots {
+					t.Fatalf("P=%d k=%d: samplers visited different vertex counts", p, k)
+				}
+			}
+		}
+		for _, s := range stdStats {
+			if s.SamplerCalls != s.Steps {
+				t.Fatalf("P=%d: standard sampler made %d calls over %d steps", p, s.SamplerCalls, s.Steps)
+			}
+			if min := time.Duration(s.SamplerCalls) * overhead; s.Timer.Get(metrics.PhaseSampling) < min {
+				t.Fatalf("P=%d: sampling %v below the %v of charged overhead", p, s.Timer.Get(metrics.PhaseSampling), min)
+			}
+			if s.SampledRoots == 0 || s.SampledVertices < s.SampledRoots {
+				t.Fatalf("P=%d: %d vertices sampled from %d roots", p, s.SampledVertices, s.SampledRoots)
+			}
+		}
+	}
+}
+
+func fullGraphConfig(gnn ignn.Config) Config {
+	cfg := fastConfig(gnn)
+	cfg.Sampler = SamplerFullGraph
+	return cfg
+}
+
+func TestFullGraphTrainingReducesLoss(t *testing.T) {
+	egs, gnn := testGraphs(t, 2, 0.02)
+	cfg := fullGraphConfig(gnn)
+	cfg.Epochs = 7
+	_, stats := runEpochs(t, cfg, egs)
+	first, last := stats[0], stats[len(stats)-1]
+	if last.Loss >= first.Loss {
+		t.Fatalf("full-graph loss did not decrease: %v -> %v", first.Loss, last.Loss)
+	}
+	if first.Steps != len(egs) {
+		t.Fatalf("full-graph steps %d, want one per graph (%d)", first.Steps, len(egs))
+	}
+	if first.Skipped != 0 {
+		t.Fatalf("nothing should be skipped with A100 memory, got %d", first.Skipped)
+	}
+	if first.SamplerCalls != 0 {
+		t.Fatalf("full-graph training made %d sampler calls", first.SamplerCalls)
+	}
+	// One rank trains the whole graph as micro-block 0, the others
+	// contribute zero rows: the same numbers at every rank count.
+	cfg.Ranks = 2
+	_, stats2 := runEpochs(t, cfg, egs)
+	assertSameTrajectory(t, "full-graph P=2", stepLosses(stats), stepLosses(stats2))
+}
+
+func TestFullGraphSkipsOversizedGraphs(t *testing.T) {
+	egs, gnn := testGraphs(t, 3, 0.02)
+	cfg := fullGraphConfig(gnn)
+	cfg.Epochs = 1
+	// Size the device so only the smallest graph fits.
+	smallest, largest := egs[0], egs[0]
+	for _, eg := range egs {
+		if eg.NumEdges() < smallest.NumEdges() {
+			smallest = eg
+		}
+		if eg.NumEdges() > largest.NumEdges() {
+			largest = eg
+		}
+	}
+	if smallest == largest {
+		t.Skip("graphs all the same size")
+	}
+	budget := ignn.EstimateActivationElements(gnn, smallest.NumVertices(), smallest.NumEdges())
+	cfg.Device = gpumem.ScaledDevice(int64(budget+1) * gpumem.BytesPerElement)
+	_, stats := runEpochs(t, cfg, egs)
+	if stats[0].Skipped == 0 {
+		t.Fatal("memory model skipped nothing")
+	}
+	if stats[0].Steps+stats[0].Skipped != len(egs) {
+		t.Fatalf("steps %d + skipped %d != graphs %d", stats[0].Steps, stats[0].Skipped, len(egs))
+	}
+}
+
+func TestMinibatchMoreStepsThanFullGraph(t *testing.T) {
+	// The convergence mechanism of Figure 4: minibatch takes many more
+	// optimizer steps per epoch than full-graph training.
+	egs, gnn := testGraphs(t, 2, 0.02)
+	cfg := fastConfig(gnn)
+	cfg.Epochs = 1
+	_, mini := runEpochs(t, cfg, egs)
+	cfg.Sampler = SamplerFullGraph
+	_, full := runEpochs(t, cfg, egs)
+	if mini[0].Steps <= full[0].Steps {
+		t.Fatalf("minibatch steps %d not > full-graph steps %d", mini[0].Steps, full[0].Steps)
+	}
+}
+
+func TestBulkKGrowsWithAggregateMemory(t *testing.T) {
+	egs, gnn := testGraphs(t, 1, 0.02)
+	kFor := func(ranks int) int {
+		cfg := OursConfig(gnn, ranks)
+		cfg.Shadow = sampling.Config{Depth: 2, Fanout: 4}
+		cfg.Epochs = 1
+		cfg.BatchSize = 16
+		// Small device so k is memory-limited rather than batch-limited.
+		cfg.Device = gpumem.ScaledDevice(3 << 20)
+		_, stats := runEpochs(t, cfg, egs)
+		return stats[0].BulkK
+	}
+	k1, k4 := kFor(1), kFor(4)
+	if k1 < 1 || k4 < 1 {
+		t.Fatalf("bulk k not chosen: k1=%d k4=%d", k1, k4)
+	}
+	if k4 <= k1 {
+		t.Fatalf("bulk k did not grow with devices: k1=%d k4=%d", k1, k4)
+	}
+}
+
+func TestFixedBulkK(t *testing.T) {
+	egs, gnn := testGraphs(t, 1, 0.02)
+	cfg := fastConfig(gnn)
+	cfg.Epochs = 1
+	cfg.BulkBatches = 2
+	cfg.BatchSize = 32
+	_, stats := runEpochs(t, cfg, egs)
+	if stats[0].BulkK != 2 {
+		t.Fatalf("BulkK %d, want fixed 2", stats[0].BulkK)
+	}
+}
+
+func TestPhaseTimerPopulated(t *testing.T) {
+	egs, gnn := testGraphs(t, 1, 0.02)
+	cfg := fastConfig(gnn)
+	cfg.Epochs = 1
+	cfg.Ranks = 2
+	_, stats := runEpochs(t, cfg, egs)
+	timer := stats[0].Timer
+	if timer.Get(metrics.PhaseSampling) == 0 || timer.Get(metrics.PhaseTraining) == 0 {
+		t.Fatalf("phases not timed: %v", timer)
+	}
+	if timer.Get(metrics.PhaseAllReduce) == 0 {
+		t.Fatal("allreduce phase empty with P=2")
+	}
+	if stats[0].CommWait == 0 {
+		t.Fatal("no collective wait measured with P=2")
+	}
+	// The modelled device divides the measured Training phase.
+	cfg.ComputeSpeedup = 1e6
+	_, fast := runEpochs(t, cfg, egs)
+	if got := fast[0].Timer.Get(metrics.PhaseTraining); got >= timer.Get(metrics.PhaseTraining)/100 {
+		t.Fatalf("ComputeSpeedup 1e6 charged %v of training against %v unscaled", got, timer.Get(metrics.PhaseTraining))
+	}
+}
+
+func TestReplicasStaySynchronized(t *testing.T) {
+	egs, gnn := testGraphs(t, 1, 0.02)
+	cfg := fastConfig(gnn)
+	cfg.Epochs = 1
+	cfg.Ranks = 3
+	tr, _ := runEpochs(t, cfg, egs)
+	base := tr.ranks[0].params
+	for rank := 1; rank < cfg.Ranks; rank++ {
+		for i, p := range tr.ranks[rank].params {
+			if diff := p.Value.MaxAbsDiff(base[i].Value); diff != 0 {
+				t.Fatalf("rank %d param %d drifted %v", rank, i, diff)
+			}
+		}
+	}
+}
+
+// TestComputeGate: with four times more ranks than cores, every strategy
+// (bucketed overlap included) still completes and matches P=1, and the
+// ranks inside a timed compute section never outnumber the gate's slots.
+func TestComputeGate(t *testing.T) {
+	egs, gnn := testGraphs(t, 1, 0.02)
+	base := fastConfig(gnn)
+	base.Epochs = 1
+	want := trajectory(t, base, egs)
+	for _, strategy := range []ddp.SyncStrategy{ddp.PerMatrix, ddp.Coalesced, ddp.Bucketed} {
+		cfg := base
+		cfg.Ranks = 4 * runtime.GOMAXPROCS(0)
+		cfg.Strategy = strategy
+		cfg.BucketBytes = 2048
+		tr, stats := runEpochs(t, cfg, egs)
+		assertSameTrajectory(t, "gated "+strategy.String(), want, stepLosses(stats))
+		slots, peak := cap(tr.gate.slots), int(tr.gate.peak.Load())
+		if slots != runtime.GOMAXPROCS(0) {
+			t.Fatalf("%s: %d slots for one-worker ranks on %d cores", strategy, slots, runtime.GOMAXPROCS(0))
+		}
+		if peak < 1 || peak > slots {
+			t.Fatalf("%s: %d ranks computed at once through %d slots", strategy, peak, slots)
+		}
+	}
+}
+
+// refusingNetwork lets a fixed number of Listen calls through.
+type refusingNetwork struct {
+	transport.Network
+	left int
+}
+
+func (n *refusingNetwork) Listen(addr string) (transport.Listener, error) {
+	if n.left == 0 {
+		return nil, errors.New("listen refused")
+	}
+	n.left--
+	return n.Network.Listen(addr)
+}
+
+// TestNewRingFormationError: a network that cannot carry the ring links
+// is a configuration error New reports — after closing the groups it had
+// already formed — not a panic.
+func TestNewRingFormationError(t *testing.T) {
+	_, gnn := testGraphs(t, 1, 0.02)
+	before := runtime.NumGoroutine()
+	cfg := fastConfig(gnn)
+	cfg.Ranks = 2
+	cfg.Network = &refusingNetwork{Network: &transport.TCP{}, left: 5} // two groups form, the third cannot
+	tr, err := New(cfg)
+	if err == nil {
+		tr.Close()
+		t.Fatal("New formed a ring over a network that refuses to listen")
+	}
+	if !strings.Contains(err.Error(), "ring formation") {
+		t.Fatalf("error does not name ring formation: %v", err)
+	}
+	// The ring's dial and accept goroutines have returned; give the
+	// scheduler a moment to retire them.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, g)
+	}
 }

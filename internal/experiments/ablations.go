@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"context"
-
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/dtrain"
 	"repro/internal/metrics"
 )
 
@@ -16,7 +15,7 @@ type BulkKRow struct {
 	K            int
 	Sampling     time.Duration
 	Training     time.Duration
-	SamplerCalls int // bulk invocations per epoch (approximate: steps/k)
+	SamplerCalls int // bulk invocations per epoch
 }
 
 // RunBulkKAblationContext sweeps the bulk batch count k at fixed P and
@@ -30,26 +29,19 @@ func RunBulkKAblationContext(ctx context.Context, o Options, ks []int) ([]BulkKR
 	train, _, gnn := buildGraphs(o)
 	var rows []BulkKRow
 	for _, k := range ks {
-		if err := ctx.Err(); err != nil {
-			return rows, err
-		}
-		cfg := core.OursConfig(gnn, 1)
-		cfg.BatchSize = o.BatchSize
-		cfg.BulkK = k
-		cfg.Seed = o.Seed
+		cfg := o.trainerConfig(dtrain.OursConfig(gnn, 1))
+		cfg.Epochs = 2 // warm, then measured
+		cfg.BulkBatches = k
 		cfg.SamplerOverhead = o.SamplerOverhead
-		tr := core.NewTrainer(cfg)
-		tr.TrainEpochMinibatch(train) // warm
-		stats := tr.TrainEpochMinibatch(train)
-		calls := stats.Steps / k
-		if stats.Steps%k != 0 {
-			calls++
+		_, stats, err := run(ctx, cfg, train, nil)
+		if err != nil {
+			return rows, err
 		}
 		rows = append(rows, BulkKRow{
 			K:            k,
 			Sampling:     stats.Timer.Get(metrics.PhaseSampling),
 			Training:     stats.Timer.Get(metrics.PhaseTraining),
-			SamplerCalls: calls,
+			SamplerCalls: stats.SamplerCalls,
 		})
 	}
 	return rows, nil
@@ -59,7 +51,7 @@ func RunBulkKAblationContext(ctx context.Context, o Options, ks []int) ([]BulkKR
 type FanoutRow struct {
 	Depth, Fanout       int
 	Precision, Recall   float64
-	EpochTime           time.Duration
+	EpochTime           time.Duration // the trainer's last-epoch phase total
 	AvgSubgraphVertices float64
 }
 
@@ -74,27 +66,19 @@ func RunFanoutAblationContext(ctx context.Context, o Options, pairs [][2]int) ([
 	train, val, gnn := buildGraphs(o)
 	var rows []FanoutRow
 	for _, pd := range pairs {
-		if err := ctx.Err(); err != nil {
+		cfg := o.trainerConfig(dtrain.OursConfig(gnn, 1))
+		cfg.Shadow.Depth, cfg.Shadow.Fanout = pd[0], pd[1]
+		h, stats, err := run(ctx, cfg, train, val)
+		if err != nil {
 			return rows, err
 		}
-		cfg := core.OursConfig(gnn, 1)
-		cfg.BatchSize = o.BatchSize
-		cfg.Shadow.Depth, cfg.Shadow.Fanout = pd[0], pd[1]
-		cfg.Epochs = o.Epochs
-		cfg.Seed = o.Seed
-		tr := core.NewTrainer(cfg)
-		start := time.Now()
-		for e := 0; e < cfg.Epochs; e++ {
-			tr.TrainEpochMinibatch(train)
-		}
-		elapsed := time.Since(start) / time.Duration(cfg.Epochs)
-		counts := tr.Evaluate(val)
 		rows = append(rows, FanoutRow{
-			Depth:     pd[0],
-			Fanout:    pd[1],
-			Precision: counts.Precision(),
-			Recall:    counts.Recall(),
-			EpochTime: elapsed,
+			Depth:               pd[0],
+			Fanout:              pd[1],
+			Precision:           h.Final().Precision,
+			Recall:              h.Final().Recall,
+			EpochTime:           stats.Timer.Total(),
+			AvgSubgraphVertices: float64(stats.SampledVertices) / float64(stats.SampledRoots),
 		})
 	}
 	return rows, nil
@@ -120,26 +104,18 @@ func RunBatchSizeAblationContext(ctx context.Context, o Options, sizes []int) ([
 	train, val, gnn := buildGraphs(o)
 	var rows []BatchSizeRow
 	for _, bs := range sizes {
-		if err := ctx.Err(); err != nil {
+		cfg := o.trainerConfig(dtrain.OursConfig(gnn, 1))
+		cfg.BatchSize = bs
+		h, stats, err := run(ctx, cfg, train, val)
+		if err != nil {
 			return rows, err
 		}
-		cfg := core.OursConfig(gnn, 1)
-		cfg.BatchSize = bs
-		cfg.Epochs = o.Epochs
-		cfg.Seed = o.Seed
-		tr := core.NewTrainer(cfg)
-		steps := 0
-		for e := 0; e < cfg.Epochs; e++ {
-			steps = tr.TrainEpochMinibatch(train).Steps
+		pr, rc := h.Final().Precision, h.Final().Recall
+		row := BatchSizeRow{BatchSize: bs, StepsPerEpoch: stats.Steps, Precision: pr, Recall: rc}
+		if pr+rc > 0 {
+			row.F1 = 2 * pr * rc / (pr + rc)
 		}
-		counts := tr.Evaluate(val)
-		rows = append(rows, BatchSizeRow{
-			BatchSize:     bs,
-			StepsPerEpoch: steps,
-			Precision:     counts.Precision(),
-			Recall:        counts.Recall(),
-			F1:            counts.F1(),
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

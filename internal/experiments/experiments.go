@@ -1,6 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation section, plus the ablations DESIGN.md calls out. Each Run*
+// evaluation section, plus four design-choice ablations. Each Run*
 // function returns structured rows; cmd tools and benchmarks render them.
+// Every training run goes through the one trainer, internal/dtrain: the
+// paper's pipeline and its two baselines are dtrain.Config values.
 //
 // Scaling: the paper ran CTD (330.7K vertices/graph) on A100 GPUs; these
 // harnesses default to laptop-scale synthetic events with the same
@@ -10,15 +12,15 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/ddp"
 	"repro/internal/detector"
+	"repro/internal/dtrain"
 	"repro/internal/gpumem"
 	"repro/internal/ignn"
+	"repro/internal/kernels"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 )
@@ -41,13 +43,13 @@ type Options struct {
 	// full-graph skip behaviour at laptop scale.
 	DeviceBytes int64
 
-	// SamplerOverhead is the simulated per-invocation sampler launch cost
-	// (see core.Config). Default 2ms (Figure 3 uses 15ms; calibration in
-	// EXPERIMENTS.md).
+	// SamplerOverhead is the modelled per-invocation sampler launch cost
+	// (see dtrain.Config). Default 2ms (Figure 3 uses 15ms; calibration
+	// in PERF.md, "Figure 3 timing model").
 	SamplerOverhead time.Duration
 
 	// ComputeSpeedup models accelerator dense-compute throughput relative
-	// to this host (see core.Config). Zero means the runner's default:
+	// to this host (see dtrain.Config). Zero means the runner's default:
 	// 1 everywhere except Figure 3, which uses 25 so the paper's
 	// sampling:training proportions are recovered.
 	ComputeSpeedup float64
@@ -100,8 +102,8 @@ func (o Options) spec() detector.Spec {
 }
 
 // buildGraphs generates events and assembles truth-level event graphs
-// (decoupling the GNN-stage experiments from stage 1–3 training, as
-// described in DESIGN.md), split into train and validation sets.
+// (decoupling the GNN-stage experiments from stage 1–3 training), split
+// into train and validation sets.
 func buildGraphs(o Options) (train, val []*pipeline.EventGraph, gnn ignn.Config) {
 	spec := o.spec()
 	ds := detector.Generate(spec, o.Seed)
@@ -196,6 +198,60 @@ func RunTable1Context(ctx context.Context, o Options) ([]Table1Row, error) {
 	return rows, nil
 }
 
+// trainerConfig carries the options every training run shares into a
+// trainer configuration.
+func (o Options) trainerConfig(cfg dtrain.Config) dtrain.Config {
+	cfg.Epochs = o.Epochs
+	cfg.BatchSize = o.BatchSize
+	cfg.Seed = o.Seed
+	return cfg
+}
+
+// evaluate scores every edge of the graphs and accumulates precision and
+// recall counts at threshold 0.5 — "the number of correctly classified
+// edges across validation set particle graphs" (Figure 4's metric).
+func evaluate(m *ignn.Model, graphs []*pipeline.EventGraph) metrics.BinaryCounts {
+	var counts metrics.BinaryCounts
+	for _, eg := range graphs {
+		if eg.NumEdges() == 0 {
+			continue
+		}
+		scores := m.EdgeScoresCtx(kernels.Context{}, nil, eg.G.Src, eg.G.Dst, eg.X, eg.Y)
+		counts.Merge(metrics.FromScores(scores, eg.Label, 0.5))
+	}
+	return counts
+}
+
+// run trains a fresh trainer for cfg.Epochs epochs and returns the last
+// epoch's stats. With a validation set it also evaluates precision and
+// recall after each epoch — one curve of Figure 4. An interrupted run
+// returns no curve.
+func run(ctx context.Context, cfg dtrain.Config, train, val []*pipeline.EventGraph) (*metrics.History, dtrain.EpochStats, error) {
+	tr, err := dtrain.New(cfg)
+	if err != nil {
+		return nil, dtrain.EpochStats{}, err
+	}
+	defer tr.Close()
+	h := &metrics.History{}
+	var stats dtrain.EpochStats
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		if stats, err = tr.TrainEpoch(ctx, train); err != nil {
+			return nil, stats, err
+		}
+		if val == nil {
+			continue
+		}
+		counts := evaluate(tr.Model(), val)
+		h.Append(metrics.ConvergencePoint{
+			Epoch:     epoch,
+			Loss:      stats.Loss,
+			Precision: counts.Precision(),
+			Recall:    counts.Recall(),
+		})
+	}
+	return h, stats, nil
+}
+
 // ConvergenceResult holds the three curves of Figure 4.
 type ConvergenceResult struct {
 	FullGraph *metrics.History // original Exa.TrkX full-graph training
@@ -206,10 +262,11 @@ type ConvergenceResult struct {
 
 // RunFigure4Context reproduces the convergence comparison on Ex3:
 // full-graph vs ShaDow with the PyG implementation vs ShaDow with our
-// implementation, precision and recall per epoch on the validation set.
-// It checks the context between the three training runs; the partial
-// result holds the curves finished so far (later curves nil) alongside
-// ctx.Err().
+// implementation, precision and recall per epoch on the validation set —
+// the three dtrain.Sampler values at one rank. The two ShaDow curves are
+// equal point for point: the samplers draw identical subgraphs. A
+// cancelled context stops the run in progress; the partial result holds
+// the curves finished so far (later curves nil) alongside ctx.Err().
 func RunFigure4Context(ctx context.Context, o Options) (*ConvergenceResult, error) {
 	o = o.withDefaults()
 	train, val, gnn := buildGraphs(o)
@@ -218,52 +275,23 @@ func RunFigure4Context(ctx context.Context, o Options) (*ConvergenceResult, erro
 		deviceBytes = defaultDeviceBytes(train, gnn)
 	}
 
-	res := &ConvergenceResult{}
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-
-	// Full-graph: memory-constrained device (skips the largest graphs).
-	fullCfg := core.DefaultConfig(gnn)
-	fullCfg.Epochs = o.Epochs
-	fullCfg.Seed = o.Seed
+	// Full-graph on a memory-constrained device (skips the largest
+	// graphs), then the PyG baseline, then ours.
+	fullCfg := dtrain.DefaultConfig(gnn)
+	fullCfg.Sampler = dtrain.SamplerFullGraph
 	fullCfg.Device = gpumem.ScaledDevice(deviceBytes)
-	fullTr := core.NewTrainer(fullCfg)
-	res.FullGraph = fullTr.RunConvergence(core.FullGraph, train, val)
-	res.Skipped = countSkipped(fullCfg, train, gnn)
-	if err := ctx.Err(); err != nil {
+	res := &ConvergenceResult{}
+	var stats dtrain.EpochStats
+	var err error
+	if res.FullGraph, stats, err = run(ctx, o.trainerConfig(fullCfg), train, val); err != nil {
 		return res, err
 	}
-
-	// PyG baseline: standard per-batch ShaDow, per-matrix all-reduce.
-	pygCfg := core.PyGBaselineConfig(gnn, 1)
-	pygCfg.Epochs = o.Epochs
-	pygCfg.BatchSize = o.BatchSize
-	pygCfg.Seed = o.Seed
-	res.PyG = core.NewTrainer(pygCfg).RunConvergence(core.Minibatch, train, val)
-	if err := ctx.Err(); err != nil {
+	res.Skipped = stats.Skipped
+	if res.PyG, _, err = run(ctx, o.trainerConfig(dtrain.PyGBaselineConfig(gnn, 1)), train, val); err != nil {
 		return res, err
 	}
-
-	// Ours: matrix bulk sampling, coalesced all-reduce.
-	oursCfg := core.OursConfig(gnn, 1)
-	oursCfg.Epochs = o.Epochs
-	oursCfg.BatchSize = o.BatchSize
-	oursCfg.Seed = o.Seed
-	res.Ours = core.NewTrainer(oursCfg).RunConvergence(core.Minibatch, train, val)
-
-	return res, nil
-}
-
-func countSkipped(cfg core.Config, graphs []*pipeline.EventGraph, gnn ignn.Config) int {
-	skipped := 0
-	for _, eg := range graphs {
-		est := ignn.EstimateActivationElements(gnn, eg.NumVertices(), eg.NumEdges())
-		if !cfg.Device.FitsActivations(est) {
-			skipped++
-		}
-	}
-	return skipped
+	res.Ours, _, err = run(ctx, o.trainerConfig(dtrain.OursConfig(gnn, 1)), train, val)
+	return res, err
 }
 
 // EpochTimeRow is one bar of Figure 3: an (implementation, process count)
@@ -297,11 +325,11 @@ func (r EpochTimeRow) String() string {
 // baseline and our implementation — the stacked bars of Figure 3. The
 // paper sweeps P∈{4,8,16} on CTD and P∈{1,4,8} on Ex3.
 //
-// Defaults calibrated to the paper's hardware (see EXPERIMENTS.md):
-// A100-sized devices (so bulk k is memory-derived, reaching "all" for
-// small datasets exactly as the paper reports for Ex3), 15ms sampler
-// launch overhead, and a 25× accelerator compute model so the
-// sampling:training proportions match the published bars.
+// Defaults calibrated to the paper's hardware (see PERF.md, "Figure 3
+// timing model"): A100-sized devices (so bulk k is memory-derived,
+// reaching "all" for small datasets exactly as the paper reports for
+// Ex3), 15ms sampler launch overhead, and a 25× accelerator compute
+// model so the sampling:training proportions match the published bars.
 //
 // It checks the context between (process count, implementation) cells
 // and returns the rows measured so far alongside ctx.Err().
@@ -318,32 +346,34 @@ func RunFigure3Context(ctx context.Context, o Options, procs []int) ([]EpochTime
 		procs = []int{1, 4, 8}
 	}
 	train, _, gnn := buildGraphs(o)
+	// The micro-block count fixes the reduction tree, so it is held
+	// constant across the sweep and large enough to occupy every rank.
+	gradBlocks := 8
+	for _, p := range procs {
+		gradBlocks = max(gradBlocks, p)
+	}
 
 	var rows []EpochTimeRow
 	for _, p := range procs {
 		for _, impl := range []string{"PyG", "Ours"} {
-			if err := ctx.Err(); err != nil {
-				return rows, err
-			}
-			var cfg core.Config
-			if impl == "PyG" {
-				cfg = core.PyGBaselineConfig(gnn, p)
-			} else {
-				cfg = core.OursConfig(gnn, p)
+			cfg := dtrain.PyGBaselineConfig(gnn, p)
+			if impl == "Ours" {
+				cfg = dtrain.OursConfig(gnn, p)
 				// Bulk-k derives from aggregate device memory: A100-sized
 				// by default, overridable to force memory-limited k.
 				if o.DeviceBytes != 0 {
 					cfg.Device = gpumem.ScaledDevice(o.DeviceBytes)
 				}
 			}
-			cfg.BatchSize = o.BatchSize
-			cfg.Seed = o.Seed
+			cfg = o.trainerConfig(cfg)
+			cfg.Epochs = 2 // warm epoch (allocators, k probe), then the measured one
+			cfg.GradBlocks = gradBlocks
 			cfg.SamplerOverhead = o.SamplerOverhead
 			cfg.ComputeSpeedup = o.ComputeSpeedup
-			tr := core.NewTrainer(cfg)
-			// Warm epoch (allocators, probe), then measured epoch.
-			tr.TrainEpochMinibatch(train)
-			stats := tr.TrainEpochMinibatch(train)
+			_, stats, err := run(ctx, cfg, train, nil)
+			if err != nil {
+				return rows, err
+			}
 			rows = append(rows, EpochTimeRow{
 				Dataset:   o.Dataset,
 				Procs:     p,
@@ -387,9 +417,10 @@ type AllReduceRow struct {
 	ModeledTime time.Duration
 }
 
-// RunAllReduceAblationContext measures the modeled cost of synchronizing
-// the IGNN gradient set under per-matrix vs coalesced all-reduce,
-// checking the context between cells.
+// RunAllReduceAblationContext reports the collectives and modeled time
+// that stepsPerEpoch optimizer steps charge under per-matrix vs
+// coalesced all-reduce, read per step from a one-epoch training run per
+// (P, strategy) cell. A cancelled context returns the rows so far.
 func RunAllReduceAblationContext(ctx context.Context, o Options, procs []int, stepsPerEpoch int) ([]AllReduceRow, error) {
 	o = o.withDefaults()
 	if len(procs) == 0 {
@@ -398,28 +429,24 @@ func RunAllReduceAblationContext(ctx context.Context, o Options, procs []int, st
 	if stepsPerEpoch == 0 {
 		stepsPerEpoch = 10
 	}
-	_, _, gnn := buildGraphs(o)
+	train, _, gnn := buildGraphs(o)
 	var rows []AllReduceRow
 	for _, p := range procs {
 		for _, sync := range []ddp.SyncStrategy{ddp.PerMatrix, ddp.Coalesced} {
-			if err := ctx.Err(); err != nil {
+			cfg := o.trainerConfig(dtrain.OursConfig(gnn, p))
+			cfg.Strategy = sync
+			cfg.Epochs = 1
+			// The charge per step does not depend on the data: one graph.
+			_, stats, err := run(ctx, cfg, train[:1], nil)
+			if err != nil {
 				return rows, err
 			}
-			cfg := core.DefaultConfig(gnn)
-			cfg.Procs = p
-			cfg.Sync = sync
-			tr := core.NewTrainer(cfg)
-			group := tr.CommGroup()
-			group.ResetStats()
-			// Synchronize the real parameter set repeatedly, in isolation.
-			for s := 0; s < stepsPerEpoch; s++ {
-				tr.SyncGradientsOnce()
-			}
+			perStep := func(total int64) int64 { return total / int64(stats.Steps) * int64(stepsPerEpoch) }
 			rows = append(rows, AllReduceRow{
 				Procs:       p,
 				Strategy:    sync.String(),
-				Collectives: group.Calls(),
-				ModeledTime: group.ModeledTime(),
+				Collectives: perStep(stats.Comm.Calls),
+				ModeledTime: time.Duration(perStep(int64(stats.Comm.Modeled))),
 			})
 		}
 	}

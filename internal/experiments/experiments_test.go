@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"repro/internal/dtrain"
 )
 
 // tinyOptions keeps experiment tests fast.
@@ -66,10 +68,61 @@ func TestRunFigure4Shapes(t *testing.T) {
 	if res.Skipped == 0 {
 		t.Fatal("full-graph training skipped no graphs — memory model inert")
 	}
-	// Minibatch (ours) must not be degraded vs the PyG implementation.
-	if res.Ours.Final().Recall < res.PyG.Final().Recall-0.15 {
-		t.Fatalf("ours recall %v much worse than PyG %v",
-			res.Ours.Final().Recall, res.PyG.Final().Recall)
+	// Minibatch (ours) is not degraded vs the PyG implementation: the two
+	// samplers draw the same subgraphs, so the curves are the same curve.
+	for i, pyg := range res.PyG.Points {
+		if ours := res.Ours.Points[i]; ours != pyg {
+			t.Fatalf("epoch %d: ours %+v != PyG %+v", i, ours, pyg)
+		}
+	}
+}
+
+func TestMinibatchTrainingImprovesMetrics(t *testing.T) {
+	o := tinyOptions().withDefaults()
+	train, val, gnn := buildGraphs(o)
+	tr, err := dtrain.New(o.trainerConfig(dtrain.OursConfig(gnn, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	before := evaluate(tr.Model(), val)
+	steps := 0
+	for i := 0; i < 4; i++ {
+		stats, err := tr.TrainEpoch(context.Background(), train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps += stats.Steps
+	}
+	after := evaluate(tr.Model(), val)
+	if after.F1() <= before.F1() {
+		t.Fatalf("minibatch training did not improve F1: %v -> %v", before.F1(), after.F1())
+	}
+	if steps == 0 {
+		t.Fatal("no steps taken")
+	}
+	if total := after.TP + after.FP + after.TN + after.FN; total != val[0].NumEdges() {
+		t.Fatalf("evaluated %d edges, want %d", total, val[0].NumEdges())
+	}
+}
+
+func TestConvergenceHistory(t *testing.T) {
+	o := tinyOptions().withDefaults()
+	train, val, gnn := buildGraphs(o)
+	h, stats, err := run(context.Background(), o.trainerConfig(dtrain.OursConfig(gnn, 1)), train, val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Points) != o.Epochs || stats.Steps == 0 {
+		t.Fatalf("history has %d points over %d-step epochs, want %d", len(h.Points), stats.Steps, o.Epochs)
+	}
+	for _, pt := range h.Points {
+		if pt.Precision < 0 || pt.Precision > 1 || pt.Recall < 0 || pt.Recall > 1 {
+			t.Fatalf("metrics out of range: %+v", pt)
+		}
+	}
+	if h.Final().Recall < h.Points[0].Recall-0.2 {
+		t.Fatalf("recall collapsed during training: %+v", h.Points)
 	}
 }
 
@@ -79,7 +132,7 @@ func TestRunFigure3Shapes(t *testing.T) {
 	// Figure 3 shape: the all-reduce advantage at P>1, the presence of a
 	// memory-derived bulk k, and populated phases. The full speedup claim
 	// is validated at real scale by the cmd/figure3 harness and recorded
-	// in EXPERIMENTS.md.
+	// in PERF.md ("Figure 3 timing model").
 	o := tinyOptions()
 	rows, err := RunFigure3Context(context.Background(), o, []int{1, 2})
 	if err != nil {
@@ -151,11 +204,10 @@ func TestRunBulkKAblation(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	// Larger k ⇒ fewer sampler invocations. This is the deterministic
-	// mechanism behind the sampling-time drop; the wall-time effect
-	// itself is validated by the uncontended cmd/ablation harness run
-	// (recorded in experiment_runs.txt) because measured durations under
-	// full-suite CPU contention are too noisy to assert on.
+	// Larger k ⇒ fewer sampler invocations (the trainer's exact count).
+	// This is the deterministic mechanism behind the sampling-time drop;
+	// measured durations under full-suite CPU contention are too noisy
+	// to assert on.
 	if rows[1].SamplerCalls >= rows[0].SamplerCalls {
 		t.Fatalf("k=4 calls %d not < k=1 calls %d", rows[1].SamplerCalls, rows[0].SamplerCalls)
 	}
@@ -182,6 +234,9 @@ func TestRunFanoutAblation(t *testing.T) {
 		}
 		if r.EpochTime <= 0 {
 			t.Fatalf("missing epoch time: %+v", r)
+		}
+		if r.AvgSubgraphVertices < 1 {
+			t.Fatalf("missing subgraph size: %+v", r)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
-	"math"
 	"path/filepath"
 	"testing"
 
@@ -153,86 +152,5 @@ func TestCheckpointGarbageRejected(t *testing.T) {
 	garbage := []byte("definitely not a checkpoint file, not even close")
 	if err := LoadParams(bytes.NewReader(garbage), m.Params()); err == nil {
 		t.Fatal("garbage accepted as checkpoint")
-	}
-}
-
-func TestStepLRSchedule(t *testing.T) {
-	s := StepLR{Base: 1.0, StepSize: 2, Gamma: 0.1}
-	want := []float64{1, 1, 0.1, 0.1, 0.01}
-	for epoch, w := range want {
-		if got := s.LR(epoch); math.Abs(got-w) > 1e-12 {
-			t.Fatalf("epoch %d lr %v, want %v", epoch, got, w)
-		}
-	}
-}
-
-func TestCosineLRSchedule(t *testing.T) {
-	s := CosineLR{Base: 1.0, Min: 0.1, Total: 5}
-	if got := s.LR(0); math.Abs(got-1.0) > 1e-12 {
-		t.Fatalf("first epoch lr %v", got)
-	}
-	if got := s.LR(4); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("last epoch lr %v", got)
-	}
-	if got := s.LR(100); got != 0.1 {
-		t.Fatalf("beyond total lr %v", got)
-	}
-	// Monotone decreasing.
-	prev := s.LR(0)
-	for e := 1; e < 5; e++ {
-		cur := s.LR(e)
-		if cur >= prev {
-			t.Fatalf("cosine not decreasing at %d", e)
-		}
-		prev = cur
-	}
-}
-
-func TestWarmupLR(t *testing.T) {
-	s := WarmupLR{Warmup: 4, Inner: ConstantLR{Base: 1.0}}
-	if got := s.LR(0); math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("warmup epoch 0 lr %v", got)
-	}
-	if got := s.LR(3); math.Abs(got-1.0) > 1e-12 {
-		t.Fatalf("warmup epoch 3 lr %v", got)
-	}
-	if got := s.LR(10); got != 1.0 {
-		t.Fatalf("post-warmup lr %v", got)
-	}
-}
-
-func TestSetLR(t *testing.T) {
-	sgd := NewSGD(0.1)
-	SetLR(sgd, 0.5)
-	if sgd.LR != 0.5 {
-		t.Fatal("SetLR failed for SGD")
-	}
-	adam := NewAdam(0.01)
-	SetLR(adam, 0.002)
-	if adam.LR != 0.002 {
-		t.Fatal("SetLR failed for Adam")
-	}
-}
-
-func TestClipGradNorm(t *testing.T) {
-	p := autograd.NewParam("p", tensor.New(1, 2))
-	p.Grad.Set(0, 0, 3)
-	p.Grad.Set(0, 1, 4) // norm 5
-	norm := ClipGradNorm([]*autograd.Param{p}, 1.0)
-	if math.Abs(norm-5) > 1e-12 {
-		t.Fatalf("pre-clip norm %v", norm)
-	}
-	if after := p.Grad.Norm2(); math.Abs(after-1.0) > 1e-9 {
-		t.Fatalf("post-clip norm %v", after)
-	}
-	// No-op below the bound or with maxNorm<=0.
-	before := p.Grad.Clone()
-	ClipGradNorm([]*autograd.Param{p}, 10)
-	if p.Grad.MaxAbsDiff(before) != 0 {
-		t.Fatal("clip modified in-bound gradient")
-	}
-	ClipGradNorm([]*autograd.Param{p}, 0)
-	if p.Grad.MaxAbsDiff(before) != 0 {
-		t.Fatal("maxNorm=0 should be a no-op")
 	}
 }

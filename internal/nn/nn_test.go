@@ -143,30 +143,6 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCloneParamsIndependent(t *testing.T) {
-	r := rng.New(4)
-	m := NewMLP(r, "m", MLPConfig{In: 2, Hidden: []int{3}, Out: 1, Activation: ReLU})
-	orig := m.Params()
-	clone := CloneParams(orig)
-	clone[0].Value.Set(0, 0, 999)
-	if orig[0].Value.At(0, 0) == 999 {
-		t.Fatal("clone shares storage with original")
-	}
-	CopyParamValues(clone, orig)
-	if clone[0].Value.At(0, 0) == 999 {
-		t.Fatal("CopyParamValues did not restore")
-	}
-}
-
-func TestScaleGrads(t *testing.T) {
-	p := autograd.NewParam("p", tensor.New(2, 2))
-	p.Grad.Fill(4)
-	ScaleGrads([]*autograd.Param{p}, 0.25)
-	if p.Grad.At(1, 1) != 1 {
-		t.Fatalf("ScaleGrads got %v", p.Grad.At(1, 1))
-	}
-}
-
 func TestDeterministicInit(t *testing.T) {
 	a := NewMLP(rng.New(7), "a", MLPConfig{In: 4, Hidden: []int{8}, Out: 2, Activation: ReLU})
 	b := NewMLP(rng.New(7), "a", MLPConfig{In: 4, Hidden: []int{8}, Out: 2, Activation: ReLU})

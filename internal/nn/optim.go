@@ -135,14 +135,6 @@ func UnflattenGrads(params []*autograd.Param, buf []float64) {
 	}
 }
 
-// ScaleGrads multiplies every gradient by s (used to average after an
-// all-reduce sum across P ranks).
-func ScaleGrads(params []*autograd.Param, s float64) {
-	for _, p := range params {
-		p.Grad.ScaleInPlace(s)
-	}
-}
-
 // ParamElements returns the total number of value elements across params
 // — the size of a flattened weight buffer (equals GradElements for
 // well-formed params; spelled separately because weight replication and
@@ -172,26 +164,5 @@ func UnflattenParams(params []*autograd.Param, buf []float64) {
 	for _, p := range params {
 		copy(p.Value.Data(), buf[off:off+p.Value.Size()])
 		off += p.Value.Size()
-	}
-}
-
-// CloneParams deep-copies parameters (values only, zeroed gradients) —
-// used to create per-rank model replicas in DDP.
-func CloneParams(params []*autograd.Param) []*autograd.Param {
-	out := make([]*autograd.Param, len(params))
-	for i, p := range params {
-		out[i] = autograd.NewParam(p.Name, p.Value.Clone())
-	}
-	return out
-}
-
-// CopyParamValues copies values from src into dst (shape- and
-// order-aligned parameter lists).
-func CopyParamValues(dst, src []*autograd.Param) {
-	if len(dst) != len(src) {
-		panic("nn: CopyParamValues length mismatch")
-	}
-	for i := range dst {
-		dst[i].Value.CopyFrom(src[i].Value)
 	}
 }

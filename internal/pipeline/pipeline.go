@@ -155,7 +155,7 @@ type Result struct {
 // worker budget kc (losses are bitwise equal at every budget). It
 // checks the context between epochs and returns the last completed
 // epoch's mean loss, alongside ctx.Err() when cancelled. For the
-// paper's minibatch/DDP training use core.NewTrainer or dtrain instead;
+// paper's minibatch/DDP training use internal/dtrain instead;
 // this is the simple path for stage-wise fitting.
 func FitGNN(ctx context.Context, kc kernels.Context, m *ignn.Model, graphs []*EventGraph, epochs int, lr, posWeight float64) (float64, error) {
 	opt := nn.NewAdam(lr)

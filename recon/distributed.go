@@ -138,7 +138,11 @@ func TrainDistributed(ctx context.Context, graphs []*EventGraph, opts ...Option)
 	cfg.Shadow = sampling.DefaultConfig()
 	cfg.Seed = set.seed
 
-	tr := dtrain.New(cfg)
+	tr, err := dtrain.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer tr.Close() // in-process pipes: nothing to report
 	epochs, trainErr := tr.Train(ctx, graphs)
 
 	m := tr.Model()

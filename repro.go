@@ -12,8 +12,12 @@
 //     front-end (cmd/serve).
 //   - The paper's contribution: minibatch GNN training with ShaDow
 //     subgraph sampling, matrix-based bulk sampling, and a coalesced
-//     all-reduce for distributed data parallelism over simulated devices
-//     (NewTrainer with PyGBaselineConfig/OursConfig).
+//     all-reduce for distributed data parallelism, on one trainer whose
+//     ranks are real goroutines and whose loss trajectory is bitwise
+//     the same at every rank count, sync strategy and sampler
+//     (NewTrainer; OursConfig is the paper's pipeline, PyGBaselineConfig
+//     and SamplerFullGraph its two baselines; repro/recon.TrainDistributed
+//     is the option-based front-end).
 //   - Experiment harnesses regenerating every table and figure of the
 //     paper's evaluation (Table1, Figure3, Figure4, and the *Ablation
 //     functions, all context-aware).
@@ -35,7 +39,6 @@ package repro
 import (
 	"context"
 
-	"repro/internal/core"
 	"repro/internal/ddp"
 	"repro/internal/detector"
 	"repro/internal/dtrain"
@@ -98,11 +101,16 @@ type (
 // Training types (the paper's contribution).
 type (
 	// TrainerConfig configures GNN-stage training.
-	TrainerConfig = core.Config
-	// Trainer trains Interaction GNN replicas under simulated DDP.
-	Trainer = core.Trainer
-	// EpochStats reports one epoch (loss, phase times, skips, bulk k).
-	EpochStats = core.EpochStats
+	TrainerConfig = dtrain.Config
+	// Trainer trains IGNN replicas across P rank goroutines with a
+	// bitwise rank-count-invariant loss trajectory.
+	Trainer = dtrain.Trainer
+	// EpochStats reports one epoch (losses, phase times, skips, bulk k).
+	EpochStats = dtrain.EpochStats
+	// CommStats summarizes charged collective traffic.
+	CommStats = dtrain.CommStats
+	// SyncStrategy selects the DDP gradient synchronization pattern.
+	SyncStrategy = ddp.SyncStrategy
 	// ShadowConfig holds ShaDow sampling hyperparameters.
 	ShadowConfig = sampling.Config
 	// TrainingHistory is a per-epoch convergence record.
@@ -113,34 +121,14 @@ type (
 	TrackMatch = metrics.TrackMatch
 )
 
-// Training modes and sampler kinds.
+// How a step's training subgraphs are produced (TrainerConfig.Sampler).
 const (
-	// FullGraph trains on whole event graphs (original Exa.TrkX).
-	FullGraph = core.FullGraph
-	// Minibatch trains on ShaDow-sampled vertex batches (the paper).
-	Minibatch = core.Minibatch
-	// SamplerStandard is the sequential Algorithm 2 sampler (PyG baseline).
-	SamplerStandard = core.SamplerStandard
 	// SamplerMatrixBulk is the paper's matrix-based bulk sampler.
-	SamplerMatrixBulk = core.SamplerMatrixBulk
-)
-
-// Distributed training (the end-to-end composition of bulk sampling and
-// coalesced collectives; see repro/recon.TrainDistributed for the
-// option-based front-end).
-type (
-	// SyncStrategy selects the DDP gradient synchronization pattern.
-	SyncStrategy = ddp.SyncStrategy
-	// DistTrainerConfig configures the distributed bulk-sampled trainer.
-	DistTrainerConfig = dtrain.Config
-	// DistTrainer trains IGNN replicas across P rank goroutines with
-	// bulk-sampled ShaDow minibatches and a bitwise rank-count-invariant
-	// loss trajectory.
-	DistTrainer = dtrain.Trainer
-	// DistEpochStats reports one distributed epoch.
-	DistEpochStats = dtrain.EpochStats
-	// DistCommStats summarizes charged collective traffic.
-	DistCommStats = dtrain.CommStats
+	SamplerMatrixBulk = dtrain.SamplerMatrixBulk
+	// SamplerStandard is the sequential Algorithm 2 sampler (PyG baseline).
+	SamplerStandard = dtrain.SamplerStandard
+	// SamplerFullGraph trains on whole event graphs (original Exa.TrkX).
+	SamplerFullGraph = dtrain.SamplerFullGraph
 )
 
 // The gradient synchronization strategies.
@@ -153,28 +141,23 @@ const (
 	BucketedSync = ddp.Bucketed
 )
 
-// DefaultDistTrainerConfig returns paper-shaped distributed-trainer
-// defaults for a GNN configuration.
-func DefaultDistTrainerConfig(gnn GNNConfig) DistTrainerConfig { return dtrain.DefaultConfig(gnn) }
-
-// NewDistTrainer builds the distributed bulk-sampled trainer.
-func NewDistTrainer(cfg DistTrainerConfig) *DistTrainer { return dtrain.New(cfg) }
-
-// DefaultTrainerConfig mirrors the paper's training hyperparameters.
-func DefaultTrainerConfig(gnn GNNConfig) TrainerConfig { return core.DefaultConfig(gnn) }
+// DefaultTrainerConfig returns paper-shaped trainer defaults for a GNN
+// configuration.
+func DefaultTrainerConfig(gnn GNNConfig) TrainerConfig { return dtrain.DefaultConfig(gnn) }
 
 // PyGBaselineConfig configures the paper's baseline (standard sampler,
-// per-matrix all-reduce) for the given simulated device count.
-func PyGBaselineConfig(gnn GNNConfig, procs int) TrainerConfig {
-	return core.PyGBaselineConfig(gnn, procs)
+// per-matrix all-reduce) for the given rank count.
+func PyGBaselineConfig(gnn GNNConfig, ranks int) TrainerConfig {
+	return dtrain.PyGBaselineConfig(gnn, ranks)
 }
 
 // OursConfig configures the paper's optimized pipeline (matrix bulk
-// sampler, coalesced all-reduce).
-func OursConfig(gnn GNNConfig, procs int) TrainerConfig { return core.OursConfig(gnn, procs) }
+// sampler with memory-derived k, coalesced all-reduce).
+func OursConfig(gnn GNNConfig, ranks int) TrainerConfig { return dtrain.OursConfig(gnn, ranks) }
 
-// NewTrainer builds a trainer with identically initialized replicas.
-func NewTrainer(cfg TrainerConfig) *Trainer { return core.NewTrainer(cfg) }
+// NewTrainer builds the trainer; it fails only when ring links cannot be
+// formed over TrainerConfig.Network. Close it when done.
+func NewTrainer(cfg TrainerConfig) (*Trainer, error) { return dtrain.New(cfg) }
 
 // Experiment harnesses (Table I, Figures 3 and 4, ablations).
 type (
