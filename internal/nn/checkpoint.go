@@ -25,12 +25,12 @@ import (
 // and version 1 files (headerless: the gob stream starts immediately)
 // remain readable; both load as float64.
 //
-// Version 4 is the quantized-inference export: matrix parameters are
-// stored as int8 payloads with per-output-column float32 scales (dtype
-// "i8"; row-vector parameters — biases, gains, shifts — stay f32), and
-// the file additionally carries the calibrated activation-scale tables
-// the int8 forward pass needs, so a loaded v4 checkpoint serves at int8
-// without recalibration. Every older version still loads.
+// Version 4 is the int8 storage format: matrix parameters are stored
+// as int8 payloads with per-output-column float32 scales (dtype "i8";
+// row-vector parameters — biases, gains, shifts — stay f32) and load
+// dequantized, and the file additionally carries the calibrated
+// activation-scale tables an int8-activation runtime would need. Every
+// older version still loads.
 const (
 	checkpointVersionLegacy = 1
 	checkpointVersionV2     = 2
@@ -164,14 +164,45 @@ func SaveParamsDtype(w io.Writer, params []*autograd.Param, dtype string) error 
 	return nil
 }
 
+// storedInt8 reports whether checkpoint v4 stores a parameter of this
+// shape as int8. Biases and norm parameters (row vectors) are a
+// vanishing fraction of the bytes and add directly into the epilogue in
+// float — quantizing them buys nothing and costs accuracy — so they
+// stay float32.
+func storedInt8(m *tensor.Dense) bool { return m.Rows() != 1 }
+
+// SnapInt8 sets every dst parameter to the value a v4 checkpoint of the
+// matching src parameter loads back as: matrices quantized per output
+// column and dequantized (tensor.QWeights.DequantizeInto), row vectors
+// rounded to float32. It is what Int8 serving runs, so a reconstructor
+// and one loaded from its own v4 export serve the same weights. dst and
+// src must match in count and shape; src is only read.
+func SnapInt8(dst, src []*autograd.Param) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("nn: SnapInt8 of %d params into %d", len(src), len(dst)))
+	}
+	for i, p := range src {
+		d := dst[i].Value
+		if storedInt8(p.Value) {
+			tensor.QuantizeWeights(p.Value).DequantizeInto(d)
+			continue
+		}
+		if d.Rows() != p.Value.Rows() || d.Cols() != p.Value.Cols() {
+			panic(fmt.Sprintf("nn: SnapInt8 param %q shape mismatch", p.Name))
+		}
+		for k, v := range p.Value.Data() {
+			d.Data()[k] = float64(float32(v))
+		}
+	}
+}
+
 // SaveParamsInt8 writes a v4 quantized checkpoint: every matrix
 // parameter is quantized per output column to int8 + float32 scales
-// (via the same tensor.QuantizeWeights the runtime int8 snapshot uses,
-// so a load/requantize round trip is bitwise exact), row-vector
-// parameters (biases, LayerNorm gains/shifts) stay float32, and act
-// carries the calibrated activation-scale tables the quantized forward
-// needs. act entries must have non-empty unique names and positive
-// finite scales.
+// (via tensor.QuantizeWeights, so a load/requantize round trip is
+// bitwise exact), row-vector parameters (biases, LayerNorm
+// gains/shifts) stay float32, and act carries the calibrated
+// activation-scale tables. act entries must have non-empty unique names
+// and positive finite scales.
 func SaveParamsInt8(w io.Writer, params []*autograd.Param, act []ActScales) error {
 	if err := validateActScales(act); err != nil {
 		return err
@@ -186,12 +217,9 @@ func SaveParamsInt8(w io.Writer, params []*autograd.Param, act []ActScales) erro
 	}
 	for _, p := range params {
 		rows, cols := p.Value.Rows(), p.Value.Cols()
-		dtype := DtypeI8
-		if rows == 1 {
-			// Biases and norm parameters are a vanishing fraction of the
-			// bytes and add directly into the epilogue in float — quantizing
-			// them buys nothing and costs accuracy.
-			dtype = DtypeF32
+		dtype := DtypeF32
+		if storedInt8(p.Value) {
+			dtype = DtypeI8
 		}
 		hdr.Names = append(hdr.Names, p.Name)
 		hdr.Rows = append(hdr.Rows, rows)
@@ -269,8 +297,8 @@ func LoadParams(r io.Reader, params []*autograd.Param) error {
 }
 
 // LoadParamsExt is LoadParams returning the v4 activation-scale tables
-// alongside the weights (nil for pre-v4 files) — the entry the int8
-// serving path loads through so calibration survives the round trip.
+// alongside the weights (nil for pre-v4 files), so calibration survives
+// a load and re-export.
 func LoadParamsExt(r io.Reader, params []*autograd.Param) ([]ActScales, error) {
 	br := bufio.NewReader(r)
 	peek, err := br.Peek(len(checkpointMagic))
@@ -389,12 +417,7 @@ func LoadParamsExt(r io.Reader, params []*autograd.Param) ([]ActScales, error) {
 				d[k] = float64(v)
 			}
 		case DtypeI8:
-			d := dst.Data()
-			for r := 0; r < rec.Rows; r++ {
-				for c := 0; c < rec.Cols; c++ {
-					d[r*rec.Cols+c] = float64(rec.Data8[r*rec.Cols+c]) * float64(rec.ColScales[c])
-				}
-			}
+			tensor.NewQWeights(rec.Rows, rec.Cols, rec.Data8, rec.ColScales).DequantizeInto(dst)
 		default:
 			dst.CopyFrom(tensor.FromSlice(rec.Rows, rec.Cols, rec.Data))
 		}

@@ -13,12 +13,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// MLPQuant coverage: bitwise parity with a step-by-step reference built
-// from the exported int8 kernels, quantization-noise bounds against the
-// float forward, worker-count determinism, and the fallback (LayerNorm)
-// branch. Checkpoint v4 coverage: round trip with activation tables,
-// the requantization identity, hostile-input rejection, and the
-// no-partial-mutation guarantee.
+// MLPCalibrator coverage: the recorded ranges and the forward it
+// replays. Checkpoint v4 coverage: round trip with activation tables,
+// the requantization identity, SnapInt8 as the in-memory twin of a
+// v4 load, hostile-input rejection, and the no-partial-mutation
+// guarantee.
 
 func randInputs32(r *rng.Rand, rows, cols int) *tensor.Matrix[float32] {
 	m := tensor.NewOf[float32](rows, cols)
@@ -28,135 +27,42 @@ func randInputs32(r *rng.Rand, rows, cols int) *tensor.Matrix[float32] {
 	return m
 }
 
-func calibratedQuant(t *testing.T, m *MLP, inputs []*tensor.Matrix[float32]) *MLPQuant {
-	t.Helper()
-	cal := NewMLPCalibrator(m)
-	kc := kernels.Context{Workers: 1}
-	for _, x := range inputs {
-		cal.Observe(kc, nil, x)
-	}
-	q, err := cal.Quantize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q
-}
-
-// TestMLPQuantMatchesUnfusedReference: the fused hidden-layer kernel
-// (GEMM+bias+ReLU+requantize in one epilogue) must be bitwise identical
-// to the unfused composition of the same exported primitives — the
-// float32 epilogue followed by QuantizeInto shares every intermediate
-// rounding with the fused path by construction.
-func TestMLPQuantMatchesUnfusedReference(t *testing.T) {
+// TestMLPCalibratorScales: Observe returns the float32 inference
+// forward bitwise, the first layer's scale is the max |input| over
+// every observed batch divided by 127, every layer gets a scale, and a
+// layer that only ever saw zeros gets scale 1.
+func TestMLPCalibratorScales(t *testing.T) {
 	r := rng.New(21)
 	m := NewMLP(r, "m", MLPConfig{In: 6, Hidden: []int{16, 8}, Out: 3, Activation: ReLU})
-	x := randInputs32(r, 11, 6)
-	q := calibratedQuant(t, m, []*tensor.Matrix[float32]{x})
 	kc := kernels.Context{Workers: 1}
-
-	got := q.Forward(kc, nil, x)
-
-	scales := q.ActScales()
-	in := tensor.NewQMat(11, 6, 0)
-	tensor.QuantizeInto(kc, in, x, scales[0])
-	h := in
-	for i := 0; i < len(q.w)-1; i++ {
-		zf := tensor.NewOf[float32](h.Rows(), q.w[i].Cols())
-		tensor.QMatMulBiasInto(kc, zf, h, q.w[i], q.b[i], true)
-		z := tensor.NewQMat(zf.Rows(), zf.Cols(), 0)
-		tensor.QuantizeInto(kc, z, zf, scales[i+1])
-		h = z
-	}
-	want := tensor.NewOf[float32](h.Rows(), q.w[len(q.w)-1].Cols())
-	tensor.QMatMulBiasInto(kc, want, h, q.w[len(q.w)-1], q.b[len(q.w)-1], false)
-
-	for i, v := range want.Data() {
-		if got.Data()[i] != v {
-			t.Fatalf("element %d: fused %v vs unfused %v", i, got.Data()[i], v)
+	inf := NewMLPInference[float32](m)
+	cal := NewMLPCalibrator(m)
+	worst := 0.0
+	for range 2 {
+		x := randInputs32(r, 11, 6)
+		for _, v := range x.Data() {
+			worst = math.Max(worst, math.Abs(float64(v)))
 		}
-	}
-}
-
-// TestMLPQuantTracksFloatForward bounds the quantization noise of the
-// full int8 forward against the float32 inference on calibrated inputs.
-func TestMLPQuantTracksFloatForward(t *testing.T) {
-	r := rng.New(22)
-	for _, cfg := range []MLPConfig{
-		{In: 5, Hidden: []int{32, 32}, Out: 2, Activation: ReLU},
-		{In: 5, Hidden: []int{32}, Out: 2, Activation: ReLU, LayerNorm: true},
-		{In: 5, Hidden: []int{16}, Out: 2, Activation: Tanh},
-	} {
-		m := NewMLP(r, "m", cfg)
-		inputs := make([]*tensor.Matrix[float32], 4)
-		for i := range inputs {
-			inputs[i] = randInputs32(r, 20, 5)
-		}
-		q := calibratedQuant(t, m, inputs)
-		inf := NewMLPInference[float32](m)
-		kc := kernels.Context{Workers: 1}
-		worst := 0.0
-		for _, x := range inputs {
-			want := inf.Forward(kc, nil, tensor.Seg[float32]{M: x})
-			got := q.Forward(kc, nil, x)
-			for i, v := range want.Data() {
-				if d := math.Abs(float64(v - got.Data()[i])); d > worst {
-					worst = d
-				}
-			}
-		}
-		// Small calibrated nets keep end-to-end int8 noise well under
-		// this; a scale-composition bug shows up orders of magnitude
-		// above it.
-		if worst > 0.25 {
-			t.Fatalf("cfg %+v: int8 forward drifts %v from float", cfg, worst)
-		}
-	}
-}
-
-func TestMLPQuantWorkerCountParity(t *testing.T) {
-	r := rng.New(23)
-	m := NewMLP(r, "m", MLPConfig{In: 8, Hidden: []int{24, 24}, Out: 4, Activation: ReLU})
-	x := randInputs32(r, 130, 8)
-	q := calibratedQuant(t, m, []*tensor.Matrix[float32]{x})
-	ref := q.Forward(kernels.Context{Workers: 1}, nil, x)
-	for _, w := range []int{2, 4, 7} {
-		got := q.Forward(kernels.Context{Workers: w}, nil, x)
-		for i, v := range ref.Data() {
+		got := cal.Observe(kc, nil, x)
+		want := inf.Forward(kc, nil, tensor.Seg[float32]{M: x})
+		for i, v := range want.Data() {
 			if got.Data()[i] != v {
-				t.Fatalf("element %d differs at %d workers: %v vs %v", i, w, got.Data()[i], v)
+				t.Fatalf("Observe element %d: %v, float32 inference %v", i, got.Data()[i], v)
 			}
 		}
 	}
-}
-
-func TestMLPQuantRejectsBadScales(t *testing.T) {
-	m := NewMLP(rng.New(24), "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1, Activation: ReLU})
-	if _, err := NewMLPQuant(m, []float32{1}); err == nil {
-		t.Fatal("wrong scale count accepted")
+	sc := cal.Scales()
+	if len(sc) != m.NumLayers() {
+		t.Fatalf("%d scales for %d layers", len(sc), m.NumLayers())
 	}
-	if _, err := NewMLPQuant(m, []float32{1, 0}); err == nil {
-		t.Fatal("zero scale accepted")
+	if sc[0] != float32(worst/127) {
+		t.Fatalf("input scale %v, want %v", sc[0], worst/127)
 	}
-	if _, err := NewMLPQuant(m, []float32{1, float32(math.Inf(1))}); err == nil {
-		t.Fatal("infinite scale accepted")
+	zero := NewMLPCalibrator(m)
+	zero.Observe(kc, nil, tensor.NewOf[float32](3, 6))
+	if got := zero.Scales()[0]; got != 1 {
+		t.Fatalf("all-zero input scale %v, want 1", got)
 	}
-	if _, err := NewMLPQuant(m, []float32{-1, 1}); err == nil {
-		t.Fatal("negative scale accepted")
-	}
-}
-
-func TestMLPQuantForwardQScaleMismatchPanics(t *testing.T) {
-	m := NewMLP(rng.New(25), "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1, Activation: ReLU})
-	q, err := NewMLPQuant(m, []float32{0.5, 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ForwardQ accepted an input at the wrong scale")
-		}
-	}()
-	q.ForwardQ(kernels.Context{Workers: 1}, nil, tensor.NewQMat(1, 2, 0.125))
 }
 
 // ---- checkpoint v4 ----
@@ -224,6 +130,70 @@ func TestCheckpointV4RoundTrip(t *testing.T) {
 			if q2.Data()[k] != v {
 				t.Fatalf("param %q element %d drifted on reload", p.Name, k)
 			}
+		}
+	}
+}
+
+// TestSnapInt8MatchesV4Load: SnapInt8 writes exactly what saving a v4
+// checkpoint and loading it back writes, and leaves its source alone.
+func TestSnapInt8MatchesV4Load(t *testing.T) {
+	params, act := v4Fixture(t, 34)
+	var before [][]float64
+	for _, p := range params {
+		before = append(before, append([]float64(nil), p.Value.Data()...))
+	}
+	var buf bytes.Buffer
+	if err := SaveParamsInt8(&buf, params, act); err != nil {
+		t.Fatal(err)
+	}
+	loaded, _ := v4Fixture(t, 96)
+	if _, err := LoadParamsExt(&buf, loaded); err != nil {
+		t.Fatal(err)
+	}
+	snapped, _ := v4Fixture(t, 95)
+	SnapInt8(snapped, params)
+	for i, p := range params {
+		for k, v := range loaded[i].Value.Data() {
+			if math.Float64bits(snapped[i].Value.Data()[k]) != math.Float64bits(v) {
+				t.Fatalf("param %q element %d: snapped %v, v4 load %v", p.Name, k, snapped[i].Value.Data()[k], v)
+			}
+			if p.Value.Data()[k] != before[i][k] {
+				t.Fatalf("param %q element %d: SnapInt8 modified its source", p.Name, k)
+			}
+		}
+	}
+}
+
+// TestSnapInt8TracksFloatForward bounds the storage noise of int8
+// weights: the float32 forward over SnapInt8'd parameters stays close
+// to the forward over the originals, with and without LayerNorm and at
+// a non-ReLU activation.
+func TestSnapInt8TracksFloatForward(t *testing.T) {
+	r := rng.New(22)
+	kc := kernels.Context{Workers: 1}
+	for _, cfg := range []MLPConfig{
+		{In: 5, Hidden: []int{32, 32}, Out: 2, Activation: ReLU},
+		{In: 5, Hidden: []int{32}, Out: 2, Activation: ReLU, LayerNorm: true},
+		{In: 5, Hidden: []int{16}, Out: 2, Activation: Tanh},
+	} {
+		m := NewMLP(r, "m", cfg)
+		snapped := NewMLP(rng.New(1), "m", cfg)
+		SnapInt8(snapped.Params(), m.Params())
+		ref, got := NewMLPInference[float32](m), NewMLPInference[float32](snapped)
+		worst := 0.0
+		for range 4 {
+			x := randInputs32(r, 20, 5)
+			want := ref.Forward(kc, nil, tensor.Seg[float32]{M: x})
+			out := got.Forward(kc, nil, tensor.Seg[float32]{M: x})
+			for i, v := range want.Data() {
+				worst = math.Max(worst, math.Abs(float64(v-out.Data()[i])))
+			}
+		}
+		// Per-column rounding moves each weight by at most half a step
+		// (maxabs/254); a wrong scale or a transposed column shows up
+		// orders of magnitude above this.
+		if worst > 0.05 {
+			t.Fatalf("cfg %+v: int8-snapped forward drifts %v from float", cfg, worst)
 		}
 	}
 }

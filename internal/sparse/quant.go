@@ -10,10 +10,10 @@ import (
 	"repro/internal/workspace"
 )
 
-// This file holds the int8 quantized sparse kernels of the inference
-// path: an int8-valued CSR container and the incidence/weighted SpMM
-// whose products accumulate in int32 with dequantization (and
-// optionally requantization) fused into the epilogue. Integer
+// This file holds the int8 sparse kernels the kernel ledger times (the
+// Int8 serving path runs float32): an int8-valued CSR container and the
+// incidence/weighted SpMM whose products accumulate in int32 with
+// dequantization and requantization fused into the epilogue. Integer
 // accumulation is exact and rows partition statically, so every kernel
 // here is bitwise identical at any worker count.
 
@@ -111,39 +111,27 @@ func QIncidenceInto(out *QCSR, rows int, idx []int) *QCSR {
 	return out
 }
 
-// qspmmCtx carries the quantized SpMM operands into capture-free
-// parallel bodies. Exactly one of outF (dequantizing epilogue) and outQ
-// (requantizing epilogue) is non-nil.
+// qspmmCtx carries the QSpMMQuantInto operands into capture-free
+// parallel bodies.
 type qspmmCtx struct {
-	outF *tensor.Matrix[float32]
-	outQ *tensor.QMat
-	a    *QCSR
-	x    *tensor.QMat
+	out *tensor.QMat
+	a   *QCSR
+	x   *tensor.QMat
 }
 
-// QSpMMInto computes out = dequant(a×x): int8×int8 products accumulate
-// in int32 per output element and the epilogue writes
-// float32(acc)·aScale·x.Scale in the same pass — the int32 row never
-// round-trips through memory. out must have shape a.RowsN × x.Cols()
-// and must not alias x's storage. Zero-alloc steady state; bitwise
-// identical at every worker count.
-func QSpMMInto(kc kernels.Context, out *tensor.Matrix[float32], a *QCSR, x *tensor.QMat) *tensor.Matrix[float32] {
-	checkQSpMM(a, x, out.Rows(), out.Cols(), "QSpMMInto")
-	parallel.ForWithN(kc.Cap(), a.RowsN, 32, qspmmCtx{outF: out, a: a, x: x}, qspmmBody)
-	return out
-}
-
-// QSpMMQuantInto is QSpMMInto with requantization fused into the
-// epilogue: out is int8 at outScale, so an aggregation whose result
-// immediately feeds another int8 GEMM (the GNN node update) writes a
-// quarter of the bytes and never materializes a float32 intermediate.
+// QSpMMQuantInto computes out = requant(a×x): int8×int8 products
+// accumulate in int32 per output element and the epilogue dequantizes
+// to float32(acc)·aScale·x.Scale and requantizes at outScale in the same
+// pass, so the int32 row never round-trips through memory. out must
+// have shape a.RowsN × x.Cols() and must not alias x's storage.
+// Zero-alloc steady state; bitwise identical at every worker count.
 func QSpMMQuantInto(kc kernels.Context, out *tensor.QMat, a *QCSR, x *tensor.QMat, outScale float32) *tensor.QMat {
 	checkQSpMM(a, x, out.Rows(), out.Cols(), "QSpMMQuantInto")
 	if !(outScale > 0) {
 		panic(fmt.Sprintf("sparse: QSpMMQuantInto scale %v", outScale))
 	}
 	out.Scale = outScale
-	parallel.ForWithN(kc.Cap(), a.RowsN, 32, qspmmCtx{outQ: out, a: a, x: x}, qspmmBody)
+	parallel.ForWithN(kc.Cap(), a.RowsN, 32, qspmmCtx{out: out, a: a, x: x}, qspmmBody)
 	return out
 }
 
@@ -157,8 +145,8 @@ func checkQSpMM(a *QCSR, x *tensor.QMat, outRows, outCols int, op string) {
 }
 
 // qspmmBody computes rows [lo, hi) of the quantized SpMM: per-row int32
-// accumulation in pooled scratch, then the fused dequantize (or
-// requantize) epilogue.
+// accumulation in pooled scratch, then the fused dequantize +
+// requantize epilogue.
 func qspmmBody(cx qspmmCtx, lo, hi int) {
 	a, x := cx.a, cx.x
 	c := x.Cols()
@@ -185,24 +173,17 @@ func qspmmBody(cx qspmmCtx, lo, hi int) {
 				}
 			}
 		}
-		if cx.outQ != nil {
-			oRow := cx.outQ.Row(i)
-			outScale := float64(cx.outQ.Scale)
-			for j, s := range acc {
-				f := float64(float32(s) * dq)
-				r := math.Round(f / outScale)
-				if r > 127 {
-					r = 127
-				} else if r < -127 {
-					r = -127
-				}
-				oRow[j] = int8(r)
+		oRow := cx.out.Row(i)
+		outScale := float64(cx.out.Scale)
+		for j, s := range acc {
+			f := float64(float32(s) * dq)
+			r := math.Round(f / outScale)
+			if r > 127 {
+				r = 127
+			} else if r < -127 {
+				r = -127
 			}
-		} else {
-			oRow := cx.outF.Row(i)
-			for j, s := range acc {
-				oRow[j] = float32(s) * dq
-			}
+			oRow[j] = int8(r)
 		}
 	}
 	workspace.PutI32(acc)

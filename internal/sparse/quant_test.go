@@ -80,9 +80,10 @@ func TestQuantizeCSRSymmetric(t *testing.T) {
 }
 
 // refQSpMM is the naive int32 reference with the same fused epilogue
-// arithmetic as qspmmBody, serial and unoptimized.
-func refQSpMM(a *QCSR, x *tensor.QMat) *tensor.Dense32 {
-	out := tensor.NewOf[float32](a.RowsN, x.Cols())
+// arithmetic as qspmmBody (dequantize, then round/clamp at outScale),
+// serial and unoptimized.
+func refQSpMM(a *QCSR, x *tensor.QMat, outScale float32) *tensor.QMat {
+	out := tensor.NewQMat(a.RowsN, x.Cols(), outScale)
 	dq := a.effScale() * x.Scale
 	for i := 0; i < a.RowsN; i++ {
 		for j := 0; j < x.Cols(); j++ {
@@ -94,14 +95,33 @@ func refQSpMM(a *QCSR, x *tensor.QMat) *tensor.Dense32 {
 				}
 				acc += v * int32(x.Data()[a.ColIdx[e]*x.Cols()+j])
 			}
-			out.Set(i, j, float32(acc)*dq)
+			r := math.Round(float64(float32(acc)*dq) / float64(outScale))
+			if r > 127 {
+				r = 127
+			} else if r < -127 {
+				r = -127
+			}
+			out.Data()[i*x.Cols()+j] = int8(r)
 		}
 	}
 	return out
 }
 
+func qbitsEqual(t *testing.T, name string, want, got *tensor.QMat) {
+	t.Helper()
+	if want.Rows() != got.Rows() || want.Cols() != got.Cols() || want.Scale != got.Scale {
+		t.Fatalf("%s: shape/scale mismatch", name)
+	}
+	for i, v := range want.Data() {
+		if got.Data()[i] != v {
+			t.Fatalf("%s: element %d differs: %d vs %d", name, i, got.Data()[i], v)
+		}
+	}
+}
+
 func TestQSpMMMatchesReference(t *testing.T) {
 	r := rng.New(17)
+	const outScale = 0.03
 	for trial := 0; trial < 10; trial++ {
 		n := r.Intn(40) + 10
 		cols := r.Intn(12) + 1
@@ -109,10 +129,9 @@ func TestQSpMMMatchesReference(t *testing.T) {
 
 		// Weighted CSR form.
 		aq := QuantizeCSR(benchCSR(n, 3, uint64(trial)+100))
-		want := refQSpMM(aq, x)
-		got := tensor.NewOf[float32](n, cols)
-		QSpMMInto(kernels.Context{Workers: 1}, got, aq, x)
-		bits32Equal(t, "QSpMMInto weighted", want, got)
+		got := tensor.NewQMat(n, cols, 0)
+		QSpMMQuantInto(kernels.Context{Workers: 1}, got, aq, x, outScale)
+		qbitsEqual(t, "QSpMMQuantInto weighted", refQSpMM(aq, x, outScale), got)
 
 		// Implicit-ones incidence form.
 		idx := make([]int, 3*n)
@@ -121,28 +140,9 @@ func TestQSpMMMatchesReference(t *testing.T) {
 		}
 		inc := QIncidenceInto(&QCSR{}, n, idx)
 		xe := quantDense(len(idx), cols, uint64(trial)+200, 0.04)
-		wantI := refQSpMM(inc, xe)
-		gotI := tensor.NewOf[float32](n, cols)
-		QSpMMInto(kernels.Context{Workers: 1}, gotI, inc, xe)
-		bits32Equal(t, "QSpMMInto incidence", wantI, gotI)
-
-		// Requantizing epilogue: float epilogue then round/clamp.
-		const outScale = 0.03
-		gotQ := tensor.NewQMat(n, cols, 0)
-		QSpMMQuantInto(kernels.Context{Workers: 1}, gotQ, inc, xe, outScale)
-		for i := 0; i < n; i++ {
-			for j := 0; j < cols; j++ {
-				rv := math.Round(float64(wantI.At(i, j)) / outScale)
-				if rv > 127 {
-					rv = 127
-				} else if rv < -127 {
-					rv = -127
-				}
-				if got := gotQ.Data()[i*cols+j]; got != int8(rv) {
-					t.Fatalf("trial %d: requant (%d,%d) = %d, want %v", trial, i, j, got, rv)
-				}
-			}
-		}
+		gotI := tensor.NewQMat(n, cols, 0)
+		QSpMMQuantInto(kernels.Context{Workers: 1}, gotI, inc, xe, outScale)
+		qbitsEqual(t, "QSpMMQuantInto incidence", refQSpMM(inc, xe, outScale), gotI)
 	}
 }
 
@@ -158,22 +158,18 @@ func TestQSpMMWorkerCountParity(t *testing.T) {
 	inc := QIncidenceInto(&QCSR{}, n, idx)
 	xe := quantDense(len(idx), cols, 4, 0.04)
 
-	ref := tensor.NewOf[float32](n, cols)
-	QSpMMInto(kernels.Context{Workers: 1}, ref, aq, x)
-	refQ := tensor.NewQMat(n, cols, 0)
-	QSpMMQuantInto(kernels.Context{Workers: 1}, refQ, inc, xe, 0.03)
+	ref := tensor.NewQMat(n, cols, 0)
+	QSpMMQuantInto(kernels.Context{Workers: 1}, ref, aq, x, 0.03)
+	refI := tensor.NewQMat(n, cols, 0)
+	QSpMMQuantInto(kernels.Context{Workers: 1}, refI, inc, xe, 0.03)
 	for _, w := range []int{2, 4, 7} {
 		kc := kernels.Context{Workers: w}
-		got := tensor.NewOf[float32](n, cols)
-		QSpMMInto(kc, got, aq, x)
-		bits32Equal(t, "QSpMM i8", ref, got)
-		gotQ := tensor.NewQMat(n, cols, 0)
-		QSpMMQuantInto(kc, gotQ, inc, xe, 0.03)
-		for i, v := range refQ.Data() {
-			if gotQ.Data()[i] != v {
-				t.Fatalf("QSpMMQuantInto differs at %d workers, element %d: %d vs %d", w, i, gotQ.Data()[i], v)
-			}
-		}
+		got := tensor.NewQMat(n, cols, 0)
+		QSpMMQuantInto(kc, got, aq, x, 0.03)
+		qbitsEqual(t, "QSpMMQuantInto weighted", ref, got)
+		gotI := tensor.NewQMat(n, cols, 0)
+		QSpMMQuantInto(kc, gotI, inc, xe, 0.03)
+		qbitsEqual(t, "QSpMMQuantInto incidence", refI, gotI)
 	}
 }
 
@@ -186,12 +182,10 @@ func TestQSpMMZeroAllocs(t *testing.T) {
 	}
 	inc := &QCSR{}
 	xe := quantDense(len(idx), cols, 2, 0.04)
-	outF := tensor.NewOf[float32](n, cols)
 	outQ := tensor.NewQMat(n, cols, 0)
 	kc := kernels.Context{Workers: 1}
 	allocs := testing.AllocsPerRun(100, func() {
 		QIncidenceInto(inc, n, idx)
-		QSpMMInto(kc, outF, inc, xe)
 		QSpMMQuantInto(kc, outQ, inc, xe, 0.03)
 	})
 	if allocs != 0 {

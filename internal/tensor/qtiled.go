@@ -8,8 +8,8 @@ import (
 
 // This file is the int8 twin of tiled.go: the weight matrix packs into
 // 4-column int8 panels and an MR×4 micro-kernel accumulates MR output
-// rows in int32 registers, applying the fused dequantize + bias (+ ReLU
-// + requantize) epilogue per 4-column block at store time. Integer
+// rows in int32 registers, applying the fused dequantize + bias + ReLU
+// + requantize epilogue per 4-column block at store time. Integer
 // accumulation is exact and the epilogue is elementwise, so the result
 // is bitwise identical at any worker count.
 
@@ -115,32 +115,20 @@ func qgemmTiledBody(c qtileCtx, lo, hi int) {
 	}
 }
 
-// qStoreCols applies dequantize + bias (+ ReLU, + requantize) to the w
+// qStoreCols applies dequantize + bias + ReLU + requantize to the w
 // accumulated columns [j0, j0+w) of output row i. Every element is
 // independent, so parallel partitioning cannot change the result.
 func qStoreCols(c *qgemmCtx, i, j0, w int, acc []int32) {
 	aScale := c.a.Scale
-	if c.outQ != nil {
-		oRow := c.outQ.data[i*c.outQ.cols : (i+1)*c.outQ.cols]
-		outScale := float64(c.outQ.Scale)
-		for t := 0; t < w; t++ {
-			j := j0 + t
-			f := float32(acc[t])*aScale*c.w.ColScale[j] + c.bias[j]
-			if f < 0 {
-				f = 0
-			}
-			oRow[j] = quantizeValue(float64(f), outScale)
-		}
-		return
-	}
-	oRow := c.outF.data[i*c.outF.cols : (i+1)*c.outF.cols]
+	oRow := c.out.data[i*c.out.cols : (i+1)*c.out.cols]
+	outScale := float64(c.out.Scale)
 	for t := 0; t < w; t++ {
 		j := j0 + t
 		f := float32(acc[t])*aScale*c.w.ColScale[j] + c.bias[j]
-		if c.relu && f < 0 {
+		if f < 0 {
 			f = 0
 		}
-		oRow[j] = f
+		oRow[j] = quantizeValue(float64(f), outScale)
 	}
 }
 

@@ -6,10 +6,12 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/parallel"
-	"repro/internal/workspace"
 )
 
-// This file holds the int8 quantized inference kernels. The scheme is
+// This file holds the int8 weight format of checkpoint v4 and the int8
+// kernels the kernel ledger still times. Serving does not run the
+// kernels: Int8 weights dequantize once (QWeights.DequantizeInto) and
+// run the float32 path. The scheme is
 // symmetric linear quantization: real ≈ float32(q)·scale with q clamped
 // to ±127 (−128 is never produced, keeping the scheme symmetric).
 // Activations carry one per-tensor scale captured by calibration;
@@ -38,19 +40,6 @@ func NewQMat(rows, cols int, scale float32) *QMat {
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
 	}
 	return &QMat{rows: rows, cols: cols, data: make([]int8, rows*cols), Scale: scale}
-}
-
-// NewQMatFrom is NewQMat with storage borrowed from the arena's
-// workspace pools (heap fallback when arena is nil) — how the int8
-// inference path recycles activation buffers per event.
-func NewQMatFrom(a *workspace.Arena, rows, cols int, scale float32) *QMat {
-	if a == nil {
-		return NewQMat(rows, cols, scale)
-	}
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
-	}
-	return &QMat{rows: rows, cols: cols, data: a.I8(rows * cols), Scale: scale}
 }
 
 // Rows returns the number of rows.
@@ -83,12 +72,37 @@ func (w *QWeights) Cols() int { return w.cols }
 // Data returns the underlying row-major int8 payload (not a copy).
 func (w *QWeights) Data() []int8 { return w.data }
 
+// NewQWeights wraps a rows×cols row-major int8 payload and its
+// per-column scales (aliased, not copied) — how a v4 checkpoint record
+// becomes a QWeights.
+func NewQWeights(rows, cols int, data []int8, colScale []float32) *QWeights {
+	if rows < 0 || cols < 0 || len(data) != rows*cols || len(colScale) != cols {
+		panic(fmt.Sprintf("tensor: NewQWeights %dx%d with %d values and %d scales", rows, cols, len(data), len(colScale)))
+	}
+	return &QWeights{rows: rows, cols: cols, data: data, ColScale: colScale}
+}
+
+// DequantizeInto writes out[k,j] = float64(q[k,j])·float64(ColScale[j]),
+// the one definition of an int8 weight's real value: what a v4
+// checkpoint loads back as and what the Int8 serving snapshot runs.
+// out must be Rows()×Cols().
+func (w *QWeights) DequantizeInto(out *Matrix[float64]) {
+	if out.rows != w.rows || out.cols != w.cols {
+		panic(fmt.Sprintf("tensor: DequantizeInto %dx%d into %dx%d", w.rows, w.cols, out.rows, out.cols))
+	}
+	for i := 0; i < w.rows; i++ {
+		for j, s := range w.ColScale {
+			out.data[i*w.cols+j] = float64(w.data[i*w.cols+j]) * float64(s)
+		}
+	}
+}
+
 // QuantizeWeights quantizes a float64 weight matrix per output column:
 // ColScale[j] = maxabs(column j)/127 (1 for an all-zero column) and
 // q = round(v/scale) clamped to ±127. The same function quantizes
-// weights at runtime (syncing the int8 inference snapshot) and at
-// checkpoint-export time, so a v4 checkpoint round-trips to bitwise
-// identical quantized weights.
+// weights for the Int8 serving snapshot and at checkpoint-export time,
+// so a v4 checkpoint round-trips to bitwise identical quantized
+// weights.
 func QuantizeWeights(w *Matrix[float64]) *QWeights {
 	q := &QWeights{
 		rows:     w.rows,
@@ -165,49 +179,16 @@ func quantizeBody(c quantizeCtx, lo, hi int) {
 	}
 }
 
-// DequantizeInto widens out = float32(q)·Scale — the inverse boundary,
-// used by tests and by accuracy probes; the inference path never calls
-// it (dequantization is fused into the kernel epilogues).
-func DequantizeInto(out *Matrix[float32], q *QMat) {
-	if out.rows != q.rows || out.cols != q.cols {
-		panic("tensor: DequantizeInto shape mismatch")
-	}
-	for i, v := range q.data {
-		out.data[i] = float32(v) * q.Scale
-	}
-}
-
 // qmatmulGrain mirrors matmulGrain for the int8 GEMM.
 const qmatmulGrain = 8
 
 // qgemmCtx carries the int8 GEMM operands into capture-free parallel
-// bodies. Exactly one of outF (float32 epilogue) and outQ (requantizing
-// epilogue) is non-nil.
+// bodies.
 type qgemmCtx struct {
-	outF *Matrix[float32]
-	outQ *QMat
+	out  *QMat
 	a    *QMat
 	w    *QWeights
 	bias []float32
-	relu bool
-}
-
-// QMatMulBiasInto computes out = dequant(a×w) + bias, with ReLU fused
-// when relu is set, in one pass: the GEMM accumulates int8×int8
-// products in int32 per output element, and the epilogue applies
-// out[i,j] = float32(acc)·a.Scale·w.ColScale[j] + bias[j] (then
-// max(0,·)) without the integer product ever round-tripping through
-// memory. This is the output-layer kernel of the quantized MLP (and the
-// hidden-layer kernel when a float32 epilogue is needed, e.g. before
-// LayerNorm). bias must have length w.Cols().
-//
-// Accumulation is exact integer arithmetic and rows partition
-// statically, so the result is bitwise identical at every worker count.
-// Steady-state calls perform no heap allocation (the panel buffer comes
-// from the workspace pools).
-func QMatMulBiasInto(kc kernels.Context, out *Matrix[float32], a *QMat, w *QWeights, bias []float32, relu bool) {
-	checkQGEMM(a, w, bias, out.rows, out.cols, "QMatMulBiasInto")
-	qgemmTiled(kc, qgemmCtx{outF: out, a: a, w: w, bias: bias, relu: relu})
 }
 
 // QMatMulBiasReLUQuantInto is the fully-fused hidden-layer kernel:
@@ -222,7 +203,7 @@ func QMatMulBiasReLUQuantInto(kc kernels.Context, out *QMat, a *QMat, w *QWeight
 		panic(fmt.Sprintf("tensor: QMatMulBiasReLUQuantInto scale %v", outScale))
 	}
 	out.Scale = outScale
-	qgemmTiled(kc, qgemmCtx{outQ: out, a: a, w: w, bias: bias, relu: true})
+	qgemmTiled(kc, qgemmCtx{out: out, a: a, w: w, bias: bias})
 }
 
 func checkQGEMM(a *QMat, w *QWeights, bias []float32, outRows, outCols int, op string) {
@@ -234,48 +215,5 @@ func checkQGEMM(a *QMat, w *QWeights, bias []float32, outRows, outCols int, op s
 	}
 	if len(bias) != w.cols {
 		panic(fmt.Sprintf("tensor: %s bias length %d vs %d columns", op, len(bias), w.cols))
-	}
-}
-
-// QConcatColsInto concatenates int8 matrices horizontally into out.
-// Every input must share out's quantization scale — concatenation of
-// int8 payloads at mismatched scales would silently mix units — and
-// the shapes must add up. Used to assemble the quantized GNN node-net
-// input [Msrc ‖ Mdst ‖ X'] without a float32 intermediate.
-func QConcatColsInto(kc kernels.Context, out *QMat, ms ...*QMat) {
-	rows, totalCols := 0, 0
-	for i, m := range ms {
-		if i == 0 {
-			rows = m.rows
-		} else if m.rows != rows {
-			panic(fmt.Sprintf("tensor: QConcatCols row mismatch %d vs %d", m.rows, rows))
-		}
-		if m.Scale != out.Scale {
-			panic(fmt.Sprintf("tensor: QConcatCols scale mismatch %v vs %v", m.Scale, out.Scale))
-		}
-		totalCols += m.cols
-	}
-	if out.rows != rows || out.cols != totalCols {
-		panic("tensor: QConcatColsInto output shape mismatch")
-	}
-	parallel.ForWithN(kc.Cap(), rows, 64, qconcatCtx{out, ms}, qconcatBody)
-}
-
-// qconcatCtx carries QConcatColsInto operands into capture-free
-// parallel bodies.
-type qconcatCtx struct {
-	out *QMat
-	ms  []*QMat
-}
-
-// qconcatBody copies rows [lo, hi) of the int8 horizontal concat.
-func qconcatBody(c qconcatCtx, lo, hi int) {
-	out := c.out
-	for i := lo; i < hi; i++ {
-		off := i * out.cols
-		for _, m := range c.ms {
-			copy(out.data[off:off+m.cols], m.data[i*m.cols:(i+1)*m.cols])
-			off += m.cols
-		}
 	}
 }

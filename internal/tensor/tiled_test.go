@@ -152,20 +152,7 @@ func TestTiledQGEMMMatchesFlatBitwise(t *testing.T) {
 			bias[j] = float32(j)*0.25 - 1
 		}
 		const outScale = 0.02
-		for _, relu := range []bool{false, true} {
-			want := refQGEMM(a, w, bias, relu)
-			for _, wk := range parityWorkers {
-				got := NewOf[float32](sh.m, sh.n)
-				QMatMulBiasInto(kernels.Context{Workers: wk}, got, a, w, bias, relu)
-				matBitsEqual(t, "QMatMulBiasInto", want, got)
-			}
-		}
-		// The requantizing epilogue is the float ReLU epilogue followed
-		// by quantizeValue at the output scale.
-		wantQ := NewQMat(sh.m, sh.n, outScale)
-		for i, f := range refQGEMM(a, w, bias, true).Data() {
-			wantQ.Data()[i] = quantizeValue(float64(f), outScale)
-		}
+		wantQ := refQGEMM(a, w, bias, outScale)
 		for _, wk := range parityWorkers {
 			gotQ := NewQMat(sh.m, sh.n, 0)
 			QMatMulBiasReLUQuantInto(kernels.Context{Workers: wk}, gotQ, a, w, bias, outScale)
@@ -186,15 +173,12 @@ func TestTiledKernelsZeroAllocsWarm(t *testing.T) {
 	QuantizeInto(kernels.Context{Workers: 1}, qa, src, 0.01)
 	qw := QuantizeWeights(benchMat(24, 29, 4))
 	bias := make([]float32, 29)
-	qoutF := NewOf[float32](37, 29)
 	qoutQ := NewQMat(37, 29, 0)
 	kc := kernels.Context{Workers: 1}
 	MatMulIntoCtx(kc, out, a, b) // warm the panel pools
-	QMatMulBiasInto(kc, qoutF, qa, qw, bias, true)
 	QMatMulBiasReLUQuantInto(kc, qoutQ, qa, qw, bias, 0.02)
 	allocs := testing.AllocsPerRun(100, func() {
 		MatMulIntoCtx(kc, out, a, b)
-		QMatMulBiasInto(kc, qoutF, qa, qw, bias, true)
 		QMatMulBiasReLUQuantInto(kc, qoutQ, qa, qw, bias, 0.02)
 	})
 	if allocs != 0 {

@@ -16,12 +16,11 @@ type Arena struct {
 	f32s  [][]float32
 	ints  [][]int
 	bools [][]bool
-	i8s   [][]int8
 }
 
 // Mark is a checkpoint in an arena's allocation history.
 type Mark struct {
-	f64s, f32s, ints, bools, i8s int
+	f64s, f32s, ints, bools int
 }
 
 // NewArena returns an empty arena.
@@ -66,19 +65,10 @@ func (a *Arena) Bool(n int) []bool {
 	return s
 }
 
-// I8 returns a zeroed []int8 of length n owned by the arena — the
-// backing storage of quantized activation matrices on the int8
-// inference path.
-func (a *Arena) I8(n int) []int8 {
-	s := GetI8(n)
-	a.i8s = append(a.i8s, s)
-	return s
-}
-
 // Checkpoint records the current allocation state. A later ResetTo
 // releases only what was allocated after this point.
 func (a *Arena) Checkpoint() Mark {
-	return Mark{f64s: len(a.f64s), f32s: len(a.f32s), ints: len(a.ints), bools: len(a.bools), i8s: len(a.i8s)}
+	return Mark{f64s: len(a.f64s), f32s: len(a.f32s), ints: len(a.ints), bools: len(a.bools)}
 }
 
 // ResetTo releases every slice allocated after the mark back to the
@@ -104,11 +94,6 @@ func (a *Arena) ResetTo(m Mark) {
 		a.bools[i] = nil
 	}
 	a.bools = a.bools[:m.bools]
-	for i := m.i8s; i < len(a.i8s); i++ {
-		PutI8(a.i8s[i])
-		a.i8s[i] = nil
-	}
-	a.i8s = a.i8s[:m.i8s]
 }
 
 // Reset releases everything the arena holds back to the pools.
@@ -116,5 +101,5 @@ func (a *Arena) Reset() { a.ResetTo(Mark{}) }
 
 // Live reports how many slices the arena currently holds.
 func (a *Arena) Live() int {
-	return len(a.f64s) + len(a.f32s) + len(a.ints) + len(a.bools) + len(a.i8s)
+	return len(a.f64s) + len(a.f32s) + len(a.ints) + len(a.bools)
 }

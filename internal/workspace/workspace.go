@@ -211,8 +211,8 @@ func GetBool(n int) []bool { return boolPools.get(n) }
 // PutBool returns a slice obtained from GetBool to the pools.
 func PutBool(s []bool) { boolPools.put(s) }
 
-// GetI8 returns a zeroed []int8 of length n from the pools — the
-// storage of the quantized inference path's activation matrices.
+// GetI8 returns a zeroed []int8 of length n from the pools — the int8
+// GEMM's packed weight panels.
 func GetI8(n int) []int8 { return i8Pools.get(n) }
 
 // PutI8 returns a slice obtained from GetI8 to the pools.

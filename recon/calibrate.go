@@ -19,8 +19,7 @@ import (
 )
 
 // i8Scales bundles the calibrated activation scales of every default
-// stage — the tables syncInference builds the quantized snapshots from
-// and checkpoint v4 persists.
+// stage — the tables checkpoint v4 persists beside the int8 weights.
 type i8Scales struct {
 	embed  []float32
 	filter []float32
@@ -38,92 +37,76 @@ const (
 	actGNNAgg     = "gnn.agg"
 )
 
+// actTable is one stage table under its v4 name, held by pointer so
+// the import fills the same list the export reads.
+type actTable struct {
+	name   string
+	scales *[]float32
+}
+
+// tables lists every stage table in export order.
+func (s *i8Scales) tables() []actTable {
+	ts := []actTable{
+		{actEmbed, &s.embed},
+		{actFilter, &s.filter},
+		{actGNNNodeEnc, &s.gnn.NodeEnc},
+		{actGNNEdgeEnc, &s.gnn.EdgeEnc},
+	}
+	for l := range s.gnn.EdgeNets {
+		ts = append(ts, actTable{fmt.Sprintf("gnn.edge%d", l), &s.gnn.EdgeNets[l]})
+	}
+	for l := range s.gnn.NodeNets {
+		ts = append(ts, actTable{fmt.Sprintf("gnn.node%d", l), &s.gnn.NodeNets[l]})
+	}
+	return append(ts, actTable{actGNNHead, &s.gnn.Head}, actTable{actGNNAgg, &s.gnn.Agg})
+}
+
 // actScales flattens the stage tables into the named form checkpoint v4
 // stores. The aggregation table is omitted when the GNN has a single
 // step (no aggregations happen, and v4 rejects empty tables).
 func (s *i8Scales) actScales() []nn.ActScales {
-	act := []nn.ActScales{
-		{Name: actEmbed, Scales: s.embed},
-		{Name: actFilter, Scales: s.filter},
-		{Name: actGNNNodeEnc, Scales: s.gnn.NodeEnc},
-		{Name: actGNNEdgeEnc, Scales: s.gnn.EdgeEnc},
-	}
-	for l, sc := range s.gnn.EdgeNets {
-		act = append(act, nn.ActScales{Name: fmt.Sprintf("gnn.edge%d", l), Scales: sc})
-	}
-	for l, sc := range s.gnn.NodeNets {
-		act = append(act, nn.ActScales{Name: fmt.Sprintf("gnn.node%d", l), Scales: sc})
-	}
-	act = append(act, nn.ActScales{Name: actGNNHead, Scales: s.gnn.Head})
-	if len(s.gnn.Agg) > 0 {
-		act = append(act, nn.ActScales{Name: actGNNAgg, Scales: s.gnn.Agg})
+	var act []nn.ActScales
+	for _, t := range s.tables() {
+		if len(*t.scales) > 0 {
+			act = append(act, nn.ActScales{Name: t.name, Scales: *t.scales})
+		}
 	}
 	return act
 }
 
 // i8ScalesFromAct rebuilds the stage tables from a v4 checkpoint's
 // activation section, validating that every table the configured model
-// shape needs is present. Per-layer counts are validated downstream by
-// the quantized constructors.
-func i8ScalesFromAct(act []nn.ActScales, steps int) (*i8Scales, error) {
+// shape needs is present with one scale per layer (per aggregation for
+// gnn.agg). Tables the model has no use for are ignored.
+func (r *Reconstructor) i8ScalesFromAct(act []nn.ActScales) (*i8Scales, error) {
 	byName := make(map[string][]float32, len(act))
 	for _, a := range act {
 		byName[a.Name] = a.Scales
 	}
-	get := func(name string) ([]float32, error) {
-		sc, ok := byName[name]
+	// The calibrators' unobserved tables have the model's shape.
+	s := r.newCalibration().scales()
+	for _, t := range s.tables() {
+		want := len(*t.scales)
+		if want == 0 {
+			continue
+		}
+		sc, ok := byName[t.name]
 		if !ok {
-			return nil, fmt.Errorf("recon: checkpoint is missing activation-scale table %q", name)
+			return nil, fmt.Errorf("recon: checkpoint is missing activation-scale table %q", t.name)
 		}
-		return sc, nil
-	}
-	s := &i8Scales{}
-	var err error
-	if s.embed, err = get(actEmbed); err != nil {
-		return nil, err
-	}
-	if s.filter, err = get(actFilter); err != nil {
-		return nil, err
-	}
-	if s.gnn.NodeEnc, err = get(actGNNNodeEnc); err != nil {
-		return nil, err
-	}
-	if s.gnn.EdgeEnc, err = get(actGNNEdgeEnc); err != nil {
-		return nil, err
-	}
-	if s.gnn.Head, err = get(actGNNHead); err != nil {
-		return nil, err
-	}
-	for l := 0; l < steps; l++ {
-		sc, err := get(fmt.Sprintf("gnn.edge%d", l))
-		if err != nil {
-			return nil, err
+		if len(sc) != want {
+			return nil, fmt.Errorf("recon: checkpoint activation-scale table %q has %d scales, the model needs %d", t.name, len(sc), want)
 		}
-		s.gnn.EdgeNets = append(s.gnn.EdgeNets, sc)
-	}
-	for l := 0; l < steps-1; l++ {
-		sc, err := get(fmt.Sprintf("gnn.node%d", l))
-		if err != nil {
-			return nil, err
-		}
-		s.gnn.NodeNets = append(s.gnn.NodeNets, sc)
-	}
-	if steps > 1 {
-		if s.gnn.Agg, err = get(actGNNAgg); err != nil {
-			return nil, err
-		}
-		if len(s.gnn.Agg) != steps-1 {
-			return nil, fmt.Errorf("recon: checkpoint has %d aggregation scales for %d GNN steps", len(s.gnn.Agg), steps)
-		}
+		*t.scales = sc
 	}
 	return s, nil
 }
 
-// calibrationEvents returns the representative events the automatic
-// calibration pass runs over: the most recent Fit's training events
+// calibrationEvents returns the representative events an export with
+// no cached scales calibrates on: the most recent Fit's training events
 // when available, else a small deterministic synthetic batch drawn from
-// the detector spec — so an untrained Int8 reconstructor (CI smoke
-// serving, pre-checkpoint construction) always has valid scales.
+// the detector spec — so SaveCheckpointInt8 works on any reconstructor,
+// untrained or checkpoint-loaded.
 func (r *Reconstructor) calibrationEvents() []*Event {
 	if len(r.calEvents) > 0 {
 		return r.calEvents
@@ -141,21 +124,19 @@ func (r *Reconstructor) calibrationEvents() []*Event {
 // recording per-linear-layer input ranges (plus the GNN's aggregation
 // ranges), while non-default stages — truth-level or custom builders
 // and filters — run as themselves so the observed graph distribution
-// matches what int8 inference will actually see.
+// matches what inference will actually see.
 func (r *Reconstructor) calibrate(ctx context.Context, events []*Event) (*i8Scales, error) {
-	embCal := embed.NewCalibrator(r.embedModel)
-	filtCal := filter.NewCalibrator(r.filterModel)
-	gnnCal := ignn.NewCalibrator(r.gnnModel)
+	c := r.newCalibration()
+	embCal, filtCal, gnnCal := c.embed, c.filter, c.gnn
 	a := workspace.NewArena()
 	defer a.Reset()
 	kctx := r.kernelCtx(ctx)
 	kc := kernels.From(kctx)
-	// The built-in stages are the ones the int8 snapshot will replace,
-	// whichever precision's adapter stands for them here (an Int8
-	// export from a Float64 reconstructor included), so each replays
-	// through its observer. The radius search runs on the observed
-	// embedding only when the default embedder produced it: with a
-	// custom Embedder the radius builder runs as itself on that
+	// The built-in stages are the ones whose tables the export carries,
+	// whichever precision's adapter stands for them here, so each
+	// replays through its observer. The radius search runs on the
+	// observed embedding only when the default embedder produced it:
+	// with a custom Embedder the radius builder runs as itself on that
 	// embedder's output.
 	embedObserved := isDefault(r.embedder)
 	searchObserved := embedObserved && isDefault(r.builder)
@@ -208,15 +189,31 @@ func (r *Reconstructor) calibrate(ctx context.Context, events []*Event) (*i8Scal
 		}
 		a.ResetTo(mark)
 	}
-	return &i8Scales{embed: embCal.Scales(), filter: filtCal.Scales(), gnn: gnnCal.Scales()}, nil
+	return c.scales(), nil
 }
 
-// Calibrate re-runs int8 activation-range calibration on the given
-// events and rebuilds the quantized inference snapshots from the fresh
-// scales. Fit and LoadCheckpoint (v4) manage calibration automatically;
-// call this to recalibrate on a different representative sample. Like
-// Fit, it must not race concurrent inference. At Float64/Float32 the
-// scales are recorded but unused until the precision changes.
+// calibration is one observer per default stage model.
+type calibration struct {
+	embed  *embed.Calibrator
+	filter *filter.Calibrator
+	gnn    *ignn.Calibrator
+}
+
+func (r *Reconstructor) newCalibration() calibration {
+	return calibration{embed.NewCalibrator(r.embedModel), filter.NewCalibrator(r.filterModel), ignn.NewCalibrator(r.gnnModel)}
+}
+
+func (c calibration) scales() *i8Scales {
+	return &i8Scales{embed: c.embed.Scales(), filter: c.filter.Scales(), gnn: c.gnn.Scales()}
+}
+
+// Calibrate runs activation-range calibration on the given events and
+// keeps the scales for the next SaveCheckpointInt8, which otherwise
+// calibrates on the latest Fit's training events (or a synthetic batch)
+// and a v4 load adopts the file's tables. Serving never reads the
+// scales — Int8 runs float32 kernels over dequantized weights — so
+// Calibrate does not change what Reconstruct returns, at any precision.
+// It must not race concurrent use of the scales (an export).
 func (r *Reconstructor) Calibrate(ctx context.Context, events []*Event) error {
 	if len(events) == 0 {
 		return errors.New("recon: Calibrate needs at least one event")
@@ -225,17 +222,16 @@ func (r *Reconstructor) Calibrate(ctx context.Context, events []*Event) error {
 	if err != nil {
 		return err
 	}
-	r.calEvents = events
-	r.i8scales = sc
-	return r.syncInference()
+	r.calEvents, r.i8scales = events, sc
+	return nil
 }
 
 // SaveCheckpointInt8 writes a v4 quantized checkpoint: int8 weights
 // with per-output-column scales plus the calibrated activation-scale
-// tables (calibrating first if no calibration has run yet), so the file
-// serves at Int8 on load without recalibration. Works at any precision
-// — a float64-trained reconstructor can export its int8 artifact
-// directly.
+// tables (calibrating first if no calibration has run yet). Loaded at
+// Int8, the file serves exactly what this reconstructor serves at Int8.
+// Works at any precision — a float64-trained reconstructor can export
+// its int8 artifact directly.
 func (r *Reconstructor) SaveCheckpointInt8(path string) error {
 	sc := r.i8scales
 	if sc == nil {

@@ -18,11 +18,11 @@ const (
 	Float64 Precision = iota
 	// Float32 is the reduced-precision serving path.
 	Float32
-	// Int8 is the quantized serving path: weights quantize per output
-	// column, activations at static per-tensor scales captured by a
-	// calibration pass (automatic at construction/Fit, or restored from
-	// a v4 checkpoint), and the hot GEMM/SpMM kernels move a quarter of
-	// Float32's bytes.
+	// Int8 is a storage format: weights are rounded to int8 per output
+	// column (exactly what a v4 checkpoint stores), dequantize to
+	// float32 once at load, and run the Float32 kernels. A reconstructor
+	// and one loaded from its own SaveCheckpointInt8 file serve bitwise
+	// the same scores.
 	Int8
 )
 
@@ -61,11 +61,11 @@ func ParsePrecision(s string) (Precision, bool) {
 // the accuracy budget documented in PERF.md (and enforced by the recon
 // precision tests); per-edge scores differ at rounding/quantization
 // magnitude, so edges scored within that distance of the decision
-// threshold may flip. Int8 additionally needs calibrated activation
-// scales: Fit calibrates on the training events, LoadCheckpoint adopts
-// a v4 checkpoint's tables, and an untrained reconstructor calibrates
-// on a small deterministic synthetic batch so construction always
-// succeeds.
+// threshold may flip. Int8 is a storage format: the weights are
+// rounded to the int8 grid and dequantized to float32 when they are
+// loaded or trained, then run the Float32 kernels. It needs no
+// calibration to serve; activation scales are computed only when
+// SaveCheckpointInt8 exports a v4 file (or Calibrate asks for them).
 func WithPrecision(p Precision) Option {
 	return func(s *settings) {
 		if p != Float64 && p != Float32 && p != Int8 {

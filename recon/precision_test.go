@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/detector"
@@ -115,8 +116,8 @@ func assertTrackParity(t *testing.T, r64, rp *Reconstructor, test []*Event, tol 
 
 // parityFixture is precisionFixture with a long enough GNN training run
 // that edge scores separate from the decision threshold — the regime
-// the accuracy budget is defined over (quantization shifts scores by
-// ~1e-2; an undertrained model parks every score at the threshold and
+// the accuracy budget is defined over (int8 weight rounding shifts
+// scores by ~1e-2; an undertrained model parks every score at the threshold and
 // makes any precision comparison noise).
 func parityFixture(t *testing.T, dir string, prec Precision) (*Reconstructor, *Reconstructor, []*Event) {
 	t.Helper()
@@ -137,10 +138,9 @@ func parityFixture(t *testing.T, dir string, prec Precision) (*Reconstructor, *R
 	if prec == Int8 {
 		// The canonical quantized workflow: the fitted reconstructor
 		// exports a v4 checkpoint, calibrating activations on its own
-		// training events. (Loading a plain float checkpoint at Int8
-		// also works but calibrates on the synthetic fallback batch,
-		// which is a smoke-serving convenience, not the path the
-		// accuracy budget is defined over.)
+		// training events, and the server loads it. (Loading the plain
+		// float checkpoint at Int8 serves the same weights: both round
+		// them to the same int8 grid.)
 		if err := r64.SaveCheckpointInt8(ckpt); err != nil {
 			t.Fatal(err)
 		}
@@ -170,9 +170,9 @@ func TestWithPrecisionF32TrackParity(t *testing.T) {
 }
 
 // TestWithPrecisionInt8TrackParity is the acceptance gate for the
-// quantized serving path: int8 reconstruction, loaded from a v4
-// checkpoint whose activation scales were calibrated on the training
-// events, holds the same budget as f32.
+// int8 storage format: reconstruction over weights loaded from a v4
+// checkpoint (dequantized, then run at float32) holds the same budget
+// as f32.
 func TestWithPrecisionInt8TrackParity(t *testing.T) {
 	r64, r8, test := parityFixture(t, t.TempDir(), Int8)
 	if r8.Precision() != Int8 {
@@ -181,12 +181,12 @@ func TestWithPrecisionInt8TrackParity(t *testing.T) {
 	assertTrackParity(t, r64, r8, test, precisionBudget)
 }
 
-// TestInt8CheckpointServesIdentically: a v4 quantized checkpoint loads
-// into bitwise-identical int8 inference — the stored activation scales
-// are adopted verbatim, and dequantizing the int8 weights and
+// TestInt8CheckpointServesIdentically: a v4 checkpoint loads into
+// bitwise-identical Int8 serving — dequantizing the int8 weights and
 // re-quantizing them at sync reproduces the exporter's quantized
 // payload exactly (per-column max |q| is 127 by construction, so the
-// re-derived scale is the stored scale).
+// re-derived scale is the stored scale), and both reconstructors run
+// the float32 forwards over the same dequantized values.
 func TestInt8CheckpointServesIdentically(t *testing.T) {
 	dir := t.TempDir()
 	_, r8, test := parityFixture(t, dir, Int8)
@@ -212,19 +212,27 @@ func TestInt8CheckpointServesIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Match != b.Match || a.EdgeCounts != b.EdgeCounts || len(a.Tracks) != len(b.Tracks) {
-			t.Fatalf("event %d: v4-checkpoint serving differs from the exporting reconstructor", i)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("event %d: v4-checkpoint serving differs from the exporting reconstructor:\n got %+v\nwant %+v", i, b, a)
 		}
 	}
 }
 
 // TestInt8CalibrateRecalibrates: the public Calibrate entry swaps the
-// activation scales and rebuilds the snapshots without touching the
-// weights — reconstruction keeps working on the new sample.
+// activation scales an export carries and leaves serving alone —
+// reconstruction returns exactly what it did before.
 func TestInt8CalibrateRecalibrates(t *testing.T) {
 	_, r8, test := parityFixture(t, t.TempDir(), Int8)
+	before, err := r8.Reconstruct(context.Background(), test[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := r8.i8scales
 	if err := r8.Calibrate(context.Background(), test); err != nil {
 		t.Fatal(err)
+	}
+	if r8.i8scales == old {
+		t.Fatal("Calibrate kept the old scales")
 	}
 	res, err := r8.Reconstruct(context.Background(), test[0])
 	if err != nil {
@@ -232,6 +240,9 @@ func TestInt8CalibrateRecalibrates(t *testing.T) {
 	}
 	if len(res.Tracks) == 0 {
 		t.Fatal("post-recalibration reconstruction produced no tracks")
+	}
+	if !reflect.DeepEqual(res, before) {
+		t.Fatal("Calibrate changed what Reconstruct serves")
 	}
 }
 
@@ -256,8 +267,7 @@ func TestWithPrecisionF32TruthLevel(t *testing.T) {
 
 // TestInt8TruthLevel: an untrained Int8 reconstructor (truth-level
 // builder, threshold 0 — the serve smoke-test shape) constructs and
-// runs, proving the synthetic-batch calibration fallback produces
-// usable scales with no Fit and no checkpoint.
+// runs with no Fit and no checkpoint.
 func TestInt8TruthLevel(t *testing.T) {
 	spec := detector.Ex3Like(0.02)
 	spec.NumEvents = 1
@@ -276,9 +286,8 @@ func TestInt8TruthLevel(t *testing.T) {
 }
 
 // TestEngineInt8MatchesSerial: the engine contract — batch results
-// bit-identical to serial at any worker count — holds for the int8
-// kernels (int32 accumulation is exact, so there is no reduction-order
-// freedom to lose).
+// bit-identical to serial at any worker count — holds at Int8, which
+// runs the float32 kernels whose partitioning never changes a sum.
 func TestEngineInt8MatchesSerial(t *testing.T) {
 	_, r8, test := parityFixture(t, t.TempDir(), Int8)
 	ctx := context.Background()
@@ -300,7 +309,7 @@ func TestEngineInt8MatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range test {
-			if serial[i].Match != batch[i].Match || serial[i].EdgeCounts != batch[i].EdgeCounts {
+			if !reflect.DeepEqual(serial[i], batch[i]) {
 				t.Fatalf("workers=%d event %d: engine i8 result differs from serial", workers, i)
 			}
 		}

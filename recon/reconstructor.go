@@ -61,10 +61,11 @@ type Reconstructor struct {
 	// the float64 weights change.
 	low *forwards[float32]
 
-	// i8scales holds the calibrated activation scales the Int8 snapshot
-	// was built from (nil forces recalibration at the next sync), and
-	// calEvents the representative events calibration runs over (the
-	// latest Fit's training events; a synthetic batch when empty).
+	// i8scales holds the calibrated activation scales SaveCheckpointInt8
+	// exports (nil until Calibrate, an export or a v4 load sets them, and
+	// again whenever the weights move), and calEvents the representative
+	// events an export calibrates on (the latest Fit's training events; a
+	// synthetic batch when empty). Serving never reads either.
 	i8scales  *i8Scales
 	calEvents []*Event
 }
@@ -79,7 +80,7 @@ func New(spec DetectorSpec, opts ...Option) (*Reconstructor, error) {
 	}
 	cfg := pipeline.DefaultConfig(spec)
 	applyConfig(&cfg, set)
-	return assemble(spec, cfg, set)
+	return assemble(spec, cfg, set), nil
 }
 
 // applyConfig folds option overrides into the resolved hyperparameters.
@@ -107,7 +108,7 @@ func applyConfig(cfg *pipeline.Config, set settings) {
 	}
 }
 
-func assemble(spec DetectorSpec, cfg pipeline.Config, set settings) (*Reconstructor, error) {
+func assemble(spec DetectorSpec, cfg pipeline.Config, set settings) *Reconstructor {
 	seeds := rng.New(set.seed)
 	r := &Reconstructor{
 		spec: spec, cfg: cfg, set: set,
@@ -137,10 +138,8 @@ func assemble(spec DetectorSpec, cfg pipeline.Config, set settings) (*Reconstruc
 		r.runClassifier = w.WrapEdgeClassifier(r.classifier)
 		r.runExtractor = w.WrapTrackExtractor(r.extractor)
 	}
-	if err := r.syncInference(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	r.syncInference()
+	return r
 }
 
 // resolveStages settles stages 1–4: the option-supplied stage where
@@ -180,46 +179,47 @@ func resolveStages[T fp.Float](r *Reconstructor, fw *forwards[T]) {
 }
 
 // syncInference refreshes the reduced-precision forwards from the
-// models' float64 parameters. Called at construction and after
-// every operation that rewrites the weights (Fit, LoadCheckpoint); a
-// no-op at Float64, where the stage models' inference views alias the
-// training parameters' own storage and have nothing to refresh. At Int8
-// it additionally runs the activation-range calibration pass when no
-// valid scales are cached (fresh construction, post-Fit invalidation,
-// pre-v4 checkpoint load). Must not race concurrent inference — the
-// Reconstructor is documented as safe for concurrent use only once
-// training is done.
-func (r *Reconstructor) syncInference() error {
+// models' float64 parameters. Called at construction and after every
+// operation that rewrites the weights (Fit, LoadCheckpoint); a no-op at
+// Float64, where the stage models' inference views alias the training
+// parameters' own storage and have nothing to refresh. Int8 is a
+// storage format: its forwards are the Float32 forwards over the
+// weights rounded to the int8 grid (int8Models). Must not race
+// concurrent inference — the Reconstructor is documented as safe for
+// concurrent use only once training is done.
+func (r *Reconstructor) syncInference() {
+	emb, filt, gnn := r.embedModel, r.filterModel, r.gnnModel
 	switch r.set.precision {
-	case Float32:
-		*r.low = forwards[float32]{
-			embed:  embed.NewInference[float32](r.embedModel),
-			filter: filter.NewInference[float32](r.filterModel),
-			gnn:    ignn.NewInference[float32](r.gnnModel),
-		}
+	case Float64:
+		return
 	case Int8:
-		if r.i8scales == nil {
-			sc, err := r.calibrate(context.Background(), r.calibrationEvents())
-			if err != nil {
-				return fmt.Errorf("recon: int8 calibration: %w", err)
-			}
-			r.i8scales = sc
-		}
-		emb, err := embed.NewQuantized(r.embedModel, r.i8scales.embed)
-		if err != nil {
-			return fmt.Errorf("recon: quantize embedder: %w", err)
-		}
-		filt, err := filter.NewQuantized(r.filterModel, r.i8scales.filter)
-		if err != nil {
-			return fmt.Errorf("recon: quantize filter: %w", err)
-		}
-		gnn, err := ignn.NewQuantized(r.gnnModel, r.i8scales.gnn)
-		if err != nil {
-			return fmt.Errorf("recon: quantize gnn: %w", err)
-		}
-		*r.low = forwards[float32]{embed: emb, filter: filt, gnn: gnn}
+		emb, filt, gnn = r.int8Models()
 	}
-	return nil
+	*r.low = forwards[float32]{
+		embed:  embed.NewInference[float32](emb),
+		filter: filter.NewInference[float32](filt),
+		gnn:    ignn.NewInference[float32](gnn),
+	}
+}
+
+// int8Models returns throw-away copies of the three stage models whose
+// parameters hold what a v4 checkpoint of the trained ones loads back
+// as (nn.SnapInt8), so an Int8 reconstructor and one loaded from its
+// own SaveCheckpointInt8 file serve bitwise-identical scores. The
+// float64 training parameters are only read.
+func (r *Reconstructor) int8Models() (*embed.Embedder, *filter.EdgeFilter, *ignn.Model) {
+	seeds := rng.New(0)
+	emb := embed.New(r.cfg.Embed, seeds.Split())
+	filt := filter.New(r.cfg.Filter, seeds.Split())
+	gnn := ignn.New(r.cfg.GNN, seeds.Split())
+	nn.SnapInt8(modelParams(emb, filt, gnn), modelParams(r.embedModel, r.filterModel, r.gnnModel))
+	return emb, filt, gnn
+}
+
+// modelParams lists the parameters of the three stage models in
+// checkpoint order.
+func modelParams(emb *embed.Embedder, filt *filter.EdgeFilter, gnn *ignn.Model) []*Param {
+	return append(append(emb.Params(), filt.Params()...), gnn.Params()...)
 }
 
 // Precision returns the inference precision of the built-in stages.
@@ -375,10 +375,10 @@ func (r *Reconstructor) Fit(ctx context.Context, events []*Event) error {
 	if len(events) == 0 {
 		return errors.New("recon: Fit needs at least one training event")
 	}
-	// The training events are the representative sample int8 calibration
-	// runs over from here on; any previously calibrated scales are stale
-	// the moment the weights move.
-	r.calEvents = events
+	// The training events are the representative sample an int8 export
+	// calibrates on from here on; any previously calibrated scales are
+	// stale the moment the weights move.
+	r.calEvents, r.i8scales = events, nil
 	embedDefault, filterDefault := isDefault(r.embedder), isDefault(r.filter)
 	// Training is serial: its tapes run under the serial entry points'
 	// budget (WithKernelWorkers).
@@ -404,12 +404,9 @@ func (r *Reconstructor) Fit(ctx context.Context, events []*Event) error {
 		return errors.New("recon: the default edge filter trains on the default embedder's radius graphs; with a custom Embedder, supply an EdgeFilter that implements Fitter")
 	}
 	// The reduced-precision adapters read weight snapshots; refresh them
-	// (recalibrating at Int8) so the graphs built for GNN training below
-	// see the freshly trained stages 1–3.
-	r.i8scales = nil
-	if err := r.syncInference(); err != nil {
-		return err
-	}
+	// so the graphs built for GNN training below see the freshly trained
+	// stages 1–3.
+	r.syncInference()
 	for _, stage := range []any{r.embedder, r.builder, r.filter, r.classifier, r.extractor} {
 		if f, ok := stage.(Fitter); ok {
 			if err := f.Fit(ctx, events); err != nil {
@@ -433,8 +430,8 @@ func (r *Reconstructor) Fit(ctx context.Context, events []*Event) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	r.i8scales = nil
-	return r.syncInference()
+	r.syncInference()
+	return nil
 }
 
 // params walks the five stages in order and collects the trainable
@@ -461,11 +458,11 @@ func (r *Reconstructor) SaveCheckpoint(path string) error {
 // and hyperparameters. A file that is rejected — mismatched shapes, or
 // v4 activation-scale tables that do not fit the configured model —
 // leaves parameters, inference forwards and calibration as they were.
-// All checkpoint versions load — v4 (int8 weights + activation scales,
-// which at WithPrecision(Int8) are adopted so no recalibration runs),
-// v3 (dtype-tagged, f64 or f32 payloads), v2, and legacy headerless
-// files — and the reduced-precision forwards are refreshed from the
-// loaded weights.
+// All checkpoint versions load — v4 (int8 weights, dequantized, plus
+// activation scales that a later SaveCheckpointInt8 re-exports), v3
+// (dtype-tagged, f64 or f32 payloads), v2, and legacy headerless files
+// — and the reduced-precision forwards are refreshed from the loaded
+// weights.
 func (r *Reconstructor) LoadCheckpoint(path string) error {
 	params := r.params()
 	// nn validates shapes before it writes any parameter, but the
@@ -475,25 +472,22 @@ func (r *Reconstructor) LoadCheckpoint(path string) error {
 	for i, p := range params {
 		old[i] = append([]float64(nil), p.Value.Data()...)
 	}
-	oldScales := r.i8scales
 	act, err := nn.LoadParamsFileExt(path, params)
 	if err != nil {
 		return err
 	}
 	// A pre-v4 file carries no calibration; any cached scales belong to
 	// the previous weights.
-	r.i8scales = nil
+	var sc *i8Scales
 	if len(act) > 0 {
-		r.i8scales, err = i8ScalesFromAct(act, r.cfg.GNN.Steps)
-	}
-	if err == nil {
-		err = r.syncInference()
-	}
-	if err != nil {
-		for i, p := range params {
-			copy(p.Value.Data(), old[i])
+		if sc, err = r.i8ScalesFromAct(act); err != nil {
+			for i, p := range params {
+				copy(p.Value.Data(), old[i])
+			}
+			return err
 		}
-		r.i8scales = oldScales
 	}
-	return err
+	r.i8scales = sc
+	r.syncInference()
+	return nil
 }

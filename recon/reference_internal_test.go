@@ -89,19 +89,8 @@ func TestReconstructMatchesStraightLineReference(t *testing.T) {
 			fw := forwards[float32]{embed.NewInference[float32](r.embedModel), filter.NewInference[float32](r.filterModel), ignn.NewInference[float32](r.gnnModel)}
 			reference = func(ev *Event) *Result { return referenceReconstruct(r.cfg, fw, ev) }
 		case Int8:
-			emb, err := embed.NewQuantized(r.embedModel, r.i8scales.embed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			filt, err := filter.NewQuantized(r.filterModel, r.i8scales.filter)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gnn, err := ignn.NewQuantized(r.gnnModel, r.i8scales.gnn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fw := forwards[float32]{emb, filt, gnn}
+			emb, filt, gnn := r.int8Models()
+			fw := forwards[float32]{embed.NewInference[float32](emb), filter.NewInference[float32](filt), ignn.NewInference[float32](gnn)}
 			reference = func(ev *Event) *Result { return referenceReconstruct(r.cfg, fw, ev) }
 		}
 		edges := 0
@@ -292,20 +281,24 @@ func TestLoadCheckpointRejectedFileChangesNothing(t *testing.T) {
 		}
 		badFiles[name] = path
 	}
-	var noFilter, longAgg []nn.ActScales
+	var noFilter, longAgg, shortEmbed []nn.ActScales
 	for _, table := range good.actScales() {
 		switch table.Name {
 		case actFilter:
-			longAgg = append(longAgg, table)
+			longAgg, shortEmbed = append(longAgg, table), append(shortEmbed, table)
 		case actGNNAgg:
-			noFilter = append(noFilter, table)
+			noFilter, shortEmbed = append(noFilter, table), append(shortEmbed, table)
 			longAgg = append(longAgg, nn.ActScales{Name: actGNNAgg, Scales: append(table.Scales, 1)})
-		default:
+		case actEmbed:
 			noFilter, longAgg = append(noFilter, table), append(longAgg, table)
+			shortEmbed = append(shortEmbed, nn.ActScales{Name: actEmbed, Scales: table.Scales[1:]})
+		default:
+			noFilter, longAgg, shortEmbed = append(noFilter, table), append(longAgg, table), append(shortEmbed, table)
 		}
 	}
 	write("missing table", noFilter)
 	write("wrong gnn.agg length", longAgg)
+	write("wrong embed length", shortEmbed)
 	wider, err := New(spec, WithSeed(77), WithGNN(16, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -315,15 +308,6 @@ func TestLoadCheckpointRejectedFileChangesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	paramBits := func(r *Reconstructor) []uint64 {
-		var bits []uint64
-		for _, p := range r.params() {
-			for _, v := range p.Value.Data() {
-				bits = append(bits, math.Float64bits(v))
-			}
-		}
-		return bits
-	}
 	results := func(r *Reconstructor) []*Result {
 		t.Helper()
 		out := make([]*Result, len(events))
@@ -354,5 +338,95 @@ func TestLoadCheckpointRejectedFileChangesNothing(t *testing.T) {
 				t.Errorf("%v, %s: a rejected checkpoint changed what Reconstruct serves", prec, name)
 			}
 		}
+	}
+}
+
+// paramBits flattens the checkpointed parameters to their bit patterns.
+func paramBits(r *Reconstructor) []uint64 {
+	var bits []uint64
+	for _, p := range r.params() {
+		for _, v := range p.Value.Data() {
+			bits = append(bits, math.Float64bits(v))
+		}
+	}
+	return bits
+}
+
+// TestInt8LoadKeepsTrainingWeights: loading a float64 checkpoint at
+// Int8 and saving it again reproduces the input parameters exactly —
+// the int8 rounding lives in the serving snapshot, never in the
+// training weights.
+func TestInt8LoadKeepsTrainingWeights(t *testing.T) {
+	spec := detector.Ex3Like(0.02)
+	dir := t.TempDir()
+	src, err := New(spec, WithSeed(41), WithGNN(8, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, out := filepath.Join(dir, "in.ckpt.gz"), filepath.Join(dir, "out.ckpt.gz")
+	if err := src.SaveCheckpoint(in); err != nil {
+		t.Fatal(err)
+	}
+	r8, err := New(spec, WithSeed(9), WithGNN(8, 2), WithPrecision(Int8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r8.LoadCheckpoint(in); err != nil {
+		t.Fatal(err)
+	}
+	if err := r8.SaveCheckpoint(out); err != nil {
+		t.Fatal(err)
+	}
+	back, err := New(spec, WithSeed(9), WithGNN(8, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.LoadCheckpoint(out); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(paramBits(back), paramBits(src)) {
+		t.Fatal("an Int8 load/save round trip changed the float64 parameters")
+	}
+}
+
+// TestInt8ConstructionDoesNotCalibrate: a fresh Int8 reconstructor has
+// no activation scales (construction runs no calibration pass), and
+// SaveCheckpointInt8 from it still writes a v4 file that loads and
+// serves what the exporter serves.
+func TestInt8ConstructionDoesNotCalibrate(t *testing.T) {
+	spec := detector.Ex3Like(0.02)
+	spec.NumEvents = 1
+	ev := detector.Generate(spec, 43).Events[0]
+	r8, err := New(spec, WithSeed(9), WithGNN(8, 2), WithPrecision(Int8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r8.i8scales != nil {
+		t.Fatal("construction at Int8 calibrated")
+	}
+	path := filepath.Join(t.TempDir(), "fresh.i8.ckpt.gz")
+	if err := r8.SaveCheckpointInt8(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := New(spec, WithSeed(1), WithGNN(8, 2), WithPrecision(Int8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.LoadCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.i8scales == nil {
+		t.Fatal("the v4 load did not adopt the file's activation scales")
+	}
+	want, err := r8.Reconstruct(context.Background(), ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := loaded.Reconstruct(context.Background(), ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the exported v4 file serves differently from its exporter")
 	}
 }

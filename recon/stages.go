@@ -19,13 +19,14 @@ import (
 // stage forwards run in, and are instantiated once per Reconstructor:
 // at float64 over the stage models themselves, whose inference views
 // alias the parameters (so Fit and LoadCheckpoint need no refresh), at
-// float32 over the snapshot syncInference rebuilds — float32 weight
-// copies at Float32, int8 quantized weights driving the fused int8
-// kernels at Int8. Event and edge features (float64 at the detector
-// boundary) reach T through convert, an identity at float64; scores and
-// thresholds stay float64, so the decision logic and the track
-// extractor are the same at every precision. None of the adapters
-// builds an autograd tape.
+// float32 over the snapshot syncInference rebuilds — float32 copies of
+// the weights at Float32, and at Int8 float32 copies of the weights
+// rounded to the int8 grid a v4 checkpoint stores: int8 is a storage
+// format, dequantized once, served by the same float32 kernels. Event
+// and edge features (float64 at the detector boundary) reach T through
+// convert, an identity at float64; scores and thresholds stay float64,
+// so the decision logic and the track extractor are the same at every
+// precision. None of the adapters builds an autograd tape.
 //
 // They read their intra-op worker budget out of ctx (kernels.From): the
 // Reconstructor installs its configured budget on serial entry points
@@ -35,8 +36,8 @@ import (
 
 // forwards holds the forward pass of the three learned default stages
 // at element type T — the method sets embed/filter/ignn.Inference[T]
-// share with the stage models (T = float64) and with the Quantized
-// forwards (T = float32).
+// share with the stage models (T = float64). At Float32 and Int8 it
+// holds the Inference[float32] snapshots syncInference builds.
 type forwards[T fp.Float] struct {
 	embed interface {
 		EmbedCtx(kc kernels.Context, a *Arena, features *tensor.Matrix[T]) *tensor.Matrix[T]
@@ -61,8 +62,8 @@ func convert[D, S fp.Float](a *Arena, m *tensor.Matrix[S]) *tensor.Matrix[D] {
 
 // defaultStage marks the built-in adapters of the learned stages and
 // the radius search between them, at whichever precision: the stages
-// Fit trains through the staged procedure and int8 calibration replays
-// through its observers.
+// Fit trains through the staged procedure and int8 export calibration
+// replays through its observers.
 type defaultStage interface{ defaultStage() }
 
 func isDefault(stage any) bool {
