@@ -8,7 +8,8 @@
 // than as second training loops: SamplerStandard (the PyG baseline, one
 // sequential sampler invocation per step) and SamplerFullGraph (the
 // original Exa.TrkX pass, one step per event graph, skipping graphs
-// that do not fit Config.Device).
+// that do not fit Config.Device). SamplerFullGraph is also how
+// recon.Reconstructor.Fit trains its GNN stage, at one rank.
 //
 // Each rank is a goroutine owning a model replica, a pinned
 // workspace.Arena, and a contiguous range of the step's gradient
@@ -339,6 +340,7 @@ type Trainer struct {
 	paramOffsets []int // param index → offset in the flattened gradient
 	elems        int   // S: flattened gradient elements
 	gate         *gate
+	kc           kernels.Context // each rank's intra-op worker budget
 
 	// Transport groups move real data through ring channels but charge
 	// no modeled time (their payloads are the simulation's reproducible
@@ -381,6 +383,7 @@ func New(cfg Config) (*Trainer, error) {
 	t := &Trainer{
 		Cfg:         cfg,
 		gate:        &gate{slots: make(chan struct{}, slots)},
+		kc:          kc,
 		edgeIndexes: make(map[*pipeline.EventGraph]*sampling.EdgeIndex),
 		bulkK:       make(map[*pipeline.EventGraph]int),
 	}
@@ -900,9 +903,9 @@ func (t *Trainer) runStep(st *rankState, rank int, eg *pipeline.EventGraph, subs
 		start := t.gate.enter()
 		nn.ZeroGrads(st.params)
 		x := tensor.NewFrom(st.arena, len(sub.Vertices), eg.X.Cols())
-		tensor.GatherRowsInto(x, eg.X, sub.Vertices)
+		tensor.GatherRowsIntoCtx(t.kc, x, eg.X, sub.Vertices)
 		y := tensor.NewFrom(st.arena, len(sub.EdgeIDs), eg.Y.Cols())
-		tensor.GatherRowsInto(y, eg.Y, sub.EdgeIDs)
+		tensor.GatherRowsIntoCtx(t.kc, y, eg.Y, sub.EdgeIDs)
 		labels := st.arena.F64(len(sub.EdgeIDs))
 		for i, id := range sub.EdgeIDs {
 			labels[i] = eg.Label[id]

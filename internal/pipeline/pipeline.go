@@ -1,17 +1,16 @@
 // Package pipeline holds what the reconstruction front-end (recon), the
-// two trainers (core, dtrain) and the experiment harnesses share of the
-// five-stage Exa.TrkX pipeline (Figure 1 of the paper): the
-// hyperparameters, the event-graph and result types, truth-level graph
-// construction, and the staged fit procedure as functions over the
-// stage models. The pipeline itself — embed, radius graph, filter,
-// Interaction GNN, connected components — is composed in recon.
+// trainer (dtrain) and the experiment harnesses share of the five-stage
+// Exa.TrkX pipeline (Figure 1 of the paper): the hyperparameters, the
+// event-graph and result types, truth-level graph construction, and the
+// fit procedure of stages 1–3 over their models. The pipeline itself —
+// embed, radius graph, filter, Interaction GNN, connected components —
+// is composed in recon, which trains the GNN stage on dtrain.
 package pipeline
 
 import (
 	"context"
 	"fmt"
 
-	"repro/internal/autograd"
 	"repro/internal/detector"
 	"repro/internal/embed"
 	"repro/internal/filter"
@@ -148,45 +147,6 @@ type Result struct {
 	Tracks     [][]int // hit-index sets, one per candidate
 	EdgeCounts metrics.BinaryCounts
 	Match      metrics.TrackMatch
-}
-
-// FitGNN trains the stage-4 Interaction GNN full-graph on pre-built
-// event graphs with Adam, every tape kernel running under the intra-op
-// worker budget kc (losses are bitwise equal at every budget). It
-// checks the context between epochs and returns the last completed
-// epoch's mean loss, alongside ctx.Err() when cancelled. For the
-// paper's minibatch/DDP training use internal/dtrain instead;
-// this is the simple path for stage-wise fitting.
-func FitGNN(ctx context.Context, kc kernels.Context, m *ignn.Model, graphs []*EventGraph, epochs int, lr, posWeight float64) (float64, error) {
-	opt := nn.NewAdam(lr)
-	arena := workspace.NewArena()
-	defer arena.Reset()
-	tape := autograd.NewTapeArena(arena)
-	tape.SetKernels(kc)
-	last := 0.0
-	for epoch := 0; epoch < epochs; epoch++ {
-		if err := ctx.Err(); err != nil {
-			return last, err
-		}
-		sum, n := 0.0, 0
-		for _, eg := range graphs {
-			if eg.NumEdges() == 0 {
-				continue
-			}
-			tape.Reset()
-			logits := m.Forward(tape, eg.G.Src, eg.G.Dst, eg.X, eg.Y)
-			loss := tape.BCEWithLogits(logits, eg.Label, posWeight)
-			tape.Backward(loss)
-			opt.Step(m.Params())
-			sum += loss.Value.At(0, 0)
-			n++
-			arena.Reset()
-		}
-		if n > 0 {
-			last = sum / float64(n)
-		}
-	}
-	return last, nil
 }
 
 // FitStages13 trains the embedding and filter stages on the training

@@ -8,11 +8,9 @@ import (
 	"repro/internal/detector"
 	"repro/internal/embed"
 	"repro/internal/filter"
-	"repro/internal/graph"
 	"repro/internal/ignn"
 	"repro/internal/kernels"
 	"repro/internal/knnsearch"
-	"repro/internal/metrics"
 	"repro/internal/rng"
 )
 
@@ -93,49 +91,6 @@ func TestStages13ImproveGraphQuality(t *testing.T) {
 		t.Fatalf("trained stage 1-3 purity %v too low", purity)
 	}
 	t.Logf("stage 1-3: efficiency=%.3f purity=%.3f edges=%d", eff, purity, eg.NumEdges())
-}
-
-func TestReconstructAfterGNNTraining(t *testing.T) {
-	ds, cfg := smallDataset(t, 2)
-	_, _, gnn := newModels(cfg, 4)
-	// Train the GNN stage on truth-level graphs (decoupled from stages
-	// 1-3) with a short full-graph loop.
-	var egs []*EventGraph
-	for i, ev := range ds.Events {
-		egs = append(egs, TruthLevelGraph(cfg.Spec, ev, 1.5, uint64(100+i)))
-	}
-	if _, err := FitGNN(context.Background(), kernels.Context{}, gnn, egs, 30, 3e-3, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Stages 4 and 5 on the first graph: threshold the scores, take the
-	// connected components of what survives, match them to particles.
-	eg := egs[0]
-	scores := gnn.EdgeScoresCtx(kernels.Context{}, nil, eg.G.Src, eg.G.Dst, eg.X, eg.Y)
-	counts := metrics.FromScores(scores, eg.Label, cfg.GNNThreshold)
-	if counts.Precision() < 0.7 || counts.Recall() < 0.7 {
-		t.Fatalf("edge precision %.3f recall %.3f too low after training", counts.Precision(), counts.Recall())
-	}
-	keep := make([]bool, len(scores))
-	for k, s := range scores {
-		keep[k] = s >= cfg.GNNThreshold
-	}
-	labels, count := eg.G.FilterEdges(keep).ConnectedComponents()
-	var tracks [][]int
-	for _, c := range graph.ComponentMembers(labels, count) {
-		if len(c) >= cfg.MinTrackHits {
-			tracks = append(tracks, c)
-		}
-	}
-	hitParticle := make([]int, eg.Event.NumHits())
-	for i, h := range eg.Event.Hits {
-		hitParticle[i] = h.Particle
-	}
-	match := metrics.MatchTracks(tracks, hitParticle, eg.Event.TrackHits(cfg.MinTrackHits), cfg.MinTrackHits)
-	if match.Efficiency() < 0.3 {
-		t.Fatalf("track efficiency %.3f too low", match.Efficiency())
-	}
-	t.Logf("reconstruct: edgeP=%.3f edgeR=%.3f trackEff=%.3f fakeRate=%.3f tracks=%d",
-		counts.Precision(), counts.Recall(), match.Efficiency(), match.FakeRate(), len(tracks))
 }
 
 func TestTrainStages13EmptyInput(t *testing.T) {

@@ -103,7 +103,7 @@ func TestSpMMAddGatherMatchesUnfusedChain(t *testing.T) {
 	res := tensor.RandN(r, m, h, 1)
 
 	gathered := tensor.New(m, h)
-	tensor.GatherRowsInto(gathered, og, idx)
+	tensor.GatherRowsIntoCtx(kernels.Context{}, gathered, og, idx)
 	ref := res.Clone()
 	ref.AddInPlace(gathered)
 

@@ -1,8 +1,10 @@
 package tensor
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/kernels"
 	"repro/internal/rng"
 	"repro/internal/workspace"
 )
@@ -51,7 +53,7 @@ func TestElementwiseIntoZeroAllocs(t *testing.T) {
 		AddBiasInto(out, a, bias)
 		a.ColSumsInto(cs)
 		a.RowSumsInto(rs)
-		GatherRowsInto(gather, a, idx)
+		GatherRowsIntoCtx(kernels.Context{}, gather, a, idx)
 		ExtractColsInto(band, a, 2)
 	})
 	if allocs != 0 {
@@ -132,9 +134,11 @@ func TestIntoVariantsMatchReference(t *testing.T) {
 			idx[i] = r.Intn(m)
 		}
 		gat := New(len(idx), k)
-		GatherRowsInto(gat, c, idx)
-		if GatherRows(c, idx).MaxAbsDiff(gat) != 0 {
-			t.Fatalf("trial %d: GatherRowsInto differs", trial)
+		GatherRowsIntoCtx(kernels.Context{}, gat, c, idx)
+		for i, j := range idx {
+			if !slices.Equal(gat.Row(i), c.Row(j)) {
+				t.Fatalf("trial %d: GatherRowsIntoCtx row %d is not row %d", trial, i, j)
+			}
 		}
 
 		cc := New(m, 2*k)

@@ -510,14 +510,8 @@ func SplitCols[T fp.Float](m *Matrix[T], widths ...int) []*Matrix[T] {
 // GatherRows returns the matrix whose i-th row is m's row idx[i].
 func GatherRows[T fp.Float](m *Matrix[T], idx []int) *Matrix[T] {
 	out := NewOf[T](len(idx), m.cols)
-	GatherRowsInto(out, m, idx)
-	return out
-}
-
-// GatherRowsInto computes out[i] = m[idx[i]]. out must have shape
-// len(idx) × m.cols and must not alias m.
-func GatherRowsInto[T fp.Float](out, m *Matrix[T], idx []int) {
 	GatherRowsIntoCtx(kernels.Context{}, out, m, idx)
+	return out
 }
 
 // gatherCtx carries GatherRowsIntoCtx operands into capture-free
@@ -527,11 +521,12 @@ type gatherCtx[T fp.Float] struct {
 	idx    []int
 }
 
-// GatherRowsIntoCtx is GatherRowsInto under an explicit intra-op worker
-// budget.
+// GatherRowsIntoCtx computes out[i] = m[idx[i]] under the intra-op
+// worker budget kc; a row copy, so bitwise the same at every budget. out
+// must have shape len(idx) × m.cols and must not alias m.
 func GatherRowsIntoCtx[T fp.Float](kc kernels.Context, out, m *Matrix[T], idx []int) {
 	if out.rows != len(idx) || out.cols != m.cols {
-		panic("tensor: GatherRowsInto output shape mismatch")
+		panic("tensor: GatherRowsIntoCtx output shape mismatch")
 	}
 	parallel.ForWithN(kc.Cap(), len(idx), 256, gatherCtx[T]{out, m, idx},
 		pickBody[T, gatherCtx[T]](gatherRowsBody64, gatherRowsBody32))

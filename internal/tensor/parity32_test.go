@@ -134,7 +134,7 @@ func TestF32IntoKernelsZeroAllocs(t *testing.T) {
 		ScaleInto(out, 2.5, a)
 		AddBiasInto(out, a, bias)
 		AddBiasReLUInto(out, a, bias)
-		GatherRowsInto(gather, a, idx)
+		GatherRowsIntoCtx(kernels.Context{}, gather, a, idx)
 		GatherConcat3Into(gc3, a, idx, a, idx, b, idx)
 	})
 	if allocs != 0 {

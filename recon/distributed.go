@@ -9,7 +9,6 @@ import (
 	"repro/internal/dtrain"
 	"repro/internal/ignn"
 	"repro/internal/metrics"
-	"repro/internal/sampling"
 	"repro/internal/workspace"
 )
 
@@ -124,21 +123,7 @@ func TrainDistributed(ctx context.Context, graphs []*EventGraph, opts ...Option)
 		gnn.Steps = *set.gnnSteps
 	}
 
-	cfg := dtrain.DefaultConfig(gnn)
-	cfg.Epochs = set.gnnEpochs
-	cfg.BatchSize = set.batchSize
-	cfg.LR = set.gnnLR
-	cfg.PosWeight = set.gnnPosWeight
-	cfg.Ranks = set.ranks
-	cfg.Strategy = set.sync
-	cfg.BucketBytes = set.bucketBytes
-	cfg.BulkBatches = set.bulkBatches
-	cfg.GradBlocks = set.gradBlocks
-	cfg.KernelWorkers = set.kernelWorkers
-	cfg.Shadow = sampling.DefaultConfig()
-	cfg.Seed = set.seed
-
-	tr, err := dtrain.New(cfg)
+	tr, err := dtrain.New(trainerConfig(set, gnn))
 	if err != nil {
 		return nil, err
 	}
@@ -166,4 +151,23 @@ func TrainDistributed(ctx context.Context, graphs []*EventGraph, opts ...Option)
 		return res, trainErr
 	}
 	return res, nil
+}
+
+// trainerConfig maps the options onto a dtrain configuration for the
+// given GNN shape: the one place TrainDistributed and Fit's stage 4 read
+// epochs, learning rate, positive weight, kernel workers and seed from.
+func trainerConfig(set settings, gnn ignn.Config) dtrain.Config {
+	cfg := dtrain.DefaultConfig(gnn)
+	cfg.Epochs = set.gnnEpochs
+	cfg.BatchSize = set.batchSize
+	cfg.LR = set.gnnLR
+	cfg.PosWeight = set.gnnPosWeight
+	cfg.Ranks = set.ranks
+	cfg.Strategy = set.sync
+	cfg.BucketBytes = set.bucketBytes
+	cfg.BulkBatches = set.bulkBatches
+	cfg.GradBlocks = set.gradBlocks
+	cfg.KernelWorkers = set.kernelWorkers
+	cfg.Seed = set.seed
+	return cfg
 }

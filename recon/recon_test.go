@@ -3,9 +3,12 @@ package recon_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/detector"
@@ -299,4 +302,108 @@ func TestFitCancelled(t *testing.T) {
 	if err := r.Fit(ctx, ds.Events); err != context.Canceled {
 		t.Fatalf("Fit under cancelled ctx: got %v, want context.Canceled", err)
 	}
+}
+
+// countdownCtx answers Err with nil for its first left calls and with
+// context.Canceled from then on, so a test can stop Fit at every point
+// where it looks at the context.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelledFitServesSavedWeights: wherever Fit is cancelled — in
+// stages 1–3, between them and the GNN, or inside GNN training — the
+// reduced-precision forwards serve the weights SaveCheckpoint writes,
+// i.e. what a fresh reconstructor loaded from that file serves.
+func TestCancelledFitServesSavedWeights(t *testing.T) {
+	ds := testDataset(t, 0.01, 2, 35)
+	ev := ds.Events[0]
+	path := filepath.Join(t.TempDir(), "fit.ckpt.gz")
+	for _, prec := range []recon.Precision{recon.Float32, recon.Int8} {
+		opts := []recon.Option{recon.WithSeed(4), recon.WithGNN(8, 2), recon.WithGNNTraining(2, 3e-3, 2.0), recon.WithPrecision(prec)}
+		fit := func(left int64) (*recon.Reconstructor, *countdownCtx, error) {
+			t.Helper()
+			r, err := recon.New(ds.Spec, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := &countdownCtx{Context: context.Background()}
+			ctx.left.Store(left)
+			return r, ctx, r.Fit(ctx, ds.Events)
+		}
+		// An uncancelled Fit counts the context checks to sweep over.
+		_, probe, err := fit(math.MaxInt64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checks := math.MaxInt64 - probe.left.Load()
+		for k := int64(0); k < checks; k++ {
+			r, _, err := fit(k)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%v, cancelled at check %d of %d: Fit returned %v", prec, k, checks, err)
+			}
+			if err := r.SaveCheckpoint(path); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := recon.New(ds.Spec, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := loaded.LoadCheckpoint(path); err != nil {
+				t.Fatal(err)
+			}
+			got, err := r.Reconstruct(context.Background(), ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := loaded.Reconstruct(context.Background(), ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v, cancelled at check %d of %d: Reconstruct serves other weights than SaveCheckpoint wrote", prec, k, checks)
+			}
+		}
+	}
+}
+
+// TestReconstructAfterGNNTraining: Fit's GNN stage, trained full-graph
+// on truth-level graphs, clears the quality floors through stages 4 and
+// 5 on the first training graph.
+func TestReconstructAfterGNNTraining(t *testing.T) {
+	ds := testDataset(t, 0.04, 2, 21)
+	r, err := recon.New(ds.Spec, recon.WithTruthLevelGraphs(1.5), recon.WithGNN(16, 2),
+		recon.WithGNNTraining(30, 3e-3, 1), recon.WithSeed(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := r.Fit(ctx, ds.Events); err != nil {
+		t.Fatal(err)
+	}
+	eg, err := r.BuildGraph(ctx, ds.Events[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.ReconstructOn(ctx, eg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := res.EdgeCounts
+	if counts.Precision() < 0.7 || counts.Recall() < 0.7 {
+		t.Fatalf("edge precision %.3f recall %.3f too low after training", counts.Precision(), counts.Recall())
+	}
+	if res.Match.Efficiency() < 0.3 {
+		t.Fatalf("track efficiency %.3f too low", res.Match.Efficiency())
+	}
+	t.Logf("reconstruct: edgeP=%.3f edgeR=%.3f trackEff=%.3f fakeRate=%.3f tracks=%d",
+		counts.Precision(), counts.Recall(), res.Match.Efficiency(), res.Match.FakeRate(), len(res.Tracks))
 }

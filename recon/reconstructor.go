@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime/debug"
 
+	"repro/internal/dtrain"
 	"repro/internal/embed"
 	"repro/internal/filter"
 	"repro/internal/fp"
@@ -180,11 +181,12 @@ func resolveStages[T fp.Float](r *Reconstructor, fw *forwards[T]) {
 
 // syncInference refreshes the reduced-precision forwards from the
 // models' float64 parameters. Called at construction and after every
-// operation that rewrites the weights (Fit, LoadCheckpoint); a no-op at
-// Float64, where the stage models' inference views alias the training
-// parameters' own storage and have nothing to refresh. Int8 is a
-// storage format: its forwards are the Float32 forwards over the
-// weights rounded to the int8 grid (int8Models). Must not race
+// operation that rewrites the weights (Fit, on every return path, and
+// LoadCheckpoint); a no-op at Float64, where the stage models'
+// inference views alias the training parameters' own storage and have
+// nothing to refresh. Int8 is a storage format: its forwards are the
+// Float32 forwards over the weights rounded to the int8 grid
+// (int8Models). Must not race
 // concurrent inference — the Reconstructor is documented as safe for
 // concurrent use only once training is done.
 func (r *Reconstructor) syncInference() {
@@ -371,6 +373,14 @@ func (r *Reconstructor) reconstructOnWith(ctx context.Context, a *Arena, eg *Eve
 // the default GNN stage on graphs built by the configured GraphBuilder,
 // and any custom stage implementing Fitter. Custom stages without a
 // Fitter are assumed training-free.
+//
+// The default GNN stage trains full-graph on the trainer
+// TrainDistributed runs (internal/dtrain with SamplerFullGraph at one
+// rank): one optimizer step per event graph, and a graph whose
+// activations exceed the modelled device is skipped. It keeps its
+// pre-Fit weights unless that training completes. Whenever Fit returns,
+// cancelled or not, every precision serves the weights SaveCheckpoint
+// writes.
 func (r *Reconstructor) Fit(ctx context.Context, events []*Event) error {
 	if len(events) == 0 {
 		return errors.New("recon: Fit needs at least one training event")
@@ -379,6 +389,7 @@ func (r *Reconstructor) Fit(ctx context.Context, events []*Event) error {
 	// calibrates on from here on; any previously calibrated scales are
 	// stale the moment the weights move.
 	r.calEvents, r.i8scales = events, nil
+	defer r.syncInference()
 	embedDefault, filterDefault := isDefault(r.embedder), isDefault(r.filter)
 	// Training is serial: its tapes run under the serial entry points'
 	// budget (WithKernelWorkers).
@@ -423,15 +434,27 @@ func (r *Reconstructor) Fit(ctx context.Context, events []*Event) error {
 			}
 			graphs = append(graphs, eg)
 		}
-		if _, err := pipeline.FitGNN(ctx, kc, r.gnnModel, graphs, r.set.gnnEpochs, r.set.gnnLR, r.set.gnnPosWeight); err != nil {
+		cfg := trainerConfig(r.set, r.cfg.GNN)
+		cfg.Sampler, cfg.Ranks = dtrain.SamplerFullGraph, 1
+		tr, err := dtrain.New(cfg)
+		if err != nil {
 			return err
 		}
+		defer tr.Close() // in-process pipes: nothing to report
+		// The trainer owns its replica: the model's values go in before
+		// training and come back into the same storage after it, which the
+		// Float64 adapters alias.
+		own := r.gnnModel.Params()
+		buf := make([]float64, nn.ParamElements(own))
+		nn.FlattenParams(own, buf)
+		nn.UnflattenParams(tr.Params(), buf)
+		if _, err := tr.Train(ctx, graphs); err != nil {
+			return err
+		}
+		nn.FlattenParams(tr.Params(), buf)
+		nn.UnflattenParams(own, buf)
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	r.syncInference()
-	return nil
+	return ctx.Err()
 }
 
 // params walks the five stages in order and collects the trainable

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/autograd"
 	"repro/internal/detector"
 	"repro/internal/embed"
 	"repro/internal/filter"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/pipeline"
+	"repro/internal/rng"
 	"repro/internal/tensor"
 	"repro/internal/workspace"
 )
@@ -108,6 +110,67 @@ func TestReconstructMatchesStraightLineReference(t *testing.T) {
 		}
 		if edges == 0 {
 			t.Fatalf("%v: no edge reached the GNN on any test event; the comparison is vacuous", prec)
+		}
+	}
+}
+
+// TestFitMatchesStraightLineReference: Fit's GNN stage leaves exactly
+// the weights of a straight-line full-graph Adam loop from the same
+// starting values: per epoch, per graph with edges in BuildGraph order,
+// one step on the summed loss's gradient divided by the edge count.
+func TestFitMatchesStraightLineReference(t *testing.T) {
+	spec := detector.Ex3Like(0.02)
+	spec.NumEvents = 3
+	events := detector.Generate(spec, 47).Events
+	const epochs, lr, posWeight = 3, 3e-3, 2.0
+	r, err := New(spec, WithSeed(5), WithGNN(8, 2), WithGNNTraining(epochs, lr, posWeight), WithTruthLevelGraphs(1.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// Truth-level graphs do not depend on the weights: build them once.
+	graphs := make([]*EventGraph, len(events))
+	for i, ev := range events {
+		if graphs[i], err = r.BuildGraph(ctx, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := ignn.New(r.cfg.GNN, rng.New(0))
+	params := ref.Params()
+	for i, p := range r.gnnModel.Params() {
+		copy(params[i].Value.Data(), p.Value.Data())
+	}
+	if err := r.Fit(ctx, events); err != nil {
+		t.Fatal(err)
+	}
+
+	opt := nn.NewAdam(lr)
+	for epoch := 0; epoch < epochs; epoch++ {
+		for _, eg := range graphs {
+			if eg.NumEdges() == 0 {
+				continue
+			}
+			nn.ZeroGrads(params)
+			tape := autograd.NewTape()
+			loss := tape.BCEWithLogitsSum(ref.Forward(tape, eg.G.Src, eg.G.Dst, eg.X, eg.Y), eg.Label, posWeight)
+			tape.Backward(loss)
+			inv := 1 / float64(eg.NumEdges())
+			for _, p := range params {
+				g := p.Grad.Data()
+				for i := range g {
+					g[i] *= inv
+				}
+			}
+			opt.Step(params)
+		}
+	}
+
+	for i, p := range r.gnnModel.Params() {
+		want := params[i].Value.Data()
+		for j, v := range p.Value.Data() {
+			if math.Float64bits(v) != math.Float64bits(want[j]) {
+				t.Fatalf("parameter %q[%d]: Fit left %v, the straight-line loop %v", p.Name, j, v, want[j])
+			}
 		}
 	}
 }
