@@ -38,6 +38,7 @@ import (
 	"repro"
 	"repro/internal/gpumem"
 	"repro/internal/graph"
+	"repro/internal/kernels"
 	"repro/internal/pipeline"
 	"repro/internal/rng"
 	"repro/internal/sampling"
@@ -313,7 +314,7 @@ func suite(quick bool) []namedBench {
 			out := tensor.New(4096, 64)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tensor.MatMulInto(out, a, w)
+				tensor.MatMulIntoCtx(kernels.Context{}, out, a, w)
 			}
 		}},
 		{"BenchmarkMatMulT", func(b *testing.B) {
@@ -358,7 +359,7 @@ func suite(quick bool) []namedBench {
 			out := tensor.New(4096, 64)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tensor.AddBiasReLUInto(out, x, bias)
+				tensor.AddBiasReLUIntoCtx(kernels.Context{}, out, x, bias)
 			}
 		}},
 		{"BenchmarkGatherConcat3Into", func(b *testing.B) {
@@ -374,7 +375,7 @@ func suite(quick bool) []namedBench {
 			out := tensor.New(8192, 16+64+64)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tensor.GatherConcat3Into(out, e, nil, x, src, x, dst)
+				tensor.GatherConcat3IntoCtx(kernels.Context{}, out, e, nil, x, src, x, dst)
 			}
 		}},
 		{"BenchmarkSpMMAddInto", func(b *testing.B) {

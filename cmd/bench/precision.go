@@ -136,7 +136,7 @@ func precisionSuite() []namedBench {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				out := tensor.New(4096, 64)
-				tensor.AddBiasReLUInto(out, x, bias)
+				tensor.AddBiasReLUIntoCtx(kernels.Context{}, out, x, bias)
 			}
 		}},
 		{"BenchmarkAddBiasReLU_f32", func(b *testing.B) {
@@ -145,7 +145,7 @@ func precisionSuite() []namedBench {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				out := tensor.NewOf[float32](4096, 64)
-				tensor.AddBiasReLUInto(out, x, bias)
+				tensor.AddBiasReLUIntoCtx(kernels.Context{}, out, x, bias)
 			}
 		}},
 		{"BenchmarkGatherConcat3_f64", func(b *testing.B) {
@@ -155,7 +155,7 @@ func precisionSuite() []namedBench {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				out := tensor.New(8192, 16+64+64)
-				tensor.GatherConcat3Into(out, e, nil, x, src, x, dst)
+				tensor.GatherConcat3IntoCtx(kernels.Context{}, out, e, nil, x, src, x, dst)
 			}
 		}},
 		{"BenchmarkGatherConcat3_f32", func(b *testing.B) {
@@ -165,7 +165,7 @@ func precisionSuite() []namedBench {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				out := tensor.NewOf[float32](8192, 16+64+64)
-				tensor.GatherConcat3Into(out, e, nil, x, src, x, dst)
+				tensor.GatherConcat3IntoCtx(kernels.Context{}, out, e, nil, x, src, x, dst)
 			}
 		}},
 		{"BenchmarkEngine_Reconstruct_f64", func(b *testing.B) {

@@ -100,7 +100,7 @@ func TestInferenceDegenerateEvents(t *testing.T) {
 
 	hit32, edge32 := tensor.ConvertFrom[float32](nil, oneHit), tensor.ConvertFrom[float32](nil, edgeFeat)
 	in := tensor.NewOf[float32](len(loops), 2*cfg.NodeFeatures+cfg.EdgeFeatures)
-	tensor.GatherConcat3Into(in, hit32, loops, hit32, loops, edge32, nil)
+	tensor.GatherConcat3IntoCtx(kernels.Context{}, in, hit32, loops, hit32, loops, edge32, nil)
 	logits := inf32.mlp.Forward(kernels.Context{}, nil, tensor.Seg[float32]{M: in})
 	want := make([]float64, len(loops))
 	for i := range want {

@@ -16,7 +16,7 @@ func TestMatMulIntoZeroAllocs(t *testing.T) {
 	a, b := benchMat(6, 9, 1), benchMat(9, 7, 2)
 	out := New(6, 7)
 	allocs := testing.AllocsPerRun(100, func() {
-		MatMulInto(out, a, b)
+		MatMulIntoCtx(kernels.Context{}, out, a, b)
 	})
 	if allocs != 0 {
 		t.Fatalf("MatMulInto allocated %.1f per run, want 0", allocs)
@@ -71,7 +71,7 @@ func TestIntoVariantsMatchReference(t *testing.T) {
 		a, b := RandN(r, m, k, 1), RandN(r, k, n, 1)
 		out := New(m, n)
 		out.Fill(777)
-		MatMulInto(out, a, b)
+		MatMulIntoCtx(kernels.Context{}, out, a, b)
 		if MatMul(a, b).MaxAbsDiff(out) != 0 {
 			t.Fatalf("trial %d: MatMulInto differs", trial)
 		}

@@ -34,7 +34,7 @@ func BenchmarkMatMulInto(b *testing.B) {
 	out := New(4096, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulInto(out, a, w)
+		MatMulIntoCtx(kernels.Context{}, out, a, w)
 	}
 }
 
@@ -91,7 +91,7 @@ func BenchmarkAddBiasReLUInto(b *testing.B) {
 	out := New(4096, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AddBiasReLUInto(out, x, bias)
+		AddBiasReLUIntoCtx(kernels.Context{}, out, x, bias)
 	}
 }
 
@@ -110,7 +110,7 @@ func BenchmarkGatherConcat3Into(b *testing.B) {
 	out := New(8192, 16+64+64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GatherConcat3Into(out, e, nil, x, src, x, dst)
+		GatherConcat3IntoCtx(kernels.Context{}, out, e, nil, x, src, x, dst)
 	}
 }
 

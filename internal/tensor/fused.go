@@ -17,15 +17,10 @@ import (
 // intermediate materialization (one full write + read of each
 // intermediate matrix).
 
-// AddBiasReLUInto computes out = max(0, m + bias) in one pass, fusing
-// AddBiasInto + ReLU: the sum never round-trips through memory. bias is
-// a 1×cols row vector; out may alias m.
-func AddBiasReLUInto[T fp.Float](out, m, bias *Matrix[T]) {
-	AddBiasReLUIntoCtx(kernels.Context{}, out, m, bias)
-}
-
-// AddBiasReLUIntoCtx is AddBiasReLUInto under an explicit intra-op
-// worker budget; bitwise identical at every worker count.
+// AddBiasReLUIntoCtx computes out = max(0, m + bias) in one pass,
+// fusing AddBiasInto + ReLU: the sum never round-trips through memory.
+// bias is a 1×cols row vector; out may alias m. Bitwise identical at
+// every worker count.
 func AddBiasReLUIntoCtx[T fp.Float](kc kernels.Context, out, m, bias *Matrix[T]) {
 	if bias.rows != 1 || bias.cols != m.cols {
 		panic(fmt.Sprintf("tensor: AddBiasReLU bias %dx%d vs matrix cols %d", bias.rows, bias.cols, m.cols))
@@ -66,21 +61,6 @@ func (s gcSegment[T]) rowsOut() int {
 	return s.m.rows
 }
 
-// GatherConcat3Into fuses the gather+concat chain of the edge-feature
-// assembly: out[i] = [rowA(i) ‖ rowB(i) ‖ rowC(i)], where each segment's
-// row i is m.Row(idx[i]) when its idx is non-nil and m.Row(i) otherwise.
-// One pass writes each output row in place — the per-segment gathered
-// matrices and the concat intermediate are never materialized, cutting
-// the chain's memory traffic roughly in half. out must not alias any
-// input.
-//
-// This covers both hot shapes in the pipeline: the Interaction GNN's
-// message input [Y' ‖ X'[src] ‖ X'[dst]] and the edge filter's
-// [X[src] ‖ X[dst] ‖ EdgeFeat].
-func GatherConcat3Into[T fp.Float](out, a *Matrix[T], aIdx []int, b *Matrix[T], bIdx []int, c *Matrix[T], cIdx []int) {
-	GatherConcat3IntoCtx(kernels.Context{}, out, a, aIdx, b, bIdx, c, cIdx)
-}
-
 // gc3Ctx carries GatherConcat3IntoCtx operands into capture-free
 // parallel bodies.
 type gc3Ctx[T fp.Float] struct {
@@ -88,8 +68,17 @@ type gc3Ctx[T fp.Float] struct {
 	a, b, c gcSegment[T]
 }
 
-// GatherConcat3IntoCtx is GatherConcat3Into under an explicit intra-op
-// worker budget; bitwise identical at every worker count.
+// GatherConcat3IntoCtx fuses the gather+concat chain of the
+// edge-feature assembly: out[i] = [rowA(i) ‖ rowB(i) ‖ rowC(i)], where
+// each segment's row i is m.Row(idx[i]) when its idx is non-nil and
+// m.Row(i) otherwise. One pass writes each output row in place — the
+// per-segment gathered matrices and the concat intermediate are never
+// materialized, cutting the chain's memory traffic roughly in half. out
+// must not alias any input. Bitwise identical at every worker count.
+//
+// This covers both hot shapes in the pipeline: the Interaction GNN's
+// message input [Y' ‖ X'[src] ‖ X'[dst]] and the edge filter's
+// [X[src] ‖ X[dst] ‖ EdgeFeat].
 func GatherConcat3IntoCtx[T fp.Float](kc kernels.Context, out, a *Matrix[T], aIdx []int, b *Matrix[T], bIdx []int, c *Matrix[T], cIdx []int) {
 	segA, segB, segC := gcSegment[T]{a, aIdx}, gcSegment[T]{b, bIdx}, gcSegment[T]{c, cIdx}
 	rows := segA.rowsOut()

@@ -1,0 +1,268 @@
+#include "textflag.h"
+
+// AVX tile kernels for gemmBody. Each vector lane is one output column
+// doing microGEMM4 / microGEMM2's scalar arithmetic, per quad
+// t = a0·B0; t = t + a1·B1; t = t + a2·B2; t = t + a3·B3; c = c + t,
+// then per tail element c = c + a·B; tiled.go's file comment states the
+// contract and why the operand order below (a first in a multiply, the
+// accumulator first in an add, +0 second in the ReLU max) matters.
+// In Go's operand order the middle operand of a three-operand
+// instruction is its first source. Zero tests use predicate 4, NEQ_UQ:
+// NaN is nonzero and -0 is zero.
+
+// F64QUAD adds one quad of row ap into acc against the panel quad in
+// Y4..Y7, unless the row's four a values all equal zero. Y8 holds +0;
+// Y9, Y10, Y11 and AX are clobbered.
+#define F64QUAD(ap, acc, skip) \
+	VCMPPD       $4, (ap), Y8, Y9; \
+	VMOVMSKPD    Y9, AX; \
+	TESTL        AX, AX; \
+	JZ           skip; \
+	VBROADCASTSD 0(ap), Y10; \
+	VMULPD       Y4, Y10, Y10; \
+	VBROADCASTSD 8(ap), Y11; \
+	VMULPD       Y5, Y11, Y11; \
+	VADDPD       Y11, Y10, Y10; \
+	VBROADCASTSD 16(ap), Y11; \
+	VMULPD       Y6, Y11, Y11; \
+	VADDPD       Y11, Y10, Y10; \
+	VBROADCASTSD 24(ap), Y11; \
+	VMULPD       Y7, Y11, Y11; \
+	VADDPD       Y11, Y10, Y10; \
+	VADDPD       Y10, acc, acc
+
+// F64TAIL adds a[0]·B into acc against the panel row in Y4, unless
+// a[0] == 0. Y8 holds +0; Y9, Y10 and AX are clobbered.
+#define F64TAIL(ap, acc, skip) \
+	VBROADCASTSD 0(ap), Y9; \
+	VCMPPD       $4, Y8, Y9, Y10; \
+	VMOVMSKPD    Y10, AX; \
+	TESTL        AX, AX; \
+	JZ           skip; \
+	VMULPD       Y4, Y9, Y9; \
+	VADDPD       Y9, acc, acc
+
+// func gemmTile4x4F64(o *float64, n int, a *float64, panel *float64, k int, bias *float64, relu bool)
+TEXT ·gemmTile4x4F64(SB), NOSPLIT, $0-49
+	MOVQ o+0(FP), DI
+	MOVQ n+8(FP), DX
+	SHLQ $3, DX
+	MOVQ a+16(FP), SI
+	MOVQ panel+24(FP), BX
+	MOVQ k+32(FP), CX
+	LEAQ (SI)(CX*8), R8
+	LEAQ (R8)(CX*8), R9
+	LEAQ (R9)(CX*8), R10
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y8, Y8, Y8
+
+	MOVQ CX, R11
+	SHRQ $2, R11
+	JZ   f64tail
+
+f64quad:
+	VMOVUPD 0(BX), Y4
+	VMOVUPD 32(BX), Y5
+	VMOVUPD 64(BX), Y6
+	VMOVUPD 96(BX), Y7
+
+	F64QUAD(SI, Y0, f64q1)
+
+f64q1:
+	F64QUAD(R8, Y1, f64q2)
+
+f64q2:
+	F64QUAD(R9, Y2, f64q3)
+
+f64q3:
+	F64QUAD(R10, Y3, f64qnext)
+
+f64qnext:
+	ADDQ $32, SI
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $128, BX
+	DECQ R11
+	JNZ  f64quad
+
+f64tail:
+	ANDQ $3, CX
+	JZ   f64store
+
+f64tailloop:
+	VMOVUPD 0(BX), Y4
+	F64TAIL(SI, Y0, f64t1)
+
+f64t1:
+	F64TAIL(R8, Y1, f64t2)
+
+f64t2:
+	F64TAIL(R9, Y2, f64t3)
+
+f64t3:
+	F64TAIL(R10, Y3, f64tnext)
+
+f64tnext:
+	ADDQ $8, SI
+	ADDQ $8, R8
+	ADDQ $8, R9
+	ADDQ $8, R10
+	ADDQ $32, BX
+	DECQ CX
+	JNZ  f64tailloop
+
+f64store:
+	// Epilogue: c = c + bias, then max(c, +0), which is +0 for NaN,
+	// -0 and every c <= 0, as addBiasRow's s > 0 test gives.
+	MOVQ  bias+40(FP), AX
+	TESTQ AX, AX
+	JZ    f64out
+	VMOVUPD (AX), Y9
+	VADDPD  Y9, Y0, Y0
+	VADDPD  Y9, Y1, Y1
+	VADDPD  Y9, Y2, Y2
+	VADDPD  Y9, Y3, Y3
+	CMPB    relu+48(FP), $0
+	JEQ     f64out
+	VMAXPD  Y8, Y0, Y0
+	VMAXPD  Y8, Y1, Y1
+	VMAXPD  Y8, Y2, Y2
+	VMAXPD  Y8, Y3, Y3
+
+f64out:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(DX*1)
+	LEAQ    (DI)(DX*2), DI
+	VMOVUPD Y2, (DI)
+	VMOVUPD Y3, (DI)(DX*1)
+	VZEROUPPER
+	RET
+
+// F32QUAD is F64QUAD at float32 width: one XMM of four columns.
+#define F32QUAD(ap, acc, skip) \
+	VCMPPS       $4, (ap), X8, X9; \
+	VMOVMSKPS    X9, AX; \
+	TESTL        AX, AX; \
+	JZ           skip; \
+	VBROADCASTSS 0(ap), X10; \
+	VMULPS       X4, X10, X10; \
+	VBROADCASTSS 4(ap), X11; \
+	VMULPS       X5, X11, X11; \
+	VADDPS       X11, X10, X10; \
+	VBROADCASTSS 8(ap), X11; \
+	VMULPS       X6, X11, X11; \
+	VADDPS       X11, X10, X10; \
+	VBROADCASTSS 12(ap), X11; \
+	VMULPS       X7, X11, X11; \
+	VADDPS       X11, X10, X10; \
+	VADDPS       X10, acc, acc
+
+// F32TAIL is F64TAIL at float32 width.
+#define F32TAIL(ap, acc, skip) \
+	VBROADCASTSS 0(ap), X9; \
+	VCMPPS       $4, X8, X9, X10; \
+	VMOVMSKPS    X10, AX; \
+	TESTL        AX, AX; \
+	JZ           skip; \
+	VMULPS       X4, X9, X9; \
+	VADDPS       X9, acc, acc
+
+// func gemmTile2x4F32(o *float32, n int, a *float32, panel *float32, k int, bias *float32, relu bool)
+TEXT ·gemmTile2x4F32(SB), NOSPLIT, $0-49
+	MOVQ o+0(FP), DI
+	MOVQ n+8(FP), DX
+	SHLQ $2, DX
+	MOVQ a+16(FP), SI
+	MOVQ panel+24(FP), BX
+	MOVQ k+32(FP), CX
+	LEAQ (SI)(CX*4), R8
+
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X8, X8, X8
+
+	MOVQ CX, R11
+	SHRQ $2, R11
+	JZ   f32tail
+
+f32quad:
+	VMOVUPS 0(BX), X4
+	VMOVUPS 16(BX), X5
+	VMOVUPS 32(BX), X6
+	VMOVUPS 48(BX), X7
+
+	F32QUAD(SI, X0, f32q1)
+
+f32q1:
+	F32QUAD(R8, X1, f32qnext)
+
+f32qnext:
+	ADDQ $16, SI
+	ADDQ $16, R8
+	ADDQ $64, BX
+	DECQ R11
+	JNZ  f32quad
+
+f32tail:
+	ANDQ $3, CX
+	JZ   f32store
+
+f32tailloop:
+	VMOVUPS 0(BX), X4
+	F32TAIL(SI, X0, f32t1)
+
+f32t1:
+	F32TAIL(R8, X1, f32tnext)
+
+f32tnext:
+	ADDQ $4, SI
+	ADDQ $4, R8
+	ADDQ $16, BX
+	DECQ CX
+	JNZ  f32tailloop
+
+f32store:
+	MOVQ  bias+40(FP), AX
+	TESTQ AX, AX
+	JZ    f32out
+	VMOVUPS (AX), X9
+	VADDPS  X9, X0, X0
+	VADDPS  X9, X1, X1
+	CMPB    relu+48(FP), $0
+	JEQ     f32out
+	VMAXPS  X8, X0, X0
+	VMAXPS  X8, X1, X1
+
+f32out:
+	VMOVUPS X0, (DI)
+	VMOVUPS X1, (DI)(DX*1)
+	VZEROUPPER
+	RET
+
+// func cpuHasAVX() bool
+// CPUID.1:ECX must report OSXSAVE (bit 27) and AVX (bit 28), and XCR0
+// must show the OS saving XMM (bit 1) and YMM (bit 2) state.
+TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  noavx
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  noavx
+	MOVB $1, ret+0(FP)
+	RET
+
+noavx:
+	MOVB $0, ret+0(FP)
+	RET
+

@@ -43,18 +43,13 @@ var (
 // MatMul returns a×b. Panics on an inner-dimension mismatch.
 func MatMul[T fp.Float](a, b *Matrix[T]) *Matrix[T] {
 	out := NewOf[T](a.rows, b.cols)
-	MatMulInto(out, a, b)
+	MatMulIntoCtx(kernels.Context{}, out, a, b)
 	return out
 }
 
-// MatMulInto computes out = a×b. out must be preallocated with shape
-// a.rows × b.cols and must not alias a or b. Steady-state calls perform
-// no heap allocation.
-func MatMulInto[T fp.Float](out, a, b *Matrix[T]) {
-	MatMulIntoCtx(kernels.Context{}, out, a, b)
-}
-
-// MatMulIntoCtx is MatMulInto under an explicit intra-op worker budget.
+// MatMulIntoCtx computes out = a×b under an explicit intra-op worker
+// budget. out must be preallocated with shape a.rows × b.cols and must
+// not alias a or b. Steady-state calls perform no heap allocation.
 // It is the one-segment, no-epilogue call of the packed-panel GEMM in
 // tiled.go, whose file comment states the accumulation contract: a is
 // read in place, and row blocks partition statically, so the result is

@@ -125,7 +125,7 @@ func TestF32IntoKernelsZeroAllocs(t *testing.T) {
 	gather := NewOf[float32](4, 8)
 	gc3 := NewOf[float32](4, 24)
 	allocs := testing.AllocsPerRun(100, func() {
-		MatMulInto(mm, a, b)
+		MatMulIntoCtx(kernels.Context{}, mm, a, b)
 		MatMulTInto(mm, a, b)
 		TMatMulInto(mm, a, b)
 		AddInto(out, a, b)
@@ -133,9 +133,9 @@ func TestF32IntoKernelsZeroAllocs(t *testing.T) {
 		MulInto(out, a, b)
 		ScaleInto(out, 2.5, a)
 		AddBiasInto(out, a, bias)
-		AddBiasReLUInto(out, a, bias)
+		AddBiasReLUIntoCtx(kernels.Context{}, out, a, bias)
 		GatherRowsIntoCtx(kernels.Context{}, gather, a, idx)
-		GatherConcat3Into(gc3, a, idx, a, idx, b, idx)
+		GatherConcat3IntoCtx(kernels.Context{}, gc3, a, idx, a, idx, b, idx)
 	})
 	if allocs != 0 {
 		t.Fatalf("f32 Into kernels allocated %.1f per run, want 0", allocs)

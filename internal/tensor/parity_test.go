@@ -167,8 +167,8 @@ func TestFusedKernelsZeroAllocsWarm(t *testing.T) {
 	outGC := New(6, 8+8+4)
 	outBand := New(8, 4)
 	allocs := testing.AllocsPerRun(100, func() {
-		AddBiasReLUInto(outRelu, m, bias)
-		GatherConcat3Into(outGC, m, idx, m, idx, e, nil)
+		AddBiasReLUIntoCtx(kernels.Context{}, outRelu, m, bias)
+		GatherConcat3IntoCtx(kernels.Context{}, outGC, m, idx, m, idx, e, nil)
 		ScatterAddRowsBand(outBand, outGC, 2, idx)
 	})
 	if allocs != 0 {

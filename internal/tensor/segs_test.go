@@ -106,25 +106,29 @@ func testMatMulSegsMatchesChain[T fp.Float](t *testing.T, seed uint64) {
 }
 
 func TestMatMulSegsMatchesChainBitwise(t *testing.T) {
-	testMatMulSegsMatchesChain[float64](t, 500)
+	forEachGEMMKernel(t, func(t *testing.T) { testMatMulSegsMatchesChain[float64](t, 500) })
 }
 
 func TestMatMulSegsMatchesChainBitwiseF32(t *testing.T) {
-	testMatMulSegsMatchesChain[float32](t, 600)
+	forEachGEMMKernel(t, func(t *testing.T) { testMatMulSegsMatchesChain[float32](t, 600) })
 }
 
 // TestMatMulSegsWideOutput crosses the gemmJB column-block boundary, so
 // a row block is gathered once per column block and the epilogue runs
 // per block tile.
 func TestMatMulSegsWideOutput(t *testing.T) {
+	forEachGEMMKernel(t, testMatMulSegsWideOutput)
+}
+
+func testMatMulSegsWideOutput(t *testing.T) {
 	r := rng.New(11)
 	c := drawSegs[float64](r, 13, 1)
 	n := gemmJB + 7
 	b := RandN(r, c.cat.Cols(), n, 1)
 	bias := RandN(r, 1, n, 1)
 	want := New(13, n)
-	MatMulInto(want, c.cat, b)
-	AddBiasReLUInto(want, want, bias)
+	MatMulIntoCtx(kernels.Context{}, want, c.cat, b)
+	AddBiasReLUIntoCtx(kernels.Context{}, want, want, bias)
 	for _, w := range parityWorkers {
 		got := New(13, n)
 		MatMulSegsIntoCtx(kernels.Context{Workers: w}, got, b, bias, true, c.segs...)
@@ -137,6 +141,10 @@ func TestMatMulSegsWideOutput(t *testing.T) {
 // the zero quads and tail elements of the gathered rows must keep
 // Inf/NaN in the b rows they hit out of the accumulators.
 func TestMatMulSegsZeroSkipMasksSpecialValues(t *testing.T) {
+	forEachGEMMKernel(t, testMatMulSegsZeroSkipMasksSpecialValues)
+}
+
+func testMatMulSegsZeroSkipMasksSpecialValues(t *testing.T) {
 	const m, k, n = 6, 9, 10
 	r := rng.New(7)
 	a := RandN(r, m, k, 1)

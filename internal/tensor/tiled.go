@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/fp"
 	"repro/internal/kernels"
@@ -36,6 +37,26 @@ import (
 // have built, and the epilogue performs AddBias[ReLU]IntoCtx's
 // arithmetic on the stored sum, so MatMulSegsIntoCtx equals that
 // three-kernel chain bit for bit.
+//
+// Two implementations meet this contract. The Go micro-kernels
+// (microGEMM4/2/1 with addBiasRow) run everywhere. On amd64 with AVX, a
+// full MR×4 tile instead runs gemm_amd64.s: 4×4 at float64 with one YMM
+// accumulator per row, 2×4 at float32 with one XMM per row, bias and
+// ReLU folded into the store. simdGEMM picks it once, at package init,
+// from a CPUID/XGETBV probe; remainder rows, a partial last panel and
+// k == 0 always take the Go path. Each vector lane is one output column
+// doing the scalar arithmetic above: separate multiplies and adds (no
+// FMA, which would round once instead of twice), the same quad
+// association, and a zero test that, like Go's !=, counts NaN as
+// nonzero and -0 as zero. Operand order matters only for NaN: when both
+// operands of an add or multiply are NaN, x86 returns the first, so the
+// kernel keeps the Go expressions' order (the a value first in a
+// multiply, the accumulator first in an add) and ReLU is max(s, +0),
+// which returns +0 for NaN as addBiasRow does. The Go compiler may
+// commute a floating add, so which of two different NaN payloads
+// survives is not pinned by either implementation; every other bit is.
+// The tests run both implementations (forEachGEMMKernel) and
+// FuzzMatMulSegs compares them directly.
 
 // gemmJB is the column-block width in output columns (a multiple of
 // the 4-wide panel): the packed panels for 64 columns fit L1 alongside
@@ -165,9 +186,12 @@ func packPanels[T fp.Float](bp []T, b *Matrix[T]) {
 // gemmBody computes rows [lo, hi) of the packed GEMM: column blocks of
 // gemmJB/4 panels outermost (so a block's panels stay hot across row
 // sweeps), MR-row blocks next, one micro-kernel call per (row-block,
-// panel), then the epilogue over the block's finished tile. A lone
-// direct segment is read where it lies; otherwise each row block's
-// virtual rows are first assembled in a per-chunk scratch.
+// panel), each tile finished by the epilogue. A full MR×4 tile runs the
+// AVX kernel when simdGEMM is set, with the epilogue folded into its
+// store; remainder rows, a partial last panel and k == 0 run the Go
+// micro-kernels and addBiasRow. A lone direct segment is read where it
+// lies; otherwise each row block's virtual rows are first assembled in
+// a per-chunk scratch.
 func gemmBody[T fp.Float](c gemmCtx[T], lo, hi int) {
 	out, k := c.out, c.k
 	n := out.cols
@@ -213,12 +237,18 @@ func gemmBody[T fp.Float](c gemmCtx[T], lo, hi int) {
 				}
 			}
 			for q := q0; q < q1; q++ {
-				w := n - q*4
-				if w > 4 {
-					w = 4
+				j := q * 4
+				w := min(n-j, 4)
+				panel := c.bp[j*k : j*k+4*k]
+				off := i*n + j
+				var bias []T
+				if c.bias != nil {
+					bias = c.bias[j : j+w]
 				}
-				panel := c.bp[q*4*k : q*4*k+4*k]
-				off := i*n + q*4
+				if simdGEMM && bs == mr && w == 4 && k > 0 {
+					tileKernel(out.data[off:], n, ad, panel, k, bias, c.relu)
+					continue
+				}
 				switch bs {
 				case 4:
 					microGEMM4(
@@ -231,19 +261,35 @@ func gemmBody[T fp.Float](c gemmCtx[T], lo, hi int) {
 				default:
 					microGEMM1(out.data[off:off+w], ad[:k], panel)
 				}
-			}
-			if c.bias != nil {
-				j0, j1 := q0*4, q1*4
-				if j1 > n {
-					j1 = n
-				}
-				for r := i; r < i+bs; r++ {
-					addBiasRow(out.data[r*n+j0:r*n+j1], c.bias[j0:j1], c.relu)
+				if bias != nil {
+					for r := off; r < off+bs*n; r += n {
+						addBiasRow(out.data[r:r+w], bias, c.relu)
+					}
 				}
 			}
 			i += bs
 		}
 	}
+}
+
+// tileKernel runs the AVX kernel on one full MR×4 tile: output rows
+// o[r*n : r*n+4] from rows a[r*k : (r+1)*k] against one packed panel,
+// with bias (nil for none) and relu folded into the store. The reslices
+// bound every address the kernel touches.
+func tileKernel[T fp.Float](o []T, n int, a, panel []T, k int, bias []T, relu bool) {
+	mr := gemmMR[T]()
+	o, a, panel = o[:(mr-1)*n+4], a[:mr*k], panel[:4*k]
+	var bp *T
+	if bias != nil {
+		bp = &bias[:4][0]
+	}
+	if fp.Is32[T]() {
+		gemmTile2x4F32((*float32)(unsafe.Pointer(&o[0])), n, (*float32)(unsafe.Pointer(&a[0])),
+			(*float32)(unsafe.Pointer(&panel[0])), k, (*float32)(unsafe.Pointer(bp)), relu)
+		return
+	}
+	gemmTile4x4F64((*float64)(unsafe.Pointer(&o[0])), n, (*float64)(unsafe.Pointer(&a[0])),
+		(*float64)(unsafe.Pointer(&panel[0])), k, (*float64)(unsafe.Pointer(bp)), relu)
 }
 
 // addBiasRow is the GEMM epilogue on one finished output row segment:

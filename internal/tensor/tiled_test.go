@@ -15,6 +15,25 @@ import (
 // remainders, non-multiple-of-4 column counts, and fewer rows than the
 // register block — and must mask Inf/NaN behind zero a values.
 
+// forEachGEMMKernel runs body on each tile implementation: first on the
+// Go micro-kernels with simdGEMM forced off, then on the AVX tile
+// kernel, which is skipped on a CPU without AVX (and off amd64). Both
+// must meet the same bitwise contract, and the first run keeps the Go
+// path covered on hosts that have AVX.
+func forEachGEMMKernel(t *testing.T, body func(t *testing.T)) {
+	probed := simdGEMM
+	defer func() { simdGEMM = probed }()
+	simdGEMM = false
+	t.Run("go", body)
+	t.Run("avx", func(t *testing.T) {
+		if !probed {
+			t.Skip("CPU has no AVX")
+		}
+		simdGEMM = true
+		body(t)
+	})
+}
+
 // gemmShapesUnderTest exercises k%4 remainders (every residue), n%4
 // remainders (every residue), rows below the MR=4 block, and
 // panel-boundary-straddling widths.
@@ -98,17 +117,21 @@ func testMatMulMatchesFlat[T fp.Float](t *testing.T, seedBase int) {
 }
 
 func TestTiledMatMulMatchesFlatBitwise(t *testing.T) {
-	testMatMulMatchesFlat[float64](t, 100)
+	forEachGEMMKernel(t, func(t *testing.T) { testMatMulMatchesFlat[float64](t, 100) })
 }
 
 func TestTiledMatMulMatchesFlatBitwiseF32(t *testing.T) {
-	testMatMulMatchesFlat[float32](t, 200)
+	forEachGEMMKernel(t, func(t *testing.T) { testMatMulMatchesFlat[float32](t, 200) })
 }
 
 // TestTiledMatMulZeroSkipMasksSpecialValues pins the skip contract: a
 // zero a-quad (or zero tail element) must skip B entirely, so Inf/NaN
 // in the skipped B rows never reach the accumulators.
 func TestTiledMatMulZeroSkipMasksSpecialValues(t *testing.T) {
+	forEachGEMMKernel(t, testTiledMatMulZeroSkipMasksSpecialValues)
+}
+
+func testTiledMatMulZeroSkipMasksSpecialValues(t *testing.T) {
 	const m, k, n = 6, 9, 10
 	r := rng.New(7)
 	a := RandN(r, m, k, 1)
@@ -137,6 +160,55 @@ func TestTiledMatMulZeroSkipMasksSpecialValues(t *testing.T) {
 		got := New(m, n)
 		MatMulIntoCtx(kernels.Context{Workers: w}, got, a, b)
 		matBitsEqual(t, "MatMulIntoCtx special values", want, got)
+	}
+}
+
+// TestTiledEpilogueSpecialValues pins the fused bias/ReLU epilogue on
+// special pre-bias sums: each row of a is [s 0 0 0] with s one of 1, 0,
+// -1 and NaN, and b's first row holds every sum, so the GEMM stores NaN,
+// ±Inf, +0, negative and positive sums (a -0 sum cannot occur:
+// accumulators start at +0), which then meet biases of +0, -0, NaN and
+// both signs. ReLU must give +0 for NaN and every s ≤ 0, as addBiasRow's
+// s > 0 test does.
+func TestTiledEpilogueSpecialValues(t *testing.T) {
+	forEachGEMMKernel(t, func(t *testing.T) {
+		testEpilogueSpecialValues[float64](t)
+		testEpilogueSpecialValues[float32](t)
+	})
+}
+
+func testEpilogueSpecialValues[T fp.Float](t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	sums := []float64{nan, 0, math.Copysign(0, -1), -1.5, 2.5, inf, -inf}
+	biases := []float64{0, math.Copysign(0, -1), nan, -2, 0.75}
+	n := len(sums) * len(biases) // 35: eight full panels and a partial one
+	// Each s sits at every row position of a tile.
+	scales := []T{1, 0, -1, T(nan)}
+	const m = 16
+	a := NewOf[T](m, 4)
+	for i := 0; i < m; i++ {
+		a.Set(i, 0, scales[(i+i/4)%4])
+	}
+	b, bias := NewOf[T](4, n), NewOf[T](1, n)
+	for j := 0; j < n; j++ {
+		b.Set(0, j, T(sums[j/len(biases)]))
+		bias.Set(0, j, T(biases[j%len(biases)]))
+	}
+	sum := refMatMul(a, b)
+	for _, relu := range []bool{false, true} {
+		want := NewOf[T](m, n)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				s := sum.At(i, j) + bias.At(0, j)
+				if relu && !(s > 0) {
+					s = 0
+				}
+				want.Set(i, j, s)
+			}
+		}
+		got := NewOf[T](m, n)
+		MatMulSegsIntoCtx(kernels.Context{Workers: 1}, got, b, bias, relu, Seg[T]{M: a})
+		matBitsEqual(t, "MatMulSegs epilogue", want, got)
 	}
 }
 

@@ -117,10 +117,7 @@ func (p *typedPools[T]) get(n int) []T {
 		p.buckets[idx] = stack[:len(stack)-1]
 		p.mu.Unlock()
 		s = s[:n]
-		var zero T
-		for i := range s {
-			s[i] = zero
-		}
+		clear(s)
 		return s
 	}
 	p.mu.Unlock()
