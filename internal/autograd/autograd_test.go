@@ -46,15 +46,23 @@ func checkGrad(t *testing.T, name string, params []*Param, forward func() (*Tape
 	}
 }
 
+// TestMatMulGrad checks MatMul's gradients at a small shape and at one
+// whose backward GEMMs reach the AVX tiles and every remainder: for
+// 9×19 · 19×17, dA = dOut·Bᵀ is 9×19 (four 2-row tiles and an odd row,
+// four 4-column tiles and 3 more columns, k = 17: four quads and a tail
+// term) and dB = Aᵀ·dOut is 19×17 (nine 2-row tiles and an odd row, one
+// 16-column tile and one more column).
 func TestMatMulGrad(t *testing.T) {
 	r := rng.New(1)
-	a := NewParam("a", tensor.RandN(r, 3, 4, 1))
-	b := NewParam("b", tensor.RandN(r, 4, 2, 1))
-	checkGrad(t, "matmul", []*Param{a, b}, func() (*Tape, *Node) {
-		tp := NewTape()
-		out := tp.MatMul(tp.Use(a), tp.Use(b))
-		return tp, tp.Mean(tp.Mul(out, out))
-	})
+	for _, sh := range []struct{ m, k, n int }{{3, 4, 2}, {9, 19, 17}} {
+		a := NewParam("a", tensor.RandN(r, sh.m, sh.k, 1))
+		b := NewParam("b", tensor.RandN(r, sh.k, sh.n, 1))
+		checkGrad(t, "matmul", []*Param{a, b}, func() (*Tape, *Node) {
+			tp := NewTape()
+			out := tp.MatMul(tp.Use(a), tp.Use(b))
+			return tp, tp.Mean(tp.Mul(out, out))
+		})
+	}
 }
 
 func TestAddBiasGrad(t *testing.T) {
@@ -132,6 +140,20 @@ func TestReductionGrads(t *testing.T) {
 	})
 }
 
+// TestElementwiseGrads checks Add, Sub (Add over Scale(-1)), Scale and
+// Mul with both operands trainable.
+func TestElementwiseGrads(t *testing.T) {
+	r := rng.New(13)
+	a := NewParam("a", tensor.RandN(r, 4, 3, 1))
+	b := NewParam("b", tensor.RandN(r, 4, 3, 1))
+	checkGrad(t, "add sub scale mul", []*Param{a, b}, func() (*Tape, *Node) {
+		tp := NewTape()
+		an, bn := tp.Use(a), tp.Use(b)
+		out := tp.Mul(tp.Add(an, tp.Scale(0.5, bn)), tp.Sub(an, bn))
+		return tp, tp.Mean(tp.Mul(out, out))
+	})
+}
+
 func TestLayerNormGrad(t *testing.T) {
 	r := rng.New(7)
 	x := NewParam("x", tensor.RandN(r, 4, 6, 1))
@@ -153,6 +175,10 @@ func TestBCEWithLogitsGrad(t *testing.T) {
 		checkGrad(t, "bce", []*Param{x}, func() (*Tape, *Node) {
 			tp := NewTape()
 			return tp, tp.BCEWithLogits(tp.Use(x), targets, pw)
+		})
+		checkGrad(t, "bce sum", []*Param{x}, func() (*Tape, *Node) {
+			tp := NewTape()
+			return tp, tp.BCEWithLogitsSum(tp.Use(x), targets, pw)
 		})
 	}
 }

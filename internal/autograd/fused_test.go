@@ -133,6 +133,62 @@ func TestAggregateRowsMatchesScatterAddRows(t *testing.T) {
 	}
 }
 
+// TestFusedOpGrads checks each fused op's backward against central
+// differences, through every branch of it: AddBiasReLU with both parents
+// trainable and with the bias alone, GatherConcat3 with a direct and two
+// gathered segments (repeated indices, so rows receive several
+// contributions), and AggregateRows feeding one aggregation (the gather
+// backward) and two (the fused gather-accumulate backward).
+func TestFusedOpGrads(t *testing.T) {
+	r := rng.New(79)
+	a := tensor.RandN(r, 7, 5, 1)
+	bias := tensor.RandN(r, 1, 5, 1)
+	// Keep every pre-activation away from the ReLU kink.
+	for i := 0; i < a.Rows(); i++ {
+		for j := 0; j < a.Cols(); j++ {
+			if s := a.At(i, j) + bias.At(0, j); s > -0.05 && s < 0.05 {
+				a.Set(i, j, a.At(i, j)+0.2)
+			}
+		}
+	}
+	ap, bp := NewParam("a", a), NewParam("bias", bias)
+	checkGrad(t, "addbiasrelu", []*Param{ap, bp}, func() (*Tape, *Node) {
+		tp := NewTape()
+		out := tp.AddBiasReLU(tp.Use(ap), tp.Use(bp))
+		return tp, tp.Mean(tp.Mul(out, out))
+	})
+	checkGrad(t, "addbiasrelu bias only", []*Param{bp}, func() (*Tape, *Node) {
+		tp := NewTape()
+		out := tp.AddBiasReLU(tp.Constant(a), tp.Use(bp))
+		return tp, tp.Mean(tp.Mul(out, out))
+	})
+
+	x := NewParam("x", tensor.RandN(r, 6, 3, 1))
+	e := NewParam("e", tensor.RandN(r, 8, 2, 1))
+	src := []int{0, 2, 2, 5, 1, 0, 3, 4}
+	dst := []int{1, 1, 4, 0, 5, 3, 3, 2}
+	mix := tensor.RandN(r, 2+3+3, 2, 1)
+	checkGrad(t, "gatherconcat3", []*Param{x, e}, func() (*Tape, *Node) {
+		tp := NewTape()
+		xn := tp.Use(x)
+		cat := tp.GatherConcat3(tp.Use(e), nil, xn, src, xn, dst)
+		out := tp.MatMul(cat, tp.Constant(mix))
+		return tp, tp.Mean(tp.Mul(out, out))
+	})
+
+	checkGrad(t, "aggregaterows", []*Param{e}, func() (*Tape, *Node) {
+		tp := NewTape()
+		agg := tp.AggregateRows(tp.Use(e), src, 6)
+		return tp, tp.Mean(tp.Mul(agg, agg))
+	})
+	checkGrad(t, "aggregaterows twice", []*Param{e}, func() (*Tape, *Node) {
+		tp := NewTape()
+		en := tp.Use(e)
+		agg := tp.Add(tp.AggregateRows(en, src, 6), tp.Mul(tp.AggregateRows(en, dst, 6), tp.AggregateRows(en, src, 6)))
+		return tp, tp.Mean(tp.Mul(agg, agg))
+	})
+}
+
 // TestFusedStepAllocationBudget extends the steady-state allocation
 // budget to a warm arena tape built from the fused ops: buffer memory
 // (including the incidence matrices of AggregateRows) stays entirely

@@ -23,18 +23,26 @@ func TestMatMulIntoZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestBackpropKernelsIntoZeroAllocs pins both backward GEMMs at shapes
+// that reach their AVX tiles and every remainder: MatMulT's 7 rows (three
+// 2-row tiles and an odd row), 17 output columns (four 4-wide tiles and
+// one more) and k = 18 (four quads and a 2-term tail); TMatMul's 19
+// output rows and 35 columns (two 16-wide tiles and 3 more).
 func TestBackpropKernelsIntoZeroAllocs(t *testing.T) {
-	g, w := benchMat(6, 8, 1), benchMat(5, 8, 2)
-	a2, g2 := benchMat(6, 8, 3), benchMat(6, 5, 4)
-	outT := New(6, 5)
-	outTM := New(8, 5)
-	allocs := testing.AllocsPerRun(100, func() {
-		MatMulTInto(outT, g, w)
-		TMatMulInto(outTM, a2, g2)
+	forEachGEMMKernel(t, func(t *testing.T) {
+		g, w := benchMat(7, 18, 1), benchMat(17, 18, 2)
+		a2, g2 := benchMat(9, 19, 3), benchMat(9, 35, 4)
+		outT := New(7, 17)
+		outTM := New(19, 35)
+		kc := kernels.Context{Workers: 1}
+		allocs := testing.AllocsPerRun(100, func() {
+			MatMulTIntoCtx(kc, outT, g, w)
+			TMatMulIntoCtx(kc, outTM, a2, g2)
+		})
+		if allocs != 0 {
+			t.Fatalf("MatMulTIntoCtx+TMatMulIntoCtx allocated %.1f per run, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("MatMulTInto+TMatMulInto allocated %.1f per run, want 0", allocs)
-	}
 }
 
 func TestElementwiseIntoZeroAllocs(t *testing.T) {
@@ -80,17 +88,17 @@ func TestIntoVariantsMatchReference(t *testing.T) {
 		w := RandN(r, k, n, 1)
 		outT := New(m, k)
 		outT.Fill(777)
-		MatMulTInto(outT, g, w)
+		MatMulTIntoCtx(kernels.Context{}, outT, g, w)
 		if MatMulT(g, w).MaxAbsDiff(outT) != 0 {
-			t.Fatalf("trial %d: MatMulTInto differs", trial)
+			t.Fatalf("trial %d: MatMulTIntoCtx differs", trial)
 		}
 
 		x := RandN(r, m, k, 1)
 		outTM2 := New(k, k)
 		outTM2.Fill(777)
-		TMatMulInto(outTM2, x, x)
+		TMatMulIntoCtx(kernels.Context{}, outTM2, x, x)
 		if TMatMul(x, x).MaxAbsDiff(outTM2) != 0 {
-			t.Fatalf("trial %d: TMatMulInto differs", trial)
+			t.Fatalf("trial %d: TMatMulIntoCtx differs", trial)
 		}
 
 		c, d := RandN(r, m, k, 1), RandN(r, m, k, 1)

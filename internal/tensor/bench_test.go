@@ -58,6 +58,45 @@ func BenchmarkTMatMul(b *testing.B) {
 	}
 }
 
+// BenchmarkBackwardGEMM measures the two backward GEMMs of the
+// edge network's first layer at train_dist's shape (E 650 edges, H 16,
+// the 96×16 weight W = [6H × H]): dA = dOut·Wᵀ as MatMulT
+// 650×16 · (96×16)ᵀ and dW = Aᵀ·dOut as TMatMul (650×96)ᵀ · 650×16, each
+// on the Go bodies (/go) and on the AVX tiles (/avx), at one worker. A is
+// rectified, so about half its values take TMatMul's zero skip, as a
+// ReLU layer's output does.
+func BenchmarkBackwardGEMM(b *testing.B) {
+	const e, h, in = 650, 16, 96
+	dOut, w, a := benchMat(e, h, 1), benchMat(in, h, 2), benchMat(e, in, 3)
+	for i, v := range a.data {
+		a.data[i] = max(v, 0)
+	}
+	dA, dW := New(e, in), New(in, h)
+	kc := kernels.Context{Workers: 1}
+	probed := simdGEMM
+	defer func() { simdGEMM = probed }()
+	for _, impl := range []struct {
+		name string
+		simd bool
+	}{{"go", false}, {"avx", true}} {
+		run := func(b *testing.B, gemm func()) {
+			if impl.simd && !probed {
+				b.Skip("CPU has no AVX")
+			}
+			simdGEMM = impl.simd
+			for b.Loop() {
+				gemm()
+			}
+		}
+		b.Run("MatMulT/"+impl.name, func(b *testing.B) {
+			run(b, func() { MatMulTIntoCtx(kc, dA, dOut, w) })
+		})
+		b.Run("TMatMul/"+impl.name, func(b *testing.B) {
+			run(b, func() { TMatMulIntoCtx(kc, dW, a, dOut) })
+		})
+	}
+}
+
 // BenchmarkGatherRows measures the edge-endpoint feature gather.
 func BenchmarkGatherRows(b *testing.B) {
 	x := benchMat(4096, 64, 1)

@@ -108,6 +108,45 @@ func FuzzMatMulSegs(f *testing.F) {
 	})
 }
 
+// FuzzBackwardGEMM is the same differential test for the backward GEMMs:
+// on m ≤ 9 output rows, a reduction of k ≤ 19 (every residue mod 4, and
+// k = 0) and n from 1 to 39 output columns (every residue mod 4 and
+// mod 16, up to two 16-wide tiles), MatMulTIntoCtx and TMatMulIntoCtx
+// must store the same bits on the AVX tiles as on the Go bodies.
+func FuzzBackwardGEMM(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 5, 16, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 0, 2, 2, 4, 4})
+	f.Add([]byte{9, 18, 35, 10, 0, 8, 1, 9, 0, 10, 2, 3, 1, 1, 6, 5, 4})
+	if !simdGEMM {
+		f.Skip("CPU has no AVX tile kernel to compare")
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := fuzzBytes(data)
+		m, k, n := d.next()%10, d.next()%20, 1+d.next()%39
+		g, w := New(m, k), New(n, k)
+		a, b := New(k, m), New(k, n)
+		for _, x := range []*Dense{g, a, w, b} {
+			d.fill(x.Data())
+		}
+		compareBackwardKernels(t, "MatMulTIntoCtx", MatMulTIntoCtx[float64], g, w, m, n)
+		compareBackwardKernels(t, "TMatMulIntoCtx", TMatMulIntoCtx[float64], a, b, m, n)
+	})
+}
+
+// compareBackwardKernels runs one backward GEMM into an m×n output on
+// the Go bodies, then with the AVX tiles, and requires the same bits.
+func compareBackwardKernels(t *testing.T, name string, gemm func(kernels.Context, *Dense, *Dense, *Dense), a, b *Dense, m, n int) {
+	t.Helper()
+	kc := kernels.Context{Workers: 1}
+	want, got := New(m, n), New(m, n)
+	defer func() { simdGEMM = true }()
+	simdGEMM = false
+	gemm(kc, want, a, b)
+	simdGEMM = true
+	gemm(kc, got, a, b)
+	matBitsEqual(t, name+": AVX tiles vs Go bodies", want, got)
+}
+
 // compareTileKernels runs one segmented GEMM on the Go micro-kernels,
 // then on the AVX tile kernel, and requires the same bits.
 func compareTileKernels[T fp.Float](t *testing.T, m int, b, bias *Matrix[T], relu bool, segs []Seg[T]) {

@@ -244,6 +244,169 @@ f32out:
 	VZEROUPPER
 	RET
 
+// Backward tiles. Each lane again does the scalar arithmetic of the Go
+// body it replaces, with separate multiplies and adds, the a value first
+// in a multiply and the accumulator first in an add; ops.go states the
+// two contracts.
+
+// MTQUAD adds one quad of rows a0 (Y8) and a1 (Y9) times the quad of b
+// row bp into the row-0 accumulator acc0 and the row-1 accumulator
+// acc1. Y10, Y11 and Y12 are clobbered.
+#define MTQUAD(bp, acc0, acc1) \
+	VMOVUPD (bp), Y10; \
+	VMULPD  Y10, Y8, Y11; \
+	VADDPD  Y11, acc0, acc0; \
+	VMULPD  Y10, Y9, Y12; \
+	VADDPD  Y12, acc1, acc1
+
+// MTREDUCE stores ((s0+s1)+s2)+s3 of the four accumulators c0..c3, whose
+// lanes are the stride sums s0..s3 of four outputs, to the four
+// consecutive outputs at dst: a 4×4 transpose puts each si in one
+// register, so one add per term finishes all four sums. Y8..Y15 are
+// clobbered.
+#define MTREDUCE(c0, c1, c2, c3, dst) \
+	VUNPCKLPD  c1, c0, Y8; \
+	VUNPCKHPD  c1, c0, Y9; \
+	VUNPCKLPD  c3, c2, Y10; \
+	VUNPCKHPD  c3, c2, Y11; \
+	VPERM2F128 $0x20, Y10, Y8, Y12; \
+	VPERM2F128 $0x20, Y11, Y9, Y13; \
+	VPERM2F128 $0x31, Y10, Y8, Y14; \
+	VPERM2F128 $0x31, Y11, Y9, Y15; \
+	VADDPD     Y13, Y12, Y12; \
+	VADDPD     Y14, Y12, Y12; \
+	VADDPD     Y15, Y12, Y12; \
+	VMOVUPD    Y12, dst
+
+// func matMulTTiles2x4F64(o *float64, n int, a *float64, b *float64, k int, tiles int)
+TEXT ·matMulTTiles2x4F64(SB), NOSPLIT, $0-48
+	MOVQ o+0(FP), DI
+	MOVQ n+8(FP), DX
+	SHLQ $3, DX
+	MOVQ a+16(FP), R12
+	MOVQ b+24(FP), BX
+	MOVQ k+32(FP), R13
+	SHLQ $3, R13
+	MOVQ tiles+40(FP), AX
+
+mttile:
+	// One 2×4 tile: rows a0 (SI) and a1 (R8) against b rows BX, R9,
+	// R10 and R11, k &^ 3 elements each.
+	MOVQ R12, SI
+	LEAQ (SI)(R13*1), R8
+	LEAQ (BX)(R13*1), R9
+	LEAQ (R9)(R13*1), R10
+	LEAQ (R10)(R13*1), R11
+	MOVQ k+32(FP), CX
+	SHRQ $2, CX
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+mtquad:
+	VMOVUPD (SI), Y8
+	VMOVUPD (R8), Y9
+	MTQUAD(BX, Y0, Y4)
+	MTQUAD(R9, Y1, Y5)
+	MTQUAD(R10, Y2, Y6)
+	MTQUAD(R11, Y3, Y7)
+	ADDQ $32, SI
+	ADDQ $32, R8
+	ADDQ $32, BX
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	DECQ CX
+	JNZ  mtquad
+
+	MTREDUCE(Y0, Y1, Y2, Y3, (DI))
+	MTREDUCE(Y4, Y5, Y6, Y7, (DI)(DX*1))
+
+	// The next tile's b rows start 4k elements after this tile's: BX
+	// and SI advanced alike, so BX - SI + R12 is this tile's start.
+	SUBQ SI, BX
+	ADDQ R12, BX
+	LEAQ (BX)(R13*4), BX
+	ADDQ $32, DI
+	DECQ AX
+	JNZ  mttile
+	VZEROUPPER
+	RET
+
+// TMROW adds a·B into the four accumulators acc0..acc3 for the a value
+// at ap against the 16 b values in Y8..Y11, with each product masked to
+// +0 when a == 0 (predicate 4, NEQ_UQ: NaN is nonzero and -0 is zero).
+// An accumulator that starts at +0 is never -0, so adding +0 leaves
+// every bit of it as skipping the term would; ops.go has the argument.
+// The mask replaces a branch that rectified activations mispredict.
+// Y15 holds +0; Y12, Y13 and Y14 are clobbered.
+#define TMROW(ap, acc0, acc1, acc2, acc3) \
+	VBROADCASTSD ap, Y12; \
+	VCMPPD       $4, Y15, Y12, Y14; \
+	VMULPD       Y8, Y12, Y13; \
+	VANDPD       Y14, Y13, Y13; \
+	VADDPD       Y13, acc0, acc0; \
+	VMULPD       Y9, Y12, Y13; \
+	VANDPD       Y14, Y13, Y13; \
+	VADDPD       Y13, acc1, acc1; \
+	VMULPD       Y10, Y12, Y13; \
+	VANDPD       Y14, Y13, Y13; \
+	VADDPD       Y13, acc2, acc2; \
+	VMULPD       Y11, Y12, Y13; \
+	VANDPD       Y14, Y13, Y13; \
+	VADDPD       Y13, acc3, acc3
+
+// func tMatMulTile2x16F64(o *float64, n int, a *float64, lda int, b *float64, p int)
+TEXT ·tMatMulTile2x16F64(SB), NOSPLIT, $0-48
+	MOVQ o+0(FP), DI
+	MOVQ n+8(FP), DX
+	SHLQ $3, DX
+	MOVQ a+16(FP), SI
+	MOVQ lda+24(FP), R8
+	SHLQ $3, R8
+	MOVQ b+32(FP), BX
+	MOVQ p+40(FP), CX
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y15, Y15, Y15
+
+tmrow:
+	VMOVUPD 0(BX), Y8
+	VMOVUPD 32(BX), Y9
+	VMOVUPD 64(BX), Y10
+	VMOVUPD 96(BX), Y11
+	TMROW(0(SI), Y0, Y1, Y2, Y3)
+	TMROW(8(SI), Y4, Y5, Y6, Y7)
+	ADDQ R8, SI
+	ADDQ DX, BX
+	DECQ CX
+	JNZ  tmrow
+
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    DX, DI
+	VMOVUPD Y4, 0(DI)
+	VMOVUPD Y5, 32(DI)
+	VMOVUPD Y6, 64(DI)
+	VMOVUPD Y7, 96(DI)
+	VZEROUPPER
+	RET
+
 // func cpuHasAVX() bool
 // CPUID.1:ECX must report OSXSAVE (bit 27) and AVX (bit 28), and XCR0
 // must show the OS saving XMM (bit 1) and YMM (bit 2) state.

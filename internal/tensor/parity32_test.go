@@ -126,8 +126,8 @@ func TestF32IntoKernelsZeroAllocs(t *testing.T) {
 	gc3 := NewOf[float32](4, 24)
 	allocs := testing.AllocsPerRun(100, func() {
 		MatMulIntoCtx(kernels.Context{}, mm, a, b)
-		MatMulTInto(mm, a, b)
-		TMatMulInto(mm, a, b)
+		MatMulTIntoCtx(kernels.Context{}, mm, a, b)
+		TMatMulIntoCtx(kernels.Context{}, mm, a, b)
 		AddInto(out, a, b)
 		SubInto(out, a, b)
 		MulInto(out, a, b)
