@@ -3,10 +3,11 @@
 // paper's pipeline: every training step builds a fresh tape of operations
 // whose Backward pass accumulates gradients into persistent Params.
 //
-// The op set is exactly what the Exa.TrkX pipeline needs: affine layers,
-// activations, column concatenation (Interaction-GNN residuals), row
-// gather/scatter (message passing on edges), layer normalization, and the
-// losses used by the embedding, filter, and GNN stages.
+// The op set is exactly what the Exa.TrkX pipeline needs: affine layers
+// over virtual column segments (Linear, which reads the Interaction GNN's
+// concatenation residuals and endpoint gathers in place), activations,
+// row gather/scatter (message passing on edges), layer normalization, and
+// the losses used by the embedding, filter, and GNN stages.
 //
 // Tapes can be bound to a workspace.Arena (NewTapeArena): every
 // activation and gradient buffer the tape creates is then borrowed from
@@ -52,6 +53,9 @@ type Node struct {
 	back     func() // propagates n.grad into parent grads; nil for leaves
 	param    *Param // set for Use nodes, for the param-grad-ready hook
 	tp       *Tape
+	// view marks a Value the tape holds no storage for: a parameter's
+	// (Use) or another node's (Identity).
+	view bool
 }
 
 // Grad returns the gradient accumulated at this node during Backward
@@ -187,13 +191,17 @@ func (t *Tape) allocInt(n int) []int {
 func (t *Tape) NumNodes() int { return len(t.nodes) }
 
 // ActivationElements returns the total number of float64 elements stored
-// across all recorded node values. This is the quantity the paper's
-// memory-skip logic reasons about: every intermediate must stay resident
-// for the backward pass.
+// across the recorded node values: the inputs and every intermediate,
+// which must stay resident for the backward pass. This is the quantity
+// the paper's memory-skip logic reasons about. Views are not counted:
+// a parameter's value is model storage, which gpumem budgets apart from
+// activations, and an Identity node's value is its parent's.
 func (t *Tape) ActivationElements() int {
 	total := 0
 	for _, n := range t.nodes {
-		total += n.Value.Size()
+		if !n.view {
+			total += n.Value.Size()
+		}
 	}
 	return total
 }
@@ -226,6 +234,7 @@ func (t *Tape) Use(p *Param) *Node {
 		p.Grad.AddInPlace(n.grad)
 	})
 	n.param = p
+	n.view = true
 	return n
 }
 

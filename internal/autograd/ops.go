@@ -51,7 +51,9 @@ func (t *Tape) Add(a, b *Node) *Node {
 	return out
 }
 
-// AddBias adds the 1×c row vector bias to every row of a.
+// AddBias adds the 1×c row vector bias to every row of a. Training
+// layers add their bias inside Linear; AddBias and ConcatCols remain as
+// the unfused primitives that tests compose reference chains from.
 func (t *Tape) AddBias(a, bias *Node) *Node {
 	v := t.alloc(a.Value.Rows(), a.Value.Cols())
 	tensor.AddBiasIntoCtx(t.kc, v, a.Value, bias.Value)
@@ -68,6 +70,23 @@ func (t *Tape) AddBias(a, bias *Node) *Node {
 		}
 	})
 	if !need {
+		out.back = nil
+	}
+	return out
+}
+
+// Identity returns a node that shares x's value. Its backward adds its
+// gradient into x in one accumulation, so the contributions that reach
+// x through it are summed among themselves first. That lets a caller
+// keep a gradient's grouping when several consumers read x directly
+// where they used to read a buffer built from it.
+func (t *Tape) Identity(x *Node) *Node {
+	var out *Node
+	out = t.newNode(x.Value, x.needGrad, func() {
+		x.accum(out.grad)
+	})
+	out.view = true
+	if !x.needGrad {
 		out.back = nil
 	}
 	return out
@@ -120,7 +139,8 @@ func (t *Tape) Mul(a, b *Node) *Node {
 	return out
 }
 
-// ConcatCols concatenates nodes horizontally; gradients split back.
+// ConcatCols concatenates nodes horizontally; gradients split back. Linear
+// reads concatenations as segments instead (see AddBias).
 func (t *Tape) ConcatCols(parts ...*Node) *Node {
 	vals := make([]*tensor.Dense, len(parts))
 	need := false

@@ -130,7 +130,7 @@ func (e *Embedder) TrainStepWith(kc kernels.Context, arena *workspace.Arena, ev 
 	}
 	t := autograd.NewTapeArena(arena)
 	t.SetKernels(kc)
-	emb := e.mlp.Forward(t, t.Constant(ev.Features))
+	emb := e.mlp.ForwardSegs(t, autograd.Seg{N: t.Constant(ev.Features)})
 	ea := t.GatherRows(emb, pb.a)
 	eb := t.GatherRows(emb, pb.b)
 	diff := t.Sub(ea, eb)

@@ -28,7 +28,7 @@ func TestInferenceF64MatchesTapeEmbed(t *testing.T) {
 	for _, hits := range []int{40, 1} {
 		feat := tensor.RandN(r, hits, cfg.InputFeatures, 1)
 		tape := autograd.NewTape()
-		want := e.mlp.Forward(tape, tape.Constant(feat)).Value
+		want := e.mlp.ForwardSegs(tape, autograd.Seg{N: tape.Constant(feat)}).Value
 		for _, w := range []int{1, 2, 3} {
 			got := e.EmbedCtx(kernels.Context{Workers: w}, nil, feat)
 			for i, v := range want.Data() {

@@ -71,12 +71,13 @@ func (f *EdgeFilter) Params() []*autograd.Param { return f.mlp.Params() }
 // Threshold returns the keep threshold on the sigmoid score.
 func (f *EdgeFilter) Threshold() float64 { return f.cfg.Threshold }
 
-// forward builds the logits node for edges (src, dst) with one fused
-// gather+concat pass assembling [X[src] ‖ X[dst] ‖ E].
+// forward builds the logits node for edges (src, dst). The MLP's first
+// layer reads [X[src] ‖ X[dst] ‖ E] as three segments, so neither the
+// gathers nor the concatenation is built.
 func (f *EdgeFilter) forward(t *autograd.Tape, nodeFeat, edgeFeat *tensor.Dense, src, dst []int) *autograd.Node {
 	nodes := t.Constant(nodeFeat)
-	in := t.GatherConcat3(nodes, src, nodes, dst, t.Constant(edgeFeat), nil)
-	return f.mlp.Forward(t, in)
+	return f.mlp.ForwardSegs(t,
+		autograd.Seg{N: nodes, Idx: src}, autograd.Seg{N: nodes, Idx: dst}, autograd.Seg{N: t.Constant(edgeFeat)})
 }
 
 // ScoresCtx returns the sigmoid score per edge under an explicit

@@ -117,18 +117,28 @@ func (m *Model) Forward(t *autograd.Tape, src, dst []int, x, y *tensor.Dense) *a
 		panic(fmt.Sprintf("ignn: %d edges but %d edge-feature rows", len(src), y.Rows()))
 	}
 	n := x.Rows()
+	type seg = autograd.Seg
 
-	x0 := m.nodeEncoder.Forward(t, t.Constant(x))
-	y0 := m.edgeEncoder.Forward(t, t.Constant(y))
+	x0 := m.nodeEncoder.ForwardSegs(t, seg{N: t.Constant(x)})
+	y0 := m.edgeEncoder.ForwardSegs(t, seg{N: t.Constant(y)})
 	xl, yl := x0, y0
 	for l := 0; l < m.cfg.Steps; l++ {
-		// Concatenation residuals with the initial encodings.
-		xc := t.ConcatCols(xl, x0) // n × 2h
-		yc := t.ConcatCols(yl, y0) // m × 2h
-		// MSG: per-edge update from the edge state and both endpoints —
-		// one fused gather+concat pass builds [Y' ‖ X'src ‖ X'dst].
-		msgIn := t.GatherConcat3(yc, nil, xc, src, xc, dst)
-		yl = m.edgeNets[l].Forward(t, msgIn) // m × h
+		// The concatenation residuals X' = [Xl ‖ X0] and Y' = [Yl ‖ Y0]
+		// are never built: the networks read their halves as segments.
+		// X0's gradient gets the same grouping it had when X' was a
+		// buffer: this step's three reads of X0 (node net, both gathers)
+		// sum in xr before reaching X0, and at step 0, where Xl is X0
+		// too, Xl's reads sum in an identity of their own, recorded after
+		// xr so that backward adds them into X0 first.
+		xr := t.Identity(x0)
+		if l == 0 {
+			xl = t.Identity(x0)
+		}
+		// MSG: per-edge update from [Y' ‖ X'[src] ‖ X'[dst]].
+		yl = m.edgeNets[l].ForwardSegs(t,
+			seg{N: yl}, seg{N: y0},
+			seg{N: xl, Idx: src}, seg{N: xr, Idx: src},
+			seg{N: xl, Idx: dst}, seg{N: xr, Idx: dst}) // m × h
 		if l == m.cfg.Steps-1 {
 			break // final X update is unused by the edge head
 		}
@@ -137,10 +147,10 @@ func (m *Model) Forward(t *autograd.Tape, src, dst []int, x, y *tensor.Dense) *a
 		// scatter-add, see autograd.AggregateRows).
 		msrc := t.AggregateRows(yl, src, n)
 		mdst := t.AggregateRows(yl, dst, n)
-		// Node update.
-		xl = m.nodeNets[l].Forward(t, t.ConcatCols(msrc, mdst, xc)) // n × h
+		// Node update from [Msrc ‖ Mdst ‖ X'].
+		xl = m.nodeNets[l].ForwardSegs(t, seg{N: msrc}, seg{N: mdst}, seg{N: xl}, seg{N: xr}) // n × h
 	}
-	return m.head.Forward(t, yl)
+	return m.head.ForwardSegs(t, seg{N: yl})
 }
 
 // EdgeScoresCtx runs inference and returns the per-edge sigmoid scores
@@ -158,20 +168,29 @@ func (m *Model) EdgeScoresCtx(kc kernels.Context, arena *workspace.Arena, src, d
 }
 
 // EstimateActivationElements predicts the number of float64 elements the
-// tape must keep resident to train a graph with n vertices and mEdges
-// edges — the quantity the paper's full-graph trainer compares against
-// GPU memory before deciding to skip a graph. It follows Algorithm 1's
-// stored outputs per step: Y_{l+1} (m×h), Msrc and Mdst (n×h each),
-// X_{l+1} (n×h), plus the 2h-wide concatenations and MLP hidden
-// activations that autograd retains.
+// tape keeps resident to train a graph with n vertices and mEdges edges
+// — the quantity the paper's full-graph trainer compares against GPU
+// memory before deciding to skip a graph. It counts what Forward records
+// (Tape.ActivationElements, which leaves out parameters and Identity
+// views): the two input matrices, and per MLP the output of every layer,
+// plus each hidden layer's LayerNorm output when cfg.LayerNorm is set.
+// Bias and ReLU run inside each layer's GEMM and the concatenations are
+// read as segments, so nothing else is stored; per step that is the edge
+// network's activations over E rows and, on every step but the last,
+// Msrc, Mdst and the node network's activations over V rows. Backward
+// scratch, gradients and optimizer state are not counted.
 func EstimateActivationElements(cfg Config, n, mEdges int) int {
 	h := cfg.Hidden
-	// Encoders: hidden + output for nodes and edges.
-	enc := 2*n*h + 2*mEdges*h
-	// Per step: xc (2nh) + yc (2mh) + msgIn (6mh) + edge hidden/out (2mh)
-	// + msrc/mdst (2nh) + node in-concat (4nh) + node hidden/out (2nh).
-	perStep := 10*n*h + 10*mEdges*h
-	// Head: hidden + logits.
-	head := mEdges*h + mEdges
-	return enc + cfg.Steps*perStep + head
+	// perRow is what a one-hidden-layer MLP with h-wide output stores per
+	// input row: the hidden activation, its LayerNorm, the output.
+	perRow := 2 * h
+	if cfg.LayerNorm {
+		perRow += h
+	}
+	inputs := n*cfg.NodeFeatures + mEdges*cfg.EdgeFeatures
+	encoders := (n + mEdges) * perRow
+	edgeSteps := cfg.Steps * mEdges * perRow
+	nodeSteps := (cfg.Steps - 1) * n * (2*h + perRow)
+	head := mEdges * (h + 1) // hidden + logits; the head has no LayerNorm
+	return inputs + encoders + edgeSteps + nodeSteps + head
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/tensor"
+	"repro/internal/workspace"
 )
 
 func tinyConfig() Config {
@@ -145,18 +146,29 @@ func TestLearnsEdgeParity(t *testing.T) {
 	}
 }
 
+// TestEstimateActivationElementsTracksTape holds the estimate within
+// ±10% of what a forward tape stores, with and without LayerNorm, on the
+// ring and on a multigraph with repeated endpoints and self-loops.
 func TestEstimateActivationElementsTracksTape(t *testing.T) {
-	cfg := Config{NodeFeatures: 3, EdgeFeatures: 2, Hidden: 16, Steps: 3}
-	r := rng.New(9)
-	m := New(cfg, r)
-	src, dst, x, y := ring(r, 40, cfg)
-	tp := autograd.NewTape()
-	m.Forward(tp, src, dst, x, y)
-	actual := tp.ActivationElements()
-	est := EstimateActivationElements(cfg, 40, len(src))
-	ratio := float64(est) / float64(actual)
-	if ratio < 0.5 || ratio > 2.0 {
-		t.Fatalf("estimate %d vs actual %d (ratio %v) outside [0.5, 2]", est, actual, ratio)
+	for _, layerNorm := range []bool{false, true} {
+		cfg := Config{NodeFeatures: 3, EdgeFeatures: 2, Hidden: 16, Steps: 3, LayerNorm: layerNorm}
+		m := New(cfg, rng.New(9))
+		rs, rd, rx, ry := ring(rng.New(10), 40, cfg)
+		gs, gd, gx, gy := randomGraph(rng.New(11), 23, 71, cfg)
+		for _, g := range []struct {
+			name     string
+			src, dst []int
+			x, y     *tensor.Dense
+		}{{"ring", rs, rd, rx, ry}, {"multigraph", gs, gd, gx, gy}} {
+			tp := autograd.NewTape()
+			m.Forward(tp, g.src, g.dst, g.x, g.y)
+			actual := tp.ActivationElements()
+			est := EstimateActivationElements(cfg, g.x.Rows(), len(g.src))
+			if ratio := float64(est) / float64(actual); ratio < 0.9 || ratio > 1.1 {
+				t.Fatalf("%s, LayerNorm %v: estimate %d vs actual %d (ratio %v) outside [0.9, 1.1]",
+					g.name, layerNorm, est, actual, ratio)
+			}
+		}
 	}
 }
 
@@ -185,4 +197,101 @@ func TestForwardValidation(t *testing.T) {
 	}()
 	tp := autograd.NewTape()
 	m.Forward(tp, []int{0, 1}, []int{1, 0}, tensor.New(2, 3), tensor.New(5, 2))
+}
+
+// concatMLP is nn.MLP.ForwardSegs over a materialised input, composed
+// from the unfused tape ops: MatMul, AddBias, ReLU and LayerNorm nodes
+// per layer.
+func concatMLP(t *autograd.Tape, m *nn.MLP, x *autograd.Node) *autograd.Node {
+	ps, nl := m.Params(), m.NumLayers()
+	h := x
+	for i := 0; ; i++ {
+		h = t.AddBias(t.MatMul(h, t.Use(ps[2*i])), t.Use(ps[2*i+1]))
+		if i == nl-1 {
+			return h
+		}
+		h = t.ReLU(h)
+		if m.Config().LayerNorm {
+			h = t.LayerNorm(h, t.Use(ps[2*nl+2*i]), t.Use(ps[2*nl+2*i+1]), 1e-5)
+		}
+	}
+}
+
+// concatForward is Model.Forward in the concat formulation: every step
+// builds X' = [Xl ‖ X0], Y' = [Yl ‖ Y0], the [E × 6H] message input from
+// two materialised gathers and the [V × 4H] node input. The dst gather
+// is recorded before the src one so that backward reaches X' through
+// src first, as the segment order of Linear has it.
+func concatForward(t *autograd.Tape, m *Model, src, dst []int, x, y *tensor.Dense) *autograd.Node {
+	n := x.Rows()
+	x0 := concatMLP(t, m.nodeEncoder, t.Constant(x))
+	y0 := concatMLP(t, m.edgeEncoder, t.Constant(y))
+	xl, yl := x0, y0
+	for l := 0; l < m.cfg.Steps; l++ {
+		xc := t.ConcatCols(xl, x0)
+		yc := t.ConcatCols(yl, y0)
+		gdst := t.GatherRows(xc, dst)
+		yl = concatMLP(t, m.edgeNets[l], t.ConcatCols(yc, t.GatherRows(xc, src), gdst))
+		if l == m.cfg.Steps-1 {
+			break
+		}
+		msrc := t.AggregateRows(yl, src, n)
+		mdst := t.AggregateRows(yl, dst, n)
+		xl = concatMLP(t, m.nodeNets[l], t.ConcatCols(msrc, mdst, xc))
+	}
+	return concatMLP(t, m.head, yl)
+}
+
+// TestForwardMatchesConcatFormulationBitwise is the differential test of
+// the segmented training forward: loss and every parameter gradient are
+// Float64bits-equal to the concat formulation's, with LayerNorm off and
+// on, at every intra-op worker count. Hidden 18 puts every backward GEMM
+// on its AVX tiles and their remainders, and the multigraph has repeated
+// endpoints and self-loops.
+func TestForwardMatchesConcatFormulationBitwise(t *testing.T) {
+	for _, layerNorm := range []bool{false, true} {
+		cfg := Config{NodeFeatures: 3, EdgeFeatures: 2, Hidden: 18, Steps: 3, LayerNorm: layerNorm}
+		m := New(cfg, rng.New(21))
+		jitter(m, 22)
+		src, dst, x, y := randomGraph(rng.New(23), 19, 53, cfg)
+		labels := make([]float64, len(src))
+		for i := range labels {
+			labels[i] = float64(i % 3 % 2)
+		}
+		step := func(tp *autograd.Tape, forward func(*autograd.Tape) *autograd.Node) (float64, [][]float64) {
+			for _, p := range m.Params() {
+				p.ZeroGrad()
+			}
+			loss := tp.BCEWithLogitsSum(forward(tp), labels, 1.5)
+			tp.Backward(loss)
+			var grads [][]float64
+			for _, p := range m.Params() {
+				grads = append(grads, append([]float64(nil), p.Grad.Data()...))
+			}
+			return loss.Value.At(0, 0), grads
+		}
+		wantLoss, want := step(autograd.NewTape(), func(tp *autograd.Tape) *autograd.Node {
+			return concatForward(tp, m, src, dst, x, y)
+		})
+		for _, w := range []int{1, 2, 4, 7} {
+			arena := workspace.NewArena()
+			tp := autograd.NewTapeArena(arena)
+			tp.SetKernels(kernels.Context{Workers: w})
+			gotLoss, got := step(tp, func(tp *autograd.Tape) *autograd.Node {
+				return m.Forward(tp, src, dst, x, y)
+			})
+			arena.Reset()
+			if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+				t.Fatalf("LayerNorm %v, %d workers: loss %v, concat formulation %v", layerNorm, w, gotLoss, wantLoss)
+			}
+			for i, p := range m.Params() {
+				for j := range want[i] {
+					if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+						t.Fatalf("LayerNorm %v, %d workers: %s gradient element %d is %v, concat formulation %v",
+							layerNorm, w, p.Name, j, got[i][j], want[i][j])
+					}
+				}
+			}
+		}
+	}
 }

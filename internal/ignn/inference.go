@@ -18,11 +18,10 @@ import (
 // aggregation, edge head) entirely in T, touching half the bytes at
 // float32. The float64 instantiation is a view of the model's own
 // parameters (see nn.MLPInference) and its scores are bitwise identical
-// to Model.Forward on a tape: the segmented GEMM accumulates over the
-// same columns in the same order as the tape's concat → MatMul →
-// AddBiasReLU chain. The float32 instantiation converts the weights
-// once, at construction. Safe for concurrent use while nothing writes
-// the parameters.
+// to Model.Forward on a tape, whose Linear ops run the same segmented
+// GEMM over the same segments. The float32 instantiation converts the
+// weights once, at construction. Safe for concurrent use while nothing
+// writes the parameters.
 type Inference[T fp.Float] struct {
 	cfg         Config
 	nodeEncoder *nn.MLPInference[T]

@@ -21,8 +21,8 @@ import (
 // For T = float64 the weights alias the parameters' own storage: the
 // view tracks every in-place update (optimizer steps, DDP unflatten,
 // checkpoint load) with nothing to refresh, and its output is bitwise
-// identical to MLP.Forward on a tape, whose MatMul → AddBias[ReLU]
-// chain stores the same values (asserted by the parity tests). For
+// identical to MLP.ForwardSegs on a tape, whose Linear ops run the same
+// GEMM and epilogue (asserted by the parity tests). For
 // T = float32 construction converts the weights once and the result is
 // an immutable snapshot. Forward only reads the weights, so either
 // form is safe for concurrent use while nothing writes the parameters.

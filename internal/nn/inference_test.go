@@ -23,16 +23,15 @@ var inferenceConfigs = []MLPConfig{
 
 // TestMLPInferenceF64MatchesTapeForward is the load-bearing refactor
 // guarantee: the tape-free float64 inference forward — one GEMM with a
-// bias(+ReLU) epilogue per layer — is bitwise identical to MLP.Forward
-// on an autograd tape, which runs MatMul and the bias pass as separate
-// kernels.
+// bias(+ReLU) epilogue per layer — is bitwise identical to MLP.ForwardSegs
+// on an autograd tape.
 func TestMLPInferenceF64MatchesTapeForward(t *testing.T) {
 	for ci, cfg := range inferenceConfigs {
 		m := NewMLP(rng.New(uint64(40+ci)), "m", cfg)
 		x := tensor.RandN(rng.New(uint64(90+ci)), 17, cfg.In, 1)
 
 		tape := autograd.NewTape()
-		want := m.Forward(tape, tape.Constant(x)).Value
+		want := m.ForwardSegs(tape, autograd.Seg{N: tape.Constant(x)}).Value
 
 		inf := NewMLPInference[float64](m)
 		arena := workspace.NewArena()
@@ -89,7 +88,7 @@ func TestMLPInferenceSegmentsMatchTape(t *testing.T) {
 
 		tape := autograd.NewTape()
 		xs := tape.Constant(x)
-		want := m.Forward(tape, tape.GatherConcat3(xs, src, xs, dst, tape.Constant(e), nil)).Value
+		want := m.ForwardSegs(tape, autograd.Seg{N: tape.ConcatCols(tape.GatherRows(xs, src), tape.GatherRows(xs, dst), tape.Constant(e))}).Value
 
 		inf := NewMLPInference[float64](m)
 		in := []tensor.Seg[float64]{{M: x, Idx: src}, {M: x, Idx: dst}, {M: e}}

@@ -27,10 +27,10 @@ const (
 	None
 )
 
+// apply records a non-ReLU activation; ReLU runs in the Linear op's
+// epilogue instead.
 func (a Activation) apply(t *autograd.Tape, x *autograd.Node) *autograd.Node {
 	switch a {
-	case ReLU:
-		return t.ReLU(x)
 	case Tanh:
 		return t.Tanh(x)
 	case Sigmoid:
@@ -60,9 +60,9 @@ func NewLinear(r *rng.Rand, name string, in, out int) *Linear {
 	}
 }
 
-// Forward applies the layer on the tape.
+// Forward applies the layer on the tape as one Linear op.
 func (l *Linear) Forward(t *autograd.Tape, x *autograd.Node) *autograd.Node {
-	return t.AddBias(t.MatMul(x, t.Use(l.W)), t.Use(l.B))
+	return t.Linear(t.Use(l.W), t.Use(l.B), false, autograd.Seg{N: x})
 }
 
 // Params returns the layer's parameters.
@@ -119,25 +119,37 @@ func NewMLP(r *rng.Rand, name string, cfg MLPConfig) *MLP {
 	return m
 }
 
-// Forward runs the MLP on the tape. Hidden layers with the (default)
-// ReLU activation run the fused bias+ReLU kernel — one pass instead of
-// an AddBias followed by a ReLU over the full activation matrix; the
-// result is bitwise identical to the unfused chain.
-func (m *MLP) Forward(t *autograd.Tape, x *autograd.Node) *autograd.Node {
-	h := x
-	for i := 0; i < len(m.layers)-1; i++ {
-		if m.cfg.Activation == ReLU {
-			l := m.layers[i]
-			h = t.AddBiasReLU(t.MatMul(h, t.Use(l.W)), t.Use(l.B))
-		} else {
-			h = m.cfg.Activation.apply(t, m.layers[i].Forward(t, h))
-		}
-		if m.cfg.LayerNorm {
-			ln := m.norms[i]
-			h = t.LayerNorm(h, t.Use(ln.Gain), t.Use(ln.Bias), 1e-5)
-		}
+// ForwardSegs runs the MLP on the tape over the column concatenation of
+// segs, which is never built: the first layer reads the segments where
+// they lie (see autograd.Tape.Linear). Every layer is one Linear op; with
+// the (default) ReLU activation a hidden layer's bias and ReLU run in its
+// GEMM's store. Losses and gradients are bitwise those of the unfused
+// concat → MatMul → AddBias → ReLU chain.
+func (m *MLP) ForwardSegs(t *autograd.Tape, segs ...autograd.Seg) *autograd.Node {
+	h := m.layer(t, 0, segs...)
+	for i := 1; i < len(m.layers); i++ {
+		h = m.layer(t, i, autograd.Seg{N: h})
 	}
-	return m.layers[len(m.layers)-1].Forward(t, h)
+	return h
+}
+
+// layer records layer i: its Linear and, for a hidden layer, the
+// activation and the LayerNorm.
+func (m *MLP) layer(t *autograd.Tape, i int, segs ...autograd.Seg) *autograd.Node {
+	l := m.layers[i]
+	if i == len(m.layers)-1 {
+		return t.Linear(t.Use(l.W), t.Use(l.B), false, segs...)
+	}
+	relu := m.cfg.Activation == ReLU
+	h := t.Linear(t.Use(l.W), t.Use(l.B), relu, segs...)
+	if !relu {
+		h = m.cfg.Activation.apply(t, h)
+	}
+	if m.cfg.LayerNorm {
+		ln := m.norms[i]
+		h = t.LayerNorm(h, t.Use(ln.Gain), t.Use(ln.Bias), 1e-5)
+	}
+	return h
 }
 
 // Params returns all trainable parameters in a stable order.

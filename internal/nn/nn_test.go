@@ -50,13 +50,13 @@ func trainXOR(t *testing.T, opt Optimizer, layerNorm bool) float64 {
 	y := []float64{0, 1, 1, 0}
 	for epoch := 0; epoch < 800; epoch++ {
 		tp := autograd.NewTape()
-		out := m.Forward(tp, tp.Constant(x))
+		out := m.ForwardSegs(tp, autograd.Seg{N: tp.Constant(x)})
 		loss := tp.BCEWithLogits(out, y, 1)
 		tp.Backward(loss)
 		opt.Step(m.Params())
 	}
 	tp := autograd.NewTape()
-	out := m.Forward(tp, tp.Constant(x))
+	out := m.ForwardSegs(tp, autograd.Seg{N: tp.Constant(x)})
 	correct := 0
 	for i, target := range y {
 		pred := 0.0

@@ -58,7 +58,7 @@ func TestElementwiseIntoZeroAllocs(t *testing.T) {
 		SubInto(out, a, b)
 		MulInto(out, a, b)
 		ScaleInto(out, 2.5, a)
-		AddBiasInto(out, a, bias)
+		AddBiasIntoCtx(kernels.Context{}, out, a, bias)
 		a.ColSumsInto(cs)
 		a.RowSumsInto(rs)
 		GatherRowsIntoCtx(kernels.Context{}, gather, a, idx)
@@ -121,9 +121,9 @@ func TestIntoVariantsMatchReference(t *testing.T) {
 		}
 
 		bias := RandN(r, 1, k, 1)
-		AddBiasInto(out2, c, bias)
+		AddBiasIntoCtx(kernels.Context{}, out2, c, bias)
 		if AddBias(c, bias).MaxAbsDiff(out2) != 0 {
-			t.Fatalf("trial %d: AddBiasInto differs", trial)
+			t.Fatalf("trial %d: AddBiasIntoCtx differs", trial)
 		}
 
 		cs := New(1, k)
@@ -150,9 +150,9 @@ func TestIntoVariantsMatchReference(t *testing.T) {
 		}
 
 		cc := New(m, 2*k)
-		ConcatColsInto(cc, c, d)
+		ConcatColsIntoCtx(kernels.Context{}, cc, c, d)
 		if ConcatCols(c, d).MaxAbsDiff(cc) != 0 {
-			t.Fatalf("trial %d: ConcatColsInto differs", trial)
+			t.Fatalf("trial %d: ConcatColsIntoCtx differs", trial)
 		}
 		// ExtractColsInto inverts ConcatCols segments.
 		back := New(m, k)

@@ -67,7 +67,7 @@ func NewFromOf[T fp.Float](a *workspace.Arena, rows, cols int) *Matrix[T] {
 // FromSlice wraps data (length rows*cols, row-major) without copying.
 func FromSlice[T fp.Float](rows, cols int, data []T) *Matrix[T] {
 	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), rows, cols))
+		panic(shapeError{"tensor: data length %d != %d*%d", len(data), rows, cols})
 	}
 	return &Matrix[T]{rows: rows, cols: cols, data: data}
 }
@@ -153,10 +153,21 @@ func (m *Matrix[T]) Reshape(rows, cols int) *Matrix[T] {
 // SliceRows returns a view of rows [lo, hi) sharing storage with m.
 func (m *Matrix[T]) SliceRows(lo, hi int) *Matrix[T] {
 	if lo < 0 || hi < lo || hi > m.rows {
-		panic(fmt.Sprintf("tensor: SliceRows [%d,%d) of %d rows", lo, hi, m.rows))
+		panic(shapeError{"tensor: SliceRows [%d,%d) of %d rows", lo, hi, m.rows})
 	}
 	return &Matrix[T]{rows: hi - lo, cols: m.cols, data: m.data[lo*m.cols : hi*m.cols]}
 }
+
+// shapeError is the panic value of FromSlice and SliceRows. It formats
+// only when printed, which keeps both cheap enough to inline, so a
+// caller that copies their result into a header it holds allocates
+// nothing.
+type shapeError struct {
+	format  string
+	a, b, c int
+}
+
+func (e shapeError) Error() string { return fmt.Sprintf(e.format, e.a, e.b, e.c) }
 
 // MaxAbsDiff returns max |m[i]-o[i]|; shapes must match.
 func (m *Matrix[T]) MaxAbsDiff(o *Matrix[T]) float64 {

@@ -8,17 +8,18 @@ import (
 	"repro/internal/parallel"
 )
 
-// This file holds the fused kernels that collapse the memory-bound
-// chains of the pipeline's hot paths: edge-feature gather+concat in one
-// pass, bias+ReLU in one pass, and banded scatter-add for their
-// backward passes. Each fused kernel performs exactly the arithmetic of
-// its unfused composition in the same order, so outputs are bitwise
+// This file holds two fused kernels: edge-feature gather+concat in one
+// pass and bias+ReLU in one pass. Each performs exactly the arithmetic
+// of its unfused composition in the same order, so outputs are bitwise
 // identical to the chain it replaces — the fusion only removes the
 // intermediate materialization (one full write + read of each
-// intermediate matrix).
+// intermediate matrix). Neither runs on the GNN's hot paths any more:
+// the segmented GEMM (tiled.go) reads concatenations in place and folds
+// bias and ReLU into its store. They remain the references the GEMM is
+// tested against and the kernels of the export-time calibrators.
 
 // AddBiasReLUIntoCtx computes out = max(0, m + bias) in one pass,
-// fusing AddBiasInto + ReLU: the sum never round-trips through memory.
+// fusing AddBiasIntoCtx + ReLU: the sum never round-trips through memory.
 // bias is a 1×cols row vector; out may alias m. Bitwise identical at
 // every worker count.
 func AddBiasReLUIntoCtx[T fp.Float](kc kernels.Context, out, m, bias *Matrix[T]) {
@@ -105,30 +106,6 @@ func gatherConcat3Body[T fp.Float](cx gc3Ctx[T], lo, hi int) {
 			}
 			copy(out.data[off:off+seg.m.cols], seg.m.data[src*seg.m.cols:(src+1)*seg.m.cols])
 			off += seg.m.cols
-		}
-	}
-}
-
-// ScatterAddRowsBand adds row i of src's column band
-// [colOff, colOff+dst.cols) into row idx[i] of dst — the backward pass
-// of one gathered GatherConcat3 segment, fused so the band is never
-// extracted into its own matrix. Multiple sources may target one dst
-// row; execution is serial in ascending i (the same order
-// ScatterAddRows uses), so the accumulation is deterministic and needs
-// no synchronization.
-func ScatterAddRowsBand[T fp.Float](dst, src *Matrix[T], colOff int, idx []int) {
-	if len(idx) != src.rows {
-		panic("tensor: ScatterAddRowsBand index length mismatch")
-	}
-	if colOff < 0 || colOff+dst.cols > src.cols {
-		panic(fmt.Sprintf("tensor: ScatterAddRowsBand band [%d,%d) of %d cols",
-			colOff, colOff+dst.cols, src.cols))
-	}
-	for i, target := range idx {
-		dRow := dst.data[target*dst.cols : (target+1)*dst.cols]
-		sRow := src.data[i*src.cols+colOff : i*src.cols+colOff+dst.cols]
-		for j, v := range sRow {
-			dRow[j] += v
 		}
 	}
 }

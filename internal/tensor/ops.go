@@ -363,23 +363,17 @@ func (m *Matrix[T]) AXPY(s T, o *Matrix[T]) {
 // AddBias returns m with the 1×cols row vector b added to every row.
 func AddBias[T fp.Float](m, b *Matrix[T]) *Matrix[T] {
 	out := NewOf[T](m.rows, m.cols)
-	AddBiasInto(out, m, b)
+	AddBiasIntoCtx(kernels.Context{}, out, m, b)
 	return out
 }
 
-// AddBiasInto computes out = m with the 1×cols row vector b added to
-// every row. out may alias m.
-func AddBiasInto[T fp.Float](out, m, b *Matrix[T]) {
-	AddBiasIntoCtx(kernels.Context{}, out, m, b)
-}
-
-// AddBiasIntoCtx is AddBiasInto under an explicit intra-op worker
-// budget.
+// AddBiasIntoCtx computes out = m with the 1×cols row vector b added to
+// every row, under an explicit intra-op worker budget. out may alias m.
 func AddBiasIntoCtx[T fp.Float](kc kernels.Context, out, m, b *Matrix[T]) {
 	if b.rows != 1 || b.cols != m.cols {
 		panic(fmt.Sprintf("tensor: AddBias bias %dx%d vs matrix cols %d", b.rows, b.cols, m.cols))
 	}
-	checkSame("AddBiasInto", out, m)
+	checkSame("AddBiasIntoCtx", out, m)
 	parallel.ForWithN(kc.Cap(), m.rows, 64, matCtx[T]{out, m, b},
 		pickBody[T, matCtx[T]](addBiasBody64, addBiasBody32))
 }
@@ -480,7 +474,7 @@ func ApplyInto[T fp.Float](out, m *Matrix[T], f func(T) T) {
 func ConcatCols[T fp.Float](ms ...*Matrix[T]) *Matrix[T] {
 	rows, totalCols := concatColsShape(ms)
 	out := NewOf[T](rows, totalCols)
-	ConcatColsInto(out, ms...)
+	ConcatColsIntoCtx(kernels.Context{}, out, ms...)
 	return out
 }
 
@@ -498,12 +492,6 @@ func concatColsShape[T fp.Float](ms []*Matrix[T]) (rows, totalCols int) {
 	return rows, totalCols
 }
 
-// ConcatColsInto concatenates matrices horizontally into out, which must
-// have the combined shape and must not alias any input.
-func ConcatColsInto[T fp.Float](out *Matrix[T], ms ...*Matrix[T]) {
-	ConcatColsIntoCtx(kernels.Context{}, out, ms...)
-}
-
 // concatCtx carries ConcatColsIntoCtx operands into capture-free
 // parallel bodies.
 type concatCtx[T fp.Float] struct {
@@ -511,12 +499,13 @@ type concatCtx[T fp.Float] struct {
 	ms  []*Matrix[T]
 }
 
-// ConcatColsIntoCtx is ConcatColsInto under an explicit intra-op worker
-// budget.
+// ConcatColsIntoCtx concatenates matrices horizontally into out, which
+// must have the combined shape and must not alias any input, under an
+// explicit intra-op worker budget.
 func ConcatColsIntoCtx[T fp.Float](kc kernels.Context, out *Matrix[T], ms ...*Matrix[T]) {
 	rows, totalCols := concatColsShape(ms)
 	if out.rows != rows || out.cols != totalCols {
-		panic("tensor: ConcatColsInto output shape mismatch")
+		panic("tensor: ConcatColsIntoCtx output shape mismatch")
 	}
 	parallel.ForWithN(kc.Cap(), rows, 64, concatCtx[T]{out, ms},
 		pickBody[T, concatCtx[T]](concatColsBody64, concatColsBody32))

@@ -132,7 +132,7 @@ func TestF32IntoKernelsZeroAllocs(t *testing.T) {
 		SubInto(out, a, b)
 		MulInto(out, a, b)
 		ScaleInto(out, 2.5, a)
-		AddBiasInto(out, a, bias)
+		AddBiasIntoCtx(kernels.Context{}, out, a, bias)
 		AddBiasReLUIntoCtx(kernels.Context{}, out, a, bias)
 		GatherRowsIntoCtx(kernels.Context{}, gather, a, idx)
 		GatherConcat3IntoCtx(kernels.Context{}, gc3, a, idx, a, idx, b, idx)

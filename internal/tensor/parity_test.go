@@ -104,7 +104,7 @@ func TestAddBiasReLUMatchesUnfused(t *testing.T) {
 	m := RandN(r, 19, 13, 1)
 	bias := RandN(r, 1, 13, 1)
 	ref := New(19, 13)
-	AddBiasInto(ref, m, bias)
+	AddBiasIntoCtx(kernels.Context{}, ref, m, bias)
 	for i, v := range ref.Data() {
 		if v < 0 {
 			ref.Data()[i] = 0
@@ -141,22 +141,6 @@ func TestGatherConcat3MatchesUnfused(t *testing.T) {
 	}
 }
 
-func TestScatterAddRowsBandMatchesUnfused(t *testing.T) {
-	r := rng.New(14)
-	src := RandN(r, 23, 17, 1)
-	idx := parityIdx(r, 23, 9)
-	const off, w = 4, 6
-
-	ref := New(9, w)
-	band := New(23, w)
-	ExtractColsInto(band, src, off)
-	ScatterAddRows(ref, band, idx)
-
-	got := New(9, w)
-	ScatterAddRowsBand(got, src, off, idx)
-	bitsEqual(t, "ScatterAddRowsBand", ref, got)
-}
-
 func TestFusedKernelsZeroAllocsWarm(t *testing.T) {
 	r := rng.New(15)
 	m := RandN(r, 8, 8, 1)
@@ -165,11 +149,9 @@ func TestFusedKernelsZeroAllocsWarm(t *testing.T) {
 	idx := []int{3, 0, 7, 7, 2, 5}
 	outRelu := New(8, 8)
 	outGC := New(6, 8+8+4)
-	outBand := New(8, 4)
 	allocs := testing.AllocsPerRun(100, func() {
 		AddBiasReLUIntoCtx(kernels.Context{}, outRelu, m, bias)
 		GatherConcat3IntoCtx(kernels.Context{}, outGC, m, idx, m, idx, e, nil)
-		ScatterAddRowsBand(outBand, outGC, 2, idx)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm fused kernels allocated %.1f per run, want 0", allocs)
