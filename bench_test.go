@@ -2,10 +2,10 @@
 // evaluation section, plus kernel microbenchmarks for the substrates.
 // Run with: go test -bench=. -benchmem
 //
-// The experiment benchmarks execute the same harnesses as the cmd tools
-// at reduced scale so a full -bench pass completes in minutes on a
-// laptop; PERF.md ("Figure 3 timing model") records a cmd/figure3 run at
-// the calibrated scale.
+// The experiment benchmarks execute the same harnesses as cmd/repro at
+// reduced scale so a full -bench pass completes in minutes on a laptop;
+// PERF.md ("Figure 3 timing model") records a `repro figure3` run at the
+// calibrated scale.
 package repro_test
 
 import (

@@ -385,7 +385,7 @@ func suite(quick bool) []namedBench {
 			out := tensor.New(2000, 32)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sparse.SpMMAddInto(out, a, x, res)
+				sparse.SpMMAddIntoCtx(kernels.Context{}, out, a, x, res)
 			}
 		}},
 		{"BenchmarkBulkMatrixShaDow256x4", func(b *testing.B) {

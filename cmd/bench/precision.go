@@ -117,7 +117,7 @@ func precisionSuite() []namedBench {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				out := tensor.New(2000, 32)
-				sparse.SpMMAddInto(out, a, x, res)
+				sparse.SpMMAddIntoCtx(kernels.Context{}, out, a, x, res)
 			}
 		}},
 		{"BenchmarkSpMMAdd_f32", func(b *testing.B) {
@@ -127,7 +127,7 @@ func precisionSuite() []namedBench {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				out := tensor.NewOf[float32](2000, 32)
-				sparse.SpMMAddInto(out, a, x, res)
+				sparse.SpMMAddIntoCtx(kernels.Context{}, out, a, x, res)
 			}
 		}},
 		{"BenchmarkAddBiasReLU_f64", func(b *testing.B) {

@@ -207,10 +207,10 @@ func (o Options) trainerConfig(cfg dtrain.Config) dtrain.Config {
 	return cfg
 }
 
-// evaluate scores every edge of the graphs and accumulates precision and
+// Evaluate scores every edge of the graphs and accumulates precision and
 // recall counts at threshold 0.5 — "the number of correctly classified
 // edges across validation set particle graphs" (Figure 4's metric).
-func evaluate(m *ignn.Model, graphs []*pipeline.EventGraph) metrics.BinaryCounts {
+func Evaluate(m *ignn.Model, graphs []*pipeline.EventGraph) metrics.BinaryCounts {
 	var counts metrics.BinaryCounts
 	for _, eg := range graphs {
 		if eg.NumEdges() == 0 {
@@ -241,7 +241,7 @@ func run(ctx context.Context, cfg dtrain.Config, train, val []*pipeline.EventGra
 		if val == nil {
 			continue
 		}
-		counts := evaluate(tr.Model(), val)
+		counts := Evaluate(tr.Model(), val)
 		h.Append(metrics.ConvergencePoint{
 			Epoch:     epoch,
 			Loss:      stats.Loss,

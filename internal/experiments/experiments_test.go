@@ -85,7 +85,7 @@ func TestMinibatchTrainingImprovesMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	before := evaluate(tr.Model(), val)
+	before := Evaluate(tr.Model(), val)
 	steps := 0
 	for i := 0; i < 4; i++ {
 		stats, err := tr.TrainEpoch(context.Background(), train)
@@ -94,7 +94,7 @@ func TestMinibatchTrainingImprovesMetrics(t *testing.T) {
 		}
 		steps += stats.Steps
 	}
-	after := evaluate(tr.Model(), val)
+	after := Evaluate(tr.Model(), val)
 	if after.F1() <= before.F1() {
 		t.Fatalf("minibatch training did not improve F1: %v -> %v", before.F1(), after.F1())
 	}
@@ -131,7 +131,7 @@ func TestRunFigure3Shapes(t *testing.T) {
 	// jitter, so the test asserts the deterministic components of the
 	// Figure 3 shape: the all-reduce advantage at P>1, the presence of a
 	// memory-derived bulk k, and populated phases. The full speedup claim
-	// is validated at real scale by the cmd/figure3 harness and recorded
+	// is validated at real scale by cmd/repro's figure3 and recorded
 	// in PERF.md ("Figure 3 timing model").
 	o := tinyOptions()
 	rows, err := RunFigure3Context(context.Background(), o, []int{1, 2})

@@ -3,6 +3,7 @@ package sparse
 import (
 	"testing"
 
+	"repro/internal/kernels"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -17,12 +18,12 @@ func TestSpGEMMIntoZeroAllocsWarm(t *testing.T) {
 	a := randomCSR(r, 12, 12, 0.4)
 	b := randomCSR(r, 12, 12, 0.4)
 	out := new(CSR)
-	SpGEMMInto(out, a, b) // warm pools and output storage
+	SpGEMMIntoCtx(kernels.Context{}, out, a, b) // warm pools and output storage
 	allocs := testing.AllocsPerRun(100, func() {
-		SpGEMMInto(out, a, b)
+		SpGEMMIntoCtx(kernels.Context{}, out, a, b)
 	})
 	if allocs != 0 {
-		t.Fatalf("warm SpGEMMInto allocated %.1f per run, want 0", allocs)
+		t.Fatalf("warm SpGEMMIntoCtx allocated %.1f per run, want 0", allocs)
 	}
 }
 
@@ -31,12 +32,12 @@ func TestSpMMIntoZeroAllocsWarm(t *testing.T) {
 	a := randomCSR(r, 16, 16, 0.4)
 	x := tensor.RandN(r, 16, 4, 1)
 	out := tensor.New(16, 4)
-	SpMMInto(out, a, x)
+	SpMMIntoCtx(kernels.Context{}, out, a, x)
 	allocs := testing.AllocsPerRun(100, func() {
-		SpMMInto(out, a, x)
+		SpMMIntoCtx(kernels.Context{}, out, a, x)
 	})
 	if allocs != 0 {
-		t.Fatalf("warm SpMMInto allocated %.1f per run, want 0", allocs)
+		t.Fatalf("warm SpMMIntoCtx allocated %.1f per run, want 0", allocs)
 	}
 }
 
@@ -65,10 +66,10 @@ func TestSpGEMMIntoMatchesSpGEMMReference(t *testing.T) {
 		a := randomCSR(r, m, k, 0.3)
 		b := randomCSR(r, k, n, 0.3)
 		ref := SpGEMM(a, b)
-		SpGEMMInto(out, a, b) // reused output across trials
+		SpGEMMIntoCtx(kernels.Context{}, out, a, b) // reused output across trials
 		out.checkValid()
 		if !ref.Equal(out) {
-			t.Fatalf("trial %d: SpGEMMInto differs from SpGEMM", trial)
+			t.Fatalf("trial %d: SpGEMMIntoCtx differs from SpGEMM", trial)
 		}
 	}
 }
@@ -96,9 +97,9 @@ func TestSpMMIntoMatchesSpMMReference(t *testing.T) {
 		ref := SpMM(a, x)
 		out := tensor.New(m, n)
 		out.Fill(999) // ensure Into fully overwrites
-		SpMMInto(out, a, x)
+		SpMMIntoCtx(kernels.Context{}, out, a, x)
 		if ref.MaxAbsDiff(out) != 0 {
-			t.Fatalf("trial %d: SpMMInto not bit-identical to SpMM", trial)
+			t.Fatalf("trial %d: SpMMIntoCtx not bit-identical to SpMM", trial)
 		}
 	}
 }
@@ -126,7 +127,7 @@ func TestCSRReleaseRecycles(t *testing.T) {
 	a := randomCSR(r, 10, 10, 0.4)
 	b := randomCSR(r, 10, 10, 0.4)
 	out := new(CSR)
-	SpGEMMInto(out, a, b)
+	SpGEMMIntoCtx(kernels.Context{}, out, a, b)
 	want := SpGEMM(a, b)
 	if !want.Equal(out) {
 		t.Fatal("precondition failed")
@@ -136,7 +137,7 @@ func TestCSRReleaseRecycles(t *testing.T) {
 		t.Fatal("Release left state behind")
 	}
 	// The released storage must be safely reusable.
-	SpGEMMInto(out, a, b)
+	SpGEMMIntoCtx(kernels.Context{}, out, a, b)
 	if !want.Equal(out) {
 		t.Fatal("CSR reuse after Release corrupted result")
 	}

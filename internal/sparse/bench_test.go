@@ -3,6 +3,7 @@ package sparse
 import (
 	"testing"
 
+	"repro/internal/kernels"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -84,6 +85,6 @@ func BenchmarkSpMMAddInto(b *testing.B) {
 	out := tensor.New(2000, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SpMMAddInto(out, a, x, res)
+		SpMMAddIntoCtx(kernels.Context{}, out, a, x, res)
 	}
 }

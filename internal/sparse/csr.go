@@ -225,7 +225,7 @@ func BlockDiag[T fp.Float](ms ...*CSROf[T]) *CSROf[T] {
 
 // Release returns the matrix's storage to the workspace pools and leaves
 // m empty. Only call it on matrices whose storage the caller exclusively
-// owns (e.g. scratch CSRs filled by SpGEMMInto/GatherRowsInto); rows
+// owns (e.g. scratch CSRs filled by SpGEMMIntoCtx/GatherRowsInto); rows
 // returned by Row alias that storage and must no longer be in use.
 func (m *CSROf[T]) Release() {
 	workspace.PutInt(m.RowPtr)

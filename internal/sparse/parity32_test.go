@@ -87,11 +87,11 @@ func TestSparse32ZeroAllocsWarm(t *testing.T) {
 	res := dense32Of(benchDense(64, 8, 4), 4)
 	out := tensor.NewOf[float32](64, 8)
 	prod := new(CSR32)
-	SpGEMMInto(prod, a, b) // warm the pooled storage
+	SpGEMMIntoCtx(kernels.Context{}, prod, a, b) // warm the pooled storage
 	allocs := testing.AllocsPerRun(100, func() {
-		SpGEMMInto(prod, a, b)
-		SpMMInto(out, a, x)
-		SpMMAddInto(out, a, x, res)
+		SpGEMMIntoCtx(kernels.Context{}, prod, a, b)
+		SpMMIntoCtx(kernels.Context{}, out, a, x)
+		SpMMAddIntoCtx(kernels.Context{}, out, a, x, res)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm f32 sparse kernels allocated %.1f per run, want 0", allocs)

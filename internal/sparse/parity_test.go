@@ -127,12 +127,12 @@ func TestSpMMAddIntoZeroAllocsWarm(t *testing.T) {
 	x := tensor.RandN(r, 16, 4, 1)
 	res := tensor.RandN(r, 16, 4, 1)
 	out := tensor.New(16, 4)
-	SpMMAddInto(out, a, x, res)
+	SpMMAddIntoCtx(kernels.Context{}, out, a, x, res)
 	allocs := testing.AllocsPerRun(100, func() {
-		SpMMAddInto(out, a, x, res)
+		SpMMAddIntoCtx(kernels.Context{}, out, a, x, res)
 	})
 	if allocs != 0 {
-		t.Fatalf("warm SpMMAddInto allocated %.1f per run, want 0", allocs)
+		t.Fatalf("warm SpMMAddIntoCtx allocated %.1f per run, want 0", allocs)
 	}
 }
 

@@ -33,13 +33,14 @@ var (
 )
 
 // SpGEMM computes the sparse-sparse product a×b into a freshly allocated
-// CSR. See SpGEMMInto for the algorithm.
+// CSR. See SpGEMMIntoCtx for the algorithm.
 func SpGEMM[T fp.Float](a, b *CSROf[T]) *CSROf[T] {
-	return SpGEMMInto(new(CSROf[T]), a, b)
+	return SpGEMMIntoCtx(kernels.Context{}, new(CSROf[T]), a, b)
 }
 
-// SpGEMMInto computes out = a×b with a two-pass (symbolic + numeric)
-// Gustavson algorithm, parallelized over the rows of a. This is the
+// SpGEMMIntoCtx computes out = a×b with a two-pass (symbolic + numeric)
+// Gustavson algorithm, parallelized over the rows of a under kc's
+// intra-op worker budget. This is the
 // kernel matrix-based bulk sampling leans on for the Qd·A neighborhood
 // expansion and the row/column-selection extraction step (Figure 2).
 //
@@ -56,22 +57,18 @@ func SpGEMM[T fp.Float](a, b *CSROf[T]) *CSROf[T] {
 // pattern before values are known). Boolean and selection operands — all
 // the sampler ever multiplies — never cancel.
 //
-// out must not alias a or b. Returns out.
-func SpGEMMInto[T fp.Float](out *CSROf[T], a, b *CSROf[T]) *CSROf[T] {
-	return SpGEMMIntoCtx(kernels.Context{}, out, a, b)
-}
-
-// SpGEMMIntoCtx is SpGEMMInto under an explicit intra-op worker budget.
 // Both passes partition rows statically and every output row is
 // computed entirely by one worker (per-worker dense accumulator
 // scratch, disjoint CSR ranges placed by the serial prefix sum), so the
 // result is bitwise identical at every worker count.
+//
+// out must not alias a or b. Returns out.
 func SpGEMMIntoCtx[T fp.Float](kc kernels.Context, out *CSROf[T], a, b *CSROf[T]) *CSROf[T] {
 	if a.ColsN != b.RowsN {
 		panic(fmt.Sprintf("sparse: SpGEMM inner dims %d vs %d", a.ColsN, b.RowsN))
 	}
 	if out == a || out == b {
-		panic("sparse: SpGEMMInto output aliases an input")
+		panic("sparse: SpGEMMIntoCtx output aliases an input")
 	}
 	rows, cols := a.RowsN, b.ColsN
 	out.RowsN, out.ColsN = rows, cols
@@ -173,15 +170,8 @@ func spgemmNumericBody[T fp.Float](c spgemmCtx[T], lo, hi int) {
 // SpMM computes the sparse×dense product a×x into a new dense matrix.
 func SpMM[T fp.Float](a *CSROf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
 	out := tensor.NewOf[T](a.RowsN, x.Cols())
-	SpMMInto(out, a, x)
+	SpMMIntoCtx(kernels.Context{}, out, a, x)
 	return out
-}
-
-// SpMMInto computes out = a×x. out must be preallocated with shape
-// a.RowsN × x.Cols() and must not alias x. Steady-state calls perform no
-// heap allocation.
-func SpMMInto[T fp.Float](out *tensor.Matrix[T], a *CSROf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
-	return SpMMIntoCtx(kernels.Context{}, out, a, x)
 }
 
 // spmmCtx carries SpMM operands into capture-free parallel bodies; res
@@ -193,8 +183,10 @@ type spmmCtx[T fp.Float] struct {
 	res *tensor.Matrix[T]
 }
 
-// SpMMIntoCtx is SpMMInto under an explicit intra-op worker budget.
-// Rows partition statically and each output row accumulates serially in
+// SpMMIntoCtx computes out = a×x under an explicit intra-op worker
+// budget. out must be preallocated with shape a.RowsN × x.Cols() and must
+// not alias x. Steady-state calls perform no heap allocation. Rows
+// partition statically and each output row accumulates serially in
 // CSR column order, so the result is bitwise identical at every worker
 // count.
 func SpMMIntoCtx[T fp.Float](kc kernels.Context, out *tensor.Matrix[T], a *CSROf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
@@ -202,34 +194,29 @@ func SpMMIntoCtx[T fp.Float](kc kernels.Context, out *tensor.Matrix[T], a *CSROf
 		panic(fmt.Sprintf("sparse: SpMM inner dims %d vs %d", a.ColsN, x.Rows()))
 	}
 	if out.Rows() != a.RowsN || out.Cols() != x.Cols() {
-		panic("sparse: SpMMInto output shape mismatch")
+		panic("sparse: SpMMIntoCtx output shape mismatch")
 	}
 	parallel.ForWithN(kc.Cap(), a.RowsN, 32, spmmCtx[T]{out, a, x, nil},
 		pickBody[T, spmmCtx[T]](spmmBody64, spmmBody32))
 	return out
 }
 
-// SpMMAddInto computes out = a×x + res in one pass — the fused
+// SpMMAddIntoCtx computes out = a×x + res in one pass — the fused
 // message-aggregation-plus-residual kernel: each output row starts from
 // the residual row instead of zero, so res is read exactly once and no
 // intermediate product matrix exists. out may alias res (each row is
 // read before it is written, and rows are disjoint across workers); it
-// must not alias x. Shapes: out, res are a.RowsN × x.Cols().
-func SpMMAddInto[T fp.Float](out *tensor.Matrix[T], a *CSROf[T], x, res *tensor.Matrix[T]) *tensor.Matrix[T] {
-	return SpMMAddIntoCtx(kernels.Context{}, out, a, x, res)
-}
-
-// SpMMAddIntoCtx is SpMMAddInto under an explicit intra-op worker
-// budget; bitwise identical at every worker count.
+// must not alias x. Shapes: out, res are a.RowsN × x.Cols(). Bitwise
+// identical at every worker count.
 func SpMMAddIntoCtx[T fp.Float](kc kernels.Context, out *tensor.Matrix[T], a *CSROf[T], x, res *tensor.Matrix[T]) *tensor.Matrix[T] {
 	if a.ColsN != x.Rows() {
 		panic(fmt.Sprintf("sparse: SpMMAdd inner dims %d vs %d", a.ColsN, x.Rows()))
 	}
 	if out.Rows() != a.RowsN || out.Cols() != x.Cols() {
-		panic("sparse: SpMMAddInto output shape mismatch")
+		panic("sparse: SpMMAddIntoCtx output shape mismatch")
 	}
 	if res.Rows() != a.RowsN || res.Cols() != x.Cols() {
-		panic("sparse: SpMMAddInto residual shape mismatch")
+		panic("sparse: SpMMAddIntoCtx residual shape mismatch")
 	}
 	parallel.ForWithN(kc.Cap(), a.RowsN, 32, spmmCtx[T]{out, a, x, res},
 		pickBody[T, spmmCtx[T]](spmmBody64, spmmBody32))

@@ -20,7 +20,9 @@
 //     is the option-based front-end).
 //   - Experiment harnesses regenerating every table and figure of the
 //     paper's evaluation (Table1, Figure3, Figure4, and the *Ablation
-//     functions, all context-aware).
+//     functions, all context-aware), run from the command line as
+//     cmd/repro's subcommands: table1, figure3, figure4, ablation,
+//     scaling and trainpipe.
 //
 // Quickstart (see API.md for the full recon surface):
 //
