@@ -25,6 +25,17 @@ func NewInference[T fp.Float](e *Embedder) *Inference[T] {
 	return &Inference[T]{cfg: e.cfg, mlp: nn.NewMLPInference[T](e.mlp)}
 }
 
+// NewCalibration returns e's float32 inference forward with activation
+// range recording on (see nn.NewMLPCalibration), for the int8 export's
+// Scales. Not safe for concurrent use.
+func NewCalibration(e *Embedder) *Inference[float32] {
+	return &Inference[float32]{cfg: e.cfg, mlp: nn.NewMLPCalibration(e.mlp)}
+}
+
+// Scales returns the activation scale of every linear layer's input
+// that a NewCalibration instance has recorded (nn.MLPInference.Scales).
+func (inf *Inference[T]) Scales() []float32 { return inf.mlp.Scales() }
+
 // Config returns the embedder configuration.
 func (inf *Inference[T]) Config() Config { return inf.cfg }
 

@@ -27,6 +27,17 @@ func NewInference[T fp.Float](f *EdgeFilter) *Inference[T] {
 	return &Inference[T]{cfg: f.cfg, mlp: nn.NewMLPInference[T](f.mlp)}
 }
 
+// NewCalibration returns f's float32 inference forward with activation
+// range recording on (see nn.NewMLPCalibration), for the int8 export's
+// Scales. Not safe for concurrent use.
+func NewCalibration(f *EdgeFilter) *Inference[float32] {
+	return &Inference[float32]{cfg: f.cfg, mlp: nn.NewMLPCalibration(f.mlp)}
+}
+
+// Scales returns the activation scale of every linear layer's input
+// that a NewCalibration instance has recorded (nn.MLPInference.Scales).
+func (inf *Inference[T]) Scales() []float32 { return inf.mlp.Scales() }
+
 // Threshold returns the keep threshold on the sigmoid score.
 func (inf *Inference[T]) Threshold() float64 { return inf.cfg.Threshold }
 

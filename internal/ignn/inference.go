@@ -33,19 +33,66 @@ type Inference[T fp.Float] struct {
 
 // NewInference returns m's inference forward at precision T.
 func NewInference[T fp.Float](m *Model) *Inference[T] {
+	return newInference(m, nn.NewMLPInference[T])
+}
+
+// NewCalibration returns m's float32 inference forward with activation
+// range recording on in every sub-network (see nn.NewMLPCalibration),
+// for the int8 export's Scales. Its scores are bitwise those of
+// NewInference[float32](m). Not safe for concurrent use.
+func NewCalibration(m *Model) *Inference[float32] {
+	return newInference(m, nn.NewMLPCalibration)
+}
+
+func newInference[T fp.Float](m *Model, mlp func(*nn.MLP) *nn.MLPInference[T]) *Inference[T] {
 	inf := &Inference[T]{
 		cfg:         m.cfg,
-		nodeEncoder: nn.NewMLPInference[T](m.nodeEncoder),
-		edgeEncoder: nn.NewMLPInference[T](m.edgeEncoder),
-		head:        nn.NewMLPInference[T](m.head),
+		nodeEncoder: mlp(m.nodeEncoder),
+		edgeEncoder: mlp(m.edgeEncoder),
+		head:        mlp(m.head),
 	}
 	for _, e := range m.edgeNets {
-		inf.edgeNets = append(inf.edgeNets, nn.NewMLPInference[T](e))
+		inf.edgeNets = append(inf.edgeNets, mlp(e))
 	}
 	for _, n := range m.nodeNets {
-		inf.nodeNets = append(inf.nodeNets, nn.NewMLPInference[T](n))
+		inf.nodeNets = append(inf.nodeNets, mlp(n))
 	}
 	return inf
+}
+
+// QuantScales bundles every activation scale of the Interaction GNN
+// checkpoint v4 persists: one table per sub-network (input scale per
+// linear layer) plus, per non-final message-passing step, the scale of
+// the edge messages entering the aggregation.
+type QuantScales struct {
+	NodeEnc  []float32
+	EdgeEnc  []float32
+	EdgeNets [][]float32 // Steps entries
+	NodeNets [][]float32 // Steps-1 entries
+	Head     []float32
+	Agg      []float32 // Steps-1 entries: message scale into aggregation
+}
+
+// Scales returns the activation scales a NewCalibration instance has
+// recorded. The message entering step l's aggregation is edge network
+// l's output, so Agg[l] is that network's output scale.
+func (inf *Inference[T]) Scales() QuantScales {
+	sc := QuantScales{
+		NodeEnc: inf.nodeEncoder.Scales(),
+		EdgeEnc: inf.edgeEncoder.Scales(),
+		Head:    inf.head.Scales(),
+		Agg:     make([]float32, len(inf.nodeNets)),
+	}
+	for l, e := range inf.edgeNets {
+		sc.EdgeNets = append(sc.EdgeNets, e.Scales())
+		if l < len(sc.Agg) {
+			sc.Agg[l] = e.OutputScale()
+		}
+	}
+	for _, n := range inf.nodeNets {
+		sc.NodeNets = append(sc.NodeNets, n.Scales())
+	}
+	return sc
 }
 
 // Config returns the model configuration.
@@ -142,13 +189,6 @@ func incidence[T fp.Float](arena *workspace.Arena, idx []int, rows int) *sparse.
 		Vals:   arenaFloat[T](arena, len(idx)),
 	}
 	return sparse.IncidenceInto(s, rows, idx)
-}
-
-// aggregateRows computes out[v] = Σ_{e: idx[e]=v} x[e] as an incidence
-// SpMM — the same forward the autograd tape's AggregateRows runs.
-func aggregateRows[T fp.Float](kc kernels.Context, arena *workspace.Arena, x *tensor.Matrix[T], idx []int, outRows int) *tensor.Matrix[T] {
-	v := tensor.NewFromOf[T](arena, outRows, x.Cols())
-	return sparse.SpMMIntoCtx(kc, v, incidence[T](arena, idx, outRows), x)
 }
 
 func arenaInt(a *workspace.Arena, n int) []int {

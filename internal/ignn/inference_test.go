@@ -1,6 +1,7 @@
 package ignn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/nn"
 	"repro/internal/rng"
+	"repro/internal/sparse"
 	"repro/internal/tensor"
 	"repro/internal/workspace"
 )
@@ -92,20 +94,71 @@ func TestInferenceF64MatchesTapeScores(t *testing.T) {
 	}
 }
 
+// refRanges accumulates, per network, the max |value| entering each
+// linear layer of refMLP and, in the last slot, leaving the last one —
+// the tables calibration records, taken over materialised inputs. A
+// nil refRanges records nothing.
+type refRanges map[*nn.MLP][]float64
+
+func foldRange[T fp.Float](rr refRanges, m *nn.MLP, slot int, x *tensor.Matrix[T]) {
+	if rr == nil {
+		return
+	}
+	if rr[m] == nil {
+		rr[m] = make([]float64, m.NumLayers()+1)
+	}
+	for _, v := range x.Data() {
+		rr[m][slot] = math.Max(rr[m][slot], math.Abs(float64(v)))
+	}
+}
+
+// scales converts the recorded ranges to m's activation-scale tables:
+// max/127 per slot, 1 for a slot that only saw zeros.
+func (rr refRanges) scales(m *Model) QuantScales {
+	scale := func(v float64) float32 {
+		if v == 0 {
+			return 1
+		}
+		return float32(v / 127)
+	}
+	layers := func(net *nn.MLP) []float32 {
+		r := rr[net]
+		out := make([]float32, len(r)-1)
+		for i := range out {
+			out[i] = scale(r[i])
+		}
+		return out
+	}
+	sc := QuantScales{NodeEnc: layers(m.nodeEncoder), EdgeEnc: layers(m.edgeEncoder), Head: layers(m.head), Agg: []float32{}}
+	for l, e := range m.edgeNets {
+		sc.EdgeNets = append(sc.EdgeNets, layers(e))
+		if l < m.cfg.Steps-1 {
+			sc.Agg = append(sc.Agg, scale(rr[e][e.NumLayers()]))
+		}
+	}
+	for _, n := range m.nodeNets {
+		sc.NodeNets = append(sc.NodeNets, layers(n))
+	}
+	return sc
+}
+
 // refMLP is nn.MLPInference.Forward as it was before the segmented
 // GEMM: per layer a MatMulIntoCtx over a materialised input, then the
 // bias(+ReLU) pass, then LayerNorm. Weights convert from the float64
-// parameters exactly as NewMLPInference converts them.
-func refMLP[T fp.Float](kc kernels.Context, m *nn.MLP, x *tensor.Matrix[T]) *tensor.Matrix[T] {
+// parameters exactly as NewMLPInference converts them. Ranges fold
+// into rr.
+func refMLP[T fp.Float](kc kernels.Context, m *nn.MLP, x *tensor.Matrix[T], rr refRanges) *tensor.Matrix[T] {
 	ps, nl := m.Params(), m.NumLayers()
 	conv := func(p *autograd.Param) *tensor.Matrix[T] { return tensor.ConvertFrom[T](nil, p.Value) }
 	h := x
 	for i := 0; i < nl; i++ {
+		foldRange(rr, m, i, h)
 		w, b := conv(ps[2*i]), conv(ps[2*i+1])
 		z := tensor.NewOf[T](h.Rows(), w.Cols())
 		tensor.MatMulIntoCtx(kc, z, h, w)
 		if i == nl-1 {
 			tensor.AddBiasIntoCtx(kc, z, z, b)
+			foldRange(rr, m, nl, z)
 			return z
 		}
 		tensor.AddBiasReLUIntoCtx(kc, z, z, b)
@@ -142,11 +195,11 @@ func refLayerNorm[T fp.Float](m *tensor.Matrix[T], gain, shift []T) {
 // refEdgeScores is Inference.EdgeScoresCtx as it was before the
 // segmented GEMM: every step materialises X' = [Xl ‖ X0], Y' = [Yl ‖ Y0],
 // the [E × 6H] message input and the [V × 4H] node input, and rebuilds
-// both incidence matrices.
-func refEdgeScores[T fp.Float](kc kernels.Context, m *Model, src, dst []int, x, y *tensor.Matrix[T]) []float64 {
+// both incidence matrices. Every network's ranges fold into rr.
+func refEdgeScores[T fp.Float](kc kernels.Context, m *Model, src, dst []int, x, y *tensor.Matrix[T], rr refRanges) []float64 {
 	n, e, h := x.Rows(), len(src), m.cfg.Hidden
-	x0 := refMLP(kc, m.nodeEncoder, x)
-	y0 := refMLP(kc, m.edgeEncoder, y)
+	x0 := refMLP(kc, m.nodeEncoder, x, rr)
+	y0 := refMLP(kc, m.edgeEncoder, y, rr)
 	xl, yl := x0, y0
 	for l := 0; l < m.cfg.Steps; l++ {
 		xc := tensor.NewOf[T](n, 2*h)
@@ -155,17 +208,17 @@ func refEdgeScores[T fp.Float](kc kernels.Context, m *Model, src, dst []int, x, 
 		tensor.ConcatColsIntoCtx(kc, yc, yl, y0)
 		msgIn := tensor.NewOf[T](e, 6*h)
 		tensor.GatherConcat3IntoCtx(kc, msgIn, yc, nil, xc, src, xc, dst)
-		yl = refMLP(kc, m.edgeNets[l], msgIn)
+		yl = refMLP(kc, m.edgeNets[l], msgIn, rr)
 		if l == m.cfg.Steps-1 {
 			break
 		}
-		msrc := aggregateRows(kc, nil, yl, src, n)
-		mdst := aggregateRows(kc, nil, yl, dst, n)
+		msrc := aggregateRows(kc, yl, src, n)
+		mdst := aggregateRows(kc, yl, dst, n)
 		nodeIn := tensor.NewOf[T](n, 4*h)
 		tensor.ConcatColsIntoCtx(kc, nodeIn, msrc, mdst, xc)
-		xl = refMLP(kc, m.nodeNets[l], nodeIn)
+		xl = refMLP(kc, m.nodeNets[l], nodeIn, rr)
 	}
-	logits := refMLP(kc, m.head, yl)
+	logits := refMLP(kc, m.head, yl, rr)
 	out := make([]float64, e)
 	for i := range out {
 		out[i] = nn.SigmoidScore(logits.At(i, 0))
@@ -173,12 +226,20 @@ func refEdgeScores[T fp.Float](kc kernels.Context, m *Model, src, dst []int, x, 
 	return out
 }
 
+// aggregateRows computes out[v] = Σ_{e: idx[e]=v} x[e] as an incidence
+// SpMM over a freshly built incidence matrix — the same forward the
+// autograd tape's AggregateRows runs.
+func aggregateRows[T fp.Float](kc kernels.Context, x *tensor.Matrix[T], idx []int, outRows int) *tensor.Matrix[T] {
+	v := tensor.NewOf[T](outRows, x.Cols())
+	return sparse.SpMMIntoCtx(kc, v, incidence[T](nil, idx, outRows), x)
+}
+
 func testInferenceMatchesUnfused[T fp.Float](t *testing.T) {
 	serial := kernels.Context{Workers: 1}
 	check := func(name string, m *Model, src, dst []int, x, y *tensor.Dense) {
 		t.Helper()
 		xt, yt := tensor.ConvertFrom[T](nil, x), tensor.ConvertFrom[T](nil, y)
-		want := refEdgeScores(serial, m, src, dst, xt, yt)
+		want := refEdgeScores(serial, m, src, dst, xt, yt, nil)
 		inf := NewInference[T](m)
 		arena := workspace.NewArena()
 		defer arena.Reset()
@@ -212,6 +273,79 @@ func TestInferenceMatchesUnfusedComposition(t *testing.T) {
 	t.Run("f32", testInferenceMatchesUnfused[float32])
 }
 
+// TestInferenceCalibrationScales pins the activation-scale tables of a
+// recording Inference[float32] to ranges taken over the materialised
+// concat composition, bit for bit: at Steps 1 and 3, with and without
+// LayerNorm, at 1 and 4 workers, over two graphs each holding one
+// isolated node with the largest |x| — a range every node-side table
+// must see and no gathered message input may.
+func TestInferenceCalibrationScales(t *testing.T) {
+	graph := func(seed uint64, cfg Config) (src, dst []int, x, y *tensor.Matrix[float32]) {
+		n := 30
+		src, dst, x64, y64 := randomGraph(rng.New(seed), n-1, 70, cfg)
+		x64 = tensor.ConcatRows(x64, tensor.New(1, cfg.NodeFeatures))
+		for j := range cfg.NodeFeatures {
+			x64.Set(n-1, j, 9-2*float64(j))
+		}
+		return src, dst, tensor.ConvertFrom[float32](nil, x64), tensor.ConvertFrom[float32](nil, y64)
+	}
+	serial := kernels.Context{Workers: 1}
+	for _, steps := range []int{1, 3} {
+		for _, layerNorm := range []bool{false, true} {
+			cfg := Config{NodeFeatures: 3, EdgeFeatures: 2, Hidden: 8, Steps: steps, LayerNorm: layerNorm}
+			m := New(cfg, rng.New(23))
+			jitter(m, 230)
+			rr := refRanges{}
+			var want [][]float64
+			for g := range 2 {
+				src, dst, x, y := graph(uint64(24+g), cfg)
+				want = append(want, refEdgeScores(serial, m, src, dst, x, y, rr))
+			}
+			wantSc := rr.scales(m)
+			for _, w := range []int{1, 4} {
+				cal := NewCalibration(m)
+				arena := workspace.NewArena()
+				for g := range 2 {
+					src, dst, x, y := graph(uint64(24+g), cfg)
+					scoresBitsEqual(t, "recording forward", want[g], cal.EdgeScoresCtx(kernels.Context{Workers: w}, arena, src, dst, x, y))
+				}
+				arena.Reset()
+				name := fmt.Sprintf("steps %d, layerNorm %v, %d workers", steps, layerNorm, w)
+				scalesBitsEqual(t, name, wantSc, cal.Scales())
+			}
+		}
+	}
+}
+
+func scalesBitsEqual(t *testing.T, name string, want, got QuantScales) {
+	t.Helper()
+	eq := func(table string, w, g []float32) {
+		t.Helper()
+		if len(w) != len(g) {
+			t.Fatalf("%s: %s has %d scales, want %d", name, table, len(g), len(w))
+		}
+		for i := range w {
+			if math.Float32bits(w[i]) != math.Float32bits(g[i]) {
+				t.Fatalf("%s: %s[%d] = %v, want %v", name, table, i, g[i], w[i])
+			}
+		}
+	}
+	eq("NodeEnc", want.NodeEnc, got.NodeEnc)
+	eq("EdgeEnc", want.EdgeEnc, got.EdgeEnc)
+	eq("Head", want.Head, got.Head)
+	eq("Agg", want.Agg, got.Agg)
+	if len(got.EdgeNets) != len(want.EdgeNets) || len(got.NodeNets) != len(want.NodeNets) {
+		t.Fatalf("%s: %d edge and %d node tables, want %d and %d", name,
+			len(got.EdgeNets), len(got.NodeNets), len(want.EdgeNets), len(want.NodeNets))
+	}
+	for l := range want.EdgeNets {
+		eq(fmt.Sprintf("EdgeNets[%d]", l), want.EdgeNets[l], got.EdgeNets[l])
+	}
+	for l := range want.NodeNets {
+		eq(fmt.Sprintf("NodeNets[%d]", l), want.NodeNets[l], got.NodeNets[l])
+	}
+}
+
 // TestInferenceDegenerateGraphs covers the input boundary: an event
 // with no edges scores nothing (src nil or empty), and a one-hit event
 // whose only possible edges are self-loops still matches the tape and
@@ -241,7 +375,7 @@ func TestInferenceDegenerateGraphs(t *testing.T) {
 	scoresBitsEqual(t, "one hit f64", tapeScores(m, loops, loops, x, y), m.EdgeScoresCtx(kernels.Context{}, nil, loops, loops, x, y))
 	x32, y32 := tensor.ConvertFrom[float32](nil, x), tensor.ConvertFrom[float32](nil, y)
 	scoresBitsEqual(t, "one hit f32",
-		refEdgeScores(kernels.Context{Workers: 1}, m, loops, loops, x32, y32),
+		refEdgeScores(kernels.Context{Workers: 1}, m, loops, loops, x32, y32, nil),
 		inf32.EdgeScoresCtx(kernels.Context{}, nil, loops, loops, x32, y32))
 }
 

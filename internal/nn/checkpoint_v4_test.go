@@ -13,11 +13,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// MLPCalibrator coverage: the recorded ranges and the forward it
-// replays. Checkpoint v4 coverage: round trip with activation tables,
-// the requantization identity, SnapInt8 as the in-memory twin of a
-// v4 load, hostile-input rejection, and the no-partial-mutation
-// guarantee.
+// Calibration coverage: the ranges a NewMLPCalibration instance
+// records and the forward it runs. Checkpoint v4 coverage: round trip
+// with activation tables, the requantization identity, SnapInt8 as the
+// in-memory twin of a v4 load, hostile-input rejection, and the
+// no-partial-mutation guarantee.
 
 func randInputs32(r *rng.Rand, rows, cols int) *tensor.Matrix[float32] {
 	m := tensor.NewOf[float32](rows, cols)
@@ -27,27 +27,28 @@ func randInputs32(r *rng.Rand, rows, cols int) *tensor.Matrix[float32] {
 	return m
 }
 
-// TestMLPCalibratorScales: Observe returns the float32 inference
-// forward bitwise, the first layer's scale is the max |input| over
-// every observed batch divided by 127, every layer gets a scale, and a
-// layer that only ever saw zeros gets scale 1.
-func TestMLPCalibratorScales(t *testing.T) {
+// TestMLPCalibrationScales: a recording instance's output is bitwise a
+// serving instance's, the first layer's scale is the max |input| over
+// every recorded batch divided by 127, every layer gets a scale, a
+// layer that only ever saw zeros gets scale 1, and a row a gathered
+// input does not name is not recorded.
+func TestMLPCalibrationScales(t *testing.T) {
 	r := rng.New(21)
 	m := NewMLP(r, "m", MLPConfig{In: 6, Hidden: []int{16, 8}, Out: 3, Activation: ReLU})
 	kc := kernels.Context{Workers: 1}
 	inf := NewMLPInference[float32](m)
-	cal := NewMLPCalibrator(m)
+	cal := NewMLPCalibration(m)
 	worst := 0.0
 	for range 2 {
 		x := randInputs32(r, 11, 6)
 		for _, v := range x.Data() {
 			worst = math.Max(worst, math.Abs(float64(v)))
 		}
-		got := cal.Observe(kc, nil, x)
+		got := cal.Forward(kc, nil, tensor.Seg[float32]{M: x})
 		want := inf.Forward(kc, nil, tensor.Seg[float32]{M: x})
 		for i, v := range want.Data() {
-			if got.Data()[i] != v {
-				t.Fatalf("Observe element %d: %v, float32 inference %v", i, got.Data()[i], v)
+			if math.Float32bits(got.Data()[i]) != math.Float32bits(v) {
+				t.Fatalf("recording forward element %d: %v, serving forward %v", i, got.Data()[i], v)
 			}
 		}
 	}
@@ -58,10 +59,19 @@ func TestMLPCalibratorScales(t *testing.T) {
 	if sc[0] != float32(worst/127) {
 		t.Fatalf("input scale %v, want %v", sc[0], worst/127)
 	}
-	zero := NewMLPCalibrator(m)
-	zero.Observe(kc, nil, tensor.NewOf[float32](3, 6))
+	zero := NewMLPCalibration(m)
+	zero.Forward(kc, nil, tensor.Seg[float32]{M: tensor.NewOf[float32](3, 6)})
 	if got := zero.Scales()[0]; got != 1 {
 		t.Fatalf("all-zero input scale %v, want 1", got)
+	}
+	// A gathered segment counts only the rows its index names.
+	g := tensor.NewOf[float32](2, 6)
+	g.Set(0, 2, -2)
+	g.Set(1, 4, 100)
+	gathered := NewMLPCalibration(m)
+	gathered.Forward(kc, nil, tensor.Seg[float32]{M: g, Idx: []int{0, 0}})
+	if got := gathered.Scales()[0]; got != float32(2.0/127) {
+		t.Fatalf("gathered input scale %v, want %v", got, float32(2.0/127))
 	}
 }
 

@@ -26,11 +26,18 @@ import (
 // T = float32 construction converts the weights once and the result is
 // an immutable snapshot. Forward only reads the weights, so either
 // form is safe for concurrent use while nothing writes the parameters.
+//
+// An instance built by NewMLPCalibration also records activation
+// ranges (see Scales) and is not safe for concurrent use.
 type MLPInference[T fp.Float] struct {
 	cfg   MLPConfig
 	w, b  []*tensor.Matrix[T] // per linear layer (hidden... , output)
 	gain  []*tensor.Matrix[T] // per LayerNorm, when cfg.LayerNorm
 	shift []*tensor.Matrix[T]
+	// maxAbs is nil on a serving instance. On a calibration instance
+	// maxAbs[i] is the largest |value| seen entering linear layer i and
+	// maxAbs[len(w)] the largest seen leaving the last one.
+	maxAbs []float64
 }
 
 // NewMLPInference returns the inference forward of m at precision T: a
@@ -46,6 +53,18 @@ func NewMLPInference[T fp.Float](m *MLP) *MLPInference[T] {
 		mi.gain = append(mi.gain, convertParam[T](n.Gain))
 		mi.shift = append(mi.shift, convertParam[T](n.Bias))
 	}
+	return mi
+}
+
+// NewMLPCalibration returns m's float32 inference forward with range
+// recording on: every forward also folds the max |value| entering each
+// linear layer, and leaving the last, into the tables Scales and
+// OutputScale read — the activation ranges checkpoint v4 exports beside
+// the int8 weights. Its outputs are bitwise those of
+// NewMLPInference[float32](m). Not safe for concurrent use.
+func NewMLPCalibration(m *MLP) *MLPInference[float32] {
+	mi := NewMLPInference[float32](m)
+	mi.maxAbs = make([]float64, len(mi.w)+1)
 	return mi
 }
 
@@ -90,6 +109,7 @@ func (mi *MLPInference[T]) ForwardInto(kc kernels.Context, out *tensor.Matrix[T]
 	relu := mi.cfg.Activation == ReLU
 	var prev [1]tensor.Seg[T]
 	for i, z := range hid {
+		mi.record(i, in)
 		tensor.MatMulSegsIntoCtx(kc, z, mi.w[i], mi.b[i], relu, in...)
 		if !relu {
 			applyActivation(mi.cfg.Activation, z)
@@ -100,7 +120,62 @@ func (mi *MLPInference[T]) ForwardInto(kc kernels.Context, out *tensor.Matrix[T]
 		prev[0] = tensor.Seg[T]{M: z}
 		in = prev[:]
 	}
+	mi.record(last, in)
 	tensor.MatMulSegsIntoCtx(kc, out, mi.w[last], mi.b[last], false, in...)
+	prev[0] = tensor.Seg[T]{M: out}
+	mi.record(last+1, prev[:])
+}
+
+// record folds the max |value| of the rows segs name into maxAbs[slot];
+// a no-op on a serving instance. A gathered segment counts only the
+// rows its index names. NaN never raises the max.
+func (mi *MLPInference[T]) record(slot int, segs []tensor.Seg[T]) {
+	if mi.maxAbs == nil {
+		return
+	}
+	worst := mi.maxAbs[slot]
+	for _, s := range segs {
+		if s.Idx == nil {
+			worst = foldMaxAbs(worst, s.M.Data())
+			continue
+		}
+		for _, r := range s.Idx {
+			worst = foldMaxAbs(worst, s.M.Row(r))
+		}
+	}
+	mi.maxAbs[slot] = worst
+}
+
+func foldMaxAbs[T fp.Float](worst float64, vals []T) float64 {
+	for _, v := range vals {
+		if a := math.Abs(float64(v)); a > worst {
+			worst = a
+		}
+	}
+	return worst
+}
+
+// Scales returns the symmetric int8 scale of every linear layer's
+// input recorded so far: max|input|/127, and 1 for a layer that never
+// saw a nonzero input. Only a NewMLPCalibration instance records; on a
+// serving instance Scales and OutputScale panic.
+func (mi *MLPInference[T]) Scales() []float32 {
+	scales := make([]float32, len(mi.w))
+	for i := range scales {
+		scales[i] = symmetricScale(mi.maxAbs[i])
+	}
+	return scales
+}
+
+// OutputScale is Scales for the last linear layer's output.
+func (mi *MLPInference[T]) OutputScale() float32 { return symmetricScale(mi.maxAbs[len(mi.w)]) }
+
+// symmetricScale maps a recorded max |value| to its int8 scale.
+func symmetricScale(maxAbs float64) float32 {
+	if maxAbs == 0 {
+		return 1
+	}
+	return float32(maxAbs / 127)
 }
 
 // applyActivation applies the nonlinearity in place. ReLU is handled by

@@ -16,7 +16,7 @@ import (
 // intermediate matrix). Neither runs on the GNN's hot paths any more:
 // the segmented GEMM (tiled.go) reads concatenations in place and folds
 // bias and ReLU into its store. They remain the references the GEMM is
-// tested against and the kernels of the export-time calibrators.
+// tested against and the kernels the benchmark's kernel rows time.
 
 // AddBiasReLUIntoCtx computes out = max(0, m + bias) in one pass,
 // fusing AddBiasIntoCtx + ReLU: the sum never round-trips through memory.

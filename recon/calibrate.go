@@ -9,12 +9,9 @@ import (
 	"repro/internal/embed"
 	"repro/internal/filter"
 	"repro/internal/ignn"
-	"repro/internal/kernels"
-	"repro/internal/knnsearch"
 	"repro/internal/nn"
 	"repro/internal/pipeline"
 	"repro/internal/rng"
-	"repro/internal/tensor"
 	"repro/internal/workspace"
 )
 
@@ -83,7 +80,8 @@ func (r *Reconstructor) i8ScalesFromAct(act []nn.ActScales) (*i8Scales, error) {
 	for _, a := range act {
 		byName[a.Name] = a.Scales
 	}
-	// The calibrators' unobserved tables have the model's shape.
+	// A fresh calibration's tables, before any forward is recorded,
+	// have the model's shape.
 	s := r.newCalibration().scales()
 	for _, t := range s.tables() {
 		want := len(*t.scales)
@@ -119,88 +117,75 @@ func (r *Reconstructor) calibrationEvents() []*Event {
 	return evs
 }
 
-// calibrate runs the activation-range calibration pass over events:
-// the float32 forward of every default stage replays with observers
-// recording per-linear-layer input ranges (plus the GNN's aggregation
-// ranges), while non-default stages — truth-level or custom builders
-// and filters — run as themselves so the observed graph distribution
-// matches what inference will actually see.
+// calibrate runs the activation-range calibration pass over events: the
+// serving float32 adapters replay every event over forwards built to
+// record their activation ranges (from the float64 weights, at every
+// precision). The default embedder and GNN are recorded whichever
+// stages serve: the embedder on every event, truth-level graphs
+// included, the GNN on every non-empty graph. The embedding feeds a
+// float32 radius search when both are the stages in use, and the
+// default filter is recorded when it is. Custom, truth-level and pass
+// stages run as themselves, so the recorded graphs are the ones
+// inference will see.
 func (r *Reconstructor) calibrate(ctx context.Context, events []*Event) (*i8Scales, error) {
 	c := r.newCalibration()
-	embCal, filtCal, gnnCal := c.embed, c.filter, c.gnn
+	fw := &forwards[float32]{embed: c.embed, filter: c.filter, gnn: c.gnn}
+	emb := mlpEmbedder[float32]{m: r.embedModel, fw: fw}
+	gnn := gnnClassifier[float32]{m: r.gnnModel, fw: fw}
+	builder, filt := r.builder, r.filter
+	embedServes := isDefault(r.embedder)
+	if embedServes && isDefault(builder) {
+		builder = radiusBuilder[float32]{radius: r.cfg.Radius, maxDegree: r.cfg.MaxDegree}
+	}
+	if isDefault(filt) {
+		filt = mlpFilter[float32]{m: r.filterModel, fw: fw, spec: r.spec}
+	}
 	a := workspace.NewArena()
 	defer a.Reset()
 	kctx := r.kernelCtx(ctx)
-	kc := kernels.From(kctx)
-	// The built-in stages are the ones whose tables the export carries,
-	// whichever precision's adapter stands for them here, so each
-	// replays through its observer. The radius search runs on the
-	// observed embedding only when the default embedder produced it:
-	// with a custom Embedder the radius builder runs as itself on that
-	// embedder's output.
-	embedObserved := isDefault(r.embedder)
-	searchObserved := embedObserved && isDefault(r.builder)
-	filterObserved := isDefault(r.filter)
 	for _, ev := range events {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		mark := a.Checkpoint()
-		feat := tensor.ConvertFrom[float32](a, ev.Features)
-		emb := embCal.Observe(kc, a, feat)
-
-		var src, dst []int
-		var err error
-		if searchObserved {
-			src, dst = knnsearch.BuildRadiusGraphCtx(kc, emb, r.cfg.Radius, r.cfg.MaxDegree)
-		} else {
-			thunk := func() (*Matrix, error) {
-				if embedObserved {
-					return tensor.ConvertFrom[float64](nil, emb), nil
-				}
-				return r.embedder.Embed(kctx, a, ev)
-			}
-			if src, dst, err = r.builder.BuildEdges(kctx, a, ev, thunk); err != nil {
-				return nil, fmt.Errorf("recon: calibration build edges: %w", err)
-			}
+		embedded, err := emb.Embed(kctx, a, ev)
+		if err != nil {
+			return nil, fmt.Errorf("recon: calibration embed: %w", err)
 		}
-
-		var fsrc, fdst []int
-		if filterObserved {
-			if len(src) > 0 {
-				edgeFeat := detector.EdgeFeaturesWith(a, r.spec, ev, src, dst)
-				scores := filtCal.Observe(kc, a, feat, tensor.ConvertFrom[float32](a, edgeFeat), src, dst)
-				for k, s := range scores {
-					if s >= filtCal.Threshold() {
-						fsrc = append(fsrc, src[k])
-						fdst = append(fdst, dst[k])
-					}
-				}
+		embedFn := func() (*Matrix, error) {
+			if embedServes {
+				return embedded, nil
 			}
-		} else if fsrc, fdst, err = r.filter.FilterEdges(kctx, a, ev, src, dst); err != nil {
+			return r.embedder.Embed(kctx, a, ev)
+		}
+		src, dst, err := builder.BuildEdges(kctx, a, ev, embedFn)
+		if err != nil {
+			return nil, fmt.Errorf("recon: calibration build edges: %w", err)
+		}
+		fsrc, fdst, err := filt.FilterEdges(kctx, a, ev, src, dst)
+		if err != nil {
 			return nil, fmt.Errorf("recon: calibration filter edges: %w", err)
 		}
-
 		if len(fsrc) > 0 {
-			eg := pipeline.AssembleGraph(r.spec, ev, fsrc, fdst)
-			x := tensor.ConvertFrom[float32](a, eg.X)
-			y := tensor.ConvertFrom[float32](a, eg.Y)
-			gnnCal.Observe(kc, a, eg.G.Src, eg.G.Dst, x, y)
+			if _, err := gnn.ScoreEdges(kctx, a, pipeline.AssembleGraph(r.spec, ev, fsrc, fdst)); err != nil {
+				return nil, fmt.Errorf("recon: calibration score edges: %w", err)
+			}
 		}
 		a.ResetTo(mark)
 	}
 	return c.scales(), nil
 }
 
-// calibration is one observer per default stage model.
+// calibration is the float32 forward of each default stage model with
+// activation range recording on.
 type calibration struct {
-	embed  *embed.Calibrator
-	filter *filter.Calibrator
-	gnn    *ignn.Calibrator
+	embed  *embed.Inference[float32]
+	filter *filter.Inference[float32]
+	gnn    *ignn.Inference[float32]
 }
 
 func (r *Reconstructor) newCalibration() calibration {
-	return calibration{embed.NewCalibrator(r.embedModel), filter.NewCalibrator(r.filterModel), ignn.NewCalibrator(r.gnnModel)}
+	return calibration{embed.NewCalibration(r.embedModel), filter.NewCalibration(r.filterModel), ignn.NewCalibration(r.gnnModel)}
 }
 
 func (c calibration) scales() *i8Scales {

@@ -3,6 +3,7 @@ package recon
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/ddp"
@@ -119,7 +120,7 @@ func (s *settings) fail(format string, args ...any) {
 // embedding space (stage 2).
 func WithRadius(r float64) Option {
 	return func(s *settings) {
-		if r <= 0 {
+		if !(r > 0) {
 			s.fail("WithRadius: radius must be positive, got %v", r)
 			return
 		}
@@ -145,8 +146,8 @@ func WithMaxDegree(d int) Option {
 // also skips the embedding computation entirely.
 func WithTruthLevelGraphs(ratio float64) Option {
 	return func(s *settings) {
-		if ratio < 0 {
-			s.fail("WithTruthLevelGraphs: ratio must be ≥0, got %v", ratio)
+		if !(ratio >= 0) || math.IsInf(ratio, 1) {
+			s.fail("WithTruthLevelGraphs: ratio must be finite and ≥0, got %v", ratio)
 			return
 		}
 		s.truthLevel = true
@@ -161,15 +162,28 @@ func WithoutEdgeFilter() Option {
 }
 
 // WithFilterThreshold sets the stage-3 keep threshold on the filter
-// MLP's sigmoid score.
+// MLP's sigmoid score. NaN, which would keep no edge, is rejected.
 func WithFilterThreshold(t float64) Option {
-	return func(s *settings) { s.filterThresh = &t }
+	return func(s *settings) {
+		if math.IsNaN(t) {
+			s.fail("WithFilterThreshold: threshold is NaN")
+			return
+		}
+		s.filterThresh = &t
+	}
 }
 
 // WithThreshold sets the stage-4 decision threshold: edges scored at or
-// above it survive to track building.
+// above it survive to track building. NaN, which would keep no edge,
+// is rejected.
 func WithThreshold(t float64) Option {
-	return func(s *settings) { s.gnnThreshold = &t }
+	return func(s *settings) {
+		if math.IsNaN(t) {
+			s.fail("WithThreshold: threshold is NaN")
+			return
+		}
+		s.gnnThreshold = &t
+	}
 }
 
 // WithMinTrackHits drops track candidates with fewer hits.
@@ -206,8 +220,12 @@ func WithSeed(seed uint64) Option {
 // epochs, learning rate, and positive-class weight.
 func WithGNNTraining(epochs int, lr, posWeight float64) Option {
 	return func(s *settings) {
-		if epochs < 1 || lr <= 0 {
-			s.fail("WithGNNTraining: need epochs ≥1 and lr > 0, got %d/%v", epochs, lr)
+		if epochs < 1 || !(lr > 0) || math.IsInf(lr, 1) {
+			s.fail("WithGNNTraining: need epochs ≥1 and a finite lr > 0, got %d/%v", epochs, lr)
+			return
+		}
+		if !(posWeight >= 0) || math.IsInf(posWeight, 1) {
+			s.fail("WithGNNTraining: need a finite posWeight ≥0, got %v", posWeight)
 			return
 		}
 		s.gnnEpochs = epochs

@@ -127,6 +127,38 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := recon.New(spec, recon.WithKernelWorkers(-1)); err == nil {
 		t.Fatal("WithKernelWorkers(-1) accepted")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		opt  recon.Option
+	}{
+		{"WithRadius(NaN)", recon.WithRadius(nan)},
+		{"WithTruthLevelGraphs(NaN)", recon.WithTruthLevelGraphs(nan)},
+		{"WithTruthLevelGraphs(+Inf)", recon.WithTruthLevelGraphs(inf)},
+		{"WithGNNTraining lr NaN", recon.WithGNNTraining(1, nan, 2)},
+		{"WithGNNTraining lr +Inf", recon.WithGNNTraining(1, inf, 2)},
+		{"WithGNNTraining posWeight NaN", recon.WithGNNTraining(1, 3e-3, nan)},
+		{"WithGNNTraining posWeight +Inf", recon.WithGNNTraining(1, 3e-3, inf)},
+		{"WithGNNTraining posWeight -1", recon.WithGNNTraining(1, 3e-3, -1)},
+		{"WithThreshold(NaN)", recon.WithThreshold(nan)},
+		{"WithFilterThreshold(NaN)", recon.WithFilterThreshold(nan)},
+		{"WithMaxDegree(0)", recon.WithMaxDegree(0)},
+		{"WithMinTrackHits(0)", recon.WithMinTrackHits(0)},
+	} {
+		if _, err := recon.New(spec, c.opt); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+	// Every threshold in use stays valid, 0 included, and so do the
+	// boundary values of the others.
+	for _, opt := range []recon.Option{
+		recon.WithThreshold(0), recon.WithThreshold(0.5), recon.WithFilterThreshold(0),
+		recon.WithTruthLevelGraphs(0), recon.WithGNNTraining(1, 3e-3, 0),
+	} {
+		if _, err := recon.New(spec, opt); err != nil {
+			t.Errorf("valid option rejected: %v", err)
+		}
+	}
 }
 
 // TestKernelWorkersParity: the intra-op worker budget is a pure

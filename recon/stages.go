@@ -37,7 +37,8 @@ import (
 // forwards holds the forward pass of the three learned default stages
 // at element type T — the method sets embed/filter/ignn.Inference[T]
 // share with the stage models (T = float64). At Float32 and Int8 it
-// holds the Inference[float32] snapshots syncInference builds.
+// holds the Inference[float32] snapshots syncInference builds; int8
+// export calibration builds one over recording instances.
 type forwards[T fp.Float] struct {
 	embed interface {
 		EmbedCtx(kc kernels.Context, a *Arena, features *tensor.Matrix[T]) *tensor.Matrix[T]
@@ -63,7 +64,7 @@ func convert[D, S fp.Float](a *Arena, m *tensor.Matrix[S]) *tensor.Matrix[D] {
 // defaultStage marks the built-in adapters of the learned stages and
 // the radius search between them, at whichever precision: the stages
 // Fit trains through the staged procedure and int8 export calibration
-// replays through its observers.
+// replays at float32 with range recording on.
 type defaultStage interface{ defaultStage() }
 
 func isDefault(stage any) bool {
