@@ -11,6 +11,7 @@ package detector
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -38,21 +39,22 @@ type Event struct {
 	// reconstructable) particles.
 	Particles int
 
-	truthSet map[[2]int]bool
+	truthOnce sync.Once // builds truthSet on first use, safe across goroutines
+	truthSet  map[[2]int]bool
 }
 
 // NumHits returns the vertex count of the event graph.
 func (e *Event) NumHits() int { return len(e.Hits) }
 
 // IsTruthEdge reports whether (a, b) — in either orientation — is a
-// ground-truth track edge.
+// ground-truth track edge. It is safe for concurrent use.
 func (e *Event) IsTruthEdge(a, b int) bool {
-	if e.truthSet == nil {
+	e.truthOnce.Do(func() {
 		e.truthSet = make(map[[2]int]bool, len(e.TruthSrc))
 		for k := range e.TruthSrc {
 			e.truthSet[[2]int{e.TruthSrc[k], e.TruthDst[k]}] = true
 		}
-	}
+	})
 	return e.truthSet[[2]int{a, b}] || e.truthSet[[2]int{b, a}]
 }
 

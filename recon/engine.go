@@ -22,9 +22,10 @@ type Outcome struct {
 	Err    error
 }
 
-// Engine executes a Reconstructor concurrently: a fixed worker pool
-// where each worker pins one workspace arena for its whole lifetime,
-// reconstructing events with zero steady-state allocation churn.
+// Engine executes a Reconstructor concurrently. Every call runs its
+// events on one pool of workers that lives for that call; each worker
+// pins one workspace arena, so events reconstruct with zero
+// steady-state allocation churn.
 //
 // Semantics (see API.md):
 //   - Determinism: results are bit-identical to serial Reconstruct at
@@ -32,11 +33,6 @@ type Outcome struct {
 //     the kernels parallelize deterministically.
 //   - Ordering: ReconstructBatch returns results positionally;
 //     ReconstructStream emits outcomes in submission order.
-//   - Backpressure: at most workers+queueDepth events are in flight; a
-//     stream producer blocks once the window is full.
-//   - Errors: per-event errors ride in the Outcome (stream) or leave a
-//     nil hole (batch); cancellation and admission rejection
-//     (ErrOverloaded) are the only engine-level errors.
 //   - Admission: at most workers+queueDepth events are in flight across
 //     all entry points. A batch that would push past the window is
 //     rejected immediately with ErrOverloaded (fast fail, never an
@@ -46,15 +42,21 @@ type Outcome struct {
 //     Streams apply blocking backpressure to their producer instead of
 //     fast-failing, but their in-flight events count against the same
 //     window, so concurrent batches see the load.
-//   - Deadlines: WithRequestTimeout puts a per-call (batch) or per-event
-//     (stream) deadline on the work, propagated into every stage call.
+//   - Deadlines: WithRequestTimeout puts a deadline on each admitted
+//     unit of work — a batch or coalesced call, or one streamed event —
+//     whose clock starts at admission and is propagated into every
+//     stage call.
+//   - Errors: per-event errors ride in the Outcome (stream) or leave a
+//     nil hole (batch). A unit whose deadline fired or whose context
+//     was cancelled reports that error ahead of any per-event error;
+//     cancellation and admission rejection (ErrOverloaded) are the only
+//     engine-level errors.
 //   - Panic isolation: a stage panic is recovered into a per-event
 //     *StageError; sibling events keep completing and the worker
 //     replaces its arena rather than dying.
 type Engine struct {
 	rec           *Reconstructor
 	workers       int
-	queue         int
 	kernelWorkers int
 	timeout       time.Duration
 
@@ -127,7 +129,6 @@ func NewEngine(rec *Reconstructor, opts ...Option) (*Engine, error) {
 	e := &Engine{
 		rec:            rec,
 		workers:        set.workers,
-		queue:          set.queueDepth,
 		kernelWorkers:  set.kernelWorkers,
 		timeout:        set.requestTimeout,
 		limit:          int64(set.workers + set.queueDepth),
@@ -166,22 +167,100 @@ func (e *Engine) reconstructGuarded(ctx context.Context, arena **workspace.Arena
 	return res, err
 }
 
-// unitCtx derives the context one event runs under: the worker's
-// kernel-budget context, bounded by the per-request deadline when one
-// is configured. The returned cancel must be called once the event
-// finishes to release the timer.
-func (e *Engine) unitCtx(wctx context.Context) (context.Context, context.CancelFunc) {
-	if e.timeout <= 0 {
-		return wctx, func() {}
-	}
-	return context.WithTimeout(wctx, e.timeout)
+// unit is one admitted piece of work on its way through the worker
+// loop: the events of one batch or coalesced call, or one streamed
+// event.
+type unit struct {
+	ctx     context.Context // the caller's ctx, bounded by the deadline set at admission
+	cancel  context.CancelFunc
+	index   int // submission index of events[0], for StageError tags
+	events  []*Event
+	results []*Result
+	pending atomic.Int64 // events neither run nor skipped yet
+	mu      sync.Mutex   // guards err while events run
+	err     error        // settled by the unit's last task, see work
+	done    chan struct{}
 }
 
-// workerCtx installs one pool worker's intra-op kernel budget on ctx:
-// the host divided across the workers actually running, so
-// workers × kernel-workers never exceeds GOMAXPROCS.
-func (e *Engine) workerCtx(ctx context.Context, workers int) context.Context {
-	return kernels.Into(ctx, kernels.Budget(workers, e.kernelWorkers))
+// newUnit admits events as one unit; the WithRequestTimeout clock
+// starts here. The caller must call u.cancel once done with the unit.
+func (e *Engine) newUnit(ctx context.Context, index int, events []*Event) *unit {
+	u := &unit{ctx: ctx, cancel: func() {}, index: index, events: events,
+		results: make([]*Result, len(events)), done: make(chan struct{})}
+	if e.timeout > 0 {
+		u.ctx, u.cancel = context.WithTimeout(ctx, e.timeout)
+	}
+	u.pending.Store(int64(len(events)))
+	return u
+}
+
+// work is the engine's one worker loop and the only caller of
+// reconstructGuarded. It pins one arena, installs the kernel budget of
+// a pool of the given size, and runs (unit, event) tasks from next
+// until next reports none are left. A nil event, or one whose unit's
+// context has ended, is skipped. The task that finishes a unit settles
+// its error — a fired deadline or cancellation ahead of the first
+// per-event error — and closes done.
+func (e *Engine) work(pool int, next func() (*unit, int, bool)) {
+	arena := workspace.NewArena()
+	defer func() { arena.Reset() }()
+	budget := kernels.Budget(pool, e.kernelWorkers)
+	for {
+		u, i, ok := next()
+		if !ok {
+			return
+		}
+		if ev := u.events[i]; ev != nil && u.ctx.Err() == nil {
+			res, err := e.reconstructGuarded(kernels.Into(u.ctx, budget), &arena, u.index+i, ev)
+			if err == nil {
+				u.results[i] = res
+			} else {
+				u.mu.Lock()
+				if u.err == nil {
+					u.err = err
+				}
+				u.mu.Unlock()
+			}
+		}
+		if u.pending.Add(-1) == 0 {
+			if err := u.ctx.Err(); err != nil {
+				u.err = err
+			}
+			close(u.done)
+		}
+	}
+}
+
+// run executes units on a pool of up to e.workers goroutines, the
+// caller's own among them, and returns once every event has run or
+// been skipped.
+func (e *Engine) run(units []*unit) {
+	type task struct {
+		u *unit
+		i int
+	}
+	var tasks []task
+	for _, u := range units {
+		for i := range u.events {
+			tasks = append(tasks, task{u, i})
+		}
+	}
+	pool := min(e.workers, len(tasks))
+	var next atomic.Int64
+	pull := func() (*unit, int, bool) {
+		k := int(next.Add(1)) - 1
+		if k >= len(tasks) {
+			return nil, 0, false
+		}
+		return tasks[k].u, tasks[k].i, true
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < pool; w++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); e.work(pool, pull) }()
+	}
+	e.work(pool, pull)
+	wg.Wait()
 }
 
 // Reconstructor returns the engine's underlying reconstructor.
@@ -203,206 +282,93 @@ func (e *Engine) Workers() int { return e.workers }
 // under that deadline and returns context.DeadlineExceeded (with the
 // results completed so far) when it expires. Stage panics never escape:
 // each becomes a per-event *StageError, counted in Stats, and the
-// batch's other events complete normally.
+// batch's other events complete normally. It is ReconstructCoalesced
+// without a batch window: the caller runs the pool at once.
 func (e *Engine) ReconstructBatch(ctx context.Context, events []*Event) ([]*Result, error) {
-	results := make([]*Result, len(events))
-	if len(events) == 0 {
-		return results, ctx.Err()
-	}
-	if !e.admit(len(events)) {
-		return nil, ErrOverloaded
-	}
-	defer e.inflight.Add(-int64(len(events)))
-	if e.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.timeout)
-		defer cancel()
-	}
-	// Touching each event's lazily-built truth set up front keeps the
-	// workers read-only on shared *Event values, even when the same
-	// pointer appears in the batch twice.
-	warmTruth(events)
-
-	workers := e.workers
-	if workers > len(events) {
-		workers = len(events)
-	}
-	var (
-		next     atomic.Int64
-		errMu    sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			arena := workspace.NewArena()
-			defer func() { arena.Reset() }()
-			wctx := e.workerCtx(ctx, workers)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(events) || ctx.Err() != nil {
-					return
-				}
-				if events[i] == nil {
-					continue
-				}
-				res, err := e.reconstructGuarded(wctx, &arena, i, events[i])
-				if err != nil {
-					if ctx.Err() == nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-					}
-					continue
-				}
-				results[i] = res
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
-	return results, firstErr
+	return e.submit(ctx, events, nil)
 }
 
 // ReconstructStream reconstructs events as they arrive on in, emitting
 // one Outcome per event on the returned channel in submission order.
 // At most workers+queueDepth events are admitted at once — once the
 // window is full, reads from in pause until an outcome is consumed
-// (bounded in-flight backpressure). The output channel closes after in
-// closes and every admitted event's outcome has been emitted, or
-// promptly on cancellation (events never admitted are dropped). The
-// consumer must drain the output channel or cancel the context;
-// abandoning it mid-stream leaks the pool's goroutines.
+// (bounded in-flight backpressure). Each admitted event is a one-event
+// unit of the worker loop, under its own WithRequestTimeout deadline
+// counted from admission; a nil event yields an Outcome with an error.
+// The output channel closes after in closes and every admitted event's
+// outcome has been emitted, or promptly on cancellation (events never
+// admitted are dropped). The consumer must drain the output channel or
+// cancel the context; abandoning it mid-stream leaks the pool's
+// goroutines.
 func (e *Engine) ReconstructStream(ctx context.Context, in <-chan *Event) <-chan Outcome {
 	out := make(chan Outcome)
-	work := make(chan Outcome) // dispatched units: Result/Err unset
-	done := make(chan Outcome) // finished units, arbitrary order
-	window := e.workers + e.queue
+	window := int(e.limit)
+	slots := make(chan struct{}, window) // held from admission to emission
+	work := make(chan *unit, window)     // admitted units, for the pool
+	order := make(chan *unit, window)    // the same units, first in first out, for emission
 
-	// Stream events count against the engine's shared admission window
+	// Admission: stream events count against the engine's shared window
 	// (so concurrent batches fast-fail while a stream saturates it), but
-	// the stream itself applies blocking backpressure to its producer
-	// rather than rejecting. admitted/released reconcile the shared
-	// counter once the dispatcher and reorderer both exit, covering
-	// events that were admitted but never emitted on cancellation.
-	var admitted, released atomic.Int64
-	var roles sync.WaitGroup
-	roles.Add(2)
+	// a full window blocks the producer instead of rejecting. Neither
+	// send below can block: a held slot bounds both channels.
 	go func() {
-		roles.Wait()
-		e.inflight.Add(released.Load() - admitted.Load())
-	}()
-
-	// Dispatcher: admit events under the in-flight window.
-	admit := make(chan struct{}, window)
-	go func() {
-		defer roles.Done()
+		defer close(order)
 		defer close(work)
-		idx := 0
-		for {
+		for idx := 0; ; idx++ {
+			var ev *Event
 			select {
-			case <-ctx.Done():
-				return
-			case ev, ok := <-in:
+			case next, ok := <-in:
 				if !ok {
 					return
 				}
-				select {
-				case admit <- struct{}{}:
-					admitted.Add(1)
-					e.inflight.Add(1)
-				case <-ctx.Done():
-					return
-				}
-				if ev != nil {
-					// See ReconstructBatch: keep workers read-only.
-					ev.IsTruthEdge(0, 0)
-				}
-				select {
-				case work <- Outcome{Index: idx, Event: ev}:
-					idx++
-				case <-ctx.Done():
-					return
-				}
+				ev = next
+			case <-ctx.Done():
+				return
 			}
+			select {
+			case slots <- struct{}{}:
+			case <-ctx.Done():
+				return
+			}
+			e.inflight.Add(1)
+			u := e.newUnit(ctx, idx, []*Event{ev})
+			work <- u
+			order <- u
 		}
 	}()
 
-	// Workers: one pinned arena each, replaced if a panic escapes the
-	// stage guards; each event runs under the per-request deadline.
-	var wg sync.WaitGroup
+	pull := func() (*unit, int, bool) { u, ok := <-work; return u, 0, ok }
 	for w := 0; w < e.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			arena := workspace.NewArena()
-			defer func() { arena.Reset() }()
-			wctx := e.workerCtx(ctx, e.workers)
-			for u := range work {
-				if ctx.Err() != nil {
-					return
-				}
-				if u.Event == nil {
-					u.Err = errNilEvent
-				} else {
-					uctx, cancel := e.unitCtx(wctx)
-					u.Result, u.Err = e.reconstructGuarded(uctx, &arena, u.Index, u.Event)
-					cancel()
-				}
-				select {
-				case done <- u:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
+		go e.work(e.workers, pull)
 	}
-	go func() { wg.Wait(); close(done) }()
 
-	// Reorderer: emit in submission order, releasing window slots as
-	// outcomes leave, which is what bounds the reorder buffer.
+	// Emission: wait on the admitted units first in first out, so
+	// outcomes leave in submission order, and release each unit's slot
+	// as it leaves. After cancellation nothing more is emitted; the
+	// remaining units only give their slots back.
 	go func() {
-		defer roles.Done()
 		defer close(out)
-		pending := make(map[int]Outcome, window)
-		nextIdx := 0
-		for u := range done {
-			pending[u.Index] = u
-			for {
-				o, ok := pending[nextIdx]
-				if !ok {
-					break
+		for u := range order {
+			select {
+			case <-u.done:
+			case <-ctx.Done():
+			}
+			if ctx.Err() == nil {
+				o := Outcome{Index: u.index, Event: u.events[0], Result: u.results[0], Err: u.err}
+				if o.Event == nil {
+					o.Err = errNilEvent
 				}
-				delete(pending, nextIdx)
 				select {
 				case out <- o:
 				case <-ctx.Done():
-					return
 				}
-				<-admit
-				released.Add(1)
-				e.inflight.Add(-1)
-				nextIdx++
 			}
+			u.cancel()
+			<-slots
+			e.inflight.Add(-1)
 		}
 	}()
 	return out
 }
 
 var errNilEvent = errors.New("recon: nil event")
-
-// warmTruth forces each event's lazily-built truth-edge set so that
-// concurrent workers never mutate shared Event state.
-func warmTruth(events []*Event) {
-	for _, ev := range events {
-		if ev != nil {
-			ev.IsTruthEdge(0, 0)
-		}
-	}
-}

@@ -130,7 +130,6 @@ type ShardGateway struct {
 	healthInterval time.Duration
 	failThreshold  int
 	maxBody        int64
-	drainTimeout   time.Duration
 
 	mux   *http.ServeMux
 	stats *serverStats
@@ -139,8 +138,7 @@ type ShardGateway struct {
 	rejected atomic.Int64
 	gwErrors atomic.Int64
 
-	draining  atomic.Bool
-	inflight  sync.WaitGroup
+	drainer
 	startOnce sync.Once
 }
 
@@ -163,7 +161,7 @@ func NewShardGateway(shardURLs []string, opts ...Option) (*ShardGateway, error) 
 		healthInterval: set.healthInterval,
 		failThreshold:  set.failThreshold,
 		maxBody:        set.maxBodyBytes,
-		drainTimeout:   set.drainTimeout,
+		drainer:        drainer{drainTimeout: set.drainTimeout},
 		mux:            http.NewServeMux(),
 		stats:          newServerStats(),
 	}
@@ -215,43 +213,11 @@ func (g *ShardGateway) Start(ctx context.Context) {
 	})
 }
 
-// Draining reports whether graceful shutdown has begun.
-func (g *ShardGateway) Draining() bool { return g.draining.Load() }
-
-// Shutdown begins a graceful drain, mirroring Server.Shutdown: /healthz
-// flips to draining, new reconstruct requests get 503, and the call
-// blocks until in-flight requests finish or ctx expires.
-func (g *ShardGateway) Shutdown(ctx context.Context) error {
-	g.draining.Store(true)
-	done := make(chan struct{})
-	go func() { g.inflight.Wait(); close(done) }()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // Serve runs the gateway on addr until ctx is cancelled, then drains
 // gracefully exactly like Server.Serve.
 func (g *ShardGateway) Serve(ctx context.Context, addr string) error {
 	g.Start(ctx)
-	srv := &http.Server{Addr: addr, Handler: g}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), g.drainTimeout)
-		defer cancel()
-		if drainErr := g.Shutdown(shutCtx); drainErr != nil {
-			srv.Close()
-			return drainErr
-		}
-		return srv.Shutdown(shutCtx)
-	}
+	return g.serve(ctx, addr, g)
 }
 
 // healthLoop probes every shard until ctx is cancelled.
@@ -439,13 +405,10 @@ func (e *gatewayError) Error() string { return e.msg }
 
 func (g *ShardGateway) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	g.inflight.Add(1)
-	defer g.inflight.Done()
-	if g.draining.Load() {
-		g.stats.record(time.Since(start), 0, true)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": ErrDraining.Error()})
+	if !g.enter(w, g.stats, start) {
 		return
 	}
+	defer g.inflight.Done()
 	reqp, reqBinary, status, derr := decodeReconstructRequest(w, r, g.maxBody)
 	if derr != nil {
 		g.stats.record(time.Since(start), 0, true)

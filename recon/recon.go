@@ -7,11 +7,16 @@
 // custom classifiers) through functional options.
 //
 // On top of the per-event Reconstructor, Engine executes reconstruction
-// concurrently: a worker pool with one workspace arena pinned per worker,
-// a batch entry point (ReconstructBatch) whose results are bit-identical
-// to serial execution, and a streaming entry point (ReconstructStream)
+// concurrently through one worker loop: each call runs its events on
+// one pool whose workers live for that call, with one workspace arena
+// pinned per worker. A batch entry point (ReconstructBatch) returns
+// results bit-identical to serial execution, ReconstructCoalesced merges
+// concurrent calls into one pool run, and a streaming entry point
+// (ReconstructStream) emits in submission order, first in first out,
 // with bounded in-flight backpressure. Every entry point takes a
-// context.Context for cancellation and timeouts.
+// context.Context; a WithRequestTimeout deadline starts at admission,
+// and a fired deadline or cancellation is returned ahead of a per-event
+// error.
 //
 // Quickstart:
 //

@@ -146,14 +146,21 @@ func (s *serverStats) snapshot(workers int, precision string) StatsJSON {
 //   - Shutdown drains gracefully: /healthz flips to draining, new
 //     reconstruct work is rejected with 503, in-flight requests finish.
 type Server struct {
-	engine       *Engine
-	stats        *serverStats
-	mux          *http.ServeMux
-	maxBody      int64
-	drainTimeout time.Duration
+	engine  *Engine
+	stats   *serverStats
+	mux     *http.ServeMux
+	maxBody int64
 
-	draining atomic.Bool
-	inflight sync.WaitGroup
+	drainer
+}
+
+// drainer is the graceful-drain lifecycle Server and ShardGateway
+// share: the draining flag /healthz reports, the in-flight reconstruct
+// requests Shutdown waits for, and the Serve loop around them.
+type drainer struct {
+	drainTimeout time.Duration
+	draining     atomic.Bool
+	inflight     sync.WaitGroup
 }
 
 // NewServer wraps an engine in the HTTP front-end. Relevant options:
@@ -167,11 +174,11 @@ func NewServer(engine *Engine, opts ...Option) *Server {
 		set = defaultSettings()
 	}
 	s := &Server{
-		engine:       engine,
-		stats:        newServerStats(),
-		mux:          http.NewServeMux(),
-		maxBody:      set.maxBodyBytes,
-		drainTimeout: set.drainTimeout,
+		engine:  engine,
+		stats:   newServerStats(),
+		mux:     http.NewServeMux(),
+		maxBody: set.maxBodyBytes,
+		drainer: drainer{drainTimeout: set.drainTimeout},
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /statz", s.handleStatz)
@@ -183,7 +190,7 @@ func NewServer(engine *Engine, opts ...Option) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Draining reports whether graceful shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (d *drainer) Draining() bool { return d.draining.Load() }
 
 // Shutdown begins a graceful drain: /healthz flips to 503 "draining" so
 // load balancers stop routing here, new reconstruct requests are
@@ -191,10 +198,10 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // has finished or ctx expires (ctx.Err() is returned in that case; the
 // stragglers are then cut off by the HTTP server teardown). Safe to
 // call more than once.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
+func (d *drainer) Shutdown(ctx context.Context) error {
+	d.draining.Store(true)
 	done := make(chan struct{})
-	go func() { s.inflight.Wait(); close(done) }()
+	go func() { d.inflight.Wait(); close(done) }()
 	select {
 	case <-done:
 		return nil
@@ -321,15 +328,10 @@ func writeReconstructResponse(w http.ResponseWriter, binary bool, resp *Reconstr
 
 func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	// Drain gate: Add before the draining check so Shutdown's Wait can
-	// never miss a request that saw draining=false.
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-	if s.draining.Load() {
-		s.stats.record(time.Since(start), 0, true)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": ErrDraining.Error()})
+	if !s.enter(w, s.stats, start) {
 		return
 	}
+	defer s.inflight.Done()
 	req, reqBinary, status, derr := decodeReconstructRequest(w, r, s.maxBody)
 	if derr != nil {
 		s.stats.record(time.Since(start), 0, true)
@@ -496,16 +498,38 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // that had already been admitted. It is the programmatic core of
 // cmd/serve.
 func (s *Server) Serve(ctx context.Context, addr string) error {
-	srv := &http.Server{Addr: addr, Handler: s}
+	return s.serve(ctx, addr, s)
+}
+
+// enter is the drain gate at the top of a reconstruct handler. It
+// counts the request in flight and reports true, and the caller must
+// then defer d.inflight.Done(); while draining it answers 503 instead
+// and reports false. Add comes before the draining check so Shutdown's
+// Wait can never miss a request that saw draining=false.
+func (d *drainer) enter(w http.ResponseWriter, stats *serverStats, start time.Time) bool {
+	d.inflight.Add(1)
+	if !d.draining.Load() {
+		return true
+	}
+	d.inflight.Done()
+	stats.record(time.Since(start), 0, true)
+	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": ErrDraining.Error()})
+	return false
+}
+
+// serve runs h on addr until ctx is cancelled, then drains: Shutdown
+// gets the drain timeout, and only then is the HTTP server torn down.
+func (d *drainer) serve(ctx context.Context, addr string, h http.Handler) error {
+	srv := &http.Server{Addr: addr, Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	select {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), s.drainTimeout)
+		shutCtx, cancel := context.WithTimeout(context.Background(), d.drainTimeout)
 		defer cancel()
-		if drainErr := s.Shutdown(shutCtx); drainErr != nil {
+		if drainErr := d.Shutdown(shutCtx); drainErr != nil {
 			// Drain budget exhausted with requests still in flight: hard
 			// stop — waiting longer would just stall the restart.
 			srv.Close()
