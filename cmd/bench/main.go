@@ -39,7 +39,6 @@ import (
 	"repro/internal/gpumem"
 	"repro/internal/graph"
 	"repro/internal/kernels"
-	"repro/internal/pipeline"
 	"repro/internal/rng"
 	"repro/internal/sampling"
 	"repro/internal/sparse"
@@ -401,28 +400,6 @@ func suite(quick bool) []namedBench {
 				sampling.BulkMatrixShaDow(g, eidx, batches, cfg, r.Split())
 			}
 		}},
-		{"BenchmarkDistTrain_EpochP2_Bucketed", func(b *testing.B) {
-			graphs, gnn := distTrainFixture(b)
-			cfg := repro.DefaultTrainerConfig(gnn)
-			cfg.Ranks = 2
-			cfg.Strategy = repro.BucketedSync
-			cfg.BatchSize = 64
-			cfg.Shadow = sampling.Config{Depth: 2, Fanout: 4}
-			tr, err := repro.NewTrainer(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer tr.Close()
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tr.TrainEpoch(ctx, graphs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			cs := tr.CommStats()
-			b.ReportMetric(float64(cs.Modeled.Nanoseconds())/float64(b.N), "comm_modeled_ns/op")
-		}},
 	}
 	benches = append(benches, precisionSuite()...)
 	if !quick {
@@ -548,25 +525,6 @@ func runSweep(procs []int) *ProcsSweep {
 		}
 	}
 	return sweep
-}
-
-// distTrainFixture builds truth-level graphs and a small GNN config for
-// the distributed-trainer benchmark.
-func distTrainFixture(b *testing.B) ([]*repro.EventGraph, repro.GNNConfig) {
-	spec := repro.Ex3Like(0.02)
-	spec.NumEvents = 2
-	ds := repro.GenerateDataset(spec, 42)
-	var graphs []*repro.EventGraph
-	for i, ev := range ds.Events {
-		graphs = append(graphs, pipeline.TruthLevelGraph(spec, ev, 1.5, uint64(200+i)))
-	}
-	gnn := repro.GNNConfig{
-		NodeFeatures: spec.VertexFeatures,
-		EdgeFeatures: spec.EdgeFeatures,
-		Hidden:       8,
-		Steps:        2,
-	}
-	return graphs, gnn
 }
 
 // gatewayFanoutBench builds a gateway over n real HTTP engine shards

@@ -137,10 +137,8 @@ func parseSync(name string) (repro.SyncStrategy, error) {
 		return repro.PerMatrixSync, nil
 	case "coalesced":
 		return repro.CoalescedSync, nil
-	case "bucketed":
-		return repro.BucketedSync, nil
 	}
-	return 0, usagef("unknown sync strategy %q; choose permatrix | coalesced | bucketed", name)
+	return 0, usagef("unknown sync strategy %q; choose permatrix | coalesced", name)
 }
 
 // gnnConfig sizes the interaction GNN for a dataset family's features.
@@ -368,9 +366,8 @@ func trainpipe(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	steps := fs.Int("steps", 3, "GNN layers")
 	impl := fs.String("impl", "ours", "training impl: ours | pyg | fullgraph")
 	seed := fs.Uint64("seed", 11, "seed")
-	sync := fs.String("sync", "", "gradient sync strategy: permatrix | coalesced | bucketed (empty = the impl's own)")
+	sync := fs.String("sync", "", "gradient sync strategy: permatrix | coalesced (empty = the impl's own)")
 	bulk := fs.Int("bulk", 0, "batches stacked per bulk sampler call (0 = derived from device memory)")
-	bucketBytes := fs.Int("bucket-bytes", 0, "bucket cap in bytes for -sync bucketed (0 = default)")
 	return func(ctx context.Context, w io.Writer) error {
 		implConfig, ok := trainImpls[*impl]
 		if !ok {
@@ -402,7 +399,6 @@ func trainpipe(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 		if *bulk > 0 {
 			cfg.BulkBatches = *bulk
 		}
-		cfg.BucketBytes = *bucketBytes
 		cfg.BatchSize = *batch
 		cfg.Epochs = *epochs
 		cfg.Seed = *seed

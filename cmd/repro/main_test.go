@@ -38,9 +38,12 @@ func TestExitStatus(t *testing.T) {
 		{"procs below 1", bg, []string{"figure3", "-procs", "0"}, 2},
 		{"empty ranks", bg, []string{"scaling", "-ranks", " , "}, 2},
 		{"unknown strategy", bg, []string{"scaling", "-strategies", "permatrix,nope"}, 2},
+		{"bucketed strategy", bg, []string{"scaling", "-strategies", "bucketed"}, 2},
+		{"empty strategies", bg, []string{"scaling", "-strategies", ","}, 2},
 		{"unknown exp", bg, []string{"ablation", "-exp", "nope"}, 2},
 		{"unknown impl", bg, []string{"trainpipe", "-impl", "nope"}, 2},
 		{"unknown sync", bg, []string{"trainpipe", "-sync", "nope"}, 2},
+		{"bucketed sync", bg, []string{"trainpipe", "-sync", "bucketed"}, 2},
 		{"missing dataset", bg, []string{"trainpipe", "-i", missing}, 1},
 		{"interrupted figure3", cancelled, []string{"figure3", "-scale", "0.02", "-events", "3", "-hidden", "8", "-steps", "2", "-procs", "1,2"}, 1},
 		{"interrupted trainpipe", cancelled, []string{"trainpipe", "-epochs", "1"}, 1},
@@ -118,7 +121,7 @@ func TestScalingChecksHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{`"parity_ok": true`, `"comm_claim_ok": true`, `"name": "Scaling_P2_k2_bucketed"`} {
+	for _, field := range []string{`"parity_ok": true`, `"comm_claim_ok": true`, `"name": "Scaling_P2_k2_coalesced"`} {
 		if !bytes.Contains(rec, []byte(field)) {
 			t.Errorf("record lacks %s", field)
 		}

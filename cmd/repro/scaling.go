@@ -56,9 +56,8 @@ type scalingRecord struct {
 //   - parity_ok: every cell produced the bit-identical loss trajectory —
 //     the determinism guarantee of recon.TrainDistributed observed over
 //     the whole sweep.
-//   - comm_claim_ok: at every P, coalesced and bucketed modeled
-//     collective time ≤ per-matrix — the paper's §III-D claim under the
-//     α–β model.
+//   - comm_claim_ok: at every P, coalesced modeled collective time ≤
+//     per-matrix — the paper's §III-D claim under the α–β model.
 //
 // Usage:
 //
@@ -66,14 +65,13 @@ type scalingRecord struct {
 func scaling(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	ranksFlag := fs.String("ranks", "1,2,4", "comma-separated rank counts")
 	bulkFlag := fs.String("bulk", "1,4", "comma-separated bulk batch counts k")
-	strategiesFlag := fs.String("strategies", "permatrix,coalesced,bucketed", "sync strategies to sweep")
+	strategiesFlag := fs.String("strategies", "permatrix,coalesced", "sync strategies to sweep")
 	epochs := fs.Int("epochs", 2, "epochs per cell")
 	batch := fs.Int("batch", 64, "global batch size")
 	hidden := fs.Int("hidden", 16, "GNN hidden width")
 	steps := fs.Int("steps", 3, "GNN message-passing steps")
 	events := fs.Int("events", 4, "synthetic events")
 	scale := fs.Float64("scale", 0.02, "dataset scale")
-	bucketBytes := fs.Int("bucket-bytes", 4096, "bucket cap for the bucketed strategy")
 	gradBlocks := fs.Int("grad-blocks", 8, "canonical gradient micro-blocks per step")
 	seed := fs.Uint64("seed", 7, "seed")
 	out := fs.String("out", "", "write BENCH-style JSON to this path (empty: stdout only)")
@@ -98,6 +96,9 @@ func scaling(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 			}
 			strategyOrder = append(strategyOrder, s)
 		}
+		if len(strategyOrder) == 0 {
+			return usagef("empty -strategies list")
+		}
 
 		spec := repro.Ex3Like(*scale)
 		spec.NumEvents = *events
@@ -116,12 +117,12 @@ func scaling(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 			GOARCH:        runtime.GOARCH,
 			MaxProcs:      runtime.GOMAXPROCS(0),
 			Protocol: fmt.Sprintf("repro scaling: ranks %v × bulk %v × strategies %v; %d epochs, batch %d, "+
-				"hidden %d, steps %d, %d truth-level Ex3 events @ scale %v, grad-blocks %d, bucket-bytes %d, seed %d. "+
+				"hidden %d, steps %d, %d truth-level Ex3 events @ scale %v, grad-blocks %d, seed %d. "+
 				"ns_per_op is measured wall time per epoch (host-core contention included; modeled comm excluded); "+
 				"sampling_ns and training_ns are gated compute sections (max across ranks); "+
 				"comm_wait_ns is the measured time in collectives (max across ranks); "+
 				"comm_modeled_ns is the α–β ring time of the charged logical collectives.",
-				ranks, bulks, strategyOrder, *epochs, *batch, *hidden, *steps, *events, *scale, *gradBlocks, *bucketBytes, *seed),
+				ranks, bulks, strategyOrder, *epochs, *batch, *hidden, *steps, *events, *scale, *gradBlocks, *seed),
 			ParityOK:    true,
 			CommClaimOK: true,
 		}
@@ -140,7 +141,6 @@ func scaling(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 					cfg.LR = 3e-3
 					cfg.Ranks = P
 					cfg.Strategy = strategies[stratName]
-					cfg.BucketBytes = *bucketBytes
 					cfg.BulkBatches = k
 					cfg.GradBlocks = *gradBlocks
 					cfg.Seed = *seed
@@ -164,12 +164,9 @@ func scaling(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 						int64(cell.Metrics["comm_calls_total"]), cell.Metrics["final_loss"])
 				}
 			}
-			if pm, ok := modeledByP[P]["permatrix"]; ok {
-				for _, s := range []string{"coalesced", "bucketed"} {
-					if v, ok := modeledByP[P][s]; ok && v > pm {
-						rec.CommClaimOK = false
-					}
-				}
+			pm, okP := modeledByP[P]["permatrix"]
+			if c, okC := modeledByP[P]["coalesced"]; okP && okC && c > pm {
+				rec.CommClaimOK = false
 			}
 		}
 

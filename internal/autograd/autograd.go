@@ -51,7 +51,6 @@ type Node struct {
 	grad     *tensor.Dense
 	needGrad bool
 	back     func() // propagates n.grad into parent grads; nil for leaves
-	param    *Param // set for Use nodes, for the param-grad-ready hook
 	tp       *Tape
 	// view marks a Value the tape holds no storage for: a parameter's
 	// (Use) or another node's (Identity).
@@ -103,16 +102,6 @@ type Tape struct {
 	// rank-level and kernel-level parallelism compose without
 	// oversubscription. Results are bitwise identical at every budget.
 	kc kernels.Context
-
-	// paramHook, when set, is invoked during Backward as soon as a
-	// parameter's gradient is final — i.e. when the reverse sweep passes
-	// the parameter's earliest Use node, after which no further
-	// contribution can reach p.Grad. This is the signal bucketed gradient
-	// synchronization overlaps communication with: a bucket's all-reduce
-	// can start the moment its last parameter fires, while backward is
-	// still computing earlier layers. The hook runs on the goroutine
-	// executing Backward.
-	paramHook func(p *Param)
 
 	// Chunked node slab: records are handed out from chunks so Reset can
 	// rewind and reuse them — a reused tape allocates no node storage at
@@ -233,16 +222,9 @@ func (t *Tape) Use(p *Param) *Node {
 	n = t.newNode(p.Value, true, func() {
 		p.Grad.AddInPlace(n.grad)
 	})
-	n.param = p
 	n.view = true
 	return n
 }
-
-// SetParamGradHook installs (or, with nil, removes) the
-// parameter-gradient-ready callback — see the paramHook field. The hook
-// persists across Reset; callers arming it for one step should clear it
-// afterwards.
-func (t *Tape) SetParamGradHook(h func(p *Param)) { t.paramHook = h }
 
 // Backward seeds the gradient of loss (which must be 1×1) with 1 and
 // propagates through the tape in reverse recording order.
@@ -253,29 +235,10 @@ func (t *Tape) Backward(loss *Node) {
 	seed := t.alloc(1, 1)
 	seed.Set(0, 0, 1)
 	loss.accumOwned(seed)
-	// With a param hook installed, count the remaining Use nodes per
-	// parameter so the hook fires exactly once, at the earliest-recorded
-	// use (the final gradient contribution in reverse order) — even for
-	// parameters bound multiple times or left without gradient flow.
-	var remaining map[*Param]int
-	if t.paramHook != nil {
-		remaining = make(map[*Param]int)
-		for _, n := range t.nodes {
-			if n.param != nil {
-				remaining[n.param]++
-			}
-		}
-	}
 	for i := len(t.nodes) - 1; i >= 0; i-- {
 		n := t.nodes[i]
 		if n.grad != nil && n.back != nil {
 			n.back()
-		}
-		if remaining != nil && n.param != nil {
-			remaining[n.param]--
-			if remaining[n.param] == 0 {
-				t.paramHook(n.param)
-			}
 		}
 	}
 }

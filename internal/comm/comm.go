@@ -310,36 +310,3 @@ func (g *Group) AllGather(rank int, buf []float64) {
 func (g *Group) Broadcast(rank int, buf []float64, root int) {
 	ringErr("broadcast", g.peers[rank].Broadcast(context.Background(), buf, root))
 }
-
-// Barrier blocks until every rank has reached it.
-type Barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	p     int
-	count int
-	phase int
-}
-
-// NewBarrier creates a reusable barrier for p ranks.
-func NewBarrier(p int) *Barrier {
-	b := &Barrier{p: p}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// Wait blocks until all p ranks have called Wait.
-func (b *Barrier) Wait() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	phase := b.phase
-	b.count++
-	if b.count == b.p {
-		b.count = 0
-		b.phase++
-		b.cond.Broadcast()
-		return
-	}
-	for phase == b.phase {
-		b.cond.Wait()
-	}
-}

@@ -168,37 +168,6 @@ func TestRingAllReduceTimeFormula(t *testing.T) {
 	}
 }
 
-func TestBarrier(t *testing.T) {
-	const p = 5
-	b := NewBarrier(p)
-	var phase1 int32
-	var mu sync.Mutex
-	counts := make([]int, 0, p)
-	runRanks(p, func(rank int) {
-		mu.Lock()
-		phase1++
-		mu.Unlock()
-		b.Wait()
-		// After the barrier all p increments must be visible.
-		mu.Lock()
-		counts = append(counts, int(phase1))
-		mu.Unlock()
-	})
-	for _, c := range counts {
-		if c != p {
-			t.Fatalf("rank saw %d arrivals after barrier, want %d", c, p)
-		}
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	const p = 3
-	b := NewBarrier(p)
-	for round := 0; round < 10; round++ {
-		runRanks(p, func(rank int) { b.Wait() })
-	}
-}
-
 func TestReduceScatterSum(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 8} {
 		for _, n := range []int{1, 5, 64, 257} {

@@ -4,11 +4,10 @@
 // gradients are synchronized with an all-reduce so every replica takes
 // the identical optimizer step (§II-C of the paper).
 //
-// The synchronization strategies match the paper's §III-D comparison:
+// The two synchronization strategies are the paper's §III-D comparison:
 // PerMatrix runs one all-reduce per parameter matrix (the baseline,
 // paying ring latency once per matrix); Coalesced stacks every gradient
-// into one buffer and reduces once; Bucketed is the PyTorch-DDP
-// refinement in between.
+// into one buffer and reduces once.
 package ddp
 
 import (
@@ -26,11 +25,6 @@ const (
 	// Coalesced flattens all gradients into one buffer and all-reduces
 	// once — the paper's optimization.
 	Coalesced
-	// Bucketed groups gradients into fixed-size buckets in reverse
-	// parameter order (the order backward completes them) and reduces one
-	// bucket at a time — the PyTorch-DDP refinement of coalescing that
-	// lets communication start before the full backward pass finishes.
-	Bucketed
 )
 
 // String names the strategy for reports.
@@ -38,62 +32,31 @@ func (s SyncStrategy) String() string {
 	switch s {
 	case Coalesced:
 		return "coalesced"
-	case Bucketed:
-		return "bucketed"
 	default:
 		return "per-matrix"
 	}
 }
 
-// DefaultBucketBytes is the bucket cap used when none is configured —
-// PyTorch DDP's 25 MiB default scaled to this simulation's model sizes.
-const DefaultBucketBytes = 256 << 10
-
-// Bucket is one contiguous run of parameters synchronized together. Lo
-// and Hi are the half-open element bounds of the bucket inside the
-// flattened gradient vector (nn.FlattenGrads order).
-type Bucket struct {
-	Params []int // indices into the parameter list, ascending
-	Lo, Hi int   // flat element bounds [Lo, Hi)
-}
+// Bucket is one contiguous run of parameters synchronized together by
+// one all-reduce: the half-open element bounds [Lo, Hi) of the bucket
+// inside the flattened gradient vector (nn.FlattenGrads order).
+type Bucket struct{ Lo, Hi int }
 
 // Elements returns the bucket's flattened element count.
 func (b Bucket) Elements() int { return b.Hi - b.Lo }
 
-// BucketLayout partitions parameters into buckets of at most bucketBytes
-// (8 bytes per element; a single oversized parameter gets its own
-// bucket). Buckets are ordered by backward completion: the LAST
-// parameters in the list (the classifier head, used latest in the
-// forward pass) finish their gradients first, so the final parameters
-// form bucket 0. Within a bucket, parameter indices stay ascending so
-// flattened bounds are contiguous.
-func BucketLayout(params []*autograd.Param, bucketBytes int) []Bucket {
-	if bucketBytes <= 0 {
-		bucketBytes = DefaultBucketBytes
-	}
-	offsets := make([]int, len(params)+1)
-	for i, p := range params {
-		offsets[i+1] = offsets[i] + p.Grad.Size()
-	}
+// BucketLayout returns the buckets strategy s reduces each step:
+// PerMatrix gets one bucket per parameter, in parameter order, and
+// Coalesced gets one bucket spanning the whole flattened gradient.
+func BucketLayout(params []*autograd.Param, s SyncStrategy) []Bucket {
 	var buckets []Bucket
-	hi := len(params)
-	for hi > 0 {
-		lo := hi
-		bytes := 0
-		for lo > 0 {
-			pb := params[lo-1].Grad.Size() * 8
-			if bytes > 0 && bytes+pb > bucketBytes {
-				break
-			}
-			bytes += pb
-			lo--
-		}
-		b := Bucket{Lo: offsets[lo], Hi: offsets[hi]}
-		for i := lo; i < hi; i++ {
-			b.Params = append(b.Params, i)
-		}
-		buckets = append(buckets, b)
-		hi = lo
+	lo := 0
+	for _, p := range params {
+		buckets = append(buckets, Bucket{Lo: lo, Hi: lo + p.Grad.Size()})
+		lo += p.Grad.Size()
+	}
+	if s == Coalesced {
+		return []Bucket{{Lo: 0, Hi: lo}}
 	}
 	return buckets
 }

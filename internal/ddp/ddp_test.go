@@ -46,48 +46,23 @@ func TestBucketLayout(t *testing.T) {
 	m := nn.NewMLP(rng.New(3), "b", nn.MLPConfig{In: 8, Hidden: []int{16, 16}, Out: 4, Activation: nn.ReLU})
 	params := m.Params()
 	total := nn.GradElements(params)
-	for _, bucketBytes := range []int{1, 64, 1024, 1 << 20} {
-		buckets := BucketLayout(params, bucketBytes)
-		// Buckets must tile [0, total) in reverse order and cover every
-		// parameter exactly once.
-		seen := make(map[int]bool)
-		wantHi := total
-		for _, b := range buckets {
-			if b.Hi != wantHi {
-				t.Fatalf("bucketBytes=%d: bucket hi %d, want %d", bucketBytes, b.Hi, wantHi)
-			}
-			if b.Lo >= b.Hi {
-				t.Fatalf("bucketBytes=%d: empty bucket [%d,%d)", bucketBytes, b.Lo, b.Hi)
-			}
-			elems := 0
-			for _, pi := range b.Params {
-				if seen[pi] {
-					t.Fatalf("param %d in two buckets", pi)
-				}
-				seen[pi] = true
-				elems += params[pi].Grad.Size()
-			}
-			if elems != b.Elements() {
-				t.Fatalf("bucket [%d,%d) declares %d elements, params sum to %d", b.Lo, b.Hi, b.Elements(), elems)
-			}
-			// A bucket may exceed the cap only when it holds a single
-			// oversized parameter.
-			if elems*8 > bucketBytes && len(b.Params) > 1 {
-				t.Fatalf("bucketBytes=%d: multi-param bucket of %d bytes", bucketBytes, elems*8)
-			}
-			wantHi = b.Lo
-		}
-		if wantHi != 0 {
-			t.Fatalf("bucketBytes=%d: buckets do not reach element 0 (stop at %d)", bucketBytes, wantHi)
-		}
-		if len(seen) != len(params) {
-			t.Fatalf("bucketBytes=%d: %d of %d params bucketed", bucketBytes, len(seen), len(params))
-		}
+	// Per-matrix: one bucket per parameter, tiling [0, total) in order.
+	buckets := BucketLayout(params, PerMatrix)
+	if len(buckets) != len(params) {
+		t.Fatalf("per-matrix: %d buckets for %d params", len(buckets), len(params))
 	}
-	// Bucket 0 must hold the LAST parameters (first gradients ready).
-	buckets := BucketLayout(params, 64)
-	last := buckets[0].Params[len(buckets[0].Params)-1]
-	if last != len(params)-1 {
-		t.Fatalf("bucket 0 must end at the final param, got %d", last)
+	lo := 0
+	for i, b := range buckets {
+		if b.Lo != lo || b.Elements() != params[i].Grad.Size() {
+			t.Fatalf("per-matrix bucket %d is [%d,%d), want [%d,%d)", i, b.Lo, b.Hi, lo, lo+params[i].Grad.Size())
+		}
+		lo = b.Hi
+	}
+	if lo != total {
+		t.Fatalf("per-matrix buckets end at %d, want %d", lo, total)
+	}
+	// Coalesced: one bucket over the whole flattened gradient.
+	if got := BucketLayout(params, Coalesced); len(got) != 1 || got[0] != (Bucket{Lo: 0, Hi: total}) {
+		t.Fatalf("coalesced layout %v, want one bucket [0,%d)", got, total)
 	}
 }

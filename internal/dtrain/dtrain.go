@@ -16,11 +16,11 @@
 // micro-blocks. Every step each rank samples the subgraphs of its
 // blocks (the bulk sampler stacks up to k batches into one
 // matrix-sampler invocation), runs forward/backward per block, and
-// synchronizes gradients under one of three strategies: one collective
-// per parameter matrix (the baseline), one coalesced collective (the
-// paper's optimization), or bucketed collectives overlapped with the
-// backward pass (the PyTorch-DDP refinement: a bucket enters the ring
-// as soon as its layer's backward completes).
+// synchronizes gradients under one of two strategies: one collective
+// per parameter matrix (the baseline) or one coalesced collective (the
+// paper's optimization). Every rank issues a step's collectives in the
+// same program order (the cancellation flag, each gradient bucket, the
+// per-block losses) on one ring, after its backward passes are done.
 //
 // # Determinism
 //
@@ -68,12 +68,12 @@
 // Modelled: AllReduce is the α–β ring time on NVLink 3.0 of the logical
 // collectives a production NCCL deployment would run for the same
 // payload (k·2(P−1)·α latency for per-matrix, one 2(P−1)·α for
-// coalesced, one per bucket for bucketed), because channel hops on a
-// host do not resemble a GPU interconnect. Config.SamplerOverhead is
-// added to Sampling once per sampler invocation per rank
-// (EpochStats.SamplerCalls), standing in for the kernel-launch and
-// dataloader cost that makes batch-by-batch GPU sampling expensive, and
-// Config.ComputeSpeedup divides Training, standing in for accelerator
+// coalesced), because channel hops on a host do not resemble a GPU
+// interconnect. Config.SamplerOverhead is added to Sampling once per
+// sampler invocation per rank (EpochStats.SamplerCalls), standing in
+// for the kernel-launch and dataloader cost that makes batch-by-batch
+// GPU sampling expensive, and Config.ComputeSpeedup divides Training,
+// standing in for accelerator
 // dense-compute throughput. Both are applied where EpochStats is
 // assembled and charge nothing at their zero value; PERF.md ("Figure 3
 // timing model") records the calibration.
@@ -89,7 +89,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -140,11 +139,9 @@ type Config struct {
 
 	// Ranks is the number of simulated devices P.
 	Ranks int
-	// Strategy selects the gradient synchronization pattern.
+	// Strategy selects the gradient synchronization pattern:
+	// ddp.PerMatrix or ddp.Coalesced.
 	Strategy ddp.SyncStrategy
-	// BucketBytes caps each bucket for ddp.Bucketed
-	// (ddp.DefaultBucketBytes when 0).
-	BucketBytes int
 	// Sampler selects bulk (the zero value), per-step or no sampling.
 	Sampler Sampler
 	// BulkBatches is k, the number of consecutive batches stacked into
@@ -171,8 +168,8 @@ type Config struct {
 	// every value.
 	KernelWorkers int
 
-	// Network, when non-nil, carries the ring links of every transport
-	// group over a pluggable transport (transport.TCP routes them through
+	// Network, when non-nil, carries the links of the trainer's ring
+	// over a pluggable transport (transport.TCP routes them through
 	// real sockets; transport.Loopback through in-process pipes with a
 	// registry). nil keeps the direct in-process pipe wiring. The loss
 	// trajectory is bitwise identical either way — the reduction order is
@@ -234,8 +231,8 @@ func OursConfig(gnn ignn.Config, ranks int) Config {
 // CommStats summarizes the charged (logical) collective traffic.
 type CommStats struct {
 	// Calls is the number of charged collectives (per-matrix: one per
-	// parameter per step; coalesced: one per step; bucketed: one per
-	// bucket per step; plus the initial weight broadcast).
+	// parameter per step; coalesced: one per step; plus the initial
+	// weight broadcast).
 	Calls int64
 	// LogicalBytes is the payload a production DDP would reduce — the
 	// flattened gradient bytes, not the simulation's per-block transport.
@@ -319,8 +316,6 @@ type rankState struct {
 	tape   *autograd.Tape
 	ep     rankEpoch
 
-	paramIdx map[*autograd.Param]int
-
 	blockGrads [][]float64 // local block index → flattened gradient (len S)
 	transports [][]float64 // bucket index → G×width all-reduce payload
 	flat       []float64   // canonical combined gradient (len S)
@@ -334,22 +329,19 @@ type rankState struct {
 type Trainer struct {
 	Cfg Config
 
-	ranks        []*rankState
-	buckets      []ddp.Bucket
-	bucketOfIdx  []int // param index → bucket index
-	paramOffsets []int // param index → offset in the flattened gradient
-	elems        int   // S: flattened gradient elements
-	gate         *gate
-	kc           kernels.Context // each rank's intra-op worker budget
+	ranks   []*rankState
+	buckets []ddp.Bucket
+	elems   int // S: flattened gradient elements
+	gate    *gate
+	kc      kernels.Context // each rank's intra-op worker budget
 
-	// Transport groups move real data through ring channels but charge
-	// no modeled time (their payloads are the simulation's reproducible
+	// ring carries every collective: the initial broadcast, then per step
+	// the cancellation flag, each bucket and the per-block losses, issued
+	// in that order by every rank. It moves real data but charges no
+	// modeled time (its payloads are the simulation's reproducible
 	// per-block partials, not what a production ring would ship); the
 	// logical collectives are charged explicitly against interconnect.
-	groups       []*comm.Group // every group, for Close
-	bucketGroups []*comm.Group
-	metaGroup    *comm.Group
-	ctrlGroup    *comm.Group
+	ring *comm.Group
 
 	commCalls   int64
 	commBytes   int64
@@ -362,10 +354,14 @@ type Trainer struct {
 }
 
 // New builds a trainer: P identically initialized replicas, per-rank
-// arenas and tapes, bucket layout, transport groups, and the initial
-// weight replication broadcast from rank 0. It fails only when the ring
-// links cannot be formed over Config.Network.
+// arenas and tapes, bucket layout, the ring, and the initial weight
+// replication broadcast from rank 0. It fails when Config.Strategy is
+// not ddp.PerMatrix or ddp.Coalesced, or when the ring links cannot be
+// formed over Config.Network.
 func New(cfg Config) (*Trainer, error) {
+	if cfg.Strategy != ddp.PerMatrix && cfg.Strategy != ddp.Coalesced {
+		return nil, fmt.Errorf("dtrain: unknown sync strategy %d", cfg.Strategy)
+	}
 	if cfg.Ranks < 1 {
 		cfg.Ranks = 1
 	}
@@ -389,38 +385,11 @@ func New(cfg Config) (*Trainer, error) {
 	}
 	replicas := ignn.Replicas(cfg.GNN, cfg.Seed+1000, cfg.Ranks)
 	t.elems = nn.GradElements(replicas[0].Params())
-
-	switch cfg.Strategy {
-	case ddp.PerMatrix:
-		t.buckets = ddp.BucketLayout(replicas[0].Params(), 1) // one param per bucket
-	case ddp.Bucketed:
-		t.buckets = ddp.BucketLayout(replicas[0].Params(), cfg.BucketBytes)
-	default:
-		t.buckets = ddp.BucketLayout(replicas[0].Params(), t.elems*8+1) // single bucket
+	t.buckets = ddp.BucketLayout(replicas[0].Params(), cfg.Strategy)
+	var err error
+	if t.ring, err = newRing(cfg); err != nil {
+		return nil, err
 	}
-
-	params0 := replicas[0].Params()
-	t.bucketOfIdx = make([]int, len(params0))
-	for bi, b := range t.buckets {
-		for _, p := range b.Params {
-			t.bucketOfIdx[p] = bi
-		}
-	}
-	t.paramOffsets = make([]int, len(params0)+1)
-	for i, p := range params0 {
-		t.paramOffsets[i+1] = t.paramOffsets[i] + p.Grad.Size()
-	}
-
-	nb := len(t.buckets)
-	for len(t.groups) < nb+2 {
-		g, err := newGroup(cfg)
-		if err != nil {
-			t.Close() // the formation error is the one to report
-			return nil, err
-		}
-		t.groups = append(t.groups, g)
-	}
-	t.bucketGroups, t.metaGroup, t.ctrlGroup = t.groups[:nb], t.groups[nb], t.groups[nb+1]
 
 	g := cfg.GradBlocks
 	levels := 1
@@ -433,7 +402,6 @@ func New(cfg Config) (*Trainer, error) {
 			params:   replicas[rank].Params(),
 			opt:      nn.NewAdam(cfg.LR),
 			arena:    workspace.NewArena(),
-			paramIdx: make(map[*autograd.Param]int),
 			flat:     make([]float64, t.elems),
 			meta:     make([]float64, 2*g),
 			lossTree: make([]float64, g),
@@ -441,9 +409,6 @@ func New(cfg Config) (*Trainer, error) {
 		}
 		st.tape = autograd.NewTapeArena(st.arena)
 		st.tape.SetKernels(kc)
-		for i, p := range st.params {
-			st.paramIdx[p] = i
-		}
 		lo, hi := ddp.ShardRange(g, cfg.Ranks, rank)
 		for b := lo; b < hi; b++ {
 			st.blockGrads = append(st.blockGrads, make([]float64, t.elems))
@@ -458,7 +423,7 @@ func New(cfg Config) (*Trainer, error) {
 	}
 
 	// Initial weight replication: rank 0 broadcasts its flattened
-	// parameters over the control group so every replica provably starts
+	// parameters over the ring so every replica provably starts
 	// from the same bits (they already do — the broadcast is the
 	// protocol, not a repair).
 	if cfg.Ranks > 1 {
@@ -466,7 +431,7 @@ func New(cfg Config) (*Trainer, error) {
 			st := t.ranks[rank]
 			buf := make([]float64, nn.ParamElements(st.params))
 			nn.FlattenParams(st.params, buf)
-			t.ctrlGroup.Broadcast(rank, buf, 0)
+			t.ring.Broadcast(rank, buf, 0)
 			nn.UnflattenParams(st.params, buf)
 		})
 		t.charge(1, int64(t.elems*8), interconnect.BroadcastTime(int64(t.elems*8), cfg.Ranks))
@@ -474,9 +439,9 @@ func New(cfg Config) (*Trainer, error) {
 	return t, nil
 }
 
-// newGroup builds one uncharged transport group: direct in-process
-// pipes by default, ring links over cfg.Network when one is configured.
-func newGroup(cfg Config) (*comm.Group, error) {
+// newRing builds the trainer's uncharged ring: direct in-process pipes
+// by default, links over cfg.Network when one is configured.
+func newRing(cfg Config) (*comm.Group, error) {
 	if cfg.Network == nil {
 		return comm.NewGroup(cfg.Ranks, comm.CostModel{}), nil
 	}
@@ -487,18 +452,10 @@ func newGroup(cfg Config) (*comm.Group, error) {
 	return g, nil
 }
 
-// Close releases the trainer's transport groups. A trainer over
-// in-process pipes does not strictly need it; one over a real network
-// (Config.Network) holds open sockets until closed.
-func (t *Trainer) Close() error {
-	var first error
-	for _, g := range t.groups {
-		if err := g.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+// Close releases the trainer's ring. A trainer over in-process pipes
+// does not strictly need it; one over a real network (Config.Network)
+// holds open sockets until closed.
+func (t *Trainer) Close() error { return t.ring.Close() }
 
 // charge records one logical collective against the cost model.
 func (t *Trainer) charge(calls, logicalBytes int64, d time.Duration) {
@@ -785,7 +742,7 @@ func (t *Trainer) runEpochRank(ctx context.Context, rank, epoch int, plan []plan
 			st.ctrl[0] = 1
 		}
 		wait := time.Now()
-		t.ctrlGroup.AllReduceSum(rank, st.ctrl)
+		t.ring.AllReduceSum(rank, st.ctrl)
 		st.ep.commWait += time.Since(wait)
 		if st.ctrl[0] > 0 {
 			stopped.Store(true)
@@ -841,63 +798,12 @@ func (t *Trainer) runEpochRank(ctx context.Context, rank, epoch int, plan []plan
 func (t *Trainer) runStep(st *rankState, rank int, eg *pipeline.EventGraph, subs []*sampling.Subgraph) {
 	g := t.Cfg.GradBlocks
 	blkLo, _ := ddp.ShardRange(g, t.Cfg.Ranks, rank)
-	nLocal := len(subs)
-	bucketed := t.Cfg.Strategy == ddp.Bucketed
+	clear(st.meta)
 
-	for i := range st.meta {
-		st.meta[i] = 0
-	}
-
-	launched := make([]bool, len(t.buckets))
-	var wg sync.WaitGroup
-	bucketRemaining := make([]int, len(t.buckets))
-	for bi, b := range t.buckets {
-		bucketRemaining[bi] = len(b.Params)
-	}
-
-	launch := func(bi int) {
-		// Fill the bucket's transport: local blocks' slices at their
-		// global block rows, zero elsewhere. Adding +0 normalizes any
-		// negative zero so the P=1 (no transport) and P>1 paths agree
-		// bitwise.
-		b := t.buckets[bi]
-		w := b.Elements()
-		tr := st.transports[bi]
-		for i := range tr {
-			tr[i] = 0
-		}
-		for j := 0; j < nLocal; j++ {
-			row := tr[(blkLo+j)*w : (blkLo+j+1)*w]
-			src := st.blockGrads[j][b.Lo:b.Hi]
-			for i, v := range src {
-				row[i] = v + 0
-			}
-		}
-		launched[bi] = true
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t.bucketGroups[bi].AllReduceSum(rank, tr)
-			if rank == 0 && t.Cfg.Ranks > 1 {
-				logical := int64(w * 8)
-				t.charge(1, logical, interconnect.RingAllReduceTime(logical, t.Cfg.Ranks))
-			}
-		}()
-	}
-
-	// Per-block forward/backward, one compute section per block. The
-	// final local block arms the param-grad hook under the bucketed
-	// strategy so each bucket's collective launches the moment its
-	// layer's backward completes, overlapping communication with the
-	// rest of the pass (the collective runs on its own goroutine, which
-	// does not hold the gate).
-	for j := 0; j < nLocal; j++ {
-		sub := subs[j]
-		final := j == nLocal-1
+	// Per-block forward/backward, one compute section per block.
+	for j, sub := range subs {
 		if sub == nil || sub.NumEdges() == 0 {
-			for i := range st.blockGrads[j] {
-				st.blockGrads[j][i] = 0
-			}
+			clear(st.blockGrads[j])
 			continue
 		}
 		start := t.gate.enter()
@@ -913,34 +819,8 @@ func (t *Trainer) runStep(st *rankState, rank int, eg *pipeline.EventGraph, subs
 		st.tape.Reset()
 		logits := st.model.Forward(st.tape, sub.Src, sub.Dst, x, y)
 		loss := st.tape.BCEWithLogitsSum(logits, labels, t.Cfg.PosWeight)
-		if bucketed && final {
-			bg := st.blockGrads[j]
-			// The hook writes only the parameters backward reaches; clear
-			// the slot so a parameter without gradient flow contributes
-			// zeros rather than the previous step's values.
-			for i := range bg {
-				bg[i] = 0
-			}
-			st.tape.SetParamGradHook(func(p *autograd.Param) {
-				pi := st.paramIdx[p]
-				bi := t.bucketOfIdx[pi]
-				// Flatten this parameter's finished gradient into the
-				// final block's slot, then launch the bucket when it is
-				// the last to arrive.
-				off := t.paramOffsets[pi]
-				copy(bg[off:off+p.Grad.Size()], p.Grad.Data())
-				bucketRemaining[bi]--
-				if bucketRemaining[bi] == 0 {
-					launch(bi)
-				}
-			})
-		}
 		st.tape.Backward(loss)
-		if bucketed && final {
-			st.tape.SetParamGradHook(nil)
-		} else {
-			nn.FlattenGrads(st.params, st.blockGrads[j])
-		}
+		nn.FlattenGrads(st.params, st.blockGrads[j])
 		gb := blkLo + j
 		st.meta[2*gb] = loss.Value.At(0, 0)
 		st.meta[2*gb+1] = float64(len(sub.EdgeIDs))
@@ -948,20 +828,29 @@ func (t *Trainer) runStep(st *rankState, rank int, eg *pipeline.EventGraph, subs
 		st.ep.training += t.gate.leave(start)
 	}
 
-	// Issue whatever the hook did not: all buckets for the synchronous
-	// strategies; stragglers (empty final block, grad-free params) for
-	// the bucketed one. Order is deterministic; each bucket has its own
-	// transport group, so in-flight overlapped buckets are unaffected.
+	// One all-reduce per bucket, in bucket order. A bucket's transport
+	// holds the local blocks' slices at their global block rows, zero
+	// elsewhere. Adding +0 normalizes any negative zero so the P=1 (no
+	// transport) and P>1 paths agree bitwise.
 	wait := time.Now()
-	for bi := range t.buckets {
-		if !launched[bi] {
-			launch(bi)
+	for bi, b := range t.buckets {
+		w := b.Elements()
+		tr := st.transports[bi]
+		clear(tr)
+		for j := range subs {
+			row := tr[(blkLo+j)*w : (blkLo+j+1)*w]
+			for i, v := range st.blockGrads[j][b.Lo:b.Hi] {
+				row[i] = v + 0
+			}
+		}
+		t.ring.AllReduceSum(rank, tr)
+		if rank == 0 && t.Cfg.Ranks > 1 {
+			logical := int64(w * 8)
+			t.charge(1, logical, interconnect.RingAllReduceTime(logical, t.Cfg.Ranks))
 		}
 	}
-	wg.Wait()
-
 	// Share per-block loss sums and edge counts (control plane, uncharged).
-	t.metaGroup.AllReduceSum(rank, st.meta)
+	t.ring.AllReduceSum(rank, st.meta)
 	st.ep.commWait += time.Since(wait)
 
 	totalEdges := 0.0

@@ -94,16 +94,12 @@ func assertSameTrajectory(t *testing.T, name string, want, got []float64) {
 
 // TestRankCountParity is the acceptance bar: with a fixed seed and the
 // same global batches, P∈{1,2,4} produce bit-identical loss
-// trajectories, for both the coalesced and per-matrix strategies (and
-// the bucketed-overlap one).
+// trajectories, for both the coalesced and per-matrix strategies.
 func TestRankCountParity(t *testing.T) {
 	egs, gnn := testGraphs(t, 2, 0.02)
-	for _, strategy := range []ddp.SyncStrategy{ddp.Coalesced, ddp.PerMatrix, ddp.Bucketed} {
+	for _, strategy := range []ddp.SyncStrategy{ddp.Coalesced, ddp.PerMatrix} {
 		base := fastConfig(gnn)
 		base.Strategy = strategy
-		if strategy == ddp.Bucketed {
-			base.BucketBytes = 2048 // force several buckets at test scale
-		}
 		base.Ranks = 1
 		want := trajectory(t, base, egs)
 		for _, p := range []int{2, 4} {
@@ -146,11 +142,20 @@ func TestStrategyParity(t *testing.T) {
 	base.Ranks = 2
 	base.Strategy = ddp.Coalesced
 	want := trajectory(t, base, egs)
-	for _, strategy := range []ddp.SyncStrategy{ddp.PerMatrix, ddp.Bucketed} {
-		cfg := base
-		cfg.Strategy = strategy
-		cfg.BucketBytes = 2048
-		assertSameTrajectory(t, "strategy "+strategy.String(), want, trajectory(t, cfg, egs))
+	cfg := base
+	cfg.Strategy = ddp.PerMatrix
+	assertSameTrajectory(t, "strategy per-matrix", want, trajectory(t, cfg, egs))
+}
+
+// TestNewRejectsUnknownStrategy: a strategy outside {PerMatrix,
+// Coalesced} is a configuration error, not a silent coalesced run.
+func TestNewRejectsUnknownStrategy(t *testing.T) {
+	_, gnn := testGraphs(t, 1, 0.02)
+	cfg := fastConfig(gnn)
+	cfg.Strategy = 2
+	if tr, err := New(cfg); err == nil {
+		tr.Close()
+		t.Fatal("New accepted sync strategy 2")
 	}
 }
 
@@ -200,19 +205,18 @@ func TestLossDecreases(t *testing.T) {
 	}
 }
 
-// TestCommAccounting: coalesced and bucketed must charge at most the
-// per-matrix collective cost at every P — the paper's §III-D claim under
-// the α–β model.
+// TestCommAccounting: coalesced must charge at most the per-matrix
+// collective cost at every P — the paper's §III-D claim under the α–β
+// model.
 func TestCommAccounting(t *testing.T) {
 	egs, gnn := testGraphs(t, 1, 0.02)
 	for _, p := range []int{2, 4} {
 		modeled := map[ddp.SyncStrategy]time.Duration{}
 		calls := map[ddp.SyncStrategy]int64{}
-		for _, strategy := range []ddp.SyncStrategy{ddp.PerMatrix, ddp.Coalesced, ddp.Bucketed} {
+		for _, strategy := range []ddp.SyncStrategy{ddp.PerMatrix, ddp.Coalesced} {
 			cfg := fastConfig(gnn)
 			cfg.Ranks = p
 			cfg.Strategy = strategy
-			cfg.BucketBytes = 4096
 			cfg.Epochs = 1
 			tr := mustNew(t, cfg)
 			if _, err := tr.TrainEpoch(context.Background(), egs); err != nil {
@@ -227,9 +231,6 @@ func TestCommAccounting(t *testing.T) {
 		}
 		if modeled[ddp.Coalesced] > modeled[ddp.PerMatrix] {
 			t.Fatalf("P=%d: coalesced %v > per-matrix %v", p, modeled[ddp.Coalesced], modeled[ddp.PerMatrix])
-		}
-		if modeled[ddp.Bucketed] > modeled[ddp.PerMatrix] {
-			t.Fatalf("P=%d: bucketed %v > per-matrix %v", p, modeled[ddp.Bucketed], modeled[ddp.PerMatrix])
 		}
 		if calls[ddp.Coalesced] >= calls[ddp.PerMatrix] {
 			t.Fatalf("P=%d: coalesced calls %d not < per-matrix %d", p, calls[ddp.Coalesced], calls[ddp.PerMatrix])
@@ -253,12 +254,13 @@ func TestSingleRankNoComm(t *testing.T) {
 
 // TestCancellationMidEpoch: cancelling the context mid-epoch stops every
 // rank promptly at a step boundary without leaking goroutines, and
-// TrainEpoch reports the context error.
+// TrainEpoch reports the context error. It runs per-matrix, the strategy
+// with the most collectives per step.
 func TestCancellationMidEpoch(t *testing.T) {
 	egs, gnn := testGraphs(t, 3, 0.03)
 	cfg := fastConfig(gnn)
 	cfg.Ranks = 4
-	cfg.Strategy = ddp.Bucketed
+	cfg.Strategy = ddp.PerMatrix
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -284,7 +286,7 @@ func TestCancellationMidEpoch(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
-	// All rank and bucket goroutines must be gone.
+	// All rank goroutines must be gone.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		runtime.GC()
@@ -554,18 +556,17 @@ func TestReplicasStaySynchronized(t *testing.T) {
 }
 
 // TestComputeGate: with four times more ranks than cores, every strategy
-// (bucketed overlap included) still completes and matches P=1, and the
-// ranks inside a timed compute section never outnumber the gate's slots.
+// still completes and matches P=1, and the ranks inside a timed compute
+// section never outnumber the gate's slots.
 func TestComputeGate(t *testing.T) {
 	egs, gnn := testGraphs(t, 1, 0.02)
 	base := fastConfig(gnn)
 	base.Epochs = 1
 	want := trajectory(t, base, egs)
-	for _, strategy := range []ddp.SyncStrategy{ddp.PerMatrix, ddp.Coalesced, ddp.Bucketed} {
+	for _, strategy := range []ddp.SyncStrategy{ddp.PerMatrix, ddp.Coalesced} {
 		cfg := base
 		cfg.Ranks = 4 * runtime.GOMAXPROCS(0)
 		cfg.Strategy = strategy
-		cfg.BucketBytes = 2048
 		tr, stats := runEpochs(t, cfg, egs)
 		assertSameTrajectory(t, "gated "+strategy.String(), want, stepLosses(stats))
 		slots, peak := cap(tr.gate.slots), int(tr.gate.peak.Load())
@@ -593,14 +594,14 @@ func (n *refusingNetwork) Listen(addr string) (transport.Listener, error) {
 }
 
 // TestNewRingFormationError: a network that cannot carry the ring links
-// is a configuration error New reports — after closing the groups it had
-// already formed — not a panic.
+// is a configuration error New reports — after closing the listener it
+// had already bound — not a panic.
 func TestNewRingFormationError(t *testing.T) {
 	_, gnn := testGraphs(t, 1, 0.02)
 	before := runtime.NumGoroutine()
 	cfg := fastConfig(gnn)
 	cfg.Ranks = 2
-	cfg.Network = &refusingNetwork{Network: &transport.TCP{}, left: 5} // two groups form, the third cannot
+	cfg.Network = &refusingNetwork{Network: &transport.TCP{}, left: 1} // rank 0 listens, rank 1 cannot
 	tr, err := New(cfg)
 	if err == nil {
 		tr.Close()
@@ -616,5 +617,36 @@ func TestNewRingFormationError(t *testing.T) {
 	}
 	if g := runtime.NumGoroutine(); g > before {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, g)
+	}
+}
+
+// countingNetwork counts Listen calls.
+type countingNetwork struct {
+	transport.Network
+	listens int
+}
+
+func (n *countingNetwork) Listen(addr string) (transport.Listener, error) {
+	n.listens++
+	return n.Network.Listen(addr)
+}
+
+// TestTrainerFormsOneRing: every collective of a trainer (the initial
+// broadcast, the cancellation flag, each bucket and the per-block
+// losses) runs on one ring, so a 3-rank trainer listens once per rank
+// under either strategy.
+func TestTrainerFormsOneRing(t *testing.T) {
+	egs, gnn := testGraphs(t, 1, 0.02)
+	for _, strategy := range []ddp.SyncStrategy{ddp.PerMatrix, ddp.Coalesced} {
+		net := &countingNetwork{Network: transport.NewLoopback()}
+		cfg := fastConfig(gnn)
+		cfg.Ranks = 3
+		cfg.Epochs = 1
+		cfg.Strategy = strategy
+		cfg.Network = net
+		trajectory(t, cfg, egs)
+		if net.listens != 3 {
+			t.Fatalf("%s: %d listens for 3 ranks, want 3", strategy, net.listens)
+		}
 	}
 }

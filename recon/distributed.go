@@ -23,9 +23,6 @@ const (
 	// CoalescedSync stacks every gradient into one buffer and reduces
 	// once — the paper's optimization.
 	CoalescedSync SyncStrategy = ddp.Coalesced
-	// BucketedSync reduces fixed-size buckets as their layers' backward
-	// completes, overlapping communication with compute.
-	BucketedSync SyncStrategy = ddp.Bucketed
 )
 
 // DistEpoch summarizes one epoch of distributed training.
@@ -86,9 +83,9 @@ func (r *DistTrainResult) Evaluate(ctx context.Context, graphs []*EventGraph, th
 // event graphs with the paper's full distributed pipeline: P rank
 // goroutines (WithRanks), each owning a model replica and a pinned
 // arena, bulk-sample their shard of every batch as one sparse-matrix
-// operation (WithBulkBatches) and synchronize gradients with coalesced,
-// bucketed-overlapped, or per-matrix collectives (WithSyncStrategy,
-// WithBucketBytes).
+// operation (WithBulkBatches) and synchronize gradients with one
+// coalesced collective or one collective per parameter matrix
+// (WithSyncStrategy).
 //
 // Determinism contract: under a fixed WithSeed, the loss trajectory and
 // the trained weights are bit-for-bit identical for every rank count,
@@ -164,7 +161,6 @@ func trainerConfig(set settings, gnn ignn.Config) dtrain.Config {
 	cfg.PosWeight = set.gnnPosWeight
 	cfg.Ranks = set.ranks
 	cfg.Strategy = set.sync
-	cfg.BucketBytes = set.bucketBytes
 	cfg.BulkBatches = set.bulkBatches
 	cfg.GradBlocks = set.gradBlocks
 	cfg.KernelWorkers = set.kernelWorkers

@@ -72,7 +72,7 @@ func TestTrainDistributedRankParity(t *testing.T) {
 func TestTrainDistributedClassifierPlugsIn(t *testing.T) {
 	spec, egs := distGraphs(t, 2)
 	ctx := context.Background()
-	res, err := recon.TrainDistributed(ctx, egs, distOpts(recon.WithRanks(2), recon.WithSyncStrategy(recon.BucketedSync))...)
+	res, err := recon.TrainDistributed(ctx, egs, distOpts(recon.WithRanks(2), recon.WithSyncStrategy(recon.PerMatrixSync))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestTrainDistributedOptionErrors(t *testing.T) {
 	for _, opts := range [][]recon.Option{
 		{recon.WithRanks(0)},
 		{recon.WithBulkBatches(0)},
-		{recon.WithBucketBytes(-1)},
+		{recon.WithSyncStrategy(recon.SyncStrategy(2))},
 		{recon.WithSyncStrategy(recon.SyncStrategy(99))},
 		{recon.WithBatchSize(0)},
 		{recon.WithGradBlocks(0)},

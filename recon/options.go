@@ -73,7 +73,6 @@ type settings struct {
 	// Distributed-training knobs (TrainDistributed).
 	ranks       int
 	bulkBatches int
-	bucketBytes int
 	sync        ddp.SyncStrategy
 	batchSize   int
 	gradBlocks  int
@@ -467,26 +466,14 @@ func WithBulkBatches(k int) Option {
 	}
 }
 
-// WithBucketBytes caps each gradient bucket for the bucketed-overlap
-// sync strategy (0 = ddp.DefaultBucketBytes).
-func WithBucketBytes(n int) Option {
-	return func(s *settings) {
-		if n < 0 {
-			s.fail("WithBucketBytes: need ≥0, got %d", n)
-			return
-		}
-		s.bucketBytes = n
-	}
-}
-
 // WithSyncStrategy selects how TrainDistributed synchronizes gradients:
-// PerMatrixSync (baseline), CoalescedSync (the paper's optimization), or
-// BucketedSync (coalescing overlapped with backward). The strategy
-// changes which collectives are issued and charged, never the numbers.
+// PerMatrixSync (baseline) or CoalescedSync (the paper's optimization).
+// The strategy changes which collectives are issued and charged, never
+// the numbers.
 func WithSyncStrategy(strategy SyncStrategy) Option {
 	return func(s *settings) {
 		switch strategy {
-		case ddp.PerMatrix, ddp.Coalesced, ddp.Bucketed:
+		case ddp.PerMatrix, ddp.Coalesced:
 			s.sync = strategy
 		default:
 			s.fail("WithSyncStrategy: unknown strategy %d", strategy)

@@ -139,8 +139,6 @@ const (
 	PerMatrixSync = ddp.PerMatrix
 	// CoalescedSync reduces one flattened buffer — the paper's choice.
 	CoalescedSync = ddp.Coalesced
-	// BucketedSync reduces buckets overlapped with the backward pass.
-	BucketedSync = ddp.Bucketed
 )
 
 // DefaultTrainerConfig returns paper-shaped trainer defaults for a GNN
