@@ -18,13 +18,11 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"runtime"
 	"sort"
@@ -252,25 +250,6 @@ func suite(quick bool) []namedBench {
 			}
 			reportEventsPerSec(b, 1)
 		}},
-		{"BenchmarkGateway_Route", func(b *testing.B) {
-			// The routing hot path alone: consistent-hash pick across a
-			// 4-shard ring, no sockets. This is the per-event overhead the
-			// gateway adds before any proxying happens.
-			gw, err := recon.NewShardGateway([]string{
-				"http://10.0.0.1:1", "http://10.0.0.2:1", "http://10.0.0.3:1", "http://10.0.0.4:1",
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := gw.PickShard(uint64(i) * 0x9E3779B97F4A7C15); !ok {
-					b.Fatal("no healthy shard")
-				}
-			}
-		}},
-		{"BenchmarkGateway_Fanout_S1", gatewayFanoutBench(1)},
-		{"BenchmarkGateway_Fanout_S2", gatewayFanoutBench(2)},
 		{"BenchmarkSpGEMM", func(b *testing.B) {
 			a := benchCSR(2000, 8, 1)
 			c := benchCSR(2000, 8, 2)
@@ -525,59 +504,6 @@ func runSweep(procs []int) *ProcsSweep {
 		}
 	}
 	return sweep
-}
-
-// gatewayFanoutBench builds a gateway over n real HTTP engine shards
-// and measures end-to-end request latency through routing, fan-out,
-// proxying, and order-preserving merge. The S1 vs S2 rows isolate what
-// splitting one request across shards costs (and buys) against the
-// single-shard proxy baseline.
-func gatewayFanoutBench(shards int) func(b *testing.B) {
-	return func(b *testing.B) {
-		spec := repro.Ex3Like(0.02)
-		spec.NumEvents = 4
-		ds := repro.GenerateDataset(spec, 3)
-		urls := make([]string, shards)
-		for i := range urls {
-			r, err := recon.New(spec,
-				recon.WithTruthLevelGraphs(1.0),
-				recon.WithThreshold(0),
-				recon.WithSeed(2))
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng, err := recon.NewEngine(r, recon.WithWorkers(2), recon.WithQueueDepth(16))
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv := httptest.NewServer(recon.NewServer(eng))
-			b.Cleanup(srv.Close)
-			urls[i] = srv.URL
-		}
-		gw, err := recon.NewShardGateway(urls)
-		if err != nil {
-			b.Fatal(err)
-		}
-		req := recon.ReconstructRequest{}
-		for _, ev := range ds.Events {
-			req.Events = append(req.Events, *recon.EventToJSON(ev))
-		}
-		body, err := json.Marshal(&req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			hr := httptest.NewRequest("POST", "/v1/reconstruct", bytes.NewReader(body))
-			hr.Header.Set("Content-Type", "application/json")
-			w := httptest.NewRecorder()
-			gw.ServeHTTP(w, hr)
-			if w.Code != 200 {
-				b.Fatalf("status %d: %s", w.Code, w.Body.String())
-			}
-		}
-		reportEventsPerSec(b, len(ds.Events))
-	}
 }
 
 // engineFixture builds the 32-event batch and untrained reconstructor

@@ -1,6 +1,6 @@
 // Command loadgen is the serving-path load harness (PR 8): it drives
 // concurrent /v1/reconstruct traffic — JSON or binary wire format,
-// open or closed loop — against a target server, gateway, or an
+// open or closed loop — against a running cmd/serve or an
 // in-process engine sweep over micro-batch windows, and records
 // p50/p99 latency, throughput, and reject rate as BENCH-schema rows so
 // serving SLOs are benchdiff-gated like the kernels.
@@ -444,7 +444,7 @@ func selfServer(r *recon.Reconstructor, workers, queueDepth, maxBatch int, windo
 }
 
 func main() {
-	target := flag.String("target", "", "base URL of a running serve/shardgw instance; empty requires -self")
+	target := flag.String("target", "", "base URL of a running serve instance; empty requires -self")
 	self := flag.Bool("self", false, "run against in-process engines, sweeping -batch-windows")
 	label := flag.String("label", "BW0", "row label for -target mode (rows: BenchmarkLoadgen_<label>_<fmt>)")
 	format := flag.String("format", "both", "wire format to drive: json, bin, or both")

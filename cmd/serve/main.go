@@ -70,6 +70,20 @@ func resolveQueueDepth(fs *flag.FlagSet, queueDepth, queue *int) error {
 	return nil
 }
 
+// checkServerLimits rejects a drain budget or body cap that
+// recon.NewServer would otherwise replace with its default: a zero drain
+// timeout would log "waiting up to 0s" and wait 10s, and a zero body cap
+// would accept 8 MiB.
+func checkServerLimits(drainTimeout time.Duration, maxBody int64) error {
+	if drainTimeout <= 0 {
+		return fmt.Errorf("-drain-timeout must be >0, got %v", drainTimeout)
+	}
+	if maxBody < 1 {
+		return fmt.Errorf("-max-body must be ≥1, got %d", maxBody)
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dataset := flag.String("dataset", "ex3", "dataset family the models were built for: ex3 or ctd")
@@ -97,6 +111,9 @@ func main() {
 	flag.Parse()
 
 	if err := resolveQueueDepth(flag.CommandLine, queueDepth, queue); err != nil {
+		log.Fatalf("serve: %v", err)
+	}
+	if err := checkServerLimits(*drainTimeout, *maxBody); err != nil {
 		log.Fatalf("serve: %v", err)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"io"
 	"testing"
+	"time"
 )
 
 // queueFlags builds a fresh flag set with the two queue flags and parses
@@ -50,6 +51,30 @@ func TestResolveQueueDepth(t *testing.T) {
 			}
 			if *depth != tc.want {
 				t.Fatalf("queue-depth %d, want %d", *depth, tc.want)
+			}
+		})
+	}
+}
+
+func TestCheckServerLimits(t *testing.T) {
+	cases := []struct {
+		name    string
+		drain   time.Duration
+		maxBody int64
+		wantErr bool
+	}{
+		{name: "defaults accepted", drain: 10 * time.Second, maxBody: 8 << 20},
+		{name: "smallest limits accepted", drain: time.Nanosecond, maxBody: 1},
+		{name: "zero drain rejected", drain: 0, maxBody: 1024, wantErr: true},
+		{name: "negative drain rejected", drain: -time.Second, maxBody: 1024, wantErr: true},
+		{name: "zero body cap rejected", drain: time.Second, maxBody: 0, wantErr: true},
+		{name: "negative body cap rejected", drain: time.Second, maxBody: -1, wantErr: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := checkServerLimits(tc.drain, tc.maxBody)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("checkServerLimits(%v, %d) = %v, want error %v", tc.drain, tc.maxBody, err, tc.wantErr)
 			}
 		})
 	}

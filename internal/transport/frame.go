@@ -22,8 +22,8 @@ const (
 	FrameHeaderBytes = 4
 	// DefaultMaxFrameBytes caps the payload length a conn will accept or
 	// produce unless configured otherwise (64 MiB — far above any ring
-	// chunk or gateway body this repository ships, far below an
-	// allocation-of-death).
+	// chunk this repository sends and the recon/wire binary frames that
+	// share the cap, far below an allocation-of-death).
 	DefaultMaxFrameBytes = 64 << 20
 	// maxFrameLimit is the hard ceiling of any configured cap: the
 	// length field is 32 bits.

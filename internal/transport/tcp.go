@@ -15,8 +15,8 @@ import (
 var aLongTimeAgo = time.Unix(1, 0)
 
 // TCP is the socket-backed Network: length-prefixed binary frames (see
-// frame.go) over real TCP connections, so ranks and serving shards can
-// span processes and hosts. The zero value is ready to use.
+// frame.go) over real TCP connections, so ranks can span processes and
+// hosts. The zero value is ready to use.
 type TCP struct {
 	// MaxFrameBytes caps the payload size either side will send or
 	// accept (DefaultMaxFrameBytes when 0). Both endpoints of a link

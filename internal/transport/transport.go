@@ -12,8 +12,8 @@
 //     deterministic and dependency-free, for unit tests and single-host
 //     rank simulation.
 //   - TCP: length-prefixed binary frames over real sockets (frame.go
-//     documents the wire format), for ranks and serving shards that span
-//     processes or hosts.
+//     documents the wire format), for ranks that span processes or
+//     hosts.
 //
 // Every blocking call takes a context.Context and honors both
 // cancellation and deadlines; a call that returns because its context

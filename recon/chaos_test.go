@@ -3,7 +3,9 @@ package recon_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -452,16 +454,7 @@ func TestServerContentTypeAndBodyLimit(t *testing.T) {
 		t.Fatalf("non-JSON Content-Type: status %d, want 415", w.Code)
 	}
 
-	spec := testDataset(t, 0.02, 1, 1).Spec
-	r, err := recon.New(spec, recon.WithTruthLevelGraphs(1.0), recon.WithThreshold(0), recon.WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := recon.NewEngine(r, recon.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := recon.NewServer(eng, recon.WithMaxBodyBytes(64))
+	small, _ := testServer(t, recon.WithMaxBodyBytes(64))
 	big := `{"pad":"` + strings.Repeat("x", 200) + `"}`
 	req = httptest.NewRequest("POST", "/v1/reconstruct", bytes.NewReader([]byte(big)))
 	req.Header.Set("Content-Type", "application/json")
@@ -469,6 +462,25 @@ func TestServerContentTypeAndBodyLimit(t *testing.T) {
 	small.ServeHTTP(w, req)
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, want 413", w.Code)
+	}
+}
+
+// TestNewServerKeepsValidOptions: an invalid option leaves only its own
+// setting at the default, so a valid sibling option still applies — the
+// 64-byte body cap answers 413 next to a rejected drain timeout, where a
+// reset to the defaults would serve the request.
+func TestNewServerKeepsValidOptions(t *testing.T) {
+	srv, _ := testServer(t, recon.WithDrainTimeout(0), recon.WithMaxBodyBytes(64))
+	body := `{"synthetic":{"count":1,"seed":7},"pad":"` + strings.Repeat("x", 87) + `"}`
+	if len(body) != 130 {
+		t.Fatalf("body is %d bytes, want 130", len(body))
+	}
+	req := httptest.NewRequest("POST", "/v1/reconstruct", strings.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, req)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("130-byte body under a 64-byte cap: status %d, want 413", w.Code)
 	}
 }
 
@@ -539,6 +551,163 @@ func TestServerDrainTimeout(t *testing.T) {
 	if err := srv.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired drain returned %v, want DeadlineExceeded", err)
 	}
+}
+
+// TestServerServeLifecycle drives Serve on a real loopback port: a
+// clean drain on cancel, a drain whose budget runs out under a held
+// in-flight request (the hard-stop branch), and a listen error.
+func TestServerServeLifecycle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// delay, when positive, holds every stage call that long via
+		// faultinject, so a request stays in flight through the drain.
+		delay    time.Duration
+		opts     []recon.Option
+		addrBusy bool
+		// whileUp runs once /healthz answers 200, before cancellation.
+		whileUp      func(t *testing.T, base string, inj *faultinject.Injector)
+		wantErr      func(error) bool
+		wantDraining bool
+	}{
+		{
+			name: "clean drain",
+			whileUp: func(t *testing.T, base string, _ *faultinject.Injector) {
+				resp, err := postOverHTTP(base, syntheticReq())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var out recon.ReconstructResponse
+				if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusOK || len(out.Results) != 1 || out.Results[0].NumTracks == 0 {
+					t.Fatalf("reconstruct over the wire: status %d, results %+v", resp.StatusCode, out.Results)
+				}
+			},
+			wantErr:      func(err error) bool { return err == nil },
+			wantDraining: true,
+		},
+		{
+			name:  "drain budget runs out",
+			delay: 5 * time.Second,
+			opts:  []recon.Option{recon.WithDrainTimeout(50 * time.Millisecond)},
+			whileUp: func(t *testing.T, base string, inj *faultinject.Injector) {
+				done := make(chan struct{})
+				t.Cleanup(func() { <-done })
+				go func() {
+					defer close(done)
+					if resp, err := postOverHTTP(base, syntheticReq()); err == nil {
+						resp.Body.Close()
+					}
+				}()
+				deadline := time.Now().Add(5 * time.Second)
+				for inj.Stats().Delays == 0 {
+					if time.Now().After(deadline) {
+						t.Fatal("request never reached the held stage")
+					}
+					time.Sleep(time.Millisecond)
+				}
+			},
+			wantErr:      func(err error) bool { return errors.Is(err, context.DeadlineExceeded) },
+			wantDraining: true,
+		},
+		{
+			name:     "listen error",
+			addrBusy: true,
+			wantErr: func(err error) bool {
+				var opErr *net.OpError
+				return errors.As(err, &opErr) && opErr.Op == "listen"
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rOpts := []recon.Option{recon.WithTruthLevelGraphs(1.0), recon.WithThreshold(0), recon.WithSeed(2)}
+			var inj *faultinject.Injector
+			if tc.delay > 0 {
+				var err error
+				if inj, err = faultinject.New(faultinject.Config{Seed: 1, DelayRate: 1, Delay: tc.delay}); err != nil {
+					t.Fatal(err)
+				}
+				rOpts = append(rOpts, recon.WithStageWrapper(inj))
+			}
+			r, err := recon.New(testDataset(t, 0.02, 1, 1).Spec, rOpts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := recon.NewEngine(r, recon.WithWorkers(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := recon.NewServer(eng, tc.opts...)
+
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := ln.Addr().String()
+			if tc.addrBusy {
+				defer ln.Close()
+			} else {
+				ln.Close()
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			served := make(chan error, 1)
+			go func() { served <- srv.Serve(ctx, addr) }()
+
+			if tc.whileUp != nil {
+				base := "http://" + addr
+				waitHealthy(t, base)
+				if srv.Draining() {
+					t.Fatal("draining before shutdown began")
+				}
+				tc.whileUp(t, base, inj)
+				cancel()
+			}
+			select {
+			case err := <-served:
+				if !tc.wantErr(err) {
+					t.Fatalf("Serve returned %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Serve did not return")
+			}
+			if srv.Draining() != tc.wantDraining {
+				t.Fatalf("Draining() = %v after Serve, want %v", srv.Draining(), tc.wantDraining)
+			}
+		})
+	}
+}
+
+// waitHealthy polls base/healthz until it answers 200.
+func waitHealthy(t *testing.T, base string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := http.Get(base + "/healthz")
+		if err == nil {
+			ok := resp.StatusCode == http.StatusOK
+			resp.Body.Close()
+			if ok {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("healthz never answered 200 (last err %v)", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// postOverHTTP posts a JSON reconstruct request to a live server.
+func postOverHTTP(base string, req recon.ReconstructRequest) (*http.Response, error) {
+	blob, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	return http.Post(base+"/v1/reconstruct", "application/json", bytes.NewReader(blob))
 }
 
 // TestChaosServerSurvives: a fault-injected server answers a burst of

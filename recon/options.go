@@ -62,11 +62,6 @@ type settings struct {
 	drainTimeout time.Duration
 	maxBodyBytes int64
 
-	// Gateway knobs (NewShardGateway).
-	healthInterval time.Duration
-	failThreshold  int
-	proxyTimeout   time.Duration
-
 	// Stage middleware (fault injection, tracing).
 	wrapper StageWrapper
 
@@ -91,10 +86,6 @@ func defaultSettings() settings {
 		maxBatchEvents: 16,
 		drainTimeout:   10 * time.Second,
 		maxBodyBytes:   8 << 20,
-
-		healthInterval: time.Second,
-		failThreshold:  3,
-		proxyTimeout:   30 * time.Second,
 		ranks:          1,
 		bulkBatches:    4,
 		sync:           ddp.Coalesced,
@@ -357,47 +348,6 @@ func WithMaxBodyBytes(n int64) Option {
 			return
 		}
 		s.maxBodyBytes = n
-	}
-}
-
-// WithHealthInterval sets how often the ShardGateway probes each
-// shard's /healthz (default 1s). Shorter intervals detect dead shards
-// faster at the cost of probe traffic; proxy failures also count toward
-// eviction, so a busy gateway usually notices before the prober does.
-func WithHealthInterval(d time.Duration) Option {
-	return func(s *settings) {
-		if d <= 0 {
-			s.fail("WithHealthInterval: need >0, got %v", d)
-			return
-		}
-		s.healthInterval = d
-	}
-}
-
-// WithFailThreshold sets how many consecutive failures (health probes
-// or proxied sub-requests) evict a shard from the ShardGateway's ring
-// (default 3). An evicted shard receives no traffic until a probe
-// succeeds again.
-func WithFailThreshold(n int) Option {
-	return func(s *settings) {
-		if n < 1 {
-			s.fail("WithFailThreshold: need ≥1, got %d", n)
-			return
-		}
-		s.failThreshold = n
-	}
-}
-
-// WithProxyTimeout bounds each sub-request the ShardGateway proxies to
-// a shard, health probes included (default 30s). An expired sub-request
-// counts as a shard failure and falls back to another shard.
-func WithProxyTimeout(d time.Duration) Option {
-	return func(s *settings) {
-		if d <= 0 {
-			s.fail("WithProxyTimeout: need >0, got %v", d)
-			return
-		}
-		s.proxyTimeout = d
 	}
 }
 

@@ -151,13 +151,9 @@ type Server struct {
 	mux     *http.ServeMux
 	maxBody int64
 
-	drainer
-}
-
-// drainer is the graceful-drain lifecycle Server and ShardGateway
-// share: the draining flag /healthz reports, the in-flight reconstruct
-// requests Shutdown waits for, and the Serve loop around them.
-type drainer struct {
+	// Graceful-drain lifecycle: the draining flag /healthz reports, the
+	// in-flight reconstruct requests Shutdown waits for, and the budget
+	// Serve gives them.
 	drainTimeout time.Duration
 	draining     atomic.Bool
 	inflight     sync.WaitGroup
@@ -167,18 +163,16 @@ type drainer struct {
 // WithMaxBodyBytes (default 8 MiB) and WithDrainTimeout (default 10s,
 // used by Serve when its context is cancelled).
 func NewServer(engine *Engine, opts ...Option) *Server {
-	set, err := applyOptions(opts)
-	if err != nil {
-		// Keep the error-free constructor signature: an invalid knob falls
-		// back to the safe defaults rather than serving with a bad limit.
-		set = defaultSettings()
-	}
+	// Keep the error-free constructor signature: an invalid knob leaves
+	// its own setting at the safe default (the option returns before
+	// assigning it), and every valid sibling option still applies.
+	set, _ := applyOptions(opts)
 	s := &Server{
-		engine:  engine,
-		stats:   newServerStats(),
-		mux:     http.NewServeMux(),
-		maxBody: set.maxBodyBytes,
-		drainer: drainer{drainTimeout: set.drainTimeout},
+		engine:       engine,
+		stats:        newServerStats(),
+		mux:          http.NewServeMux(),
+		maxBody:      set.maxBodyBytes,
+		drainTimeout: set.drainTimeout,
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /statz", s.handleStatz)
@@ -190,7 +184,7 @@ func NewServer(engine *Engine, opts ...Option) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Draining reports whether graceful shutdown has begun.
-func (d *drainer) Draining() bool { return d.draining.Load() }
+func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Shutdown begins a graceful drain: /healthz flips to 503 "draining" so
 // load balancers stop routing here, new reconstruct requests are
@@ -198,10 +192,10 @@ func (d *drainer) Draining() bool { return d.draining.Load() }
 // has finished or ctx expires (ctx.Err() is returned in that case; the
 // stragglers are then cut off by the HTTP server teardown). Safe to
 // call more than once.
-func (d *drainer) Shutdown(ctx context.Context) error {
-	d.draining.Store(true)
+func (s *Server) Shutdown(ctx context.Context) error {
+	s.draining.Store(true)
 	done := make(chan struct{})
-	go func() { d.inflight.Wait(); close(done) }()
+	go func() { s.inflight.Wait(); close(done) }()
 	select {
 	case <-done:
 		return nil
@@ -328,7 +322,7 @@ func writeReconstructResponse(w http.ResponseWriter, binary bool, resp *Reconstr
 
 func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if !s.enter(w, s.stats, start) {
+	if !s.enter(w, start) {
 		return
 	}
 	defer s.inflight.Done()
@@ -498,38 +492,16 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // that had already been admitted. It is the programmatic core of
 // cmd/serve.
 func (s *Server) Serve(ctx context.Context, addr string) error {
-	return s.serve(ctx, addr, s)
-}
-
-// enter is the drain gate at the top of a reconstruct handler. It
-// counts the request in flight and reports true, and the caller must
-// then defer d.inflight.Done(); while draining it answers 503 instead
-// and reports false. Add comes before the draining check so Shutdown's
-// Wait can never miss a request that saw draining=false.
-func (d *drainer) enter(w http.ResponseWriter, stats *serverStats, start time.Time) bool {
-	d.inflight.Add(1)
-	if !d.draining.Load() {
-		return true
-	}
-	d.inflight.Done()
-	stats.record(time.Since(start), 0, true)
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": ErrDraining.Error()})
-	return false
-}
-
-// serve runs h on addr until ctx is cancelled, then drains: Shutdown
-// gets the drain timeout, and only then is the HTTP server torn down.
-func (d *drainer) serve(ctx context.Context, addr string, h http.Handler) error {
-	srv := &http.Server{Addr: addr, Handler: h}
+	srv := &http.Server{Addr: addr, Handler: s}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	select {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), d.drainTimeout)
+		shutCtx, cancel := context.WithTimeout(context.Background(), s.drainTimeout)
 		defer cancel()
-		if drainErr := d.Shutdown(shutCtx); drainErr != nil {
+		if drainErr := s.Shutdown(shutCtx); drainErr != nil {
 			// Drain budget exhausted with requests still in flight: hard
 			// stop — waiting longer would just stall the restart.
 			srv.Close()
@@ -537,4 +509,20 @@ func (d *drainer) serve(ctx context.Context, addr string, h http.Handler) error 
 		}
 		return srv.Shutdown(shutCtx)
 	}
+}
+
+// enter is the drain gate at the top of handleReconstruct. It counts
+// the request in flight and reports true, and the caller must then
+// defer s.inflight.Done(); while draining it answers 503 instead and
+// reports false. Add comes before the draining check so Shutdown's Wait
+// can never miss a request that saw draining=false.
+func (s *Server) enter(w http.ResponseWriter, start time.Time) bool {
+	s.inflight.Add(1)
+	if !s.draining.Load() {
+		return true
+	}
+	s.inflight.Done()
+	s.stats.record(time.Since(start), 0, true)
+	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": ErrDraining.Error()})
+	return false
 }

@@ -11,7 +11,9 @@ import (
 	"repro/recon"
 )
 
-func testServer(t *testing.T) (*recon.Server, *recon.Reconstructor) {
+// testServer builds a two-worker server over an untrained truth-level
+// reconstructor; opts configure the Server only.
+func testServer(t *testing.T, opts ...recon.Option) (*recon.Server, *recon.Reconstructor) {
 	t.Helper()
 	spec := testDataset(t, 0.02, 1, 1).Spec
 	// Truth-level graphs + threshold 0 make an untrained model emit the
@@ -27,7 +29,7 @@ func testServer(t *testing.T) (*recon.Server, *recon.Reconstructor) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return recon.NewServer(eng), r
+	return recon.NewServer(eng, opts...), r
 }
 
 func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {

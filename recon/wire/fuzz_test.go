@@ -58,7 +58,7 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 // FuzzDecodeResponse mirrors FuzzDecodeRequest for the response side,
-// which the gateway decodes from shard replies.
+// which cmd/loadgen and other clients decode from server replies.
 func FuzzDecodeResponse(f *testing.F) {
 	seed := func(resp *Response) {
 		buf, err := AppendResponse(nil, resp)

@@ -1,5 +1,5 @@
 // Package wire defines the /v1/reconstruct wire surface shared by
-// recon.Server, recon.ShardGateway, and their clients (cmd/loadgen):
+// recon.Server and its clients (cmd/loadgen and external callers):
 // the JSON DTOs and a compact binary encoding of the same messages.
 //
 // JSON is the readable default; the binary format exists because hit

@@ -12,8 +12,7 @@ import (
 	"repro/recon/wire"
 )
 
-// PR 8 HTTP surface tests: binary wire negotiation on server and
-// gateway, and the Retry-After propagation regression.
+// HTTP surface tests: binary wire negotiation on the server.
 
 // postBinary posts a binary-encoded reconstruct request with the given
 // Accept header ("" to omit).
@@ -115,74 +114,5 @@ func TestServerBinaryNegotiation(t *testing.T) {
 	srv.ServeHTTP(rec, r)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("corrupt binary status = %d, want 400", rec.Code)
-	}
-}
-
-// TestGatewayBinaryNegotiation: the gateway accepts and answers the
-// binary encoding and proxies shard traffic in it, with results
-// bit-identical to the JSON path through the same fleet.
-func TestGatewayBinaryNegotiation(t *testing.T) {
-	gw, _ := shardFleet(t, 2)
-	req := syntheticRequest()
-
-	var jsonResp recon.ReconstructResponse
-	w := postJSON(t, gw, "/v1/reconstruct", req)
-	if w.Code != http.StatusOK {
-		t.Fatalf("json status %d: %s", w.Code, w.Body.String())
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &jsonResp); err != nil {
-		t.Fatal(err)
-	}
-
-	w = postBinary(t, gw, req, "")
-	if w.Code != http.StatusOK {
-		t.Fatalf("binary status %d: %s", w.Code, w.Body.String())
-	}
-	if ct := w.Header().Get("Content-Type"); ct != wire.ContentTypeBinary {
-		t.Fatalf("binary Content-Type = %q", ct)
-	}
-	binResp, err := wire.DecodeResponse(w.Body.Bytes())
-	if err != nil {
-		t.Fatalf("decode binary gateway response: %v", err)
-	}
-	if !reflect.DeepEqual(binResp.Results, jsonResp.Results) {
-		t.Fatal("gateway binary results diverge from JSON results")
-	}
-}
-
-// TestGatewayRetryAfterPropagation is the PR 8 satellite regression: a
-// shard's own Retry-After hint must survive the proxy instead of being
-// overwritten with the hardcoded "1".
-func TestGatewayRetryAfterPropagation(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		upstream string // Retry-After the fake shard sends ("" = none)
-		want     string // Retry-After the gateway must answer with
-	}{
-		{"propagates upstream hint", "7", "7"},
-		{"falls back to 1s without hint", "", "1"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if tc.upstream != "" {
-					w.Header().Set("Retry-After", tc.upstream)
-				}
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusTooManyRequests)
-				_, _ = w.Write([]byte(`{"error":"engine overloaded"}`))
-			}))
-			t.Cleanup(shard.Close)
-			gw, err := recon.NewShardGateway([]string{shard.URL})
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := postJSON(t, gw, "/v1/reconstruct", syntheticRequest())
-			if w.Code != http.StatusTooManyRequests {
-				t.Fatalf("status %d, want 429: %s", w.Code, w.Body.String())
-			}
-			if got := w.Header().Get("Retry-After"); got != tc.want {
-				t.Fatalf("Retry-After = %q, want %q", got, tc.want)
-			}
-		})
 	}
 }
