@@ -55,7 +55,7 @@ func benchmarkFigure3(b *testing.B, procs int) {
 	}
 }
 
-// engineBenchFixture mirrors cmd/bench's engine fixture: a 32-event
+// engineBenchFixture is the engine benchmarks' fixture: a 32-event
 // batch and an untrained reconstructor.
 func engineBenchFixture(b *testing.B) (*recon.Reconstructor, []*repro.Event) {
 	b.Helper()
@@ -70,8 +70,8 @@ func engineBenchFixture(b *testing.B) (*recon.Reconstructor, []*repro.Event) {
 }
 
 // benchmarkEngineBatch measures ReconstructBatch throughput at a worker
-// count; compare against workers=1 (or the serial loop in cmd/bench)
-// for the multi-worker speedup tracked in BENCH_*.json.
+// count; compare against workers=1 (or BenchmarkEngine_ReconstructSerial)
+// for the multi-worker speedup.
 func benchmarkEngineBatch(b *testing.B, workers int) {
 	r, events := engineBenchFixture(b)
 	eng, err := recon.NewEngine(r, recon.WithWorkers(workers))

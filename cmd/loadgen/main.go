@@ -1,27 +1,29 @@
-// Command loadgen is the serving-path load harness (PR 8): it drives
+// Command loadgen is the serving-path load harness: it drives
 // concurrent /v1/reconstruct traffic — JSON or binary wire format,
 // open or closed loop — against a running cmd/serve or an
-// in-process engine sweep over micro-batch windows, and records
-// p50/p99 latency, throughput, and reject rate as BENCH-schema rows so
-// serving SLOs are benchdiff-gated like the kernels.
+// in-process engine sweep over micro-batch windows, and logs one
+// summary line per run: requests, rejects, errors, throughput, p50/p99
+// latency, wire bytes per request and, in open loop, the largest
+// lateness.
 //
 // Closed loop (-rate 0): each of -conns workers keeps exactly one
 // request in flight — throughput is what the server sustains. Open
-// loop (-rate N): requests are injected at N req/s regardless of
-// completions, so queueing delay shows up in the latency tail instead
+// loop (-rate N): request i is due at start + i/N whatever the
+// completions, every request due before the end of the run is sent
+// (late if all -conns workers are busy), and its latency is timed from
+// its due time, so queueing delay shows up in the latency tail instead
 // of being hidden by back-pressure (the coordinated-omission trap).
 //
 // Modes:
 //
-//	loadgen -self -batch-windows 0,2ms -format both -out BENCH_8.json
-//	    in-process sweep: one engine per batch window, rows named
-//	    BenchmarkLoadgen_BW<window>_<fmt>; each windowed engine's merged
-//	    responses are first checked bitwise against the unbatched
-//	    window-0 reference.
+//	loadgen -self -batch-windows 0,2ms -format both -strict
+//	    in-process sweep: one engine per batch window; each windowed
+//	    engine's merged responses are first checked bitwise against the
+//	    unbatched window-0 reference.
 //
-//	loadgen -target http://host:8080 -label BW2ms -format both -strict
+//	loadgen -target http://host:8080 -format both -strict
 //	    external target: statuses other than 200/429 (or zero
-//	    throughput) fail the run — the CI smoke gate.
+//	    throughput) fail the run.
 package main
 
 import (
@@ -34,8 +36,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -46,29 +46,6 @@ import (
 	"repro/recon"
 	"repro/recon/wire"
 )
-
-// benchResult and record mirror the cmd/bench BENCH_*.json schema
-// (PERF.md) so benchdiff can diff and pair-gate loadgen rows.
-type benchResult struct {
-	Name        string             `json:"name"`
-	Iterations  int                `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-}
-
-type record struct {
-	SchemaVersion int           `json:"schema_version"`
-	Date          string        `json:"date"`
-	GoVersion     string        `json:"go_version"`
-	GOOS          string        `json:"goos"`
-	GOARCH        string        `json:"goarch"`
-	MaxProcs      int           `json:"maxprocs"`
-	NumCPU        int           `json:"num_cpu"`
-	Protocol      string        `json:"protocol"`
-	Benchmarks    []benchResult `json:"benchmarks"`
-}
 
 // loadConfig is one measured run against one URL in one format.
 type loadConfig struct {
@@ -82,11 +59,12 @@ type loadConfig struct {
 // loadResult aggregates one run's outcome.
 type loadResult struct {
 	requests  int64
-	rejected  int64 // 429s: expected under overload
-	errors    int64 // anything other than 200/429
-	wireBytes int64 // request + response bytes on the wire
-	events    int64 // events carried by 200 responses
-	latencies []time.Duration
+	rejected  int64           // 429s: expected under overload
+	errors    int64           // anything other than 200/429
+	wireBytes int64           // request + response bytes on the wire
+	events    int64           // events carried by 200 responses
+	latencies []time.Duration // sorted; open loop times each from its due time
+	maxLate   time.Duration   // open loop: the largest send time minus due time
 	elapsed   time.Duration
 	badStatus string // first unexpected status line seen, for -strict
 }
@@ -174,8 +152,10 @@ func encodeBodies(reqs []recon.ReconstructRequest, binary bool) ([][]byte, error
 }
 
 // runLoad drives one measured run. Workers share an atomic cursor over
-// the pre-encoded bodies; in open-loop mode a pacer goroutine injects
-// send tokens at the configured rate.
+// the pre-encoded bodies. In open loop they also share a request
+// counter: request i is due at start + i/rate, computed rather than
+// ticked, so no due request is skipped when the workers fall behind.
+// The run ends when the next request would be due after the duration.
 func runLoad(client *http.Client, cfg loadConfig, bodies [][]byte) *loadResult {
 	contentType := wire.ContentTypeJSON
 	if cfg.binary {
@@ -183,29 +163,12 @@ func runLoad(client *http.Client, cfg loadConfig, bodies [][]byte) *loadResult {
 	}
 	res := &loadResult{}
 	var (
-		mu     sync.Mutex
-		cursor atomic.Int64
+		mu             sync.Mutex
+		cursor, issued atomic.Int64
 	)
-	deadline := time.Now().Add(cfg.duration)
-
-	var tokens chan struct{}
-	if cfg.rate > 0 {
-		tokens = make(chan struct{}, cfg.conns)
-		go func() {
-			tick := time.NewTicker(time.Duration(float64(time.Second) / cfg.rate))
-			defer tick.Stop()
-			for time.Now().Before(deadline) {
-				<-tick.C
-				select {
-				case tokens <- struct{}{}:
-				default: // injector ahead of the fleet: drop, don't block the pacer
-				}
-			}
-			close(tokens)
-		}()
-	}
-
 	start := time.Now()
+	deadline := start.Add(cfg.duration)
+
 	var wg sync.WaitGroup
 	for c := 0; c < cfg.conns; c++ {
 		wg.Add(1)
@@ -213,15 +176,22 @@ func runLoad(client *http.Client, cfg loadConfig, bodies [][]byte) *loadResult {
 			defer wg.Done()
 			var lats []time.Duration
 			var requests, rejected, errCount, bytesTotal, events int64
+			var maxLate time.Duration
 			bad := ""
-			for time.Now().Before(deadline) {
-				if tokens != nil {
-					if _, ok := <-tokens; !ok {
+			for {
+				due := time.Now()
+				if cfg.rate > 0 {
+					i := issued.Add(1) - 1
+					due = start.Add(time.Duration(float64(i) * float64(time.Second) / cfg.rate))
+					if !due.Before(deadline) {
 						break
 					}
+					time.Sleep(time.Until(due))
+					maxLate = max(maxLate, time.Since(due))
+				} else if !due.Before(deadline) {
+					break
 				}
 				body := bodies[int(cursor.Add(1)-1)%len(bodies)]
-				t0 := time.Now()
 				req, err := http.NewRequest(http.MethodPost, cfg.url+"/v1/reconstruct", bytes.NewReader(body))
 				if err != nil {
 					errCount++
@@ -236,7 +206,7 @@ func runLoad(client *http.Client, cfg loadConfig, bodies [][]byte) *loadResult {
 				}
 				respBody, rerr := io.ReadAll(resp.Body)
 				resp.Body.Close()
-				lat := time.Since(t0)
+				lat := time.Since(due)
 				requests++
 				bytesTotal += int64(len(body) + len(respBody))
 				switch {
@@ -261,6 +231,7 @@ func runLoad(client *http.Client, cfg loadConfig, bodies [][]byte) *loadResult {
 			res.wireBytes += bytesTotal
 			res.events += events
 			res.latencies = append(res.latencies, lats...)
+			res.maxLate = max(res.maxLate, maxLate)
 			if res.badStatus == "" {
 				res.badStatus = bad
 			}
@@ -301,41 +272,6 @@ func firstLine(b []byte) string {
 		s = s[:200]
 	}
 	return s
-}
-
-// toRow converts one run into its BENCH row. ns/op is the p50 request
-// latency; B/op is the average wire bytes per request — the quantity
-// the `-pair _json:_bin` benchdiff gate checks the binary encoding
-// against.
-func toRow(name string, res *loadResult) benchResult {
-	row := benchResult{
-		Name:       name,
-		Iterations: int(res.requests),
-		NsPerOp:    float64(percentile(res.latencies, 0.50)),
-	}
-	if res.requests > 0 {
-		row.BytesPerOp = res.wireBytes / res.requests
-	}
-	secs := res.elapsed.Seconds()
-	served := res.requests - res.rejected - res.errors
-	row.Metrics = map[string]float64{
-		"rps":          float64(served) / secs,
-		"events_per_s": float64(res.events) / secs,
-		"p50_ms":       float64(percentile(res.latencies, 0.50)) / float64(time.Millisecond),
-		"p99_ms":       float64(percentile(res.latencies, 0.99)) / float64(time.Millisecond),
-		"reject_rate":  float64(res.rejected) / float64(max64(res.requests, 1)),
-		"requests":     float64(res.requests),
-		"rejected":     float64(res.rejected),
-		"errors":       float64(res.errors),
-	}
-	return row
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // resultsBlob posts one request and returns the marshaled results array
@@ -446,7 +382,6 @@ func selfServer(r *recon.Reconstructor, workers, queueDepth, maxBatch int, windo
 func main() {
 	target := flag.String("target", "", "base URL of a running serve instance; empty requires -self")
 	self := flag.Bool("self", false, "run against in-process engines, sweeping -batch-windows")
-	label := flag.String("label", "BW0", "row label for -target mode (rows: BenchmarkLoadgen_<label>_<fmt>)")
 	format := flag.String("format", "both", "wire format to drive: json, bin, or both")
 	conns := flag.Int("conns", 8, "concurrent connections (closed-loop workers)")
 	rate := flag.Float64("rate", 0, "open-loop request injection rate in req/s (0 = closed loop)")
@@ -461,8 +396,7 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 64, "-self engine queue depth")
 	maxBatch := flag.Int("max-batch-events", 16, "-self micro-batch early-dispatch size")
 	strict := flag.Bool("strict", false, "exit 1 on any non-200/429 status, zero throughput, or parity failure")
-	precision := flag.String("precision", "f64", "inference precision: f64, f32, or i8 — builds the -self engines at that precision and suffixes non-f64 row labels (_f32/_i8) so benchdiff can pair precision twins")
-	out := flag.String("out", "", "write BENCH-schema JSON here ('' = stdout)")
+	precision := flag.String("precision", "f64", "-self engine inference precision: f64, f32, or i8")
 	flag.Parse()
 
 	if (*target == "") == !*self {
@@ -471,12 +405,6 @@ func main() {
 	prec, ok := recon.ParsePrecision(*precision)
 	if !ok {
 		log.Fatalf("loadgen: -precision must be f64, f32, or i8, got %q", *precision)
-	}
-	// Precision tags the rows so f64/f32/i8 sweeps of the same window
-	// coexist in one BENCH file as benchdiff-pairable twins.
-	precSuffix := ""
-	if prec != recon.Float64 {
-		precSuffix = "_" + prec.String()
 	}
 	var formats []bool // binary?
 	switch *format {
@@ -505,18 +433,6 @@ func main() {
 	}
 
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: *conns}}
-	rec := record{
-		SchemaVersion: 1,
-		Date:          time.Now().UTC().Format(time.RFC3339),
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		MaxProcs:      runtime.GOMAXPROCS(0),
-		NumCPU:        runtime.NumCPU(),
-		Protocol: fmt.Sprintf("cmd/loadgen conns=%d rate=%v duration=%v events=%d per-req=%d scale=%v seed=%d precision=%s; "+
-			"ns/op = p50 request latency, B/op = wire bytes per request; see PERF.md PR 8",
-			*conns, *rate, *duration, *events, *perReq, *scale, *seed, prec),
-	}
 	failed := false
 
 	runOne := func(url, lbl string) {
@@ -527,12 +443,18 @@ func main() {
 			}
 			cfg := loadConfig{url: url, binary: binary, conns: *conns, rate: *rate, duration: *duration}
 			res := runLoad(client, cfg, bodies)
-			name := fmt.Sprintf("BenchmarkLoadgen_%s_%s", lbl, fmtName)
-			row := toRow(name, res)
-			rec.Benchmarks = append(rec.Benchmarks, row)
-			log.Printf("%s: %d reqs (%d rejected, %d errors) rps=%.1f p50=%.2fms p99=%.2fms B/op=%d",
+			name := lbl + " " + fmtName
+			secs := res.elapsed.Seconds()
+			var bytesPerReq int64
+			if res.requests > 0 {
+				bytesPerReq = res.wireBytes / res.requests
+			}
+			log.Printf("%s: %d reqs (%d rejected, %d errors) rps=%.1f events/s=%.1f p50=%.2fms p99=%.2fms B/req=%d max_late=%v",
 				name, res.requests, res.rejected, res.errors,
-				row.Metrics["rps"], row.Metrics["p50_ms"], row.Metrics["p99_ms"], row.BytesPerOp)
+				float64(res.requests-res.rejected-res.errors)/secs, float64(res.events)/secs,
+				float64(percentile(res.latencies, 0.50))/float64(time.Millisecond),
+				float64(percentile(res.latencies, 0.99))/float64(time.Millisecond),
+				bytesPerReq, res.maxLate)
 			if res.badStatus != "" {
 				log.Printf("%s: unexpected status %s", name, res.badStatus)
 			}
@@ -574,23 +496,14 @@ func main() {
 					failed = true
 				}
 			}
-			runOne(url, windowLabel(w)+precSuffix)
+			runOne(url, windowLabel(w)+" "+prec.String())
 			stop()
 		}
 	} else {
-		runOne(strings.TrimRight(*target, "/"), *label+precSuffix)
+		url := strings.TrimRight(*target, "/")
+		runOne(url, url)
 	}
 
-	blob, err := json.MarshalIndent(&rec, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	blob = append(blob, '\n')
-	if *out == "" {
-		os.Stdout.Write(blob)
-	} else if err := os.WriteFile(*out, blob, 0o644); err != nil {
-		log.Fatal(err)
-	}
 	if failed {
 		log.Fatal("loadgen: strict mode failed (errors, zero throughput, or parity divergence)")
 	}

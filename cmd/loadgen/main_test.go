@@ -1,7 +1,9 @@
 package main
 
 import (
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -33,7 +35,7 @@ func TestWindowLabel(t *testing.T) {
 	}{
 		{0, "BW0"},
 		{2 * time.Millisecond, "BW2ms"},
-		{2500 * time.Microsecond, "BW2p5ms"}, // dots would break benchdiff row regexes
+		{2500 * time.Microsecond, "BW2p5ms"},
 	} {
 		if got := windowLabel(tc.d); got != tc.want {
 			t.Fatalf("windowLabel(%v) = %q, want %q", tc.d, got, tc.want)
@@ -80,28 +82,6 @@ func TestBuildAndEncodeBodies(t *testing.T) {
 			t.Fatalf("request %d: binary body (%d B) not smaller than JSON (%d B)",
 				i, len(binBodies[i]), len(jsonBodies[i]))
 		}
-	}
-}
-
-func TestToRowMetrics(t *testing.T) {
-	res := &loadResult{
-		requests:  10,
-		rejected:  2,
-		errors:    0,
-		wireBytes: 1000,
-		events:    8,
-		latencies: []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond},
-		elapsed:   time.Second,
-	}
-	row := toRow("BenchmarkLoadgen_X_json", res)
-	if row.BytesPerOp != 100 || row.Iterations != 10 {
-		t.Fatalf("row = %+v", row)
-	}
-	if row.Metrics["reject_rate"] != 0.2 || row.Metrics["rps"] != 8 {
-		t.Fatalf("metrics = %+v", row.Metrics)
-	}
-	if row.NsPerOp != float64(2*time.Millisecond) {
-		t.Fatalf("ns/op = %v", row.NsPerOp)
 	}
 }
 
@@ -166,6 +146,35 @@ func TestSelfSweepEndToEnd(t *testing.T) {
 	}, bodiesBin)
 	if res.requests == 0 || res.errors > 0 {
 		t.Fatalf("open loop: %d requests, %d errors", res.requests, res.errors)
+	}
+}
+
+// TestOpenLoopCountsQueueingDelay: one connection to a 20 ms handler
+// cannot keep up with 200 req/s, so every request queues behind the
+// ones before it. The open loop must still send each request due in the
+// run and time it from its due time, so the queueing delay lands in the
+// median instead of being omitted.
+func TestOpenLoopCountsQueueingDelay(t *testing.T) {
+	const handlerTime = 20 * time.Millisecond
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		time.Sleep(handlerTime)
+		_, _ = w.Write([]byte(`{"results":[]}`))
+	}))
+	defer srv.Close()
+
+	res := runLoad(srv.Client(), loadConfig{
+		url: srv.URL, conns: 1, rate: 200, duration: 300 * time.Millisecond,
+	}, [][]byte{[]byte(`{}`)})
+	// Requests are due at 0, 5 ms, ..., 295 ms: 60 of them.
+	if res.requests != 60 || res.errors != 0 {
+		t.Fatalf("sent %d requests (%d errors), want the 60 due in 300 ms at 200/s", res.requests, res.errors)
+	}
+	if p50 := percentile(res.latencies, 0.50); p50 <= 3*handlerTime {
+		t.Fatalf("p50 latency %v hides the queueing delay (handler %v, want > %v)", p50, handlerTime, 3*handlerTime)
+	}
+	if res.maxLate < 10*handlerTime {
+		t.Fatalf("largest lateness %v, want the backlog (> %v)", res.maxLate, 10*handlerTime)
 	}
 }
 

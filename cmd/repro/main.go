@@ -5,7 +5,7 @@
 //	repro figure3    Figure 3: epoch time across simulated GPU counts
 //	repro figure4    Figure 4: precision/recall convergence on Ex3
 //	repro ablation   the §III-D / §IV-C design-choice ablations
-//	repro scaling    the strong-scaling sweep as a BENCH-style JSON record
+//	repro scaling    the strong-scaling sweep as a JSON record
 //	repro trainpipe  GNN-stage training with one impl, epoch by epoch
 //
 // Each subcommand takes its own flags (`repro <subcommand> -h`). A bad

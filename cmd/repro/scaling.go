@@ -29,7 +29,8 @@ type cellResult struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// scalingRecord is the BENCH_*.json schema (see PERF.md).
+// scalingRecord is the sweep's JSON record: one row per cell in the
+// shape of a `go test -bench` result, plus the two cross-cell checks.
 type scalingRecord struct {
 	SchemaVersion int          `json:"schema_version"`
 	Date          string       `json:"date"`
@@ -45,7 +46,7 @@ type scalingRecord struct {
 
 // scaling sweeps the trainer across rank counts × bulk batch stacking ×
 // sync strategies and emits the paper's strong-scaling table (Figures
-// 5–6 shape) as a BENCH-style JSON record: per-cell epoch wall time,
+// 5–6 shape) as a JSON record: per-cell epoch wall time,
 // sampling/training phase maxima, measured collective wait beside the
 // modeled α–β collective time, charged calls and logical bytes, and the
 // final loss.
@@ -61,7 +62,7 @@ type scalingRecord struct {
 //
 // Usage:
 //
-//	go run ./cmd/repro scaling -ranks 1,2,4 -bulk 1,4 -epochs 2 -out BENCH_3.json
+//	go run ./cmd/repro scaling -ranks 1,2,4 -bulk 1,4 -epochs 2 -out scaling.json
 func scaling(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	ranksFlag := fs.String("ranks", "1,2,4", "comma-separated rank counts")
 	bulkFlag := fs.String("bulk", "1,4", "comma-separated bulk batch counts k")
@@ -74,7 +75,7 @@ func scaling(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	scale := fs.Float64("scale", 0.02, "dataset scale")
 	gradBlocks := fs.Int("grad-blocks", 8, "canonical gradient micro-blocks per step")
 	seed := fs.Uint64("seed", 7, "seed")
-	out := fs.String("out", "", "write BENCH-style JSON to this path (empty: stdout only)")
+	out := fs.String("out", "", "write the JSON record to this path (empty: stdout only)")
 	return func(ctx context.Context, w io.Writer) error {
 		ranks, err := parseInts("ranks", *ranksFlag)
 		if err != nil {

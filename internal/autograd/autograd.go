@@ -129,9 +129,6 @@ func (t *Tape) Arena() *workspace.Arena { return t.arena }
 // trainer configures it once per rank.
 func (t *Tape) SetKernels(kc kernels.Context) { t.kc = kc }
 
-// Kernels returns the tape's intra-op worker budget.
-func (t *Tape) Kernels() kernels.Context { return t.kc }
-
 // Reset clears the recorded operations so the tape can be reused for the
 // next step, rewinding the node slab and retaining its chunks and the
 // list capacity. Consumed node records are zeroed so the previous step's

@@ -11,14 +11,8 @@
 //
 // The model counts float64 activation elements (8 bytes each) against a
 // per-device byte capacity, reserving a fraction for weights, optimizer
-// state, and workspace. The workspace share of that reserve is now a real
-// quantity: the host-side kernel scratch pools (internal/workspace) report
-// their outstanding bytes, and WorkspaceUsage checks them against the
-// device reserve so simulated runs can detect a scratch footprint that
-// would not have fit next to the activations on the modeled hardware.
+// state, and workspace.
 package gpumem
-
-import "repro/internal/workspace"
 
 // BytesPerElement is the storage cost of one activation element.
 const BytesPerElement = 8
@@ -53,29 +47,6 @@ func (d Device) ActivationBudgetBytes() int64 {
 // float64 activations fits on the device.
 func (d Device) FitsActivations(elements int) bool {
 	return int64(elements)*BytesPerElement <= d.ActivationBudgetBytes()
-}
-
-// WorkspaceBudgetBytes returns the reserve left after activations —
-// the share of device memory the model earmarks for weights, optimizer
-// state, and kernel workspace.
-func (d Device) WorkspaceBudgetBytes() int64 {
-	return d.CapacityBytes - d.ActivationBudgetBytes()
-}
-
-// WorkspaceUsage is a snapshot of the host-side workspace pools measured
-// against the device's non-activation reserve.
-type WorkspaceUsage struct {
-	InUseBytes  int64 // bytes currently checked out of the workspace pools
-	BudgetBytes int64 // the device's non-activation reserve
-	Fits        bool  // InUseBytes <= BudgetBytes
-}
-
-// WorkspaceUsage reports whether the current global workspace footprint
-// would fit in the device's reserve.
-func (d Device) WorkspaceUsage() WorkspaceUsage {
-	in := workspace.InUseBytes()
-	budget := d.WorkspaceBudgetBytes()
-	return WorkspaceUsage{InUseBytes: in, BudgetBytes: budget, Fits: in <= budget}
 }
 
 // BulkBatchCount returns how many minibatches can be sampled in one bulk

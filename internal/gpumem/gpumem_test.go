@@ -1,10 +1,6 @@
 package gpumem
 
-import (
-	"testing"
-
-	"repro/internal/workspace"
-)
+import "testing"
 
 func TestFitsActivations(t *testing.T) {
 	d := ScaledDevice(800) // 100 elements
@@ -56,29 +52,5 @@ func TestBulkBatchCountClamps(t *testing.T) {
 	}
 	if k := BulkBatchCount(d, 1, 0, 7); k != 7 {
 		t.Fatalf("zero footprint should return all batches, got %d", k)
-	}
-}
-
-func TestWorkspaceUsageAgainstReserve(t *testing.T) {
-	d := A100()
-	if got, want := d.WorkspaceBudgetBytes(), d.CapacityBytes-d.ActivationBudgetBytes(); got != want {
-		t.Fatalf("WorkspaceBudgetBytes = %d, want %d", got, want)
-	}
-	s := workspace.GetF64(1 << 10)
-	u := d.WorkspaceUsage()
-	workspace.PutF64(s)
-	if u.BudgetBytes != d.WorkspaceBudgetBytes() {
-		t.Fatalf("usage budget %d != device budget %d", u.BudgetBytes, d.WorkspaceBudgetBytes())
-	}
-	if !u.Fits {
-		t.Fatalf("a few KiB of scratch should fit the A100 reserve, usage=%+v", u)
-	}
-	// A 1-byte reserve cannot fit any outstanding scratch.
-	tiny := Device{CapacityBytes: 8, ActivationFraction: 0.875}
-	s2 := workspace.GetF64(1 << 10)
-	u2 := tiny.WorkspaceUsage()
-	workspace.PutF64(s2)
-	if u2.Fits {
-		t.Fatalf("8 KiB of scratch reported as fitting a 1-byte reserve: %+v", u2)
 	}
 }

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/kernels"
@@ -52,6 +53,66 @@ func TestGatherRowsIntoZeroAllocsWarm(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm GatherRowsInto allocated %.1f per run, want 0", allocs)
+	}
+}
+
+// TestValueKernelAllocs bounds the value-returning sparse kernels at
+// their benchmark shapes on the serial path: SpMM allocates its dense
+// result (header and data), SpGEMM its CSR (header, row pointers,
+// column indices and values).
+func TestValueKernelAllocs(t *testing.T) {
+	a, b := benchCSR(2000, 8, 1), benchCSR(2000, 8, 2)
+	x := benchDense(2000, 32, 3)
+	for _, tc := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"SpGEMM", 4, func() { SpGEMM(a, b) }},
+		{"SpMM", 2, func() { SpMM(a, x) }},
+	} {
+		if allocs := testing.AllocsPerRun(10, tc.run); allocs > tc.max {
+			t.Errorf("%s allocated %.1f per run, want ≤ %.0f", tc.name, allocs, tc.max)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one
+// call of f allocates, averaged over runs after a warm-up call, with
+// GOMAXPROCS at 1 so the kernels take their serial path.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestSpMMF32Bytes: SpMM and SpMMAdd at float32 write a result half the
+// width of the float64 one, so a call with its output must allocate at
+// most 75% of the bytes.
+func TestSpMMF32Bytes(t *testing.T) {
+	a64, x64, res64 := benchCSR(2000, 8, 1), benchDense(2000, 32, 3), benchDense(2000, 32, 4)
+	a32 := ConvertCSR[float32](a64)
+	x32, res32 := tensor.ConvertFrom[float32](nil, x64), tensor.ConvertFrom[float32](nil, res64)
+	kc := kernels.Context{}
+	for _, tc := range []struct {
+		name     string
+		f64, f32 func()
+	}{
+		{"SpMM", func() { SpMM(a64, x64) }, func() { SpMM(a32, x32) }},
+		{"SpMMAdd",
+			func() { SpMMAddIntoCtx(kc, tensor.New(2000, 32), a64, x64, res64) },
+			func() { SpMMAddIntoCtx(kc, tensor.NewOf[float32](2000, 32), a32, x32, res32) }},
+	} {
+		b64, b32 := bytesPerRun(10, tc.f64), bytesPerRun(10, tc.f32)
+		if b32 > 0.75*b64 {
+			t.Errorf("%s allocated %.0f B at f32 against %.0f B at f64, want ≤ 75%%", tc.name, b32, b64)
+		}
 	}
 }
 

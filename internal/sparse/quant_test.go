@@ -192,3 +192,18 @@ func TestQSpMMZeroAllocs(t *testing.T) {
 		t.Fatalf("int8 sparse kernels allocated %.1f per run, want 0", allocs)
 	}
 }
+
+// TestQSpMMBytes: the int8 SpMM's result is a quarter the width of the
+// float32 one, so a call with its output must allocate at most 60% of
+// the bytes of the float32 SpMM at the same shape.
+func TestQSpMMBytes(t *testing.T) {
+	a64 := benchCSR(2000, 8, 1)
+	a32, x32 := ConvertCSR[float32](a64), tensor.ConvertFrom[float32](nil, benchDense(2000, 32, 3))
+	a8, x8 := QuantizeCSR(a64), quantDense(2000, 32, 3, 0.01)
+	kc := kernels.Context{Workers: 1}
+	b32 := bytesPerRun(10, func() { SpMM(a32, x32) })
+	b8 := bytesPerRun(10, func() { QSpMMQuantInto(kc, tensor.NewQMat(2000, 32, 0), a8, x8, 0.05) })
+	if b8 > 0.6*b32 {
+		t.Fatalf("QSpMMQuantInto allocated %.0f B against %.0f B for f32 SpMM, want ≤ 60%%", b8, b32)
+	}
+}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -66,6 +67,61 @@ func TestElementwiseIntoZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("elementwise Into kernels allocated %.1f per run, want 0", allocs)
+	}
+}
+
+// TestValueKernelAllocs bounds the value-returning kernels at their
+// benchmark shapes on the serial path: each allocates its result (the
+// matrix header and its data) and nothing else.
+func TestValueKernelAllocs(t *testing.T) {
+	a, w, g := benchMat(4096, 64, 1), benchMat(64, 64, 2), benchMat(4096, 64, 2)
+	bias := benchMat(1, 64, 2)
+	r := rng.New(3)
+	idx := make([]int, 8192)
+	for i := range idx {
+		idx[i] = r.Intn(4096)
+	}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"MatMul", 2, func() { MatMul(a, w) }},
+		{"MatMulT", 2, func() { MatMulT(a, w) }},
+		{"TMatMul", 2, func() { TMatMul(a, g) }},
+		{"GatherRows", 2, func() { GatherRows(a, idx) }},
+		{"AddBias", 2, func() { AddBias(a, bias) }},
+	} {
+		if allocs := testing.AllocsPerRun(5, tc.run); allocs > tc.max {
+			t.Errorf("%s allocated %.1f per run, want ≤ %.0f", tc.name, allocs, tc.max)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one
+// call of f allocates, averaged over runs after a warm-up call, with
+// GOMAXPROCS at 1 so the kernels take their serial path.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestMatMulF32Bytes: the float32 GEMM writes a result half the width
+// of the float64 one, so a call must allocate at most 75% of the bytes.
+func TestMatMulF32Bytes(t *testing.T) {
+	a64, w64 := benchMat(4096, 64, 1), benchMat(64, 64, 2)
+	a32, w32 := benchMat32(4096, 64, 1), benchMat32(64, 64, 2)
+	b64 := bytesPerRun(5, func() { MatMul(a64, w64) })
+	b32 := bytesPerRun(5, func() { MatMul(a32, w32) })
+	if b32 > 0.75*b64 {
+		t.Fatalf("MatMul allocated %.0f B at f32 against %.0f B at f64, want ≤ 75%%", b32, b64)
 	}
 }
 

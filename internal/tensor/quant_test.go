@@ -241,6 +241,22 @@ func TestQuantIntoKernelsZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestQGEMMBytes: the int8 GEMM's result is a quarter the width of the
+// float32 one, so a call with its output must allocate at most 60% of
+// the bytes of the float32 MatMul at the same shape.
+func TestQGEMMBytes(t *testing.T) {
+	a32, w32 := benchMat32(4096, 64, 1), benchMat32(64, 64, 2)
+	a, w, bias := quantFixtures(4096, 64, 64, 1)
+	kc := kernels.Context{Workers: 1}
+	b32 := bytesPerRun(5, func() { MatMul(a32, w32) })
+	b8 := bytesPerRun(5, func() {
+		QMatMulBiasReLUQuantInto(kc, NewQMat(4096, 64, 0), a, w, bias, 0.05)
+	})
+	if b8 > 0.6*b32 {
+		t.Fatalf("QMatMulBiasReLUQuantInto allocated %.0f B against %.0f B for f32 MatMul, want ≤ 60%%", b8, b32)
+	}
+}
+
 func TestQuantizeIntoRejectsBadScale(t *testing.T) {
 	for _, scale := range []float32{0, -1, float32(math.NaN())} {
 		func() {

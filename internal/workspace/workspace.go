@@ -67,8 +67,8 @@ var (
 	inUseBytes atomic.Int64 // bytes handed out and not yet returned
 )
 
-// Stats is a snapshot of pool activity, used by the gpumem workspace
-// accounting and by cmd/bench reports.
+// Stats is a snapshot of pool activity; the benchmark's per-layer
+// ledger reads it for the workspace miss ratio and in-use bytes.
 type Stats struct {
 	Gets       int64 // total pooled Get calls (all element types)
 	Puts       int64 // total Put calls

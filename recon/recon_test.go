@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -18,6 +20,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/pipeline"
 	"repro/internal/rng"
+	"repro/internal/tensor"
 	"repro/recon"
 )
 
@@ -158,6 +161,76 @@ func TestOptionValidation(t *testing.T) {
 		if _, err := recon.New(spec, opt); err != nil {
 			t.Errorf("valid option rejected: %v", err)
 		}
+	}
+}
+
+// budgetEmbedder is a custom stage 1 that records the kernel budget
+// KernelWorkersFromContext reads on each call. Its embedding puts every
+// hit on a line, so the radius graph still has edges to classify.
+type budgetEmbedder struct {
+	mu   sync.Mutex
+	seen []int
+}
+
+func (e *budgetEmbedder) Embed(ctx context.Context, a *recon.Arena, ev *recon.Event) (*recon.Matrix, error) {
+	e.mu.Lock()
+	e.seen = append(e.seen, recon.KernelWorkersFromContext(ctx))
+	e.mu.Unlock()
+	emb := tensor.NewFrom(a, ev.NumHits(), 2)
+	for i := 0; i < ev.NumHits(); i++ {
+		emb.Set(i, 0, float64(i)*0.01)
+	}
+	return emb, ctx.Err()
+}
+
+// TestKernelWorkersFromContext: a custom stage reads the budget API.md
+// documents — the full host for serial Reconstruct, GOMAXPROCS/workers
+// (at least 1) in each worker of an engine pool, and an explicit
+// WithKernelWorkers value as given.
+func TestKernelWorkersFromContext(t *testing.T) {
+	ds := testDataset(t, 0.02, 2, 91)
+	host := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		name    string
+		opts    []recon.Option
+		workers int // engine workers, all busy on the two-event batch; 0 reconstructs serially
+		want    int
+	}{
+		{"serial", nil, 0, host},
+		{"engine two workers", nil, 2, max(host/2, 1)},
+		{"explicit one", []recon.Option{recon.WithKernelWorkers(1)}, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			emb := &budgetEmbedder{}
+			opts := append([]recon.Option{recon.WithSeed(5), recon.WithGNN(8, 2), recon.WithEmbedder(emb), recon.WithoutEdgeFilter()}, tc.opts...)
+			r, err := recon.New(ds.Spec, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.workers == 0 {
+				for _, ev := range ds.Events {
+					if _, err := r.Reconstruct(context.Background(), ev); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else {
+				eng, err := recon.NewEngine(r, recon.WithWorkers(tc.workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.ReconstructBatch(context.Background(), ds.Events); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(emb.seen) != len(ds.Events) {
+				t.Fatalf("embedder ran %d times for %d events", len(emb.seen), len(ds.Events))
+			}
+			for _, got := range emb.seen {
+				if got != tc.want {
+					t.Fatalf("KernelWorkersFromContext = %d, want %d (GOMAXPROCS %d)", got, tc.want, host)
+				}
+			}
+		})
 	}
 }
 

@@ -32,6 +32,47 @@ func postBinary(t *testing.T, h http.Handler, req recon.ReconstructRequest, acce
 	return w
 }
 
+// TestServerBinaryWireBytes: served through Server, one fixed event
+// (Ex3Like(0.02), seed 3 — loadgen's defaults) and its tracks must take
+// at most 70% of the JSON request+response bytes in the binary
+// encoding.
+func TestServerBinaryWireBytes(t *testing.T) {
+	srv, _ := testServer(t)
+	ds := testDataset(t, 0.02, 1, 3)
+	req := recon.ReconstructRequest{Events: []recon.EventJSON{*recon.EventToJSON(ds.Events[0])}}
+
+	jsonBody, err := json.Marshal(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := postJSON(t, srv, "/v1/reconstruct", req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("json status %d: %s", w.Code, w.Body.String())
+	}
+	jsonBytes := len(jsonBody) + w.Body.Len()
+
+	binBody, err := wire.AppendRequest(nil, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = postBinary(t, srv, req, "")
+	if w.Code != http.StatusOK {
+		t.Fatalf("binary status %d: %s", w.Code, w.Body.String())
+	}
+	binBytes := len(binBody) + w.Body.Len()
+	resp, err := wire.DecodeResponse(w.Body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != 1 || len(resp.Results[0].Tracks) == 0 {
+		t.Fatalf("binary response carries %d results, want one with tracks", len(resp.Results))
+	}
+
+	if 10*binBytes > 7*jsonBytes {
+		t.Fatalf("binary request+response is %d B against %d B of JSON, want ≤ 70%%", binBytes, jsonBytes)
+	}
+}
+
 func syntheticRequest() recon.ReconstructRequest {
 	return recon.ReconstructRequest{Synthetic: &recon.SyntheticJSON{Count: 2, Seed: 7}}
 }
