@@ -126,4 +126,10 @@ func TestScalingChecksHold(t *testing.T) {
 			t.Errorf("record lacks %s", field)
 		}
 	}
+	// The sweep measures no allocations, so the record claims none.
+	for _, key := range []string{`"bytes_per_op"`, `"allocs_per_op"`} {
+		if bytes.Contains(rec, []byte(key)) {
+			t.Errorf("record carries %s, which the sweep never measures", key)
+		}
+	}
 }

@@ -21,12 +21,10 @@ import (
 
 // cellResult is one sweep cell's measurement.
 type cellResult struct {
-	Name        string             `json:"name"`
-	Iterations  int                `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"` // wall ns per epoch
-	BytesPerOp  int64              `json:"bytes_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	Name       string             `json:"name"`
+	Iterations int                `json:"iterations"`
+	NsPerOp    float64            `json:"ns_per_op"` // wall ns per epoch
+	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
 // scalingRecord is the sweep's JSON record: one row per cell in the

@@ -1,22 +1,15 @@
 // Package comm implements the NCCL-style ring collectives the paper's
-// DDP training uses, over a pluggable point-to-point transport
-// (internal/transport). The ring all-reduce moves real data link by link
+// DDP training uses. The ring all-reduce moves real data link by link
 // (reduce-scatter followed by all-gather, NCCL's algorithm), so
 // synchronization costs are physically incurred, and an α–β cost model
 // calibrated to the paper's hardware (NVLink 3.0) tracks the modeled
 // wire time of every call.
 //
-// Two deployment shapes share the same collective arithmetic:
-//
-//   - Group: P rank goroutines in one process, ring links as in-process
-//     transport pipes (NewGroup) or over any transport.Network, TCP
-//     included (NewGroupNetwork).
-//   - Peer: one rank's endpoint in a multi-process ring, wired by
-//     ConnectRing over real sockets.
-//
-// Because the reduction order is a function of (P, rank, buffer length)
-// only, results are bitwise identical across transports and deployment
-// shapes.
+// A Group is P rank goroutines in one process. Its ring is P in-process
+// links, link i carrying copies of float64 chunks from rank i to rank
+// (i+1) mod P. The reduction order of every collective is a function of
+// (P, rank, buffer length) only, so results are bitwise reproducible
+// run to run and independent of goroutine scheduling.
 //
 // The coalesced all-reduce optimization (§III-D of the paper) follows
 // directly from this model: reducing k parameter matrices separately pays
@@ -25,13 +18,11 @@
 package comm
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/transport"
 )
 
 // CostModel is an α–β (latency–bandwidth) communication model.
@@ -50,7 +41,7 @@ func NVLink3() CostModel {
 
 // wireTime is the β term for moving n bytes, zero when the model has no
 // bandwidth configured (a zero CostModel charges nothing — used by groups
-// whose transport is bookkept elsewhere).
+// whose traffic is bookkept elsewhere).
 func (m CostModel) wireTime(nBytes float64) time.Duration {
 	if m.BetaBytesPerSecond <= 0 {
 		return 0
@@ -95,166 +86,56 @@ func (m CostModel) BroadcastTime(nBytes int64, p int) time.Duration {
 	return time.Duration(p-1)*m.Alpha + m.wireTime(float64(nBytes))
 }
 
-// Group is a fixed set of P ranks with a ring topology. Since the
-// transport rebase it is a thin shell over P Peers: NewGroup wires the
-// ring with in-process transport.Pipe links, NewGroupNetwork wires it
-// over any transport.Network (real TCP sockets included), and every
-// collective runs the identical Peer arithmetic either way — so results
-// are bitwise independent of the transport.
+// Group is a fixed set of P ranks with a ring topology. Every rank
+// calls each collective concurrently from its own goroutine.
 type Group struct {
 	P     int
 	model CostModel
 
-	peers []*Peer
-	stats *ringStats
+	// links[i] carries messages rank i → rank (i+1)%P.
+	links []*link
+
+	calls       atomic.Int64 // collective invocations (counted once, by rank 0)
+	bytesMoved  atomic.Int64 // payload bytes summed over ranks and steps
+	modeledTime atomic.Int64 // nanoseconds under the cost model
 }
 
-// NewGroup creates a process group of p ranks over in-process pipes.
+// NewGroup creates a process group of p ranks.
 func NewGroup(p int, model CostModel) *Group {
 	if p < 1 {
 		panic(fmt.Sprintf("comm: group size %d", p))
 	}
-	g := &Group{P: p, model: model, stats: &ringStats{}}
-	g.peers = make([]*Peer, p)
-	for rank := range g.peers {
-		g.peers[rank] = &Peer{Rank: rank, P: p, model: model, stats: g.stats}
-	}
-	// links[i] carries messages rank i → rank (i+1)%P.
-	for i := 0; i < p; i++ {
-		a, b := transport.Pipe()
-		g.peers[i].next = a
-		g.peers[(i+1)%p].prev = b
+	g := &Group{P: p, model: model, links: make([]*link, p)}
+	for i := range g.links {
+		g.links[i] = newLink()
 	}
 	return g
 }
 
-// NewGroupNetwork creates a process group of p ranks whose ring links
-// run over net — with a TCP network the collectives move through real
-// sockets, byte-identical to what p separate processes using
-// ConnectRing would exchange. addrs lists each rank's listen address;
-// nil requests p ephemeral addresses. The caller should Close the group
-// to release the connections.
-func NewGroupNetwork(p int, model CostModel, net transport.Network, addrs []string) (*Group, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("comm: group size %d", p)
-	}
-	if addrs == nil {
-		addrs = make([]string, p)
-	}
-	if len(addrs) != p {
-		return nil, fmt.Errorf("comm: %d addrs for %d ranks", len(addrs), p)
-	}
-	g := &Group{P: p, model: model, stats: &ringStats{}}
-	if p == 1 {
-		g.peers = []*Peer{{Rank: 0, P: 1, model: model, stats: g.stats}}
-		return g, nil
-	}
-	// Bind every rank's listener first so ring dials cannot race an
-	// unbound neighbor, resolving ephemeral addresses as we go.
-	listeners := make([]transport.Listener, p)
-	for rank := 0; rank < p; rank++ {
-		ln, err := net.Listen(addrs[rank])
-		if err != nil {
-			for _, l := range listeners[:rank] {
-				l.Close()
-			}
-			return nil, fmt.Errorf("comm: ring listen %q: %w", addrs[rank], err)
-		}
-		listeners[rank] = ln
-		addrs[rank] = ln.Addr()
-	}
-	defer func() {
-		for _, ln := range listeners {
-			ln.Close()
-		}
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	next := make([]transport.Conn, p)
-	prev := make([]transport.Conn, p)
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	for rank := 0; rank < p; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c, err := net.Dial(ctx, addrs[(rank+1)%p])
-			if err == nil {
-				next[rank] = c
-				return
-			}
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("comm: ring dial %q: %w", addrs[(rank+1)%p], err)
-			}
-			mu.Unlock()
-			cancel()
-		}(rank)
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c, err := listeners[rank].Accept(ctx)
-			if err == nil {
-				prev[rank] = c
-				return
-			}
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("comm: ring accept on %q: %w", addrs[rank], err)
-			}
-			mu.Unlock()
-			cancel()
-		}(rank)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		for _, c := range append(next, prev...) {
-			if c != nil {
-				c.Close()
-			}
-		}
-		return nil, firstErr
-	}
-	g.peers = make([]*Peer, p)
-	for rank := 0; rank < p; rank++ {
-		g.peers[rank] = &Peer{Rank: rank, P: p, next: next[rank], prev: prev[rank], model: model, stats: g.stats}
-	}
-	return g, nil
-}
-
-// Peer returns rank's endpoint — the handle a rank goroutine uses
-// directly when it wants contexts and errors instead of the legacy
-// panic-on-failure Group surface.
-func (g *Group) Peer(rank int) *Peer { return g.peers[rank] }
-
 // Close tears down the ring links. Collectives in flight fail.
 func (g *Group) Close() error {
-	var first error
-	for _, pe := range g.peers {
-		if err := pe.Close(); err != nil && first == nil {
-			first = err
-		}
+	for _, l := range g.links {
+		l.close()
 	}
-	return first
+	return nil
 }
 
 // Calls returns how many collectives the group has executed.
-func (g *Group) Calls() int64 { return atomic.LoadInt64(&g.stats.calls) }
+func (g *Group) Calls() int64 { return g.calls.Load() }
 
 // BytesMoved returns total payload bytes transferred across all links.
-func (g *Group) BytesMoved() int64 { return atomic.LoadInt64(&g.stats.bytesMoved) }
+func (g *Group) BytesMoved() int64 { return g.bytesMoved.Load() }
 
 // ModeledTime returns the accumulated α–β model time across collectives.
 func (g *Group) ModeledTime() time.Duration {
-	return time.Duration(atomic.LoadInt64(&g.stats.modeledTime))
+	return time.Duration(g.modeledTime.Load())
 }
 
 // ResetStats zeroes the accumulated statistics.
 func (g *Group) ResetStats() {
-	atomic.StoreInt64(&g.stats.calls, 0)
-	atomic.StoreInt64(&g.stats.bytesMoved, 0)
-	atomic.StoreInt64(&g.stats.modeledTime, 0)
+	g.calls.Store(0)
+	g.bytesMoved.Store(0)
+	g.modeledTime.Store(0)
 }
 
 // chunkBounds splits n elements into P contiguous chunks.
@@ -271,13 +152,43 @@ func chunkBounds(n, p, idx int) (lo, hi int) {
 	return lo, hi
 }
 
-// ringErr surfaces a transport failure through the legacy no-error Group
-// surface. In-process pipes cannot fail unless the group was closed;
-// network-backed groups propagate real wire errors the same way.
+// ringErr surfaces a ring failure through the no-error Group surface.
+// A link fails only once the group is closed, and a chunk of the wrong
+// length means the ranks passed buffers of unequal length.
 func ringErr(op string, err error) {
 	if err != nil {
-		panic(fmt.Sprintf("comm: %s over transport: %v", op, err))
+		panic(fmt.Sprintf("comm: %s over ring: %v", op, err))
 	}
+}
+
+// charge records one collective against the cost model; rank 0 charges
+// for the group.
+func (g *Group) charge(rank int, d time.Duration) {
+	if rank == 0 {
+		g.calls.Add(1)
+		g.modeledTime.Add(int64(d))
+	}
+}
+
+// sendFloats ships a copy of one chunk from rank to the next hop.
+func (g *Group) sendFloats(rank int, vals []float64) error {
+	if err := g.links[rank].send(vals); err != nil {
+		return err
+	}
+	g.bytesMoved.Add(int64(8 * len(vals)))
+	return nil
+}
+
+// recvFloats receives the previous hop's chunk of want values.
+func (g *Group) recvFloats(rank, want int) ([]float64, error) {
+	in, err := g.links[(rank+g.P-1)%g.P].recv()
+	if err != nil {
+		return nil, err
+	}
+	if len(in) != want {
+		return nil, fmt.Errorf("comm: ring chunk %d values, want %d", len(in), want)
+	}
+	return in, nil
 }
 
 // AllReduceSum performs an in-place ring all-reduce (sum) of buf across
@@ -285,7 +196,17 @@ func ringErr(op string, err error) {
 // algorithm. Every rank must call it concurrently with its own buffer of
 // identical length; on return each buffer holds the elementwise sum.
 func (g *Group) AllReduceSum(rank int, buf []float64) {
-	ringErr("all-reduce", g.peers[rank].AllReduceSum(context.Background(), buf))
+	if g.P == 1 {
+		return
+	}
+	// One charged collective: the composition of the two phases is the
+	// all-reduce, and RingAllReduceTime is exactly their sum.
+	g.charge(rank, g.model.RingAllReduceTime(int64(len(buf)*8), g.P))
+	_, _, err := g.reduceScatterSum(rank, buf)
+	if err == nil {
+		err = g.allGather(rank, buf)
+	}
+	ringErr("all-reduce", err)
 }
 
 // ReduceScatterSum performs an in-place ring reduce-scatter (sum): after
@@ -293,20 +214,144 @@ func (g *Group) AllReduceSum(rank int, buf []float64) {
 // chunk (returned as [lo, hi)); other regions hold partial sums. Every
 // rank must call it concurrently with equal-length buffers.
 func (g *Group) ReduceScatterSum(rank int, buf []float64) (lo, hi int) {
-	lo, hi, err := g.peers[rank].ReduceScatterSum(context.Background(), buf)
+	if g.P == 1 {
+		return 0, len(buf)
+	}
+	g.charge(rank, g.model.RingReduceScatterTime(int64(len(buf)*8), g.P))
+	lo, hi, err := g.reduceScatterSum(rank, buf)
 	ringErr("reduce-scatter", err)
 	return lo, hi
+}
+
+func (g *Group) reduceScatterSum(rank int, buf []float64) (lo, hi int, err error) {
+	p := g.P
+	// After P−1 steps rank r holds the fully reduced chunk (r+1) mod P.
+	for s := 0; s < p-1; s++ {
+		sendIdx := ((rank-s)%p + p) % p
+		recvIdx := ((rank-s-1)%p + p) % p
+		clo, chi := chunkBounds(len(buf), p, sendIdx)
+		if err := g.sendFloats(rank, buf[clo:chi]); err != nil {
+			return 0, 0, err
+		}
+		rlo, rhi := chunkBounds(len(buf), p, recvIdx)
+		in, err := g.recvFloats(rank, rhi-rlo)
+		if err != nil {
+			return 0, 0, err
+		}
+		for i, v := range in {
+			buf[rlo+i] += v
+		}
+	}
+	lo, hi = chunkBounds(len(buf), p, (rank+1)%p)
+	return lo, hi, nil
 }
 
 // AllGather circulates each rank's owned chunk (the chunk ReduceScatterSum
 // leaves reduced: (rank+1) mod P) so every rank's buffer ends complete.
 // Every rank must call it concurrently with equal-length buffers.
 func (g *Group) AllGather(rank int, buf []float64) {
-	ringErr("all-gather", g.peers[rank].AllGather(context.Background(), buf))
+	if g.P == 1 {
+		return
+	}
+	g.charge(rank, g.model.RingAllGatherTime(int64(len(buf)*8), g.P))
+	ringErr("all-gather", g.allGather(rank, buf))
+}
+
+func (g *Group) allGather(rank int, buf []float64) error {
+	p := g.P
+	for s := 0; s < p-1; s++ {
+		sendIdx := ((rank-s+1)%p + p) % p
+		recvIdx := ((rank-s)%p + p) % p
+		lo, hi := chunkBounds(len(buf), p, sendIdx)
+		if err := g.sendFloats(rank, buf[lo:hi]); err != nil {
+			return err
+		}
+		rlo, rhi := chunkBounds(len(buf), p, recvIdx)
+		in, err := g.recvFloats(rank, rhi-rlo)
+		if err != nil {
+			return err
+		}
+		copy(buf[rlo:rlo+len(in)], in)
+	}
+	return nil
 }
 
 // Broadcast copies root's buffer to every rank (ring pipeline). All ranks
 // call it concurrently; on return every buf equals root's.
 func (g *Group) Broadcast(rank int, buf []float64, root int) {
-	ringErr("broadcast", g.peers[rank].Broadcast(context.Background(), buf, root))
+	if g.P == 1 {
+		return
+	}
+	g.charge(rank, g.model.BroadcastTime(int64(len(buf)*8), g.P))
+	p := g.P
+	pos := ((rank-root)%p + p) % p // distance from root along the ring
+	if pos != 0 {
+		in, err := g.recvFloats(rank, len(buf))
+		ringErr("broadcast", err)
+		copy(buf, in)
+	}
+	if pos != p-1 { // everyone but the last forwards
+		ringErr("broadcast", g.sendFloats(rank, buf))
+	}
 }
+
+// linkDepth is the message buffer of a link: deep enough that a rank
+// posting its chunk before the neighbor reads never rendezvous-deadlocks,
+// while still exerting backpressure on a runaway sender.
+const linkDepth = 64
+
+// errLinkClosed is returned by a link's send after close, and by recv
+// once the link is closed and no buffered message remains.
+var errLinkClosed = errors.New("comm: ring link closed")
+
+// link is one directed ring edge: a reliable, ordered queue of float64
+// chunks. One goroutine sends and one receives; close unblocks both.
+type link struct {
+	msgs      chan []float64
+	closeOnce sync.Once
+	closed    chan struct{}
+}
+
+func newLink() *link {
+	return &link{msgs: make(chan []float64, linkDepth), closed: make(chan struct{})}
+}
+
+// send queues a copy of vals, so the caller may reuse its buffer at once.
+func (l *link) send(vals []float64) error {
+	msg := append([]float64(nil), vals...)
+	select {
+	case <-l.closed:
+		return errLinkClosed
+	default:
+	}
+	select {
+	case l.msgs <- msg:
+		return nil
+	case <-l.closed:
+		return errLinkClosed
+	}
+}
+
+// recv returns the next chunk in send order. Buffered chunks win over a
+// concurrent close: a sender that sends then closes never loses the send.
+func (l *link) recv() ([]float64, error) {
+	select {
+	case msg := <-l.msgs:
+		return msg, nil
+	default:
+	}
+	select {
+	case msg := <-l.msgs:
+		return msg, nil
+	case <-l.closed:
+		// Drain any message that raced with the close.
+		select {
+		case msg := <-l.msgs:
+			return msg, nil
+		default:
+			return nil, errLinkClosed
+		}
+	}
+}
+
+func (l *link) close() { l.closeOnce.Do(func() { close(l.closed) }) }

@@ -286,3 +286,50 @@ func TestZeroCostModelChargesNothing(t *testing.T) {
 		t.Fatalf("sum wrong: %v", bufs[0][0])
 	}
 }
+
+func TestSendCopiesPayload(t *testing.T) {
+	l := newLink()
+	buf := []float64{1, 2, 3}
+	if err := l.send(buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[0] = -1 // the sender reuses its buffer immediately
+	got, err := l.recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("payload aliased the sender's buffer: %v", got)
+	}
+}
+
+func TestRecvAfterPeerCloseDrainsThenFails(t *testing.T) {
+	l := newLink()
+	if err := l.send([]float64{42}); err != nil {
+		t.Fatal(err)
+	}
+	l.close()
+	got, err := l.recv()
+	if err != nil || len(got) != 1 || got[0] != 42 {
+		t.Fatalf("pre-close message lost: %v, %v", got, err)
+	}
+	if _, err := l.recv(); err == nil {
+		t.Fatal("recv after close succeeded")
+	}
+	if err := l.send([]float64{1}); err == nil {
+		t.Fatal("send after close succeeded")
+	}
+}
+
+// TestClosedGroupPanics: a collective on a closed group surfaces the
+// link failure as a panic, since the Group surface returns no error.
+func TestClosedGroupPanics(t *testing.T) {
+	g := NewGroup(2, CostModel{})
+	g.Close()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("all-reduce on a closed group did not panic")
+		}
+	}()
+	g.AllReduceSum(0, []float64{1, 2})
+}

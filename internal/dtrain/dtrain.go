@@ -104,7 +104,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sampling"
 	"repro/internal/tensor"
-	"repro/internal/transport"
 	"repro/internal/workspace"
 )
 
@@ -167,16 +166,6 @@ type Config struct {
 	// performance knob — the loss trajectory is bitwise identical at
 	// every value.
 	KernelWorkers int
-
-	// Network, when non-nil, carries the links of the trainer's ring
-	// over a pluggable transport (transport.TCP routes them through
-	// real sockets; transport.Loopback through in-process pipes with a
-	// registry). nil keeps the direct in-process pipe wiring. The loss
-	// trajectory is bitwise identical either way — the reduction order is
-	// a function of (Ranks, rank, length) only, never of the transport.
-	// Callers that set Network should Close the trainer to release the
-	// connections.
-	Network transport.Network
 
 	// SamplerOverhead is the modelled fixed cost of one sampler
 	// invocation (kernel launch, dataloader orchestration), charged to
@@ -355,9 +344,8 @@ type Trainer struct {
 
 // New builds a trainer: P identically initialized replicas, per-rank
 // arenas and tapes, bucket layout, the ring, and the initial weight
-// replication broadcast from rank 0. It fails when Config.Strategy is
-// not ddp.PerMatrix or ddp.Coalesced, or when the ring links cannot be
-// formed over Config.Network.
+// replication broadcast from rank 0. It fails only when Config.Strategy
+// is not ddp.PerMatrix or ddp.Coalesced.
 func New(cfg Config) (*Trainer, error) {
 	if cfg.Strategy != ddp.PerMatrix && cfg.Strategy != ddp.Coalesced {
 		return nil, fmt.Errorf("dtrain: unknown sync strategy %d", cfg.Strategy)
@@ -386,10 +374,7 @@ func New(cfg Config) (*Trainer, error) {
 	replicas := ignn.Replicas(cfg.GNN, cfg.Seed+1000, cfg.Ranks)
 	t.elems = nn.GradElements(replicas[0].Params())
 	t.buckets = ddp.BucketLayout(replicas[0].Params(), cfg.Strategy)
-	var err error
-	if t.ring, err = newRing(cfg); err != nil {
-		return nil, err
-	}
+	t.ring = comm.NewGroup(cfg.Ranks, comm.CostModel{})
 
 	g := cfg.GradBlocks
 	levels := 1
@@ -439,22 +424,7 @@ func New(cfg Config) (*Trainer, error) {
 	return t, nil
 }
 
-// newRing builds the trainer's uncharged ring: direct in-process pipes
-// by default, links over cfg.Network when one is configured.
-func newRing(cfg Config) (*comm.Group, error) {
-	if cfg.Network == nil {
-		return comm.NewGroup(cfg.Ranks, comm.CostModel{}), nil
-	}
-	g, err := comm.NewGroupNetwork(cfg.Ranks, comm.CostModel{}, cfg.Network, nil)
-	if err != nil {
-		return nil, fmt.Errorf("dtrain: ring formation over network: %w", err)
-	}
-	return g, nil
-}
-
-// Close releases the trainer's ring. A trainer over in-process pipes
-// does not strictly need it; one over a real network (Config.Network)
-// holds open sockets until closed.
+// Close releases the trainer's ring.
 func (t *Trainer) Close() error { return t.ring.Close() }
 
 // charge records one logical collective against the cost model.

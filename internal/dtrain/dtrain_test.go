@@ -2,10 +2,8 @@ package dtrain
 
 import (
 	"context"
-	"errors"
 	"math"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -18,7 +16,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/pipeline"
 	"repro/internal/sampling"
-	"repro/internal/transport"
 )
 
 // testGraphs builds small truth-level event graphs.
@@ -108,29 +105,6 @@ func TestRankCountParity(t *testing.T) {
 			got := trajectory(t, cfg, egs)
 			assertSameTrajectory(t, strategy.String()+"/P="+string(rune('0'+p)), want, got)
 		}
-	}
-}
-
-// TestNetworkTransportParity: moving the ring links off in-process
-// pipes and onto a transport.Network — including real TCP sockets, the
-// multi-process deployment shape — must not change a single bit of the
-// loss trajectory. The reduction order is a function of (Ranks, rank,
-// buffer length) only, never of the wire.
-func TestNetworkTransportParity(t *testing.T) {
-	egs, gnn := testGraphs(t, 1, 0.02)
-	base := fastConfig(gnn)
-	base.Ranks = 3
-	base.Epochs = 1
-	want := trajectory(t, base, egs) // direct in-process pipes
-
-	nets := map[string]transport.Network{
-		"loopback": transport.NewLoopback(),
-		"tcp":      &transport.TCP{},
-	}
-	for name, net := range nets {
-		cfg := base
-		cfg.Network = net
-		assertSameTrajectory(t, "network "+name, want, trajectory(t, cfg, egs))
 	}
 }
 
@@ -579,74 +553,27 @@ func TestComputeGate(t *testing.T) {
 	}
 }
 
-// refusingNetwork lets a fixed number of Listen calls through.
-type refusingNetwork struct {
-	transport.Network
-	left int
-}
-
-func (n *refusingNetwork) Listen(addr string) (transport.Listener, error) {
-	if n.left == 0 {
-		return nil, errors.New("listen refused")
-	}
-	n.left--
-	return n.Network.Listen(addr)
-}
-
-// TestNewRingFormationError: a network that cannot carry the ring links
-// is a configuration error New reports — after closing the listener it
-// had already bound — not a panic.
-func TestNewRingFormationError(t *testing.T) {
-	_, gnn := testGraphs(t, 1, 0.02)
-	before := runtime.NumGoroutine()
-	cfg := fastConfig(gnn)
-	cfg.Ranks = 2
-	cfg.Network = &refusingNetwork{Network: &transport.TCP{}, left: 1} // rank 0 listens, rank 1 cannot
-	tr, err := New(cfg)
-	if err == nil {
-		tr.Close()
-		t.Fatal("New formed a ring over a network that refuses to listen")
-	}
-	if !strings.Contains(err.Error(), "ring formation") {
-		t.Fatalf("error does not name ring formation: %v", err)
-	}
-	// The ring's dial and accept goroutines have returned; give the
-	// scheduler a moment to retire them.
-	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > before {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, g)
-	}
-}
-
-// countingNetwork counts Listen calls.
-type countingNetwork struct {
-	transport.Network
-	listens int
-}
-
-func (n *countingNetwork) Listen(addr string) (transport.Listener, error) {
-	n.listens++
-	return n.Network.Listen(addr)
-}
-
-// TestTrainerFormsOneRing: every collective of a trainer (the initial
-// broadcast, the cancellation flag, each bucket and the per-block
-// losses) runs on one ring, so a 3-rank trainer listens once per rank
-// under either strategy.
+// TestTrainerFormsOneRing: every collective of a trainer runs on its one
+// ring, in program order: the initial broadcast, then per step the
+// cancellation flag, one all-reduce per bucket and the per-block losses.
+// So a 3-rank trainer's ring counts 1 + steps·(2 + buckets) calls under
+// either strategy.
 func TestTrainerFormsOneRing(t *testing.T) {
 	egs, gnn := testGraphs(t, 1, 0.02)
 	for _, strategy := range []ddp.SyncStrategy{ddp.PerMatrix, ddp.Coalesced} {
-		net := &countingNetwork{Network: transport.NewLoopback()}
 		cfg := fastConfig(gnn)
 		cfg.Ranks = 3
 		cfg.Epochs = 1
 		cfg.Strategy = strategy
-		cfg.Network = net
-		trajectory(t, cfg, egs)
-		if net.listens != 3 {
-			t.Fatalf("%s: %d listens for 3 ranks, want 3", strategy, net.listens)
+		tr, stats := runEpochs(t, cfg, egs)
+		steps := int64(0)
+		for _, s := range stats {
+			steps += int64(s.Steps)
+		}
+		want := 1 + steps*int64(2+tr.NumBuckets())
+		if got := tr.ring.Calls(); got != want {
+			t.Fatalf("%s: %d ring calls over %d steps and %d buckets, want %d",
+				strategy, got, steps, tr.NumBuckets(), want)
 		}
 	}
 }

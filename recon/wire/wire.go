@@ -5,9 +5,9 @@
 // JSON is the readable default; the binary format exists because hit
 // payloads are overwhelmingly float arrays, and at millions-of-users
 // traffic JSON float parsing dominates request cost. The binary layout
-// reuses the length-prefixed framing conventions of internal/transport
-// (4-byte big-endian length headers, a 64 MiB per-frame cap so four
-// bytes of hostile input can never demand a gigabyte allocation):
+// is built from length-prefixed frames (frame.go: 4-byte big-endian
+// length headers, a 64 MiB per-frame cap so four bytes of hostile input
+// can never demand a gigabyte allocation):
 //
 //	request  := magic "RBQ1" | u32 eventCount | eventCount event frames
 //	            | u8 hasSynthetic | [u32 count | u64 seed]
@@ -34,8 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/transport"
 )
 
 // ContentTypeBinary is the negotiated media type of the binary encoding.
@@ -47,11 +45,6 @@ const ContentTypeJSON = "application/json"
 const (
 	requestMagic  = 0x52425131 // "RBQ1"
 	responseMagic = 0x52425331 // "RBS1"
-
-	// maxFrameBytes caps each event or result frame, reusing the
-	// transport default so one corrupt length header cannot demand an
-	// allocation-of-death.
-	maxFrameBytes = transport.DefaultMaxFrameBytes
 
 	// maxCount bounds any declared collection size before its frames are
 	// even looked at (each event costs at least one frame header, so a
@@ -121,7 +114,7 @@ type Response struct {
 const hitBytes = 5*8 + 2*4
 
 // appendU32/appendU64/appendF64 are the primitive emitters; everything
-// is big-endian to match the transport framing.
+// is big-endian to match the frame headers.
 func appendU32(dst []byte, v uint32) []byte {
 	return binary.BigEndian.AppendUint32(dst, v)
 }
@@ -150,7 +143,7 @@ func AppendRequest(dst []byte, req *Request) ([]byte, error) {
 		if err != nil {
 			return dst, fmt.Errorf("event %d: %w", i, err)
 		}
-		dst, err = transport.AppendFrame(dst, scratch, maxFrameBytes)
+		dst, err = appendFrame(dst, scratch, maxFrameBytes)
 		if err != nil {
 			return dst, fmt.Errorf("event %d: %w", i, err)
 		}
@@ -223,7 +216,7 @@ func AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 		if err != nil {
 			return dst, fmt.Errorf("result %d: %w", i, err)
 		}
-		dst, err = transport.AppendFrame(dst, scratch, maxFrameBytes)
+		dst, err = appendFrame(dst, scratch, maxFrameBytes)
 		if err != nil {
 			return dst, fmt.Errorf("result %d: %w", i, err)
 		}
@@ -293,9 +286,9 @@ func (r *reader) byte() (byte, error) {
 	return b, nil
 }
 
-// frame consumes one length-prefixed frame via the transport decoder.
+// frame consumes one length-prefixed frame.
 func (r *reader) frame() ([]byte, error) {
-	payload, rest, err := transport.DecodeFrame(r.buf[r.off:], maxFrameBytes)
+	payload, rest, err := decodeFrame(r.buf[r.off:], maxFrameBytes)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
@@ -328,7 +321,7 @@ func DecodeRequest(data []byte) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	count, err := r.count(rawCount, transport.FrameHeaderBytes)
+	count, err := r.count(rawCount, frameHeaderBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -471,7 +464,7 @@ func DecodeResponse(data []byte) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	count, err := r.count(rawCount, transport.FrameHeaderBytes)
+	count, err := r.count(rawCount, frameHeaderBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/transport"
 )
 
 // testRequest builds a request exercising every field, including float
@@ -188,7 +186,7 @@ func TestDecodeRequestRejectsHostileCounts(t *testing.T) {
 	// on the size check, not attempt the allocation.
 	payload := appendU32(nil, 0xFFFFFF) // numHits way beyond frame size
 	payload = appendU32(payload, 3)     // featWidth
-	framed, err := transport.AppendFrame(nil, payload, maxFrameBytes)
+	framed, err := appendFrame(nil, payload, maxFrameBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

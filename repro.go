@@ -155,8 +155,8 @@ func PyGBaselineConfig(gnn GNNConfig, ranks int) TrainerConfig {
 // sampler with memory-derived k, coalesced all-reduce).
 func OursConfig(gnn GNNConfig, ranks int) TrainerConfig { return dtrain.OursConfig(gnn, ranks) }
 
-// NewTrainer builds the trainer; it fails only when ring links cannot be
-// formed over TrainerConfig.Network. Close it when done.
+// NewTrainer builds the trainer; it fails only on a sync strategy other
+// than PerMatrixSync or CoalescedSync. Close it when done.
 func NewTrainer(cfg TrainerConfig) (*Trainer, error) { return dtrain.New(cfg) }
 
 // Experiment harnesses (Table I, Figures 3 and 4, ablations).
