@@ -287,37 +287,83 @@ func TestZeroCostModelChargesNothing(t *testing.T) {
 	}
 }
 
+// ringEdge is one directed ring edge seen from its two ends.
+type ringEdge struct {
+	send  func([]float64) error
+	recv  func() ([]float64, error)
+	close func()
+}
+
+// ringEdges reaches a ring edge two ways: a bare link, and the rank 0 →
+// rank 1 edge of a group, through the group's chunk helpers and torn
+// down by Group.Close. Both must keep the pipe semantics.
+func ringEdges() []struct {
+	name string
+	edge func() ringEdge
+} {
+	return []struct {
+		name string
+		edge func() ringEdge
+	}{
+		{"link", func() ringEdge {
+			l := newLink()
+			return ringEdge{l.send, l.recv, l.close}
+		}},
+		{"group", func() ringEdge {
+			g := NewGroup(2, CostModel{})
+			want := -1
+			return ringEdge{
+				send: func(v []float64) error {
+					want = len(v)
+					return g.sendFloats(0, v)
+				},
+				recv:  func() ([]float64, error) { return g.recvFloats(1, want) },
+				close: func() { g.Close() },
+			}
+		}},
+	}
+}
+
 func TestSendCopiesPayload(t *testing.T) {
-	l := newLink()
-	buf := []float64{1, 2, 3}
-	if err := l.send(buf); err != nil {
-		t.Fatal(err)
-	}
-	buf[0] = -1 // the sender reuses its buffer immediately
-	got, err := l.recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("payload aliased the sender's buffer: %v", got)
+	for _, tc := range ringEdges() {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.edge()
+			defer e.close()
+			buf := []float64{1, 2, 3}
+			if err := e.send(buf); err != nil {
+				t.Fatal(err)
+			}
+			buf[0] = -1 // the sender reuses its buffer immediately
+			got, err := e.recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != 1 || got[1] != 2 || got[2] != 3 {
+				t.Fatalf("payload aliased the sender's buffer: %v", got)
+			}
+		})
 	}
 }
 
 func TestRecvAfterPeerCloseDrainsThenFails(t *testing.T) {
-	l := newLink()
-	if err := l.send([]float64{42}); err != nil {
-		t.Fatal(err)
-	}
-	l.close()
-	got, err := l.recv()
-	if err != nil || len(got) != 1 || got[0] != 42 {
-		t.Fatalf("pre-close message lost: %v, %v", got, err)
-	}
-	if _, err := l.recv(); err == nil {
-		t.Fatal("recv after close succeeded")
-	}
-	if err := l.send([]float64{1}); err == nil {
-		t.Fatal("send after close succeeded")
+	for _, tc := range ringEdges() {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.edge()
+			if err := e.send([]float64{42}); err != nil {
+				t.Fatal(err)
+			}
+			e.close()
+			got, err := e.recv()
+			if err != nil || len(got) != 1 || got[0] != 42 {
+				t.Fatalf("pre-close message lost: %v, %v", got, err)
+			}
+			if _, err := e.recv(); err == nil {
+				t.Fatal("recv after close succeeded")
+			}
+			if err := e.send([]float64{1}); err == nil {
+				t.Fatal("send after close succeeded")
+			}
+		})
 	}
 }
 
