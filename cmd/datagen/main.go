@@ -9,22 +9,19 @@ import (
 	"log"
 
 	"repro"
+	"repro/internal/detector"
 )
 
 func main() {
-	dataset := flag.String("dataset", "ex3", "dataset family: ex3 or ctd")
+	dataset := detector.Ex3
+	flag.Var(&dataset, "dataset", "dataset `family`: ex3 or ctd")
 	scale := flag.Float64("scale", 0.05, "scale factor (1 = paper size)")
 	events := flag.Int("events", 20, "number of events")
 	seed := flag.Uint64("seed", 42, "generation seed")
 	out := flag.String("o", "dataset.gob.gz", "output path")
 	flag.Parse()
 
-	var spec repro.DetectorSpec
-	if *dataset == "ctd" {
-		spec = repro.CTDLike(*scale)
-	} else {
-		spec = repro.Ex3Like(*scale)
-	}
+	spec := dataset.Spec(*scale)
 	spec.NumEvents = *events
 	ds := repro.GenerateDataset(spec, *seed)
 	if err := repro.SaveDataset(*out, ds); err != nil {

@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/detector"
 	"repro/recon"
 	"repro/recon/wire"
 )
@@ -390,7 +391,8 @@ func main() {
 	perReq := flag.Int("events-per-request", 1, "events carried per request")
 	scale := flag.Float64("scale", 0.02, "detector spec scale for generated events")
 	seed := flag.Uint64("seed", 3, "event generation seed")
-	dataset := flag.String("dataset", "ex3", "dataset family: ex3 or ctd")
+	dataset := detector.Ex3
+	flag.Var(&dataset, "dataset", "dataset `family`: ex3 or ctd")
 	batchWindows := flag.String("batch-windows", "0,2ms", "-self sweep: comma-separated micro-batch windows")
 	workers := flag.Int("workers", 4, "-self engine worker-pool size")
 	queueDepth := flag.Int("queue-depth", 64, "-self engine queue depth")
@@ -418,10 +420,7 @@ func main() {
 		log.Fatalf("loadgen: -format must be json, bin, or both, got %q", *format)
 	}
 
-	spec := repro.Ex3Like(*scale)
-	if *dataset == "ctd" {
-		spec = repro.CTDLike(*scale)
-	}
+	spec := dataset.Spec(*scale)
 	reqs := buildRequests(spec, *events, *seed, *perReq)
 	bodiesJSON, err := encodeBodies(reqs, false)
 	if err != nil {

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -184,5 +188,28 @@ func TestFirstLine(t *testing.T) {
 	}
 	if got := firstLine([]byte(strings.Repeat("x", 300))); len(got) != 200 {
 		t.Fatalf("firstLine length = %d", len(got))
+	}
+}
+
+// TestUnknownDatasetExits2 runs main in a child process with a
+// capitalised -dataset: the flag parse must refuse it with exit status 2
+// instead of generating Ex3 events.
+func TestUnknownDatasetExits2(t *testing.T) {
+	if os.Getenv("LOADGEN_TEST_MAIN") == "1" {
+		os.Args = []string{"loadgen", "-self", "-dataset", "CTD"}
+		main()
+		return
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestUnknownDatasetExits2$")
+	cmd.Env = append(os.Environ(), "LOADGEN_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("loadgen -dataset CTD: %v, want exit status 2; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `invalid value "CTD" for flag -dataset`) {
+		t.Fatalf("loadgen -dataset CTD: not refused by the flag parse; output:\n%s", out)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/detector"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/recon"
@@ -182,7 +183,8 @@ func table1(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 // all-reduce) and our implementation (matrix-based bulk sampling,
 // coalesced all-reduce).
 func figure3(fs *flag.FlagSet) func(context.Context, io.Writer) error {
-	dataset := fs.String("dataset", "ex3", "dataset family: ex3 or ctd")
+	dataset := detector.Ex3
+	fs.Var(&dataset, "dataset", "dataset `family`: ex3 or ctd")
 	scale := fs.Float64("scale", 0.05, "dataset scale factor")
 	events := fs.Int("events", 6, "training event graphs")
 	hidden := fs.Int("hidden", 16, "GNN hidden width (paper: 64)")
@@ -194,7 +196,7 @@ func figure3(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	seed := fs.Uint64("seed", 7, "seed")
 	return func(ctx context.Context, w io.Writer) error {
 		procs := []int{1, 4, 8} // the paper's Ex3 sweep
-		if *dataset == "ctd" {
+		if dataset == detector.CTD {
 			procs = []int{4, 8, 16} // the paper's CTD sweep
 		}
 		if *procsFlag != "" {
@@ -204,7 +206,7 @@ func figure3(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 			}
 		}
 		o := repro.ExperimentOptions{
-			Dataset:         *dataset,
+			Dataset:         string(dataset),
 			Scale:           *scale,
 			Events:          *events,
 			Hidden:          *hidden,
@@ -213,7 +215,7 @@ func figure3(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 			Seed:            *seed,
 			SamplerOverhead: *overhead,
 		}
-		fmt.Fprintf(w, "FIGURE 3: epoch time, dataset=%s scale=%v procs=%v\n", *dataset, *scale, procs)
+		fmt.Fprintf(w, "FIGURE 3: epoch time, dataset=%s scale=%v procs=%v\n", dataset, *scale, procs)
 		fmt.Fprintln(w, "(measured compute sections under a modelled device clock; see \"Timing\" in internal/dtrain)")
 		rows, err := repro.Figure3(ctx, o, procs)
 		for _, r := range rows {

@@ -36,6 +36,7 @@ func TestExitStatus(t *testing.T) {
 		{"undefined flag", bg, []string{"table1", "-procs", "2"}, 2},
 		{"non-integer procs", bg, []string{"figure3", "-procs", "1,x"}, 2},
 		{"procs below 1", bg, []string{"figure3", "-procs", "0"}, 2},
+		{"unknown dataset", bg, []string{"figure3", "-dataset", "CTD"}, 2},
 		{"empty ranks", bg, []string{"scaling", "-ranks", " , "}, 2},
 		{"unknown strategy", bg, []string{"scaling", "-strategies", "permatrix,nope"}, 2},
 		{"bucketed strategy", bg, []string{"scaling", "-strategies", "bucketed"}, 2},

@@ -38,7 +38,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro"
+	"repro/internal/detector"
 	"repro/internal/faultinject"
 	"repro/recon"
 )
@@ -86,7 +86,8 @@ func checkServerLimits(drainTimeout time.Duration, maxBody int64) error {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	dataset := flag.String("dataset", "ex3", "dataset family the models were built for: ex3 or ctd")
+	dataset := detector.Ex3
+	flag.Var(&dataset, "dataset", "dataset `family` the models were built for: ex3 or ctd")
 	scale := flag.Float64("scale", 0.05, "detector spec scale factor")
 	checkpoint := flag.String("checkpoint", "", "checkpoint path (from trackrecon -save or SaveCheckpoint); empty = untrained models")
 	workers := flag.Int("workers", 4, "engine worker-pool size")
@@ -122,12 +123,7 @@ func main() {
 		log.Fatalf("serve: -precision must be f64, f32, or i8, got %q", *precision)
 	}
 
-	var spec repro.DetectorSpec
-	if *dataset == "ctd" {
-		spec = repro.CTDLike(*scale)
-	} else {
-		spec = repro.Ex3Like(*scale)
-	}
+	spec := dataset.Spec(*scale)
 
 	opts := []recon.Option{
 		recon.WithGNN(*hidden, *steps),

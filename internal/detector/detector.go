@@ -10,6 +10,7 @@
 package detector
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -167,6 +168,50 @@ func Ex3Like(scale float64) Spec {
 		EdgeFeatures:   2,
 		MLPLayers:      2,
 	}
+}
+
+// Family is a dataset family's command-line name: Ex3 ("ex3") or CTD
+// ("ctd"). *Family is a flag.Value whose Set refuses every other name,
+// so a mistyped -dataset fails the flag parse instead of running Ex3.
+type Family string
+
+// The two dataset families.
+const (
+	Ex3 Family = "ex3"
+	CTD Family = "ctd"
+)
+
+// ParseFamily returns the family named name, or an error for any name
+// but "ex3" and "ctd".
+func ParseFamily(name string) (Family, error) {
+	if f := Family(name); f == Ex3 || f == CTD {
+		return f, nil
+	}
+	return "", fmt.Errorf("unknown dataset family %q (want ex3 or ctd)", name)
+}
+
+// Set implements flag.Value.
+func (f *Family) Set(name string) error {
+	v, err := ParseFamily(name)
+	if err == nil {
+		*f = v
+	}
+	return err
+}
+
+// String implements flag.Value.
+func (f Family) String() string { return string(f) }
+
+// Spec returns the family's spec at scale: CTDLike or Ex3Like. It
+// panics on a name ParseFamily would refuse.
+func (f Family) Spec(scale float64) Spec {
+	switch f {
+	case Ex3:
+		return Ex3Like(scale)
+	case CTD:
+		return CTDLike(scale)
+	}
+	panic(fmt.Sprintf("detector: unknown dataset family %q", string(f)))
 }
 
 // poisson draws a Poisson deviate with mean lambda (Knuth for small

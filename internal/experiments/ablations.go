@@ -26,7 +26,10 @@ func RunBulkKAblationContext(ctx context.Context, o Options, ks []int) ([]BulkKR
 	if len(ks) == 0 {
 		ks = []int{1, 2, 4, 8}
 	}
-	train, _, gnn := buildGraphs(o)
+	train, _, gnn, err := buildGraphs(o)
+	if err != nil {
+		return nil, err
+	}
 	var rows []BulkKRow
 	for _, k := range ks {
 		cfg := o.trainerConfig(dtrain.OursConfig(gnn, 1))
@@ -63,7 +66,10 @@ func RunFanoutAblationContext(ctx context.Context, o Options, pairs [][2]int) ([
 	if len(pairs) == 0 {
 		pairs = [][2]int{{1, 4}, {2, 4}, {3, 6}, {2, 8}}
 	}
-	train, val, gnn := buildGraphs(o)
+	train, val, gnn, err := buildGraphs(o)
+	if err != nil {
+		return nil, err
+	}
 	var rows []FanoutRow
 	for _, pd := range pairs {
 		cfg := o.trainerConfig(dtrain.OursConfig(gnn, 1))
@@ -101,7 +107,10 @@ func RunBatchSizeAblationContext(ctx context.Context, o Options, sizes []int) ([
 	if len(sizes) == 0 {
 		sizes = []int{32, 128, 512}
 	}
-	train, val, gnn := buildGraphs(o)
+	train, val, gnn, err := buildGraphs(o)
+	if err != nil {
+		return nil, err
+	}
 	var rows []BatchSizeRow
 	for _, bs := range sizes {
 		cfg := o.trainerConfig(dtrain.OursConfig(gnn, 1))

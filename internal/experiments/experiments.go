@@ -89,23 +89,26 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// spec returns the detector spec for the chosen dataset family.
-func (o Options) spec() detector.Spec {
-	var s detector.Spec
-	if o.Dataset == "ctd" {
-		s = detector.CTDLike(o.Scale)
-	} else {
-		s = detector.Ex3Like(o.Scale)
+// spec returns the detector spec for the chosen dataset family, or an
+// error when Dataset names neither "ex3" nor "ctd".
+func (o Options) spec() (detector.Spec, error) {
+	f, err := detector.ParseFamily(o.Dataset)
+	if err != nil {
+		return detector.Spec{}, err
 	}
+	s := f.Spec(o.Scale)
 	s.NumEvents = o.Events
-	return s
+	return s, nil
 }
 
 // buildGraphs generates events and assembles truth-level event graphs
 // (decoupling the GNN-stage experiments from stage 1–3 training), split
-// into train and validation sets.
-func buildGraphs(o Options) (train, val []*pipeline.EventGraph, gnn ignn.Config) {
-	spec := o.spec()
+// into train and validation sets. It fails only on an unknown dataset.
+func buildGraphs(o Options) (train, val []*pipeline.EventGraph, gnn ignn.Config, err error) {
+	spec, err := o.spec()
+	if err != nil {
+		return nil, nil, gnn, err
+	}
 	ds := detector.Generate(spec, o.Seed)
 	var egs []*pipeline.EventGraph
 	for i, ev := range ds.Events {
@@ -123,7 +126,7 @@ func buildGraphs(o Options) (train, val []*pipeline.EventGraph, gnn ignn.Config)
 		Hidden:       o.Hidden,
 		Steps:        o.Steps,
 	}
-	return train, val, gnn
+	return train, val, gnn, nil
 }
 
 // defaultDeviceBytes sizes the simulated device so that the largest
@@ -178,7 +181,10 @@ func RunTable1Context(ctx context.Context, o Options) ([]Table1Row, error) {
 		}
 		oo := o
 		oo.Dataset = name
-		spec := oo.spec()
+		spec, err := oo.spec()
+		if err != nil {
+			return rows, err
+		}
 		ds := detector.Generate(spec, oo.Seed)
 		st := ds.ComputeStats()
 		// Edge count of the event graphs the GNN sees.
@@ -269,7 +275,10 @@ type ConvergenceResult struct {
 // the curves finished so far (later curves nil) alongside ctx.Err().
 func RunFigure4Context(ctx context.Context, o Options) (*ConvergenceResult, error) {
 	o = o.withDefaults()
-	train, val, gnn := buildGraphs(o)
+	train, val, gnn, err := buildGraphs(o)
+	if err != nil {
+		return nil, err
+	}
 	deviceBytes := o.DeviceBytes
 	if deviceBytes == 0 {
 		deviceBytes = defaultDeviceBytes(train, gnn)
@@ -282,7 +291,6 @@ func RunFigure4Context(ctx context.Context, o Options) (*ConvergenceResult, erro
 	fullCfg.Device = gpumem.ScaledDevice(deviceBytes)
 	res := &ConvergenceResult{}
 	var stats dtrain.EpochStats
-	var err error
 	if res.FullGraph, stats, err = run(ctx, o.trainerConfig(fullCfg), train, val); err != nil {
 		return res, err
 	}
@@ -345,7 +353,10 @@ func RunFigure3Context(ctx context.Context, o Options, procs []int) ([]EpochTime
 	if len(procs) == 0 {
 		procs = []int{1, 4, 8}
 	}
-	train, _, gnn := buildGraphs(o)
+	train, _, gnn, err := buildGraphs(o)
+	if err != nil {
+		return nil, err
+	}
 	// The micro-block count fixes the reduction tree, so it is held
 	// constant across the sweep and large enough to occupy every rank.
 	gradBlocks := 8
@@ -429,7 +440,10 @@ func RunAllReduceAblationContext(ctx context.Context, o Options, procs []int, st
 	if stepsPerEpoch == 0 {
 		stepsPerEpoch = 10
 	}
-	train, _, gnn := buildGraphs(o)
+	train, _, gnn, err := buildGraphs(o)
+	if err != nil {
+		return nil, err
+	}
 	var rows []AllReduceRow
 	for _, p := range procs {
 		for _, sync := range []ddp.SyncStrategy{ddp.PerMatrix, ddp.Coalesced} {

@@ -79,7 +79,10 @@ func TestRunFigure4Shapes(t *testing.T) {
 
 func TestMinibatchTrainingImprovesMetrics(t *testing.T) {
 	o := tinyOptions().withDefaults()
-	train, val, gnn := buildGraphs(o)
+	train, val, gnn, err := buildGraphs(o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr, err := dtrain.New(o.trainerConfig(dtrain.OursConfig(gnn, 1)))
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +111,10 @@ func TestMinibatchTrainingImprovesMetrics(t *testing.T) {
 
 func TestConvergenceHistory(t *testing.T) {
 	o := tinyOptions().withDefaults()
-	train, val, gnn := buildGraphs(o)
+	train, val, gnn, err := buildGraphs(o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	h, stats, err := run(context.Background(), o.trainerConfig(dtrain.OursConfig(gnn, 1)), train, val)
 	if err != nil {
 		t.Fatal(err)
@@ -263,12 +269,27 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Dataset != "ex3" || o.Scale == 0 || o.Epochs == 0 || o.BatchSize != 256 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
-	spec := o.spec()
-	if spec.Name != "Ex3" {
-		t.Fatalf("spec %v", spec.Name)
+	for name, want := range map[string]string{"ex3": "Ex3", "ctd": "CTD"} {
+		o.Dataset = name
+		spec, err := o.spec()
+		if err != nil || spec.Name != want || spec.NumEvents != o.Events {
+			t.Fatalf("Dataset %q: spec %q with %d events, err %v; want %q with %d", name, spec.Name, spec.NumEvents, err, want, o.Events)
+		}
 	}
-	o.Dataset = "ctd"
-	if o.spec().Name != "CTD" {
-		t.Fatal("ctd spec not selected")
+}
+
+// TestUnknownDatasetIsAnError: a name other than "ex3" or "ctd" (a
+// capitalised or mistyped one included) must fail the run, not train on
+// Ex3 under the wrong label.
+func TestUnknownDatasetIsAnError(t *testing.T) {
+	for _, name := range []string{"CTD", "Ex3", "ctd ", "ex4"} {
+		o := tinyOptions()
+		o.Dataset = name
+		if rows, err := RunFigure3Context(context.Background(), o, []int{1}); err == nil || len(rows) != 0 {
+			t.Fatalf("Figure 3 on dataset %q: %d rows, err %v; want no rows and an error", name, len(rows), err)
+		}
+		if _, err := RunFigure4Context(context.Background(), o); err == nil {
+			t.Fatalf("Figure 4 on dataset %q: no error", name)
+		}
 	}
 }

@@ -243,3 +243,41 @@ func TestNewFromArenaZeroedAndRecycled(t *testing.T) {
 		t.Fatal("nil arena fallback broken")
 	}
 }
+
+// TestGEMMParallelAllocs pins the warm allocation count of the packed
+// GEMM on its parallel path (ROADMAP item 8's floor). At Workers: 2 the
+// row loop forks, and parallel.fanOut allocates its job, the job's
+// closure and a heap copy of the operand context, which is too large
+// for the closure to hold by value: 3 per call, plus 2 in a call that
+// starts a helper goroutine because none is idle. The kernel itself
+// allocates nothing; TestTiledKernelsZeroAllocsWarm pins the serial path
+// at 0. AllocsPerRun runs at GOMAXPROCS 1, so each call yields once to
+// let the helper it woke finish and go idle, as a second P would.
+func TestGEMMParallelAllocs(t *testing.T) {
+	const bound = 4
+	a, b := benchMat(64, 24, 1), benchMat(24, 20, 2)
+	bias := benchMat(1, 20, 3)
+	idx := make([]int, 64)
+	for i := range idx {
+		idx[i] = 63 - i
+	}
+	out := New(64, 20)
+	kc := kernels.Context{Workers: 2}
+	forEachGEMMKernel(t, func(t *testing.T) {
+		for name, call := range map[string]func(){
+			"MatMulIntoCtx": func() { MatMulIntoCtx(kc, out, a, b) },
+			"MatMulSegsIntoCtx": func() {
+				MatMulSegsIntoCtx(kc, out, b, bias, true, Seg[float64]{M: a, Idx: idx})
+			},
+		} {
+			call() // warm the panel and scratch pools
+			allocs := testing.AllocsPerRun(200, func() {
+				call()
+				runtime.Gosched()
+			})
+			if allocs > bound {
+				t.Fatalf("%s at 2 workers allocated %.2f per call, want at most %d", name, allocs, bound)
+			}
+		}
+	})
+}

@@ -3,6 +3,7 @@ package tensor
 import (
 	"testing"
 
+	"repro/internal/fp"
 	"repro/internal/kernels"
 	"repro/internal/rng"
 )
@@ -157,23 +158,58 @@ func BenchmarkGatherConcat3Into(b *testing.B) {
 // GNN's edge-network shape on a recon_gnn_* event: E 2217 rows of six
 // 32-wide segments [Yl ‖ Y0 ‖ Xl[src] ‖ X0[src] ‖ Xl[dst] ‖ X0[dst]]
 // against a 192×32 first layer with the bias+ReLU epilogue — the call
-// that replaced GatherConcat3Into + MatMulInto + AddBiasReLUInto.
+// that replaced GatherConcat3Into + MatMulInto + AddBiasReLUInto. It
+// runs at float64 and float32, each on the Go micro-kernels (/go) and on
+// the AVX tiles (/avx), at one worker. The segments are rectified, so
+// about half their values are zero and take the quad skip, as the
+// network's ReLU outputs do.
 func BenchmarkMatMulSegs(b *testing.B) {
 	const v, e, h = 1272, 2217, 32
-	xl, x0 := benchMat(v, h, 1), benchMat(v, h, 2)
-	yl, y0 := benchMat(e, h, 3), benchMat(e, h, 4)
+	rect := func(m *Dense) *Dense {
+		for i, x := range m.data {
+			m.data[i] = max(x, 0)
+		}
+		return m
+	}
+	xl, x0 := rect(benchMat(v, h, 1)), rect(benchMat(v, h, 2))
+	yl, y0 := rect(benchMat(e, h, 3)), rect(benchMat(e, h, 4))
 	w, bias := benchMat(6*h, h, 5), benchMat(1, h, 6)
 	r := rng.New(7)
 	src, dst := make([]int, e), make([]int, e)
 	for i := range src {
 		src[i], dst[i] = r.Intn(v), r.Intn(v)
 	}
-	out := New(e, h)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulSegsIntoCtx(kernels.Context{}, out, w, bias, true,
-			Seg[float64]{M: yl}, Seg[float64]{M: y0},
-			Seg[float64]{M: xl, Idx: src}, Seg[float64]{M: x0, Idx: src},
-			Seg[float64]{M: xl, Idx: dst}, Seg[float64]{M: x0, Idx: dst})
+	b.Run("f64", func(b *testing.B) { benchMatMulSegs(b, xl, x0, yl, y0, w, bias, src, dst) })
+	f32 := func(m *Dense) *Matrix[float32] { return ConvertFrom[float32](nil, m) }
+	b.Run("f32", func(b *testing.B) {
+		benchMatMulSegs(b, f32(xl), f32(x0), f32(yl), f32(y0), f32(w), f32(bias), src, dst)
+	})
+}
+
+func benchMatMulSegs[T fp.Float](b *testing.B, xl, x0, yl, y0, w, bias *Matrix[T], src, dst []int) {
+	out := NewOf[T](yl.Rows(), w.Cols())
+	kc := kernels.Context{Workers: 1}
+	probed := simdGEMM
+	defer func() { simdGEMM = probed }()
+	for _, impl := range []struct {
+		name string
+		simd bool
+	}{{"go", false}, {"avx", true}} {
+		b.Run(impl.name, func(b *testing.B) {
+			if impl.simd && !probed {
+				b.Skip("CPU has no AVX")
+			}
+			simdGEMM = impl.simd
+			gemm := func() {
+				MatMulSegsIntoCtx(kc, out, w, bias, true,
+					Seg[T]{M: yl}, Seg[T]{M: y0},
+					Seg[T]{M: xl, Idx: src}, Seg[T]{M: x0, Idx: src},
+					Seg[T]{M: xl, Idx: dst}, Seg[T]{M: x0, Idx: dst})
+			}
+			gemm() // warm the panel and scratch pools
+			for b.Loop() {
+				gemm()
+			}
+		})
 	}
 }

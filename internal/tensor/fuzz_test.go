@@ -40,11 +40,12 @@ func (d *fuzzBytes) fill(data []float64) {
 }
 
 // FuzzMatMulSegs is a differential test of the two tile
-// implementations: on shapes of m ≤ 9 rows, k and n from 1 to 12 (every
-// residue mod 4) and up to three segments, one of them gathered, with
-// the bias and ReLU epilogue on or off, MatMulSegsIntoCtx must store the
-// same bits on the AVX tile kernel as on the Go micro-kernels, at
-// float64 and float32.
+// implementations: on shapes of m ≤ 9 rows, k from 1 to 12 (every
+// residue mod 4), n from 1 to 20 (every residue mod 8, so wide tiles,
+// odd 4-wide tiles and partial panels all occur) and up to three
+// segments, one of them gathered, with the bias and ReLU epilogue on or
+// off, MatMulSegsIntoCtx must store the same bits on the AVX tile
+// kernels as on the Go micro-kernels, at float64 and float32.
 func FuzzMatMulSegs(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 3, 3, 2, 3, 1, 1, 5, 0, 2, 1, 3, 2, 8, 9, 10, 0, 0, 0, 0, 7, 4})
@@ -55,7 +56,7 @@ func FuzzMatMulSegs(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := fuzzBytes(data)
-		m, k, n := d.next()%10, 1+d.next()%12, 1+d.next()%12
+		m, k, n := d.next()%10, 1+d.next()%12, 1+d.next()%20
 		nseg := min(1+d.next()%3, k)
 		flags := d.next()
 		gathered := flags % nseg

@@ -50,7 +50,8 @@ func MatMul[T fp.Float](a, b *Matrix[T]) *Matrix[T] {
 
 // MatMulIntoCtx computes out = a×b under an explicit intra-op worker
 // budget. out must be preallocated with shape a.rows × b.cols and must
-// not alias a or b. Steady-state calls perform no heap allocation.
+// not alias a or b. It allocates as MatMulSegsIntoCtx does: nothing in
+// a steady-state call on one worker, the fork's few objects on more.
 // It is the one-segment, no-epilogue call of the packed-panel GEMM in
 // tiled.go, whose file comment states the accumulation contract: a is
 // read in place, and row blocks partition statically, so the result is

@@ -39,14 +39,18 @@ import (
 // three-kernel chain bit for bit.
 //
 // Two implementations meet this contract. The Go micro-kernels
-// (microGEMM4/2/1 with addBiasRow) run everywhere. On amd64 with AVX, a
-// full MR×4 tile instead runs gemm_amd64.s: 4×4 at float64 with one YMM
-// accumulator per row, 2×4 at float32 with one XMM per row, bias and
-// ReLU folded into the store. simdGEMM picks it once, at package init,
-// from a CPUID/XGETBV probe; remainder rows, a partial last panel and
-// k == 0 always take the Go path. Each vector lane is one output column
-// doing the scalar arithmetic above: separate multiplies and adds (no
-// FMA, which would round once instead of twice), the same quad
+// (microGEMM4/2/1 with addBiasRow) run everywhere. On amd64 with AVX,
+// full tiles instead run gemm_amd64.s, with bias and ReLU folded into
+// the store. Two adjacent full panels of one gemmJB column block run as
+// one MR×8 tile, 4×8 at float64 and 2×8 at float32, with one YMM
+// (float64) or XMM (float32) accumulator per row per panel: each A
+// quad's zero test and broadcasts then serve eight output columns
+// instead of four. An odd last full panel of a column block runs the
+// MR×4 tile (4×4, 2×4). simdGEMM picks the assembly once, at package
+// init, from a CPUID/XGETBV probe; remainder rows, a partial last panel
+// and k == 0 always take the Go path. Each vector lane is one output
+// column doing the scalar arithmetic above: separate multiplies and adds
+// (no FMA, which would round once instead of twice), the same quad
 // association, and a zero test that, like Go's !=, counts NaN as
 // nonzero and -0 as zero. Operand order matters only for NaN: when both
 // operands of an add or multiply are NaN, x86 returns the first, so the
@@ -59,8 +63,8 @@ import (
 // FuzzMatMulSegs compares them directly.
 
 // gemmJB is the column-block width in output columns (a multiple of
-// the 4-wide panel): the packed panels for 64 columns fit L1 alongside
-// the A rows. gemmMR is the micro-kernel height. Both are the shapes
+// the 8-wide AVX tile, so only the last block can hold an odd panel):
+// the packed panels for 64 columns fit L1 alongside the A rows. gemmMR is the micro-kernel height. Both are the shapes
 // that measured fastest per element type; PERF.md "Tile shapes" has the
 // tables and the command to re-measure. They regroup loops only, so no
 // value of either changes a result.
@@ -118,7 +122,10 @@ type gemmCtx[T fp.Float] struct {
 // GatherConcat3IntoCtx → MatMulIntoCtx → AddBias[ReLU]IntoCtx store,
 // at every worker count. All segments must agree on the row count,
 // their widths must sum to b.rows, and out must not alias any operand.
-// Steady-state calls perform no heap allocation.
+// A steady-state call that runs on one worker performs no heap
+// allocation; one that forks its rows across workers allocates the
+// fork's job, closure and operand copy (3, plus 2 when it starts a
+// helper goroutine; TestGEMMParallelAllocs pins at most 4).
 func MatMulSegsIntoCtx[T fp.Float](kc kernels.Context, out, b, bias *Matrix[T], relu bool, segs ...Seg[T]) {
 	if len(segs) == 0 || len(segs) > MaxSegs {
 		panic(fmt.Sprintf("tensor: MatMulSegs takes 1 to %d segments, got %d", MaxSegs, len(segs)))
@@ -186,12 +193,13 @@ func packPanels[T fp.Float](bp []T, b *Matrix[T]) {
 // gemmBody computes rows [lo, hi) of the packed GEMM: column blocks of
 // gemmJB/4 panels outermost (so a block's panels stay hot across row
 // sweeps), MR-row blocks next, one micro-kernel call per (row-block,
-// panel), each tile finished by the epilogue. A full MR×4 tile runs the
-// AVX kernel when simdGEMM is set, with the epilogue folded into its
-// store; remainder rows, a partial last panel and k == 0 run the Go
-// micro-kernels and addBiasRow. A lone direct segment is read where it
-// lies; otherwise each row block's virtual rows are first assembled in
-// a per-chunk scratch.
+// panel), each tile finished by the epilogue. When simdGEMM is set, a
+// full MR-row block runs the AVX kernel on full panels, two at a time
+// while the column block holds a pair and one for an odd last panel,
+// with the epilogue folded into its store; remainder rows, a partial
+// last panel and k == 0 run the Go micro-kernels and addBiasRow. A lone
+// direct segment is read where it lies; otherwise each row block's
+// virtual rows are first assembled in a per-chunk scratch.
 func gemmBody[T fp.Float](c gemmCtx[T], lo, hi int) {
 	out, k := c.out, c.k
 	n := out.cols
@@ -239,16 +247,24 @@ func gemmBody[T fp.Float](c gemmCtx[T], lo, hi int) {
 			for q := q0; q < q1; q++ {
 				j := q * 4
 				w := min(n-j, 4)
-				panel := c.bp[j*k : j*k+4*k]
 				off := i*n + j
 				var bias []T
 				if c.bias != nil {
-					bias = c.bias[j : j+w]
+					bias = c.bias[j:]
 				}
 				if simdGEMM && bs == mr && w == 4 && k > 0 {
-					tileKernel(out.data[off:], n, ad, panel, k, bias, c.relu)
+					np := 1
+					if q+1 < q1 && j+8 <= n {
+						np = 2
+					}
+					tileKernel(out.data[off:], n, ad, c.bp[j*k:], k, bias, c.relu, np)
+					if testHookTile != nil {
+						testHookTile(off, np)
+					}
+					q += np - 1
 					continue
 				}
+				panel := c.bp[j*k : j*k+4*k]
 				switch bs {
 				case 4:
 					microGEMM4(
@@ -272,24 +288,35 @@ func gemmBody[T fp.Float](c gemmCtx[T], lo, hi int) {
 	}
 }
 
-// tileKernel runs the AVX kernel on one full MR×4 tile: output rows
-// o[r*n : r*n+4] from rows a[r*k : (r+1)*k] against one packed panel,
-// with bias (nil for none) and relu folded into the store. The reslices
-// bound every address the kernel touches.
-func tileKernel[T fp.Float](o []T, n int, a, panel []T, k int, bias []T, relu bool) {
-	mr := gemmMR[T]()
-	o, a, panel = o[:(mr-1)*n+4], a[:mr*k], panel[:4*k]
-	var bp *T
+// testHookTile, when non-nil, sees the output offset and panel count of
+// every AVX tile gemmBody runs. Tests set it, at one worker, to check
+// that each full panel is tiled exactly once and that panel pairs take
+// the wide tile.
+var testHookTile func(off, np int)
+
+// tileKernel runs the AVX kernel on one full tile of np (1 or 2)
+// adjacent panels: output rows o[r*n : r*n+4*np] from rows
+// a[r*k : (r+1)*k] against the packed panels at the head of panels,
+// with bias[:4*np] (bias nil for none) and relu folded into the store.
+// The reslices bound every address the kernel touches.
+func tileKernel[T fp.Float](o []T, n int, a, panels []T, k int, bias []T, relu bool, np int) {
+	mr, w := gemmMR[T](), 4*np
+	o, a, panels = o[:(mr-1)*n+w], a[:mr*k], panels[:w*k]
+	var bp unsafe.Pointer
 	if bias != nil {
-		bp = &bias[:4][0]
+		bp = unsafe.Pointer(&bias[:w][0])
 	}
-	if fp.Is32[T]() {
-		gemmTile2x4F32((*float32)(unsafe.Pointer(&o[0])), n, (*float32)(unsafe.Pointer(&a[0])),
-			(*float32)(unsafe.Pointer(&panel[0])), k, (*float32)(unsafe.Pointer(bp)), relu)
-		return
+	po, pa, pp := unsafe.Pointer(&o[0]), unsafe.Pointer(&a[0]), unsafe.Pointer(&panels[0])
+	switch {
+	case fp.Is32[T]() && np == 2:
+		gemmTile2x8F32((*float32)(po), n, (*float32)(pa), (*float32)(pp), k, (*float32)(bp), relu)
+	case fp.Is32[T]():
+		gemmTile2x4F32((*float32)(po), n, (*float32)(pa), (*float32)(pp), k, (*float32)(bp), relu)
+	case np == 2:
+		gemmTile4x8F64((*float64)(po), n, (*float64)(pa), (*float64)(pp), k, (*float64)(bp), relu)
+	default:
+		gemmTile4x4F64((*float64)(po), n, (*float64)(pa), (*float64)(pp), k, (*float64)(bp), relu)
 	}
-	gemmTile4x4F64((*float64)(unsafe.Pointer(&o[0])), n, (*float64)(unsafe.Pointer(&a[0])),
-		(*float64)(unsafe.Pointer(&panel[0])), k, (*float64)(unsafe.Pointer(bp)), relu)
 }
 
 // addBiasRow is the GEMM epilogue on one finished output row segment:

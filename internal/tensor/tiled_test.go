@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"maps"
 	"math"
 	"testing"
 
@@ -35,8 +36,11 @@ func forEachGEMMKernel(t *testing.T, body func(t *testing.T)) {
 }
 
 // gemmShapesUnderTest exercises k%4 remainders (every residue), n%4
-// remainders (every residue), rows below the MR=4 block, and
-// panel-boundary-straddling widths.
+// remainders (every residue), rows below the MR=4 block,
+// panel-boundary-straddling widths, and the AVX tile's panel pairing:
+// a pair plus an odd full panel (n = 12), a pair alone (n = 8), and an
+// odd panel count in the second gemmJB column block (n = 76: eight
+// pairs, then a pair and an odd panel).
 var gemmShapesUnderTest = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{3, 5, 7},
@@ -45,6 +49,9 @@ var gemmShapesUnderTest = []struct{ m, k, n int }{
 	{37, 23, 29},
 	{64, 33, 65},
 	{7, 2, 6},
+	{9, 12, 12},
+	{6, 7, 76},
+	{4, 16, 8},
 }
 
 // refMatMul is the accumulation contract of MatMulIntoCtx written flat,
@@ -124,6 +131,49 @@ func TestTiledMatMulMatchesFlatBitwiseF32(t *testing.T) {
 	forEachGEMMKernel(t, func(t *testing.T) { testMatMulMatchesFlat[float32](t, 200) })
 }
 
+// TestTiledAVXTilesCoverEachFullPanelOnce pins gemmBody's walk over the
+// AVX tiles: every full MR-row block meets every full panel in exactly
+// one tile, and within each gemmJB column block the full panels pair
+// into wide tiles from the left, an odd last one taking the 4-wide tile.
+// A tile run twice stores the same bits, so only this test sees it.
+func TestTiledAVXTilesCoverEachFullPanelOnce(t *testing.T) {
+	if !simdGEMM {
+		t.Skip("CPU has no AVX")
+	}
+	defer func() { testHookTile = nil }()
+	testTilesCoverEachFullPanelOnce[float64](t)
+	testTilesCoverEachFullPanelOnce[float32](t)
+}
+
+func testTilesCoverEachFullPanelOnce[T fp.Float](t *testing.T) {
+	mr := gemmMR[T]()
+	for _, sh := range append(gemmShapesUnderTest, struct{ m, k, n int }{5, 3, 140}) {
+		want := map[int]int{} // output offset → panel count
+		for i := 0; i+mr <= sh.m; i += mr {
+			for q0 := 0; q0 < (sh.n+3)/4; q0 += gemmJB / 4 {
+				full := min(q0+gemmJB/4, sh.n/4) - q0
+				for q := 0; q < full; q += 2 {
+					want[i*sh.n+(q0+q)*4] = min(full-q, 2)
+				}
+			}
+		}
+		got := map[int]int{}
+		testHookTile = func(off, np int) {
+			if _, dup := got[off]; dup {
+				t.Fatalf("%v: the tile at output offset %d ran twice", sh, off)
+			}
+			got[off] = np
+		}
+		a := NewOf[T](sh.m, sh.k)
+		b := NewOf[T](sh.k, sh.n)
+		MatMulIntoCtx(kernels.Context{Workers: 1}, NewOf[T](sh.m, sh.n), a, b)
+		testHookTile = nil
+		if !maps.Equal(got, want) {
+			t.Fatalf("%v at MR %d: tiles (offset → panels) %v, want %v", sh, mr, got, want)
+		}
+	}
+}
+
 // TestTiledMatMulZeroSkipMasksSpecialValues pins the skip contract: a
 // zero a-quad (or zero tail element) must skip B entirely, so Inf/NaN
 // in the skipped B rows never reach the accumulators.
@@ -169,7 +219,8 @@ func testTiledMatMulZeroSkipMasksSpecialValues(t *testing.T) {
 // ±Inf, +0, negative and positive sums (a -0 sum cannot occur:
 // accumulators start at +0), which then meet biases of +0, -0, NaN and
 // both signs. ReLU must give +0 for NaN and every s ≤ 0, as addBiasRow's
-// s > 0 test does.
+// s > 0 test does. Every (sum, bias) pair is placed in columns 0–3 and
+// in columns 4–7 of a wide tile, and in the odd 4-wide tile.
 func TestTiledEpilogueSpecialValues(t *testing.T) {
 	forEachGEMMKernel(t, func(t *testing.T) {
 		testEpilogueSpecialValues[float64](t)
@@ -181,7 +232,24 @@ func testEpilogueSpecialValues[T fp.Float](t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	sums := []float64{nan, 0, math.Copysign(0, -1), -1.5, 2.5, inf, -inf}
 	biases := []float64{0, math.Copysign(0, -1), nan, -2, 0.75}
-	n := len(sums) * len(biases) // 35: eight full panels and a partial one
+	pairs := len(sums) * len(biases) // 35
+	// 78 columns: a gemmJB block of eight wide tiles, then a wide tile
+	// (columns 64–71), the odd 4-wide tile (72–75) and a partial panel.
+	// Column j holds pair (j+shift) % 35; the nine shifts place every
+	// pair in each of the first three kinds of columns.
+	const n = 78
+	// kind is 0 or 1 in the first or second half of a wide tile, 2 in
+	// the odd tile and 3 in the partial panel.
+	kind := func(j int) int {
+		switch {
+		case j >= 76:
+			return 3
+		case j >= 72:
+			return 2
+		}
+		return j / 4 % 2
+	}
+	placed := make([][4]bool, pairs)
 	// Each s sits at every row position of a tile.
 	scales := []T{1, 0, -1, T(nan)}
 	const m = 16
@@ -189,26 +257,35 @@ func testEpilogueSpecialValues[T fp.Float](t *testing.T) {
 	for i := 0; i < m; i++ {
 		a.Set(i, 0, scales[(i+i/4)%4])
 	}
-	b, bias := NewOf[T](4, n), NewOf[T](1, n)
-	for j := 0; j < n; j++ {
-		b.Set(0, j, T(sums[j/len(biases)]))
-		bias.Set(0, j, T(biases[j%len(biases)]))
-	}
-	sum := refMatMul(a, b)
-	for _, relu := range []bool{false, true} {
-		want := NewOf[T](m, n)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				s := sum.At(i, j) + bias.At(0, j)
-				if relu && !(s > 0) {
-					s = 0
-				}
-				want.Set(i, j, s)
-			}
+	for shift := 0; shift < pairs; shift += 4 {
+		b, bias := NewOf[T](4, n), NewOf[T](1, n)
+		for j := 0; j < n; j++ {
+			p := (j + shift) % pairs
+			b.Set(0, j, T(sums[p/len(biases)]))
+			bias.Set(0, j, T(biases[p%len(biases)]))
+			placed[p][kind(j)] = true
 		}
-		got := NewOf[T](m, n)
-		MatMulSegsIntoCtx(kernels.Context{Workers: 1}, got, b, bias, relu, Seg[T]{M: a})
-		matBitsEqual(t, "MatMulSegs epilogue", want, got)
+		sum := refMatMul(a, b)
+		for _, relu := range []bool{false, true} {
+			want := NewOf[T](m, n)
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					s := sum.At(i, j) + bias.At(0, j)
+					if relu && !(s > 0) {
+						s = 0
+					}
+					want.Set(i, j, s)
+				}
+			}
+			got := NewOf[T](m, n)
+			MatMulSegsIntoCtx(kernels.Context{Workers: 1}, got, b, bias, relu, Seg[T]{M: a})
+			matBitsEqual(t, "MatMulSegs epilogue", want, got)
+		}
+	}
+	for p, at := range placed {
+		if !at[0] || !at[1] || !at[2] {
+			t.Fatalf("pair %d was never placed in every kind of tile column: %v", p, at)
+		}
 	}
 }
 
