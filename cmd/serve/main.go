@@ -43,38 +43,14 @@ import (
 	"repro/recon"
 )
 
-// resolveQueueDepth folds the deprecated -queue alias into -queue-depth:
-// either flag alone wins, both set to the same value is tolerated, and
-// both set to different values is a hard conflict — there is exactly one
-// validated queue-depth path after this returns.
-func resolveQueueDepth(fs *flag.FlagSet, queueDepth, queue *int) error {
-	var depthSet, aliasSet bool
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "queue-depth":
-			depthSet = true
-		case "queue":
-			aliasSet = true
-		}
-	})
-	if depthSet && aliasSet && *queueDepth != *queue {
-		return fmt.Errorf("-queue is a deprecated alias for -queue-depth; both set with conflicting values %d and %d", *queue, *queueDepth)
+// checkServerLimits rejects a negative queue depth, and a drain budget
+// or body cap that recon.NewServer would otherwise replace with its
+// default: a zero drain timeout would log "waiting up to 0s" and wait
+// 10s, and a zero body cap would accept 8 MiB.
+func checkServerLimits(queueDepth int, drainTimeout time.Duration, maxBody int64) error {
+	if queueDepth < 0 {
+		return fmt.Errorf("-queue-depth must be ≥0, got %d", queueDepth)
 	}
-	if aliasSet && !depthSet {
-		log.Printf("warning: -queue is deprecated, use -queue-depth")
-		*queueDepth = *queue
-	}
-	if *queueDepth < 0 {
-		return fmt.Errorf("-queue-depth must be ≥0, got %d", *queueDepth)
-	}
-	return nil
-}
-
-// checkServerLimits rejects a drain budget or body cap that
-// recon.NewServer would otherwise replace with its default: a zero drain
-// timeout would log "waiting up to 0s" and wait 10s, and a zero body cap
-// would accept 8 MiB.
-func checkServerLimits(drainTimeout time.Duration, maxBody int64) error {
 	if drainTimeout <= 0 {
 		return fmt.Errorf("-drain-timeout must be >0, got %v", drainTimeout)
 	}
@@ -92,7 +68,6 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "checkpoint path (from trackrecon -save or SaveCheckpoint); empty = untrained models")
 	workers := flag.Int("workers", 4, "engine worker-pool size")
 	queueDepth := flag.Int("queue-depth", 8, "in-flight events admitted beyond the workers; excess requests get 429")
-	queue := flag.Int("queue", 8, "deprecated alias for -queue-depth")
 	hidden := flag.Int("hidden", 16, "GNN hidden width (must match the checkpoint)")
 	steps := flag.Int("steps", 3, "GNN message-passing layers (must match the checkpoint)")
 	threshold := flag.Float64("threshold", 0.5, "stage-4 edge decision threshold")
@@ -111,10 +86,7 @@ func main() {
 	chaosDelay := flag.Duration("chaos-delay", 5*time.Millisecond, "size of an injected latency spike")
 	flag.Parse()
 
-	if err := resolveQueueDepth(flag.CommandLine, queueDepth, queue); err != nil {
-		log.Fatalf("serve: %v", err)
-	}
-	if err := checkServerLimits(*drainTimeout, *maxBody); err != nil {
+	if err := checkServerLimits(*queueDepth, *drainTimeout, *maxBody); err != nil {
 		log.Fatalf("serve: %v", err)
 	}
 

@@ -24,11 +24,11 @@ func main() {
 	fmt.Printf("dataset %s: %d events, %.0f hits/event on average\n",
 		spec.Name, len(ds.Events), ds.ComputeStats().AvgVertices)
 
-	// 2. Compose the five-stage reconstructor. Functional options replace
-	// the old nested config structs: here we shrink the GNN to laptop
-	// scale and pin the deterministic initialization seed. Any stage can
-	// be swapped (recon.WithTruthLevelGraphs, recon.WithoutEdgeFilter,
-	// recon.WithEdgeClassifier, ...).
+	// 2. Compose the five-stage reconstructor. Functional options set the
+	// hyperparameters: here we shrink the GNN to laptop scale and pin the
+	// deterministic initialization seed. Two options change the stages:
+	// recon.WithTruthLevelGraphs builds truth-level graphs in place of
+	// stages 1-3, and recon.WithEdgeClassifier replaces the GNN.
 	r, err := recon.New(spec,
 		recon.WithGNN(16, 3),
 		recon.WithGNNTraining(20, 3e-3, 2.0),
@@ -40,7 +40,7 @@ func main() {
 
 	// 3. Fit trains every learned stage: the embedding MLP, the edge
 	// filter on radius graphs in the trained embedding space, and the
-	// Interaction GNN on the graphs the configured builder produces. The
+	// Interaction GNN on the graphs the trained stages 1-3 build. The
 	// context cancels long runs cooperatively.
 	if err := r.Fit(ctx, train); err != nil {
 		log.Fatal(err)

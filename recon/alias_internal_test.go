@@ -49,10 +49,10 @@ func TestFloat64StagesTrackWeightsWithoutRefresh(t *testing.T) {
 		}
 		return r
 	}
-	// nudge overwrites one weight of each default stage in place.
+	// nudge overwrites one weight of each stage model in place.
 	nudge := func(r *Reconstructor) {
-		for _, stage := range []any{r.embedder, r.filter, r.classifier} {
-			stage.(Parameterized).Params()[0].Value.Data()[0] += 0.5
+		for _, ps := range [][]*Param{r.embedModel.Params(), r.filterModel.Params(), r.gnnModel.Params()} {
+			ps[0].Value.Data()[0] += 0.5
 		}
 	}
 	same := func(name string, r, fresh *Reconstructor) {

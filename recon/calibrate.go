@@ -15,7 +15,7 @@ import (
 	"repro/internal/workspace"
 )
 
-// i8Scales bundles the calibrated activation scales of every default
+// i8Scales bundles the calibrated activation scales of every learned
 // stage — the tables checkpoint v4 persists beside the int8 weights.
 type i8Scales struct {
 	embed  []float32
@@ -120,26 +120,18 @@ func (r *Reconstructor) calibrationEvents() []*Event {
 // calibrate runs the activation-range calibration pass over events: the
 // serving float32 adapters replay every event over forwards built to
 // record their activation ranges (from the float64 weights, at every
-// precision). The default embedder and GNN are recorded whichever
-// stages serve: the embedder on every event, truth-level graphs
-// included, the GNN on every non-empty graph. The embedding feeds a
-// float32 radius search when both are the stages in use, and the
-// default filter is recorded when it is. Custom, truth-level and pass
-// stages run as themselves, so the recorded graphs are the ones
+// precision). The embedder and GNN are recorded whichever stages serve:
+// the embedder on every event, truth-level graphs included, the GNN on
+// every non-empty graph. The embedding feeds a float32 radius search
+// and the filter is recorded, unless truth-level graphs, which bypass
+// both, stand in for them, so the recorded graphs are the ones
 // inference will see.
 func (r *Reconstructor) calibrate(ctx context.Context, events []*Event) (*i8Scales, error) {
 	c := r.newCalibration()
 	fw := &forwards[float32]{embed: c.embed, filter: c.filter, gnn: c.gnn}
-	emb := mlpEmbedder[float32]{m: r.embedModel, fw: fw}
+	emb := mlpEmbedder[float32]{fw: fw}
 	gnn := gnnClassifier[float32]{m: r.gnnModel, fw: fw}
-	builder, filt := r.builder, r.filter
-	embedServes := isDefault(r.embedder)
-	if embedServes && isDefault(builder) {
-		builder = radiusBuilder[float32]{radius: r.cfg.Radius, maxDegree: r.cfg.MaxDegree}
-	}
-	if isDefault(filt) {
-		filt = mlpFilter[float32]{m: r.filterModel, fw: fw, spec: r.spec}
-	}
+	builder, filt := graphStages(r, fw)
 	a := workspace.NewArena()
 	defer a.Reset()
 	kctx := r.kernelCtx(ctx)
@@ -152,13 +144,7 @@ func (r *Reconstructor) calibrate(ctx context.Context, events []*Event) (*i8Scal
 		if err != nil {
 			return nil, fmt.Errorf("recon: calibration embed: %w", err)
 		}
-		embedFn := func() (*Matrix, error) {
-			if embedServes {
-				return embedded, nil
-			}
-			return r.embedder.Embed(kctx, a, ev)
-		}
-		src, dst, err := builder.BuildEdges(kctx, a, ev, embedFn)
+		src, dst, err := builder.BuildEdges(kctx, a, ev, func() (*Matrix, error) { return embedded, nil })
 		if err != nil {
 			return nil, fmt.Errorf("recon: calibration build edges: %w", err)
 		}
@@ -176,7 +162,7 @@ func (r *Reconstructor) calibrate(ctx context.Context, events []*Event) (*i8Scal
 	return c.scales(), nil
 }
 
-// calibration is the float32 forward of each default stage model with
+// calibration is the float32 forward of each learned stage model with
 // activation range recording on.
 type calibration struct {
 	embed  *embed.Inference[float32]

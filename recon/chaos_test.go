@@ -9,14 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/workspace"
 	"repro/recon"
 )
 
@@ -73,6 +71,17 @@ func TestChaosBatchFaultIsolation(t *testing.T) {
 		// one of ours, not an escaped panic or a mangled chain.
 		if !errors.Is(err, faultinject.ErrInjected) && recon.AsStageError(err) == nil {
 			t.Fatalf("batch error is neither injected nor a StageError: %v", err)
+		}
+	}
+	// A recovered panic names a pipeline stage and is tagged with the
+	// index of the event it failed, whose slot is empty.
+	if se := recon.AsStageError(err); se != nil {
+		stages := map[string]bool{"embed": true, "build": true, "filter": true, "classify": true, "extract": true}
+		if !se.IsPanic() || !stages[se.Stage] {
+			t.Fatalf("StageError %v: want a recovered panic in a pipeline stage", se)
+		}
+		if se.Event < 0 || se.Event >= len(results) || results[se.Event] != nil {
+			t.Fatalf("StageError tagged event %d, which is not a failed slot", se.Event)
 		}
 	}
 
@@ -139,10 +148,11 @@ func TestChaosDelayOnlyBitIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosStreamFaultIsolation: streamed outcomes stay in submission
-// order under injected panics and errors; faulted outcomes carry typed
-// errors tagged with their event index, clean outcomes match the
-// baseline bit-for-bit.
+// TestChaosStreamFaultIsolation: in a stream of two-event requests
+// merged into micro-batches, injected errors and panics fail only their
+// own events. A recovered panic's StageError names a pipeline stage and
+// is tagged with the event's index in its own request, whose slot is
+// empty; clean events match the baseline bit-for-bit.
 func TestChaosStreamFaultIsolation(t *testing.T) {
 	ds := testDataset(t, 0.02, 16, 92)
 	clean, err := recon.New(ds.Spec, recon.WithSeed(5))
@@ -159,85 +169,61 @@ func TestChaosStreamFaultIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := recon.NewEngine(chaotic, recon.WithWorkers(3), recon.WithQueueDepth(2))
+	eng, err := recon.NewEngine(chaotic,
+		recon.WithWorkers(3),
+		recon.WithQueueDepth(len(ds.Events)),
+		recon.WithBatchWindow(3*time.Millisecond),
+		recon.WithMaxBatchEvents(6))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	in := make(chan *recon.Event)
-	go func() {
-		defer close(in)
-		for _, ev := range ds.Events {
-			in <- ev
-		}
-	}()
+	reqs := make([][]*recon.Event, len(ds.Events)/2)
+	for k := range reqs {
+		reqs[k] = ds.Events[2*k : 2*k+2]
+	}
+	got := drainReplies(t, streamRequests(context.Background(), eng, reqs), 30*time.Second)
+	if len(got) != len(reqs) {
+		t.Fatalf("stream answered %d requests of %d", len(got), len(reqs))
+	}
 	stages := map[string]bool{"embed": true, "build": true, "filter": true, "classify": true, "extract": true}
-	var got []recon.Outcome
-	for o := range eng.ReconstructStream(context.Background(), in) {
-		got = append(got, o)
-	}
-	if len(got) != len(ds.Events) {
-		t.Fatalf("stream emitted %d outcomes for %d events", len(got), len(ds.Events))
-	}
 	var completed, faulted int
-	for i, o := range got {
-		if o.Index != i {
-			t.Fatalf("outcome %d has index %d: chaos broke stream ordering", i, o.Index)
-		}
-		if o.Err != nil {
-			faulted++
-			se := recon.AsStageError(o.Err)
-			if se == nil {
-				if !errors.Is(o.Err, faultinject.ErrInjected) {
-					t.Fatalf("outcome %d error is neither StageError nor injected: %v", i, o.Err)
+	for _, r := range got {
+		if r.err != nil {
+			if se := recon.AsStageError(r.err); se != nil {
+				if !se.IsPanic() || !stages[se.Stage] {
+					t.Fatalf("request %d: StageError %v, want a recovered panic in a pipeline stage", r.req, se)
 				}
+				if se.Event < 0 || se.Event >= len(r.results) || r.results[se.Event] != nil {
+					t.Fatalf("request %d: StageError tagged event %d, which is not a failed slot", r.req, se.Event)
+				}
+			} else if !errors.Is(r.err, faultinject.ErrInjected) {
+				t.Fatalf("request %d: error is neither StageError nor injected: %v", r.req, r.err)
+			}
+		}
+		for j, res := range r.results {
+			if res == nil {
+				faulted++
 				continue
 			}
-			if !se.IsPanic() {
-				t.Fatalf("outcome %d StageError without panic payload: %v", i, se)
+			completed++
+			if !reflect.DeepEqual(res, baseline[2*r.req+j]) {
+				t.Fatalf("request %d event %d completed under chaos but diverges from baseline", r.req, j)
 			}
-			if !stages[se.Stage] {
-				t.Fatalf("outcome %d panic attributed to unknown stage %q", i, se.Stage)
-			}
-			if se.Event != i {
-				t.Fatalf("outcome %d StageError tagged event %d", i, se.Event)
-			}
-			continue
-		}
-		completed++
-		if !reflect.DeepEqual(o.Result, baseline[i]) {
-			t.Fatalf("outcome %d completed under chaos but diverges from baseline", i)
 		}
 	}
 	if completed == 0 || faulted == 0 {
 		t.Fatalf("stream chaos not exercising both paths: %d completed, %d faulted (tune seed)", completed, faulted)
 	}
-	if got, want := eng.Stats().PanicsRecovered, inj.Stats().Panics; got != want {
-		t.Fatalf("engine recovered %d panics, injector fired %d", got, want)
+	st := inj.Stats()
+	if int(st.Errors+st.Panics) != faulted {
+		t.Fatalf("%d faults fired but %d events failed", st.Errors+st.Panics, faulted)
 	}
-}
-
-// gateExtractor blocks inside stage 5 until released, signalling entry —
-// the tool for holding the admission window open at a known point.
-type gateExtractor struct {
-	entered chan struct{} // buffered; one signal per call
-	release chan struct{} // closed to let all calls finish
-}
-
-func newGate() gateExtractor {
-	return gateExtractor{entered: make(chan struct{}, 64), release: make(chan struct{})}
-}
-
-func (g gateExtractor) ExtractTracks(ctx context.Context, eg *recon.EventGraph, keep []bool) ([][]int, error) {
-	select {
-	case g.entered <- struct{}{}:
-	default:
+	if got := eng.Stats().PanicsRecovered; got != st.Panics {
+		t.Fatalf("engine recovered %d panics, injector fired %d", got, st.Panics)
 	}
-	select {
-	case <-g.release:
-		return nil, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if eng.Stats().InFlight != 0 {
+		t.Fatalf("in-flight not released after the stream: %+v", eng.Stats())
 	}
 }
 
@@ -247,7 +233,7 @@ func (g gateExtractor) ExtractTracks(ctx context.Context, eg *recon.EventGraph, 
 func TestEngineOverloadFastFail(t *testing.T) {
 	ds := testDataset(t, 0.02, 2, 93)
 	gate := newGate()
-	r, err := recon.New(ds.Spec, recon.WithTrackExtractor(gate), recon.WithSeed(5))
+	r, err := recon.New(ds.Spec, withExtractor(gate), recon.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +279,7 @@ func TestEngineOverloadFastFail(t *testing.T) {
 func TestEngineRequestTimeout(t *testing.T) {
 	ds := testDataset(t, 0.02, 1, 94)
 	r, err := recon.New(ds.Spec,
-		recon.WithTrackExtractor(slowExtractor{delay: 10 * time.Minute}),
+		withExtractor(slowExtractor{delay: 10 * time.Minute}),
 		recon.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
@@ -312,83 +298,6 @@ func TestEngineRequestTimeout(t *testing.T) {
 	}
 }
 
-// TestEngineStreamCancelCleanup is the PR 6 extension of the PR 3
-// leak-check pattern: cancelling mid-stream emits an in-order prefix,
-// leaks no goroutines, returns every pooled arena, and reconciles the
-// admission window back to zero.
-func TestEngineStreamCancelCleanup(t *testing.T) {
-	ds := testDataset(t, 0.02, 32, 95)
-	r, err := recon.New(ds.Spec,
-		recon.WithTrackExtractor(slowExtractor{delay: 10 * time.Millisecond}),
-		recon.WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := recon.NewEngine(r, recon.WithWorkers(2), recon.WithQueueDepth(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	beforeGoroutines := runtime.NumGoroutine()
-	beforeBytes := workspace.InUseBytes()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	in := make(chan *recon.Event, len(ds.Events))
-	for _, ev := range ds.Events {
-		in <- ev
-	}
-	out := eng.ReconstructStream(ctx, in)
-
-	// Consume an in-order prefix, then cancel mid-stream.
-	for i := 0; i < 3; i++ {
-		o, ok := <-out
-		if !ok {
-			t.Fatalf("stream closed after %d outcomes", i)
-		}
-		if o.Index != i {
-			t.Fatalf("prefix outcome %d has index %d: partial emission out of order", i, o.Index)
-		}
-		if o.Err != nil {
-			t.Fatalf("prefix outcome %d: %v", i, o.Err)
-		}
-	}
-	cancel()
-	deadline := time.After(10 * time.Second)
-	for open := true; open; {
-		select {
-		case _, ok := <-out:
-			open = ok
-		case <-deadline:
-			t.Fatal("stream did not close after cancel")
-		}
-	}
-
-	// Pool goroutines gone, arenas back in the pools, window reconciled.
-	waitUntil := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= beforeGoroutines &&
-			workspace.InUseBytes() == beforeBytes &&
-			eng.Stats().InFlight == 0 {
-			break
-		}
-		if time.Now().After(waitUntil) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > beforeGoroutines {
-		t.Fatalf("goroutines leaked: %d before stream, %d after cancel", beforeGoroutines, g)
-	}
-	if got := workspace.InUseBytes(); got != beforeBytes {
-		t.Fatalf("pooled arenas not returned: %d bytes in use before, %d after", beforeBytes, got)
-	}
-	if inflight := eng.Stats().InFlight; inflight != 0 {
-		t.Fatalf("admission window not reconciled: %d still in flight", inflight)
-	}
-}
-
 // gatedServer builds a server whose single worker blocks in the
 // extractor until released.
 func gatedServer(t *testing.T, opts ...recon.Option) (*recon.Server, gateExtractor) {
@@ -398,7 +307,7 @@ func gatedServer(t *testing.T, opts ...recon.Option) (*recon.Server, gateExtract
 	r, err := recon.New(spec,
 		recon.WithTruthLevelGraphs(1.0),
 		recon.WithThreshold(0),
-		recon.WithTrackExtractor(gate),
+		withExtractor(gate),
 		recon.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dtrain"
 	"repro/internal/ignn"
 	"repro/internal/metrics"
-	"repro/internal/workspace"
 )
 
 // SyncStrategy selects how distributed training synchronizes gradients.
@@ -57,26 +56,6 @@ type DistTrainResult struct {
 	Comm DistCommStats
 	// Buckets is the number of collectives each step issued.
 	Buckets int
-}
-
-// Evaluate scores every edge of the graphs with the trained classifier
-// and returns precision and recall at the given threshold.
-func (r *DistTrainResult) Evaluate(ctx context.Context, graphs []*EventGraph, threshold float64) (precision, recall float64, err error) {
-	var counts metrics.BinaryCounts
-	a := workspace.NewArena()
-	for _, eg := range graphs {
-		if eg.NumEdges() == 0 {
-			continue
-		}
-		scores, err := r.Classifier.ScoreEdges(ctx, a, eg)
-		if err != nil {
-			return 0, 0, err
-		}
-		for k, s := range scores {
-			counts.Add(s >= threshold, eg.Label[k] > 0.5)
-		}
-	}
-	return counts.Precision(), counts.Recall(), nil
 }
 
 // TrainDistributed trains an Interaction GNN edge classifier over the
@@ -162,7 +141,6 @@ func trainerConfig(set settings, gnn ignn.Config) dtrain.Config {
 	cfg.Ranks = set.ranks
 	cfg.Strategy = set.sync
 	cfg.BulkBatches = set.bulkBatches
-	cfg.GradBlocks = set.gradBlocks
 	cfg.KernelWorkers = set.kernelWorkers
 	cfg.Seed = set.seed
 	return cfg

@@ -2,7 +2,6 @@ package recon
 
 import (
 	"context"
-	"errors"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -11,16 +10,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/workspace"
 )
-
-// Outcome is one event's reconstruction from a streaming engine:
-// either a Result or a per-event error, tagged with the submission
-// index. Event errors never abort the stream.
-type Outcome struct {
-	Index  int     // position in the submission order
-	Event  *Event  // the submitted event
-	Result *Result // nil iff Err != nil
-	Err    error
-}
 
 // Engine executes a Reconstructor concurrently. Every call runs its
 // events on one pool of workers that lives for that call; each worker
@@ -31,26 +20,21 @@ type Outcome struct {
 //   - Determinism: results are bit-identical to serial Reconstruct at
 //     any worker count — each event is an independent unit of work and
 //     the kernels parallelize deterministically.
-//   - Ordering: ReconstructBatch returns results positionally;
-//     ReconstructStream emits outcomes in submission order.
+//   - Ordering: results come back positionally, one slot per event.
 //   - Admission: at most workers+queueDepth events are in flight across
-//     all entry points. A batch that would push past the window is
+//     both entry points. A call that would push past the window is
 //     rejected immediately with ErrOverloaded (fast fail, never an
 //     unbounded queue) — except that an idle engine always admits one
 //     request of any size, so a single large batch can still run; its
 //     internal parallelism is bounded by the worker pool regardless.
-//     Streams apply blocking backpressure to their producer instead of
-//     fast-failing, but their in-flight events count against the same
-//     window, so concurrent batches see the load.
 //   - Deadlines: WithRequestTimeout puts a deadline on each admitted
-//     unit of work — a batch or coalesced call, or one streamed event —
-//     whose clock starts at admission and is propagated into every
-//     stage call.
-//   - Errors: per-event errors ride in the Outcome (stream) or leave a
-//     nil hole (batch). A unit whose deadline fired or whose context
-//     was cancelled reports that error ahead of any per-event error;
-//     cancellation and admission rejection (ErrOverloaded) are the only
-//     engine-level errors.
+//     call, whose clock starts at admission and is propagated into
+//     every stage call.
+//   - Errors: a per-event error leaves a nil hole in the results. A
+//     call whose deadline fired or whose context was cancelled reports
+//     that error ahead of any per-event error; cancellation and
+//     admission rejection (ErrOverloaded) are the only engine-level
+//     errors.
 //   - Panic isolation: a stage panic is recovered into a per-event
 //     *StageError; sibling events keep completing and the worker
 //     replaces its arena rather than dying.
@@ -142,7 +126,7 @@ func NewEngine(rec *Reconstructor, opts ...Option) (*Engine, error) {
 }
 
 // reconstructGuarded is the engine's fault boundary around one event:
-// it tags per-event StageErrors with the submission index, counts
+// it tags per-event StageErrors with the event's index in its call, counts
 // recovered panics, and — should a panic escape the stage-level guards
 // (reconstructWith recovers panics inside stage implementations, not in
 // the assembly/metrics glue) — recovers it here and hands the worker a
@@ -168,12 +152,10 @@ func (e *Engine) reconstructGuarded(ctx context.Context, arena **workspace.Arena
 }
 
 // unit is one admitted piece of work on its way through the worker
-// loop: the events of one batch or coalesced call, or one streamed
-// event.
+// loop: the events of one batch or coalesced call.
 type unit struct {
 	ctx     context.Context // the caller's ctx, bounded by the deadline set at admission
 	cancel  context.CancelFunc
-	index   int // submission index of events[0], for StageError tags
 	events  []*Event
 	results []*Result
 	pending atomic.Int64 // events neither run nor skipped yet
@@ -184,8 +166,8 @@ type unit struct {
 
 // newUnit admits events as one unit; the WithRequestTimeout clock
 // starts here. The caller must call u.cancel once done with the unit.
-func (e *Engine) newUnit(ctx context.Context, index int, events []*Event) *unit {
-	u := &unit{ctx: ctx, cancel: func() {}, index: index, events: events,
+func (e *Engine) newUnit(ctx context.Context, events []*Event) *unit {
+	u := &unit{ctx: ctx, cancel: func() {}, events: events,
 		results: make([]*Result, len(events)), done: make(chan struct{})}
 	if e.timeout > 0 {
 		u.ctx, u.cancel = context.WithTimeout(ctx, e.timeout)
@@ -211,7 +193,7 @@ func (e *Engine) work(pool int, next func() (*unit, int, bool)) {
 			return
 		}
 		if ev := u.events[i]; ev != nil && u.ctx.Err() == nil {
-			res, err := e.reconstructGuarded(kernels.Into(u.ctx, budget), &arena, u.index+i, ev)
+			res, err := e.reconstructGuarded(kernels.Into(u.ctx, budget), &arena, i, ev)
 			if err == nil {
 				u.results[i] = res
 			} else {
@@ -287,88 +269,3 @@ func (e *Engine) Workers() int { return e.workers }
 func (e *Engine) ReconstructBatch(ctx context.Context, events []*Event) ([]*Result, error) {
 	return e.submit(ctx, events, nil)
 }
-
-// ReconstructStream reconstructs events as they arrive on in, emitting
-// one Outcome per event on the returned channel in submission order.
-// At most workers+queueDepth events are admitted at once — once the
-// window is full, reads from in pause until an outcome is consumed
-// (bounded in-flight backpressure). Each admitted event is a one-event
-// unit of the worker loop, under its own WithRequestTimeout deadline
-// counted from admission; a nil event yields an Outcome with an error.
-// The output channel closes after in closes and every admitted event's
-// outcome has been emitted, or promptly on cancellation (events never
-// admitted are dropped). The consumer must drain the output channel or
-// cancel the context; abandoning it mid-stream leaks the pool's
-// goroutines.
-func (e *Engine) ReconstructStream(ctx context.Context, in <-chan *Event) <-chan Outcome {
-	out := make(chan Outcome)
-	window := int(e.limit)
-	slots := make(chan struct{}, window) // held from admission to emission
-	work := make(chan *unit, window)     // admitted units, for the pool
-	order := make(chan *unit, window)    // the same units, first in first out, for emission
-
-	// Admission: stream events count against the engine's shared window
-	// (so concurrent batches fast-fail while a stream saturates it), but
-	// a full window blocks the producer instead of rejecting. Neither
-	// send below can block: a held slot bounds both channels.
-	go func() {
-		defer close(order)
-		defer close(work)
-		for idx := 0; ; idx++ {
-			var ev *Event
-			select {
-			case next, ok := <-in:
-				if !ok {
-					return
-				}
-				ev = next
-			case <-ctx.Done():
-				return
-			}
-			select {
-			case slots <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			e.inflight.Add(1)
-			u := e.newUnit(ctx, idx, []*Event{ev})
-			work <- u
-			order <- u
-		}
-	}()
-
-	pull := func() (*unit, int, bool) { u, ok := <-work; return u, 0, ok }
-	for w := 0; w < e.workers; w++ {
-		go e.work(e.workers, pull)
-	}
-
-	// Emission: wait on the admitted units first in first out, so
-	// outcomes leave in submission order, and release each unit's slot
-	// as it leaves. After cancellation nothing more is emitted; the
-	// remaining units only give their slots back.
-	go func() {
-		defer close(out)
-		for u := range order {
-			select {
-			case <-u.done:
-			case <-ctx.Done():
-			}
-			if ctx.Err() == nil {
-				o := Outcome{Index: u.index, Event: u.events[0], Result: u.results[0], Err: u.err}
-				if o.Event == nil {
-					o.Err = errNilEvent
-				}
-				select {
-				case out <- o:
-				case <-ctx.Done():
-				}
-			}
-			u.cancel()
-			<-slots
-			e.inflight.Add(-1)
-		}
-	}()
-	return out
-}
-
-var errNilEvent = errors.New("recon: nil event")

@@ -19,11 +19,11 @@ var ErrDraining = errors.New("recon: server draining")
 
 // StageError is a per-event stage failure, including a panic recovered
 // from a stage implementation. One poisoned event degrades exactly one
-// result: batch siblings keep their slots and stream siblings keep
-// flowing, while the failing event's outcome carries the StageError.
+// result: batch siblings keep their slots, while the failing event's
+// slot stays nil and the call returns the StageError.
 type StageError struct {
 	Stage string // which stage failed: embed, build, filter, classify, extract, engine
-	Event int    // submission index within the batch/stream, -1 when unknown
+	Event int    // index within the batch, -1 when unknown
 	Panic any    // the recovered panic value, nil for ordinary errors
 	Err   error  // the underlying error, nil for pure panics
 	Stack []byte // goroutine stack captured at the recovery point

@@ -121,7 +121,7 @@ func (e *Engine) submit(ctx context.Context, events []*Event, c *coalescer) ([]*
 	if !e.admit(len(events)) {
 		return nil, ErrOverloaded
 	}
-	u := e.newUnit(ctx, 0, events)
+	u := e.newUnit(ctx, events)
 	defer u.cancel()
 	units := []*unit{u}
 	if c != nil {

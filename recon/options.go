@@ -12,8 +12,8 @@ import (
 
 // KernelWorkersFromContext reports the intra-op worker budget installed
 // on ctx by the Reconstructor's serial entry points or by an Engine
-// worker (see WithKernelWorkers). Custom stage implementations that run
-// their own parallel loops can honour it to stay inside the same
+// worker (see WithKernelWorkers). A WithEdgeClassifier or StageWrapper
+// stage that runs its own parallel loops can honour it to stay inside the same
 // oversubscription-free budget as the built-in kernels; ignoring it is
 // also safe.
 func KernelWorkersFromContext(ctx context.Context) int {
@@ -25,25 +25,16 @@ func KernelWorkersFromContext(ctx context.Context) int {
 // hyperparameters and from sensible engine defaults for execution.
 type settings struct {
 	// Stage hyperparameters (override pipeline.DefaultConfig).
-	radius       *float64
-	maxDegree    *int
-	filterThresh *float64
 	gnnThreshold *float64
-	minTrackHits *int
 	gnnHidden    *int
 	gnnSteps     *int
 	truthLevel   bool
 	truthRatio   float64
-	skipFilter   bool
 	seed         uint64
 	precision    Precision
 
-	// Stage implementations (replace the defaults wholesale).
-	embedder   Embedder
-	builder    GraphBuilder
-	filter     EdgeFilter
+	// The stage-4 implementation that replaces the GNN, if any.
 	classifier EdgeClassifier
-	extractor  TrackExtractor
 
 	// Fit knobs for the GNN stage.
 	gnnEpochs    int
@@ -70,7 +61,6 @@ type settings struct {
 	bulkBatches int
 	sync        ddp.SyncStrategy
 	batchSize   int
-	gradBlocks  int
 
 	err error
 }
@@ -90,7 +80,6 @@ func defaultSettings() settings {
 		bulkBatches:    4,
 		sync:           ddp.Coalesced,
 		batchSize:      64,
-		gradBlocks:     8,
 	}
 }
 
@@ -106,34 +95,11 @@ func (s *settings) fail(format string, args ...any) {
 	}
 }
 
-// WithRadius sets the fixed-radius graph-construction distance in
-// embedding space (stage 2).
-func WithRadius(r float64) Option {
-	return func(s *settings) {
-		if !(r > 0) {
-			s.fail("WithRadius: radius must be positive, got %v", r)
-			return
-		}
-		s.radius = &r
-	}
-}
-
-// WithMaxDegree caps per-vertex neighbors during graph construction.
-func WithMaxDegree(d int) Option {
-	return func(s *settings) {
-		if d < 1 {
-			s.fail("WithMaxDegree: degree must be ≥1, got %d", d)
-			return
-		}
-		s.maxDegree = &d
-	}
-}
-
-// WithTruthLevelGraphs swaps stage 2 for a truth-level builder: graphs
-// assembled from ground-truth edges plus ratio random fake edges per
-// true edge. This is the shortcut the paper's GNN-stage experiments use
-// (Figures 3 and 4) to decouple GNN quality from upstream tuning; it
-// also skips the embedding computation entirely.
+// WithTruthLevelGraphs replaces the learned stages 1–3 with truth-level
+// graphs: ground-truth edges plus ratio random fake edges per true
+// edge, with no edge filter. This is the shortcut the paper's GNN-stage
+// experiments use (Figures 3 and 4) to decouple GNN quality from
+// upstream tuning; it also skips the embedding computation entirely.
 func WithTruthLevelGraphs(ratio float64) Option {
 	return func(s *settings) {
 		if !(ratio >= 0) || math.IsInf(ratio, 1) {
@@ -142,24 +108,6 @@ func WithTruthLevelGraphs(ratio float64) Option {
 		}
 		s.truthLevel = true
 		s.truthRatio = ratio
-	}
-}
-
-// WithoutEdgeFilter removes stage 3 — the filter-skip ablation. Every
-// constructed edge reaches the GNN.
-func WithoutEdgeFilter() Option {
-	return func(s *settings) { s.skipFilter = true }
-}
-
-// WithFilterThreshold sets the stage-3 keep threshold on the filter
-// MLP's sigmoid score. NaN, which would keep no edge, is rejected.
-func WithFilterThreshold(t float64) Option {
-	return func(s *settings) {
-		if math.IsNaN(t) {
-			s.fail("WithFilterThreshold: threshold is NaN")
-			return
-		}
-		s.filterThresh = &t
 	}
 }
 
@@ -173,17 +121,6 @@ func WithThreshold(t float64) Option {
 			return
 		}
 		s.gnnThreshold = &t
-	}
-}
-
-// WithMinTrackHits drops track candidates with fewer hits.
-func WithMinTrackHits(n int) Option {
-	return func(s *settings) {
-		if n < 1 {
-			s.fail("WithMinTrackHits: need ≥1, got %d", n)
-			return
-		}
-		s.minTrackHits = &n
 	}
 }
 
@@ -224,29 +161,12 @@ func WithGNNTraining(epochs int, lr, posWeight float64) Option {
 	}
 }
 
-// WithEmbedder replaces stage 1.
-func WithEmbedder(e Embedder) Option {
-	return func(s *settings) { s.embedder = e }
-}
-
-// WithGraphBuilder replaces stage 2.
-func WithGraphBuilder(b GraphBuilder) Option {
-	return func(s *settings) { s.builder = b }
-}
-
-// WithEdgeFilter replaces stage 3.
-func WithEdgeFilter(f EdgeFilter) Option {
-	return func(s *settings) { s.filter = f }
-}
-
-// WithEdgeClassifier replaces stage 4.
+// WithEdgeClassifier replaces the GNN as stage 4, for example with the
+// classifier TrainDistributed returns. Fit then trains stages 1–3 only,
+// and checkpoints hold the classifier's parameters in the GNN's place
+// if it implements Parameterized.
 func WithEdgeClassifier(c EdgeClassifier) Option {
 	return func(s *settings) { s.classifier = c }
-}
-
-// WithTrackExtractor replaces stage 5.
-func WithTrackExtractor(x TrackExtractor) Option {
-	return func(s *settings) { s.extractor = x }
 }
 
 // WithWorkers sets the engine's worker-pool size. Each worker pins one
@@ -263,8 +183,8 @@ func WithWorkers(n int) Option {
 }
 
 // WithQueueDepth bounds the engine's in-flight events beyond the worker
-// count: a stream admits at most workers+depth events at once, applying
-// backpressure to the producer.
+// count: while other work runs, a call that would push past
+// workers+depth events is rejected with ErrOverloaded.
 func WithQueueDepth(n int) Option {
 	return func(s *settings) {
 		if n < 0 {
@@ -310,7 +230,7 @@ func WithMaxBatchEvents(n int) Option {
 }
 
 // WithRequestTimeout puts a per-request deadline on the engine's entry
-// points: each ReconstructBatch call (and each streamed event) runs
+// points: each ReconstructBatch or ReconstructCoalesced call runs
 // under a context that expires after d, propagated into every stage
 // call, so one slow or wedged event cannot hold a worker forever. The
 // deadline composes with the caller's context (whichever expires first
@@ -354,8 +274,8 @@ func WithMaxBodyBytes(n int64) Option {
 // StageWrapper is middleware over the five assembled stages — the seam
 // the fault-injection harness (internal/faultinject) and tracing hook
 // into. Each Wrap method receives the stage the Reconstructor resolved
-// (default or option-supplied) and returns the stage to run; returning
-// the argument unchanged is a no-op.
+// and returns the stage to run; returning the argument unchanged is a
+// no-op.
 type StageWrapper interface {
 	WrapEmbedder(Embedder) Embedder
 	WrapGraphBuilder(GraphBuilder) GraphBuilder
@@ -364,8 +284,8 @@ type StageWrapper interface {
 	WrapTrackExtractor(TrackExtractor) TrackExtractor
 }
 
-// WithStageWrapper installs middleware around all five stages after
-// defaults and per-stage options resolve. Wrapped stages run under the
+// WithStageWrapper installs middleware around all five stages once
+// they are resolved. Wrapped stages run under the
 // same panic isolation as any other stage implementation.
 func WithStageWrapper(w StageWrapper) Option {
 	return func(s *settings) { s.wrapper = w }
@@ -440,20 +360,6 @@ func WithBatchSize(n int) Option {
 			return
 		}
 		s.batchSize = n
-	}
-}
-
-// WithGradBlocks sets the number of canonical gradient micro-blocks per
-// step — the leaves of the fixed reduction tree that makes training
-// bitwise independent of the rank count. It must stay the same across
-// runs that are expected to match exactly.
-func WithGradBlocks(g int) Option {
-	return func(s *settings) {
-		if g < 1 {
-			s.fail("WithGradBlocks: need ≥1, got %d", g)
-			return
-		}
-		s.gradBlocks = g
 	}
 }
 

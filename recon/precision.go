@@ -52,11 +52,9 @@ func ParsePrecision(s string) (Precision, bool) {
 }
 
 // WithPrecision selects the inference precision of the built-in stages
-// (default Float64). Float32 and Int8 apply to the default embedder,
-// filter, and GNN classifier adapters and the radius graph builder
-// (which searches a custom Embedder's output in float64, as handed
-// over); custom stage implementations run whatever precision they
-// implement.
+// (default Float64). Float32 and Int8 apply to the embedder, filter and
+// GNN classifier adapters and the radius graph builder; a
+// WithEdgeClassifier stage runs whatever precision it implements.
 // Track efficiency/purity at reduced precision matches Float64 within
 // the accuracy budget documented in PERF.md (and enforced by the recon
 // precision tests); per-edge scores differ at rounding/quantization

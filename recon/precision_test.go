@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/detector"
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // precisionFixture builds a small trained f64 reconstructor plus an
@@ -336,53 +335,6 @@ func TestEngineF32MatchesSerial(t *testing.T) {
 		}
 		if serial.Match.Efficiency() != batch[i].Match.Efficiency() || serial.EdgeCounts != batch[i].EdgeCounts {
 			t.Fatalf("event %d: engine f32 result differs from serial", i)
-		}
-	}
-}
-
-// constEmbedder is a custom stage-1 whose output the builder must
-// consume — it maps every hit onto a line so the radius graph it
-// induces is unmistakably its own.
-type constEmbedder struct{}
-
-func (constEmbedder) Embed(ctx context.Context, a *Arena, ev *Event) (*Matrix, error) {
-	emb := tensor.NewFrom(a, ev.NumHits(), 2)
-	for i := 0; i < ev.NumHits(); i++ {
-		emb.Set(i, 0, float64(i)*0.01)
-	}
-	return emb, ctx.Err()
-}
-
-// TestWithPrecisionF32KeepsCustomEmbedder guards the stage-override
-// contract at reduced precision: a custom Embedder must feed the graph
-// builder (via the embed thunk), not be silently replaced by the
-// built-in f32 embedding.
-func TestWithPrecisionF32KeepsCustomEmbedder(t *testing.T) {
-	spec := detector.Ex3Like(0.02)
-	spec.NumEvents = 1
-	ds := detector.Generate(spec, 13)
-	build := func(opts ...Option) (src []int) {
-		t.Helper()
-		r, err := New(spec, append([]Option{WithSeed(3), WithGNN(8, 2), WithEmbedder(constEmbedder{}), WithoutEdgeFilter()}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eg, err := r.BuildGraph(context.Background(), ds.Events[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eg.G.Src
-	}
-	f64Src := build()
-	for _, prec := range []Precision{Float32, Int8} {
-		src := build(WithPrecision(prec))
-		if len(f64Src) != len(src) {
-			t.Fatalf("custom embedder graph differs at %s: %d vs %d edges — the %s builder ignored the custom embedding", prec, len(f64Src), len(src), prec)
-		}
-		for i := range f64Src {
-			if f64Src[i] != src[i] {
-				t.Fatalf("custom embedder graph differs at %s — the builder ignored the custom embedding", prec)
-			}
 		}
 	}
 }

@@ -1,35 +1,35 @@
-// Package recon is the composable public API for Exa.TrkX track
-// reconstruction. It decomposes the five-stage pipeline of the paper
-// (Figure 1) into five small stage interfaces — Embedder, GraphBuilder,
-// EdgeFilter, EdgeClassifier, TrackExtractor — wires the repository's
-// implementations behind them by default, and lets callers swap any
-// stage variant (truth-level graph building, filter-skip ablations,
-// custom classifiers) through functional options.
+// Package recon is the public API for Exa.TrkX track reconstruction.
+// A Reconstructor runs the paper's five stages (Figure 1) in one fixed
+// layout: the learned embedding, radius graph and edge filter (stages
+// 1–3) or truth-level graphs in their place (WithTruthLevelGraphs),
+// then the Interaction GNN or a WithEdgeClassifier stage (stage 4),
+// then connected components (stage 5). The five stage interfaces —
+// Embedder, GraphBuilder, EdgeFilter, EdgeClassifier, TrackExtractor —
+// are the seam a StageWrapper (WithStageWrapper) wraps for fault
+// injection and tracing.
 //
 // On top of the per-event Reconstructor, Engine executes reconstruction
 // concurrently through one worker loop: each call runs its events on
 // one pool whose workers live for that call, with one workspace arena
-// pinned per worker. A batch entry point (ReconstructBatch) returns
-// results bit-identical to serial execution, ReconstructCoalesced merges
-// concurrent calls into one pool run, and a streaming entry point
-// (ReconstructStream) emits in submission order, first in first out,
-// with bounded in-flight backpressure. Every entry point takes a
-// context.Context; a WithRequestTimeout deadline starts at admission,
-// and a fired deadline or cancellation is returned ahead of a per-event
-// error.
+// pinned per worker. ReconstructBatch returns results bit-identical to
+// serial execution, and ReconstructCoalesced merges concurrent calls
+// into one pool run. Both take a context.Context and fast-fail with
+// ErrOverloaded past the admission window; a WithRequestTimeout
+// deadline starts at admission, and a fired deadline or cancellation is
+// returned ahead of a per-event error.
 //
 // Quickstart:
 //
 //	spec := detectorSpec                      // e.g. repro.Ex3Like(0.05)
-//	r, _ := recon.New(spec, recon.WithRadius(0.35), recon.WithThreshold(0.5))
+//	r, _ := recon.New(spec, recon.WithGNN(16, 3), recon.WithThreshold(0.5))
 //	_ = r.Fit(ctx, trainEvents)
 //	res, _ := r.Reconstruct(ctx, event)
 //
-//	eng := recon.NewEngine(r, recon.WithWorkers(4))
+//	eng, _ := recon.NewEngine(r, recon.WithWorkers(4))
 //	results, _ := eng.ReconstructBatch(ctx, events)
 //
 // See API.md at the repository root for the full surface, the engine's
-// ordering/backpressure/error semantics, and the cmd/serve HTTP front-end.
+// ordering/admission/error semantics, and the cmd/serve HTTP front-end.
 package recon
 
 import (
@@ -97,15 +97,8 @@ type TrackExtractor interface {
 	ExtractTracks(ctx context.Context, eg *EventGraph, keep []bool) ([][]int, error)
 }
 
-// Fitter is implemented by custom stages that learn from training
-// events; Reconstructor.Fit invokes it. The default stages train through
-// the staged Exa.TrkX procedure (see Fit) and do not need it.
-type Fitter interface {
-	Fit(ctx context.Context, events []*Event) error
-}
-
-// Parameterized is implemented by stages with trainable parameters;
-// checkpointing walks the stages in order and persists these.
+// Parameterized is implemented by a WithEdgeClassifier stage with
+// trainable parameters; checkpoints persist them in the GNN's place.
 type Parameterized interface {
 	Params() []*Param
 }

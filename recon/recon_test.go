@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -20,7 +19,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/pipeline"
 	"repro/internal/rng"
-	"repro/internal/tensor"
 	"repro/recon"
 )
 
@@ -65,47 +63,11 @@ func TestTruthLevelGraphs(t *testing.T) {
 	}
 }
 
-// TestWithoutEdgeFilter: the filter-skip ablation passes every
-// constructed edge to the GNN.
-func TestWithoutEdgeFilter(t *testing.T) {
-	ds := testDataset(t, 0.02, 1, 11)
-	unfiltered, err := recon.New(ds.Spec, recon.WithoutEdgeFilter(), recon.WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	filtered, err := recon.New(ds.Spec, recon.WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := ds.Events[0]
-	egU, err := unfiltered.BuildGraph(context.Background(), ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	egF, err := filtered.BuildGraph(context.Background(), ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if egU.NumEdges() < egF.NumEdges() {
-		t.Fatalf("filter-skip graph has %d edges, filtered has %d", egU.NumEdges(), egF.NumEdges())
-	}
-}
-
-// singleTrack is a custom stage-5 variant: every hit in one candidate.
-type singleTrack struct{}
-
-func (singleTrack) ExtractTracks(ctx context.Context, eg *recon.EventGraph, keep []bool) ([][]int, error) {
-	track := make([]int, eg.NumVertices())
-	for i := range track {
-		track[i] = i
-	}
-	return [][]int{track}, ctx.Err()
-}
-
-// TestCustomStage: a swapped-in TrackExtractor is actually used.
+// TestCustomStage: a TrackExtractor a StageWrapper puts in place of
+// stage 5 is actually used.
 func TestCustomStage(t *testing.T) {
 	ds := testDataset(t, 0.02, 1, 13)
-	r, err := recon.New(ds.Spec, recon.WithTrackExtractor(singleTrack{}), recon.WithSeed(2))
+	r, err := recon.New(ds.Spec, withExtractor(singleTrack{}), recon.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +83,6 @@ func TestCustomStage(t *testing.T) {
 // TestOptionValidation: invalid options surface as constructor errors.
 func TestOptionValidation(t *testing.T) {
 	spec := detector.Ex3Like(0.02)
-	if _, err := recon.New(spec, recon.WithRadius(-1)); err == nil {
-		t.Fatal("WithRadius(-1) accepted")
-	}
 	if _, err := recon.New(spec, recon.WithWorkers(0)); err == nil {
 		t.Fatal("WithWorkers(0) accepted")
 	}
@@ -135,7 +94,6 @@ func TestOptionValidation(t *testing.T) {
 		name string
 		opt  recon.Option
 	}{
-		{"WithRadius(NaN)", recon.WithRadius(nan)},
 		{"WithTruthLevelGraphs(NaN)", recon.WithTruthLevelGraphs(nan)},
 		{"WithTruthLevelGraphs(+Inf)", recon.WithTruthLevelGraphs(inf)},
 		{"WithGNNTraining lr NaN", recon.WithGNNTraining(1, nan, 2)},
@@ -144,9 +102,6 @@ func TestOptionValidation(t *testing.T) {
 		{"WithGNNTraining posWeight +Inf", recon.WithGNNTraining(1, 3e-3, inf)},
 		{"WithGNNTraining posWeight -1", recon.WithGNNTraining(1, 3e-3, -1)},
 		{"WithThreshold(NaN)", recon.WithThreshold(nan)},
-		{"WithFilterThreshold(NaN)", recon.WithFilterThreshold(nan)},
-		{"WithMaxDegree(0)", recon.WithMaxDegree(0)},
-		{"WithMinTrackHits(0)", recon.WithMinTrackHits(0)},
 	} {
 		if _, err := recon.New(spec, c.opt); err == nil {
 			t.Errorf("%s accepted", c.name)
@@ -155,7 +110,7 @@ func TestOptionValidation(t *testing.T) {
 	// Every threshold in use stays valid, 0 included, and so do the
 	// boundary values of the others.
 	for _, opt := range []recon.Option{
-		recon.WithThreshold(0), recon.WithThreshold(0.5), recon.WithFilterThreshold(0),
+		recon.WithThreshold(0), recon.WithThreshold(0.5),
 		recon.WithTruthLevelGraphs(0), recon.WithGNNTraining(1, 3e-3, 0),
 	} {
 		if _, err := recon.New(spec, opt); err != nil {
@@ -164,26 +119,7 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
-// budgetEmbedder is a custom stage 1 that records the kernel budget
-// KernelWorkersFromContext reads on each call. Its embedding puts every
-// hit on a line, so the radius graph still has edges to classify.
-type budgetEmbedder struct {
-	mu   sync.Mutex
-	seen []int
-}
-
-func (e *budgetEmbedder) Embed(ctx context.Context, a *recon.Arena, ev *recon.Event) (*recon.Matrix, error) {
-	e.mu.Lock()
-	e.seen = append(e.seen, recon.KernelWorkersFromContext(ctx))
-	e.mu.Unlock()
-	emb := tensor.NewFrom(a, ev.NumHits(), 2)
-	for i := 0; i < ev.NumHits(); i++ {
-		emb.Set(i, 0, float64(i)*0.01)
-	}
-	return emb, ctx.Err()
-}
-
-// TestKernelWorkersFromContext: a custom stage reads the budget API.md
+// TestKernelWorkersFromContext: a wrapped-in stage reads the budget API.md
 // documents — the full host for serial Reconstruct, GOMAXPROCS/workers
 // (at least 1) in each worker of an engine pool, and an explicit
 // WithKernelWorkers value as given.
@@ -202,7 +138,7 @@ func TestKernelWorkersFromContext(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			emb := &budgetEmbedder{}
-			opts := append([]recon.Option{recon.WithSeed(5), recon.WithGNN(8, 2), recon.WithEmbedder(emb), recon.WithoutEdgeFilter()}, tc.opts...)
+			opts := append([]recon.Option{recon.WithSeed(5), recon.WithGNN(8, 2), withEmbedder(emb)}, tc.opts...)
 			r, err := recon.New(ds.Spec, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -369,6 +305,74 @@ func TestCheckpointInterchange(t *testing.T) {
 		if !reflect.DeepEqual(p.Value.Data(), seed5[i].Value.Data()) {
 			t.Fatalf("parameter %q differs after loading a recon checkpoint into plain models", p.Name)
 		}
+	}
+}
+
+// TestTruthLevelCheckpointInterchange: the checkpoint layout does not
+// depend on how stage 2 builds graphs — a truth-level reconstructor
+// loads the file a learned-graph one wrote and the reverse, both
+// writing the loaded file back byte for byte, and the loaded weights
+// serve what the writer's weights serve.
+func TestTruthLevelCheckpointInterchange(t *testing.T) {
+	ds := testDataset(t, 0.02, 1, 23)
+	ctx := context.Background()
+	dir := t.TempDir()
+	newRecon := func(opts ...recon.Option) *recon.Reconstructor {
+		t.Helper()
+		r, err := recon.New(ds.Spec, append([]recon.Option{recon.WithGNN(8, 2)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	roundTrip := func(from, into *recon.Reconstructor, name string) {
+		t.Helper()
+		src, back := filepath.Join(dir, name), filepath.Join(dir, name+".back")
+		if err := from.SaveCheckpoint(src); err != nil {
+			t.Fatal(err)
+		}
+		if err := into.LoadCheckpoint(src); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := into.SaveCheckpoint(back); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: the loading reconstructor writes a different checkpoint", name)
+		}
+	}
+	roundTrip(newRecon(recon.WithSeed(4)), newRecon(recon.WithSeed(9), recon.WithTruthLevelGraphs(1.0)), "learned-into-truth")
+	truth := newRecon(recon.WithSeed(6), recon.WithTruthLevelGraphs(1.0))
+	learned := newRecon(recon.WithSeed(7))
+	roundTrip(truth, learned, "truth-into-learned")
+
+	// learned now holds seed 6's weights: on one truth-level graph it
+	// scores what truth scores, where a seed-7 reconstructor does not.
+	eg, err := truth.BuildGraph(ctx, ds.Events[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	score := func(r *recon.Reconstructor) *recon.Result {
+		t.Helper()
+		res, err := r.ReconstructOn(ctx, eg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if reflect.DeepEqual(score(newRecon(recon.WithSeed(7))), score(truth)) {
+		t.Fatal("seeds 6 and 7 score alike: the fixture cannot tell a load from no load")
+	}
+	if !reflect.DeepEqual(score(learned), score(truth)) {
+		t.Fatal("a learned-graph reconstructor loaded from a truth-level checkpoint scores differently")
 	}
 }
 

@@ -21,9 +21,8 @@ import (
 
 // Reconstructor composes the five reconstruction stages behind one
 // context-aware, per-event entry point, and owns the models of the
-// three learned default stages. Construct with New, swap stage variants
-// with options, restore trained weights with LoadCheckpoint, and wrap
-// in an Engine for concurrency.
+// three learned stages. Construct with New, restore trained weights
+// with LoadCheckpoint, and wrap in an Engine for concurrency.
 //
 // A Reconstructor is safe for concurrent use once training is done:
 // inference only reads model weights.
@@ -32,26 +31,17 @@ type Reconstructor struct {
 	cfg  pipeline.Config
 	set  settings
 
+	// The stages invoked per event, wrapped by WithStageWrapper
+	// middleware (fault injection, tracing) when there is one.
 	embedder   Embedder
 	builder    GraphBuilder
 	filter     EdgeFilter
 	classifier EdgeClassifier
 	extractor  TrackExtractor
 
-	// run* are the stages actually invoked per event: the resolved
-	// stages above, possibly wrapped by WithStageWrapper middleware
-	// (fault injection, tracing). Structural logic — Fit, params,
-	// checkpointing, default-stage detection — always sees the
-	// unwrapped stages.
-	runEmbedder   Embedder
-	runBuilder    GraphBuilder
-	runFilter     EdgeFilter
-	runClassifier EdgeClassifier
-	runExtractor  TrackExtractor
-
-	// The models of the learned default stages: what the default
-	// adapters run, Fit trains and checkpoints persist. Initialised from
-	// rng.New(seed) in this order, so weights repeat per seed.
+	// The models of the learned stages: what the stage adapters run,
+	// Fit trains and checkpoints persist. Initialised from rng.New(seed)
+	// in this order, so weights repeat per seed.
 	embedModel  *embed.Embedder
 	filterModel *filter.EdgeFilter
 	gnnModel    *ignn.Model
@@ -72,8 +62,8 @@ type Reconstructor struct {
 }
 
 // New builds a reconstructor with freshly initialized models for the
-// given detector spec. Options override hyperparameters and swap stage
-// implementations.
+// given detector spec. Options override hyperparameters and pick the
+// stage variants (truth-level graphs, a custom edge classifier).
 func New(spec DetectorSpec, opts ...Option) (*Reconstructor, error) {
 	set, err := applyOptions(opts)
 	if err != nil {
@@ -86,20 +76,8 @@ func New(spec DetectorSpec, opts ...Option) (*Reconstructor, error) {
 
 // applyConfig folds option overrides into the resolved hyperparameters.
 func applyConfig(cfg *pipeline.Config, set settings) {
-	if set.radius != nil {
-		cfg.Radius = *set.radius
-	}
-	if set.maxDegree != nil {
-		cfg.MaxDegree = *set.maxDegree
-	}
 	if set.gnnThreshold != nil {
 		cfg.GNNThreshold = *set.gnnThreshold
-	}
-	if set.minTrackHits != nil {
-		cfg.MinTrackHits = *set.minTrackHits
-	}
-	if set.filterThresh != nil {
-		cfg.Filter.Threshold = *set.filterThresh
 	}
 	if set.gnnHidden != nil {
 		cfg.GNN.Hidden = *set.gnnHidden
@@ -117,7 +95,7 @@ func assemble(spec DetectorSpec, cfg pipeline.Config, set settings) *Reconstruct
 		filterModel: filter.New(cfg.Filter, seeds.Split()),
 		gnnModel:    ignn.New(cfg.GNN, seeds.Split()),
 	}
-	// The one place a precision picks the element type of the default
+	// The one place a precision picks the element type of the stage
 	// adapters: float64 over the models themselves, float32 over the
 	// forwards syncInference fills in.
 	if set.precision == Float64 {
@@ -126,57 +104,37 @@ func assemble(spec DetectorSpec, cfg pipeline.Config, set settings) *Reconstruct
 		r.low = &forwards[float32]{}
 		resolveStages(r, r.low)
 	}
-	r.extractor = set.extractor
-	if r.extractor == nil {
-		r.extractor = ccExtractor{minTrackHits: cfg.MinTrackHits}
-	}
-	r.runEmbedder, r.runBuilder, r.runFilter = r.embedder, r.builder, r.filter
-	r.runClassifier, r.runExtractor = r.classifier, r.extractor
+	r.extractor = ccExtractor{minTrackHits: cfg.MinTrackHits}
 	if w := set.wrapper; w != nil {
-		r.runEmbedder = w.WrapEmbedder(r.embedder)
-		r.runBuilder = w.WrapGraphBuilder(r.builder)
-		r.runFilter = w.WrapEdgeFilter(r.filter)
-		r.runClassifier = w.WrapEdgeClassifier(r.classifier)
-		r.runExtractor = w.WrapTrackExtractor(r.extractor)
+		r.embedder = w.WrapEmbedder(r.embedder)
+		r.builder = w.WrapGraphBuilder(r.builder)
+		r.filter = w.WrapEdgeFilter(r.filter)
+		r.classifier = w.WrapEdgeClassifier(r.classifier)
+		r.extractor = w.WrapTrackExtractor(r.extractor)
 	}
 	r.syncInference()
 	return r
 }
 
-// resolveStages settles stages 1–4: the option-supplied stage where
-// there is one, else the built-in adapter running fw at element type T.
+// resolveStages settles stages 1–4 on the adapters running fw at
+// element type T, with a WithEdgeClassifier stage in the GNN's place.
 func resolveStages[T fp.Float](r *Reconstructor, fw *forwards[T]) {
-	set, cfg := r.set, r.cfg
-	r.embedder = set.embedder
-	if r.embedder == nil {
-		r.embedder = mlpEmbedder[T]{m: r.embedModel, fw: fw}
-	}
-	r.builder = set.builder
-	switch {
-	case r.builder != nil:
-	case set.truthLevel:
-		r.builder = truthBuilder{fakeRatio: set.truthRatio, baseSeed: set.seed}
-	case set.embedder != nil:
-		// A custom Embedder's output is searched as it is handed over,
-		// in float64, at every precision.
-		r.builder = radiusBuilder[float64]{radius: cfg.Radius, maxDegree: cfg.MaxDegree}
-	default:
-		r.builder = radiusBuilder[T]{radius: cfg.Radius, maxDegree: cfg.MaxDegree}
-	}
-	r.filter = set.filter
-	switch {
-	case r.filter != nil:
-	case set.skipFilter || set.truthLevel:
-		// Truth-level graphs bypass the filter, matching
-		// pipeline.TruthLevelGraph.
-		r.filter = passFilter{}
-	default:
-		r.filter = mlpFilter[T]{m: r.filterModel, fw: fw, spec: r.spec}
-	}
-	r.classifier = set.classifier
+	r.embedder = mlpEmbedder[T]{fw: fw}
+	r.builder, r.filter = graphStages(r, fw)
+	r.classifier = r.set.classifier
 	if r.classifier == nil {
 		r.classifier = gnnClassifier[T]{m: r.gnnModel, fw: fw}
 	}
+}
+
+// graphStages returns stages 2 and 3 running fw at element type T: the
+// radius search and the filter MLP, or truth-level graphs, which bypass
+// the filter (matching pipeline.TruthLevelGraph).
+func graphStages[T fp.Float](r *Reconstructor, fw *forwards[T]) (GraphBuilder, EdgeFilter) {
+	if r.set.truthLevel {
+		return truthBuilder{fakeRatio: r.set.truthRatio, baseSeed: r.set.seed}, passFilter{}
+	}
+	return radiusBuilder[T]{radius: r.cfg.Radius, maxDegree: r.cfg.MaxDegree}, mlpFilter[T]{fw: fw, spec: r.spec}
 }
 
 // syncInference refreshes the reduced-precision forwards from the
@@ -224,7 +182,7 @@ func modelParams(emb *embed.Embedder, filt *filter.EdgeFilter, gnn *ignn.Model) 
 	return append(append(emb.Params(), filt.Params()...), gnn.Params()...)
 }
 
-// Precision returns the inference precision of the built-in stages.
+// Precision returns the inference precision of the learned stages.
 func (r *Reconstructor) Precision() Precision { return r.set.precision }
 
 // Spec returns the detector spec the reconstructor was built for.
@@ -234,7 +192,7 @@ func (r *Reconstructor) Spec() DetectorSpec { return r.spec }
 func (r *Reconstructor) Threshold() float64 { return r.cfg.GNNThreshold }
 
 // kernelCtx installs the serial intra-op worker budget on ctx for the
-// default stage adapters (see stages.go). Engine workers install their
+// stage adapters (see stages.go). Engine workers install their
 // own divided budget instead.
 func (r *Reconstructor) kernelCtx(ctx context.Context) context.Context {
 	return kernels.Into(ctx, kernels.Budget(1, r.set.kernelWorkers))
@@ -255,7 +213,7 @@ func (r *Reconstructor) buildGraphWith(ctx context.Context, a *Arena, ev *Event)
 	embedThunk := func() (m *Matrix, err error) {
 		err = guardStage("embed", func() error {
 			var e error
-			m, e = r.runEmbedder.Embed(ctx, a, ev)
+			m, e = r.embedder.Embed(ctx, a, ev)
 			return e
 		})
 		return m, err
@@ -263,7 +221,7 @@ func (r *Reconstructor) buildGraphWith(ctx context.Context, a *Arena, ev *Event)
 	var src, dst []int
 	err := guardStage("build", func() error {
 		var e error
-		src, dst, e = r.runBuilder.BuildEdges(ctx, a, ev, embedThunk)
+		src, dst, e = r.builder.BuildEdges(ctx, a, ev, embedThunk)
 		return e
 	})
 	if err != nil {
@@ -272,7 +230,7 @@ func (r *Reconstructor) buildGraphWith(ctx context.Context, a *Arena, ev *Event)
 	var fsrc, fdst []int
 	err = guardStage("filter", func() error {
 		var e error
-		fsrc, fdst, e = r.runFilter.FilterEdges(ctx, a, ev, src, dst)
+		fsrc, fdst, e = r.filter.FilterEdges(ctx, a, ev, src, dst)
 		return e
 	})
 	if err != nil {
@@ -298,7 +256,7 @@ func guardStage(stage string, fn func() error) (err error) {
 
 // Reconstruct runs all five stages on one event and scores the output
 // against truth. It is the serial entry point; use an Engine for
-// batches and streams.
+// batches.
 func (r *Reconstructor) Reconstruct(ctx context.Context, ev *Event) (*Result, error) {
 	a := workspace.NewArena()
 	defer a.Reset()
@@ -335,7 +293,7 @@ func (r *Reconstructor) reconstructOnWith(ctx context.Context, a *Arena, eg *Eve
 		var scores []float64
 		err := guardStage("classify", func() error {
 			var e error
-			scores, e = r.runClassifier.ScoreEdges(ctx, a, eg)
+			scores, e = r.classifier.ScoreEdges(ctx, a, eg)
 			return e
 		})
 		if err != nil {
@@ -352,7 +310,7 @@ func (r *Reconstructor) reconstructOnWith(ctx context.Context, a *Arena, eg *Eve
 	var tracks [][]int
 	err := guardStage("extract", func() error {
 		var e error
-		tracks, e = r.runExtractor.ExtractTracks(ctx, eg, keep)
+		tracks, e = r.extractor.ExtractTracks(ctx, eg, keep)
 		return e
 	})
 	if err != nil {
@@ -368,13 +326,13 @@ func (r *Reconstructor) reconstructOnWith(ctx context.Context, a *Arena, eg *Eve
 	return res, nil
 }
 
-// Fit trains the trainable stages on the given events: the default
-// embedding and filter stages through the staged Exa.TrkX procedure,
-// the default GNN stage on graphs built by the configured GraphBuilder,
-// and any custom stage implementing Fitter. Custom stages without a
-// Fitter are assumed training-free.
+// Fit trains the learned stages on the given events: the embedding and
+// filter stages through the staged Exa.TrkX procedure (skipped under
+// truth-level graphs, which use neither), then the GNN stage on the
+// graphs the trained stages 1–3 build (skipped when WithEdgeClassifier
+// replaces it).
 //
-// The default GNN stage trains full-graph on the trainer
+// The GNN stage trains full-graph on the trainer
 // TrainDistributed runs (internal/dtrain with SamplerFullGraph at one
 // rank): one optimizer step per event graph, and a graph whose
 // activations exceed the modelled device is skipped. It keeps its
@@ -390,42 +348,21 @@ func (r *Reconstructor) Fit(ctx context.Context, events []*Event) error {
 	// stale the moment the weights move.
 	r.calEvents, r.i8scales = events, nil
 	defer r.syncInference()
-	embedDefault, filterDefault := isDefault(r.embedder), isDefault(r.filter)
-	// Training is serial: its tapes run under the serial entry points'
-	// budget (WithKernelWorkers).
-	kc := kernels.From(r.kernelCtx(ctx))
-	// The truth-level builder never consumes the embedding, so training
-	// the embedder under it would be pure waste; a custom builder might
-	// call the embed thunk, so it keeps embedder training.
-	_, truthLevel := r.builder.(truthBuilder)
-	switch {
-	case embedDefault && filterDefault:
+	if !r.set.truthLevel {
 		// The staged Exa.TrkX procedure: embedder first, then the filter
-		// on radius graphs built in the trained embedding space.
+		// on radius graphs built in the trained embedding space. Training
+		// is serial: its tapes run under the serial entry points' budget
+		// (WithKernelWorkers).
+		kc := kernels.From(r.kernelCtx(ctx))
 		if err := pipeline.FitStages13(ctx, kc, r.cfg, r.embedModel, r.filterModel, events, r.set.seed+1); err != nil {
 			return err
 		}
-	case embedDefault && !truthLevel:
-		// Filter is skipped or custom (custom filters train through the
-		// Fitter loop below); the embedder still trains on its own.
-		if _, err := r.embedModel.TrainContext(ctx, kc, events, r.set.seed+1); err != nil {
-			return err
-		}
-	case filterDefault:
-		return errors.New("recon: the default edge filter trains on the default embedder's radius graphs; with a custom Embedder, supply an EdgeFilter that implements Fitter")
+		// The reduced-precision adapters read weight snapshots; refresh
+		// them so the graphs built for GNN training below see the freshly
+		// trained stages 1–3.
+		r.syncInference()
 	}
-	// The reduced-precision adapters read weight snapshots; refresh them
-	// so the graphs built for GNN training below see the freshly trained
-	// stages 1–3.
-	r.syncInference()
-	for _, stage := range []any{r.embedder, r.builder, r.filter, r.classifier, r.extractor} {
-		if f, ok := stage.(Fitter); ok {
-			if err := f.Fit(ctx, events); err != nil {
-				return err
-			}
-		}
-	}
-	if isDefault(r.classifier) {
+	if r.set.classifier == nil {
 		graphs := make([]*EventGraph, 0, len(events))
 		for _, ev := range events {
 			eg, err := r.BuildGraph(ctx, ev)
@@ -457,30 +394,33 @@ func (r *Reconstructor) Fit(ctx context.Context, events []*Event) error {
 	return ctx.Err()
 }
 
-// params walks the five stages in order and collects the trainable
-// parameters of those that have any: embedder, filter, GNN for the
-// default stage layout, which is the checkpoint layout.
+// params lists the checkpoint layout: the embedder's, the filter's and
+// the GNN's parameters, whichever stages serve, with a WithEdgeClassifier
+// stage's own parameters (if any) in the GNN's place.
 func (r *Reconstructor) params() []*Param {
-	var ps []*Param
-	for _, stage := range []any{r.embedder, r.builder, r.filter, r.classifier, r.extractor} {
-		if p, ok := stage.(Parameterized); ok {
-			ps = append(ps, p.Params()...)
-		}
+	if r.set.classifier == nil {
+		return modelParams(r.embedModel, r.filterModel, r.gnnModel)
+	}
+	ps := append(r.embedModel.Params(), r.filterModel.Params()...)
+	if p, ok := r.set.classifier.(Parameterized); ok {
+		ps = append(ps, p.Params()...)
 	}
 	return ps
 }
 
-// SaveCheckpoint writes the trainable parameters of every stage to a
+// SaveCheckpoint writes the parameters of the learned stages to a
 // versioned, shape-checked checkpoint file (see internal/nn).
 func (r *Reconstructor) SaveCheckpoint(path string) error {
 	return nn.SaveParamsFile(path, r.params())
 }
 
 // LoadCheckpoint restores a checkpoint written by SaveCheckpoint or
-// SaveCheckpointInt8 into a reconstructor with the same stage layout
-// and hyperparameters. A file that is rejected — mismatched shapes, or
-// v4 activation-scale tables that do not fit the configured model —
-// leaves parameters, inference forwards and calibration as they were.
+// SaveCheckpointInt8 into a reconstructor with the same hyperparameters
+// (and, with WithEdgeClassifier, the same classifier shape); truth-level
+// and learned-graph reconstructors read each other's files. A file
+// that is rejected — mismatched shapes, or v4 activation-scale tables
+// that do not fit the configured model — leaves parameters, inference
+// forwards and calibration as they were.
 // All checkpoint versions load — v4 (int8 weights, dequantized, plus
 // activation scales that a later SaveCheckpointInt8 re-exports), v3
 // (dtype-tagged, f64 or f32 payloads), v2, and legacy headerless files

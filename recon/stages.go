@@ -4,8 +4,6 @@ import (
 	"context"
 
 	"repro/internal/detector"
-	"repro/internal/embed"
-	"repro/internal/filter"
 	"repro/internal/fp"
 	"repro/internal/graph"
 	"repro/internal/ignn"
@@ -15,7 +13,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// The default stage adapters are generic over the element type T the
+// The stage adapters are generic over the element type T the
 // stage forwards run in, and are instantiated once per Reconstructor:
 // at float64 over the stage models themselves, whose inference views
 // alias the parameters (so Fit and LoadCheckpoint need no refresh), at
@@ -30,11 +28,11 @@ import (
 //
 // They read their intra-op worker budget out of ctx (kernels.From): the
 // Reconstructor installs its configured budget on serial entry points
-// and the Engine installs each worker's share, so custom stages see
+// and the Engine installs each worker's share, so wrapped stages see
 // only the standard context.Context signature while the built-in
 // kernels compose with worker-level parallelism.
 
-// forwards holds the forward pass of the three learned default stages
+// forwards holds the forward pass of the three learned stages
 // at element type T — the method sets embed/filter/ignn.Inference[T]
 // share with the stage models (T = float64). At Float32 and Int8 it
 // holds the Inference[float32] snapshots syncInference builds; int8
@@ -61,22 +59,10 @@ func convert[D, S fp.Float](a *Arena, m *tensor.Matrix[S]) *tensor.Matrix[D] {
 	return tensor.ConvertFrom[D](a, m)
 }
 
-// defaultStage marks the built-in adapters of the learned stages and
-// the radius search between them, at whichever precision: the stages
-// Fit trains through the staged procedure and int8 export calibration
-// replays at float32 with range recording on.
-type defaultStage interface{ defaultStage() }
-
-func isDefault(stage any) bool {
-	_, ok := stage.(defaultStage)
-	return ok
-}
-
 // mlpEmbedder adapts the stage-1 metric-learning MLP. The stage
 // interface returns a float64 matrix, so a float32 embedding widens
 // (exactly) on the way out.
 type mlpEmbedder[T fp.Float] struct {
-	m  *embed.Embedder
 	fw *forwards[T]
 }
 
@@ -87,9 +73,6 @@ func (e mlpEmbedder[T]) Embed(ctx context.Context, a *Arena, ev *Event) (*Matrix
 	emb := e.fw.embed.EmbedCtx(kernels.From(ctx), a, convert[T](a, ev.Features))
 	return convert[float64](a, emb), nil
 }
-
-func (e mlpEmbedder[T]) Params() []*Param { return e.m.Params() }
-func (mlpEmbedder[T]) defaultStage()      {}
 
 // radiusBuilder adapts stage 2: fixed-radius neighbors in embedding
 // space, capped per-vertex degree, searched in T. Narrowing a widened
@@ -111,8 +94,6 @@ func (b radiusBuilder[T]) BuildEdges(ctx context.Context, a *Arena, ev *Event, e
 	src, dst = knnsearch.BuildRadiusGraphCtx(kernels.From(ctx), convert[T](a, embedded), b.radius, b.maxDegree)
 	return src, dst, nil
 }
-
-func (radiusBuilder[T]) defaultStage() {}
 
 // truthBuilder is the truth-level stage-2 variant: ground-truth edges
 // plus fakeRatio random fakes per true edge. The fake-edge RNG is seeded
@@ -149,7 +130,6 @@ func (b truthBuilder) BuildEdges(ctx context.Context, a *Arena, ev *Event, _ fun
 
 // mlpFilter adapts the stage-3 edge-filter MLP.
 type mlpFilter[T fp.Float] struct {
-	m    *filter.EdgeFilter
 	fw   *forwards[T]
 	spec DetectorSpec
 }
@@ -172,10 +152,7 @@ func (f mlpFilter[T]) FilterEdges(ctx context.Context, a *Arena, ev *Event, src,
 	return fsrc, fdst, nil
 }
 
-func (f mlpFilter[T]) Params() []*Param { return f.m.Params() }
-func (mlpFilter[T]) defaultStage()      {}
-
-// passFilter is the filter-skip ablation: stage 3 keeps every edge.
+// passFilter is stage 3 under truth-level graphs: it keeps every edge.
 type passFilter struct{}
 
 func (passFilter) FilterEdges(ctx context.Context, _ *Arena, _ *Event, src, dst []int) ([]int, []int, error) {
@@ -196,7 +173,6 @@ func (c gnnClassifier[T]) ScoreEdges(ctx context.Context, a *Arena, eg *EventGra
 }
 
 func (c gnnClassifier[T]) Params() []*Param { return c.m.Params() }
-func (gnnClassifier[T]) defaultStage()      {}
 
 // ccExtractor is stage 5: connected components of the surviving edges,
 // dropping candidates shorter than minTrackHits.
