@@ -14,7 +14,7 @@ import (
 func buildStep(t *Tape, w1, w2 *Param, x *tensor.Dense, idx []int, labels []float64) float64 {
 	h := t.ReLU(t.MatMul(t.Constant(x), t.Use(w1)))
 	gathered := t.GatherRows(h, idx)
-	agg := t.ScatterAddRows(gathered, idx, x.Rows())
+	agg := t.scatterAddRows(gathered, idx, x.Rows())
 	cat := t.ConcatCols(h, agg)
 	logits := t.MatMul(cat, t.Use(w2))
 	loss := t.BCEWithLogits(logits, labels, 1.5)
@@ -108,7 +108,7 @@ func TestTrainStepAllocationBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		tape.Reset()
 		buildStep(tape, w1, w2, x, idx, labels)
-		nodes = tape.NumNodes()
+		nodes = len(tape.nodes)
 		arena.Reset()
 	})
 	budget := float64(4*nodes + 10)

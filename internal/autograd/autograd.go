@@ -121,9 +121,6 @@ func NewTape() *Tape { return &Tape{} }
 // before the arena is reset.
 func NewTapeArena(a *workspace.Arena) *Tape { return &Tape{arena: a} }
 
-// Arena returns the arena the tape allocates from (nil for heap tapes).
-func (t *Tape) Arena() *workspace.Arena { return t.arena }
-
 // SetKernels installs the intra-op worker budget for every subsequent
 // op on this tape (forward and backward). It survives Reset, so a
 // trainer configures it once per rank.
@@ -171,10 +168,6 @@ func (t *Tape) allocInt(n int) []int {
 	}
 	return t.arena.Int(n)
 }
-
-// NumNodes reports how many nodes the tape recorded (activation count —
-// used by the device-memory model).
-func (t *Tape) NumNodes() int { return len(t.nodes) }
 
 // ActivationElements returns the total number of float64 elements stored
 // across the recorded node values: the inputs and every intermediate,

@@ -95,7 +95,7 @@ func TestGatherScatterGrad(t *testing.T) {
 	checkGrad(t, "gather-scatter", []*Param{x}, func() (*Tape, *Node) {
 		tp := NewTape()
 		g := tp.GatherRows(tp.Use(x), idx)
-		agg := tp.ScatterAddRows(g, []int{0, 1, 1, 2, 0, 3, 3}, 4)
+		agg := tp.scatterAddRows(g, []int{0, 1, 1, 2, 0, 3, 3}, 4)
 		return tp, tp.Mean(tp.Mul(agg, agg))
 	})
 }
@@ -260,8 +260,8 @@ func TestActivationElements(t *testing.T) {
 	if got := tp.ActivationElements(); got != 100 {
 		t.Fatalf("ActivationElements = %d, want 100", got)
 	}
-	if tp.NumNodes() != 2 {
-		t.Fatalf("NumNodes = %d, want 2", tp.NumNodes())
+	if len(tp.nodes) != 2 {
+		t.Fatalf("recorded %d nodes, want 2", len(tp.nodes))
 	}
 }
 
@@ -276,4 +276,25 @@ func TestConstantReceivesNoGrad(t *testing.T) {
 	if c.Value.At(0, 1) != 2 {
 		t.Fatal("constant mutated during backward")
 	}
+}
+
+// scatterAddRows aggregates rows of x into an outRows-row output,
+// out[idx[i]] += x[i], with a serial forward: the AGG oracle
+// AggregateRows is checked against. Backward gathers the incoming
+// gradient back to each source row.
+func (t *Tape) scatterAddRows(x *Node, idx []int, outRows int) *Node {
+	v := t.alloc(outRows, x.Value.Cols())
+	tensor.ScatterAddRows(v, x.Value, idx)
+	var out *Node
+	out = t.newNode(v, x.needGrad, func() {
+		if x.needGrad {
+			g := t.alloc(len(idx), x.Value.Cols())
+			tensor.GatherRowsIntoCtx(t.kc, g, out.grad, idx)
+			x.accumOwned(g)
+		}
+	})
+	if !x.needGrad {
+		out.back = nil
+	}
+	return out
 }

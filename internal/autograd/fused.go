@@ -167,13 +167,15 @@ func scratch(rows, cols int) tensor.Dense {
 	return *tensor.FromSlice(rows, cols, workspace.GetF64(rows*cols))
 }
 
-// AggregateRows is ScatterAddRows with a parallel forward: it builds
+// AggregateRows aggregates rows of x into an outRows-row output,
+// out[idx[i]] += x[i] (the AGG step of message passing), with a parallel
+// forward: it builds
 // the incidence matrix S (S[idx[e], e] = 1) from the tape's arena and
 // computes out = S×x as a row-partitioned SpMM, so the AGG step of
 // message passing scales across cores instead of running one serial
 // scatter. Per output row the SpMM accumulates in ascending e — the
-// exact order ScatterAddRows adds in — so the result is bitwise
-// identical to t.ScatterAddRows(x, idx, outRows) at every worker count.
+// exact order a serial tensor.ScatterAddRows adds in — so the result is
+// bitwise identical to the serial scatter at every worker count.
 //
 // Backward gathers the incoming gradient back to each source row
 // (parallel); when the source already holds a gradient (x feeding both

@@ -80,8 +80,8 @@ func runUnfused(t *Tape, ps fusedParams, src, dst []int, labels []float64) float
 	h := t.ReLU(t.AddBias(t.MatMul(in, t.Use(ps.w)), t.Use(ps.b)))
 	o := t.AddBias(t.MatMul(h, t.Use(ps.w2)), t.Use(ps.b2))
 	nv := ps.x.Value.Rows()
-	msrc := t.ScatterAddRows(o, src, nv)
-	mdst := t.ScatterAddRows(o, dst, nv)
+	msrc := t.scatterAddRows(o, src, nv)
+	mdst := t.scatterAddRows(o, dst, nv)
 	score := t.RowSums(t.Add(msrc, mdst))
 	loss := t.BCEWithLogits(score, labels, 1.25)
 	t.Backward(loss)
@@ -141,7 +141,7 @@ func TestAggregateRowsMatchesScatterAddRows(t *testing.T) {
 	tRef := NewTape()
 	hRef := tRef.MatMul(tRef.Constant(x), tRef.Use(wRef))
 	// h feeds two aggregations so backward accumulates into h twice.
-	aggRef := tRef.Add(tRef.ScatterAddRows(hRef, idx, 11), tRef.ScatterAddRows(hRef, idx, 11))
+	aggRef := tRef.Add(tRef.scatterAddRows(hRef, idx, 11), tRef.scatterAddRows(hRef, idx, 11))
 	lossRef := tRef.BCEWithLogits(tRef.RowSums(aggRef), labels, 1)
 	tRef.Backward(lossRef)
 
@@ -244,7 +244,7 @@ func TestFusedStepAllocationBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		tape.Reset()
 		runFused(tape, ps, src, dst, labels)
-		nodes = tape.NumNodes()
+		nodes = len(tape.nodes)
 		arena.Reset()
 	})
 	budget := float64(4*nodes + 10)

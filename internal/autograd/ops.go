@@ -193,26 +193,6 @@ func (t *Tape) GatherRows(x *Node, idx []int) *Node {
 	return out
 }
 
-// ScatterAddRows aggregates rows of x into an outRows-row output:
-// out[idx[i]] += x[i]. This is the AGG step of message passing.
-// Backward gathers the incoming gradient back to each source row.
-func (t *Tape) ScatterAddRows(x *Node, idx []int, outRows int) *Node {
-	v := t.alloc(outRows, x.Value.Cols())
-	tensor.ScatterAddRows(v, x.Value, idx)
-	var out *Node
-	out = t.newNode(v, x.needGrad, func() {
-		if x.needGrad {
-			g := t.alloc(len(idx), x.Value.Cols())
-			tensor.GatherRowsIntoCtx(t.kc, g, out.grad, idx)
-			x.accumOwned(g)
-		}
-	})
-	if !x.needGrad {
-		out.back = nil
-	}
-	return out
-}
-
 // ReLU applies max(0, x) elementwise.
 func (t *Tape) ReLU(a *Node) *Node {
 	v := t.alloc(a.Value.Rows(), a.Value.Cols())

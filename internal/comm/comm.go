@@ -96,7 +96,6 @@ type Group struct {
 	links []*link
 
 	calls       atomic.Int64 // collective invocations (counted once, by rank 0)
-	bytesMoved  atomic.Int64 // payload bytes summed over ranks and steps
 	modeledTime atomic.Int64 // nanoseconds under the cost model
 }
 
@@ -123,19 +122,9 @@ func (g *Group) Close() error {
 // Calls returns how many collectives the group has executed.
 func (g *Group) Calls() int64 { return g.calls.Load() }
 
-// BytesMoved returns total payload bytes transferred across all links.
-func (g *Group) BytesMoved() int64 { return g.bytesMoved.Load() }
-
 // ModeledTime returns the accumulated α–β model time across collectives.
 func (g *Group) ModeledTime() time.Duration {
 	return time.Duration(g.modeledTime.Load())
-}
-
-// ResetStats zeroes the accumulated statistics.
-func (g *Group) ResetStats() {
-	g.calls.Store(0)
-	g.bytesMoved.Store(0)
-	g.modeledTime.Store(0)
 }
 
 // chunkBounds splits n elements into P contiguous chunks.
@@ -172,11 +161,7 @@ func (g *Group) charge(rank int, d time.Duration) {
 
 // sendFloats ships a copy of one chunk from rank to the next hop.
 func (g *Group) sendFloats(rank int, vals []float64) error {
-	if err := g.links[rank].send(vals); err != nil {
-		return err
-	}
-	g.bytesMoved.Add(int64(8 * len(vals)))
-	return nil
+	return g.links[rank].send(vals)
 }
 
 // recvFloats receives the previous hop's chunk of want values.
@@ -209,20 +194,10 @@ func (g *Group) AllReduceSum(rank int, buf []float64) {
 	ringErr("all-reduce", err)
 }
 
-// ReduceScatterSum performs an in-place ring reduce-scatter (sum): after
-// the call, rank r's buffer holds the fully reduced elements of its owned
-// chunk (returned as [lo, hi)); other regions hold partial sums. Every
-// rank must call it concurrently with equal-length buffers.
-func (g *Group) ReduceScatterSum(rank int, buf []float64) (lo, hi int) {
-	if g.P == 1 {
-		return 0, len(buf)
-	}
-	g.charge(rank, g.model.RingReduceScatterTime(int64(len(buf)*8), g.P))
-	lo, hi, err := g.reduceScatterSum(rank, buf)
-	ringErr("reduce-scatter", err)
-	return lo, hi
-}
-
+// reduceScatterSum is the reduce-scatter phase of the ring all-reduce,
+// in place: after the call, rank r's buffer holds the fully reduced
+// elements of its owned chunk (returned as [lo, hi)); other regions hold
+// partial sums.
 func (g *Group) reduceScatterSum(rank int, buf []float64) (lo, hi int, err error) {
 	p := g.P
 	// After P−1 steps rank r holds the fully reduced chunk (r+1) mod P.
@@ -246,17 +221,9 @@ func (g *Group) reduceScatterSum(rank int, buf []float64) (lo, hi int, err error
 	return lo, hi, nil
 }
 
-// AllGather circulates each rank's owned chunk (the chunk ReduceScatterSum
-// leaves reduced: (rank+1) mod P) so every rank's buffer ends complete.
-// Every rank must call it concurrently with equal-length buffers.
-func (g *Group) AllGather(rank int, buf []float64) {
-	if g.P == 1 {
-		return
-	}
-	g.charge(rank, g.model.RingAllGatherTime(int64(len(buf)*8), g.P))
-	ringErr("all-gather", g.allGather(rank, buf))
-}
-
+// allGather is the all-gather phase of the ring all-reduce: it
+// circulates each rank's owned chunk (the chunk reduceScatterSum leaves
+// reduced, (rank+1) mod P) so every rank's buffer ends complete.
 func (g *Group) allGather(rank int, buf []float64) error {
 	p := g.P
 	for s := 0; s < p-1; s++ {

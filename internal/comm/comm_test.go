@@ -146,12 +146,8 @@ func TestStatsAccumulate(t *testing.T) {
 	if g.Calls() != 1 {
 		t.Fatalf("calls %d, want 1", g.Calls())
 	}
-	if g.BytesMoved() == 0 || g.ModeledTime() == 0 {
-		t.Fatal("stats not accumulated")
-	}
-	g.ResetStats()
-	if g.Calls() != 0 || g.BytesMoved() != 0 || g.ModeledTime() != 0 {
-		t.Fatal("reset did not clear stats")
+	if want := NVLink3().RingAllReduceTime(10*8, p); g.ModeledTime() != want {
+		t.Fatalf("modeled time %v, want %v", g.ModeledTime(), want)
 	}
 }
 
@@ -184,7 +180,11 @@ func TestReduceScatterSum(t *testing.T) {
 			}
 			los, his := make([]int, p), make([]int, p)
 			runRanks(p, func(rank int) {
-				los[rank], his[rank] = g.ReduceScatterSum(rank, bufs[rank])
+				var err error
+				los[rank], his[rank], err = g.reduceScatterSum(rank, bufs[rank])
+				if err != nil {
+					t.Error(err)
+				}
 			})
 			// Every element must be fully reduced in exactly one rank's
 			// owned chunk, and the chunks must tile [0, n).
@@ -206,48 +206,6 @@ func TestReduceScatterSum(t *testing.T) {
 					t.Fatalf("p=%d n=%d: element %d unowned", p, n, i)
 				}
 			}
-		}
-	}
-}
-
-func TestReduceScatterThenAllGatherEqualsAllReduce(t *testing.T) {
-	for _, p := range []int{2, 3, 4} {
-		n := 97
-		g := NewGroup(p, NVLink3())
-		g2 := NewGroup(p, NVLink3())
-		r := rng.New(uint64(p))
-		composed := make([][]float64, p)
-		direct := make([][]float64, p)
-		for rank := 0; rank < p; rank++ {
-			composed[rank] = make([]float64, n)
-			direct[rank] = make([]float64, n)
-			for i := range composed[rank] {
-				v := r.NormFloat64()
-				composed[rank][i], direct[rank][i] = v, v
-			}
-		}
-		runRanks(p, func(rank int) {
-			g.ReduceScatterSum(rank, composed[rank])
-			g.AllGather(rank, composed[rank])
-			g2.AllReduceSum(rank, direct[rank])
-		})
-		for rank := 0; rank < p; rank++ {
-			for i := range composed[rank] {
-				if composed[rank][i] != direct[rank][i] {
-					t.Fatalf("p=%d rank %d elem %d: composed %v != direct %v",
-						p, rank, i, composed[rank][i], direct[rank][i])
-				}
-			}
-		}
-		// Two collectives charged vs one, identical modeled time and bytes.
-		if g.Calls() != 2 || g2.Calls() != 1 {
-			t.Fatalf("calls: composed %d (want 2), direct %d (want 1)", g.Calls(), g2.Calls())
-		}
-		if g.ModeledTime() != g2.ModeledTime() {
-			t.Fatalf("modeled time: composed %v != direct %v", g.ModeledTime(), g2.ModeledTime())
-		}
-		if g.BytesMoved() != g2.BytesMoved() {
-			t.Fatalf("bytes: composed %d != direct %d", g.BytesMoved(), g2.BytesMoved())
 		}
 	}
 }
@@ -278,9 +236,6 @@ func TestZeroCostModelChargesNothing(t *testing.T) {
 	runRanks(4, func(rank int) { g.AllReduceSum(rank, bufs[rank]) })
 	if g.ModeledTime() != 0 {
 		t.Fatalf("zero model charged %v", g.ModeledTime())
-	}
-	if g.BytesMoved() == 0 {
-		t.Fatal("real bytes should still be counted")
 	}
 	if bufs[0][0] != 0+1+2+3 {
 		t.Fatalf("sum wrong: %v", bufs[0][0])

@@ -14,15 +14,6 @@ type Float interface {
 	float32 | float64
 }
 
-// Bytes returns the size of one element of type T in bytes.
-func Bytes[T Float]() int {
-	var z T
-	if _, ok := any(z).(float32); ok {
-		return 4
-	}
-	return 8
-}
-
 // Is32 reports whether T is float32.
 func Is32[T Float]() bool {
 	var z T

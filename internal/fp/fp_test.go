@@ -2,12 +2,6 @@ package fp
 
 import "testing"
 
-func TestBytes(t *testing.T) {
-	if Bytes[float32]() != 4 || Bytes[float64]() != 8 {
-		t.Fatalf("Bytes: f32=%d f64=%d", Bytes[float32](), Bytes[float64]())
-	}
-}
-
 func TestIs32(t *testing.T) {
 	if !Is32[float32]() || Is32[float64]() {
 		t.Fatal("Is32 misidentifies precision")

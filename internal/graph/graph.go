@@ -46,19 +46,6 @@ func (g *Graph) Adjacency() *sparse.CSR {
 	return g.adj
 }
 
-// Degrees returns the degree of every vertex (counting each undirected
-// edge once per endpoint, self-loops once).
-func (g *Graph) Degrees() []int {
-	deg := make([]int, g.N)
-	for k := range g.Src {
-		deg[g.Src[k]]++
-		if g.Dst[k] != g.Src[k] {
-			deg[g.Dst[k]]++
-		}
-	}
-	return deg
-}
-
 // UnionFind is a disjoint-set forest with union by rank and path
 // compression.
 type UnionFind struct {
@@ -122,37 +109,6 @@ func (g *Graph) ConnectedComponents() (labels []int, count int) {
 	return labels, len(idOf)
 }
 
-// ComponentsBFS computes component labels by breadth-first search — an
-// independent oracle used by property tests against union-find.
-func (g *Graph) ComponentsBFS() (labels []int, count int) {
-	adj := g.Adjacency()
-	labels = make([]int, g.N)
-	for i := range labels {
-		labels[i] = -1
-	}
-	var queue []int
-	for start := 0; start < g.N; start++ {
-		if labels[start] != -1 {
-			continue
-		}
-		labels[start] = count
-		queue = append(queue[:0], start)
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			cols, _ := adj.Row(v)
-			for _, w := range cols {
-				if labels[w] == -1 {
-					labels[w] = count
-					queue = append(queue, w)
-				}
-			}
-		}
-		count++
-	}
-	return labels, count
-}
-
 // ComponentMembers groups vertices by component label.
 func ComponentMembers(labels []int, count int) [][]int {
 	members := make([][]int, count)
@@ -160,43 +116,6 @@ func ComponentMembers(labels []int, count int) [][]int {
 		members[c] = append(members[c], v)
 	}
 	return members
-}
-
-// InducedSubgraph returns the subgraph on the given vertices (relabeled
-// 0..len(vertices)-1 in input order) and keeps only edges with both
-// endpoints inside.
-func (g *Graph) InducedSubgraph(vertices []int) *Graph {
-	pos := make(map[int]int, len(vertices))
-	for i, v := range vertices {
-		pos[v] = i
-	}
-	var src, dst []int
-	for k := range g.Src {
-		a, okA := pos[g.Src[k]]
-		b, okB := pos[g.Dst[k]]
-		if okA && okB {
-			src = append(src, a)
-			dst = append(dst, b)
-		}
-	}
-	return New(len(vertices), src, dst)
-}
-
-// BlockDiag composes disjoint graphs into one graph whose vertex ids are
-// offset block by block. Offsets[i] is the id shift applied to graph i.
-func BlockDiag(gs ...*Graph) (merged *Graph, offsets []int) {
-	n := 0
-	offsets = make([]int, len(gs))
-	var src, dst []int
-	for i, g := range gs {
-		offsets[i] = n
-		for k := range g.Src {
-			src = append(src, g.Src[k]+n)
-			dst = append(dst, g.Dst[k]+n)
-		}
-		n += g.N
-	}
-	return New(n, src, dst), offsets
 }
 
 // FilterEdges returns a new graph keeping edge k iff keep[k].

@@ -59,7 +59,7 @@ func TestUnionFindMatchesBFS(t *testing.T) {
 		m := r.Intn(80)
 		g := randomGraph(r, n, m)
 		ufLabels, ufCount := g.ConnectedComponents()
-		bfsLabels, bfsCount := g.ComponentsBFS()
+		bfsLabels, bfsCount := componentsBFS(g)
 		if ufCount != bfsCount {
 			return false
 		}
@@ -94,48 +94,24 @@ func TestComponentMembers(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	// Triangle 0-1-2 plus pendant 3.
-	g := New(4, []int{0, 1, 2, 2}, []int{1, 2, 0, 3})
-	sub := g.InducedSubgraph([]int{2, 0, 1})
-	if sub.N != 3 || sub.NumEdges() != 3 {
-		t.Fatalf("induced triangle has %d vertices, %d edges", sub.N, sub.NumEdges())
-	}
-	sub2 := g.InducedSubgraph([]int{0, 3})
-	if sub2.NumEdges() != 0 {
-		t.Fatal("non-adjacent pair should induce no edges")
-	}
-}
-
-func TestBlockDiag(t *testing.T) {
-	a := New(2, []int{0}, []int{1})
-	b := New(3, []int{0, 1}, []int{1, 2})
-	merged, offsets := BlockDiag(a, b)
-	if merged.N != 5 || merged.NumEdges() != 3 {
-		t.Fatalf("merged has %d vertices, %d edges", merged.N, merged.NumEdges())
-	}
-	if offsets[0] != 0 || offsets[1] != 2 {
-		t.Fatalf("offsets %v", offsets)
-	}
-	_, count := merged.ConnectedComponents()
-	if count != 2 {
-		t.Fatalf("block diag of two connected graphs has %d components, want 2", count)
-	}
-}
-
 func TestBlockDiagPreservesComponentCount(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := rng.New(seed)
-		var gs []*Graph
-		wantTotal := 0
+		// The disjoint union of the graphs, vertex ids offset block by
+		// block, has exactly the components of its blocks.
+		var src, dst []int
+		n, wantTotal := 0, 0
 		for i := 0; i < int(seed%4)+1; i++ {
 			g := randomGraph(r, r.Intn(15)+1, r.Intn(20))
 			_, c := g.ConnectedComponents()
 			wantTotal += c
-			gs = append(gs, g)
+			for k := range g.Src {
+				src = append(src, g.Src[k]+n)
+				dst = append(dst, g.Dst[k]+n)
+			}
+			n += g.N
 		}
-		merged, _ := BlockDiag(gs...)
-		_, got := merged.ConnectedComponents()
+		_, got := New(n, src, dst).ConnectedComponents()
 		return got == wantTotal
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
@@ -156,10 +132,16 @@ func TestFilterEdges(t *testing.T) {
 }
 
 func TestDegrees(t *testing.T) {
+	// A vertex's degree is its adjacency row count: each undirected edge
+	// once per endpoint, a self-loop once.
 	g := New(3, []int{0, 0, 1}, []int{1, 2, 1}) // self-loop at 1
-	deg := g.Degrees()
+	adj := g.Adjacency()
+	deg := []int{adj.RowNnz(0), adj.RowNnz(1), adj.RowNnz(2)}
 	if deg[0] != 2 || deg[1] != 2 || deg[2] != 1 {
 		t.Fatalf("degrees %v", deg)
+	}
+	if adj.At(1, 1) != 1 {
+		t.Fatalf("self-loop entry %v, want 1", adj.At(1, 1))
 	}
 }
 
@@ -178,4 +160,35 @@ func TestNewValidation(t *testing.T) {
 		}
 	}()
 	New(2, []int{0}, []int{5})
+}
+
+// componentsBFS computes component labels by breadth-first search — an
+// independent oracle for the union-find labelling.
+func componentsBFS(g *Graph) (labels []int, count int) {
+	adj := g.Adjacency()
+	labels = make([]int, g.N)
+	for i := range labels {
+		labels[i] = -1
+	}
+	var queue []int
+	for start := 0; start < g.N; start++ {
+		if labels[start] != -1 {
+			continue
+		}
+		labels[start] = count
+		queue = append(queue[:0], start)
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			cols, _ := adj.Row(v)
+			for _, w := range cols {
+				if labels[w] == -1 {
+					labels[w] = count
+					queue = append(queue, w)
+				}
+			}
+		}
+		count++
+	}
+	return labels, count
 }

@@ -12,7 +12,6 @@ package knnsearch
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/fp"
@@ -71,20 +70,6 @@ func (t *KDTree[T]) build(idx []int, depth int) *node {
 	return n
 }
 
-// RadiusNeighbors returns indices of all points within Euclidean distance
-// radius of query (a slice of length dim), excluding exclude (pass -1 to
-// keep all). Results are sorted ascending.
-func (t *KDTree[T]) RadiusNeighbors(query []T, radius float64, exclude int) []int {
-	if len(query) != t.dim {
-		panic("knnsearch: query dimension mismatch")
-	}
-	var out []int
-	r2 := T(radius) * T(radius)
-	t.search(t.root, query, r2, exclude, &out)
-	sort.Ints(out)
-	return out
-}
-
 func (t *KDTree[T]) search(n *node, q []T, r2 T, exclude int, out *[]int) {
 	if n == nil {
 		return
@@ -110,27 +95,6 @@ func (t *KDTree[T]) search(n *node, q []T, r2 T, exclude int, out *[]int) {
 	if delta*delta <= r2 {
 		t.search(far, q, r2, exclude, out)
 	}
-}
-
-// BruteRadiusNeighbors is the O(n·d) oracle used for testing.
-func BruteRadiusNeighbors[T fp.Float](pts *tensor.Matrix[T], query []T, radius float64, exclude int) []int {
-	var out []int
-	r2 := T(radius) * T(radius)
-	for i := 0; i < pts.Rows(); i++ {
-		if i == exclude {
-			continue
-		}
-		row := pts.Row(i)
-		var d2 T
-		for j, qv := range query {
-			d := row[j] - qv
-			d2 += d * d
-		}
-		if d2 <= r2 {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // BuildRadiusGraphCtx connects every pair of embedding rows within radius,

@@ -2,9 +2,11 @@ package knnsearch
 
 import (
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fp"
 	"repro/internal/kernels"
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -20,8 +22,8 @@ func TestRadiusNeighborsMatchesBrute(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			q := pts.Row(r.Intn(n))
 			radius := 0.2 + r.Float64()
-			got := tree.RadiusNeighbors(q, radius, -1)
-			want := BruteRadiusNeighbors(pts, q, radius, -1)
+			got := tree.radiusNeighbors(q, radius, -1)
+			want := bruteRadiusNeighbors(pts, q, radius, -1)
 			if len(got) != len(want) {
 				return false
 			}
@@ -41,11 +43,11 @@ func TestRadiusNeighborsMatchesBrute(t *testing.T) {
 func TestRadiusNeighborsExclude(t *testing.T) {
 	pts := tensor.FromRows([][]float64{{0, 0}, {0.1, 0}, {5, 5}})
 	tree := Build(pts)
-	nbrs := tree.RadiusNeighbors(pts.Row(0), 1.0, 0)
+	nbrs := tree.radiusNeighbors(pts.Row(0), 1.0, 0)
 	if len(nbrs) != 1 || nbrs[0] != 1 {
 		t.Fatalf("neighbors %v, want [1]", nbrs)
 	}
-	with := tree.RadiusNeighbors(pts.Row(0), 1.0, -1)
+	with := tree.radiusNeighbors(pts.Row(0), 1.0, -1)
 	if len(with) != 2 {
 		t.Fatalf("without exclusion got %v", with)
 	}
@@ -54,7 +56,7 @@ func TestRadiusNeighborsExclude(t *testing.T) {
 func TestRadiusZeroFindsExactDuplicates(t *testing.T) {
 	pts := tensor.FromRows([][]float64{{1, 1}, {1, 1}, {2, 2}})
 	tree := Build(pts)
-	nbrs := tree.RadiusNeighbors([]float64{1, 1}, 0, -1)
+	nbrs := tree.radiusNeighbors([]float64{1, 1}, 0, -1)
 	if len(nbrs) != 2 {
 		t.Fatalf("exact match count %d, want 2", len(nbrs))
 	}
@@ -88,7 +90,7 @@ func TestBuildRadiusGraphMatchesBrute(t *testing.T) {
 	}
 	count := 0
 	for i := 0; i < 40; i++ {
-		for _, j := range BruteRadiusNeighbors(pts, pts.Row(i), radius, i) {
+		for _, j := range bruteRadiusNeighbors(pts, pts.Row(i), radius, i) {
 			if i < j {
 				count++
 				if !got[[2]int{i, j}] {
@@ -115,11 +117,11 @@ func TestBuildRadiusGraphMaxDegree(t *testing.T) {
 
 func TestEmptyAndSinglePoint(t *testing.T) {
 	tree := Build(tensor.New(0, 3))
-	if nbrs := tree.RadiusNeighbors([]float64{0, 0, 0}, 1, -1); len(nbrs) != 0 {
+	if nbrs := tree.radiusNeighbors([]float64{0, 0, 0}, 1, -1); len(nbrs) != 0 {
 		t.Fatal("empty tree returned neighbors")
 	}
 	one := Build(tensor.FromRows([][]float64{{1, 2, 3}}))
-	if nbrs := one.RadiusNeighbors([]float64{1, 2, 3}, 0.1, -1); len(nbrs) != 1 {
+	if nbrs := one.radiusNeighbors([]float64{1, 2, 3}, 0.1, -1); len(nbrs) != 1 {
 		t.Fatal("single-point tree missed self")
 	}
 }
@@ -136,7 +138,7 @@ func TestBuildRadiusGraphMatchesSortTruncate(t *testing.T) {
 		tree := Build(pts)
 		var wantSrc, wantDst []int
 		for i := 0; i < pts.Rows(); i++ {
-			nbrs := tree.RadiusNeighbors(pts.Row(i), 0.8, i) // sorted ascending
+			nbrs := tree.radiusNeighbors(pts.Row(i), 0.8, i) // sorted ascending
 			if maxDeg > 0 && len(nbrs) > maxDeg {
 				nbrs = nbrs[:maxDeg]
 			}
@@ -178,4 +180,39 @@ func TestSelectSmallest(t *testing.T) {
 			}
 		}
 	}
+}
+
+// radiusNeighbors returns indices of all points within Euclidean distance
+// radius of query (a slice of length dim), excluding exclude (pass -1 to
+// keep all). Results are sorted ascending.
+func (t *KDTree[T]) radiusNeighbors(query []T, radius float64, exclude int) []int {
+	if len(query) != t.dim {
+		panic("knnsearch: query dimension mismatch")
+	}
+	var out []int
+	r2 := T(radius) * T(radius)
+	t.search(t.root, query, r2, exclude, &out)
+	sort.Ints(out)
+	return out
+}
+
+// bruteRadiusNeighbors is the O(n·d) oracle for the tree search.
+func bruteRadiusNeighbors[T fp.Float](pts *tensor.Matrix[T], query []T, radius float64, exclude int) []int {
+	var out []int
+	r2 := T(radius) * T(radius)
+	for i := 0; i < pts.Rows(); i++ {
+		if i == exclude {
+			continue
+		}
+		row := pts.Row(i)
+		var d2 T
+		for j, qv := range query {
+			d := row[j] - qv
+			d2 += d * d
+		}
+		if d2 <= r2 {
+			out = append(out, i)
+		}
+	}
+	return out
 }

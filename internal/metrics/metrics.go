@@ -271,25 +271,3 @@ func (h *History) Final() ConvergencePoint {
 	}
 	return h.Points[len(h.Points)-1]
 }
-
-// BestRecall returns the maximum recall across epochs.
-func (h *History) BestRecall() float64 {
-	best := 0.0
-	for _, p := range h.Points {
-		if p.Recall > best {
-			best = p.Recall
-		}
-	}
-	return best
-}
-
-// BestPrecision returns the maximum precision across epochs.
-func (h *History) BestPrecision() float64 {
-	best := 0.0
-	for _, p := range h.Points {
-		if p.Precision > best {
-			best = p.Precision
-		}
-	}
-	return best
-}

@@ -158,11 +158,11 @@ func TestHistory(t *testing.T) {
 	if h.Final().Epoch != 2 {
 		t.Fatalf("final %+v", h.Final())
 	}
-	if h.BestPrecision() != 0.8 || h.BestRecall() != 0.72 {
-		t.Fatalf("best p=%v r=%v", h.BestPrecision(), h.BestRecall())
+	if h.Final().Precision != 0.75 || h.Final().Recall != 0.72 {
+		t.Fatalf("final p=%v r=%v", h.Final().Precision, h.Final().Recall)
 	}
 	var empty History
-	if empty.Final().Epoch != 0 || empty.BestRecall() != 0 {
+	if empty.Final() != (ConvergencePoint{}) {
 		t.Fatal("empty history should zero")
 	}
 }

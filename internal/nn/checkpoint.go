@@ -107,16 +107,10 @@ type checkpointFile struct {
 	Act     []ActScales // v4 only: calibrated activation-scale tables
 }
 
-// SaveParams writes parameter values to w: magic, versioned header with
-// per-param shape + count + dtype, then the payload (gob), all at
-// dtype f64. Gradients and optimizer state are not persisted —
-// checkpoints capture the model, not the training run.
-func SaveParams(w io.Writer, params []*autograd.Param) error {
-	return SaveParamsDtype(w, params, DtypeF64)
-}
-
-// SaveParamsDtype is SaveParams with an explicit element dtype for
-// every parameter payload. DtypeF32 rounds each float64 weight to the
+// SaveParamsDtype writes parameter values to w: magic, versioned header
+// with per-param shape + count + dtype, then the payload (gob), every
+// payload at the given element dtype. Gradients and optimizer state are
+// not persisted — checkpoints capture the model, not the training run. DtypeF32 rounds each float64 weight to the
 // nearest float32 (half the checkpoint bytes) — the demotion the
 // float32 serving path applies at construction anyway, so an f32
 // checkpoint loaded into an f64 model and served at f32 is

@@ -16,7 +16,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	m := NewMLP(r, "m", MLPConfig{In: 3, Hidden: []int{8}, Out: 2, Activation: ReLU, LayerNorm: true})
 	params := m.Params()
 	var buf bytes.Buffer
-	if err := SaveParams(&buf, params); err != nil {
+	if err := SaveParamsDtype(&buf, params, DtypeF64); err != nil {
 		t.Fatal(err)
 	}
 	// Restore into a differently initialized twin.
@@ -51,7 +51,7 @@ func TestCheckpointValidation(t *testing.T) {
 	r := rng.New(4)
 	m := NewMLP(r, "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1, Activation: ReLU})
 	var buf bytes.Buffer
-	if err := SaveParams(&buf, m.Params()); err != nil {
+	if err := SaveParamsDtype(&buf, m.Params(), DtypeF64); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong shape.
@@ -88,7 +88,7 @@ func legacySaveParams(buf *bytes.Buffer, params []*autograd.Param) error {
 func TestCheckpointMagicHeader(t *testing.T) {
 	m := NewMLP(rng.New(5), "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1, Activation: ReLU})
 	var buf bytes.Buffer
-	if err := SaveParams(&buf, m.Params()); err != nil {
+	if err := SaveParamsDtype(&buf, m.Params(), DtypeF64); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(buf.Bytes(), checkpointMagic[:]) {
@@ -129,7 +129,7 @@ func TestCheckpointNoPartialMutation(t *testing.T) {
 		name string
 		save func(*bytes.Buffer) error
 	}{
-		{"v2", func(b *bytes.Buffer) error { return SaveParams(b, save.Params()) }},
+		{"v2", func(b *bytes.Buffer) error { return SaveParamsDtype(b, save.Params(), DtypeF64) }},
 		{"legacy", func(b *bytes.Buffer) error { return legacySaveParams(b, save.Params()) }},
 	} {
 		var buf bytes.Buffer

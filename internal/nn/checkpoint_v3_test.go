@@ -57,7 +57,7 @@ func TestCheckpointV2ReadCompat(t *testing.T) {
 func TestCheckpointV3Magic(t *testing.T) {
 	m := NewMLP(rng.New(33), "m", MLPConfig{In: 2, Hidden: []int{3}, Out: 1, Activation: ReLU})
 	var buf bytes.Buffer
-	if err := SaveParams(&buf, m.Params()); err != nil {
+	if err := SaveParamsDtype(&buf, m.Params(), DtypeF64); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(buf.Bytes(), checkpointMagic[:]) {
@@ -98,7 +98,7 @@ func TestCheckpointF32RoundTrip(t *testing.T) {
 func TestCheckpointF32Smaller(t *testing.T) {
 	m := NewMLP(rng.New(36), "m", MLPConfig{In: 32, Hidden: []int{64}, Out: 32, Activation: ReLU})
 	var f64buf, f32buf bytes.Buffer
-	if err := SaveParams(&f64buf, m.Params()); err != nil {
+	if err := SaveParamsDtype(&f64buf, m.Params(), DtypeF64); err != nil {
 		t.Fatal(err)
 	}
 	if err := SaveParamsDtype(&f32buf, m.Params(), DtypeF32); err != nil {

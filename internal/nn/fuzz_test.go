@@ -46,7 +46,7 @@ func paramsEqual(params []*autograd.Param, snap []*tensor.Dense) bool {
 // cases live in testdata/fuzz/FuzzLoadParams.
 func fuzzSeeds(fatal func(error)) [][]byte {
 	var valid bytes.Buffer
-	if err := SaveParams(&valid, fuzzModel()); err != nil {
+	if err := SaveParamsDtype(&valid, fuzzModel(), DtypeF64); err != nil {
 		fatal(err)
 	}
 	var valid32 bytes.Buffer
@@ -219,7 +219,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 // checkpoints must be rejected whole.
 func FuzzLoadParamsMismatchedModel(f *testing.F) {
 	var valid bytes.Buffer
-	if err := SaveParams(&valid, fuzzModel()); err != nil {
+	if err := SaveParamsDtype(&valid, fuzzModel(), DtypeF64); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())

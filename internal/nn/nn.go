@@ -42,11 +42,6 @@ func (a Activation) apply(t *autograd.Tape, x *autograd.Node) *autograd.Node {
 	}
 }
 
-// Module is anything exposing trainable parameters.
-type Module interface {
-	Params() []*autograd.Param
-}
-
 // Linear is a fully connected layer y = xW + b.
 type Linear struct {
 	W, B *autograd.Param

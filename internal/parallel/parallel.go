@@ -1,12 +1,10 @@
-// Package parallel provides shared-memory loop parallelism helpers used by
-// the dense and sparse kernels. It deliberately stays tiny: a parallel-for
-// with grain control and a fan-out/fan-in helper, built only on goroutines
-// and sync.
+// Package parallel provides the shared-memory parallel-for used by the
+// dense and sparse kernels. It deliberately stays tiny: one loop with
+// grain control and a worker cap, built only on goroutines and atomics.
 package parallel
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -16,24 +14,16 @@ func MaxWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// For splits [0, n) into contiguous chunks of at least grain iterations and
-// runs body(lo, hi) on each chunk, possibly concurrently. If the work is
-// small (a single chunk) it runs inline to avoid goroutine overhead.
-// body must be safe to call concurrently on disjoint ranges.
-func For(n, grain int, body func(lo, hi int)) {
-	ForWith(n, grain, body, func(b func(lo, hi int), lo, hi int) { b(lo, hi) })
-}
-
-// ForWith is For with an explicit context value instead of closure
-// captures. Pass a capture-free func literal reading everything it needs
-// from ctx: such literals compile to static functions, so the
-// single-chunk (serial) path performs no heap allocation at all — a
-// closure passed to For always escapes because of the goroutine fan-out
-// path, costing one allocation per call even for tiny inputs. The hot
-// kernels (GEMM, SpGEMM, SpMM, gathers) use this to honour their
-// zero-allocation warm-path contract. For is a thin wrapper over this
-// (with the caller's closure as the context), so the chunking policy —
-// worker cap, grain floor — lives in exactly one place.
+// ForWith splits [0, n) into contiguous chunks of at least grain
+// iterations and runs body(ctx, lo, hi) on each chunk, possibly
+// concurrently; a single chunk runs inline. body must be safe to call
+// concurrently on disjoint ranges. Pass a capture-free func literal
+// reading everything it needs from ctx: such literals compile to static
+// functions, so the single-chunk (serial) path performs no heap
+// allocation at all — a capturing closure always escapes because of the
+// goroutine fan-out path, costing one allocation per call even for tiny
+// inputs. The hot kernels (GEMM, SpGEMM, SpMM, gathers) use this to
+// honour their zero-allocation warm-path contract.
 func ForWith[T any](n, grain int, ctx T, body func(ctx T, lo, hi int)) {
 	ForWithN(MaxWorkers(), n, grain, ctx, body)
 }
@@ -176,21 +166,4 @@ func helper(j *job) {
 			}
 		}
 	}
-}
-
-// Do runs each task concurrently and waits for all of them.
-func Do(tasks ...func()) {
-	if len(tasks) == 1 {
-		tasks[0]()
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(tasks))
-	for _, t := range tasks {
-		go func(t func()) {
-			defer wg.Done()
-			t()
-		}(t)
-	}
-	wg.Wait()
 }

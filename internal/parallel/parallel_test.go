@@ -7,12 +7,18 @@ import (
 	"testing/quick"
 )
 
+// forRange runs ForWith with a capturing closure as its context, for
+// tests that only care about the chunks.
+func forRange(n, grain int, body func(lo, hi int)) {
+	ForWith(n, grain, body, func(b func(lo, hi int), lo, hi int) { b(lo, hi) })
+}
+
 func TestForCoversAllIndicesOnce(t *testing.T) {
 	check := func(nRaw uint16, grainRaw uint8) bool {
 		n := int(nRaw % 5000)
 		grain := int(grainRaw%200) + 1
 		marks := make([]int32, n)
-		For(n, grain, func(lo, hi int) {
+		forRange(n, grain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&marks[i], 1)
 			}
@@ -31,8 +37,8 @@ func TestForCoversAllIndicesOnce(t *testing.T) {
 
 func TestForZeroAndNegative(t *testing.T) {
 	called := false
-	For(0, 1, func(lo, hi int) { called = true })
-	For(-5, 1, func(lo, hi int) { called = true })
+	forRange(0, 1, func(lo, hi int) { called = true })
+	forRange(-5, 1, func(lo, hi int) { called = true })
 	if called {
 		t.Fatal("body called for non-positive n")
 	}
@@ -41,7 +47,7 @@ func TestForZeroAndNegative(t *testing.T) {
 func TestForSumMatchesSerial(t *testing.T) {
 	const n = 100000
 	var sum int64
-	For(n, 128, func(lo, hi int) {
+	forRange(n, 128, func(lo, hi int) {
 		var local int64
 		for i := lo; i < hi; i++ {
 			local += int64(i)
@@ -54,33 +60,13 @@ func TestForSumMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestDoRunsAllTasks(t *testing.T) {
-	var count int32
-	Do(
-		func() { atomic.AddInt32(&count, 1) },
-		func() { atomic.AddInt32(&count, 1) },
-		func() { atomic.AddInt32(&count, 1) },
-	)
-	if count != 3 {
-		t.Fatalf("Do ran %d of 3 tasks", count)
-	}
-}
-
-func TestDoSingleTaskInline(t *testing.T) {
-	ran := false
-	Do(func() { ran = true })
-	if !ran {
-		t.Fatal("single task not run")
-	}
-}
-
 func TestForRespectsGrainFloor(t *testing.T) {
 	// n=9, grain=4 used to split into 3 chunks of 3 — below the grain
 	// floor — once the chunk count was capped at the worker count.
 	for _, c := range []struct{ n, grain int }{{9, 4}, {100, 33}, {1000, 64}, {7, 7}} {
 		var chunkLens []int
 		var mu sync.Mutex
-		For(c.n, c.grain, func(lo, hi int) {
+		forRange(c.n, c.grain, func(lo, hi int) {
 			mu.Lock()
 			chunkLens = append(chunkLens, hi-lo)
 			mu.Unlock()

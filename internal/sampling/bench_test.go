@@ -33,7 +33,7 @@ func BenchmarkStandardShaDow256(b *testing.B) {
 	cfg := DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		StandardShaDow(g, eidx, batch, cfg, r.Split())
+		standardShaDow(g, eidx, batch, cfg, r.Uint64())
 	}
 }
 
@@ -47,6 +47,6 @@ func BenchmarkBulkMatrixShaDow256x4(b *testing.B) {
 	cfg := DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BulkMatrixShaDow(g, eidx, batches, cfg, r.Split())
+		bulkShaDow(g, eidx, batches, cfg, r.Uint64())
 	}
 }

@@ -6,16 +6,16 @@ import (
 	"repro/internal/sparse"
 )
 
-// BulkMatrixShaDow samples k minibatches in one bulk invocation using the
-// matrix formulation of Figure 2:
+// BulkMatrixShaDowStreams samples k minibatches in one bulk invocation
+// using the matrix formulation of Figure 2:
 //
 //  1. Q_d is the (Σ batch sizes)×n row-selection matrix of all batch
 //     vertices across all k batches, stacked per equation (1).
 //  2. Repeat d times: P ← Q_l·A (one SpGEMM for every walker of every
 //     batch simultaneously); divide each row by its sum to get a uniform
-//     distribution and sample s nonzeros (SampleRows); expand Q_{l-1} to
-//     one nonzero per newly visited vertex; accumulate the visited
-//     vertices of each batch vertex in the frontier matrix F.
+//     distribution and sample s nonzeros (SampleRowsStreams); expand
+//     Q_{l-1} to one nonzero per newly visited vertex; accumulate the
+//     visited vertices of each batch vertex in the frontier matrix F.
 //  3. Extract the induced subgraph per batch vertex from its F row and
 //     assemble one block-diagonal subgraph per batch.
 //
@@ -23,51 +23,28 @@ import (
 // paper introduces: the SpGEMM and row-sampling kernels run over matrices
 // k× taller, amortizing per-invocation overhead exactly as bulk sampling
 // amortizes kernel launches on a GPU.
-func BulkMatrixShaDow(g *graph.Graph, eidx *EdgeIndex, batches [][]int, cfg Config, r *rng.Rand) []*Subgraph {
-	return bulkMatrixShaDow(g, eidx, batches, cfg, func(p *sparse.CSR, rootOf []int) *sparse.SampleRowsResult {
-		return sparse.SampleRows(p, cfg.Fanout, r)
-	})
-}
-
-// BulkMatrixShaDowStreams is BulkMatrixShaDow with one random stream per
-// batch vertex (streams parallel to batches). Every row-sampling draw for
-// a batch vertex's walkers comes from that vertex's own stream, so the
-// subgraph sampled for a given (vertex, stream) pair is byte-identical no
-// matter how many batches are stacked into the bulk call or how the
-// batch is sharded across ranks — the reproducibility contract the
-// distributed trainer's cross-rank parity rests on. It equals
-// StandardShaDowStreams component-by-component for the same streams.
+//
+// streams holds one random stream per batch vertex (parallel to
+// batches). Every row-sampling draw for a batch vertex's walkers comes
+// from that vertex's own stream, so the subgraph sampled for a given
+// (vertex, stream) pair is byte-identical no matter how many batches are
+// stacked into the bulk call or how the batch is sharded across ranks —
+// the reproducibility contract the distributed trainer's cross-rank
+// parity rests on. It equals StandardShaDowStreams component-by-component
+// for the same streams.
 func BulkMatrixShaDowStreams(g *graph.Graph, eidx *EdgeIndex, batches [][]int, cfg Config, streams [][]*rng.Rand) []*Subgraph {
+	// Global root list, and its streams, across all batches.
+	var roots []int
 	var rootStreams []*rng.Rand
 	for bi, batch := range batches {
 		if bi >= len(streams) || len(streams[bi]) != len(batch) {
 			panic("sampling: BulkMatrixShaDowStreams wants one stream per batch vertex")
 		}
+		validate(g, batch, cfg)
+		roots = append(roots, batch...)
 		rootStreams = append(rootStreams, streams[bi]...)
 	}
-	return bulkMatrixShaDow(g, eidx, batches, cfg, func(p *sparse.CSR, rootOf []int) *sparse.SampleRowsResult {
-		rowRand := make([]*rng.Rand, len(rootOf))
-		for row, root := range rootOf {
-			rowRand[row] = rootStreams[root]
-		}
-		return sparse.SampleRowsStreams(p, cfg.Fanout, rowRand)
-	})
-}
-
-// bulkMatrixShaDow is the matrix-formulation core: sampleFn draws up to
-// cfg.Fanout neighbors per stacked walker row (rootOf maps each row to
-// its owning global root index).
-func bulkMatrixShaDow(g *graph.Graph, eidx *EdgeIndex, batches [][]int, cfg Config, sampleFn func(p *sparse.CSR, rootOf []int) *sparse.SampleRowsResult) []*Subgraph {
-	for _, b := range batches {
-		validate(g, b, cfg)
-	}
 	adj := g.Adjacency()
-
-	// Global root list across all batches.
-	var roots []int
-	for _, batch := range batches {
-		roots = append(roots, batch...)
-	}
 	nRoots := len(roots)
 
 	// Visited bookkeeping per root: ordered list (root first) + set.
@@ -97,7 +74,11 @@ func bulkMatrixShaDow(g *graph.Graph, eidx *EdgeIndex, batches [][]int, cfg Conf
 		// per row), so the product reduces to a bulk CSR row gather — the
 		// same specialization a GPU SpGEMM exploits for selection matrices.
 		p := sparse.GatherRowsInto(qa, adj, cursorVertex)
-		sampled := sampleFn(p, rootOf)
+		rowRand := make([]*rng.Rand, len(rootOf))
+		for row, root := range rootOf {
+			rowRand[row] = rootStreams[root]
+		}
+		sampled := sparse.SampleRowsStreams(p, cfg.Fanout, rowRand)
 
 		var nextVertex []int
 		var nextRoot []int
@@ -127,12 +108,6 @@ func bulkMatrixShaDow(g *graph.Graph, eidx *EdgeIndex, batches [][]int, cfg Conf
 		out[bi] = assembleComponents(g, eidx, sets)
 	}
 	return out
-}
-
-// MatrixShaDow samples a single minibatch with the matrix formulation —
-// bulk sampling with k=1.
-func MatrixShaDow(g *graph.Graph, eidx *EdgeIndex, batch []int, cfg Config, r *rng.Rand) *Subgraph {
-	return BulkMatrixShaDow(g, eidx, [][]int{batch}, cfg, r)[0]
 }
 
 // ExtractComponentsSpGEMM reproduces the paper's extraction step

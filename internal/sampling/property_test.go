@@ -186,7 +186,7 @@ func TestStandardShaDowPropertyInvariants(t *testing.T) {
 		eidx := NewEdgeIndex(g)
 		cfg := Config{Depth: 1 + r.Intn(3), Fanout: 1 + r.Intn(5)}
 		batch := randomBatch(r, n, 1+r.Intn(min(8, n)))
-		s := StandardShaDow(g, eidx, batch, cfg, r.Split())
+		s := standardShaDow(g, eidx, batch, cfg, r.Uint64())
 		checkInvariants(t, g, batch, cfg, s)
 	}
 }
@@ -203,7 +203,7 @@ func TestBulkMatrixShaDowPropertyInvariants(t *testing.T) {
 		for b := range batches {
 			batches[b] = randomBatch(r, n, 1+r.Intn(min(8, n)))
 		}
-		subs := BulkMatrixShaDow(g, eidx, batches, cfg, r.Split())
+		subs := bulkShaDow(g, eidx, batches, cfg, r.Uint64())
 		if len(subs) != k {
 			t.Fatalf("bulk returned %d subgraphs for %d batches", len(subs), k)
 		}

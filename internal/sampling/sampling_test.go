@@ -25,6 +25,22 @@ func testGraph(r *rng.Rand, n, extraEdges int) *graph.Graph {
 	return graph.New(n, src, dst)
 }
 
+// standardShaDow runs StandardShaDowStreams with one stream per root
+// derived from seed.
+func standardShaDow(g *graph.Graph, eidx *EdgeIndex, batch []int, cfg Config, seed uint64) *Subgraph {
+	return StandardShaDowStreams(g, eidx, batch, cfg, makeStreams(seed, batch))
+}
+
+// bulkShaDow runs BulkMatrixShaDowStreams with one stream per root,
+// batch b's streams derived from seed+b.
+func bulkShaDow(g *graph.Graph, eidx *EdgeIndex, batches [][]int, cfg Config, seed uint64) []*Subgraph {
+	streams := make([][]*rng.Rand, len(batches))
+	for b, batch := range batches {
+		streams[b] = makeStreams(seed+uint64(b), batch)
+	}
+	return BulkMatrixShaDowStreams(g, eidx, batches, cfg, streams)
+}
+
 // checkSubgraphInvariants verifies the structural properties every ShaDow
 // sampler must satisfy.
 func checkSubgraphInvariants(t *testing.T, g *graph.Graph, eidx *EdgeIndex, batch []int, cfg Config, sub *Subgraph) {
@@ -98,7 +114,7 @@ func TestStandardShaDowInvariants(t *testing.T) {
 	eidx := NewEdgeIndex(g)
 	cfg := Config{Depth: 2, Fanout: 3}
 	batch := []int{0, 10, 20, 30}
-	sub := StandardShaDow(g, eidx, batch, cfg, r)
+	sub := standardShaDow(g, eidx, batch, cfg, r.Uint64())
 	checkSubgraphInvariants(t, g, eidx, batch, cfg, sub)
 }
 
@@ -108,7 +124,7 @@ func TestMatrixShaDowInvariants(t *testing.T) {
 	eidx := NewEdgeIndex(g)
 	cfg := Config{Depth: 2, Fanout: 3}
 	batch := []int{5, 15, 25, 35}
-	sub := MatrixShaDow(g, eidx, batch, cfg, r)
+	sub := bulkShaDow(g, eidx, [][]int{batch}, cfg, r.Uint64())[0]
 	checkSubgraphInvariants(t, g, eidx, batch, cfg, sub)
 }
 
@@ -118,7 +134,7 @@ func TestBulkMatrixShaDowInvariants(t *testing.T) {
 	eidx := NewEdgeIndex(g)
 	cfg := Config{Depth: 3, Fanout: 2}
 	batches := [][]int{{0, 1, 2}, {10, 20}, {30, 40, 50, 60}}
-	subs := BulkMatrixShaDow(g, eidx, batches, cfg, r)
+	subs := bulkShaDow(g, eidx, batches, cfg, r.Uint64())
 	if len(subs) != len(batches) {
 		t.Fatalf("got %d subgraphs for %d batches", len(subs), len(batches))
 	}
@@ -137,8 +153,8 @@ func TestShaDowQuickInvariants(t *testing.T) {
 		batchSize := int(batchRaw%5) + 1
 		batch := r.SampleWithoutReplacement(n, batchSize)
 		for _, impl := range []func() *Subgraph{
-			func() *Subgraph { return StandardShaDow(g, eidx, batch, cfg, r.Split()) },
-			func() *Subgraph { return MatrixShaDow(g, eidx, batch, cfg, r.Split()) },
+			func() *Subgraph { return standardShaDow(g, eidx, batch, cfg, r.Uint64()) },
+			func() *Subgraph { return bulkShaDow(g, eidx, [][]int{batch}, cfg, r.Uint64())[0] },
 		} {
 			sub := impl()
 			if sub.Components != len(batch) {
@@ -165,7 +181,7 @@ func TestInducedSubgraphIsComplete(t *testing.T) {
 	g := testGraph(r, 40, 60)
 	eidx := NewEdgeIndex(g)
 	cfg := Config{Depth: 2, Fanout: 4}
-	sub := StandardShaDow(g, eidx, []int{7}, cfg, r)
+	sub := standardShaDow(g, eidx, []int{7}, cfg, r.Uint64())
 	// Single component: collect visited set.
 	inSub := make(map[int]int)
 	for local, orig := range sub.Vertices {
@@ -195,7 +211,7 @@ func TestExtractComponentsSpGEMMMatchesAdjacency(t *testing.T) {
 	eidx := NewEdgeIndex(g)
 	cfg := Config{Depth: 2, Fanout: 3}
 	batch := []int{3, 30}
-	sub := StandardShaDow(g, eidx, batch, cfg, r)
+	sub := standardShaDow(g, eidx, batch, cfg, r.Uint64())
 	// Rebuild visited sets from the component layout.
 	var sets [][]int
 	for i := 0; i < len(sub.Roots); i++ {
@@ -226,12 +242,11 @@ func TestFanoutLimitsFrontier(t *testing.T) {
 	}
 	g := graph.New(n, src, dst)
 	eidx := NewEdgeIndex(g)
-	r := rng.New(6)
-	sub := StandardShaDow(g, eidx, []int{0}, Config{Depth: 1, Fanout: 1}, r)
+	sub := standardShaDow(g, eidx, []int{0}, Config{Depth: 1, Fanout: 1}, 6)
 	if sub.NumVertices() != 2 {
 		t.Fatalf("star root with fanout 1 visited %d vertices, want 2", sub.NumVertices())
 	}
-	subM := MatrixShaDow(g, eidx, []int{0}, Config{Depth: 1, Fanout: 1}, r)
+	subM := bulkShaDow(g, eidx, [][]int{{0}}, Config{Depth: 1, Fanout: 1}, 6)[0]
 	if subM.NumVertices() != 2 {
 		t.Fatalf("matrix version visited %d vertices, want 2", subM.NumVertices())
 	}
@@ -242,10 +257,10 @@ func TestLowDegreeKeepsAllNeighbors(t *testing.T) {
 	// vertex must take both neighbors.
 	g := graph.New(5, []int{0, 1, 2, 3}, []int{1, 2, 3, 4})
 	eidx := NewEdgeIndex(g)
-	r := rng.New(7)
+	cfg := Config{Depth: 1, Fanout: 6}
 	for _, impl := range []func() *Subgraph{
-		func() *Subgraph { return StandardShaDow(g, eidx, []int{2}, Config{Depth: 1, Fanout: 6}, r) },
-		func() *Subgraph { return MatrixShaDow(g, eidx, []int{2}, Config{Depth: 1, Fanout: 6}, r) },
+		func() *Subgraph { return standardShaDow(g, eidx, []int{2}, cfg, 7) },
+		func() *Subgraph { return bulkShaDow(g, eidx, [][]int{{2}}, cfg, 7)[0] },
 	} {
 		sub := impl()
 		if sub.NumVertices() != 3 || sub.NumEdges() != 2 {
@@ -254,47 +269,20 @@ func TestLowDegreeKeepsAllNeighbors(t *testing.T) {
 	}
 }
 
-func TestBulkEquivalentDistribution(t *testing.T) {
-	// Bulk sampling of k batches must produce per-batch subgraphs whose
-	// size distribution matches single-batch sampling (same algorithm, just
-	// stacked). Compare mean component sizes over repetitions.
-	r := rng.New(8)
-	g := testGraph(r, 100, 150)
-	eidx := NewEdgeIndex(g)
-	cfg := Config{Depth: 2, Fanout: 3}
-	batch := []int{1, 11, 21, 31, 41}
-
-	meanSize := func(bulk bool) float64 {
-		gen := rng.New(9)
-		total, count := 0, 0
-		for rep := 0; rep < 30; rep++ {
-			if bulk {
-				subs := BulkMatrixShaDow(g, eidx, [][]int{batch, batch}, cfg, gen.Split())
-				for _, s := range subs {
-					total += s.NumVertices()
-					count++
-				}
-			} else {
-				s := MatrixShaDow(g, eidx, batch, cfg, gen.Split())
-				total += s.NumVertices()
-				count++
-			}
-		}
-		return float64(total) / float64(count)
-	}
-	single, bulk := meanSize(false), meanSize(true)
-	if ratio := bulk / single; ratio < 0.9 || ratio > 1.1 {
-		t.Fatalf("bulk mean size %v vs single %v (ratio %v)", bulk, single, ratio)
-	}
-}
-
 func TestValidationPanics(t *testing.T) {
 	g := graph.New(3, []int{0}, []int{1})
 	eidx := NewEdgeIndex(g)
-	r := rng.New(10)
 	for _, f := range []func(){
-		func() { StandardShaDow(g, eidx, []int{5}, Config{Depth: 1, Fanout: 1}, r) },
-		func() { StandardShaDow(g, eidx, []int{0}, Config{Depth: 0, Fanout: 1}, r) },
+		func() { standardShaDow(g, eidx, []int{5}, Config{Depth: 1, Fanout: 1}, 10) },
+		func() { standardShaDow(g, eidx, []int{0}, Config{Depth: 0, Fanout: 1}, 10) },
+		func() { bulkShaDow(g, eidx, [][]int{{5}}, Config{Depth: 1, Fanout: 1}, 10) },
+		func() { bulkShaDow(g, eidx, [][]int{{0}}, Config{Depth: 1, Fanout: 0}, 10) },
+		func() {
+			StandardShaDowStreams(g, eidx, []int{0, 1}, Config{Depth: 1, Fanout: 1}, makeStreams(10, []int{0}))
+		},
+		func() {
+			BulkMatrixShaDowStreams(g, eidx, [][]int{{0}, {1}}, Config{Depth: 1, Fanout: 1}, [][]*rng.Rand{makeStreams(10, []int{0})})
+		},
 	} {
 		func() {
 			defer func() {

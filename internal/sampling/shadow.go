@@ -2,18 +2,20 @@
 // "Decoupling the depth and scope of graph neural networks") in the two
 // forms the paper compares:
 //
-//   - StandardShaDow — Algorithm 2: a sequential per-batch-vertex random
-//     walk with fanout s and depth d followed by induced-subgraph
+//   - StandardShaDowStreams — Algorithm 2: a sequential per-batch-vertex
+//     random walk with fanout s and depth d followed by induced-subgraph
 //     extraction, standing in for PyG's sampler (the paper's baseline).
-//   - BulkMatrixShaDow — the paper's contribution (Figure 2): the walk is
-//     expressed as sparse-matrix operations (Q·A row sampling with a
-//     frontier matrix F), and multiple minibatches are sampled in a single
-//     bulk invocation by stacking their Q matrices (equation 1), which is
-//     what raises device utilization.
+//   - BulkMatrixShaDowStreams — the paper's contribution (Figure 2): the
+//     walk is expressed as sparse-matrix operations (Q·A row sampling with
+//     a frontier matrix F), and multiple minibatches are sampled in a
+//     single bulk invocation by stacking their Q matrices (equation 1),
+//     which is what raises device utilization.
 //
-// Both return the same structure: a block-diagonal subgraph with one
-// component per batch vertex, plus the mapping back to original vertex
-// and edge ids so features and labels can be gathered.
+// Both draw from one random stream per batch vertex and return the same
+// structure: a block-diagonal subgraph with one component per batch
+// vertex, plus the mapping back to original vertex and edge ids so
+// features and labels can be gathered. For the same streams the two are
+// the same function.
 package sampling
 
 import (
@@ -166,24 +168,13 @@ func assembleComponents(g *graph.Graph, eidx *EdgeIndex, visitedSets [][]int) *S
 	return sub
 }
 
-// StandardShaDow implements Algorithm 2: sample each batch vertex's
-// subgraph sequentially and append the components. This is the baseline
-// ("PyG") implementation the paper measures against.
-func StandardShaDow(g *graph.Graph, eidx *EdgeIndex, batch []int, cfg Config, r *rng.Rand) *Subgraph {
-	validate(g, batch, cfg)
-	adj := g.Adjacency()
-	visitedSets := make([][]int, len(batch))
-	for i, root := range batch {
-		visitedSets[i] = walkOneRoot(adj, root, cfg, r)
-	}
-	return assembleComponents(g, eidx, visitedSets)
-}
-
-// StandardShaDowStreams is StandardShaDow with one random stream per
-// batch vertex: root i's walk draws only from streams[i]. With the same
-// streams it produces exactly the components BulkMatrixShaDowStreams
-// samples for the same roots, independent of batch composition — the
-// property the distributed trainer's determinism is built on.
+// StandardShaDowStreams implements Algorithm 2: sample each batch
+// vertex's subgraph sequentially and append the components. This is the
+// baseline ("PyG") implementation the paper measures against. Root i's
+// walk draws only from streams[i], so with the same streams it produces
+// exactly the components BulkMatrixShaDowStreams samples for the same
+// roots, independent of batch composition — the property the distributed
+// trainer's determinism is built on.
 func StandardShaDowStreams(g *graph.Graph, eidx *EdgeIndex, batch []int, cfg Config, streams []*rng.Rand) *Subgraph {
 	validate(g, batch, cfg)
 	if len(streams) != len(batch) {

@@ -57,19 +57,16 @@ func TestGatherRowsIntoZeroAllocsWarm(t *testing.T) {
 }
 
 // TestValueKernelAllocs bounds the value-returning sparse kernels at
-// their benchmark shapes on the serial path: SpMM allocates its dense
-// result (header and data), SpGEMM its CSR (header, row pointers,
-// column indices and values).
+// their benchmark shapes on the serial path: SpGEMM allocates its CSR
+// (header, row pointers, column indices and values).
 func TestValueKernelAllocs(t *testing.T) {
 	a, b := benchCSR(2000, 8, 1), benchCSR(2000, 8, 2)
-	x := benchDense(2000, 32, 3)
 	for _, tc := range []struct {
 		name string
 		max  float64
 		run  func()
 	}{
 		{"SpGEMM", 4, func() { SpGEMM(a, b) }},
-		{"SpMM", 2, func() { SpMM(a, x) }},
 	} {
 		if allocs := testing.AllocsPerRun(10, tc.run); allocs > tc.max {
 			t.Errorf("%s allocated %.1f per run, want ≤ %.0f", tc.name, allocs, tc.max)
@@ -97,14 +94,16 @@ func bytesPerRun(runs int, f func()) float64 {
 // most 75% of the bytes.
 func TestSpMMF32Bytes(t *testing.T) {
 	a64, x64, res64 := benchCSR(2000, 8, 1), benchDense(2000, 32, 3), benchDense(2000, 32, 4)
-	a32 := ConvertCSR[float32](a64)
+	a32 := convertCSR[float32](a64)
 	x32, res32 := tensor.ConvertFrom[float32](nil, x64), tensor.ConvertFrom[float32](nil, res64)
 	kc := kernels.Context{}
 	for _, tc := range []struct {
 		name     string
 		f64, f32 func()
 	}{
-		{"SpMM", func() { SpMM(a64, x64) }, func() { SpMM(a32, x32) }},
+		{"SpMM",
+			func() { SpMMIntoCtx(kc, tensor.New(2000, 32), a64, x64) },
+			func() { SpMMIntoCtx(kc, tensor.NewOf[float32](2000, 32), a32, x32) }},
 		{"SpMMAdd",
 			func() { SpMMAddIntoCtx(kc, tensor.New(2000, 32), a64, x64, res64) },
 			func() { SpMMAddIntoCtx(kc, tensor.NewOf[float32](2000, 32), a32, x32, res32) }},
@@ -155,12 +154,22 @@ func TestSpMMIntoMatchesSpMMReference(t *testing.T) {
 		m, k, n := r.Intn(25)+1, r.Intn(25)+1, r.Intn(6)+1
 		a := randomCSR(r, m, k, 0.3)
 		x := tensor.RandN(r, k, n, 1)
-		ref := SpMM(a, x)
+		// Reference: each output row accumulates from zero in CSR
+		// column order, the kernel's contract written flat.
+		ref := tensor.New(m, n)
+		for i := 0; i < m; i++ {
+			cols, vals := a.Row(i)
+			for p, c := range cols {
+				for j := 0; j < n; j++ {
+					ref.Set(i, j, ref.At(i, j)+vals[p]*x.At(c, j))
+				}
+			}
+		}
 		out := tensor.New(m, n)
 		out.Fill(999) // ensure Into fully overwrites
 		SpMMIntoCtx(kernels.Context{}, out, a, x)
 		if ref.MaxAbsDiff(out) != 0 {
-			t.Fatalf("trial %d: SpMMIntoCtx not bit-identical to SpMM", trial)
+			t.Fatalf("trial %d: SpMMIntoCtx not bit-identical to the flat reference", trial)
 		}
 	}
 }
@@ -175,10 +184,10 @@ func TestGatherRowsIntoMatchesReference(t *testing.T) {
 		for i := range idx {
 			idx[i] = r.Intn(n)
 		}
-		ref := GatherRows(a, idx)
+		ref := SpGEMM(RowSelection(idx, n), a)
 		GatherRowsInto(out, a, idx)
 		if !ref.Equal(out) {
-			t.Fatalf("trial %d: GatherRowsInto differs from GatherRows", trial)
+			t.Fatalf("trial %d: GatherRowsInto into a reused matrix differs from the selection SpGEMM", trial)
 		}
 	}
 }

@@ -46,9 +46,10 @@ func BenchmarkSpGEMM(b *testing.B) {
 func BenchmarkSpMM(b *testing.B) {
 	a := benchCSR(2000, 8, 1)
 	x := benchDense(2000, 32, 3)
+	out := tensor.New(2000, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SpMM(a, x)
+		SpMMIntoCtx(kernels.Context{}, out, a, x)
 	}
 }
 
@@ -60,19 +61,10 @@ func BenchmarkGatherRowsCSR(b *testing.B) {
 	for i := range idx {
 		idx[i] = r.Intn(2000)
 	}
+	out := new(CSR)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GatherRows(a, idx)
-	}
-}
-
-// BenchmarkExtractSubmatrixDirect measures induced-subgraph extraction.
-func BenchmarkExtractSubmatrixDirect(b *testing.B) {
-	a := benchCSR(2000, 8, 1)
-	idx := rng.New(5).SampleWithoutReplacement(2000, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ExtractSubmatrixDirect(a, idx)
+		GatherRowsInto(out, a, idx)
 	}
 }
 

@@ -89,15 +89,3 @@ func FromEdges(n int, src, dst []int, symmetric bool) *CSR {
 	}
 	return csr
 }
-
-// ToCOO converts a CSR matrix back to (float64) coordinate form.
-func (m *CSROf[T]) ToCOO() *COO {
-	out := NewCOO(m.RowsN, m.ColsN)
-	for i := 0; i < m.RowsN; i++ {
-		cols, vals := m.Row(i)
-		for k, c := range cols {
-			out.Add(i, c, float64(vals[k]))
-		}
-	}
-	return out
-}

@@ -11,11 +11,9 @@
 package sparse
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/fp"
-	"repro/internal/parallel"
 	"repro/internal/workspace"
 )
 
@@ -36,9 +34,6 @@ type CSR = CSROf[float64]
 // CSR32 is the float32 CSR matrix used by the reduced-precision
 // inference path.
 type CSR32 = CSROf[float32]
-
-// NewCSR returns an empty rows×cols float64 CSR matrix.
-func NewCSR(rows, cols int) *CSR { return NewCSROf[float64](rows, cols) }
 
 // NewCSROf returns an empty rows×cols CSR matrix of the given element
 // type.
@@ -110,42 +105,6 @@ func (m *CSROf[T]) Transpose() *CSROf[T] {
 			out.Vals[pos] = vals[k]
 			next[c]++
 		}
-	}
-	return out
-}
-
-// VStack stacks matrices vertically; all must share the column count.
-// This is how per-minibatch Q (and F) matrices are combined for bulk
-// sampling (equation 1 of the paper).
-func VStack[T fp.Float](ms ...*CSROf[T]) *CSROf[T] {
-	if len(ms) == 0 {
-		return NewCSROf[T](0, 0)
-	}
-	cols := ms[0].ColsN
-	rows, nnz := 0, 0
-	for _, m := range ms {
-		if m.ColsN != cols {
-			panic(fmt.Sprintf("sparse: VStack col mismatch %d vs %d", m.ColsN, cols))
-		}
-		rows += m.RowsN
-		nnz += m.Nnz()
-	}
-	out := &CSROf[T]{
-		RowsN:  rows,
-		ColsN:  cols,
-		RowPtr: make([]int, 0, rows+1),
-		ColIdx: make([]int, 0, nnz),
-		Vals:   make([]T, 0, nnz),
-	}
-	out.RowPtr = append(out.RowPtr, 0)
-	offset := 0
-	for _, m := range ms {
-		for i := 1; i <= m.RowsN; i++ {
-			out.RowPtr = append(out.RowPtr, offset+m.RowPtr[i])
-		}
-		out.ColIdx = append(out.ColIdx, m.ColIdx...)
-		out.Vals = append(out.Vals, m.Vals...)
-		offset += m.Nnz()
 	}
 	return out
 }
@@ -277,43 +236,4 @@ func (m *CSROf[T]) checkValid() {
 			}
 		}
 	}
-}
-
-// parallelRowGrain is the minimum rows per chunk in parallel kernels.
-const parallelRowGrain = 64
-
-// assembleRows builds a CSR from per-row (cols, vals) slices.
-func assembleRows[T fp.Float](rows, cols int, rowCols [][]int, rowVals [][]T) *CSROf[T] {
-	out := &CSROf[T]{RowsN: rows, ColsN: cols, RowPtr: make([]int, rows+1)}
-	nnz := 0
-	for i, rc := range rowCols {
-		nnz += len(rc)
-		out.RowPtr[i+1] = nnz
-	}
-	out.ColIdx = make([]int, nnz)
-	out.Vals = make([]T, nnz)
-	parallel.For(rows, parallelRowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			copy(out.ColIdx[out.RowPtr[i]:out.RowPtr[i+1]], rowCols[i])
-			copy(out.Vals[out.RowPtr[i]:out.RowPtr[i+1]], rowVals[i])
-		}
-	})
-	return out
-}
-
-// ConvertCSR returns src with values converted to element type D
-// (float64→float32 rounds; float32→float64 is exact). The structural
-// arrays are copied, so the result is independent of src.
-func ConvertCSR[D, S fp.Float](src *CSROf[S]) *CSROf[D] {
-	out := &CSROf[D]{
-		RowsN:  src.RowsN,
-		ColsN:  src.ColsN,
-		RowPtr: append([]int(nil), src.RowPtr...),
-		ColIdx: append([]int(nil), src.ColIdx...),
-		Vals:   make([]D, len(src.Vals)),
-	}
-	for i, v := range src.Vals {
-		out.Vals[i] = D(v)
-	}
-	return out
 }

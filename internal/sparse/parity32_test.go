@@ -1,8 +1,10 @@
 package sparse
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/fp"
 	"repro/internal/kernels"
 	"repro/internal/tensor"
 )
@@ -10,9 +12,26 @@ import (
 // Float32 sparse-kernel coverage: worker-count determinism, f64 parity
 // within float32 rounding tolerance, and zero-allocation on warm pools.
 
+// convertCSR returns src with values converted to element type D
+// (float64→float32 rounds; float32→float64 is exact) and its structural
+// arrays copied.
+func convertCSR[D, S fp.Float](src *CSROf[S]) *CSROf[D] {
+	out := &CSROf[D]{
+		RowsN:  src.RowsN,
+		ColsN:  src.ColsN,
+		RowPtr: slices.Clone(src.RowPtr),
+		ColIdx: slices.Clone(src.ColIdx),
+		Vals:   make([]D, len(src.Vals)),
+	}
+	for i, v := range src.Vals {
+		out.Vals[i] = D(v)
+	}
+	return out
+}
+
 // fixture32 converts the shared f64 fixtures (same RNG streams) to f32.
 func fixture32(n, nnzPerRow int, seed uint64) *CSR32 {
-	return ConvertCSR[float32](benchCSR(n, nnzPerRow, seed))
+	return convertCSR[float32](benchCSR(n, nnzPerRow, seed))
 }
 
 func dense32Of(d *tensor.Dense, _ uint64) *tensor.Dense32 {
@@ -67,14 +86,17 @@ func TestSpMM32WorkerCountParity(t *testing.T) {
 func TestSpMM32MatchesF64WithinTolerance(t *testing.T) {
 	a64 := benchCSR(300, 6, 1)
 	x64 := benchDense(300, 16, 3)
-	a32 := ConvertCSR[float32](a64)
+	a32 := convertCSR[float32](a64)
 	x32 := tensor.ConvertFrom[float32](nil, x64)
 	// Round the f64 operands so both precisions start from the same values.
-	a64 = ConvertCSR[float64](a32)
+	a64 = convertCSR[float64](a32)
 	tensor.Convert(x64, x32)
 
-	want := SpMM(a64, x64)
-	got := tensor.ConvertFrom[float64](nil, SpMM(a32, x32))
+	want := tensor.New(300, 16)
+	SpMMIntoCtx(kernels.Context{}, want, a64, x64)
+	got32 := tensor.NewOf[float32](300, 16)
+	SpMMIntoCtx(kernels.Context{}, got32, a32, x32)
+	got := tensor.ConvertFrom[float64](nil, got32)
 	if d := want.MaxAbsDiff(got); d > 1e-3 {
 		t.Fatalf("f32 SpMM drifts %v from f64", d)
 	}
@@ -95,20 +117,5 @@ func TestSparse32ZeroAllocsWarm(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm f32 sparse kernels allocated %.1f per run, want 0", allocs)
-	}
-}
-
-func TestConvertCSRRoundTrip(t *testing.T) {
-	m := benchCSR(50, 5, 7)
-	down := ConvertCSR[float32](m)
-	down.checkValid()
-	up := ConvertCSR[float64](down)
-	if up.RowsN != m.RowsN || up.ColsN != m.ColsN || up.Nnz() != m.Nnz() {
-		t.Fatal("ConvertCSR changed structure")
-	}
-	for i, v := range m.Vals {
-		if up.Vals[i] != float64(float32(v)) {
-			t.Fatalf("value %d: %v round-tripped to %v", i, v, up.Vals[i])
-		}
 	}
 }

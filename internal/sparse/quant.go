@@ -48,39 +48,6 @@ func (m *QCSR) effScale() float32 {
 	return m.Scale
 }
 
-// QuantizeCSR quantizes a float64 CSR at one per-tensor symmetric
-// scale (maxabs/127; 1 when all values are zero).
-func QuantizeCSR(a *CSR) *QCSR {
-	maxAbs := 0.0
-	for _, v := range a.Vals {
-		if av := math.Abs(v); av > maxAbs {
-			maxAbs = av
-		}
-	}
-	scale := 1.0
-	if maxAbs > 0 {
-		scale = maxAbs / 127
-	}
-	q := &QCSR{
-		RowsN:  a.RowsN,
-		ColsN:  a.ColsN,
-		RowPtr: append([]int(nil), a.RowPtr...),
-		ColIdx: append([]int(nil), a.ColIdx...),
-		Vals:   make([]int8, len(a.Vals)),
-		Scale:  float32(scale),
-	}
-	for i, v := range a.Vals {
-		r := math.Round(v / scale)
-		if r > 127 {
-			r = 127
-		} else if r < -127 {
-			r = -127
-		}
-		q.Vals[i] = int8(r)
-	}
-	return q
-}
-
 // QIncidenceInto builds the rows×len(idx) incidence matrix into out in
 // the implicit-ones form (Vals nil): the same counting sort as
 // IncidenceInto without materializing a value stream at all — the int8

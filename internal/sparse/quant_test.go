@@ -29,7 +29,7 @@ func TestQIncidenceMatchesIncidence(t *testing.T) {
 	for i := range idx {
 		idx[i] = r.Intn(20)
 	}
-	want := IncidenceInto(NewCSR(0, 0), 20, idx)
+	want := IncidenceInto(new(CSR), 20, idx)
 	got := QIncidenceInto(&QCSR{}, 20, idx)
 	if got.Vals != nil || got.Scale != 1 {
 		t.Fatal("incidence form must be implicit-ones")
@@ -53,7 +53,7 @@ func TestQIncidenceMatchesIncidence(t *testing.T) {
 // maxabs/127, values clamped to ±127, structure copied.
 func TestQuantizeCSRSymmetric(t *testing.T) {
 	a := benchCSR(50, 4, 9)
-	q := QuantizeCSR(a)
+	q := quantizeCSR(a)
 	maxAbs := 0.0
 	for _, v := range a.Vals {
 		if av := math.Abs(v); av > maxAbs {
@@ -128,7 +128,7 @@ func TestQSpMMMatchesReference(t *testing.T) {
 		x := quantDense(n, cols, uint64(trial), 0.02)
 
 		// Weighted CSR form.
-		aq := QuantizeCSR(benchCSR(n, 3, uint64(trial)+100))
+		aq := quantizeCSR(benchCSR(n, 3, uint64(trial)+100))
 		got := tensor.NewQMat(n, cols, 0)
 		QSpMMQuantInto(kernels.Context{Workers: 1}, got, aq, x, outScale)
 		qbitsEqual(t, "QSpMMQuantInto weighted", refQSpMM(aq, x, outScale), got)
@@ -148,7 +148,7 @@ func TestQSpMMMatchesReference(t *testing.T) {
 
 func TestQSpMMWorkerCountParity(t *testing.T) {
 	const n, cols = 300, 16
-	aq := QuantizeCSR(benchCSR(n, 6, 1))
+	aq := quantizeCSR(benchCSR(n, 6, 1))
 	x := quantDense(n, cols, 3, 0.02)
 	r := rng.New(5)
 	idx := make([]int, 2*n)
@@ -198,12 +198,45 @@ func TestQSpMMZeroAllocs(t *testing.T) {
 // the bytes of the float32 SpMM at the same shape.
 func TestQSpMMBytes(t *testing.T) {
 	a64 := benchCSR(2000, 8, 1)
-	a32, x32 := ConvertCSR[float32](a64), tensor.ConvertFrom[float32](nil, benchDense(2000, 32, 3))
-	a8, x8 := QuantizeCSR(a64), quantDense(2000, 32, 3, 0.01)
+	a32, x32 := convertCSR[float32](a64), tensor.ConvertFrom[float32](nil, benchDense(2000, 32, 3))
+	a8, x8 := quantizeCSR(a64), quantDense(2000, 32, 3, 0.01)
 	kc := kernels.Context{Workers: 1}
-	b32 := bytesPerRun(10, func() { SpMM(a32, x32) })
+	b32 := bytesPerRun(10, func() { SpMMIntoCtx(kc, tensor.NewOf[float32](2000, 32), a32, x32) })
 	b8 := bytesPerRun(10, func() { QSpMMQuantInto(kc, tensor.NewQMat(2000, 32, 0), a8, x8, 0.05) })
 	if b8 > 0.6*b32 {
 		t.Fatalf("QSpMMQuantInto allocated %.0f B against %.0f B for f32 SpMM, want ≤ 60%%", b8, b32)
 	}
+}
+
+// quantizeCSR quantizes a float64 CSR at one per-tensor symmetric
+// scale (maxabs/127; 1 when all values are zero).
+func quantizeCSR(a *CSR) *QCSR {
+	maxAbs := 0.0
+	for _, v := range a.Vals {
+		if av := math.Abs(v); av > maxAbs {
+			maxAbs = av
+		}
+	}
+	scale := 1.0
+	if maxAbs > 0 {
+		scale = maxAbs / 127
+	}
+	q := &QCSR{
+		RowsN:  a.RowsN,
+		ColsN:  a.ColsN,
+		RowPtr: append([]int(nil), a.RowPtr...),
+		ColIdx: append([]int(nil), a.ColIdx...),
+		Vals:   make([]int8, len(a.Vals)),
+		Scale:  float32(scale),
+	}
+	for i, v := range a.Vals {
+		r := math.Round(v / scale)
+		if r > 127 {
+			r = 127
+		} else if r < -127 {
+			r = -127
+		}
+		q.Vals[i] = int8(r)
+	}
+	return q
 }

@@ -31,20 +31,15 @@ func RowSelection(idx []int, n int) *CSR {
 	return out
 }
 
-// GatherRows returns the matrix whose i-th row is m's row idx[i]. This is
-// the specialized Q·A product for a row-selection matrix Q with one unit
-// nonzero per row — the structure the sampling Q matrices always have —
-// and avoids the general SpGEMM accumulator. Equivalence with
-// SpGEMM(RowSelection(idx, n), A) is covered by tests.
-func GatherRows(m *CSR, idx []int) *CSR {
-	return GatherRowsInto(new(CSR), m, idx)
-}
-
-// GatherRowsInto is GatherRows writing into out, reusing out's storage
-// when large enough and growing it through the workspace pools otherwise
-// — this is how the bulk sampler reuses one Q·A product matrix across
-// all k stacked minibatches and all walk depths. out must not alias m.
-// Returns out.
+// GatherRowsInto writes into out the matrix whose i-th row is m's row
+// idx[i]. This is the specialized Q·A product for a row-selection matrix
+// Q with one unit nonzero per row — the structure the sampling Q
+// matrices always have — and avoids the general SpGEMM accumulator;
+// equivalence with SpGEMM(RowSelection(idx, n), A) is covered by tests.
+// out's storage is reused when large enough and grown through the
+// workspace pools otherwise — this is how the bulk sampler reuses one
+// Q·A product matrix across all k stacked minibatches and all walk
+// depths. out must not alias m. Returns out.
 func GatherRowsInto(out *CSR, m *CSR, idx []int) *CSR {
 	if out == m {
 		panic("sparse: GatherRowsInto output aliases input")
@@ -83,121 +78,25 @@ func ExtractSubmatrix(a *CSR, idx []int) *CSR {
 	return SpGEMM(SpGEMM(r, a), r.Transpose())
 }
 
-// ExtractSubmatrixDirect computes the same A[idx, idx] with a direct
-// hash-based relabeling, used as the independent oracle for testing the
-// SpGEMM formulation and as the fast path in the standard (non-bulk)
-// ShaDow sampler.
-func ExtractSubmatrixDirect(a *CSR, idx []int) *CSR {
-	pos := make(map[int]int, len(idx))
-	for i, v := range idx {
-		pos[v] = i
-	}
-	rowCols := make([][]int, len(idx))
-	rowVals := make([][]float64, len(idx))
-	for i, v := range idx {
-		cols, vals := a.Row(v)
-		var rc []int
-		var rv []float64
-		for k, c := range cols {
-			if j, ok := pos[c]; ok {
-				rc = append(rc, j)
-				rv = append(rv, vals[k])
-			}
-		}
-		// Row is traversed in increasing source-column order, but target
-		// labels follow idx order, so sort by target column.
-		insertionSortPairs(rc, rv)
-		rowCols[i], rowVals[i] = rc, rv
-	}
-	return assembleRows(len(idx), len(idx), rowCols, rowVals)
-}
-
-func insertionSortPairs(cols []int, vals []float64) {
-	for i := 1; i < len(cols); i++ {
-		c, v := cols[i], vals[i]
-		j := i - 1
-		for j >= 0 && cols[j] > c {
-			cols[j+1], vals[j+1] = cols[j], vals[j]
-			j--
-		}
-		cols[j+1], vals[j+1] = c, v
-	}
-}
-
-// SampleRowsResult is the output of SampleRows: for each input row, the
-// sampled column indices.
+// SampleRowsResult is the output of SampleRowsStreams: for each input
+// row, the sampled column indices.
 type SampleRowsResult struct {
 	Samples [][]int
 }
 
-// SampleRows draws up to s distinct nonzero column indices uniformly from
-// each row of m. Rows with ≤ s nonzeros return all of them. A split of
-// the provided generator seeds each parallel chunk so results are
-// deterministic for a given (matrix, s, seed) regardless of scheduling.
-//
-// This implements the "divide each row by its sum to get a uniform
-// distribution and sample s neighbors" step of matrix-based ShaDow: for
-// boolean adjacency rows, normalizing and sampling s times without
-// replacement is exactly uniform sampling of s distinct neighbors.
-func SampleRows(m *CSR, s int, r *rng.Rand) *SampleRowsResult {
-	out := &SampleRowsResult{Samples: make([][]int, m.RowsN)}
-	// One split generator per contiguous chunk: deterministic for a fixed
-	// row count regardless of goroutine scheduling.
-	workers := parallel.MaxWorkers()
-	chunk := (m.RowsN + workers - 1) / workers
-	if chunk < 1 {
-		chunk = 1
-	}
-	var tasks []func()
-	for lo := 0; lo < m.RowsN; lo += chunk {
-		lo, hi, g := lo, lo+chunk, r.Split()
-		if hi > m.RowsN {
-			hi = m.RowsN
-		}
-		tasks = append(tasks, func() {
-			for i := lo; i < hi; i++ {
-				cols, _ := m.Row(i)
-				if len(cols) <= s {
-					out.Samples[i] = append([]int(nil), cols...)
-					continue
-				}
-				picks := g.SampleWithoutReplacement(len(cols), s)
-				sel := make([]int, len(picks))
-				for k, p := range picks {
-					sel[k] = cols[p]
-				}
-				out.Samples[i] = sel
-			}
-		})
-	}
-	parallel.Do(tasks...)
-	return out
-}
-
-// IndicatorFromSets builds a rows×n CSR matrix with unit entries at the
-// given column sets (one set per row) — the F frontier/visited matrix of
-// matrix-based sampling.
-func IndicatorFromSets(sets [][]int, n int) *CSR {
-	coo := NewCOO(len(sets), n)
-	for i, set := range sets {
-		for _, c := range set {
-			coo.Add(i, c, 1)
-		}
-	}
-	csr := coo.ToCSR()
-	for i := range csr.Vals {
-		csr.Vals[i] = 1
-	}
-	return csr
-}
-
-// SampleRowsStreams is SampleRows with one generator per row: row i draws
-// from rowRand[i]. Rows sharing a generator are processed in row order,
+// SampleRowsStreams draws up to s distinct nonzero column indices
+// uniformly from each row of m; rows with ≤ s nonzeros return all of
+// them. Row i draws from rowRand[i]. Rows sharing a generator are processed in row order,
 // so a caller that routes every row of one logical stream (e.g. one
 // ShaDow batch vertex) through the same generator gets draw sequences
 // that do not depend on which other rows are stacked into the matrix —
 // the property bulk sampling needs for results independent of batch
 // stacking and rank sharding.
+//
+// This implements the "divide each row by its sum to get a uniform
+// distribution and sample s neighbors" step of matrix-based ShaDow: for
+// boolean adjacency rows, normalizing and sampling s times without
+// replacement is exactly uniform sampling of s distinct neighbors.
 func SampleRowsStreams(m *CSR, s int, rowRand []*rng.Rand) *SampleRowsResult {
 	if len(rowRand) != m.RowsN {
 		panic("sparse: SampleRowsStreams wants one generator per row")

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kernels"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -41,7 +42,14 @@ func TestCSRCOORoundTrip(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := rng.New(seed)
 		a := randomCSR(r, r.Intn(15)+1, r.Intn(15)+1, 0.3)
-		return a.ToCOO().ToCSR().Equal(a)
+		coo := NewCOO(a.Rows(), a.Cols())
+		for i := 0; i < a.Rows(); i++ {
+			cols, vals := a.Row(i)
+			for k, c := range cols {
+				coo.Add(i, c, vals[k])
+			}
+		}
+		return coo.ToCSR().Equal(a)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -51,7 +59,7 @@ func TestCSRCOORoundTrip(t *testing.T) {
 func TestDenseRoundTrip(t *testing.T) {
 	r := rng.New(1)
 	a := randomCSR(r, 8, 11, 0.25)
-	if !FromDense(a.ToDense()).Equal(a) {
+	if !fromDense(a.ToDense()).Equal(a) {
 		t.Fatal("CSR -> dense -> CSR changed matrix")
 	}
 }
@@ -108,7 +116,8 @@ func TestSpMMMatchesDense(t *testing.T) {
 		m, k, n := r.Intn(15)+1, r.Intn(15)+1, r.Intn(6)+1
 		a := randomCSR(r, m, k, 0.3)
 		x := tensor.RandN(r, k, n, 1)
-		got := SpMM(a, x)
+		got := tensor.New(m, n)
+		SpMMIntoCtx(kernels.Context{}, got, a, x)
 		want := tensor.MatMul(a.ToDense(), x)
 		if got.MaxAbsDiff(want) > 1e-12 {
 			t.Fatalf("SpMM mismatch at trial %d", trial)
@@ -135,7 +144,7 @@ func TestExtractSubmatrixMatchesDirect(t *testing.T) {
 		k := r.Intn(n) + 1
 		idx := r.SampleWithoutReplacement(n, k)
 		viaSpGEMM := ExtractSubmatrix(a, idx)
-		direct := ExtractSubmatrixDirect(a, idx)
+		direct := extractSubmatrixDirect(a, idx)
 		return viaSpGEMM.Equal(direct)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
@@ -153,18 +162,6 @@ func TestExtractSubmatrixValues(t *testing.T) {
 	sub = ExtractSubmatrix(a, []int{1, 2})
 	if sub.Nnz() != 2 || sub.At(0, 1) != 1 || sub.At(1, 0) != 1 {
 		t.Fatalf("induced {1,2} wrong: %v", sub.ToDense())
-	}
-}
-
-func TestVStack(t *testing.T) {
-	r := rng.New(7)
-	a := randomCSR(r, 3, 5, 0.4)
-	b := randomCSR(r, 2, 5, 0.4)
-	s := VStack(a, b)
-	s.checkValid()
-	want := tensor.ConcatRows(a.ToDense(), b.ToDense())
-	if s.ToDense().MaxAbsDiff(want) != 0 {
-		t.Fatal("VStack mismatch")
 	}
 }
 
@@ -199,11 +196,20 @@ func TestFromEdgesSymmetric(t *testing.T) {
 	}
 }
 
+// rowStreams splits one generator per row of a matrix with n rows.
+func rowStreams(r *rng.Rand, n int) []*rng.Rand {
+	out := make([]*rng.Rand, n)
+	for i := range out {
+		out[i] = r.Split()
+	}
+	return out
+}
+
 func TestSampleRowsBounds(t *testing.T) {
 	r := rng.New(8)
 	a := FromEdges(30, seqInts(29), seqIntsFrom(1, 29), true) // path graph
 	for _, s := range []int{1, 2, 5} {
-		res := SampleRows(a, s, r.Split())
+		res := SampleRowsStreams(a, s, rowStreams(r, a.Rows()))
 		for i, samp := range res.Samples {
 			if len(samp) > s {
 				t.Fatalf("row %d sampled %d > fanout %d", i, len(samp), s)
@@ -226,10 +232,9 @@ func TestSampleRowsBounds(t *testing.T) {
 }
 
 func TestSampleRowsDeterministic(t *testing.T) {
-	r1, r2 := rng.New(9), rng.New(9)
 	a := FromEdges(50, seqInts(49), seqIntsFrom(1, 49), true)
-	s1 := SampleRows(a, 2, r1)
-	s2 := SampleRows(a, 2, r2)
+	s1 := SampleRowsStreams(a, 2, rowStreams(rng.New(9), a.Rows()))
+	s2 := SampleRowsStreams(a, 2, rowStreams(rng.New(9), a.Rows()))
 	for i := range s1.Samples {
 		if len(s1.Samples[i]) != len(s2.Samples[i]) {
 			t.Fatalf("row %d lengths differ", i)
@@ -239,17 +244,6 @@ func TestSampleRowsDeterministic(t *testing.T) {
 				t.Fatalf("row %d sample %d differs", i, k)
 			}
 		}
-	}
-}
-
-func TestIndicatorFromSets(t *testing.T) {
-	f := IndicatorFromSets([][]int{{2, 0, 2}, {}, {1}}, 4)
-	f.checkValid()
-	if f.At(0, 0) != 1 || f.At(0, 2) != 1 || f.At(2, 1) != 1 {
-		t.Fatal("indicator entries wrong")
-	}
-	if f.RowNnz(0) != 2 || f.RowNnz(1) != 0 {
-		t.Fatal("indicator dedup or empty row wrong")
 	}
 }
 
@@ -286,11 +280,76 @@ func TestGatherRowsMatchesSpGEMMSelection(t *testing.T) {
 		for i := range idx {
 			idx[i] = r.Intn(n)
 		}
-		viaGather := GatherRows(a, idx)
+		viaGather := GatherRowsInto(new(CSR), a, idx)
 		viaSpGEMM := SpGEMM(RowSelection(idx, n), a)
 		return viaGather.Equal(viaSpGEMM)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// extractSubmatrixDirect computes the same A[idx, idx] as ExtractSubmatrix
+// with a direct hash-based relabeling: the independent oracle for the
+// SpGEMM formulation.
+func extractSubmatrixDirect(a *CSR, idx []int) *CSR {
+	pos := make(map[int]int, len(idx))
+	for i, v := range idx {
+		pos[v] = i
+	}
+	rowCols := make([][]int, len(idx))
+	rowVals := make([][]float64, len(idx))
+	for i, v := range idx {
+		cols, vals := a.Row(v)
+		var rc []int
+		var rv []float64
+		for k, c := range cols {
+			if j, ok := pos[c]; ok {
+				rc = append(rc, j)
+				rv = append(rv, vals[k])
+			}
+		}
+		// Row is traversed in increasing source-column order, but target
+		// labels follow idx order, so sort by target column.
+		insertionSortPairs(rc, rv)
+		rowCols[i], rowVals[i] = rc, rv
+	}
+	return assembleRows(len(idx), len(idx), rowCols, rowVals)
+}
+
+func insertionSortPairs(cols []int, vals []float64) {
+	for i := 1; i < len(cols); i++ {
+		c, v := cols[i], vals[i]
+		j := i - 1
+		for j >= 0 && cols[j] > c {
+			cols[j+1], vals[j+1] = cols[j], vals[j]
+			j--
+		}
+		cols[j+1], vals[j+1] = c, v
+	}
+}
+
+// assembleRows builds a CSR from per-row (cols, vals) slices.
+func assembleRows(rows, cols int, rowCols [][]int, rowVals [][]float64) *CSR {
+	out := &CSR{RowsN: rows, ColsN: cols, RowPtr: make([]int, rows+1)}
+	for i, rc := range rowCols {
+		out.RowPtr[i+1] = out.RowPtr[i] + len(rc)
+		out.ColIdx = append(out.ColIdx, rc...)
+		out.Vals = append(out.Vals, rowVals[i]...)
+	}
+	return out
+}
+
+// fromDense converts a dense matrix to CSR, dropping exact zeros.
+func fromDense(d *tensor.Dense) *CSR {
+	coo := NewCOO(d.Rows(), d.Cols())
+	for i := 0; i < d.Rows(); i++ {
+		row := d.Row(i)
+		for j, v := range row {
+			if v != 0 {
+				coo.Add(i, j, v)
+			}
+		}
+	}
+	return coo.ToCSR()
 }

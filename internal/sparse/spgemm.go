@@ -167,13 +167,6 @@ func spgemmNumericBody[T fp.Float](c spgemmCtx[T], lo, hi int) {
 	workspace.PutInt(touched)
 }
 
-// SpMM computes the sparse×dense product a×x into a new dense matrix.
-func SpMM[T fp.Float](a *CSROf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
-	out := tensor.NewOf[T](a.RowsN, x.Cols())
-	SpMMIntoCtx(kernels.Context{}, out, a, x)
-	return out
-}
-
 // spmmCtx carries SpMM operands into capture-free parallel bodies; res
 // is nil for the plain product and the residual operand for SpMMAdd.
 type spmmCtx[T fp.Float] struct {
@@ -259,18 +252,4 @@ func (m *CSROf[T]) ToDense() *tensor.Matrix[T] {
 		}
 	}
 	return out
-}
-
-// FromDense converts a dense matrix to CSR, dropping exact zeros.
-func FromDense(d *tensor.Dense) *CSR {
-	coo := NewCOO(d.Rows(), d.Cols())
-	for i := 0; i < d.Rows(); i++ {
-		row := d.Row(i)
-		for j, v := range row {
-			if v != 0 {
-				coo.Add(i, j, v)
-			}
-		}
-	}
-	return coo.ToCSR()
 }

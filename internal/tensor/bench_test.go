@@ -43,9 +43,10 @@ func BenchmarkMatMulInto(b *testing.B) {
 func BenchmarkMatMulT(b *testing.B) {
 	g := benchMat(4096, 64, 1)
 	w := benchMat(64, 64, 2)
+	out := New(4096, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulT(g, w)
+		MatMulTIntoCtx(kernels.Context{}, out, g, w)
 	}
 }
 
@@ -53,9 +54,10 @@ func BenchmarkMatMulT(b *testing.B) {
 func BenchmarkTMatMul(b *testing.B) {
 	a := benchMat(4096, 64, 1)
 	g := benchMat(4096, 64, 2)
+	out := New(64, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TMatMul(a, g)
+		TMatMulIntoCtx(kernels.Context{}, out, a, g)
 	}
 }
 
@@ -116,9 +118,10 @@ func BenchmarkGatherRows(b *testing.B) {
 func BenchmarkAddBias(b *testing.B) {
 	x := benchMat(4096, 64, 1)
 	bias := benchMat(1, 64, 2)
+	out := New(4096, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AddBias(x, bias)
+		AddBiasIntoCtx(kernels.Context{}, out, x, bias)
 	}
 }
 

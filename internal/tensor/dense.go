@@ -141,15 +141,6 @@ func (m *Matrix[T]) Fill(v T) {
 // SameShape reports whether m and o have identical dimensions.
 func (m *Matrix[T]) SameShape(o *Matrix[T]) bool { return m.rows == o.rows && m.cols == o.cols }
 
-// Reshape returns a view of the same data with new dimensions.
-// rows*cols must equal the current size.
-func (m *Matrix[T]) Reshape(rows, cols int) *Matrix[T] {
-	if rows*cols != len(m.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %dx%d to %dx%d", m.rows, m.cols, rows, cols))
-	}
-	return &Matrix[T]{rows: rows, cols: cols, data: m.data}
-}
-
 // SliceRows returns a view of rows [lo, hi) sharing storage with m.
 func (m *Matrix[T]) SliceRows(lo, hi int) *Matrix[T] {
 	if lo < 0 || hi < lo || hi > m.rows {
@@ -181,11 +172,6 @@ func (m *Matrix[T]) MaxAbsDiff(o *Matrix[T]) float64 {
 		}
 	}
 	return worst
-}
-
-// EqualApprox reports whether all elements differ by at most tol.
-func (m *Matrix[T]) EqualApprox(o *Matrix[T], tol float64) bool {
-	return m.SameShape(o) && m.MaxAbsDiff(o) <= tol
 }
 
 // Convert copies src into dst elementwise, converting between element

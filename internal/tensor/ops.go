@@ -79,13 +79,6 @@ type matCtx[T fp.Float] struct {
 // at every worker count. As in tiled.go, which of two different NaN
 // payloads survives an add is the one bit left unpinned.
 
-// MatMulT returns a×bᵀ, used by backprop (dA = G×Bᵀ) without forming Bᵀ.
-func MatMulT[T fp.Float](a, b *Matrix[T]) *Matrix[T] {
-	out := NewOf[T](a.rows, b.rows)
-	MatMulTIntoCtx(kernels.Context{}, out, a, b)
-	return out
-}
-
 // MatMulTIntoCtx computes out = a×bᵀ without forming bᵀ, under an
 // explicit intra-op worker budget. out must have shape a.rows × b.rows
 // and must not alias a or b.
@@ -174,13 +167,6 @@ func matMulTTiles[T fp.Float](o []T, n int, a, b []T, k, tiles int) {
 			o[r*n+c] = sum
 		}
 	}
-}
-
-// TMatMul returns aᵀ×b, used by backprop (dB = Aᵀ×G) without forming Aᵀ.
-func TMatMul[T fp.Float](a, b *Matrix[T]) *Matrix[T] {
-	out := NewOf[T](a.cols, b.cols)
-	TMatMulIntoCtx(kernels.Context{}, out, a, b)
-	return out
 }
 
 // TMatMulIntoCtx computes out = aᵀ×b without forming aᵀ, under an
@@ -275,13 +261,6 @@ func (m *Matrix[T]) Transpose() *Matrix[T] {
 	return out
 }
 
-// Add returns a+b elementwise.
-func Add[T fp.Float](a, b *Matrix[T]) *Matrix[T] {
-	out := NewOf[T](a.rows, a.cols)
-	AddInto(out, a, b)
-	return out
-}
-
 // AddInto computes out = a+b elementwise. out may alias a or b.
 func AddInto[T fp.Float](out, a, b *Matrix[T]) {
 	checkSame("Add", a, b)
@@ -297,29 +276,6 @@ func (m *Matrix[T]) AddInPlace(o *Matrix[T]) {
 	for i, v := range o.data {
 		m.data[i] += v
 	}
-}
-
-// Sub returns a-b elementwise.
-func Sub[T fp.Float](a, b *Matrix[T]) *Matrix[T] {
-	out := NewOf[T](a.rows, a.cols)
-	SubInto(out, a, b)
-	return out
-}
-
-// SubInto computes out = a-b elementwise. out may alias a or b.
-func SubInto[T fp.Float](out, a, b *Matrix[T]) {
-	checkSame("Sub", a, b)
-	checkSame("SubInto", out, a)
-	for i := range out.data {
-		out.data[i] = a.data[i] - b.data[i]
-	}
-}
-
-// Mul returns the elementwise (Hadamard) product a*b.
-func Mul[T fp.Float](a, b *Matrix[T]) *Matrix[T] {
-	out := NewOf[T](a.rows, a.cols)
-	MulInto(out, a, b)
-	return out
 }
 
 // MulInto computes out = a*b elementwise. out may alias a or b.
@@ -361,13 +317,6 @@ func (m *Matrix[T]) AXPY(s T, o *Matrix[T]) {
 	}
 }
 
-// AddBias returns m with the 1×cols row vector b added to every row.
-func AddBias[T fp.Float](m, b *Matrix[T]) *Matrix[T] {
-	out := NewOf[T](m.rows, m.cols)
-	AddBiasIntoCtx(kernels.Context{}, out, m, b)
-	return out
-}
-
 // AddBiasIntoCtx computes out = m with the 1×cols row vector b added to
 // every row, under an explicit intra-op worker budget. out may alias m.
 func AddBiasIntoCtx[T fp.Float](kc kernels.Context, out, m, b *Matrix[T]) {
@@ -389,13 +338,6 @@ func addBiasBody[T fp.Float](c matCtx[T], lo, hi int) {
 			oRow[j] = v + b.data[j]
 		}
 	}
-}
-
-// ColSums returns a 1×cols matrix with the sum of each column.
-func (m *Matrix[T]) ColSums() *Matrix[T] {
-	out := NewOf[T](1, m.cols)
-	m.ColSumsInto(out)
-	return out
 }
 
 // ColSumsInto computes the per-column sums into the 1×cols matrix out.
@@ -468,15 +410,6 @@ func ApplyInto[T fp.Float](out, m *Matrix[T], f func(T) T) {
 	for i, v := range m.data {
 		out.data[i] = f(v)
 	}
-}
-
-// ConcatCols concatenates matrices horizontally. All inputs must have the
-// same row count.
-func ConcatCols[T fp.Float](ms ...*Matrix[T]) *Matrix[T] {
-	rows, totalCols := concatColsShape(ms)
-	out := NewOf[T](rows, totalCols)
-	ConcatColsIntoCtx(kernels.Context{}, out, ms...)
-	return out
 }
 
 func concatColsShape[T fp.Float](ms []*Matrix[T]) (rows, totalCols int) {
@@ -558,30 +491,6 @@ func ConcatRows[T fp.Float](ms ...*Matrix[T]) *Matrix[T] {
 		off += len(m.data)
 	}
 	return out
-}
-
-// SplitCols splits m into len(widths) matrices with the given column
-// widths (which must sum to m.cols), undoing ConcatCols.
-func SplitCols[T fp.Float](m *Matrix[T], widths ...int) []*Matrix[T] {
-	total := 0
-	for _, w := range widths {
-		total += w
-	}
-	if total != m.cols {
-		panic(fmt.Sprintf("tensor: SplitCols widths sum %d != cols %d", total, m.cols))
-	}
-	outs := make([]*Matrix[T], len(widths))
-	for i, w := range widths {
-		outs[i] = NewOf[T](m.rows, w)
-	}
-	for r := 0; r < m.rows; r++ {
-		off := r * m.cols
-		for i, w := range widths {
-			copy(outs[i].data[r*w:(r+1)*w], m.data[off:off+w])
-			off += w
-		}
-	}
-	return outs
 }
 
 // GatherRows returns the matrix whose i-th row is m's row idx[i].

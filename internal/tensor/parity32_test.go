@@ -109,8 +109,11 @@ func TestF32MatMulMatchesF64WithinTolerance(t *testing.T) {
 		t.Fatalf("f32 MatMul drifts %v from f64", d)
 	}
 
-	gotT := ConvertFrom[float64](nil, MatMulT(a32, a32))
-	wantT := MatMulT(a64, a64)
+	gotT32 := NewOf[float32](a32.Rows(), a32.Rows())
+	MatMulTIntoCtx(kernels.Context{}, gotT32, a32, a32)
+	gotT := ConvertFrom[float64](nil, gotT32)
+	wantT := New(a64.Rows(), a64.Rows())
+	MatMulTIntoCtx(kernels.Context{}, wantT, a64, a64)
 	if d := wantT.MaxAbsDiff(gotT); d > 1e-4 {
 		t.Fatalf("f32 MatMulT drifts %v from f64", d)
 	}
@@ -129,7 +132,6 @@ func TestF32IntoKernelsZeroAllocs(t *testing.T) {
 		MatMulTIntoCtx(kernels.Context{}, mm, a, b)
 		TMatMulIntoCtx(kernels.Context{}, mm, a, b)
 		AddInto(out, a, b)
-		SubInto(out, a, b)
 		MulInto(out, a, b)
 		ScaleInto(out, 2.5, a)
 		AddBiasIntoCtx(kernels.Context{}, out, a, bias)

@@ -125,7 +125,7 @@ func TestGatherConcat3MatchesUnfused(t *testing.T) {
 	dst := parityIdx(r, 41, 31)
 
 	// Filter shape: [x[src] ‖ x[dst] ‖ e].
-	ref := ConcatCols(GatherRows(x, src), GatherRows(x, dst), e)
+	ref := concatCols(GatherRows(x, src), GatherRows(x, dst), e)
 	out := New(41, 7+7+5)
 	for _, w := range parityWorkers {
 		GatherConcat3IntoCtx(kernels.Context{Workers: w}, out, x, src, x, dst, e, nil)
@@ -133,7 +133,7 @@ func TestGatherConcat3MatchesUnfused(t *testing.T) {
 	}
 
 	// IGNN shape: [e ‖ x[src] ‖ x[dst]].
-	ref2 := ConcatCols(e, GatherRows(x, src), GatherRows(x, dst))
+	ref2 := concatCols(e, GatherRows(x, src), GatherRows(x, dst))
 	out2 := New(41, 5+7+7)
 	for _, w := range parityWorkers {
 		GatherConcat3IntoCtx(kernels.Context{Workers: w}, out2, e, nil, x, src, x, dst)

@@ -30,9 +30,3 @@ func XavierInit(r *rng.Rand, fanIn, fanOut int) *Dense {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	return RandUniform(r, fanIn, fanOut, -limit, limit)
 }
-
-// HeInit returns a fanIn×fanOut weight matrix with Kaiming-normal
-// initialization suited to ReLU networks.
-func HeInit(r *rng.Rand, fanIn, fanOut int) *Dense {
-	return RandN(r, fanIn, fanOut, math.Sqrt(2.0/float64(fanIn)))
-}

@@ -55,7 +55,7 @@ func drawSegs[T fp.Float](r *rng.Rand, rows, kRes int) segsCase[T] {
 		c.segs = append(c.segs, Seg[T]{M: m, Idx: idx})
 		parts[i] = GatherRows(m, idx)
 	}
-	c.cat = ConcatCols(parts...)
+	c.cat = concatCols(parts...)
 	return c
 }
 

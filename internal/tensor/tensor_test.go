@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fp"
+	"repro/internal/kernels"
 	"repro/internal/rng"
 )
 
@@ -32,7 +34,7 @@ func TestMatMulMatchesNaive(t *testing.T) {
 		m, k, n := r.Intn(20)+1, r.Intn(20)+1, r.Intn(20)+1
 		a, b := randomMat(r, m, k), randomMat(r, k, n)
 		got, want := MatMul(a, b), naiveMatMul(a, b)
-		if !got.EqualApprox(want, 1e-12) {
+		if !got.equalApprox(want, 1e-12) {
 			t.Fatalf("MatMul mismatch at %dx%dx%d: diff %v", m, k, n, got.MaxAbsDiff(want))
 		}
 	}
@@ -45,7 +47,7 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		id.Set(i, i, 1)
 	}
-	if !MatMul(a, id).EqualApprox(a, 1e-14) || !MatMul(id, a).EqualApprox(a, 1e-14) {
+	if !MatMul(a, id).equalApprox(a, 1e-14) || !MatMul(id, a).equalApprox(a, 1e-14) {
 		t.Fatal("identity multiplication altered matrix")
 	}
 }
@@ -55,7 +57,7 @@ func TestMatMulAssociativity(t *testing.T) {
 	a, b, c := randomMat(r, 5, 6), randomMat(r, 6, 4), randomMat(r, 4, 3)
 	left := MatMul(MatMul(a, b), c)
 	right := MatMul(a, MatMul(b, c))
-	if !left.EqualApprox(right, 1e-10) {
+	if !left.equalApprox(right, 1e-10) {
 		t.Fatalf("(AB)C != A(BC): diff %v", left.MaxAbsDiff(right))
 	}
 }
@@ -65,13 +67,17 @@ func TestMatMulTAndTMatMul(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		m, k, n := r.Intn(15)+1, r.Intn(15)+1, r.Intn(15)+1
 		a, b := randomMat(r, m, k), randomMat(r, n, k)
-		if got, want := MatMulT(a, b), MatMul(a, b.Transpose()); !got.EqualApprox(want, 1e-12) {
-			t.Fatalf("MatMulT mismatch: %v", got.MaxAbsDiff(want))
+		got := New(m, n)
+		MatMulTIntoCtx(kernels.Context{}, got, a, b)
+		if want := MatMul(a, b.Transpose()); !got.equalApprox(want, 1e-12) {
+			t.Fatalf("MatMulTIntoCtx mismatch: %v", got.MaxAbsDiff(want))
 		}
 		c := randomMat(r, k, n)
 		a2 := randomMat(r, k, m)
-		if got, want := TMatMul(a2, c), MatMul(a2.Transpose(), c); !got.EqualApprox(want, 1e-12) {
-			t.Fatalf("TMatMul mismatch: %v", got.MaxAbsDiff(want))
+		got2 := New(m, n)
+		TMatMulIntoCtx(kernels.Context{}, got2, a2, c)
+		if want := MatMul(a2.Transpose(), c); !got2.equalApprox(want, 1e-12) {
+			t.Fatalf("TMatMulIntoCtx mismatch: %v", got2.MaxAbsDiff(want))
 		}
 	}
 }
@@ -80,7 +86,7 @@ func TestTransposeInvolution(t *testing.T) {
 	check := func(seed uint64, rRaw, cRaw uint8) bool {
 		rows, cols := int(rRaw%20)+1, int(cRaw%20)+1
 		m := randomMat(rng.New(seed), rows, cols)
-		return m.Transpose().Transpose().EqualApprox(m, 0)
+		return m.Transpose().Transpose().equalApprox(m, 0)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -90,7 +96,10 @@ func TestTransposeInvolution(t *testing.T) {
 func TestAddSubInverse(t *testing.T) {
 	r := rng.New(5)
 	a, b := randomMat(r, 9, 4), randomMat(r, 9, 4)
-	if !Sub(Add(a, b), b).EqualApprox(a, 1e-14) {
+	got := New(9, 4)
+	AddInto(got, a, b)
+	got.AXPY(-1, b)
+	if !got.equalApprox(a, 1e-14) {
 		t.Fatal("(a+b)-b != a")
 	}
 }
@@ -98,15 +107,25 @@ func TestAddSubInverse(t *testing.T) {
 func TestMulCommutes(t *testing.T) {
 	r := rng.New(6)
 	a, b := randomMat(r, 6, 6), randomMat(r, 6, 6)
-	if !Mul(a, b).EqualApprox(Mul(b, a), 0) {
+	ab, ba := New(6, 6), New(6, 6)
+	MulInto(ab, a, b)
+	MulInto(ba, b, a)
+	if !ab.equalApprox(ba, 0) {
 		t.Fatal("Hadamard product not commutative")
+	}
+	for i, v := range ab.Data() {
+		if v != a.Data()[i]*b.Data()[i] {
+			t.Fatalf("MulInto element %d = %v, want %v", i, v, a.Data()[i]*b.Data()[i])
+		}
 	}
 }
 
 func TestScaleLinearity(t *testing.T) {
 	r := rng.New(7)
 	a := randomMat(r, 5, 5)
-	if !Scale(2, a).EqualApprox(Add(a, a), 1e-14) {
+	sum := New(5, 5)
+	AddInto(sum, a, a)
+	if !Scale(2, a).equalApprox(sum, 1e-14) {
 		t.Fatal("2a != a+a")
 	}
 }
@@ -114,19 +133,22 @@ func TestScaleLinearity(t *testing.T) {
 func TestAddBias(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{10, 20}})
-	got := AddBias(m, b)
+	got := New(2, 2)
+	AddBiasIntoCtx(kernels.Context{}, got, m, b)
 	want := FromRows([][]float64{{11, 22}, {13, 24}})
-	if !got.EqualApprox(want, 0) {
-		t.Fatalf("AddBias got %v", got)
+	if !got.equalApprox(want, 0) {
+		t.Fatalf("AddBiasIntoCtx got %v", got)
 	}
 }
 
 func TestColRowSums(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	if cs := m.ColSums(); !cs.EqualApprox(FromRows([][]float64{{5, 7, 9}}), 0) {
-		t.Fatalf("ColSums got %v", cs)
+	cs := New(1, 3)
+	m.ColSumsInto(cs)
+	if !cs.equalApprox(FromRows([][]float64{{5, 7, 9}}), 0) {
+		t.Fatalf("ColSumsInto got %v", cs)
 	}
-	if rs := m.RowSums(); !rs.EqualApprox(FromRows([][]float64{{6}, {15}}), 0) {
+	if rs := m.RowSums(); !rs.equalApprox(FromRows([][]float64{{6}, {15}}), 0) {
 		t.Fatalf("RowSums got %v", rs)
 	}
 	if m.Sum() != 21 {
@@ -140,13 +162,16 @@ func TestColRowSums(t *testing.T) {
 func TestConcatSplitColsRoundTrip(t *testing.T) {
 	r := rng.New(8)
 	a, b, c := randomMat(r, 7, 3), randomMat(r, 7, 1), randomMat(r, 7, 5)
-	cat := ConcatCols(a, b, c)
-	if cat.Rows() != 7 || cat.Cols() != 9 {
-		t.Fatalf("ConcatCols shape %dx%d", cat.Rows(), cat.Cols())
-	}
-	parts := SplitCols(cat, 3, 1, 5)
-	if !parts[0].EqualApprox(a, 0) || !parts[1].EqualApprox(b, 0) || !parts[2].EqualApprox(c, 0) {
-		t.Fatal("SplitCols did not invert ConcatCols")
+	cat := New(7, 9)
+	ConcatColsIntoCtx(kernels.Context{}, cat, a, b, c)
+	off := 0
+	for i, want := range []*Dense{a, b, c} {
+		part := New(7, want.Cols())
+		ExtractColsInto(part, cat, off)
+		if !part.equalApprox(want, 0) {
+			t.Fatalf("ExtractColsInto did not invert ConcatColsIntoCtx for part %d", i)
+		}
+		off += want.Cols()
 	}
 }
 
@@ -155,7 +180,7 @@ func TestConcatRows(t *testing.T) {
 	b := FromRows([][]float64{{3, 4}, {5, 6}})
 	got := ConcatRows(a, b)
 	want := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if !got.EqualApprox(want, 0) {
+	if !got.equalApprox(want, 0) {
 		t.Fatalf("ConcatRows got %v", got)
 	}
 }
@@ -173,10 +198,12 @@ func TestGatherScatterAdjoint(t *testing.T) {
 			idx[i] = r.Intn(n)
 		}
 		g := GatherRows(x, idx)
-		lhs := Mul(g, y).Sum()
+		MulInto(g, g, y)
+		lhs := g.Sum()
 		sc := New(n, c)
 		ScatterAddRows(sc, y, idx)
-		rhs := Mul(x, sc).Sum()
+		MulInto(sc, x, sc)
+		rhs := sc.Sum()
 		if math.Abs(lhs-rhs) > 1e-10 {
 			t.Fatalf("adjoint identity violated: %v vs %v", lhs, rhs)
 		}
@@ -187,7 +214,7 @@ func TestGatherRowsValues(t *testing.T) {
 	m := FromRows([][]float64{{0, 0}, {1, 1}, {2, 2}})
 	g := GatherRows(m, []int{2, 0, 2})
 	want := FromRows([][]float64{{2, 2}, {0, 0}, {2, 2}})
-	if !g.EqualApprox(want, 0) {
+	if !g.equalApprox(want, 0) {
 		t.Fatalf("GatherRows got %v", g)
 	}
 }
@@ -197,7 +224,7 @@ func TestScatterAddAccumulates(t *testing.T) {
 	src := FromRows([][]float64{{1}, {2}, {4}})
 	ScatterAddRows(dst, src, []int{0, 0, 1})
 	want := FromRows([][]float64{{3}, {4}})
-	if !dst.EqualApprox(want, 0) {
+	if !dst.equalApprox(want, 0) {
 		t.Fatalf("ScatterAddRows got %v", dst)
 	}
 }
@@ -213,21 +240,24 @@ func TestSliceRowsAliases(t *testing.T) {
 
 func TestReshapePreservesData(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	r := m.Reshape(3, 2)
+	r := FromSlice(3, 2, m.Data())
 	want := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if !r.EqualApprox(want, 0) {
-		t.Fatalf("Reshape got %v", r)
+	if !r.equalApprox(want, 0) {
+		t.Fatalf("FromSlice reshape got %v", r)
+	}
+	r.Set(0, 0, 99)
+	if m.At(0, 0) != 99 {
+		t.Fatal("FromSlice does not alias the slice it wraps")
 	}
 }
 
 func TestShapeMismatchPanics(t *testing.T) {
 	cases := []func(){
 		func() { MatMul(New(2, 3), New(2, 3)) },
-		func() { Add(New(2, 3), New(3, 2)) },
-		func() { AddBias(New(2, 3), New(1, 2)) },
-		func() { ConcatCols(New(2, 3), New(3, 3)) },
+		func() { AddInto(New(2, 3), New(2, 3), New(3, 2)) },
+		func() { AddBiasIntoCtx(kernels.Context{}, New(2, 3), New(2, 3), New(1, 2)) },
+		func() { ConcatColsIntoCtx(kernels.Context{}, New(2, 6), New(2, 3), New(3, 3)) },
 		func() { FromSlice(2, 2, []float64{1}) },
-		func() { New(2, 2).Reshape(3, 3) },
 	}
 	for i, f := range cases {
 		func() {
@@ -250,15 +280,6 @@ func TestXavierHeInitScale(t *testing.T) {
 			t.Fatalf("Xavier value %v outside ±%v", v, limit)
 		}
 	}
-	h := HeInit(r, 200, 50)
-	variance := 0.0
-	for _, v := range h.Data() {
-		variance += v * v
-	}
-	variance /= float64(h.Size())
-	if math.Abs(variance-2.0/200.0) > 0.002 {
-		t.Fatalf("He variance %v too far from %v", variance, 2.0/200.0)
-	}
 }
 
 func TestNorm2(t *testing.T) {
@@ -272,7 +293,20 @@ func TestAXPY(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}})
 	b := FromRows([][]float64{{10, 10}})
 	a.AXPY(0.5, b)
-	if !a.EqualApprox(FromRows([][]float64{{6, 7}}), 1e-15) {
+	if !a.equalApprox(FromRows([][]float64{{6, 7}}), 1e-15) {
 		t.Fatalf("AXPY got %v", a)
 	}
+}
+
+// equalApprox reports whether all elements differ by at most tol.
+func (m *Matrix[T]) equalApprox(o *Matrix[T], tol float64) bool {
+	return m.SameShape(o) && m.MaxAbsDiff(o) <= tol
+}
+
+// concatCols concatenates matrices horizontally through ConcatColsIntoCtx.
+func concatCols[T fp.Float](ms ...*Matrix[T]) *Matrix[T] {
+	rows, cols := concatColsShape(ms)
+	out := NewOf[T](rows, cols)
+	ConcatColsIntoCtx(kernels.Context{}, out, ms...)
+	return out
 }

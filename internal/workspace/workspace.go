@@ -251,6 +251,3 @@ func GrowF64(s []float64, n int) []float64 { return grow(f64Pools, s, n) }
 
 // GrowInt grows a []int through the pools (see grow).
 func GrowInt(s []int, n int) []int { return grow(intPools, s, n) }
-
-// GrowBool grows a []bool through the pools (see grow).
-func GrowBool(s []bool, n int) []bool { return grow(boolPools, s, n) }

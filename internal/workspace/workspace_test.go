@@ -178,8 +178,7 @@ func TestGrowNilStaysOffPools(t *testing.T) {
 		t.Fatalf("len %d", len(s))
 	}
 	i := GrowInt(nil, 10)
-	b := GrowBool(nil, 10)
-	if len(i) != 10 || len(b) != 10 {
+	if len(i) != 10 {
 		t.Fatal("nil grow lengths wrong")
 	}
 	after := ReadStats()
