@@ -2,10 +2,11 @@
 // evaluation section, plus kernel microbenchmarks for the substrates.
 // Run with: go test -bench=. -benchmem
 //
-// The experiment benchmarks execute the same harnesses as cmd/repro at
-// reduced scale so a full -bench pass completes in minutes on a laptop;
-// PERF.md ("Figure 3 timing model") records a `repro figure3` run at the
-// calibrated scale.
+// The experiment benchmarks call internal/experiments, the harnesses
+// behind cmd/repro's subcommands, at reduced scale so a full -bench pass
+// completes in minutes on a laptop; PERF.md ("Figure 3 timing model")
+// records a `repro figure3` run at the calibrated scale. The repository
+// root holds only tests: this file and surface_test.go.
 package repro_test
 
 import (
@@ -13,12 +14,13 @@ import (
 	"testing"
 	"time"
 
-	"repro"
+	"repro/internal/detector"
+	"repro/internal/experiments"
 	"repro/recon"
 )
 
-func benchOptions() repro.ExperimentOptions {
-	return repro.ExperimentOptions{
+func benchOptions() experiments.Options {
+	return experiments.Options{
 		Scale:           0.02,
 		Events:          4,
 		Epochs:          2,
@@ -35,7 +37,7 @@ func benchOptions() repro.ExperimentOptions {
 func BenchmarkTable1_DatasetGeneration(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows, _ := repro.Table1(context.Background(), o)
+		rows, _ := experiments.RunTable1Context(context.Background(), o)
 		if len(rows) != 2 {
 			b.Fatal("table 1 incomplete")
 		}
@@ -47,21 +49,21 @@ func BenchmarkTable1_DatasetGeneration(b *testing.B) {
 func benchmarkFigure3(b *testing.B, procs int) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows, _ := repro.Figure3(context.Background(), o, []int{procs})
+		rows, _ := experiments.RunFigure3Context(context.Background(), o, []int{procs})
 		if len(rows) != 2 {
 			b.Fatal("figure 3 incomplete")
 		}
-		b.ReportMetric(repro.Figure3Speedups(rows)[procs], "speedup")
+		b.ReportMetric(experiments.Speedups(rows)[procs], "speedup")
 	}
 }
 
 // engineBenchFixture is the engine benchmarks' fixture: a 32-event
 // batch and an untrained reconstructor.
-func engineBenchFixture(b *testing.B) (*recon.Reconstructor, []*repro.Event) {
+func engineBenchFixture(b *testing.B) (*recon.Reconstructor, []*detector.Event) {
 	b.Helper()
-	spec := repro.Ex3Like(0.03)
+	spec := detector.Ex3Like(0.03)
 	spec.NumEvents = 32
-	ds := repro.GenerateDataset(spec, 3)
+	ds := detector.Generate(spec, 3)
 	r, err := recon.New(spec, recon.WithSeed(5))
 	if err != nil {
 		b.Fatal(err)
@@ -110,7 +112,7 @@ func BenchmarkFigure3_EpochTime_P8(b *testing.B) { benchmarkFigure3(b, 8) }
 func BenchmarkFigure4_Convergence(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		res, _ := repro.Figure4(context.Background(), o)
+		res, _ := experiments.RunFigure4Context(context.Background(), o)
 		if len(res.Ours.Points) != o.Epochs {
 			b.Fatal("figure 4 incomplete")
 		}
@@ -123,7 +125,7 @@ func BenchmarkFigure4_Convergence(b *testing.B) {
 func BenchmarkAblation_AllReduce(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows, _ := repro.AllReduceAblation(context.Background(), o, []int{2, 4, 8}, 5)
+		rows, _ := experiments.RunAllReduceAblationContext(context.Background(), o, []int{2, 4, 8}, 5)
 		if len(rows) != 6 {
 			b.Fatal("ablation incomplete")
 		}
@@ -134,7 +136,7 @@ func BenchmarkAblation_AllReduce(b *testing.B) {
 func BenchmarkAblation_BulkK(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows, _ := repro.BulkKAblation(context.Background(), o, []int{1, 4})
+		rows, _ := experiments.RunBulkKAblationContext(context.Background(), o, []int{1, 4})
 		if len(rows) != 2 {
 			b.Fatal("ablation incomplete")
 		}
@@ -146,7 +148,7 @@ func BenchmarkAblation_BulkK(b *testing.B) {
 func BenchmarkAblation_BatchSize(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows, _ := repro.BatchSizeAblation(context.Background(), o, []int{64, 256})
+		rows, _ := experiments.RunBatchSizeAblationContext(context.Background(), o, []int{64, 256})
 		if len(rows) != 2 {
 			b.Fatal("ablation incomplete")
 		}
@@ -169,10 +171,10 @@ func BenchmarkEngine_ReconstructSerial(b *testing.B) {
 
 // BenchmarkDetector_GenerateEvent measures the event simulator.
 func BenchmarkDetector_GenerateEvent(b *testing.B) {
-	spec := repro.Ex3Like(0.1)
+	spec := detector.Ex3Like(0.1)
 	spec.NumEvents = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		repro.GenerateDataset(spec, uint64(i))
+		detector.Generate(spec, uint64(i))
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
 	"repro/internal/detector"
+	"repro/internal/trackio"
 )
 
 func main() {
@@ -23,8 +23,8 @@ func main() {
 
 	spec := dataset.Spec(*scale)
 	spec.NumEvents = *events
-	ds := repro.GenerateDataset(spec, *seed)
-	if err := repro.SaveDataset(*out, ds); err != nil {
+	ds := detector.Generate(spec, *seed)
+	if err := trackio.Save(*out, ds); err != nil {
 		log.Fatal(err)
 	}
 	st := ds.ComputeStats()

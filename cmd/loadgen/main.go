@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro"
 	"repro/internal/detector"
 	"repro/recon"
 	"repro/recon/wire"
@@ -117,9 +116,9 @@ func parseWindows(s string) ([]time.Duration, error) {
 // buildRequests pre-generates the client-side request population: one
 // request per generated event, so decode cost on the server is real
 // traffic, not synthetic-spec shorthand.
-func buildRequests(spec repro.DetectorSpec, events int, seed uint64, perReq int) []recon.ReconstructRequest {
+func buildRequests(spec detector.Spec, events int, seed uint64, perReq int) []recon.ReconstructRequest {
 	spec.NumEvents = events
-	ds := repro.GenerateDataset(spec, seed)
+	ds := detector.Generate(spec, seed)
 	var reqs []recon.ReconstructRequest
 	for i := 0; i < len(ds.Events); i += perReq {
 		req := recon.ReconstructRequest{}

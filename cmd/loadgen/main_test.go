@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"repro"
+	"repro/internal/detector"
 	"repro/recon"
 )
 
@@ -69,7 +69,7 @@ func TestParseWindows(t *testing.T) {
 }
 
 func TestBuildAndEncodeBodies(t *testing.T) {
-	reqs := buildRequests(repro.Ex3Like(0.01), 4, 3, 2)
+	reqs := buildRequests(detector.Ex3Like(0.01), 4, 3, 2)
 	if len(reqs) != 2 || len(reqs[0].Events) != 2 {
 		t.Fatalf("grouping: %d requests, %d events in first", len(reqs), len(reqs[0].Events))
 	}
@@ -93,7 +93,7 @@ func TestBuildAndEncodeBodies(t *testing.T) {
 // in-process window-0 reference and a windowed server, the bitwise
 // parity gate between them, and a short closed-loop run in each format.
 func TestSelfSweepEndToEnd(t *testing.T) {
-	spec := repro.Ex3Like(0.01)
+	spec := detector.Ex3Like(0.01)
 	reqs := buildRequests(spec, 4, 3, 1)
 	bodiesJSON, err := encodeBodies(reqs, false)
 	if err != nil {

@@ -5,7 +5,6 @@
 //	repro figure3    Figure 3: epoch time across simulated GPU counts
 //	repro figure4    Figure 4: precision/recall convergence on Ex3
 //	repro ablation   the §III-D / §IV-C design-choice ablations
-//	repro scaling    the strong-scaling sweep as a JSON record
 //	repro trainpipe  GNN-stage training with one impl, epoch by epoch
 //
 // Each subcommand takes its own flags (`repro <subcommand> -h`). A bad
@@ -26,10 +25,13 @@ import (
 	"strings"
 	"time"
 
-	"repro"
+	"repro/internal/ddp"
 	"repro/internal/detector"
+	"repro/internal/dtrain"
 	"repro/internal/experiments"
+	"repro/internal/ignn"
 	"repro/internal/metrics"
+	"repro/internal/trackio"
 	"repro/recon"
 )
 
@@ -45,7 +47,6 @@ var subcommands = []subcommand{
 	{"figure3", "Figure 3: epoch time across simulated GPU counts, PyG vs ours", figure3},
 	{"figure4", "Figure 4: precision/recall convergence of full-graph, PyG and ours", figure4},
 	{"ablation", "design-choice ablations: allreduce | bulk | fanout | batchsize", ablation},
-	{"scaling", "strong-scaling sweep over ranks × bulk k × sync strategies", scaling},
 	{"trainpipe", "train the GNN stage with one impl, printing per-epoch P/R", trainpipe},
 }
 
@@ -132,19 +133,19 @@ func parseInts(name, s string) ([]int, error) {
 }
 
 // parseSync maps a strategy name to the gradient synchronization pattern.
-func parseSync(name string) (repro.SyncStrategy, error) {
+func parseSync(name string) (ddp.SyncStrategy, error) {
 	switch name {
 	case "permatrix":
-		return repro.PerMatrixSync, nil
+		return ddp.PerMatrix, nil
 	case "coalesced":
-		return repro.CoalescedSync, nil
+		return ddp.Coalesced, nil
 	}
 	return 0, usagef("unknown sync strategy %q; choose permatrix | coalesced", name)
 }
 
 // gnnConfig sizes the interaction GNN for a dataset family's features.
-func gnnConfig(spec repro.DetectorSpec, hidden, steps int) repro.GNNConfig {
-	return repro.GNNConfig{
+func gnnConfig(spec detector.Spec, hidden, steps int) ignn.Config {
+	return ignn.Config{
 		NodeFeatures: spec.VertexFeatures,
 		EdgeFeatures: spec.EdgeFeatures,
 		Hidden:       hidden,
@@ -159,7 +160,7 @@ func table1(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	events := fs.Int("events", 80, "event graphs per dataset (paper: 80)")
 	seed := fs.Uint64("seed", 7, "generation seed")
 	return func(ctx context.Context, w io.Writer) error {
-		rows, err := repro.Table1(ctx, repro.ExperimentOptions{
+		rows, err := experiments.RunTable1Context(ctx, experiments.Options{
 			Scale:  *scale,
 			Events: *events,
 			Seed:   *seed,
@@ -205,7 +206,7 @@ func figure3(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 				return err
 			}
 		}
-		o := repro.ExperimentOptions{
+		o := experiments.Options{
 			Dataset:         string(dataset),
 			Scale:           *scale,
 			Events:          *events,
@@ -217,7 +218,7 @@ func figure3(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 		}
 		fmt.Fprintf(w, "FIGURE 3: epoch time, dataset=%s scale=%v procs=%v\n", dataset, *scale, procs)
 		fmt.Fprintln(w, "(measured compute sections under a modelled device clock; see \"Timing\" in internal/dtrain)")
-		rows, err := repro.Figure3(ctx, o, procs)
+		rows, err := experiments.RunFigure3Context(ctx, o, procs)
 		for _, r := range rows {
 			fmt.Fprintln(w, " ", r)
 		}
@@ -225,7 +226,7 @@ func figure3(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 			return err
 		}
 		fmt.Fprintln(w, "\nspeedup (PyG / Ours):")
-		speedups := repro.Figure3Speedups(rows)
+		speedups := experiments.Speedups(rows)
 		for _, p := range procs {
 			if s, ok := speedups[p]; ok {
 				fmt.Fprintf(w, "  p=%-2d %.2fx\n", p, s)
@@ -249,7 +250,7 @@ func figure4(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	batch := fs.Int("batch", 256, "batch size (paper: 256)")
 	seed := fs.Uint64("seed", 7, "seed")
 	return func(ctx context.Context, w io.Writer) error {
-		res, err := repro.Figure4(ctx, repro.ExperimentOptions{
+		res, err := experiments.RunFigure4Context(ctx, experiments.Options{
 			Dataset:   "ex3",
 			Scale:     *scale,
 			Events:    *events,
@@ -289,7 +290,7 @@ func ablation(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	epochs := fs.Int("epochs", 6, "epochs for quality ablations")
 	seed := fs.Uint64("seed", 7, "seed")
 	return func(ctx context.Context, w io.Writer) error {
-		o := repro.ExperimentOptions{
+		o := experiments.Options{
 			Scale:           *scale,
 			Events:          *events,
 			Epochs:          *epochs,
@@ -302,32 +303,32 @@ func ablation(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 		switch *exp {
 		case "allreduce":
 			fmt.Fprintln(w, "ABLATION §III-D: all-reduce strategy for the IGNN parameter set")
-			var rows []repro.AllReduceRow
-			rows, err = repro.AllReduceAblation(ctx, o, []int{2, 4, 8, 16}, 10)
+			var rows []experiments.AllReduceRow
+			rows, err = experiments.RunAllReduceAblationContext(ctx, o, []int{2, 4, 8, 16}, 10)
 			for _, r := range rows {
 				fmt.Fprintf(w, "  p=%-3d %-10s collectives=%-5d modeled=%v\n",
 					r.Procs, r.Strategy, r.Collectives, r.ModeledTime)
 			}
 		case "bulk":
 			fmt.Fprintln(w, "ABLATION §IV-C: bulk batch count k vs sampling time")
-			var rows []repro.BulkKRow
-			rows, err = repro.BulkKAblation(ctx, o, []int{1, 2, 4, 8, 16})
+			var rows []experiments.BulkKRow
+			rows, err = experiments.RunBulkKAblationContext(ctx, o, []int{1, 2, 4, 8, 16})
 			for _, r := range rows {
 				fmt.Fprintf(w, "  k=%-3d sampler_calls=%-4d sampling=%-14v training=%v\n",
 					r.K, r.SamplerCalls, r.Sampling.Round(time.Microsecond), r.Training.Round(time.Microsecond))
 			}
 		case "fanout":
 			fmt.Fprintln(w, "ABLATION: ShaDow depth d / fanout s vs quality and cost")
-			var rows []repro.FanoutRow
-			rows, err = repro.FanoutAblation(ctx, o, [][2]int{{1, 4}, {2, 4}, {3, 6}, {2, 8}, {3, 8}})
+			var rows []experiments.FanoutRow
+			rows, err = experiments.RunFanoutAblationContext(ctx, o, [][2]int{{1, 4}, {2, 4}, {3, 6}, {2, 8}, {3, 8}})
 			for _, r := range rows {
 				fmt.Fprintf(w, "  d=%d s=%d  precision=%.4f recall=%.4f epoch=%v vertices/root=%.1f\n",
 					r.Depth, r.Fanout, r.Precision, r.Recall, r.EpochTime.Round(time.Millisecond), r.AvgSubgraphVertices)
 			}
 		case "batchsize":
 			fmt.Fprintln(w, "ABLATION: batch size vs generalization (Keskar et al. argument)")
-			var rows []repro.BatchSizeRow
-			rows, err = repro.BatchSizeAblation(ctx, o, []int{32, 64, 128, 256, 512})
+			var rows []experiments.BatchSizeRow
+			rows, err = experiments.RunBatchSizeAblationContext(ctx, o, []int{32, 64, 128, 256, 512})
 			for _, r := range rows {
 				fmt.Fprintf(w, "  batch=%-4d steps/epoch=%-4d precision=%.4f recall=%.4f f1=%.4f\n",
 					r.BatchSize, r.StepsPerEpoch, r.Precision, r.Recall, r.F1)
@@ -343,22 +344,23 @@ func ablation(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 // pipeline (bulk matrix sampling, coalesced all-reduce) and its two
 // baselines (per-step sampling with per-matrix all-reduce; one step per
 // event graph).
-var trainImpls = map[string]func(repro.GNNConfig, int) repro.TrainerConfig{
-	"ours": repro.OursConfig,
-	"pyg":  repro.PyGBaselineConfig,
-	"fullgraph": func(gnn repro.GNNConfig, procs int) repro.TrainerConfig {
-		cfg := repro.DefaultTrainerConfig(gnn)
+var trainImpls = map[string]func(ignn.Config, int) dtrain.Config{
+	"ours": dtrain.OursConfig,
+	"pyg":  dtrain.PyGBaselineConfig,
+	"fullgraph": func(gnn ignn.Config, procs int) dtrain.Config {
+		cfg := dtrain.DefaultConfig(gnn)
 		cfg.Ranks = procs
-		cfg.Sampler = repro.SamplerFullGraph
+		cfg.Sampler = dtrain.SamplerFullGraph
 		return cfg
 	},
 }
 
 // trainpipe trains the GNN stage with the one trainer, printing
-// per-epoch losses, phase times and validation precision/recall — the
-// training workflow behind Figures 3 and 4, exposed directly. The loss
-// trajectory of ours and pyg is bit-identical at every -procs, -sync and
-// -bulk value.
+// per-epoch losses, phase times, the modelled collective time (comm=)
+// beside the measured one (wait=, dtrain.EpochStats.CommWait) and
+// validation precision/recall — the training workflow behind Figures 3
+// and 4, exposed directly. The loss trajectory of ours and pyg is
+// bit-identical at every -procs, -sync and -bulk value.
 func trainpipe(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	in := fs.String("i", "", "dataset path (from datagen); empty = generate ex3 @ 0.05")
 	epochs := fs.Int("epochs", 8, "epochs")
@@ -375,7 +377,15 @@ func trainpipe(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 		if !ok {
 			return usagef("unknown -impl %q; choose ours | pyg | fullgraph", *impl)
 		}
-		var strategy repro.SyncStrategy
+		for _, f := range []struct {
+			name     string
+			val, min int
+		}{{"procs", *procs, 1}, {"batch", *batch, 1}, {"hidden", *hidden, 1}, {"steps", *steps, 1}, {"bulk", *bulk, 0}} {
+			if f.val < f.min {
+				return usagef("-%s %d is below %d", f.name, f.val, f.min)
+			}
+		}
+		var strategy ddp.SyncStrategy
 		if *sync != "" {
 			var err error
 			if strategy, err = parseSync(*sync); err != nil {
@@ -383,16 +393,16 @@ func trainpipe(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 			}
 		}
 
-		var ds *repro.Dataset
+		var ds *detector.Dataset
 		if *in != "" {
 			var err error
-			if ds, err = repro.LoadDataset(*in); err != nil {
+			if ds, err = trackio.Load(*in); err != nil {
 				return err
 			}
 		} else {
-			spec := repro.Ex3Like(0.05)
+			spec := detector.Ex3Like(0.05)
 			spec.NumEvents = 8
-			ds = repro.GenerateDataset(spec, 42)
+			ds = detector.Generate(spec, 42)
 		}
 		cfg := implConfig(gnnConfig(ds.Spec, *hidden, *steps), *procs)
 		if *sync != "" {
@@ -412,7 +422,7 @@ func trainpipe(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 			return err
 		}
 		trainEvs, valEvs, _ := ds.Split(0.75, 0.25)
-		graphs := make([]*repro.EventGraph, len(trainEvs)+len(valEvs))
+		graphs := make([]*recon.EventGraph, len(trainEvs)+len(valEvs))
 		for i, ev := range slices.Concat(trainEvs, valEvs) {
 			if graphs[i], err = rec.BuildGraph(ctx, ev); err != nil {
 				return err
@@ -420,7 +430,7 @@ func trainpipe(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 		}
 		train, val := graphs[:len(trainEvs)], graphs[len(trainEvs):]
 
-		tr, err := repro.NewTrainer(cfg)
+		tr, err := dtrain.New(cfg)
 		if err != nil {
 			return err
 		}
@@ -441,11 +451,11 @@ func trainpipe(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 			if stats.Skipped > 0 {
 				extra += fmt.Sprintf(" skipped=%d", stats.Skipped)
 			}
-			fmt.Fprintf(w, "epoch %2d: loss=%.6f steps=%d P=%.4f R=%.4f [sampling=%v training=%v comm=%v]%s\n",
+			fmt.Fprintf(w, "epoch %2d: loss=%.6f steps=%d P=%.4f R=%.4f [sampling=%v training=%v comm=%v wait=%v]%s\n",
 				e, stats.Loss, stats.Steps, counts.Precision(), counts.Recall(),
 				stats.Timer.Get(metrics.PhaseSampling).Round(time.Millisecond),
 				stats.Timer.Get(metrics.PhaseTraining).Round(time.Millisecond),
-				stats.Comm.Modeled.Round(time.Microsecond), extra)
+				stats.Comm.Modeled.Round(time.Microsecond), stats.CommWait.Round(time.Microsecond), extra)
 		}
 		cs := tr.CommStats()
 		fmt.Fprintf(w, "done in %v: %d collectives, %.1f KiB logical, modeled comm %v\n",

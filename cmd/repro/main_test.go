@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -32,19 +31,25 @@ func TestExitStatus(t *testing.T) {
 		{"no subcommand", bg, nil, 2},
 		{"help", bg, []string{"-h"}, 0},
 		{"unknown subcommand", bg, []string{"figure5"}, 2},
-		{"subcommand help", bg, []string{"scaling", "-h"}, 0},
+		{"deleted scaling subcommand", bg, []string{"scaling"}, 2},
+		{"subcommand help", bg, []string{"trainpipe", "-h"}, 0},
 		{"undefined flag", bg, []string{"table1", "-procs", "2"}, 2},
 		{"non-integer procs", bg, []string{"figure3", "-procs", "1,x"}, 2},
 		{"procs below 1", bg, []string{"figure3", "-procs", "0"}, 2},
+		{"empty procs", bg, []string{"figure3", "-procs", " , "}, 2},
 		{"unknown dataset", bg, []string{"figure3", "-dataset", "CTD"}, 2},
-		{"empty ranks", bg, []string{"scaling", "-ranks", " , "}, 2},
-		{"unknown strategy", bg, []string{"scaling", "-strategies", "permatrix,nope"}, 2},
-		{"bucketed strategy", bg, []string{"scaling", "-strategies", "bucketed"}, 2},
-		{"empty strategies", bg, []string{"scaling", "-strategies", ","}, 2},
+		{"unknown strategy", bg, []string{"trainpipe", "-sync", "permatrix,nope"}, 2},
+		{"bucketed strategy", bg, []string{"trainpipe", "-impl", "pyg", "-sync", "bucketed"}, 2},
 		{"unknown exp", bg, []string{"ablation", "-exp", "nope"}, 2},
 		{"unknown impl", bg, []string{"trainpipe", "-impl", "nope"}, 2},
 		{"unknown sync", bg, []string{"trainpipe", "-sync", "nope"}, 2},
 		{"bucketed sync", bg, []string{"trainpipe", "-sync", "bucketed"}, 2},
+		{"trainpipe procs 0", bg, []string{"trainpipe", "-procs", "0"}, 2},
+		{"trainpipe procs below 0", bg, []string{"trainpipe", "-procs", "-1"}, 2},
+		{"trainpipe batch 0", bg, []string{"trainpipe", "-batch", "0"}, 2},
+		{"trainpipe hidden 0", bg, []string{"trainpipe", "-hidden", "0"}, 2},
+		{"trainpipe steps 0", bg, []string{"trainpipe", "-steps", "0"}, 2},
+		{"trainpipe bulk below 0", bg, []string{"trainpipe", "-bulk", "-2"}, 2},
 		{"missing dataset", bg, []string{"trainpipe", "-i", missing}, 1},
 		{"interrupted figure3", cancelled, []string{"figure3", "-scale", "0.02", "-events", "3", "-hidden", "8", "-steps", "2", "-procs", "1,2"}, 1},
 		{"interrupted trainpipe", cancelled, []string{"trainpipe", "-epochs", "1"}, 1},
@@ -63,7 +68,7 @@ func TestExitStatus(t *testing.T) {
 
 func TestUsageListsSubcommands(t *testing.T) {
 	_, _, stderr := runRepro(t, context.Background())
-	for _, sc := range []string{"table1", "figure3", "figure4", "ablation", "scaling", "trainpipe"} {
+	for _, sc := range []string{"table1", "figure3", "figure4", "ablation", "trainpipe"} {
 		if !strings.Contains(stderr, "  "+sc+" ") {
 			t.Errorf("usage does not list %s:\n%s", sc, stderr)
 		}
@@ -105,32 +110,5 @@ func TestTrainpipeOursMatchesPyG(t *testing.T) {
 	ours, pyg := losses("ours"), losses("pyg")
 	if ours == "" || ours != pyg {
 		t.Fatalf("ours %q, pyg %q", ours, pyg)
-	}
-}
-
-func TestScalingChecksHold(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "scaling.json")
-	code, out, stderr := runRepro(t, context.Background(),
-		"scaling", "-ranks", "1,2", "-bulk", "1,2", "-epochs", "1", "-events", "2", "-out", path)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr)
-	}
-	if !strings.HasSuffix(out, "parity_ok=true comm_claim_ok=true\nwrote "+path+"\n") {
-		t.Fatalf("cross-cell checks did not hold:\n%s", out)
-	}
-	rec, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, field := range []string{`"parity_ok": true`, `"comm_claim_ok": true`, `"name": "Scaling_P2_k2_coalesced"`} {
-		if !bytes.Contains(rec, []byte(field)) {
-			t.Errorf("record lacks %s", field)
-		}
-	}
-	// The sweep measures no allocations, so the record claims none.
-	for _, key := range []string{`"bytes_per_op"`, `"allocs_per_op"`} {
-		if bytes.Contains(rec, []byte(key)) {
-			t.Errorf("record carries %s, which the sweep never measures", key)
-		}
 	}
 }

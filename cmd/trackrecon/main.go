@@ -12,7 +12,9 @@ import (
 	"os"
 	"os/signal"
 
-	"repro"
+	"repro/internal/detector"
+	"repro/internal/metrics"
+	"repro/internal/trackio"
 	"repro/recon"
 )
 
@@ -30,17 +32,17 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	var ds *repro.Dataset
+	var ds *detector.Dataset
 	var err error
 	if *in != "" {
-		ds, err = repro.LoadDataset(*in)
+		ds, err = trackio.Load(*in)
 		if err != nil {
 			log.Fatal(err)
 		}
 	} else {
-		spec := repro.Ex3Like(0.05)
+		spec := detector.Ex3Like(0.05)
 		spec.NumEvents = 10
-		ds = repro.GenerateDataset(spec, 42)
+		ds = detector.Generate(spec, 42)
 	}
 	train, val, test := ds.Split(0.8, 0.1)
 	fmt.Printf("dataset %s: %d train / %d val / %d test events\n",
@@ -83,7 +85,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var agg repro.BinaryCounts
+	var agg metrics.BinaryCounts
 	effSum, fakeSum := 0.0, 0.0
 	for i, res := range results {
 		agg.Merge(res.EdgeCounts)

@@ -13,14 +13,14 @@ import (
 	"os"
 	"os/signal"
 
-	"repro"
+	"repro/internal/experiments"
 )
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	o := repro.ExperimentOptions{
+	o := experiments.Options{
 		Scale:  0.03,
 		Events: 6,
 		Hidden: 16,
@@ -28,7 +28,7 @@ func main() {
 	}
 
 	fmt.Println("=== epoch time across simulated GPU counts (Figure 3 shape) ===")
-	rows, err := repro.Figure3(ctx, o, []int{1, 2, 4})
+	rows, err := experiments.RunFigure3Context(ctx, o, []int{1, 2, 4})
 	for _, r := range rows {
 		fmt.Println(" ", r)
 	}
@@ -36,12 +36,12 @@ func main() {
 		log.Fatalf("sweep interrupted: %v", err)
 	}
 	fmt.Println("\nspeedup of ours vs PyG baseline:")
-	for p, s := range repro.Figure3Speedups(rows) {
+	for p, s := range experiments.Speedups(rows) {
 		fmt.Printf("  p=%d: %.2fx\n", p, s)
 	}
 
 	fmt.Println("\n=== all-reduce strategies (§III-D) ===")
-	arRows, err := repro.AllReduceAblation(ctx, o, []int{2, 4, 8}, 10)
+	arRows, err := experiments.RunAllReduceAblationContext(ctx, o, []int{2, 4, 8}, 10)
 	for _, r := range arRows {
 		fmt.Printf("  p=%-2d %-10s collectives=%-4d modeled=%v\n",
 			r.Procs, r.Strategy, r.Collectives, r.ModeledTime)

@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/detector"
 	"repro/recon"
 )
 
@@ -17,9 +17,9 @@ func main() {
 	ctx := context.Background()
 
 	// 1. Simulate a small Ex3-like dataset: 10 events, ~60 particles each.
-	spec := repro.Ex3Like(0.05)
+	spec := detector.Ex3Like(0.05)
 	spec.NumEvents = 10
-	ds := repro.GenerateDataset(spec, 42)
+	ds := detector.Generate(spec, 42)
 	train, _, test := ds.Split(0.8, 0.1)
 	fmt.Printf("dataset %s: %d events, %.0f hits/event on average\n",
 		spec.Name, len(ds.Events), ds.ComputeStats().AvgVertices)

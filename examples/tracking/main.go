@@ -10,7 +10,7 @@ import (
 	"log"
 	"time"
 
-	"repro"
+	"repro/internal/detector"
 	"repro/recon"
 )
 
@@ -18,9 +18,9 @@ func main() {
 	ctx := context.Background()
 
 	// CTD-like events: 14 hit features, 8 edge features, denser tracks.
-	spec := repro.CTDLike(0.0025) // ~80 particles/event at laptop scale
+	spec := detector.CTDLike(0.0025) // ~80 particles/event at laptop scale
 	spec.NumEvents = 8
-	ds := repro.GenerateDataset(spec, 17)
+	ds := detector.Generate(spec, 17)
 	train, val, test := ds.Split(0.75, 0.125)
 	stats := ds.ComputeStats()
 	fmt.Printf("=== %s-like workload ===\n", spec.Name)

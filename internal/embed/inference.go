@@ -16,28 +16,24 @@ import (
 // weights once at construction and is the reduced-precision serving
 // path. Safe for concurrent use while nothing writes the parameters.
 type Inference[T fp.Float] struct {
-	cfg Config
 	mlp *nn.MLPInference[T]
 }
 
 // NewInference returns e's inference forward at precision T.
 func NewInference[T fp.Float](e *Embedder) *Inference[T] {
-	return &Inference[T]{cfg: e.cfg, mlp: nn.NewMLPInference[T](e.mlp)}
+	return &Inference[T]{mlp: nn.NewMLPInference[T](e.mlp)}
 }
 
 // NewCalibration returns e's float32 inference forward with activation
 // range recording on (see nn.NewMLPCalibration), for the int8 export's
 // Scales. Not safe for concurrent use.
 func NewCalibration(e *Embedder) *Inference[float32] {
-	return &Inference[float32]{cfg: e.cfg, mlp: nn.NewMLPCalibration(e.mlp)}
+	return &Inference[float32]{mlp: nn.NewMLPCalibration(e.mlp)}
 }
 
 // Scales returns the activation scale of every linear layer's input
 // that a NewCalibration instance has recorded (nn.MLPInference.Scales).
 func (inf *Inference[T]) Scales() []float32 { return inf.mlp.Scales() }
-
-// Config returns the embedder configuration.
-func (inf *Inference[T]) Config() Config { return inf.cfg }
 
 // EmbedCtx maps hit features (n × InputFeatures, already in T) into the
 // embedding space under the given worker budget. The result is

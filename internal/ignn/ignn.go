@@ -74,9 +74,6 @@ func New(cfg Config, r *rng.Rand) *Model {
 	return m
 }
 
-// Config returns the model configuration.
-func (m *Model) Config() Config { return m.cfg }
-
 // Replicas builds p identically initialized models — one replica per DDP
 // rank. Every replica is constructed from the same derived seed, so their
 // parameters agree bit-for-bit before the first broadcast.

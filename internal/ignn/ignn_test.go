@@ -211,7 +211,7 @@ func concatMLP(t *autograd.Tape, m *nn.MLP, x *autograd.Node) *autograd.Node {
 			return h
 		}
 		h = t.ReLU(h)
-		if m.Config().LayerNorm {
+		if len(ps) > 2*nl { // the LayerNorm gains and biases follow the linear layers
 			h = t.LayerNorm(h, t.Use(ps[2*nl+2*i]), t.Use(ps[2*nl+2*i+1]), 1e-5)
 		}
 	}

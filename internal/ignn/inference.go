@@ -95,9 +95,6 @@ func (inf *Inference[T]) Scales() QuantScales {
 	return sc
 }
 
-// Config returns the model configuration.
-func (inf *Inference[T]) Config() Config { return inf.cfg }
-
 // EdgeScoresCtx runs inference on graph (src, dst) with node features x
 // and edge features y (already in T) and returns the per-edge sigmoid
 // scores as float64 — the boundary back into the threshold/metric

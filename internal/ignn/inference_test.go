@@ -162,7 +162,7 @@ func refMLP[T fp.Float](kc kernels.Context, m *nn.MLP, x *tensor.Matrix[T], rr r
 			return z
 		}
 		tensor.AddBiasReLUIntoCtx(kc, z, z, b)
-		if m.Config().LayerNorm {
+		if len(ps) > 2*nl { // the LayerNorm gains and biases follow the linear layers
 			refLayerNorm(z, conv(ps[2*nl+2*i]).Data(), conv(ps[2*nl+2*i+1]).Data())
 		}
 		h = z

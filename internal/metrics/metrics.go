@@ -215,13 +215,6 @@ func (p *PhaseTimer) AddDuration(ph Phase, d time.Duration) {
 	p.durations[ph] += d
 }
 
-// Time runs f, charging its wall time to the phase.
-func (p *PhaseTimer) Time(ph Phase, f func()) {
-	start := time.Now()
-	f()
-	p.AddDuration(ph, time.Since(start))
-}
-
 // Get returns the accumulated duration of a phase.
 func (p *PhaseTimer) Get(ph Phase) time.Duration { return p.durations[ph] }
 

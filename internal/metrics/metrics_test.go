@@ -142,14 +142,6 @@ func TestPhaseTimer(t *testing.T) {
 	}
 }
 
-func TestPhaseTimerTime(t *testing.T) {
-	pt := NewPhaseTimer()
-	pt.Time(PhaseTraining, func() { time.Sleep(5 * time.Millisecond) })
-	if pt.Get(PhaseTraining) < 4*time.Millisecond {
-		t.Fatalf("timed %v", pt.Get(PhaseTraining))
-	}
-}
-
 func TestHistory(t *testing.T) {
 	var h History
 	h.Append(ConvergencePoint{Epoch: 0, Precision: 0.5, Recall: 0.4})

@@ -78,9 +78,6 @@ func convertParam[T fp.Float](p *autograd.Param) *tensor.Matrix[T] {
 	return tensor.ConvertFrom[T](nil, p.Value)
 }
 
-// Config returns the configuration of the underlying MLP.
-func (mi *MLPInference[T]) Config() MLPConfig { return mi.cfg }
-
 // Forward runs the MLP on the rows [in₀ ‖ in₁ ‖ …] under the given
 // intra-op worker budget, borrowing every activation from the arena
 // (heap fallback when nil). The caller owns the arena lifecycle: the

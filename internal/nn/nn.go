@@ -159,8 +159,5 @@ func (m *MLP) Params() []*autograd.Param {
 	return ps
 }
 
-// Config returns the configuration the MLP was built with.
-func (m *MLP) Config() MLPConfig { return m.cfg }
-
 // NumLayers returns the count of linear layers (hidden + output).
 func (m *MLP) NumLayers() int { return len(m.layers) }

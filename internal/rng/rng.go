@@ -166,13 +166,3 @@ func (r *Rand) SampleWithoutReplacement(n, k int) []int {
 	r.Shuffle(out)
 	return out
 }
-
-// Exp returns an exponentially distributed deviate with rate 1.
-func (r *Rand) Exp() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}

@@ -187,19 +187,3 @@ func TestSampleWithoutReplacementCoverage(t *testing.T) {
 		}
 	}
 }
-
-func TestExpPositiveMean(t *testing.T) {
-	r := New(101)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.Exp()
-		if v < 0 {
-			t.Fatalf("Exp returned negative %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.03 {
-		t.Fatalf("exponential mean %v too far from 1", mean)
-	}
-}

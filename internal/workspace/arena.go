@@ -12,15 +12,14 @@ import "repro/internal/fp"
 // An Arena is NOT goroutine-safe: each goroutine (trainer rank) must own
 // its own. The backing pools are shared and goroutine-safe.
 type Arena struct {
-	f64s  [][]float64
-	f32s  [][]float32
-	ints  [][]int
-	bools [][]bool
+	f64s [][]float64
+	f32s [][]float32
+	ints [][]int
 }
 
 // Mark is a checkpoint in an arena's allocation history.
 type Mark struct {
-	f64s, f32s, ints, bools int
+	f64s, f32s, ints int
 }
 
 // NewArena returns an empty arena.
@@ -58,17 +57,10 @@ func (a *Arena) Int(n int) []int {
 	return s
 }
 
-// Bool returns a zeroed []bool of length n owned by the arena.
-func (a *Arena) Bool(n int) []bool {
-	s := GetBool(n)
-	a.bools = append(a.bools, s)
-	return s
-}
-
 // Checkpoint records the current allocation state. A later ResetTo
 // releases only what was allocated after this point.
 func (a *Arena) Checkpoint() Mark {
-	return Mark{f64s: len(a.f64s), f32s: len(a.f32s), ints: len(a.ints), bools: len(a.bools)}
+	return Mark{f64s: len(a.f64s), f32s: len(a.f32s), ints: len(a.ints)}
 }
 
 // ResetTo releases every slice allocated after the mark back to the
@@ -89,11 +81,6 @@ func (a *Arena) ResetTo(m Mark) {
 		a.ints[i] = nil
 	}
 	a.ints = a.ints[:m.ints]
-	for i := m.bools; i < len(a.bools); i++ {
-		PutBool(a.bools[i])
-		a.bools[i] = nil
-	}
-	a.bools = a.bools[:m.bools]
 }
 
 // Reset releases everything the arena holds back to the pools.
@@ -101,5 +88,5 @@ func (a *Arena) Reset() { a.ResetTo(Mark{}) }
 
 // Live reports how many slices the arena currently holds.
 func (a *Arena) Live() int {
-	return len(a.f64s) + len(a.f32s) + len(a.ints) + len(a.bools)
+	return len(a.f64s) + len(a.f32s) + len(a.ints)
 }

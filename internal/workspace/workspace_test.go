@@ -89,7 +89,7 @@ func TestArenaResetReturnsSlices(t *testing.T) {
 	a := NewArena()
 	f := a.F64(256)
 	i := a.Int(64)
-	b := a.Bool(64)
+	b := a.F32(64)
 	if len(f) != 256 || len(i) != 64 || len(b) != 64 {
 		t.Fatal("arena allocation lengths wrong")
 	}
@@ -125,13 +125,13 @@ func TestArenaSteadyStateZeroAllocs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		a.F64(512)
 		a.Int(512)
-		a.Bool(512)
+		a.F32(512)
 		a.Reset()
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		a.F64(512)
 		a.Int(512)
-		a.Bool(512)
+		a.F32(512)
 		a.Reset()
 	})
 	if allocs != 0 {

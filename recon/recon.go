@@ -20,7 +20,7 @@
 //
 // Quickstart:
 //
-//	spec := detectorSpec                      // e.g. repro.Ex3Like(0.05)
+//	spec := detectorSpec                      // e.g. detector.Ex3Like(0.05)
 //	r, _ := recon.New(spec, recon.WithGNN(16, 3), recon.WithThreshold(0.5))
 //	_ = r.Fit(ctx, trainEvents)
 //	res, _ := r.Reconstruct(ctx, event)
@@ -43,8 +43,8 @@ import (
 )
 
 // Aliases tying the recon surface to the repository's core types, so
-// values flow freely between this package, the repro facade, and the
-// training stack without conversion.
+// values flow freely between this package, the dataset generator, and
+// the training stack without conversion.
 type (
 	// DetectorSpec describes a dataset family (layers, field, features).
 	DetectorSpec = detector.Spec

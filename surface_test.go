@@ -22,11 +22,12 @@ import (
 //
 // Package-level functions are resolved through each file's imports; a bare
 // name in a non-test file of the declaring package counts too. Methods are
-// matched by selector name alone (any x.Name, a qualified standard-library
-// name included), which can only over-count uses, so the check never fails
-// a method that something outside its package calls. A finding is fixed by
-// deleting the symbol, or by moving it into its package's _test.go files as
-// an unexported helper when its own tests need it.
+// matched by selector name alone (any x.Name whose x is not an imported
+// package's local name), which can only over-count uses, so the check
+// never fails a method that something outside its package calls. A
+// finding is fixed by deleting the symbol, or by moving it into its
+// package's _test.go files as an unexported helper when its own tests
+// need it.
 func TestInternalExportsAreUsed(t *testing.T) {
 	gomod, err := os.ReadFile("go.mod")
 	if err != nil {
@@ -76,16 +77,15 @@ func TestInternalExportsAreUsed(t *testing.T) {
 			}
 		}
 
-		// Only the module's packages are resolved; a test file names
-		// nothing for its own directory's package.
+		// Every import's local name is recorded, so a qualified name
+		// (math.Exp, flag.Bool) is never taken for a method. Only the
+		// module's packages are resolved; a test file names nothing for
+		// its own directory's package.
 		imports := map[string]string{} // local name -> directory, or "" if not counted
 		for _, is := range f.Imports {
 			ip, _ := strconv.Unquote(is.Path.Value)
 			rel, ok := strings.CutPrefix(ip, module+"/")
-			if !ok {
-				continue
-			}
-			if isTest && rel == dir {
+			if !ok || isTest && rel == dir {
 				rel = ""
 			}
 			local := path.Base(ip)
