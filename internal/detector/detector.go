@@ -368,34 +368,49 @@ func etaOf(radius, z float64) float64 {
 
 // EdgeFeatures computes the per-edge feature matrix for edges (src, dst)
 // over the event's hits: Δr, Δφ (wrapped), and for wider specs Δz, Δη,
-// 3D distance, mean radius, φ-slope, and a curvature proxy.
+// 3D distance, mean radius, φ-slope, and a curvature proxy. Columns past
+// the eighth are zero.
 func EdgeFeatures(spec Spec, ev *Event, src, dst []int) *tensor.Dense {
 	return EdgeFeaturesWith(nil, spec, ev, src, dst)
 }
 
 // EdgeFeaturesWith is EdgeFeatures with the feature matrix borrowed from
 // the arena's workspace pools: valid only until the arena resets past
-// it. A nil arena falls back to the heap.
+// it. A nil arena falls back to the heap. Only the spec.EdgeFeatures
+// columns the matrix keeps are computed.
 func EdgeFeaturesWith(a *workspace.Arena, spec Spec, ev *Event, src, dst []int) *tensor.Dense {
 	f := tensor.NewFrom(a, len(src), spec.EdgeFeatures)
+	cols := min(spec.EdgeFeatures, 8)
 	rMax := spec.Layers[len(spec.Layers)-1]
 	for k := range src {
 		a, b := ev.Hits[src[k]], ev.Hits[dst[k]]
-		dr := (b.R - a.R) / rMax
-		dphi := wrapAngle(b.Phi - a.Phi)
 		row := f.Row(k)
-		all := []float64{
-			dr,
-			dphi,
-			(b.Z - a.Z) / spec.ZMax,
-			(etaOf(b.R, b.Z) - etaOf(a.R, a.Z)) / 3.0,
-			dist3(a, b) / rMax,
-			(a.R + b.R) / (2 * rMax),
-			phiSlope(a, b),
-			curvatureProxy(a, b),
-		}
-		for j := 0; j < len(row) && j < len(all); j++ {
-			row[j] = all[j]
+		// One dispatch per edge on the width, then the kept columns from
+		// the last down.
+		switch cols {
+		case 8:
+			row[7] = curvatureProxy(a, b)
+			fallthrough
+		case 7:
+			row[6] = phiSlope(a, b)
+			fallthrough
+		case 6:
+			row[5] = (a.R + b.R) / (2 * rMax)
+			fallthrough
+		case 5:
+			row[4] = dist3(a, b) / rMax
+			fallthrough
+		case 4:
+			row[3] = (etaOf(b.R, b.Z) - etaOf(a.R, a.Z)) / 3.0
+			fallthrough
+		case 3:
+			row[2] = (b.Z - a.Z) / spec.ZMax
+			fallthrough
+		case 2:
+			row[1] = wrapAngle(b.Phi - a.Phi)
+			fallthrough
+		case 1:
+			row[0] = (b.R - a.R) / rMax
 		}
 	}
 	return f

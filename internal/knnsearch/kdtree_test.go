@@ -18,7 +18,7 @@ func TestRadiusNeighborsMatchesBrute(t *testing.T) {
 		n := r.Intn(80) + 2
 		dim := r.Intn(6) + 1
 		pts := tensor.RandN(r, n, dim, 1)
-		tree := Build(pts)
+		tree := newKDIndex(pts)
 		for trial := 0; trial < 5; trial++ {
 			q := pts.Row(r.Intn(n))
 			radius := 0.2 + r.Float64()
@@ -42,7 +42,7 @@ func TestRadiusNeighborsMatchesBrute(t *testing.T) {
 
 func TestRadiusNeighborsExclude(t *testing.T) {
 	pts := tensor.FromRows([][]float64{{0, 0}, {0.1, 0}, {5, 5}})
-	tree := Build(pts)
+	tree := newKDIndex(pts)
 	nbrs := tree.radiusNeighbors(pts.Row(0), 1.0, 0)
 	if len(nbrs) != 1 || nbrs[0] != 1 {
 		t.Fatalf("neighbors %v, want [1]", nbrs)
@@ -55,7 +55,7 @@ func TestRadiusNeighborsExclude(t *testing.T) {
 
 func TestRadiusZeroFindsExactDuplicates(t *testing.T) {
 	pts := tensor.FromRows([][]float64{{1, 1}, {1, 1}, {2, 2}})
-	tree := Build(pts)
+	tree := newKDIndex(pts)
 	nbrs := tree.radiusNeighbors([]float64{1, 1}, 0, -1)
 	if len(nbrs) != 2 {
 		t.Fatalf("exact match count %d, want 2", len(nbrs))
@@ -116,13 +116,22 @@ func TestBuildRadiusGraphMaxDegree(t *testing.T) {
 }
 
 func TestEmptyAndSinglePoint(t *testing.T) {
-	tree := Build(tensor.New(0, 3))
+	tree := newKDIndex(tensor.New(0, 3))
 	if nbrs := tree.radiusNeighbors([]float64{0, 0, 0}, 1, -1); len(nbrs) != 0 {
 		t.Fatal("empty tree returned neighbors")
 	}
-	one := Build(tensor.FromRows([][]float64{{1, 2, 3}}))
+	one := newKDIndex(tensor.FromRows([][]float64{{1, 2, 3}}))
 	if nbrs := one.radiusNeighbors([]float64{1, 2, 3}, 0.1, -1); len(nbrs) != 1 {
 		t.Fatal("single-point tree missed self")
+	}
+}
+
+// TestZeroColumnRowsAreAllNeighbors: with no axis to split on, every
+// row is at distance 0 from every other, so all pairs are edges.
+func TestZeroColumnRowsAreAllNeighbors(t *testing.T) {
+	src, dst := BuildRadiusGraphCtx(kernels.Context{Workers: 1}, tensor.New(3, 0), 0.5, 0)
+	if !slices.Equal(src, []int{0, 0, 1}) || !slices.Equal(dst, []int{1, 2, 2}) {
+		t.Fatalf("edges src %v dst %v, want every pair of 3 rows", src, dst)
 	}
 }
 
@@ -135,7 +144,7 @@ func TestBuildRadiusGraphMatchesSortTruncate(t *testing.T) {
 	pts := tensor.RandN(r, 300, 3, 1)
 	for _, maxDeg := range []int{0, 1, 3, 12, 1000} {
 		src, dst := BuildRadiusGraphCtx(kernels.Context{}, pts, 0.8, maxDeg)
-		tree := Build(pts)
+		tree := newKDIndex(pts)
 		var wantSrc, wantDst []int
 		for i := 0; i < pts.Rows(); i++ {
 			nbrs := tree.radiusNeighbors(pts.Row(i), 0.8, i) // sorted ascending
@@ -182,16 +191,50 @@ func TestSelectSmallest(t *testing.T) {
 	}
 }
 
+// TestSelectKth pins the split invariant the index rests on: after
+// selectKth by a row's coordinate on one axis, s is still a permutation,
+// no row before position k has a larger coordinate than row s[k], and no
+// row after it a smaller one — with many ties.
+func TestSelectKth(t *testing.T) {
+	r := rng.New(13)
+	for trial := 0; trial < 300; trial++ {
+		n := r.Intn(40) + 1
+		dim := r.Intn(3) + 1
+		axis := r.Intn(dim)
+		data := make([]float64, n*dim)
+		for i := range data {
+			data[i] = float64(r.Intn(6))
+		}
+		s := make([]int, n)
+		for i := range s {
+			s[i] = i
+		}
+		k := r.Intn(n)
+		selectKth(s, k, func(p int) float64 { return data[p*dim+axis] })
+		key := func(i int) float64 { return data[s[i]*dim+axis] }
+		for i := range s {
+			if (i < k && key(i) > key(k)) || (i > k && key(i) < key(k)) {
+				t.Fatalf("trial %d: n=%d k=%d: position %d has key %v against the split's %v", trial, n, k, i, key(i), key(k))
+			}
+		}
+		sorted := slices.Clone(s)
+		slices.Sort(sorted)
+		for i, v := range sorted {
+			if v != i {
+				t.Fatalf("trial %d: s is no longer a permutation: %v", trial, s)
+			}
+		}
+	}
+}
+
 // radiusNeighbors returns indices of all points within Euclidean distance
 // radius of query (a slice of length dim), excluding exclude (pass -1 to
 // keep all). Results are sorted ascending.
-func (t *KDTree[T]) radiusNeighbors(query []T, radius float64, exclude int) []int {
-	if len(query) != t.dim {
+func (x *kdIndex[T]) radiusNeighbors(query []T, radius float64, exclude int) []int {
+	if len(query) != x.dim {
 		panic("knnsearch: query dimension mismatch")
 	}
-	var out []int
-	r2 := T(radius) * T(radius)
-	t.search(t.root, query, r2, exclude, &out)
+	out := x.appendNeighbors(nil, query, T(radius)*T(radius), exclude)
 	sort.Ints(out)
 	return out
 }
