@@ -35,13 +35,12 @@ const leafSize = 16
 // kdIndex is a flat k-d tree over the finite rows of a dense matrix.
 // Nodes are numbered as in a binary heap: the root is 1 and node id's
 // children are 2·id and 2·id+1. Node id at depth d covers perm[lo:hi];
-// when it holds more than leaf rows it splits on axis d % dim at mid =
+// when it holds more than leafSize rows it splits on axis d % dim at mid =
 // lo + (hi-lo)/2, the median found when it was built: the rows of its
 // left child perm[lo:mid] have an axis coordinate ≤ splits[id] and the
 // rows of its right child perm[mid:hi] one ≥ it.
 type kdIndex[T fp.Float] struct {
 	dim    int
-	leaf   int   // leafSize, or every row when there is no axis to split on
 	perm   []int // row ids in tree order (pooled)
 	coords []T   // coords[k*dim:(k+1)*dim] is row perm[k] (pooled)
 	splits []T   // splits[id] is inner node id's split coordinate (pooled)
@@ -55,19 +54,16 @@ type kdIndex[T fp.Float] struct {
 func newKDIndex[T fp.Float](pts *tensor.Matrix[T]) kdIndex[T] {
 	n, dim := pts.Rows(), pts.Cols()
 	data := pts.Data()
-	x := kdIndex[T]{dim: dim, leaf: leafSize, perm: workspace.GetInt(n)[:0]}
+	x := kdIndex[T]{dim: dim, perm: workspace.GetInt(n)[:0]}
 	for i := 0; i < n; i++ {
 		if finite(data[i*dim : (i+1)*dim]) {
 			x.perm = append(x.perm, i)
 		}
 	}
-	if dim == 0 {
-		x.leaf = len(x.perm)
-	}
 	// Inner nodes sit above the depth at which the larger (right) half
 	// first fits in a leaf, so their ids stay below 2^depth.
 	inner := 1
-	for rows := len(x.perm); rows > x.leaf; rows -= rows / 2 {
+	for rows := len(x.perm); rows > leafSize; rows -= rows / 2 {
 		inner *= 2
 	}
 	x.splits = workspace.GetFloat[T](inner)
@@ -87,7 +83,7 @@ func (x *kdIndex[T]) release() {
 
 // split orders perm[lo:hi] into the subtree rooted at node id.
 func (x *kdIndex[T]) split(data []T, id, lo, hi, depth int) {
-	if hi-lo <= x.leaf {
+	if hi-lo <= leafSize {
 		return
 	}
 	mid := lo + (hi-lo)/2
@@ -111,7 +107,7 @@ func (x *kdIndex[T]) appendNeighbors(out []int, q []T, r2 T, exclude int) []int 
 	dim := len(q)
 	nd := node{1, 0, len(x.perm), 0}
 	for {
-		if nd.hi-nd.lo > x.leaf {
+		if nd.hi-nd.lo > leafSize {
 			mid := nd.lo + (nd.hi-nd.lo)/2
 			delta := q[nd.axis] - x.splits[nd.id]
 			if nd.axis++; nd.axis == dim {
@@ -132,11 +128,7 @@ func (x *kdIndex[T]) appendNeighbors(out []int, q []T, r2 T, exclude int) []int 
 			}
 			continue
 		}
-		if dim == 4 {
-			out = x.scan4(out, q, r2, exclude, nd.lo, nd.hi)
-		} else {
-			out = x.scan(out, q, r2, exclude, nd.lo, nd.hi)
-		}
+		out = x.scan(out, q, r2, exclude, nd.lo, nd.hi)
 		if top == 0 {
 			return out
 		}
@@ -159,21 +151,6 @@ func (x *kdIndex[T]) scan(out []int, q []T, r2 T, exclude, lo, hi int) []int {
 			d2 += d * d
 		}
 		if d2 <= r2 && id != exclude {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// scan4 is scan unrolled for the default 4-D embedding. It sums the
-// squares in scan's order, so the same rows pass.
-func (x *kdIndex[T]) scan4(out []int, q []T, r2 T, exclude, lo, hi int) []int {
-	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
-	coords := x.coords[lo*4 : hi*4]
-	for _, id := range x.perm[lo:hi] {
-		d0, d1, d2, d3 := coords[0]-q0, coords[1]-q1, coords[2]-q2, coords[3]-q3
-		coords = coords[4:]
-		if d0*d0+d1*d1+d2*d2+d3*d3 <= r2 && id != exclude {
 			out = append(out, id)
 		}
 	}

@@ -126,15 +126,6 @@ func TestEmptyAndSinglePoint(t *testing.T) {
 	}
 }
 
-// TestZeroColumnRowsAreAllNeighbors: with no axis to split on, every
-// row is at distance 0 from every other, so all pairs are edges.
-func TestZeroColumnRowsAreAllNeighbors(t *testing.T) {
-	src, dst := BuildRadiusGraphCtx(kernels.Context{Workers: 1}, tensor.New(3, 0), 0.5, 0)
-	if !slices.Equal(src, []int{0, 0, 1}) || !slices.Equal(dst, []int{1, 2, 2}) {
-		t.Fatalf("edges src %v dst %v, want every pair of 3 rows", src, dst)
-	}
-}
-
 // TestBuildRadiusGraphMatchesSortTruncate pins the maxDegree semantics:
 // the partial-selection fast path must emit exactly the maxDegree
 // smallest neighbor indices in ascending order — identical to sorting
