@@ -59,40 +59,6 @@ func (e *Event) IsTruthEdge(a, b int) bool {
 	return e.truthSet[[2]int{a, b}] || e.truthSet[[2]int{b, a}]
 }
 
-// TrackHits groups hit indices by particle id (noise excluded), each
-// sorted inner→outer layer. Only particles with at least minHits hits are
-// returned — the "reconstructable" set used by efficiency metrics.
-func (e *Event) TrackHits(minHits int) map[int][]int {
-	tracks := make(map[int][]int)
-	for i, h := range e.Hits {
-		if h.Particle >= 0 {
-			tracks[h.Particle] = append(tracks[h.Particle], i)
-		}
-	}
-	for id, hits := range tracks {
-		if len(hits) < minHits {
-			delete(tracks, id)
-			continue
-		}
-		// Hits are appended in generation order (inner→outer already), but
-		// sort defensively by layer.
-		sortByLayer(e.Hits, hits)
-	}
-	return tracks
-}
-
-func sortByLayer(hits []Hit, idx []int) {
-	for i := 1; i < len(idx); i++ {
-		v := idx[i]
-		j := i - 1
-		for j >= 0 && hits[idx[j]].Layer > hits[v].Layer {
-			idx[j+1] = idx[j]
-			j--
-		}
-		idx[j+1] = v
-	}
-}
-
 // Spec describes a synthetic dataset family.
 type Spec struct {
 	Name           string

@@ -95,23 +95,39 @@ func (g *Graph) ConnectedComponents() (labels []int, count int) {
 	for k := range g.Src {
 		u.Union(g.Src[k], g.Dst[k])
 	}
+	// A root is a vertex of its own component, so its entry in labels
+	// doubles as the root-to-id map: it is set when the component is
+	// first seen, at or before the root's own turn.
 	labels = make([]int, g.N)
-	idOf := make(map[int]int, g.N)
-	for v := 0; v < g.N; v++ {
-		root := u.Find(v)
-		id, ok := idOf[root]
-		if !ok {
-			id = len(idOf)
-			idOf[root] = id
-		}
-		labels[v] = id
+	for v := range labels {
+		labels[v] = -1
 	}
-	return labels, len(idOf)
+	for v := range labels {
+		root := u.Find(v)
+		if labels[root] < 0 {
+			labels[root] = count
+			count++
+		}
+		labels[v] = labels[root]
+	}
+	return labels, count
 }
 
-// ComponentMembers groups vertices by component label.
+// ComponentMembers groups vertices by component label, each group in
+// ascending vertex order. The groups are capped windows of one array
+// (a counting sort), so an append to one cannot write into the next.
 func ComponentMembers(labels []int, count int) [][]int {
+	sizes := make([]int, count)
+	for _, c := range labels {
+		sizes[c]++
+	}
+	flat := make([]int, len(labels))
 	members := make([][]int, count)
+	lo := 0
+	for c, n := range sizes {
+		members[c] = flat[lo : lo : lo+n]
+		lo += n
+	}
 	for v, c := range labels {
 		members[c] = append(members[c], v)
 	}
@@ -123,12 +139,25 @@ func (g *Graph) FilterEdges(keep []bool) *Graph {
 	if len(keep) != len(g.Src) {
 		panic("graph: FilterEdges mask length mismatch")
 	}
-	var src, dst []int
-	for k := range g.Src {
-		if keep[k] {
-			src = append(src, g.Src[k])
-			dst = append(dst, g.Dst[k])
+	src, dst := SelectEdges(g.Src, g.Dst, keep)
+	return New(g.N, src, dst)
+}
+
+// SelectEdges returns the edges k with keep[k], in order, in exactly
+// sized slices.
+func SelectEdges(src, dst []int, keep []bool) (fsrc, fdst []int) {
+	n := 0
+	for _, k := range keep {
+		if k {
+			n++
 		}
 	}
-	return New(g.N, src, dst)
+	fsrc, fdst = make([]int, 0, n), make([]int, 0, n)
+	for k, ok := range keep {
+		if ok {
+			fsrc = append(fsrc, src[k])
+			fdst = append(fdst, dst[k])
+		}
+	}
+	return fsrc, fdst
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -63,6 +64,16 @@ func TestUnionFindMatchesBFS(t *testing.T) {
 		if ufCount != bfsCount {
 			return false
 		}
+		// Ids are handed out in order of first appearance by vertex.
+		next := 0
+		for _, l := range ufLabels {
+			if l > next {
+				return false
+			}
+			if l == next {
+				next++
+			}
+		}
 		// Labels must induce the same partition (they may be permuted).
 		mapping := make(map[int]int)
 		for v := range ufLabels {
@@ -85,12 +96,14 @@ func TestComponentMembers(t *testing.T) {
 	g := New(5, []int{0, 2}, []int{1, 3})
 	labels, count := g.ConnectedComponents()
 	members := ComponentMembers(labels, count)
-	total := 0
-	for _, ms := range members {
-		total += len(ms)
+	if want := [][]int{{0, 1}, {2, 3}, {4}}; !reflect.DeepEqual(members, want) {
+		t.Fatalf("members %v, want %v", members, want)
 	}
-	if total != 5 {
-		t.Fatalf("members cover %d of 5 vertices", total)
+	// The groups share one array; each is capped, so growing one leaves
+	// the next alone.
+	_ = append(members[0], 9)
+	if members[1][0] != 2 {
+		t.Fatalf("append to group 0 overwrote group 1: %v", members)
 	}
 }
 

@@ -152,10 +152,11 @@ func (t TrackMatch) FakeRate() float64 {
 
 // MatchTracks applies double-majority matching. candidates are hit-index
 // sets (the connected components); hitParticle maps hit→particle id (-1
-// noise); trueTracks maps particle id→hits; minHits filters both sides.
-func MatchTracks(candidates [][]int, hitParticle []int, trueTracks map[int][]int, minHits int) TrackMatch {
+// noise); trueHits maps each reconstructable particle (one with at least
+// minHits hits) to its hit count; candidates below minHits are skipped.
+func MatchTracks(candidates [][]int, hitParticle []int, trueHits map[int]int, minHits int) TrackMatch {
 	var tm TrackMatch
-	tm.Reconstructable = len(trueTracks)
+	tm.Reconstructable = len(trueHits)
 	matched := make(map[int]bool)
 	for _, cand := range candidates {
 		if len(cand) < minHits {
@@ -175,10 +176,10 @@ func MatchTracks(candidates [][]int, hitParticle []int, trueTracks map[int][]int
 				best, bestN = p, n
 			}
 		}
-		truth, ok := trueTracks[best]
+		truthN, ok := trueHits[best]
 		if best >= 0 && ok &&
 			2*bestN > len(cand) && // candidate majority from particle
-			2*bestN > len(truth) { // candidate holds particle majority
+			2*bestN > truthN { // candidate holds particle majority
 			if !matched[best] {
 				matched[best] = true
 				tm.Matched++

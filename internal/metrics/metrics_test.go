@@ -74,9 +74,9 @@ func TestAUCRandomAndDegenerate(t *testing.T) {
 
 func TestMatchTracksPerfect(t *testing.T) {
 	hitParticle := []int{0, 0, 0, 1, 1, 1, -1}
-	trueTracks := map[int][]int{0: {0, 1, 2}, 1: {3, 4, 5}}
+	trueHits := map[int]int{0: 3, 1: 3}
 	candidates := [][]int{{0, 1, 2}, {3, 4, 5}, {6}}
-	tm := MatchTracks(candidates, hitParticle, trueTracks, 3)
+	tm := MatchTracks(candidates, hitParticle, trueHits, 3)
 	if tm.Efficiency() != 1.0 {
 		t.Fatalf("efficiency %v", tm.Efficiency())
 	}
@@ -92,9 +92,9 @@ func TestMatchTracksSplitTrack(t *testing.T) {
 	// Track 0 split into two halves: neither half holds a majority of the
 	// 6-hit truth, so the particle is unmatched and both halves are fakes.
 	hitParticle := []int{0, 0, 0, 0, 0, 0}
-	trueTracks := map[int][]int{0: {0, 1, 2, 3, 4, 5}}
+	trueHits := map[int]int{0: 6}
 	candidates := [][]int{{0, 1, 2}, {3, 4, 5}}
-	tm := MatchTracks(candidates, hitParticle, trueTracks, 3)
+	tm := MatchTracks(candidates, hitParticle, trueHits, 3)
 	if tm.Matched != 0 || tm.Fakes != 2 {
 		t.Fatalf("split track: matched %d fakes %d", tm.Matched, tm.Fakes)
 	}
@@ -103,9 +103,9 @@ func TestMatchTracksSplitTrack(t *testing.T) {
 func TestMatchTracksMergedFake(t *testing.T) {
 	// A candidate mixing two particles equally matches neither.
 	hitParticle := []int{0, 0, 1, 1}
-	trueTracks := map[int][]int{0: {0, 1}, 1: {2, 3}}
+	trueHits := map[int]int{0: 2, 1: 2}
 	candidates := [][]int{{0, 1, 2, 3}}
-	tm := MatchTracks(candidates, hitParticle, trueTracks, 2)
+	tm := MatchTracks(candidates, hitParticle, trueHits, 2)
 	if tm.Matched != 0 || tm.Fakes != 1 {
 		t.Fatalf("merged: matched %d fakes %d", tm.Matched, tm.Fakes)
 	}
@@ -113,11 +113,11 @@ func TestMatchTracksMergedFake(t *testing.T) {
 
 func TestMatchTracksDoubleMatchCountsOnce(t *testing.T) {
 	hitParticle := []int{0, 0, 0, 0}
-	trueTracks := map[int][]int{0: {0, 1, 2, 3}}
+	trueHits := map[int]int{0: 4}
 	// Both candidates claim particle 0; only one can match (first wins),
 	// but the second fails double-majority anyway (2 hits of 4).
 	candidates := [][]int{{0, 1, 2}, {2, 3}}
-	tm := MatchTracks(candidates, hitParticle, trueTracks, 2)
+	tm := MatchTracks(candidates, hitParticle, trueHits, 2)
 	if tm.Matched != 1 {
 		t.Fatalf("matched %d, want 1", tm.Matched)
 	}

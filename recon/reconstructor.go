@@ -318,11 +318,19 @@ func (r *Reconstructor) reconstructOnWith(ctx context.Context, a *Arena, eg *Eve
 	}
 	res.Tracks = tracks
 	hitParticle := make([]int, eg.Event.NumHits())
+	trueHits := make(map[int]int)
 	for i, h := range eg.Event.Hits {
 		hitParticle[i] = h.Particle
+		if h.Particle >= 0 {
+			trueHits[h.Particle]++
+		}
 	}
-	res.Match = metrics.MatchTracks(res.Tracks, hitParticle,
-		eg.Event.TrackHits(r.cfg.MinTrackHits), r.cfg.MinTrackHits)
+	for p, n := range trueHits {
+		if n < r.cfg.MinTrackHits {
+			delete(trueHits, p)
+		}
+	}
+	res.Match = metrics.MatchTracks(res.Tracks, hitParticle, trueHits, r.cfg.MinTrackHits)
 	return res, nil
 }
 

@@ -57,10 +57,20 @@ func referenceReconstruct[T fp.Float](cfg pipeline.Config, fw forwards[T], ev *E
 		}
 	}
 	hitParticle := make([]int, ev.NumHits())
+	perParticle := make(map[int]int)
 	for i, h := range ev.Hits {
 		hitParticle[i] = h.Particle
+		if h.Particle >= 0 {
+			perParticle[h.Particle]++
+		}
 	}
-	res.Match = metrics.MatchTracks(res.Tracks, hitParticle, ev.TrackHits(cfg.MinTrackHits), cfg.MinTrackHits)
+	trueHits := make(map[int]int)
+	for p, n := range perParticle {
+		if n >= cfg.MinTrackHits {
+			trueHits[p] = n
+		}
+	}
+	res.Match = metrics.MatchTracks(res.Tracks, hitParticle, trueHits, cfg.MinTrackHits)
 	return res
 }
 

@@ -1,11 +1,11 @@
 package recon
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"mime"
 	"net/http"
@@ -282,8 +282,13 @@ func decodeReconstructRequest(w http.ResponseWriter, r *http.Request, maxBody in
 			fmt.Errorf("Content-Type must be %s or %s", wire.ContentTypeJSON, wire.ContentTypeBinary)
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
+	// A declared length within the cap sizes the buffer once; the extra
+	// MinRead keeps the read that finds EOF from growing it.
+	var buf bytes.Buffer
+	if n := r.ContentLength; n >= 0 && n <= maxBody {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r.Body); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return nil, reqBinary, http.StatusRequestEntityTooLarge,
@@ -292,10 +297,9 @@ func decodeReconstructRequest(w http.ResponseWriter, r *http.Request, maxBody in
 		return nil, reqBinary, http.StatusBadRequest, fmt.Errorf("read request body: %w", err)
 	}
 	if reqBinary {
-		req, err = wire.DecodeRequest(body)
+		req, err = wire.DecodeRequest(buf.Bytes())
 	} else {
-		req = &ReconstructRequest{}
-		err = json.Unmarshal(body, req)
+		req, err = wire.DecodeRequestJSON(buf.Bytes())
 	}
 	if err != nil {
 		return nil, reqBinary, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)

@@ -143,12 +143,7 @@ func (f mlpFilter[T]) FilterEdges(ctx context.Context, a *Arena, ev *Event, src,
 	}
 	edgeFeat := detector.EdgeFeaturesWith(a, f.spec, ev, src, dst)
 	keep := f.fw.filter.KeepCtx(kernels.From(ctx), a, convert[T](a, ev.Features), convert[T](a, edgeFeat), src, dst)
-	for k := range src {
-		if keep[k] {
-			fsrc = append(fsrc, src[k])
-			fdst = append(fdst, dst[k])
-		}
-	}
+	fsrc, fdst = graph.SelectEdges(src, dst, keep)
 	return fsrc, fdst, nil
 }
 

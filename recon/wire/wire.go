@@ -2,9 +2,14 @@
 // recon.Server and its clients (cmd/loadgen and external callers):
 // the JSON DTOs and a compact binary encoding of the same messages.
 //
-// JSON is the readable default; the binary format exists because hit
-// payloads are overwhelmingly float arrays, and at millions-of-users
-// traffic JSON float parsing dominates request cost. The binary layout
+// JSON is the readable default. DecodeRequestJSON (json.go) reads a
+// request in the shape clients send in one pass over the bytes, with a
+// fixed number of allocations per event, and hands anything else to
+// encoding/json; either way the result, value and error text alike, is
+// json.Unmarshal's. Float parsing is still most of its cost. The binary
+// format exists because hit payloads are overwhelmingly float arrays:
+// it carries IEEE-754 bits, so a request decodes without parsing. The
+// binary layout
 // is built from length-prefixed frames (frame.go: 4-byte big-endian
 // length headers, a 64 MiB per-frame cap so four bytes of hostile input
 // can never demand a gigabyte allocation):
