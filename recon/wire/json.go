@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/json"
-	"math"
 	"strconv"
 	"sync"
 )
@@ -248,140 +247,81 @@ func (d *decoder) key() ([]byte, bool) {
 }
 
 func (d *decoder) float(v *float64) bool {
-	n, ok := d.number()
+	text, ok := d.number()
 	if !ok {
 		return false
 	}
-	if n.digits <= 19 && n.mant < 1<<53 && -22 <= n.exp && n.exp <= 22 {
-		*v = n.exactFloat()
-		return true
-	}
-	f, err := strconv.ParseFloat(string(n.text), 64)
+	f, err := strconv.ParseFloat(string(text), 64)
 	*v = f
 	return err == nil
 }
 
 func (d *decoder) int(v *int) bool {
-	n, ok := d.number()
+	text, ok := d.number()
 	if !ok {
 		return false
 	}
-	if n.integer && n.digits <= 18 && n.mant <= math.MaxInt {
-		*v = int(n.mant)
-		if n.neg {
-			*v = -*v
-		}
-		return true
-	}
-	i, err := strconv.ParseInt(string(n.text), 10, strconv.IntSize)
+	i, err := strconv.ParseInt(string(text), 10, strconv.IntSize)
 	*v = int(i)
 	return err == nil
 }
 
 func (d *decoder) uint64(v *uint64) bool {
-	n, ok := d.number()
+	text, ok := d.number()
 	if !ok {
 		return false
 	}
-	u, err := strconv.ParseUint(string(n.text), 10, 64)
+	u, err := strconv.ParseUint(string(text), 10, 64)
 	*v = u
 	return err == nil
 }
 
-// number is one JSON number: its text and, read in the same pass, its
-// value as ±mant × 10^exp. mant holds the digits as an integer and is
-// exact while there are at most 19 of them.
-type number struct {
-	text    []byte
-	mant    uint64
-	digits  int
-	exp     int
-	neg     bool
-	integer bool // no fraction and no exponent
-}
-
-// exactFloat is the number's float64 when mant < 2^53 and |exp| ≤ 22.
-// Both mant and the power of ten are then exact float64s, so one
-// multiplication or division rounds the value once, correctly, to what
-// strconv.ParseFloat returns (Clinger's fast path, which strconv also
-// tries first).
-func (n *number) exactFloat() float64 {
-	f := float64(n.mant)
-	if n.neg {
-		f = -f
-	}
-	if n.exp < 0 {
-		return f / pow10[-n.exp]
-	}
-	return f * pow10[n.exp]
-}
-
-var pow10 = [...]float64{
-	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-}
-
-// number reads the JSON number at the cursor, checked against the JSON
-// grammar (strconv alone accepts more: "01", ".5", "0x1p3", "Inf").
-func (d *decoder) number() (n number, ok bool) {
+// number reads the JSON number at the cursor and returns its text,
+// checked against the JSON grammar (strconv alone accepts more: "01",
+// ".5", "0x1p3", "Inf").
+func (d *decoder) number() ([]byte, bool) {
 	d.space()
 	b, i := d.buf, d.off
 	if i < len(b) && b[i] == '-' {
-		n.neg = true
 		i++
 	}
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		j, mant := mantissa(b, i, 0)
-		i, n.mant, n.digits = j, mant, j-i
+		i = digits(b, i)
 	default:
-		return n, false
+		return nil, false
 	}
-	n.integer = true
 	if i < len(b) && b[i] == '.' {
-		j, mant := mantissa(b, i+1, n.mant)
+		j := digits(b, i+1)
 		if j == i+1 {
-			return n, false
+			return nil, false
 		}
-		n.digits += j - (i + 1)
-		n.exp -= j - (i + 1)
-		i, n.mant, n.integer = j, mant, false
+		i = j
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
-		sign := 1
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			if b[i] == '-' {
-				sign = -1
-			}
 			i++
 		}
-		e, j := 0, i
-		for ; j < len(b) && '0' <= b[j] && b[j] <= '9'; j++ {
-			if e < 1000 { // far outside ±22 already; the text decides
-				e = e*10 + int(b[j]-'0')
-			}
-		}
+		j := digits(b, i)
 		if j == i {
-			return n, false
+			return nil, false
 		}
-		n.exp += sign * e
-		i, n.integer = j, false
+		i = j
 	}
-	n.text = b[d.off:i]
+	text := b[d.off:i]
 	d.off = i
-	return n, true
+	return text, true
 }
 
-// mantissa appends the digits at b[i:] to mant and returns the index of
-// the first non-digit and the new mant.
-func mantissa(b []byte, i int, mant uint64) (int, uint64) {
-	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-		mant = mant*10 + uint64(b[i]-'0')
+// digits returns the index of the first non-digit at or after b[i].
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
 	}
-	return i, mant
+	return i
 }
 
 // consume skips whitespace and then c, reporting whether c was there.

@@ -155,9 +155,8 @@ func TestDecodeRequestJSONFallsBack(t *testing.T) {
 
 // TestFloatMatchesParseFloat: the decoder takes exactly the texts of the
 // JSON number grammar that strconv.ParseFloat parses without error, and
-// gets the bits ParseFloat gives, whether it converts the number itself
-// (Clinger's fast path) or hands it to strconv: at the fast path's
-// edges and at random.
+// gets the bits ParseFloat gives: at the edges of float64 and of a
+// 64-bit mantissa, and at random.
 func TestFloatMatchesParseFloat(t *testing.T) {
 	texts := []string{
 		"0", "-0", "0.0", "-0.0e-3", "1", "-1", "1e22", "1e23", "1e-22", "1e-23",
