@@ -65,7 +65,7 @@ func main() {
 	dataset := detector.Ex3
 	flag.Var(&dataset, "dataset", "dataset `family` the models were built for: ex3 or ctd")
 	scale := flag.Float64("scale", 0.05, "detector spec scale factor")
-	checkpoint := flag.String("checkpoint", "", "checkpoint path (from trackrecon -save or SaveCheckpoint); empty = untrained models")
+	checkpoint := flag.String("checkpoint", "", "checkpoint path (from trackrecon -save or -save-int8); empty = untrained models")
 	workers := flag.Int("workers", 4, "engine worker-pool size")
 	queueDepth := flag.Int("queue-depth", 8, "in-flight events admitted beyond the workers; excess requests get 429")
 	hidden := flag.Int("hidden", 16, "GNN hidden width (must match the checkpoint)")
@@ -73,7 +73,7 @@ func main() {
 	threshold := flag.Float64("threshold", 0.5, "stage-4 edge decision threshold")
 	truthGraphs := flag.Float64("truth-graphs", -1, "build truth-level graphs with this fake ratio instead of the learned stages 1-3 (<0 = off)")
 	seed := flag.Uint64("seed", 1, "model initialization seed (must match the checkpoint)")
-	precision := flag.String("precision", "f64", "inference precision for the built-in stages: f64, f32, or i8 (f32 halves kernel memory traffic; i8 is a storage format: weights round to the int8 grid, dequantize to float32 at load and run the f32 kernels; checkpoints of any dtype load)")
+	precision := flag.String("precision", "f64", "inference precision for the built-in stages: f64, f32, or i8 (f32 halves kernel memory traffic; i8 is a storage format: weights round to the int8 grid, dequantize to float32 at load and run the f32 kernels; -save and -save-int8 checkpoints load at any precision)")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request reconstruction deadline (0 = none); expired batches answer 503")
 	batchWindow := flag.Duration("batch-window", 0, "micro-batch coalescing window (0 = off): concurrent requests arriving within it merge into one engine batch")
 	maxBatchEvents := flag.Int("max-batch-events", 16, "dispatch a micro-batch early once it holds this many events")

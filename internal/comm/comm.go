@@ -122,11 +122,6 @@ func (g *Group) Close() error {
 // Calls returns how many collectives the group has executed.
 func (g *Group) Calls() int64 { return g.calls.Load() }
 
-// ModeledTime returns the accumulated α–β model time across collectives.
-func (g *Group) ModeledTime() time.Duration {
-	return time.Duration(g.modeledTime.Load())
-}
-
 // chunkBounds splits n elements into P contiguous chunks.
 func chunkBounds(n, p, idx int) (lo, hi int) {
 	size := (n + p - 1) / p

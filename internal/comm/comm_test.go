@@ -138,6 +138,9 @@ func TestModeledTimeCoalescingAdvantage(t *testing.T) {
 	}
 }
 
+// modeled returns the α–β model time a group has charged.
+func modeled(g *Group) time.Duration { return time.Duration(g.modeledTime.Load()) }
+
 func TestStatsAccumulate(t *testing.T) {
 	const p = 2
 	g := NewGroup(p, NVLink3())
@@ -146,8 +149,8 @@ func TestStatsAccumulate(t *testing.T) {
 	if g.Calls() != 1 {
 		t.Fatalf("calls %d, want 1", g.Calls())
 	}
-	if want := NVLink3().RingAllReduceTime(10*8, p); g.ModeledTime() != want {
-		t.Fatalf("modeled time %v, want %v", g.ModeledTime(), want)
+	if want := NVLink3().RingAllReduceTime(10*8, p); modeled(g) != want {
+		t.Fatalf("modeled time %v, want %v", modeled(g), want)
 	}
 }
 
@@ -234,8 +237,8 @@ func TestZeroCostModelChargesNothing(t *testing.T) {
 		bufs[rank] = []float64{float64(rank), 1, 2, 3, 4}
 	}
 	runRanks(4, func(rank int) { g.AllReduceSum(rank, bufs[rank]) })
-	if g.ModeledTime() != 0 {
-		t.Fatalf("zero model charged %v", g.ModeledTime())
+	if modeled(g) != 0 {
+		t.Fatalf("zero model charged %v", modeled(g))
 	}
 	if bufs[0][0] != 0+1+2+3 {
 		t.Fatalf("sum wrong: %v", bufs[0][0])

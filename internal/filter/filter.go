@@ -68,9 +68,6 @@ func New(cfg Config, r *rng.Rand) *EdgeFilter {
 // Params exposes the trainable parameters.
 func (f *EdgeFilter) Params() []*autograd.Param { return f.mlp.Params() }
 
-// Threshold returns the keep threshold on the sigmoid score.
-func (f *EdgeFilter) Threshold() float64 { return f.cfg.Threshold }
-
 // forward builds the logits node for edges (src, dst). The MLP's first
 // layer reads [X[src] ‖ X[dst] ‖ E] as three segments, so neither the
 // gathers nor the concatenation is built.

@@ -38,9 +38,6 @@ func NewCalibration(f *EdgeFilter) *Inference[float32] {
 // that a NewCalibration instance has recorded (nn.MLPInference.Scales).
 func (inf *Inference[T]) Scales() []float32 { return inf.mlp.Scales() }
 
-// Threshold returns the keep threshold on the sigmoid score.
-func (inf *Inference[T]) Threshold() float64 { return inf.cfg.Threshold }
-
 // ScoresCtx returns the sigmoid score per edge (src, dst) with all
 // activations borrowed from the arena (released before returning).
 func (inf *Inference[T]) ScoresCtx(kc kernels.Context, arena *workspace.Arena, nodeFeat, edgeFeat *tensor.Matrix[T], src, dst []int) []float64 {

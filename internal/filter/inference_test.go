@@ -67,8 +67,8 @@ func TestInferenceF64MatchesTapeScores(t *testing.T) {
 		scoresBitsEqual(t, "scores", want, f.ScoresCtx(kc, nil, nodeFeat, edgeFeat, src, dst))
 		keep := f.KeepCtx(kc, nil, nodeFeat, edgeFeat, src, dst)
 		for i, s := range want {
-			if keep[i] != (s >= f.Threshold()) {
-				t.Fatalf("keep %d disagrees with score %v at threshold %v", i, s, f.Threshold())
+			if keep[i] != (s >= f.cfg.Threshold) {
+				t.Fatalf("keep %d disagrees with score %v at threshold %v", i, s, f.cfg.Threshold)
 			}
 		}
 	}

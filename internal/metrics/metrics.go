@@ -228,13 +228,6 @@ func (p *PhaseTimer) Total() time.Duration {
 	return t
 }
 
-// Merge adds another timer's accumulations.
-func (p *PhaseTimer) Merge(o *PhaseTimer) {
-	for ph, d := range o.durations {
-		p.durations[ph] += d
-	}
-}
-
 // String renders the breakdown in a stable order.
 func (p *PhaseTimer) String() string {
 	return fmt.Sprintf("sampling=%v training=%v allreduce=%v",

@@ -134,12 +134,6 @@ func TestPhaseTimer(t *testing.T) {
 	if pt.Total() != 175*time.Millisecond {
 		t.Fatalf("total %v", pt.Total())
 	}
-	other := NewPhaseTimer()
-	other.AddDuration(PhaseAllReduce, time.Second)
-	pt.Merge(other)
-	if pt.Get(PhaseAllReduce) != time.Second {
-		t.Fatal("merge lost allreduce")
-	}
 }
 
 func TestHistory(t *testing.T) {

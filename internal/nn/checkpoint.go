@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"bufio"
-	"bytes"
 	"compress/gzip"
 	"encoding/gob"
 	"fmt"
@@ -14,111 +12,104 @@ import (
 	"repro/internal/tensor"
 )
 
-// The on-disk format. Version 3 files open with an 8-byte magic and a
-// gob-encoded header declaring the parameter count and every
-// parameter's name, shape, element count, and element dtype — so
-// loading a checkpoint into a mismatched model configuration fails
-// loudly before a single weight is touched, and each parameter's
-// payload may be stored as float64 ("f64") or float32 ("f32", half the
-// bytes — the serving-checkpoint format for the float32 inference
-// path). Version 2 files (same layout, no dtype tags, f64 payloads)
-// and version 1 files (headerless: the gob stream starts immediately)
-// remain readable; both load as float64.
+// The on-disk formats, one per writer. Both open with an 8-byte magic
+// and a gob-encoded header declaring the parameter count and every
+// parameter's name, shape, element count and element dtype, so loading
+// a checkpoint into a mismatched model configuration fails loudly
+// before a single weight is touched.
 //
-// Version 4 is the int8 storage format: matrix parameters are stored
-// as int8 payloads with per-output-column float32 scales (dtype "i8";
-// row-vector parameters — biases, gains, shifts — stay f32) and load
-// dequantized, and the file additionally carries the calibrated
-// activation-scale tables an int8-activation runtime would need. Every
-// older version still loads.
+// Version 3 (SaveParams) stores every parameter as float64 ("f64"): the
+// training weights, exactly.
+//
+// Version 4 (SaveParamsInt8) is the int8 storage format: matrix
+// parameters are stored as int8 payloads with per-output-column float32
+// scales (dtype "i8"; row-vector parameters — biases, gains, shifts —
+// stay "f32") and load dequantized. The file also carries the
+// activation-scale tables calibration produced; the reader skips them.
+//
+// Nothing else loads: any other magic is refused before a gob decode.
 const (
-	checkpointVersionLegacy = 1
-	checkpointVersionV2     = 2
-	checkpointVersion       = 3
-	checkpointVersionV4     = 4
+	checkpointVersion   = 3
+	checkpointVersionV4 = 4
 )
 
-// Dtype tags carried per parameter by v3+ checkpoints.
+// Dtype tags carried per parameter.
 const (
-	DtypeF64 = "f64"
-	DtypeF32 = "f32"
-	DtypeI8  = "i8" // v4 only: int8 payload + per-column scales
+	dtypeF64 = "f64" // v3 only
+	dtypeF32 = "f32" // v4 only: row vectors
+	dtypeI8  = "i8"  // v4 only: int8 payload + per-column scales
 )
 
-// checkpointMagic opens every v3 checkpoint; checkpointMagicV2 opened
-// v2 files and checkpointMagicV4 opens quantized v4 files. Legacy gob
-// streams cannot start with these bytes (gob type definitions begin
-// differently), so the formats are distinguishable from the first read.
+// checkpointMagic opens every v3 checkpoint and checkpointMagicV4 every
+// v4 one.
 var (
 	checkpointMagic   = [8]byte{'R', 'P', 'R', 'O', 'C', 'K', 'P', checkpointVersion}
-	checkpointMagicV2 = [8]byte{'R', 'P', 'R', 'O', 'C', 'K', 'P', checkpointVersionV2}
 	checkpointMagicV4 = [8]byte{'R', 'P', 'R', 'O', 'C', 'K', 'P', checkpointVersionV4}
 )
 
-// ActScales is one named activation-scale table persisted by a v4
-// checkpoint: the static per-linear-layer input scales calibration
+// ActScales is one named activation-scale table a v4 checkpoint
+// carries: the static per-linear-layer input scales calibration
 // produced for one MLP (or, for the GNN, one of its sub-networks /
-// aggregation stages). Names are assigned by the exporting pipeline and
-// must round-trip verbatim.
+// aggregation stages). Names are assigned by the exporting pipeline.
+// LoadParams skips the tables.
 type ActScales struct {
 	Name   string
 	Scales []float32
 }
 
 // maxActScaleEntries bounds how many activation-scale tables (and how
-// many scales per table) a v4 file may declare — far above anything the
-// pipeline writes, low enough that a hostile header cannot demand
-// unbounded work.
+// many scales per table) SaveParamsInt8 writes — far above anything the
+// pipeline produces.
 const maxActScaleEntries = 4096
 
 // checkpointRecord is the serialized form of one parameter. Count is
 // redundant with Rows×Cols and with the payload length; the redundancy
 // is the point — any disagreement means corruption and is rejected.
-// Exactly one of Data (dtype f64), Data32 (dtype f32), and Data8
-// (dtype i8, v4) carries the payload; v1/v2 files predate Dtype and the
-// narrower payloads and always use Data. An i8 record additionally
-// carries one float32 scale per output column (ColScales, length Cols).
+// Exactly one of Data (dtype f64, v3), Data32 (dtype f32, v4) and Data8
+// (dtype i8, v4) carries the payload. An i8 record additionally carries
+// one float32 scale per output column (ColScales, length Cols).
 type checkpointRecord struct {
 	Name       string
 	Rows, Cols int
-	Count      int    // v2+: expected payload length
-	Dtype      string // v3+: DtypeF64, DtypeF32, or DtypeI8; empty in v1/v2 files
+	Count      int    // expected payload length
+	Dtype      string // dtypeF64 (v3), dtypeF32 or dtypeI8 (v4)
 	Data       []float64
 	Data32     []float32
-	Data8      []int8    // v4, dtype i8: quantized payload
-	ColScales  []float32 // v4, dtype i8: per-output-column scales
+	Data8      []int8    // dtype i8: quantized payload
+	ColScales  []float32 // dtype i8: per-output-column scales
 }
 
 // checkpointHeader declares the file's contents ahead of the payload:
-// per-param shapes, counts, and (v3) dtypes, so validation never has to
-// trust Data.
+// per-param shapes, counts and dtypes, so validation never has to trust
+// the records.
 type checkpointHeader struct {
 	NumParams int
 	Names     []string
 	Rows      []int
 	Cols      []int
 	Counts    []int
-	Dtypes    []string // v3 only; empty in v2 files
+	Dtypes    []string
 }
 
+// checkpointFile is the payload the writers encode. Act is written by
+// v4 only.
 type checkpointFile struct {
 	Version int
 	Params  []checkpointRecord
-	Act     []ActScales // v4 only: calibrated activation-scale tables
+	Act     []ActScales
 }
 
-// SaveParamsDtype writes parameter values to w: magic, versioned header
-// with per-param shape + count + dtype, then the payload (gob), every
-// payload at the given element dtype. Gradients and optimizer state are
-// not persisted — checkpoints capture the model, not the training run. DtypeF32 rounds each float64 weight to the
-// nearest float32 (half the checkpoint bytes) — the demotion the
-// float32 serving path applies at construction anyway, so an f32
-// checkpoint loaded into an f64 model and served at f32 is
-// score-identical to an f64 checkpoint served at f32.
-func SaveParamsDtype(w io.Writer, params []*autograd.Param, dtype string) error {
-	if dtype != DtypeF64 && dtype != DtypeF32 {
-		return fmt.Errorf("nn: unknown checkpoint dtype %q", dtype)
-	}
+// checkpointLoad is what the reader decodes a payload into: without a
+// field for Act, gob skips a v4 file's activation-scale tables.
+type checkpointLoad struct {
+	Version int
+	Params  []checkpointRecord
+}
+
+// SaveParams writes a v3 checkpoint of params to w: magic, header, then
+// every parameter's float64 values. Gradients and optimizer state are
+// not persisted — checkpoints capture the model, not the training run.
+func SaveParams(w io.Writer, params []*autograd.Param) error {
 	if _, err := w.Write(checkpointMagic[:]); err != nil {
 		return fmt.Errorf("nn: write checkpoint magic: %w", err)
 	}
@@ -130,23 +121,15 @@ func SaveParamsDtype(w io.Writer, params []*autograd.Param, dtype string) error 
 		hdr.Rows = append(hdr.Rows, rows)
 		hdr.Cols = append(hdr.Cols, cols)
 		hdr.Counts = append(hdr.Counts, rows*cols)
-		hdr.Dtypes = append(hdr.Dtypes, dtype)
-		rec := checkpointRecord{
+		hdr.Dtypes = append(hdr.Dtypes, dtypeF64)
+		file.Params = append(file.Params, checkpointRecord{
 			Name:  p.Name,
 			Rows:  rows,
 			Cols:  cols,
 			Count: rows * cols,
-			Dtype: dtype,
-		}
-		if dtype == DtypeF32 {
-			rec.Data32 = make([]float32, rows*cols)
-			for i, v := range p.Value.Data() {
-				rec.Data32[i] = float32(v)
-			}
-		} else {
-			rec.Data = p.Value.Data()
-		}
-		file.Params = append(file.Params, rec)
+			Dtype: dtypeF64,
+			Data:  p.Value.Data(),
+		})
 	}
 	enc := gob.NewEncoder(w)
 	if err := enc.Encode(&hdr); err != nil {
@@ -211,9 +194,9 @@ func SaveParamsInt8(w io.Writer, params []*autograd.Param, act []ActScales) erro
 	}
 	for _, p := range params {
 		rows, cols := p.Value.Rows(), p.Value.Cols()
-		dtype := DtypeF32
+		dtype := dtypeF32
 		if storedInt8(p.Value) {
-			dtype = DtypeI8
+			dtype = dtypeI8
 		}
 		hdr.Names = append(hdr.Names, p.Name)
 		hdr.Rows = append(hdr.Rows, rows)
@@ -227,7 +210,7 @@ func SaveParamsInt8(w io.Writer, params []*autograd.Param, act []ActScales) erro
 			Count: rows * cols,
 			Dtype: dtype,
 		}
-		if dtype == DtypeI8 {
+		if dtype == dtypeI8 {
 			q := tensor.QuantizeWeights(p.Value)
 			rec.Data8 = q.Data()
 			rec.ColScales = q.ColScale
@@ -249,8 +232,8 @@ func SaveParamsInt8(w io.Writer, params []*autograd.Param, act []ActScales) erro
 	return nil
 }
 
-// validateActScales rejects activation-scale tables a v4 file may not
-// carry: unbounded counts, empty or duplicate names, non-positive or
+// validateActScales rejects activation-scale tables SaveParamsInt8 does
+// not write: unbounded counts, empty or duplicate names, non-positive or
 // non-finite scales.
 func validateActScales(act []ActScales) error {
 	if len(act) > maxActScaleEntries {
@@ -277,146 +260,100 @@ func validateActScales(act []ActScales) error {
 	return nil
 }
 
-// LoadParams restores parameter values from r into params. The header
-// (or, for legacy headerless files, the decoded records) is validated
-// in full — count, names, shapes, element counts, dtype consistency —
-// before any parameter is modified, so a mismatched checkpoint can
-// never partially corrupt a model's weights. Float32 payloads widen
-// exactly to float64; int8 payloads (v4) dequantize through their
-// per-column scales. Activation-scale tables, if present, are
-// discarded — use LoadParamsExt to receive them.
+// LoadParams restores parameter values from r into params. It reads
+// what SaveParams (v3, f64 records) and SaveParamsInt8 (v4, f32 and i8
+// records) write and refuses any other magic before decoding. The
+// header and every record are validated in full — count, names, shapes,
+// element counts, dtypes, payloads — before any parameter is modified,
+// so a rejected checkpoint never partially overwrites a model. Int8
+// payloads dequantize through their per-column scales and float32 ones
+// widen exactly; a v4 file's activation-scale tables are skipped.
 func LoadParams(r io.Reader, params []*autograd.Param) error {
-	_, err := LoadParamsExt(r, params)
-	return err
-}
-
-// LoadParamsExt is LoadParams returning the v4 activation-scale tables
-// alongside the weights (nil for pre-v4 files), so calibration survives
-// a load and re-export.
-func LoadParamsExt(r io.Reader, params []*autograd.Param) ([]ActScales, error) {
-	br := bufio.NewReader(r)
-	peek, err := br.Peek(len(checkpointMagic))
-	isV4 := err == nil && bytes.Equal(peek, checkpointMagicV4[:])
-	isV3 := err == nil && bytes.Equal(peek, checkpointMagic[:])
-	isV2 := err == nil && bytes.Equal(peek, checkpointMagicV2[:])
-
-	var file checkpointFile
-	var hdr checkpointHeader
-	switch {
-	case isV4, isV3, isV2:
-		if _, err := br.Discard(len(checkpointMagic)); err != nil {
-			return nil, fmt.Errorf("nn: read checkpoint magic: %w", err)
-		}
-		want := checkpointVersion
-		switch {
-		case isV4:
-			want = checkpointVersionV4
-		case isV2:
-			want = checkpointVersionV2
-		}
-		dec := gob.NewDecoder(br)
-		if err := dec.Decode(&hdr); err != nil {
-			return nil, fmt.Errorf("nn: decode checkpoint header: %w", err)
-		}
-		if err := validateHeader(hdr, params, want); err != nil {
-			return nil, err
-		}
-		if err := dec.Decode(&file); err != nil {
-			return nil, fmt.Errorf("nn: decode checkpoint: %w", err)
-		}
-		if file.Version != want {
-			return nil, fmt.Errorf("nn: checkpoint version %d, want %d", file.Version, want)
-		}
+	var magic [8]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		return fmt.Errorf("nn: read checkpoint magic: %w", err)
+	}
+	var version int
+	switch magic {
+	case checkpointMagic:
+		version = checkpointVersion
+	case checkpointMagicV4:
+		version = checkpointVersionV4
 	default:
-		// Legacy headerless file: the gob stream starts immediately.
-		if err := gob.NewDecoder(br).Decode(&file); err != nil {
-			return nil, fmt.Errorf("nn: decode checkpoint (not a checkpoint file?): %w", err)
-		}
-		if file.Version != checkpointVersionLegacy {
-			return nil, fmt.Errorf("nn: headerless checkpoint version %d, want %d", file.Version, checkpointVersionLegacy)
-		}
+		return fmt.Errorf("nn: not a v3 or v4 checkpoint (magic %q)", magic[:])
 	}
-
-	// Validate every record — payloads, scale tables, the activation
-	// section — against every parameter before copying any.
+	dec := gob.NewDecoder(r)
+	var hdr checkpointHeader
+	if err := dec.Decode(&hdr); err != nil {
+		return fmt.Errorf("nn: decode checkpoint header: %w", err)
+	}
+	if err := validateHeader(hdr, params, version); err != nil {
+		return err
+	}
+	var file checkpointLoad
+	if err := dec.Decode(&file); err != nil {
+		return fmt.Errorf("nn: decode checkpoint: %w", err)
+	}
+	if file.Version != version {
+		return fmt.Errorf("nn: checkpoint version %d, want %d", file.Version, version)
+	}
 	if len(file.Params) != len(params) {
-		return nil, fmt.Errorf("nn: checkpoint has %d params, model has %d", len(file.Params), len(params))
-	}
-	if !isV4 && len(file.Act) != 0 {
-		return nil, fmt.Errorf("nn: pre-v4 checkpoint carries %d activation-scale tables", len(file.Act))
-	}
-	if isV4 {
-		if err := validateActScales(file.Act); err != nil {
-			return nil, err
-		}
+		return fmt.Errorf("nn: checkpoint has %d params, model has %d", len(file.Params), len(params))
 	}
 	for i, rec := range file.Params {
-		p := params[i]
-		if rec.Name != p.Name {
-			return nil, fmt.Errorf("nn: checkpoint param %d is %q, model expects %q", i, rec.Name, p.Name)
-		}
-		if rec.Rows != p.Value.Rows() || rec.Cols != p.Value.Cols() {
-			return nil, fmt.Errorf("nn: checkpoint param %q is %dx%d, model expects %dx%d",
-				rec.Name, rec.Rows, rec.Cols, p.Value.Rows(), p.Value.Cols())
-		}
-		if isV3 || isV4 {
-			if rec.Dtype != hdr.Dtypes[i] {
-				return nil, fmt.Errorf("nn: checkpoint param %q is dtype %q but the header declares %q",
-					rec.Name, rec.Dtype, hdr.Dtypes[i])
-			}
-			switch rec.Dtype {
-			case DtypeF64:
-				if len(rec.Data32) != 0 {
-					return nil, fmt.Errorf("nn: checkpoint param %q is dtype f64 but carries %d f32 values", rec.Name, len(rec.Data32))
-				}
-			case DtypeF32:
-				if len(rec.Data) != 0 {
-					return nil, fmt.Errorf("nn: checkpoint param %q is dtype f32 but carries %d f64 values", rec.Name, len(rec.Data))
-				}
-				if len(rec.Data32) != rec.Rows*rec.Cols {
-					return nil, fmt.Errorf("nn: checkpoint param %q has %d f32 values for a %dx%d shape",
-						rec.Name, len(rec.Data32), rec.Rows, rec.Cols)
-				}
-			case DtypeI8:
-				if !isV4 {
-					return nil, fmt.Errorf("nn: checkpoint param %q has unknown dtype %q", rec.Name, rec.Dtype)
-				}
-				if err := validateI8Record(rec); err != nil {
-					return nil, err
-				}
-			default:
-				return nil, fmt.Errorf("nn: checkpoint param %q has unknown dtype %q", rec.Name, rec.Dtype)
-			}
-			if rec.Dtype != DtypeI8 && (len(rec.Data8) != 0 || len(rec.ColScales) != 0) {
-				return nil, fmt.Errorf("nn: checkpoint param %q is dtype %q but carries int8 payload data", rec.Name, rec.Dtype)
-			}
-		} else if rec.Dtype != "" || len(rec.Data32) != 0 || len(rec.Data8) != 0 || len(rec.ColScales) != 0 {
-			return nil, fmt.Errorf("nn: pre-v3 checkpoint param %q carries dtype metadata", rec.Name)
-		}
-		if rec.Dtype != DtypeF32 && rec.Dtype != DtypeI8 && len(rec.Data) != rec.Rows*rec.Cols {
-			return nil, fmt.Errorf("nn: checkpoint param %q has %d values for a %dx%d shape",
-				rec.Name, len(rec.Data), rec.Rows, rec.Cols)
-		}
-		if (isV4 || isV3 || isV2) && rec.Count != rec.Rows*rec.Cols {
-			return nil, fmt.Errorf("nn: checkpoint param %q declares %d values but shape is %dx%d",
-				rec.Name, rec.Count, rec.Rows, rec.Cols)
+		if err := validateRecord(rec, params[i], hdr.Dtypes[i]); err != nil {
+			return err
 		}
 	}
 	for i, rec := range file.Params {
 		dst := params[i].Value
 		switch rec.Dtype {
-		case DtypeF32:
+		case dtypeF32:
 			d := dst.Data()
 			for k, v := range rec.Data32 {
 				d[k] = float64(v)
 			}
-		case DtypeI8:
+		case dtypeI8:
 			tensor.NewQWeights(rec.Rows, rec.Cols, rec.Data8, rec.ColScales).DequantizeInto(dst)
 		default:
 			dst.CopyFrom(tensor.FromSlice(rec.Rows, rec.Cols, rec.Data))
 		}
 	}
-	return file.Act, nil
+	return nil
+}
+
+// validateRecord checks one decoded record against its model parameter
+// and the dtype the (already validated) header declares for it: the
+// record carries exactly that dtype's payload at the declared length.
+func validateRecord(rec checkpointRecord, p *autograd.Param, dtype string) error {
+	if rec.Name != p.Name {
+		return fmt.Errorf("nn: checkpoint param %q, model expects %q", rec.Name, p.Name)
+	}
+	if rec.Rows != p.Value.Rows() || rec.Cols != p.Value.Cols() {
+		return fmt.Errorf("nn: checkpoint param %q is %dx%d, model expects %dx%d",
+			rec.Name, rec.Rows, rec.Cols, p.Value.Rows(), p.Value.Cols())
+	}
+	n := rec.Rows * rec.Cols
+	if rec.Count != n {
+		return fmt.Errorf("nn: checkpoint param %q declares %d values but shape is %dx%d",
+			rec.Name, rec.Count, rec.Rows, rec.Cols)
+	}
+	if rec.Dtype != dtype {
+		return fmt.Errorf("nn: checkpoint param %q is dtype %q but the header declares %q", rec.Name, rec.Dtype, dtype)
+	}
+	var ok bool
+	switch dtype {
+	case dtypeF64:
+		ok = len(rec.Data) == n && len(rec.Data32)+len(rec.Data8)+len(rec.ColScales) == 0
+	case dtypeF32:
+		ok = len(rec.Data32) == n && len(rec.Data)+len(rec.Data8)+len(rec.ColScales) == 0
+	case dtypeI8:
+		return validateI8Record(rec)
+	}
+	if !ok {
+		return fmt.Errorf("nn: checkpoint param %q does not carry exactly %d %s values", rec.Name, n, dtype)
+	}
+	return nil
 }
 
 // validateI8Record checks one v4 int8 record: exact payload length, one
@@ -448,21 +385,16 @@ func validateI8Record(rec checkpointRecord) error {
 	return nil
 }
 
-// validateHeader checks the v2+ header against the model's
-// parameters — the loud, early failure for mismatched configurations.
+// validateHeader checks the header against the model's parameters —
+// the loud, early failure for mismatched configurations — and each
+// dtype against the version: f64 in v3, f32 or i8 in v4.
 func validateHeader(hdr checkpointHeader, params []*autograd.Param, version int) error {
 	if hdr.NumParams != len(params) {
 		return fmt.Errorf("nn: checkpoint header declares %d params, model has %d", hdr.NumParams, len(params))
 	}
 	if len(hdr.Names) != hdr.NumParams || len(hdr.Rows) != hdr.NumParams ||
-		len(hdr.Cols) != hdr.NumParams || len(hdr.Counts) != hdr.NumParams {
+		len(hdr.Cols) != hdr.NumParams || len(hdr.Counts) != hdr.NumParams || len(hdr.Dtypes) != hdr.NumParams {
 		return fmt.Errorf("nn: checkpoint header is internally inconsistent")
-	}
-	if version >= checkpointVersion && len(hdr.Dtypes) != hdr.NumParams {
-		return fmt.Errorf("nn: checkpoint header has %d dtype tags for %d params", len(hdr.Dtypes), hdr.NumParams)
-	}
-	if version < checkpointVersion && len(hdr.Dtypes) != 0 {
-		return fmt.Errorf("nn: v2 checkpoint header carries dtype tags")
 	}
 	for i, p := range params {
 		if hdr.Names[i] != p.Name {
@@ -476,32 +408,25 @@ func validateHeader(hdr checkpointHeader, params []*autograd.Param, version int)
 			return fmt.Errorf("nn: checkpoint header param %q count %d disagrees with shape %dx%d",
 				hdr.Names[i], hdr.Counts[i], hdr.Rows[i], hdr.Cols[i])
 		}
-		if version >= checkpointVersion {
-			ok := hdr.Dtypes[i] == DtypeF64 || hdr.Dtypes[i] == DtypeF32 ||
-				(version == checkpointVersionV4 && hdr.Dtypes[i] == DtypeI8)
-			if !ok {
-				return fmt.Errorf("nn: checkpoint header param %q has unknown dtype %q", hdr.Names[i], hdr.Dtypes[i])
-			}
+		d := hdr.Dtypes[i]
+		if version == checkpointVersion && d != dtypeF64 ||
+			version == checkpointVersionV4 && d != dtypeF32 && d != dtypeI8 {
+			return fmt.Errorf("nn: v%d checkpoint header param %q has dtype %q", version, hdr.Names[i], d)
 		}
 	}
 	return nil
 }
 
-// SaveParamsFile writes a gzip-compressed checkpoint to path.
+// SaveParamsFile writes a gzip-compressed v3 checkpoint to path (see
+// SaveParams).
 func SaveParamsFile(path string, params []*autograd.Param) error {
-	return SaveParamsFileDtype(path, params, DtypeF64)
-}
-
-// SaveParamsFileDtype is SaveParamsFile with an explicit payload dtype
-// (see SaveParamsDtype).
-func SaveParamsFileDtype(path string, params []*autograd.Param, dtype string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("nn: create checkpoint: %w", err)
 	}
 	defer f.Close()
 	zw := gzip.NewWriter(f)
-	if err := SaveParamsDtype(zw, params, dtype); err != nil {
+	if err := SaveParams(zw, params); err != nil {
 		return err
 	}
 	if err := zw.Close(); err != nil {
@@ -528,7 +453,8 @@ func SaveParamsFileInt8(path string, params []*autograd.Param, act []ActScales) 
 	return f.Close()
 }
 
-// LoadParamsFile restores a checkpoint written by SaveParamsFile.
+// LoadParamsFile restores a checkpoint written by SaveParamsFile or
+// SaveParamsFileInt8 (see LoadParams).
 func LoadParamsFile(path string, params []*autograd.Param) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -541,20 +467,4 @@ func LoadParamsFile(path string, params []*autograd.Param) error {
 	}
 	defer zr.Close()
 	return LoadParams(zr, params)
-}
-
-// LoadParamsFileExt restores a checkpoint from path and returns its
-// activation-scale tables (nil for pre-v4 files).
-func LoadParamsFileExt(path string, params []*autograd.Param) ([]ActScales, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("nn: open checkpoint: %w", err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		return nil, fmt.Errorf("nn: checkpoint gzip: %w", err)
-	}
-	defer zr.Close()
-	return LoadParamsExt(zr, params)
 }

@@ -16,7 +16,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	m := NewMLP(r, "m", MLPConfig{In: 3, Hidden: []int{8}, Out: 2, Activation: ReLU, LayerNorm: true})
 	params := m.Params()
 	var buf bytes.Buffer
-	if err := SaveParamsDtype(&buf, params, DtypeF64); err != nil {
+	if err := SaveParams(&buf, params); err != nil {
 		t.Fatal(err)
 	}
 	// Restore into a differently initialized twin.
@@ -51,7 +51,7 @@ func TestCheckpointValidation(t *testing.T) {
 	r := rng.New(4)
 	m := NewMLP(r, "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1, Activation: ReLU})
 	var buf bytes.Buffer
-	if err := SaveParamsDtype(&buf, m.Params(), DtypeF64); err != nil {
+	if err := SaveParams(&buf, m.Params()); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong shape.
@@ -71,9 +71,10 @@ func TestCheckpointValidation(t *testing.T) {
 	}
 }
 
-// legacySaveParams writes the headerless v1 format: a bare gob stream.
+// legacySaveParams writes the retired headerless v1 format: a bare gob
+// stream of the file struct at version 1, no magic, no header.
 func legacySaveParams(buf *bytes.Buffer, params []*autograd.Param) error {
-	file := checkpointFile{Version: checkpointVersionLegacy}
+	file := checkpointFile{Version: 1}
 	for _, p := range params {
 		file.Params = append(file.Params, checkpointRecord{
 			Name: p.Name,
@@ -88,14 +89,16 @@ func legacySaveParams(buf *bytes.Buffer, params []*autograd.Param) error {
 func TestCheckpointMagicHeader(t *testing.T) {
 	m := NewMLP(rng.New(5), "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1, Activation: ReLU})
 	var buf bytes.Buffer
-	if err := SaveParamsDtype(&buf, m.Params(), DtypeF64); err != nil {
+	if err := SaveParams(&buf, m.Params()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(buf.Bytes(), checkpointMagic[:]) {
-		t.Fatal("v2 checkpoint does not open with the magic header")
+		t.Fatal("v3 checkpoint does not open with the magic header")
 	}
 }
 
+// TestCheckpointLegacyReadCompat: a headerless v1 file, which no
+// writer produces any more, is refused and changes no parameter.
 func TestCheckpointLegacyReadCompat(t *testing.T) {
 	m := NewMLP(rng.New(6), "m", MLPConfig{In: 3, Hidden: []int{4}, Out: 2, Activation: Tanh})
 	var buf bytes.Buffer
@@ -103,13 +106,19 @@ func TestCheckpointLegacyReadCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2 := NewMLP(rng.New(66), "m", MLPConfig{In: 3, Hidden: []int{4}, Out: 2, Activation: Tanh})
-	if err := LoadParams(&buf, m2.Params()); err != nil {
-		t.Fatalf("headerless v1 checkpoint rejected: %v", err)
+	assertRejected(t, "headerless v1", buf.Bytes(), m2.Params())
+}
+
+// assertRejected loads data into params and fails unless LoadParams
+// refuses it with every parameter unchanged.
+func assertRejected(t *testing.T, what string, data []byte, params []*autograd.Param) {
+	t.Helper()
+	before := snapshotParams(params)
+	if err := LoadParams(bytes.NewReader(data), params); err == nil {
+		t.Fatalf("%s checkpoint accepted", what)
 	}
-	for i, p := range m2.Params() {
-		if p.Value.MaxAbsDiff(m.Params()[i].Value) != 0 {
-			t.Fatalf("param %d differs after legacy restore", i)
-		}
+	if !paramsEqual(params, before) {
+		t.Fatalf("%s checkpoint was rejected but changed the parameters", what)
 	}
 }
 
@@ -129,8 +138,8 @@ func TestCheckpointNoPartialMutation(t *testing.T) {
 		name string
 		save func(*bytes.Buffer) error
 	}{
-		{"v2", func(b *bytes.Buffer) error { return SaveParamsDtype(b, save.Params(), DtypeF64) }},
-		{"legacy", func(b *bytes.Buffer) error { return legacySaveParams(b, save.Params()) }},
+		{"v3", func(b *bytes.Buffer) error { return SaveParams(b, save.Params()) }},
+		{"v4", func(b *bytes.Buffer) error { return SaveParamsInt8(b, save.Params(), nil) }},
 	} {
 		var buf bytes.Buffer
 		if err := format.save(&buf); err != nil {

@@ -14,9 +14,9 @@ import (
 )
 
 // Calibration coverage: the ranges a NewMLPCalibration instance
-// records and the forward it runs. Checkpoint v4 coverage: round trip
-// with activation tables, the requantization identity, SnapInt8 as the
-// in-memory twin of a v4 load, hostile-input rejection, and the
+// records and the forward it runs. Checkpoint v4 coverage: round trip,
+// the requantization identity, SnapInt8 as the in-memory twin of a v4
+// load, skipped activation tables, hostile-input rejection, and the
 // no-partial-mutation guarantee.
 
 func randInputs32(r *rng.Rand, rows, cols int) *tensor.Matrix[float32] {
@@ -98,22 +98,8 @@ func TestCheckpointV4RoundTrip(t *testing.T) {
 	}
 
 	dst, _ := v4Fixture(t, 99)
-	gotAct, err := LoadParamsExt(&buf, dst)
-	if err != nil {
+	if err := LoadParams(&buf, dst); err != nil {
 		t.Fatal(err)
-	}
-	if len(gotAct) != len(act) {
-		t.Fatalf("activation tables: %d vs %d", len(gotAct), len(act))
-	}
-	for i, a := range act {
-		if gotAct[i].Name != a.Name || len(gotAct[i].Scales) != len(a.Scales) {
-			t.Fatalf("activation table %d did not round-trip", i)
-		}
-		for j, s := range a.Scales {
-			if gotAct[i].Scales[j] != s {
-				t.Fatalf("activation table %q scale %d: %v vs %v", a.Name, j, gotAct[i].Scales[j], s)
-			}
-		}
 	}
 
 	// The requantization identity: re-quantizing the dequantized matrix
@@ -157,7 +143,7 @@ func TestSnapInt8MatchesV4Load(t *testing.T) {
 		t.Fatal(err)
 	}
 	loaded, _ := v4Fixture(t, 96)
-	if _, err := LoadParamsExt(&buf, loaded); err != nil {
+	if err := LoadParams(&buf, loaded); err != nil {
 		t.Fatal(err)
 	}
 	snapped, _ := v4Fixture(t, 95)
@@ -215,17 +201,43 @@ func TestCheckpointV4FileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst, _ := v4Fixture(t, 98)
-	gotAct, err := LoadParamsFileExt(path, dst)
-	if err != nil {
+	if err := LoadParamsFile(path, dst); err != nil {
 		t.Fatal(err)
 	}
-	if len(gotAct) != len(act) {
-		t.Fatal("file round trip lost activation tables")
+	snapped, _ := v4Fixture(t, 97)
+	SnapInt8(snapped, params)
+	for i, p := range dst {
+		if p.Value.MaxAbsDiff(snapped[i].Value) != 0 {
+			t.Fatalf("param %q: the file round trip loads other values than SnapInt8", p.Name)
+		}
 	}
-	// And the plain loader accepts the file too, discarding the tables.
-	dst2, _ := v4Fixture(t, 97)
-	if err := LoadParamsFile(path, dst2); err != nil {
+}
+
+// TestCheckpointV4SkipsActTables: the reader does not look at a v4
+// file's activation-scale tables. A file whose tables SaveParamsInt8
+// would refuse (empty, duplicate, zero) loads the same weights as the
+// file without them.
+func TestCheckpointV4SkipsActTables(t *testing.T) {
+	params, _ := v4Fixture(t, 36)
+	var plain bytes.Buffer
+	if err := SaveParamsInt8(&plain, params, nil); err != nil {
 		t.Fatal(err)
+	}
+	want, _ := v4Fixture(t, 75)
+	if err := LoadParams(&plain, want); err != nil {
+		t.Fatal(err)
+	}
+	odd := saveV4Mutated(t, params, nil, func(h *checkpointHeader, f *checkpointFile) {
+		f.Act = []ActScales{{Name: "a", Scales: nil}, {Name: "a", Scales: []float32{0}}, {Name: ""}}
+	})
+	got, _ := v4Fixture(t, 74)
+	if err := LoadParams(odd, got); err != nil {
+		t.Fatalf("v4 file with odd activation tables rejected: %v", err)
+	}
+	for i, p := range got {
+		if p.Value.MaxAbsDiff(want[i].Value) != 0 {
+			t.Fatalf("param %q differs when the file carries activation tables", p.Name)
+		}
 	}
 }
 
@@ -265,9 +277,9 @@ func encodeV4Mutated(params []*autograd.Param, act []ActScales, mutate func(*che
 	file := checkpointFile{Version: checkpointVersionV4, Act: act}
 	for _, p := range params {
 		rows, cols := p.Value.Rows(), p.Value.Cols()
-		dtype := DtypeI8
+		dtype := dtypeI8
 		if rows == 1 {
-			dtype = DtypeF32
+			dtype = dtypeF32
 		}
 		hdr.Names = append(hdr.Names, p.Name)
 		hdr.Rows = append(hdr.Rows, rows)
@@ -275,7 +287,7 @@ func encodeV4Mutated(params []*autograd.Param, act []ActScales, mutate func(*che
 		hdr.Counts = append(hdr.Counts, rows*cols)
 		hdr.Dtypes = append(hdr.Dtypes, dtype)
 		rec := checkpointRecord{Name: p.Name, Rows: rows, Cols: cols, Count: rows * cols, Dtype: dtype}
-		if dtype == DtypeI8 {
+		if dtype == dtypeI8 {
 			q := tensor.QuantizeWeights(p.Value)
 			rec.Data8 = append([]int8(nil), q.Data()...)
 			rec.ColScales = append([]float32(nil), q.ColScale...)
@@ -305,7 +317,7 @@ func encodeV4Mutated(params []*autograd.Param, act []ActScales, mutate func(*che
 // i8RecIndex returns the index of the first i8-dtype record.
 func i8RecIndex(file *checkpointFile) int {
 	for i, rec := range file.Params {
-		if rec.Dtype == DtypeI8 {
+		if rec.Dtype == dtypeI8 {
 			return i
 		}
 	}
@@ -349,7 +361,7 @@ func TestCheckpointV4HostileRejected(t *testing.T) {
 		}},
 		{"f32 record smuggles i8 payload", func(h *checkpointHeader, f *checkpointFile) {
 			for i := range f.Params {
-				if f.Params[i].Dtype == DtypeF32 {
+				if f.Params[i].Dtype == dtypeF32 {
 					f.Params[i].Data8 = []int8{1}
 					return
 				}
@@ -357,58 +369,18 @@ func TestCheckpointV4HostileRejected(t *testing.T) {
 			t.Fatal("fixture has no f32 record")
 		}},
 		{"dtype disagrees with header", func(h *checkpointHeader, f *checkpointFile) {
-			f.Params[i8RecIndex(f)].Dtype = DtypeF32
+			f.Params[i8RecIndex(f)].Dtype = dtypeF32
 		}},
-		{"empty act table", func(h *checkpointHeader, f *checkpointFile) {
-			f.Act = append(f.Act, ActScales{Name: "extra", Scales: nil})
-		}},
-		{"duplicate act table", func(h *checkpointHeader, f *checkpointFile) {
-			f.Act = append(f.Act, ActScales{Name: f.Act[0].Name, Scales: []float32{1}})
-		}},
-		{"hostile act scale", func(h *checkpointHeader, f *checkpointFile) {
-			f.Act[0].Scales[0] = 0
-		}},
-		{"oversized act section", func(h *checkpointHeader, f *checkpointFile) {
-			f.Act = f.Act[:0]
-			for i := 0; i <= maxActScaleEntries; i++ {
-				f.Act = append(f.Act, ActScales{Name: string(rune('a'+i%26)) + string(rune('0'+i%10)) + "-" + string(rune('a'+(i/260)%26)) + string(rune('a'+(i/10)%26)), Scales: []float32{1}})
+		{"f64 records", func(h *checkpointHeader, f *checkpointFile) {
+			for i, p := range params {
+				h.Dtypes[i] = dtypeF64
+				f.Params[i] = checkpointRecord{Name: p.Name, Rows: p.Value.Rows(), Cols: p.Value.Cols(),
+					Count: p.Value.Rows() * p.Value.Cols(), Dtype: dtypeF64, Data: p.Value.Data()}
 			}
 		}},
 	}
 	for _, tc := range cases {
 		dst, _ := v4Fixture(t, 77)
-		before := make([]*tensor.Dense, len(dst))
-		for i, p := range dst {
-			before[i] = p.Value.Clone()
-		}
-		buf := saveV4Mutated(t, params, act, tc.mutate)
-		if _, err := LoadParamsExt(buf, dst); err == nil {
-			t.Fatalf("%s: hostile checkpoint accepted", tc.name)
-		}
-		for i, p := range dst {
-			if p.Value.MaxAbsDiff(before[i]) != 0 {
-				t.Fatalf("%s: param %d mutated by a rejected checkpoint", tc.name, i)
-			}
-		}
-	}
-}
-
-// TestCheckpointPreV4RejectsActTables: the Act section is a v4-only
-// feature; a pre-v4 file carrying one is corrupt by definition.
-func TestCheckpointPreV4RejectsActTables(t *testing.T) {
-	params, _ := v4Fixture(t, 35)
-	file := checkpointFile{Version: checkpointVersionLegacy, Act: []ActScales{{Name: "a", Scales: []float32{1}}}}
-	for _, p := range params {
-		file.Params = append(file.Params, checkpointRecord{
-			Name: p.Name, Rows: p.Value.Rows(), Cols: p.Value.Cols(), Data: p.Value.Data(),
-		})
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&file); err != nil {
-		t.Fatal(err)
-	}
-	dst, _ := v4Fixture(t, 76)
-	if _, err := LoadParamsExt(&buf, dst); err == nil {
-		t.Fatal("legacy checkpoint with activation tables accepted")
+		assertRejected(t, tc.name, saveV4Mutated(t, params, act, tc.mutate).Bytes(), dst)
 	}
 }

@@ -40,20 +40,18 @@ func paramsEqual(params []*autograd.Param, snap []*tensor.Dense) bool {
 }
 
 // fuzzSeeds builds the seed corpus shared by FuzzLoadParams and the
-// corpus regenerator: valid v3 checkpoints at both dtypes, the
-// historical v2 format, truncations (including mid-dtype-tag), a
-// bit-flipped header, dtype-region bit flips, and plain garbage. More
-// cases live in testdata/fuzz/FuzzLoadParams.
+// corpus regenerator: a valid v3 checkpoint, truncations, the retired
+// headerless v1 and v2 formats, a v3 body behind the v4 magic, a
+// bit-flipped header, forged dtype tags, and plain garbage. More cases
+// live in testdata/fuzz/FuzzLoadParams.
 func fuzzSeeds(fatal func(error)) [][]byte {
-	var valid bytes.Buffer
-	if err := SaveParamsDtype(&valid, fuzzModel(), DtypeF64); err != nil {
+	var valid, legacy, validV2 bytes.Buffer
+	if err := SaveParams(&valid, fuzzModel()); err != nil {
 		fatal(err)
 	}
-	var valid32 bytes.Buffer
-	if err := SaveParamsDtype(&valid32, fuzzModel(), DtypeF32); err != nil {
+	if err := legacySaveParams(&legacy, fuzzModel()); err != nil {
 		fatal(err)
 	}
-	var validV2 bytes.Buffer
 	if err := v2SaveParams(&validV2, fuzzModel()); err != nil {
 		fatal(err)
 	}
@@ -61,11 +59,9 @@ func fuzzSeeds(fatal func(error)) [][]byte {
 		valid.Bytes(),
 		valid.Bytes()[:len(valid.Bytes())/2],
 		valid.Bytes()[:8],
-		valid32.Bytes(),
+		legacy.Bytes(),
 		validV2.Bytes(),
-		// Truncate the f32 file mid-payload so dtype says f32 but the
-		// Data32 array is cut short.
-		valid32.Bytes()[:len(valid32.Bytes())*3/4],
+		append(checkpointMagicV4[:len(checkpointMagicV4):len(checkpointMagicV4)], valid.Bytes()[8:]...),
 		[]byte("not a checkpoint at all"),
 		{},
 	}
@@ -74,18 +70,13 @@ func fuzzSeeds(fatal func(error)) [][]byte {
 		flipped[20] ^= 0xFF
 	}
 	seeds = append(seeds, flipped)
-	// Flip bytes where the gob-encoded dtype tags live ("f64"/"f32"
-	// strings) to forge garbage dtypes and f32↔f64 cross-wiring.
-	for _, src := range [][]byte{valid.Bytes(), valid32.Bytes()} {
-		mut := append([]byte(nil), src...)
+	// Overwrite the gob-encoded "f64" dtype tag: a v4-only tag over an
+	// f64 payload, and garbage.
+	for _, tag := range []string{"f32", "fXX"} {
+		mut := append([]byte(nil), valid.Bytes()...)
 		if i := bytes.Index(mut, []byte("f64")); i >= 0 {
-			copy(mut[i:], "f32") // tag says f32, payload stays f64
+			copy(mut[i:], tag)
 			seeds = append(seeds, mut)
-		}
-		mut2 := append([]byte(nil), src...)
-		if i := bytes.Index(mut2, []byte("f32")); i >= 0 {
-			copy(mut2[i:], "fXX") // garbage dtype bytes
-			seeds = append(seeds, mut2)
 		}
 	}
 	return seeds
@@ -95,7 +86,8 @@ func fuzzSeeds(fatal func(error)) [][]byte {
 // file (i8 payloads, column scales, activation tables), truncations,
 // a forged dtype tag, and structurally valid files carrying each class
 // of hostile v4 content — out-of-range weights, broken scale tables,
-// poisoned activation sections.
+// f64 records — and poisoned activation sections, which the reader
+// skips.
 func fuzzSeedsV4(fatal func(error)) [][]byte {
 	act := []ActScales{
 		{Name: "embed", Scales: []float32{0.5, 0.25}},
@@ -131,6 +123,13 @@ func fuzzSeedsV4(fatal func(error)) [][]byte {
 		},
 		func(h *checkpointHeader, f *checkpointFile) { f.Act[0].Scales = nil },
 		func(h *checkpointHeader, f *checkpointFile) { f.Act[1].Name = f.Act[0].Name },
+		func(h *checkpointHeader, f *checkpointFile) {
+			for i, rec := range f.Params {
+				h.Dtypes[i] = dtypeF64
+				f.Params[i] = checkpointRecord{Name: rec.Name, Rows: rec.Rows, Cols: rec.Cols,
+					Count: rec.Count, Dtype: dtypeF64, Data: make([]float64, rec.Count)}
+			}
+		},
 	}
 	for _, mutate := range hostile {
 		buf, err := encodeV4Mutated(fuzzModel(), act, mutate)
@@ -219,7 +218,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 // checkpoints must be rejected whole.
 func FuzzLoadParamsMismatchedModel(f *testing.F) {
 	var valid bytes.Buffer
-	if err := SaveParamsDtype(&valid, fuzzModel(), DtypeF64); err != nil {
+	if err := SaveParams(&valid, fuzzModel()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())

@@ -55,19 +55,8 @@ func NewLinear(r *rng.Rand, name string, in, out int) *Linear {
 	}
 }
 
-// Forward applies the layer on the tape as one Linear op.
-func (l *Linear) Forward(t *autograd.Tape, x *autograd.Node) *autograd.Node {
-	return t.Linear(t.Use(l.W), t.Use(l.B), false, autograd.Seg{N: x})
-}
-
 // Params returns the layer's parameters.
 func (l *Linear) Params() []*autograd.Param { return []*autograd.Param{l.W, l.B} }
-
-// In returns the input width.
-func (l *Linear) In() int { return l.W.Value.Rows() }
-
-// Out returns the output width.
-func (l *Linear) Out() int { return l.W.Value.Cols() }
 
 // MLPConfig describes an MLP block.
 type MLPConfig struct {

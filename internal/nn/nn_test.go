@@ -14,12 +14,13 @@ func TestLinearShapes(t *testing.T) {
 	l := NewLinear(r, "lin", 4, 7)
 	tp := autograd.NewTape()
 	x := tp.Constant(tensor.RandN(r, 10, 4, 1))
-	y := l.Forward(tp, x)
+	y := tp.Linear(tp.Use(l.W), tp.Use(l.B), false, autograd.Seg{N: x})
 	if y.Value.Rows() != 10 || y.Value.Cols() != 7 {
 		t.Fatalf("Linear output %dx%d, want 10x7", y.Value.Rows(), y.Value.Cols())
 	}
-	if l.In() != 4 || l.Out() != 7 {
-		t.Fatalf("In/Out = %d/%d", l.In(), l.Out())
+	if l.W.Value.Rows() != 4 || l.W.Value.Cols() != 7 || l.B.Value.Rows() != 1 || l.B.Value.Cols() != 7 {
+		t.Fatalf("W is %dx%d and b %dx%d, want 4x7 and 1x7",
+			l.W.Value.Rows(), l.W.Value.Cols(), l.B.Value.Rows(), l.B.Value.Cols())
 	}
 }
 
@@ -71,7 +72,7 @@ func trainXOR(t *testing.T, opt Optimizer, layerNorm bool) float64 {
 }
 
 func TestMLPLearnsXORWithSGD(t *testing.T) {
-	if acc := trainXOR(t, &SGD{LR: 0.5, Momentum: 0.9}, false); acc < 1.0 {
+	if acc := trainXOR(t, NewSGD(0.5), false); acc < 1.0 {
 		t.Fatalf("SGD XOR accuracy %v, want 1.0", acc)
 	}
 }
@@ -97,15 +98,6 @@ func TestSGDStepDirection(t *testing.T) {
 	}
 	if p.Grad.At(0, 0) != 0 {
 		t.Fatal("SGD did not zero grad")
-	}
-}
-
-func TestSGDWeightDecay(t *testing.T) {
-	p := autograd.NewParam("p", tensor.FromRows([][]float64{{1.0}}))
-	o := &SGD{LR: 0.1, WeightDecay: 0.5}
-	o.Step([]*autograd.Param{p}) // grad 0 + decay 0.5*1 = 0.5 → p -= 0.05
-	if got := p.Value.At(0, 0); math.Abs(got-0.95) > 1e-12 {
-		t.Fatalf("weight decay step got %v, want 0.95", got)
 	}
 }
 

@@ -13,13 +13,9 @@ type Optimizer interface {
 	Step(params []*autograd.Param)
 }
 
-// SGD is stochastic gradient descent with optional momentum and weight decay.
+// SGD is plain stochastic gradient descent.
 type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-
-	velocity map[*autograd.Param]*tensor.Dense
+	LR float64
 }
 
 // NewSGD returns a plain SGD optimizer.
@@ -28,24 +24,7 @@ func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
 // Step applies one SGD update to each parameter and zeroes gradients.
 func (o *SGD) Step(params []*autograd.Param) {
 	for _, p := range params {
-		g := p.Grad
-		if o.WeightDecay != 0 {
-			g.AXPY(o.WeightDecay, p.Value)
-		}
-		if o.Momentum != 0 {
-			if o.velocity == nil {
-				o.velocity = make(map[*autograd.Param]*tensor.Dense)
-			}
-			v, ok := o.velocity[p]
-			if !ok {
-				v = tensor.New(g.Rows(), g.Cols())
-				o.velocity[p] = v
-			}
-			v.ScaleInPlace(o.Momentum)
-			v.AddInPlace(g)
-			g = v
-		}
-		p.Value.AXPY(-o.LR, g)
+		p.Value.AXPY(-o.LR, p.Grad)
 		p.ZeroGrad()
 	}
 }

@@ -5,8 +5,8 @@
 // minibatches.
 //
 // Storage and kernels are generic over the value element type
-// (CSROf[T] for T in fp.Float); CSR and CSR32 alias the float64 and
-// float32 instantiations. The float64 surface — what the samplers and
+// (CSROf[T] for T in fp.Float); CSR aliases the float64 instantiation.
+// The float64 surface — what the samplers and
 // the training stack use — is unchanged from the pre-generic package.
 package sparse
 
@@ -30,10 +30,6 @@ type CSROf[T fp.Float] struct {
 // CSR is the float64 CSR matrix — the sampler/training type and the
 // element type of every historical API in this package.
 type CSR = CSROf[float64]
-
-// CSR32 is the float32 CSR matrix used by the reduced-precision
-// inference path.
-type CSR32 = CSROf[float32]
 
 // NewCSROf returns an empty rows×cols CSR matrix of the given element
 // type.
@@ -67,17 +63,6 @@ func (m *CSROf[T]) At(i, j int) T {
 		return vals[k]
 	}
 	return 0
-}
-
-// Clone returns a deep copy.
-func (m *CSROf[T]) Clone() *CSROf[T] {
-	return &CSROf[T]{
-		RowsN:  m.RowsN,
-		ColsN:  m.ColsN,
-		RowPtr: append([]int(nil), m.RowPtr...),
-		ColIdx: append([]int(nil), m.ColIdx...),
-		Vals:   append([]T(nil), m.Vals...),
-	}
 }
 
 // Transpose returns mᵀ in CSR form.

@@ -30,7 +30,7 @@ func convertCSR[D, S fp.Float](src *CSROf[S]) *CSROf[D] {
 }
 
 // fixture32 converts the shared f64 fixtures (same RNG streams) to f32.
-func fixture32(n, nnzPerRow int, seed uint64) *CSR32 {
+func fixture32(n, nnzPerRow int, seed uint64) *CSROf[float32] {
 	return convertCSR[float32](benchCSR(n, nnzPerRow, seed))
 }
 
@@ -54,9 +54,9 @@ func bits32Equal(t *testing.T, name string, want, got *tensor.Dense32) {
 func TestSpGEMM32WorkerCountParity(t *testing.T) {
 	a := fixture32(300, 6, 1)
 	b := fixture32(300, 6, 2)
-	ref := SpGEMMIntoCtx(kernels.Context{Workers: 1}, new(CSR32), a, b)
+	ref := SpGEMMIntoCtx(kernels.Context{Workers: 1}, new(CSROf[float32]), a, b)
 	for _, w := range []int{2, 4, 7} {
-		got := SpGEMMIntoCtx(kernels.Context{Workers: w}, new(CSR32), a, b)
+		got := SpGEMMIntoCtx(kernels.Context{Workers: w}, new(CSROf[float32]), a, b)
 		if !ref.Equal(got) {
 			t.Fatalf("f32 SpGEMM differs at %d workers", w)
 		}
@@ -108,7 +108,7 @@ func TestSparse32ZeroAllocsWarm(t *testing.T) {
 	x := dense32Of(benchDense(64, 8, 3), 3)
 	res := dense32Of(benchDense(64, 8, 4), 4)
 	out := tensor.NewOf[float32](64, 8)
-	prod := new(CSR32)
+	prod := new(CSROf[float32])
 	SpGEMMIntoCtx(kernels.Context{}, prod, a, b) // warm the pooled storage
 	allocs := testing.AllocsPerRun(100, func() {
 		SpGEMMIntoCtx(kernels.Context{}, prod, a, b)

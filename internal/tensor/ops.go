@@ -287,25 +287,11 @@ func MulInto[T fp.Float](out, a, b *Matrix[T]) {
 	}
 }
 
-// Scale returns s*m.
-func Scale[T fp.Float](s T, m *Matrix[T]) *Matrix[T] {
-	out := NewOf[T](m.rows, m.cols)
-	ScaleInto(out, s, m)
-	return out
-}
-
 // ScaleInto computes out = s*m elementwise. out may alias m.
 func ScaleInto[T fp.Float](out *Matrix[T], s T, m *Matrix[T]) {
 	checkSame("ScaleInto", out, m)
 	for i, v := range m.data {
 		out.data[i] = s * v
-	}
-}
-
-// ScaleInPlace computes m *= s.
-func (m *Matrix[T]) ScaleInPlace(s T) {
-	for i := range m.data {
-		m.data[i] *= s
 	}
 }
 
@@ -354,13 +340,6 @@ func (m *Matrix[T]) ColSumsInto(out *Matrix[T]) {
 			out.data[j] += v
 		}
 	}
-}
-
-// RowSums returns a rows×1 matrix with the sum of each row.
-func (m *Matrix[T]) RowSums() *Matrix[T] {
-	out := NewOf[T](m.rows, 1)
-	m.RowSumsInto(out)
-	return out
 }
 
 // RowSumsInto computes the per-row sums into the rows×1 matrix out.

@@ -125,7 +125,9 @@ func TestScaleLinearity(t *testing.T) {
 	a := randomMat(r, 5, 5)
 	sum := New(5, 5)
 	AddInto(sum, a, a)
-	if !Scale(2, a).equalApprox(sum, 1e-14) {
+	scaled := New(5, 5)
+	ScaleInto(scaled, 2, a)
+	if !scaled.equalApprox(sum, 1e-14) {
 		t.Fatal("2a != a+a")
 	}
 }
@@ -148,8 +150,10 @@ func TestColRowSums(t *testing.T) {
 	if !cs.equalApprox(FromRows([][]float64{{5, 7, 9}}), 0) {
 		t.Fatalf("ColSumsInto got %v", cs)
 	}
-	if rs := m.RowSums(); !rs.equalApprox(FromRows([][]float64{{6}, {15}}), 0) {
-		t.Fatalf("RowSums got %v", rs)
+	rs := New(2, 1)
+	m.RowSumsInto(rs)
+	if !rs.equalApprox(FromRows([][]float64{{6}, {15}}), 0) {
+		t.Fatalf("RowSumsInto got %v", rs)
 	}
 	if m.Sum() != 21 {
 		t.Fatalf("Sum got %v", m.Sum())

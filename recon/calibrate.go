@@ -23,81 +23,31 @@ type i8Scales struct {
 	gnn    ignn.QuantScales
 }
 
-// Activation-scale table names used in v4 checkpoints. The gnn.edge%d /
-// gnn.node%d families are indexed by message-passing step.
-const (
-	actEmbed      = "embed"
-	actFilter     = "filter"
-	actGNNNodeEnc = "gnn.nodeEnc"
-	actGNNEdgeEnc = "gnn.edgeEnc"
-	actGNNHead    = "gnn.head"
-	actGNNAgg     = "gnn.agg"
-)
-
-// actTable is one stage table under its v4 name, held by pointer so
-// the import fills the same list the export reads.
-type actTable struct {
-	name   string
-	scales *[]float32
-}
-
-// tables lists every stage table in export order.
-func (s *i8Scales) tables() []actTable {
-	ts := []actTable{
-		{actEmbed, &s.embed},
-		{actFilter, &s.filter},
-		{actGNNNodeEnc, &s.gnn.NodeEnc},
-		{actGNNEdgeEnc, &s.gnn.EdgeEnc},
-	}
-	for l := range s.gnn.EdgeNets {
-		ts = append(ts, actTable{fmt.Sprintf("gnn.edge%d", l), &s.gnn.EdgeNets[l]})
-	}
-	for l := range s.gnn.NodeNets {
-		ts = append(ts, actTable{fmt.Sprintf("gnn.node%d", l), &s.gnn.NodeNets[l]})
-	}
-	return append(ts, actTable{actGNNHead, &s.gnn.Head}, actTable{actGNNAgg, &s.gnn.Agg})
-}
-
-// actScales flattens the stage tables into the named form checkpoint v4
-// stores. The aggregation table is omitted when the GNN has a single
-// step (no aggregations happen, and v4 rejects empty tables).
+// actScales names the stage tables in the form checkpoint v4 stores,
+// in export order. The gnn.edge%d / gnn.node%d families are indexed by
+// message-passing step. A table with no scales is omitted: the
+// aggregation table of a single-step GNN (no aggregations happen), and
+// v4 rejects empty tables.
 func (s *i8Scales) actScales() []nn.ActScales {
 	var act []nn.ActScales
-	for _, t := range s.tables() {
-		if len(*t.scales) > 0 {
-			act = append(act, nn.ActScales{Name: t.name, Scales: *t.scales})
+	add := func(name string, scales []float32) {
+		if len(scales) > 0 {
+			act = append(act, nn.ActScales{Name: name, Scales: scales})
 		}
 	}
+	add("embed", s.embed)
+	add("filter", s.filter)
+	add("gnn.nodeEnc", s.gnn.NodeEnc)
+	add("gnn.edgeEnc", s.gnn.EdgeEnc)
+	for l, sc := range s.gnn.EdgeNets {
+		add(fmt.Sprintf("gnn.edge%d", l), sc)
+	}
+	for l, sc := range s.gnn.NodeNets {
+		add(fmt.Sprintf("gnn.node%d", l), sc)
+	}
+	add("gnn.head", s.gnn.Head)
+	add("gnn.agg", s.gnn.Agg)
 	return act
-}
-
-// i8ScalesFromAct rebuilds the stage tables from a v4 checkpoint's
-// activation section, validating that every table the configured model
-// shape needs is present with one scale per layer (per aggregation for
-// gnn.agg). Tables the model has no use for are ignored.
-func (r *Reconstructor) i8ScalesFromAct(act []nn.ActScales) (*i8Scales, error) {
-	byName := make(map[string][]float32, len(act))
-	for _, a := range act {
-		byName[a.Name] = a.Scales
-	}
-	// A fresh calibration's tables, before any forward is recorded,
-	// have the model's shape.
-	s := r.newCalibration().scales()
-	for _, t := range s.tables() {
-		want := len(*t.scales)
-		if want == 0 {
-			continue
-		}
-		sc, ok := byName[t.name]
-		if !ok {
-			return nil, fmt.Errorf("recon: checkpoint is missing activation-scale table %q", t.name)
-		}
-		if len(sc) != want {
-			return nil, fmt.Errorf("recon: checkpoint activation-scale table %q has %d scales, the model needs %d", t.name, len(sc), want)
-		}
-		*t.scales = sc
-	}
-	return s, nil
 }
 
 // calibrationEvents returns the representative events an export with
@@ -180,8 +130,8 @@ func (c calibration) scales() *i8Scales {
 
 // Calibrate runs activation-range calibration on the given events and
 // keeps the scales for the next SaveCheckpointInt8, which otherwise
-// calibrates on the latest Fit's training events (or a synthetic batch)
-// and a v4 load adopts the file's tables. Serving never reads the
+// calibrates on the latest Fit's training events (or a synthetic batch).
+// Fit and LoadCheckpoint drop kept scales. Serving never reads the
 // scales — Int8 runs float32 kernels over dequantized weights — so
 // Calibrate does not change what Reconstruct returns, at any precision.
 // It must not race concurrent use of the scales (an export).

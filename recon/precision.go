@@ -62,8 +62,9 @@ func ParsePrecision(s string) (Precision, bool) {
 // threshold may flip. Int8 is a storage format: the weights are
 // rounded to the int8 grid and dequantized to float32 when they are
 // loaded or trained, then run the Float32 kernels. It needs no
-// calibration to serve; activation scales are computed only when
-// SaveCheckpointInt8 exports a v4 file (or Calibrate asks for them).
+// calibration to serve: activation scales are computed only when
+// SaveCheckpointInt8 exports a v4 file (or Calibrate asks for them),
+// and a v4 load does not read the file's tables.
 func WithPrecision(p Precision) Option {
 	return func(s *settings) {
 		if p != Float64 && p != Float32 && p != Int8 {

@@ -53,8 +53,8 @@ type Reconstructor struct {
 	low *forwards[float32]
 
 	// i8scales holds the calibrated activation scales SaveCheckpointInt8
-	// exports (nil until Calibrate, an export or a v4 load sets them, and
-	// again whenever the weights move), and calEvents the representative
+	// exports (nil until Calibrate or an export sets them, and again
+	// whenever the weights move: Fit, LoadCheckpoint), and calEvents the representative
 	// events an export calibrates on (the latest Fit's training events; a
 	// synthetic batch when empty). Serving never reads either.
 	i8scales  *i8Scales
@@ -422,43 +422,21 @@ func (r *Reconstructor) SaveCheckpoint(path string) error {
 	return nn.SaveParamsFile(path, r.params())
 }
 
-// LoadCheckpoint restores a checkpoint written by SaveCheckpoint or
-// SaveCheckpointInt8 into a reconstructor with the same hyperparameters
-// (and, with WithEdgeClassifier, the same classifier shape); truth-level
-// and learned-graph reconstructors read each other's files. A file
-// that is rejected — mismatched shapes, or v4 activation-scale tables
-// that do not fit the configured model — leaves parameters, inference
-// forwards and calibration as they were.
-// All checkpoint versions load — v4 (int8 weights, dequantized, plus
-// activation scales that a later SaveCheckpointInt8 re-exports), v3
-// (dtype-tagged, f64 or f32 payloads), v2, and legacy headerless files
-// — and the reduced-precision forwards are refreshed from the loaded
-// weights.
+// LoadCheckpoint restores a checkpoint written by SaveCheckpoint (v3,
+// float64 weights) or SaveCheckpointInt8 (v4, int8 weights, loaded
+// dequantized) into a reconstructor with the same hyperparameters (and,
+// with WithEdgeClassifier, the same classifier shape); truth-level and
+// learned-graph reconstructors read each other's files. Any other file
+// is rejected, and a rejected file leaves parameters, inference
+// forwards and calibration as they were. A load drops the calibrated
+// activation scales — they belong to the previous weights, and a v4
+// file's tables are not read — and refreshes the reduced-precision
+// forwards from the loaded weights.
 func (r *Reconstructor) LoadCheckpoint(path string) error {
-	params := r.params()
-	// nn validates shapes before it writes any parameter, but the
-	// activation tables can only be judged here, after it has: keep the
-	// old values to put back if they are rejected.
-	old := make([][]float64, len(params))
-	for i, p := range params {
-		old[i] = append([]float64(nil), p.Value.Data()...)
-	}
-	act, err := nn.LoadParamsFileExt(path, params)
-	if err != nil {
+	if err := nn.LoadParamsFile(path, r.params()); err != nil {
 		return err
 	}
-	// A pre-v4 file carries no calibration; any cached scales belong to
-	// the previous weights.
-	var sc *i8Scales
-	if len(act) > 0 {
-		if sc, err = r.i8ScalesFromAct(act); err != nil {
-			for i, p := range params {
-				copy(p.Value.Data(), old[i])
-			}
-			return err
-		}
-	}
-	r.i8scales = sc
+	r.i8scales = nil
 	r.syncInference()
 	return nil
 }

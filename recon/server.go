@@ -503,7 +503,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // that had already been admitted. It is the programmatic core of
 // cmd/serve.
 func (s *Server) Serve(ctx context.Context, addr string) error {
-	srv := &http.Server{Addr: addr, Handler: s}
+	srv := s.httpServer(addr)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	select {
@@ -520,6 +520,22 @@ func (s *Server) Serve(ctx context.Context, addr string) error {
 		}
 		return srv.Shutdown(shutCtx)
 	}
+}
+
+// Read deadlines of the HTTP server Serve runs. A client that sends
+// part of its headers, or its headers and part of its body, and then
+// stalls is cut off instead of holding a connection, a goroutine and
+// the body buffer indefinitely. The body budget is far above what a
+// max-size body takes over any working link.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+)
+
+// httpServer is the http.Server Serve runs on addr, with its read
+// deadlines set.
+func (s *Server) httpServer(addr string) *http.Server {
+	return &http.Server{Addr: addr, Handler: s, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 }
 
 // enter is the drain gate at the top of handleReconstruct. It counts

@@ -2,12 +2,17 @@ package recon
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
+	"net"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/detector"
 	"repro/recon/wire"
 )
 
@@ -51,5 +56,53 @@ func TestDecodeBodyPastHint(t *testing.T) {
 	}
 	if req.Synthetic == nil || req.Synthetic.Count != 3 || req.Synthetic.Seed != 9 {
 		t.Fatalf("decoded %+v", req.Synthetic)
+	}
+}
+
+// TestServeReadDeadlines: the HTTP server Serve runs has read deadlines,
+// and a client that stalls in its headers or in its body is
+// disconnected once they pass (shortened here to keep the test fast).
+func TestServeReadDeadlines(t *testing.T) {
+	r, err := New(detector.Ex3Like(0.02), WithTruthLevelGraphs(1.0), WithThreshold(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(r, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(eng).httpServer("127.0.0.1:0")
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 {
+		t.Fatalf("read deadlines %v (headers), %v (request); want both set", srv.ReadHeaderTimeout, srv.ReadTimeout)
+	}
+	srv.ReadHeaderTimeout, srv.ReadTimeout = 100*time.Millisecond, 300*time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	for name, partial := range map[string]string{
+		"headers": "POST /v1/reconstruct HTTP/1.1\r\nHost: x\r\n",
+		"body": "POST /v1/reconstruct HTTP/1.1\r\nHost: x\r\nContent-Type: " + wire.ContentTypeJSON +
+			"\r\nContent-Length: 1000\r\n\r\n{\"synthetic\":",
+	} {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte(partial)); err != nil {
+			t.Fatal(err)
+		}
+		// The server must close the connection: ReadAll returns at its
+		// EOF (or reset), and only this side's own deadline times out.
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		_, err = io.ReadAll(conn)
+		conn.Close()
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("stalled in its %s: the server still held the connection after 10s", name)
+		}
 	}
 }
