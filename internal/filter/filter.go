@@ -2,6 +2,13 @@
 // edge-classifier MLP that prunes the radius graph before the memory-
 // intensive GNN stage ("Shrink Graph to GPU size" in Figure 1 of the
 // paper). Edges scored below the threshold are removed.
+//
+// The cut is set from recall: the default threshold is the highest
+// that still keeps 99.5% of the true candidate edges on held-out events
+// at the benchmark's serving and graph-building scales, once the filter
+// has trained long enough for its scores to separate true candidates
+// from fake ones. A true edge the filter drops is lost to every later
+// stage, while a fake one it keeps costs the GNN only time.
 package filter
 
 import (
@@ -25,17 +32,21 @@ type Config struct {
 	Threshold    float64 // keep edges with sigmoid(logit) ≥ Threshold
 }
 
-// DefaultConfig returns a laptop-scale configuration.
+// DefaultConfig returns a laptop-scale configuration. Epochs and LR
+// train the filter until its scores separate, and Threshold is the cut
+// that keeps ≥ 99.5% of true candidates while passing about half of all
+// candidates to the GNN (PERF.md "A stage 3 that prunes" has the sweep
+// these come from).
 func DefaultConfig(nodeFeatures, edgeFeatures, mlpLayers int) Config {
 	return Config{
 		NodeFeatures: nodeFeatures,
 		EdgeFeatures: edgeFeatures,
 		Hidden:       32,
 		HiddenLayers: mlpLayers,
-		LR:           1e-3,
-		Epochs:       12,
+		LR:           2e-3,
+		Epochs:       48,
 		PosWeight:    2.0,
-		Threshold:    0.1, // permissive: stage 3 favors recall, the GNN decides
+		Threshold:    0.25,
 	}
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/detector"
@@ -11,15 +12,10 @@ import (
 )
 
 // TestFilterTrainEpochAllocsWarm is the FitStages13 churn regression
-// guard: the filter stage rebuilds radius graphs and edge features for
-// every event every epoch, and that rebuild must recycle the arena's
-// warm buffers rather than reallocating. With ~1000 hits across the
-// fixture the pre-arena implementation allocated >1100 times per epoch
-// (heap embedding tapes, per-node kd-tree allocations, heap edge
-// features and labels); the arena-routed path measures ~280, dominated
-// by edge-list growth. The bound has ~2x headroom over the measured
-// value while still failing loudly if any of those paths regress to
-// per-hit or per-edge heap allocation.
+// guard: a warm filter epoch over the cached candidate graphs takes the
+// step's activations and tape from the arena, so what is left is ~45
+// allocations per optimizer step (tape nodes and optimizer bookkeeping),
+// whatever the hit or edge count. The budget is ~2x that per graph.
 func TestFilterTrainEpochAllocsWarm(t *testing.T) {
 	spec := detector.Ex3Like(0.04)
 	spec.NumEvents = 2
@@ -27,22 +23,26 @@ func TestFilterTrainEpochAllocsWarm(t *testing.T) {
 	cfg := DefaultConfig(spec)
 	emb, filt, _ := newModels(cfg, 3)
 
+	kc := kernels.Context{}
+	graphs, err := candidateGraphs(context.Background(), kc, cfg, emb, ds.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opt := nn.NewAdam(cfg.Filter.LR)
 	arena := workspace.NewArena()
 	defer arena.Reset()
-	kc := kernels.Context{}
-	filterTrainEpoch(kc, arena, cfg, emb, filt, opt, ds.Events) // warm pools + optimizer state
+	filterTrainEpoch(kc, arena, filt, opt, graphs) // warm pools + optimizer state
 
 	allocs := testing.AllocsPerRun(5, func() {
-		filterTrainEpoch(kc, arena, cfg, emb, filt, opt, ds.Events)
+		filterTrainEpoch(kc, arena, filt, opt, graphs)
 	})
-	totalHits := 0
-	for _, ev := range ds.Events {
-		totalHits += ev.NumHits()
+	edges := 0
+	for _, eg := range graphs {
+		edges += eg.NumEdges()
 	}
-	if allocs > 600 {
-		t.Fatalf("warm filter-training epoch allocated %.0f times (%d hits); budget 600 — "+
-			"per-hit or per-edge heap allocation has crept back in", allocs, totalHits)
+	if budget := 100.0 * float64(len(graphs)); allocs > budget {
+		t.Fatalf("warm filter-training epoch allocated %.0f times (%d graphs, %d edges); budget %.0f — "+
+			"per-edge heap allocation has crept back in", allocs, len(graphs), edges, budget)
 	}
 }
 

@@ -151,17 +151,22 @@ type Result struct {
 
 // FitStages13 trains the embedding and filter stages on the training
 // events under the worker budget kc, checking the context between
-// epochs. The filter trains on radius graphs built from the trained
-// embedder's output, mirroring the staged Exa.TrkX training procedure.
-// Every per-event intermediate — embedding forward, edge features,
-// labels, and the filter step's activations — lives in one workspace
-// arena checkpointed around the event, so epoch loops recycle warm
-// buffers instead of reallocating graphs each pass.
+// events and epochs. The filter trains on radius graphs built from the
+// trained embedder's output, mirroring the staged Exa.TrkX training
+// procedure. The embedder is frozen once trained, so each training
+// event's candidate graph (embedding, radius edges, edge features and
+// labels) is built once, and every filter epoch reuses it; the filter
+// step's activations live in one workspace arena checkpointed around
+// the step.
 func FitStages13(ctx context.Context, kc kernels.Context, cfg Config, e *embed.Embedder, f *filter.EdgeFilter, train []*detector.Event, seed uint64) error {
 	if len(train) == 0 {
 		return fmt.Errorf("pipeline: no training events")
 	}
 	if _, err := e.TrainContext(ctx, kc, train, seed); err != nil {
+		return err
+	}
+	graphs, err := candidateGraphs(ctx, kc, cfg, e, train)
+	if err != nil {
 		return err
 	}
 
@@ -172,32 +177,38 @@ func FitStages13(ctx context.Context, kc kernels.Context, cfg Config, e *embed.E
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		filterTrainEpoch(kc, arena, cfg, e, f, opt, train)
+		filterTrainEpoch(kc, arena, f, opt, graphs)
 	}
 	return nil
 }
 
-// filterTrainEpoch runs one filter-training pass over the events. The
-// per-event rebuild — embedding forward, radius graph, edge features,
-// labels, filter step — borrows everything from the arena and releases
-// it before moving on, so epochs after the first recycle warm buffers.
-func filterTrainEpoch(kc kernels.Context, arena *workspace.Arena, cfg Config, e *embed.Embedder, f *filter.EdgeFilter, opt nn.Optimizer, train []*detector.Event) {
-	for _, ev := range train {
+// candidateGraphs builds each event's stage-2 graph in the trained
+// embedding space, labelled, with its edge features: the filter's
+// training set. An event without candidate edges is left out. The
+// embedding is borrowed from an arena and released once its radius
+// search is done; the graphs are heap-owned.
+func candidateGraphs(ctx context.Context, kc kernels.Context, cfg Config, e *embed.Embedder, events []*detector.Event) ([]*EventGraph, error) {
+	arena := workspace.NewArena()
+	defer arena.Reset()
+	graphs := make([]*EventGraph, 0, len(events))
+	for _, ev := range events {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		mark := arena.Checkpoint()
-		embedded := e.EmbedCtx(kc, arena, ev.Features)
-		src, dst := knnsearch.BuildRadiusGraphCtx(kc, embedded, cfg.Radius, cfg.MaxDegree)
-		if len(src) == 0 {
-			arena.ResetTo(mark)
-			continue
-		}
-		edgeFeat := detector.EdgeFeaturesWith(arena, cfg.Spec, ev, src, dst)
-		labels := arena.F64(len(src))
-		for k := range src {
-			if ev.IsTruthEdge(src[k], dst[k]) {
-				labels[k] = 1
-			}
-		}
-		f.TrainStepWith(kc, arena, ev.Features, edgeFeat, src, dst, labels, opt)
+		src, dst := knnsearch.BuildRadiusGraphCtx(kc, e.EmbedCtx(kc, arena, ev.Features), cfg.Radius, cfg.MaxDegree)
 		arena.ResetTo(mark)
+		if len(src) > 0 {
+			graphs = append(graphs, AssembleGraph(cfg.Spec, ev, src, dst))
+		}
+	}
+	return graphs, nil
+}
+
+// filterTrainEpoch runs one filter-training pass, one optimizer step
+// per graph.
+func filterTrainEpoch(kc kernels.Context, arena *workspace.Arena, f *filter.EdgeFilter, opt nn.Optimizer, graphs []*EventGraph) {
+	for _, eg := range graphs {
+		f.TrainStepWith(kc, arena, eg.X, eg.Y, eg.G.Src, eg.G.Dst, eg.Label, opt)
 	}
 }

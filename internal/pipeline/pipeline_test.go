@@ -62,35 +62,83 @@ func TestTruthLevelGraph(t *testing.T) {
 	}
 }
 
-func TestStages13ImproveGraphQuality(t *testing.T) {
-	ds, cfg := smallDataset(t, 3)
-	cfg.Filter.Epochs = 6
+// filterCandidates fits stages 1-3 at cfg on train, then returns, over
+// the held-out events, the candidate graphs stage 2 builds and the
+// graphs stage 3 keeps of them.
+func filterCandidates(t *testing.T, cfg Config, train, held []*detector.Event) (cands, kept []*EventGraph) {
+	t.Helper()
 	emb, filt, _ := newModels(cfg, 2)
-	train, _, _ := ds.Split(0.7, 0.15)
-
 	kc := kernels.Context{}
 	if err := FitStages13(context.Background(), kc, cfg, emb, filt, train, 3); err != nil {
 		t.Fatal(err)
 	}
-	ev := ds.Events[len(ds.Events)-1] // held-out event
-	src, dst := knnsearch.BuildRadiusGraphCtx(kc, emb.EmbedCtx(kc, nil, ev.Features), cfg.Radius, cfg.MaxDegree)
-	keep := filt.KeepCtx(kc, nil, ev.Features, detector.EdgeFeatures(cfg.Spec, ev, src, dst), src, dst)
-	var fsrc, fdst []int
-	for k := range src {
-		if keep[k] {
-			fsrc = append(fsrc, src[k])
-			fdst = append(fdst, dst[k])
+	for _, ev := range held {
+		src, dst := knnsearch.BuildRadiusGraphCtx(kc, emb.EmbedCtx(kc, nil, ev.Features), cfg.Radius, cfg.MaxDegree)
+		cand := AssembleGraph(cfg.Spec, ev, src, dst)
+		keep := filt.KeepCtx(kc, nil, cand.X, cand.Y, src, dst)
+		var fsrc, fdst []int
+		for k := range src {
+			if keep[k] {
+				fsrc = append(fsrc, src[k])
+				fdst = append(fdst, dst[k])
+			}
 		}
+		cands = append(cands, cand)
+		kept = append(kept, AssembleGraph(cfg.Spec, ev, fsrc, fdst))
 	}
-	eg := AssembleGraph(cfg.Spec, ev, fsrc, fdst)
-	eff, purity := eg.GraphQuality()
+	return cands, kept
+}
+
+func TestStages13ImproveGraphQuality(t *testing.T) {
+	ds, cfg := smallDataset(t, 3)
+	train, _, _ := ds.Split(0.7, 0.15)
+	held := ds.Events[len(ds.Events)-1]
+	cands, kept := filterCandidates(t, cfg, train, []*detector.Event{held})
+	_, candPurity := cands[0].GraphQuality()
+	eff, purity := kept[0].GraphQuality()
 	if eff < 0.5 {
 		t.Fatalf("trained stage 1-3 edge efficiency %v too low", eff)
 	}
-	if purity < 0.1 {
-		t.Fatalf("trained stage 1-3 purity %v too low", purity)
+	// Stage 3 earns its place only by pruning: the graph it hands the GNN
+	// must be purer than the candidates it was given.
+	if purity <= candPurity {
+		t.Fatalf("filtered purity %.3f not above the candidate graph's %.3f", purity, candPurity)
 	}
-	t.Logf("stage 1-3: efficiency=%.3f purity=%.3f edges=%d", eff, purity, eg.NumEdges())
+	t.Logf("stage 1-3: efficiency=%.3f purity=%.3f (candidates %.3f) edges=%d of %d",
+		eff, purity, candPurity, kept[0].NumEdges(), cands[0].NumEdges())
+}
+
+// TestDefaultFilterPrunes is the stage-3 property at the default config:
+// fitted on events the size the benchmark fixtures train on, the filter
+// passes at most 70% of held-out candidate edges and keeps at least
+// 99.5% of the true ones.
+func TestDefaultFilterPrunes(t *testing.T) {
+	spec := detector.Ex3Like(0.05)
+	spec.NumEvents = 6
+	train := detector.Generate(spec, 31).Events
+	spec.NumEvents = 8
+	held := detector.Generate(spec, 32).Events
+	cands, kept := filterCandidates(t, DefaultConfig(spec), train, held)
+
+	var nCand, nKept, trueCand, trueKept float64
+	for i := range cands {
+		nCand += float64(cands[i].NumEdges())
+		nKept += float64(kept[i].NumEdges())
+		for _, l := range cands[i].Label {
+			trueCand += l
+		}
+		for _, l := range kept[i].Label {
+			trueKept += l
+		}
+	}
+	share, recall := nKept/nCand, trueKept/trueCand
+	t.Logf("kept %.0f of %.0f candidates (%.3f), %.0f of %.0f true (%.4f)", nKept, nCand, share, trueKept, trueCand, recall)
+	if share > 0.70 {
+		t.Errorf("filter keeps %.3f of candidates, want ≤ 0.70", share)
+	}
+	if recall < 0.995 {
+		t.Errorf("filter keeps %.4f of true candidates, want ≥ 0.995", recall)
+	}
 }
 
 func TestTrainStages13EmptyInput(t *testing.T) {

@@ -30,15 +30,6 @@ type QCSR struct {
 	Scale        float32
 }
 
-// Rows returns the row count.
-func (m *QCSR) Rows() int { return m.RowsN }
-
-// Cols returns the column count.
-func (m *QCSR) Cols() int { return m.ColsN }
-
-// Nnz returns the number of stored nonzeros.
-func (m *QCSR) Nnz() int { return len(m.ColIdx) }
-
 // effScale returns the dequantization factor of m's values (1 for the
 // implicit-ones incidence form).
 func (m *QCSR) effScale() float32 {

@@ -63,12 +63,6 @@ type QWeights struct {
 	ColScale   []float32
 }
 
-// Rows returns the input dimension (rows of the weight matrix).
-func (w *QWeights) Rows() int { return w.rows }
-
-// Cols returns the output dimension (columns of the weight matrix).
-func (w *QWeights) Cols() int { return w.cols }
-
 // Data returns the underlying row-major int8 payload (not a copy).
 func (w *QWeights) Data() []int8 { return w.data }
 

@@ -125,18 +125,18 @@ func TestQuantizeWeightsRequantizeIdentity(t *testing.T) {
 // bias, ReLU, requantize at outScale), no unrolling, no zero skipping,
 // no parallelism.
 func refQGEMM(a *QMat, w *QWeights, bias []float32, outScale float32) *QMat {
-	out := NewQMat(a.Rows(), w.Cols(), outScale)
+	out := NewQMat(a.Rows(), w.cols, outScale)
 	for i := 0; i < a.Rows(); i++ {
-		for j := 0; j < w.Cols(); j++ {
+		for j := 0; j < w.cols; j++ {
 			acc := int32(0)
 			for k := 0; k < a.Cols(); k++ {
-				acc += int32(a.Data()[i*a.Cols()+k]) * int32(w.Data()[k*w.Cols()+j])
+				acc += int32(a.Data()[i*a.Cols()+k]) * int32(w.Data()[k*w.cols+j])
 			}
 			f := float32(acc)*a.Scale*w.ColScale[j] + bias[j]
 			if f < 0 {
 				f = 0
 			}
-			out.Data()[i*w.Cols()+j] = quantizeValue(float64(f), float64(outScale))
+			out.Data()[i*w.cols+j] = quantizeValue(float64(f), float64(outScale))
 		}
 	}
 	return out
