@@ -44,7 +44,7 @@ func TestArenaTapeMatchesHeapTape(t *testing.T) {
 	w1b := NewParam("w1", w1a.Value.Clone())
 	w2b := NewParam("w2", w2a.Value.Clone())
 
-	lossHeap := buildStep(NewTape(), w1a, w2a, x, idx, labels)
+	lossHeap := buildStep(NewTapeArena(nil), w1a, w2a, x, idx, labels)
 
 	arena := workspace.NewArena()
 	defer arena.Reset()
@@ -77,7 +77,7 @@ func TestArenaTapeReuseAcrossSteps(t *testing.T) {
 
 		w1ref.ZeroGrad()
 		w2ref.ZeroGrad()
-		buildStep(NewTape(), w1ref, w2ref, x, idx, labels)
+		buildStep(NewTapeArena(nil), w1ref, w2ref, x, idx, labels)
 		if w1.Grad.MaxAbsDiff(w1ref.Grad) != 0 || w2.Grad.MaxAbsDiff(w2ref.Grad) != 0 {
 			t.Fatalf("step %d: reused arena tape diverged from fresh heap tape", step)
 		}

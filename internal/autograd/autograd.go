@@ -57,10 +57,6 @@ type Node struct {
 	view bool
 }
 
-// Grad returns the gradient accumulated at this node during Backward
-// (nil if none flowed here).
-func (n *Node) Grad() *tensor.Dense { return n.grad }
-
 // accum adds g into the node's gradient. The node does not take
 // ownership of g: the first contribution is copied into a tape-owned
 // buffer, so callers may pass shared tensors (e.g. a child's gradient).
@@ -111,9 +107,6 @@ type Tape struct {
 	chunk    int // index of the chunk being filled
 	chunkPos int // next free record in that chunk
 }
-
-// NewTape returns an empty tape allocating from the Go heap.
-func NewTape() *Tape { return &Tape{} }
 
 // NewTapeArena returns an empty tape whose activation and gradient
 // buffers are borrowed from the arena. The caller owns the arena's
@@ -167,22 +160,6 @@ func (t *Tape) allocInt(n int) []int {
 		return make([]int, n)
 	}
 	return t.arena.Int(n)
-}
-
-// ActivationElements returns the total number of float64 elements stored
-// across the recorded node values: the inputs and every intermediate,
-// which must stay resident for the backward pass. This is the quantity
-// the paper's memory-skip logic reasons about. Views are not counted:
-// a parameter's value is model storage, which gpumem budgets apart from
-// activations, and an Identity node's value is its parent's.
-func (t *Tape) ActivationElements() int {
-	total := 0
-	for _, n := range t.nodes {
-		if !n.view {
-			total += n.Value.Size()
-		}
-	}
-	return total
 }
 
 func (t *Tape) newNode(v *tensor.Dense, needGrad bool, back func()) *Node {

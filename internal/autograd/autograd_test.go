@@ -58,9 +58,9 @@ func TestMatMulGrad(t *testing.T) {
 		a := NewParam("a", tensor.RandN(r, sh.m, sh.k, 1))
 		b := NewParam("b", tensor.RandN(r, sh.k, sh.n, 1))
 		checkGrad(t, "matmul", []*Param{a, b}, func() (*Tape, *Node) {
-			tp := NewTape()
+			tp := NewTapeArena(nil)
 			out := tp.MatMul(tp.Use(a), tp.Use(b))
-			return tp, tp.Mean(tp.Mul(out, out))
+			return tp, tp.mean(tp.Mul(out, out))
 		})
 	}
 }
@@ -70,9 +70,9 @@ func TestAddBiasGrad(t *testing.T) {
 	w := NewParam("w", tensor.RandN(r, 5, 3, 1))
 	bias := NewParam("b", tensor.RandN(r, 1, 3, 1))
 	checkGrad(t, "addbias", []*Param{w, bias}, func() (*Tape, *Node) {
-		tp := NewTape()
+		tp := NewTapeArena(nil)
 		out := tp.AddBias(tp.Use(w), tp.Use(bias))
-		return tp, tp.Mean(tp.Mul(out, out))
+		return tp, tp.mean(tp.Mul(out, out))
 	})
 }
 
@@ -82,9 +82,9 @@ func TestConcatColsGrad(t *testing.T) {
 	b := NewParam("b", tensor.RandN(r, 4, 3, 1))
 	mix := tensor.RandN(r, 5, 1, 1)
 	checkGrad(t, "concat", []*Param{a, b}, func() (*Tape, *Node) {
-		tp := NewTape()
+		tp := NewTapeArena(nil)
 		cat := tp.ConcatCols(tp.Use(a), tp.Use(b))
-		return tp, tp.Mean(tp.Mul(tp.MatMul(cat, tp.Constant(mix)), tp.MatMul(cat, tp.Constant(mix))))
+		return tp, tp.mean(tp.Mul(tp.MatMul(cat, tp.Constant(mix)), tp.MatMul(cat, tp.Constant(mix))))
 	})
 }
 
@@ -93,10 +93,10 @@ func TestGatherScatterGrad(t *testing.T) {
 	x := NewParam("x", tensor.RandN(r, 6, 3, 1))
 	idx := []int{0, 2, 2, 5, 1, 0, 3}
 	checkGrad(t, "gather-scatter", []*Param{x}, func() (*Tape, *Node) {
-		tp := NewTape()
+		tp := NewTapeArena(nil)
 		g := tp.GatherRows(tp.Use(x), idx)
 		agg := tp.scatterAddRows(g, []int{0, 1, 1, 2, 0, 3, 3}, 4)
-		return tp, tp.Mean(tp.Mul(agg, agg))
+		return tp, tp.mean(tp.Mul(agg, agg))
 	})
 }
 
@@ -118,9 +118,9 @@ func TestActivationGrads(t *testing.T) {
 	for name, act := range acts {
 		act := act
 		checkGrad(t, name, []*Param{x}, func() (*Tape, *Node) {
-			tp := NewTape()
+			tp := NewTapeArena(nil)
 			out := act(tp, tp.Use(x))
-			return tp, tp.Mean(tp.Mul(out, out))
+			return tp, tp.mean(tp.Mul(out, out))
 		})
 	}
 }
@@ -129,14 +129,14 @@ func TestReductionGrads(t *testing.T) {
 	r := rng.New(6)
 	x := NewParam("x", tensor.RandN(r, 5, 3, 1))
 	checkGrad(t, "rowsums", []*Param{x}, func() (*Tape, *Node) {
-		tp := NewTape()
+		tp := NewTapeArena(nil)
 		rs := tp.RowSums(tp.Use(x))
-		return tp, tp.Mean(tp.Mul(rs, rs))
+		return tp, tp.mean(tp.Mul(rs, rs))
 	})
 	checkGrad(t, "sum", []*Param{x}, func() (*Tape, *Node) {
-		tp := NewTape()
+		tp := NewTapeArena(nil)
 		n := tp.Use(x)
-		return tp, tp.Sum(tp.Mul(n, n))
+		return tp, tp.sum(tp.Mul(n, n))
 	})
 }
 
@@ -147,10 +147,10 @@ func TestElementwiseGrads(t *testing.T) {
 	a := NewParam("a", tensor.RandN(r, 4, 3, 1))
 	b := NewParam("b", tensor.RandN(r, 4, 3, 1))
 	checkGrad(t, "add sub scale mul", []*Param{a, b}, func() (*Tape, *Node) {
-		tp := NewTape()
+		tp := NewTapeArena(nil)
 		an, bn := tp.Use(a), tp.Use(b)
 		out := tp.Mul(tp.Add(an, tp.Scale(0.5, bn)), tp.Sub(an, bn))
-		return tp, tp.Mean(tp.Mul(out, out))
+		return tp, tp.mean(tp.Mul(out, out))
 	})
 }
 
@@ -160,9 +160,9 @@ func TestLayerNormGrad(t *testing.T) {
 	gain := NewParam("g", tensor.RandUniform(r, 1, 6, 0.5, 1.5))
 	bias := NewParam("b", tensor.RandN(r, 1, 6, 0.5))
 	checkGrad(t, "layernorm", []*Param{x, gain, bias}, func() (*Tape, *Node) {
-		tp := NewTape()
+		tp := NewTapeArena(nil)
 		out := tp.LayerNorm(tp.Use(x), tp.Use(gain), tp.Use(bias), 1e-5)
-		return tp, tp.Mean(tp.Mul(out, out))
+		return tp, tp.mean(tp.Mul(out, out))
 	})
 }
 
@@ -173,11 +173,11 @@ func TestBCEWithLogitsGrad(t *testing.T) {
 	for _, pw := range []float64{1.0, 2.5} {
 		pw := pw
 		checkGrad(t, "bce", []*Param{x}, func() (*Tape, *Node) {
-			tp := NewTape()
+			tp := NewTapeArena(nil)
 			return tp, tp.BCEWithLogits(tp.Use(x), targets, pw)
 		})
 		checkGrad(t, "bce sum", []*Param{x}, func() (*Tape, *Node) {
-			tp := NewTape()
+			tp := NewTapeArena(nil)
 			return tp, tp.BCEWithLogitsSum(tp.Use(x), targets, pw)
 		})
 	}
@@ -185,7 +185,7 @@ func TestBCEWithLogitsGrad(t *testing.T) {
 
 func TestBCEWithLogitsValue(t *testing.T) {
 	// BCE of logit 0 against any target is ln 2.
-	tp := NewTape()
+	tp := NewTapeArena(nil)
 	logits := tp.Constant(tensor.New(3, 1))
 	loss := tp.BCEWithLogits(logits, []float64{0, 1, 0}, 1)
 	if math.Abs(loss.Value.At(0, 0)-math.Ln2) > 1e-12 {
@@ -205,7 +205,7 @@ func TestHingePairLossGrad(t *testing.T) {
 	x := NewParam("d2", d)
 	labels := []float64{1, 0, 1, 0, 0, 1}
 	checkGrad(t, "hinge", []*Param{x}, func() (*Tape, *Node) {
-		tp := NewTape()
+		tp := NewTapeArena(nil)
 		return tp, tp.HingePairLoss(tp.Use(x), labels, 1.0)
 	})
 }
@@ -223,7 +223,7 @@ func TestMLPCompositeGrad(t *testing.T) {
 		targets[i] = float64(i % 2)
 	}
 	checkGrad(t, "mlp", []*Param{w1, b1, w2, b2}, func() (*Tape, *Node) {
-		tp := NewTape()
+		tp := NewTapeArena(nil)
 		h := tp.ReLU(tp.AddBias(tp.MatMul(tp.Constant(x), tp.Use(w1)), tp.Use(b1)))
 		out := tp.AddBias(tp.MatMul(h, tp.Use(w2)), tp.Use(b2))
 		return tp, tp.BCEWithLogits(out, targets, 1)
@@ -235,9 +235,9 @@ func TestGradAccumulationAcrossUses(t *testing.T) {
 	r := rng.New(11)
 	p := NewParam("p", tensor.RandN(r, 3, 3, 1))
 	checkGrad(t, "reuse", []*Param{p}, func() (*Tape, *Node) {
-		tp := NewTape()
+		tp := NewTapeArena(nil)
 		n := tp.Use(p)
-		return tp, tp.Mean(tp.MatMul(n, n))
+		return tp, tp.mean(tp.MatMul(n, n))
 	})
 }
 
@@ -247,13 +247,13 @@ func TestBackwardPanicsOnNonScalar(t *testing.T) {
 			t.Fatal("Backward on matrix did not panic")
 		}
 	}()
-	tp := NewTape()
+	tp := NewTapeArena(nil)
 	n := tp.Constant(tensor.New(2, 2))
 	tp.Backward(n)
 }
 
 func TestActivationElements(t *testing.T) {
-	tp := NewTape()
+	tp := NewTapeArena(nil)
 	a := tp.Constant(tensor.New(10, 5)) // 50
 	b := tp.ReLU(a)                     // 50
 	_ = b
@@ -266,9 +266,9 @@ func TestActivationElements(t *testing.T) {
 }
 
 func TestConstantReceivesNoGrad(t *testing.T) {
-	tp := NewTape()
+	tp := NewTapeArena(nil)
 	c := tp.Constant(tensor.FromRows([][]float64{{1, 2}}))
-	s := tp.Mean(c)
+	s := tp.mean(c)
 	tp.Backward(s)
 	// Constant had no need for grad; its upstream node should not have
 	// propagated anything into trainable state (nothing to check except
@@ -297,4 +297,44 @@ func (t *Tape) scatterAddRows(x *Node, idx []int, outRows int) *Node {
 		out.back = nil
 	}
 	return out
+}
+
+// mean reduces all elements to their mean as a 1×1 node: the scalar
+// loss the gradient checks differentiate.
+func (t *Tape) mean(a *Node) *Node {
+	n := float64(a.Value.Size())
+	v := t.alloc(1, 1)
+	v.Set(0, 0, elementSum(a.Value)/n)
+	var out *Node
+	out = t.newNode(v, a.needGrad, func() {
+		if a.needGrad {
+			g := t.alloc(a.Value.Rows(), a.Value.Cols())
+			g.Fill(out.grad.At(0, 0) / n)
+			a.accumOwned(g)
+		}
+	})
+	return out
+}
+
+// sum reduces all elements to their sum as a 1×1 node.
+func (t *Tape) sum(a *Node) *Node {
+	v := t.alloc(1, 1)
+	v.Set(0, 0, elementSum(a.Value))
+	var out *Node
+	out = t.newNode(v, a.needGrad, func() {
+		if a.needGrad {
+			g := t.alloc(a.Value.Rows(), a.Value.Cols())
+			g.Fill(out.grad.At(0, 0))
+			a.accumOwned(g)
+		}
+	})
+	return out
+}
+
+func elementSum(m *tensor.Dense) float64 {
+	s := 0.0
+	for _, v := range m.Data() {
+		s += v
+	}
+	return s
 }

@@ -90,7 +90,7 @@ func runUnfused(t *Tape, ps fusedParams, src, dst []int, labels []float64) float
 
 func TestFusedOpsMatchUnfusedBitwise(t *testing.T) {
 	ref, src, dst, labels := fusedFixture()
-	lossRef := runUnfused(NewTape(), ref, src, dst, labels)
+	lossRef := runUnfused(NewTapeArena(nil), ref, src, dst, labels)
 
 	for _, workers := range fusedWorkers {
 		ps := ref.clone()
@@ -138,7 +138,7 @@ func TestAggregateRowsMatchesScatterAddRows(t *testing.T) {
 	}
 
 	wRef := NewParam("w", tensor.RandN(r, 7, 7, 0.5))
-	tRef := NewTape()
+	tRef := NewTapeArena(nil)
 	hRef := tRef.MatMul(tRef.Constant(x), tRef.Use(wRef))
 	// h feeds two aggregations so backward accumulates into h twice.
 	aggRef := tRef.Add(tRef.scatterAddRows(hRef, idx, 11), tRef.scatterAddRows(hRef, idx, 11))
@@ -147,7 +147,7 @@ func TestAggregateRowsMatchesScatterAddRows(t *testing.T) {
 
 	for _, workers := range fusedWorkers {
 		w := NewParam("w", wRef.Value.Clone())
-		tape := NewTape()
+		tape := NewTapeArena(nil)
 		tape.SetKernels(kernels.Context{Workers: workers})
 		h := tape.MatMul(tape.Constant(x), tape.Use(w))
 		agg := tape.Add(tape.AggregateRows(h, idx, 11), tape.AggregateRows(h, idx, 11))
@@ -184,19 +184,19 @@ func TestFusedOpGrads(t *testing.T) {
 	b := NewParam("b", tensor.RandN(r, 1, 4, 0.5))
 	for _, relu := range []bool{true, false} {
 		checkGrad(t, fmt.Sprintf("linear relu=%v", relu), []*Param{x, e, w, b}, func() (*Tape, *Node) {
-			tp := NewTape()
+			tp := NewTapeArena(nil)
 			xn := tp.Use(x)
 			out := tp.Linear(tp.Use(w), tp.Use(b), relu, Seg{N: tp.Use(e)}, Seg{N: xn, Idx: src}, Seg{N: xn, Idx: dst})
-			return tp, tp.Mean(tp.Mul(out, out))
+			return tp, tp.mean(tp.Mul(out, out))
 		})
 	}
 
 	w2 := NewParam("w2", tensor.RandN(r, 2+2+3+3, 4, 0.5))
 	checkGrad(t, "linear one node twice", []*Param{x, e, w2, b}, func() (*Tape, *Node) {
-		tp := NewTape()
+		tp := NewTapeArena(nil)
 		xn, en := tp.Use(x), tp.Use(e)
 		out := tp.Linear(tp.Use(w2), tp.Use(b), true, Seg{N: en}, Seg{N: en}, Seg{N: xn, Idx: src}, Seg{N: xn, Idx: src})
-		return tp, tp.Mean(tp.Mul(out, out))
+		return tp, tp.mean(tp.Mul(out, out))
 	})
 
 	// dSeg = dOut·W_jᵀ is 9×5 and 9×7 at k = 17 (2×4 tiles, an odd row,
@@ -208,21 +208,21 @@ func TestFusedOpGrads(t *testing.T) {
 	ww := NewParam("ww", tensor.RandN(r, 5+7, 17, 0.5))
 	bw := NewParam("bw", tensor.RandN(r, 1, 17, 0.5))
 	checkGrad(t, "linear wide", []*Param{wide, xw, ww, bw}, func() (*Tape, *Node) {
-		tp := NewTape()
+		tp := NewTapeArena(nil)
 		out := tp.Linear(tp.Use(ww), tp.Use(bw), true, Seg{N: tp.Use(wide)}, Seg{N: tp.Use(xw), Idx: idx})
-		return tp, tp.Mean(tp.Mul(out, out))
+		return tp, tp.mean(tp.Mul(out, out))
 	})
 
 	checkGrad(t, "aggregaterows", []*Param{e}, func() (*Tape, *Node) {
-		tp := NewTape()
+		tp := NewTapeArena(nil)
 		agg := tp.AggregateRows(tp.Use(e), src, 6)
-		return tp, tp.Mean(tp.Mul(agg, agg))
+		return tp, tp.mean(tp.Mul(agg, agg))
 	})
 	checkGrad(t, "aggregaterows twice", []*Param{e}, func() (*Tape, *Node) {
-		tp := NewTape()
+		tp := NewTapeArena(nil)
 		en := tp.Use(e)
 		agg := tp.Add(tp.AggregateRows(en, src, 6), tp.Mul(tp.AggregateRows(en, dst, 6), tp.AggregateRows(en, src, 6)))
-		return tp, tp.Mean(tp.Mul(agg, agg))
+		return tp, tp.mean(tp.Mul(agg, agg))
 	})
 }
 
@@ -277,7 +277,7 @@ func TestLinearSegmentsAllocateNothing(t *testing.T) {
 				}
 				segs := [6]Seg{s, s, s, s, s, s}
 				out := tape.Linear(tape.Use(w), tape.Use(b), true, segs[:n]...)
-				tape.Backward(tape.Sum(out))
+				tape.Backward(tape.sum(out))
 				arena.Reset()
 			}
 			for i := 0; i < 3; i++ {

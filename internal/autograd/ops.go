@@ -7,30 +7,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// MatMul returns a×b.
-func (t *Tape) MatMul(a, b *Node) *Node {
-	v := t.alloc(a.Value.Rows(), b.Value.Cols())
-	tensor.MatMulIntoCtx(t.kc, v, a.Value, b.Value)
-	need := a.needGrad || b.needGrad
-	var out *Node
-	out = t.newNode(v, need, func() {
-		if a.needGrad {
-			g := t.alloc(a.Value.Rows(), a.Value.Cols())
-			tensor.MatMulTIntoCtx(t.kc, g, out.grad, b.Value)
-			a.accumOwned(g)
-		}
-		if b.needGrad {
-			g := t.alloc(b.Value.Rows(), b.Value.Cols())
-			tensor.TMatMulIntoCtx(t.kc, g, a.Value, out.grad)
-			b.accumOwned(g)
-		}
-	})
-	if !need {
-		out.back = nil
-	}
-	return out
-}
-
 // Add returns a+b (same shape).
 func (t *Tape) Add(a, b *Node) *Node {
 	v := t.alloc(a.Value.Rows(), a.Value.Cols())
@@ -43,30 +19,6 @@ func (t *Tape) Add(a, b *Node) *Node {
 		}
 		if b.needGrad {
 			b.accum(out.grad)
-		}
-	})
-	if !need {
-		out.back = nil
-	}
-	return out
-}
-
-// AddBias adds the 1×c row vector bias to every row of a. Training
-// layers add their bias inside Linear; AddBias and ConcatCols remain as
-// the unfused primitives that tests compose reference chains from.
-func (t *Tape) AddBias(a, bias *Node) *Node {
-	v := t.alloc(a.Value.Rows(), a.Value.Cols())
-	tensor.AddBiasIntoCtx(t.kc, v, a.Value, bias.Value)
-	need := a.needGrad || bias.needGrad
-	var out *Node
-	out = t.newNode(v, need, func() {
-		if a.needGrad {
-			a.accum(out.grad)
-		}
-		if bias.needGrad {
-			g := t.alloc(1, a.Value.Cols())
-			out.grad.ColSumsInto(g)
-			bias.accumOwned(g)
 		}
 	})
 	if !need {
@@ -139,41 +91,6 @@ func (t *Tape) Mul(a, b *Node) *Node {
 	return out
 }
 
-// ConcatCols concatenates nodes horizontally; gradients split back. Linear
-// reads concatenations as segments instead (see AddBias).
-func (t *Tape) ConcatCols(parts ...*Node) *Node {
-	vals := make([]*tensor.Dense, len(parts))
-	need := false
-	rows, totalCols := 0, 0
-	for i, p := range parts {
-		vals[i] = p.Value
-		if i == 0 {
-			rows = p.Value.Rows()
-		}
-		totalCols += p.Value.Cols()
-		need = need || p.needGrad
-	}
-	v := t.alloc(rows, totalCols)
-	tensor.ConcatColsIntoCtx(t.kc, v, vals...)
-	var out *Node
-	out = t.newNode(v, need, func() {
-		off := 0
-		for _, p := range parts {
-			w := p.Value.Cols()
-			if p.needGrad {
-				g := t.alloc(rows, w)
-				tensor.ExtractColsInto(g, out.grad, off)
-				p.accumOwned(g)
-			}
-			off += w
-		}
-	})
-	if !need {
-		out.back = nil
-	}
-	return out
-}
-
 // GatherRows selects rows of x at idx: out[i] = x[idx[i]].
 // Backward scatter-adds the incoming gradient into x's rows.
 func (t *Tape) GatherRows(x *Node, idx []int) *Node {
@@ -188,34 +105,6 @@ func (t *Tape) GatherRows(x *Node, idx []int) *Node {
 		}
 	})
 	if !x.needGrad {
-		out.back = nil
-	}
-	return out
-}
-
-// ReLU applies max(0, x) elementwise.
-func (t *Tape) ReLU(a *Node) *Node {
-	v := t.alloc(a.Value.Rows(), a.Value.Cols())
-	tensor.ApplyInto(v, a.Value, func(x float64) float64 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	})
-	var out *Node
-	out = t.newNode(v, a.needGrad, func() {
-		if a.needGrad {
-			g := t.alloc(v.Rows(), v.Cols())
-			av, gd, og := a.Value.Data(), g.Data(), out.grad.Data()
-			for i := range gd {
-				if av[i] > 0 {
-					gd[i] = og[i]
-				}
-			}
-			a.accumOwned(g)
-		}
-	})
-	if !a.needGrad {
 		out.back = nil
 	}
 	return out
@@ -278,43 +167,6 @@ func (t *Tape) RowSums(a *Node) *Node {
 					row[j] = og[i]
 				}
 			}
-			a.accumOwned(g)
-		}
-	})
-	if !a.needGrad {
-		out.back = nil
-	}
-	return out
-}
-
-// Mean reduces all elements to their mean as a 1×1 node.
-func (t *Tape) Mean(a *Node) *Node {
-	n := float64(a.Value.Size())
-	v := t.alloc(1, 1)
-	v.Set(0, 0, a.Value.Mean())
-	var out *Node
-	out = t.newNode(v, a.needGrad, func() {
-		if a.needGrad {
-			g := t.alloc(a.Value.Rows(), a.Value.Cols())
-			g.Fill(out.grad.At(0, 0) / n)
-			a.accumOwned(g)
-		}
-	})
-	if !a.needGrad {
-		out.back = nil
-	}
-	return out
-}
-
-// Sum reduces all elements to their sum as a 1×1 node.
-func (t *Tape) Sum(a *Node) *Node {
-	v := t.alloc(1, 1)
-	v.Set(0, 0, a.Value.Sum())
-	var out *Node
-	out = t.newNode(v, a.needGrad, func() {
-		if a.needGrad {
-			g := t.alloc(a.Value.Rows(), a.Value.Cols())
-			g.Fill(out.grad.At(0, 0))
 			a.accumOwned(g)
 		}
 	})

@@ -119,9 +119,6 @@ func (g *Group) Close() error {
 	return nil
 }
 
-// Calls returns how many collectives the group has executed.
-func (g *Group) Calls() int64 { return g.calls.Load() }
-
 // chunkBounds splits n elements into P contiguous chunks.
 func chunkBounds(n, p, idx int) (lo, hi int) {
 	size := (n + p - 1) / p

@@ -159,14 +159,6 @@ type Config struct {
 	// expected to match bitwise. Default 8.
 	GradBlocks int
 
-	// KernelWorkers bounds the intra-op parallelism of each rank's
-	// kernels (0 = auto). Rank goroutines really run concurrently here,
-	// so the per-rank budget is kernels.Budget(Ranks, KernelWorkers):
-	// ranks × kernel-workers never exceeds GOMAXPROCS. A pure
-	// performance knob — the loss trajectory is bitwise identical at
-	// every value.
-	KernelWorkers int
-
 	// SamplerOverhead is the modelled fixed cost of one sampler
 	// invocation (kernel launch, dataloader orchestration), charged to
 	// the Sampling phase per invocation per rank.
@@ -359,7 +351,7 @@ func New(cfg Config) (*Trainer, error) {
 	if cfg.BatchSize < 1 {
 		cfg.BatchSize = 64
 	}
-	kc := kernels.Budget(cfg.Ranks, cfg.KernelWorkers)
+	kc := kernels.Budget(cfg.Ranks, 0)
 	slots := runtime.GOMAXPROCS(0) / kc.Cap()
 	if slots < 1 {
 		slots = 1

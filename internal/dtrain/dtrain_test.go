@@ -170,7 +170,7 @@ func TestLossDecreases(t *testing.T) {
 	// The trained model must produce non-degenerate edge scores
 	// (evaluation through the public surface lives in recon).
 	eg := egs[0]
-	scores := tr.Model().EdgeScoresCtx(kernels.Context{}, nil, eg.G.Src, eg.G.Dst, eg.X, eg.Y)
+	scores := ignn.NewInference[float64](tr.Model()).EdgeScoresCtx(kernels.Context{}, nil, eg.G.Src, eg.G.Dst, eg.X, eg.Y)
 	counts := metrics.FromScores(scores, eg.Label, 0.5)
 	if counts.Precision() == 0 && counts.Recall() == 0 {
 		t.Fatal("trained model scored nothing")

@@ -12,7 +12,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/nn"
 	"repro/internal/rng"
-	"repro/internal/tensor"
 	"repro/internal/workspace"
 )
 
@@ -46,7 +45,6 @@ func DefaultConfig(spec detector.Spec) Config {
 type Embedder struct {
 	cfg Config
 	mlp *nn.MLP
-	inf *Inference[float64] // tape-free forward over mlp's own parameters
 }
 
 // New creates an untrained embedder.
@@ -55,7 +53,7 @@ func New(cfg Config, r *rng.Rand) *Embedder {
 	for i := range hidden {
 		hidden[i] = cfg.Hidden
 	}
-	e := &Embedder{
+	return &Embedder{
 		cfg: cfg,
 		mlp: nn.NewMLP(r, "embed", nn.MLPConfig{
 			In:         cfg.InputFeatures,
@@ -64,23 +62,10 @@ func New(cfg Config, r *rng.Rand) *Embedder {
 			Activation: nn.ReLU,
 		}),
 	}
-	e.inf = NewInference[float64](e)
-	return e
 }
 
 // Params exposes the trainable parameters.
 func (e *Embedder) Params() []*autograd.Param { return e.mlp.Params() }
-
-// EmbedCtx maps an event's hit features into the embedding space under
-// an explicit intra-op worker budget for the forward kernels; the
-// embedding is bitwise identical at every budget, and bitwise what the
-// MLP's forward on a tape produces. It runs the tape-free
-// Inference[float64] view of the parameters. The returned matrix is
-// arena-owned: it is valid only until the caller resets the arena. A
-// nil arena falls back to the heap.
-func (e *Embedder) EmbedCtx(kc kernels.Context, arena *workspace.Arena, features *tensor.Dense) *tensor.Dense {
-	return e.inf.EmbedCtx(kc, arena, features)
-}
 
 // pairBatch holds a training batch of hit index pairs with labels.
 type pairBatch struct {

@@ -22,7 +22,7 @@ func TestEmbedShapes(t *testing.T) {
 	spec, evs := testEvents(t, 1)
 	cfg := DefaultConfig(spec)
 	e := New(cfg, rng.New(1))
-	out := e.EmbedCtx(kernels.Context{}, nil, evs[0].Features)
+	out := NewInference[float64](e).EmbedCtx(kernels.Context{}, nil, evs[0].Features)
 	if out.Rows() != evs[0].NumHits() || out.Cols() != cfg.EmbedDim {
 		t.Fatalf("embedding %dx%d", out.Rows(), out.Cols())
 	}
@@ -31,7 +31,7 @@ func TestEmbedShapes(t *testing.T) {
 // pairDistances measures mean squared distance of positive (truth-edge)
 // and random negative pairs in embedding space.
 func pairDistances(e *Embedder, ev *detector.Event, r *rng.Rand) (pos, neg float64) {
-	emb := e.EmbedCtx(kernels.Context{}, nil, ev.Features)
+	emb := NewInference[float64](e).EmbedCtx(kernels.Context{}, nil, ev.Features)
 	nPos := 0
 	for k := range ev.TruthSrc {
 		pos += sqDist(emb.Row(ev.TruthSrc[k]), emb.Row(ev.TruthDst[k]))

@@ -11,10 +11,11 @@ import (
 // Inference is the precision-generic, tape-free forward pass of a
 // trained Embedder, every per-event kernel running in T. The float64
 // instantiation is a view of the embedder's own parameters (see
-// nn.MLPInference) — it is what EmbedCtx runs, bitwise identical to the
-// MLP's forward on a tape; the float32 instantiation converts the
-// weights once at construction and is the reduced-precision serving
-// path. Safe for concurrent use while nothing writes the parameters.
+// nn.MLPInference), so training and checkpoint loads reach it without a
+// refresh, and its embeddings are bitwise the MLP's forward on a tape;
+// the float32 instantiation converts the weights once at construction
+// and is the reduced-precision serving path. Safe for concurrent use
+// while nothing writes the parameters.
 type Inference[T fp.Float] struct {
 	mlp *nn.MLPInference[T]
 }
@@ -36,8 +37,9 @@ func NewCalibration(e *Embedder) *Inference[float32] {
 func (inf *Inference[T]) Scales() []float32 { return inf.mlp.Scales() }
 
 // EmbedCtx maps hit features (n × InputFeatures, already in T) into the
-// embedding space under the given worker budget. The result is
-// arena-owned when arena is non-nil.
+// embedding space under the given worker budget; the embedding is
+// bitwise identical at every budget. The result is arena-owned when
+// arena is non-nil: it is valid only until the caller resets the arena.
 func (inf *Inference[T]) EmbedCtx(kc kernels.Context, arena *workspace.Arena, features *tensor.Matrix[T]) *tensor.Matrix[T] {
 	return inf.mlp.Forward(kc, arena, tensor.Seg[T]{M: features})
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestInferenceF64MatchesTapeEmbed keeps tape == inference a gate now
-// that EmbedCtx runs the tape-free float64 view: it reproduces the
+// that serving runs the tape-free float64 view: it reproduces the
 // MLP's forward on a tape bit for bit at every worker count, on trained
 // (non-zero-bias) weights.
 func TestInferenceF64MatchesTapeEmbed(t *testing.T) {
@@ -27,10 +27,10 @@ func TestInferenceF64MatchesTapeEmbed(t *testing.T) {
 	}
 	for _, hits := range []int{40, 1} {
 		feat := tensor.RandN(r, hits, cfg.InputFeatures, 1)
-		tape := autograd.NewTape()
+		tape := autograd.NewTapeArena(nil)
 		want := e.mlp.ForwardSegs(tape, autograd.Seg{N: tape.Constant(feat)}).Value
 		for _, w := range []int{1, 2, 3} {
-			got := e.EmbedCtx(kernels.Context{Workers: w}, nil, feat)
+			got := NewInference[float64](e).EmbedCtx(kernels.Context{Workers: w}, nil, feat)
 			for i, v := range want.Data() {
 				if math.Float64bits(v) != math.Float64bits(got.Data()[i]) {
 					t.Fatalf("%d hits, %d workers: element %d differs: %v vs %v", hits, w, i, v, got.Data()[i])
@@ -46,7 +46,7 @@ func TestInferenceF32WithinTolerance(t *testing.T) {
 	e := New(cfg, rng.New(5))
 	feat := tensor.RandN(rng.New(6), 40, cfg.InputFeatures, 1)
 
-	want := e.EmbedCtx(kernels.Context{}, nil, feat)
+	want := NewInference[float64](e).EmbedCtx(kernels.Context{}, nil, feat)
 	got32 := NewInference[float32](e).EmbedCtx(kernels.Context{}, nil, tensor.ConvertFrom[float32](nil, feat))
 	got := tensor.ConvertFrom[float64](nil, got32)
 	if d := want.MaxAbsDiff(got); d > 1e-4 {

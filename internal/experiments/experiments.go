@@ -218,11 +218,12 @@ func (o Options) trainerConfig(cfg dtrain.Config) dtrain.Config {
 // edges across validation set particle graphs" (Figure 4's metric).
 func Evaluate(m *ignn.Model, graphs []*pipeline.EventGraph) metrics.BinaryCounts {
 	var counts metrics.BinaryCounts
+	inf := ignn.NewInference[float64](m)
 	for _, eg := range graphs {
 		if eg.NumEdges() == 0 {
 			continue
 		}
-		scores := m.EdgeScoresCtx(kernels.Context{}, nil, eg.G.Src, eg.G.Dst, eg.X, eg.Y)
+		scores := inf.EdgeScoresCtx(kernels.Context{}, nil, eg.G.Src, eg.G.Dst, eg.X, eg.Y)
 		counts.Merge(metrics.FromScores(scores, eg.Label, 0.5))
 	}
 	return counts

@@ -39,13 +39,6 @@ type Config struct {
 	Delay     time.Duration // latency spike size
 }
 
-// Stats counts the faults an Injector actually fired.
-type Stats struct {
-	Errors int64
-	Panics int64
-	Delays int64
-}
-
 // Injector wraps recon stages with deterministic fault injection. It
 // implements recon.StageWrapper, so the whole pipeline is wrapped with
 // recon.WithStageWrapper(inj); individual Wrap* methods compose
@@ -71,11 +64,6 @@ func New(cfg Config) (*Injector, error) {
 		return nil, fmt.Errorf("faultinject: DelayRate %v needs a positive Delay", cfg.DelayRate)
 	}
 	return &Injector{cfg: cfg}, nil
-}
-
-// Stats snapshots the fault counters.
-func (inj *Injector) Stats() Stats {
-	return Stats{Errors: inj.errors.Load(), Panics: inj.panics.Load(), Delays: inj.delays.Load()}
 }
 
 // Active reports whether any fault can ever fire.

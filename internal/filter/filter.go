@@ -54,7 +54,6 @@ func DefaultConfig(nodeFeatures, edgeFeatures, mlpLayers int) Config {
 type EdgeFilter struct {
 	cfg Config
 	mlp *nn.MLP
-	inf *Inference[float64] // tape-free forward over mlp's own parameters
 }
 
 // New creates an untrained filter.
@@ -63,7 +62,7 @@ func New(cfg Config, r *rng.Rand) *EdgeFilter {
 	for i := range hidden {
 		hidden[i] = cfg.Hidden
 	}
-	f := &EdgeFilter{
+	return &EdgeFilter{
 		cfg: cfg,
 		mlp: nn.NewMLP(r, "filter", nn.MLPConfig{
 			In:         2*cfg.NodeFeatures + cfg.EdgeFeatures,
@@ -72,8 +71,6 @@ func New(cfg Config, r *rng.Rand) *EdgeFilter {
 			Activation: nn.ReLU,
 		}),
 	}
-	f.inf = NewInference[float64](f)
-	return f
 }
 
 // Params exposes the trainable parameters.
@@ -86,21 +83,6 @@ func (f *EdgeFilter) forward(t *autograd.Tape, nodeFeat, edgeFeat *tensor.Dense,
 	nodes := t.Constant(nodeFeat)
 	return f.mlp.ForwardSegs(t,
 		autograd.Seg{N: nodes, Idx: src}, autograd.Seg{N: nodes, Idx: dst}, autograd.Seg{N: t.Constant(edgeFeat)})
-}
-
-// ScoresCtx returns the sigmoid score per edge under an explicit
-// intra-op worker budget, with forward-pass activations borrowed from
-// the arena's workspace pools (released before returning; a nil arena
-// falls back to the heap). Scores are bitwise identical at every
-// budget, and bitwise those of the training forward on a tape. It runs
-// the tape-free Inference[float64] view of the parameters.
-func (f *EdgeFilter) ScoresCtx(kc kernels.Context, arena *workspace.Arena, nodeFeat, edgeFeat *tensor.Dense, src, dst []int) []float64 {
-	return f.inf.ScoresCtx(kc, arena, nodeFeat, edgeFeat, src, dst)
-}
-
-// KeepCtx returns the boolean keep mask at the configured threshold.
-func (f *EdgeFilter) KeepCtx(kc kernels.Context, arena *workspace.Arena, nodeFeat, edgeFeat *tensor.Dense, src, dst []int) []bool {
-	return f.inf.KeepCtx(kc, arena, nodeFeat, edgeFeat, src, dst)
 }
 
 // TrainStepWith runs one optimization step on one graph's edges, the

@@ -44,12 +44,12 @@ func TestFilterLearnsToSeparate(t *testing.T) {
 	src, dst, labels := buildTrainingGraph(ev, 2, r)
 	edgeFeat := detector.EdgeFeatures(spec, ev, src, dst)
 
-	before := metrics.AUC(f.ScoresCtx(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst), labels)
+	before := metrics.AUC(NewInference[float64](f).ScoresCtx(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst), labels)
 	opt := nn.NewAdam(cfg.LR)
 	for epoch := 0; epoch < 40; epoch++ {
 		f.TrainStepWith(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst, labels, opt)
 	}
-	after := metrics.AUC(f.ScoresCtx(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst), labels)
+	after := metrics.AUC(NewInference[float64](f).ScoresCtx(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst), labels)
 	if after < 0.9 {
 		t.Fatalf("filter AUC %v after training (before %v)", after, before)
 	}
@@ -68,8 +68,8 @@ func TestKeepMaskMatchesThreshold(t *testing.T) {
 	f := New(cfg, rng.New(3))
 	src, dst := ev.TruthSrc, ev.TruthDst
 	edgeFeat := detector.EdgeFeatures(spec, ev, src, dst)
-	scores := f.ScoresCtx(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst)
-	keep := f.KeepCtx(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst)
+	scores := NewInference[float64](f).ScoresCtx(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst)
+	keep := NewInference[float64](f).KeepCtx(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst)
 	for i := range scores {
 		if keep[i] != (scores[i] >= 0.5) {
 			t.Fatalf("keep[%d]=%v but score %v", i, keep[i], scores[i])
@@ -111,7 +111,7 @@ func TestPosWeightShiftsScores(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			f.TrainStepWith(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst, labels, opt)
 		}
-		s := f.ScoresCtx(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst)
+		s := NewInference[float64](f).ScoresCtx(kernels.Context{}, nil, ev.Features, edgeFeat, src, dst)
 		total := 0.0
 		for _, v := range s {
 			total += v

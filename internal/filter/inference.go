@@ -13,10 +13,11 @@ import (
 // [X[src] ‖ X[dst] ‖ EdgeFeat] as GEMM segments, so the gathered input
 // is never built. Scores and the keep threshold stay float64 — the
 // precision boundary sits at the logit. The float64 instantiation is a
-// view of the filter's own parameters (see nn.MLPInference) — it is
-// what ScoresCtx runs, bitwise identical to the tape forward; the
-// float32 instantiation converts the weights once at construction.
-// Safe for concurrent use while nothing writes the parameters.
+// view of the filter's own parameters (see nn.MLPInference), so
+// training and checkpoint loads reach it without a refresh, and its
+// scores are bitwise those of the tape forward; the float32
+// instantiation converts the weights once at construction. Safe for
+// concurrent use while nothing writes the parameters.
 type Inference[T fp.Float] struct {
 	cfg Config
 	mlp *nn.MLPInference[T]
@@ -38,8 +39,10 @@ func NewCalibration(f *EdgeFilter) *Inference[float32] {
 // that a NewCalibration instance has recorded (nn.MLPInference.Scales).
 func (inf *Inference[T]) Scales() []float32 { return inf.mlp.Scales() }
 
-// ScoresCtx returns the sigmoid score per edge (src, dst) with all
-// activations borrowed from the arena (released before returning).
+// ScoresCtx returns the sigmoid score per edge (src, dst) under an
+// explicit intra-op worker budget, with all activations borrowed from
+// the arena (released before returning; a nil arena falls back to the
+// heap). Scores are bitwise identical at every budget.
 func (inf *Inference[T]) ScoresCtx(kc kernels.Context, arena *workspace.Arena, nodeFeat, edgeFeat *tensor.Matrix[T], src, dst []int) []float64 {
 	if len(src) == 0 {
 		// No edges, no scores — and a nil src could not say "gathered".

@@ -36,7 +36,7 @@ func inferenceFixture(seed uint64) (*EdgeFilter, *tensor.Dense, *tensor.Dense, [
 // tapeScores is the training-path forward: the gather+concat and the
 // MLP on a serial tape, then the sigmoid.
 func tapeScores(f *EdgeFilter, nodeFeat, edgeFeat *tensor.Dense, src, dst []int) []float64 {
-	logits := f.forward(autograd.NewTape(), nodeFeat, edgeFeat, src, dst).Value
+	logits := f.forward(autograd.NewTapeArena(nil), nodeFeat, edgeFeat, src, dst).Value
 	out := make([]float64, len(src))
 	for i := range out {
 		out[i] = nn.SigmoidScore(logits.At(i, 0))
@@ -57,15 +57,15 @@ func scoresBitsEqual(t *testing.T, name string, want, got []float64) {
 }
 
 // TestInferenceF64MatchesTapeScores keeps tape == inference a gate now
-// that ScoresCtx runs the tape-free float64 view: it reproduces the
+// that serving runs the tape-free float64 view: it reproduces the
 // training forward on a tape bit for bit at every worker count.
 func TestInferenceF64MatchesTapeScores(t *testing.T) {
 	f, nodeFeat, edgeFeat, src, dst := inferenceFixture(11)
 	want := tapeScores(f, nodeFeat, edgeFeat, src, dst)
 	for _, w := range []int{1, 2, 3} {
 		kc := kernels.Context{Workers: w}
-		scoresBitsEqual(t, "scores", want, f.ScoresCtx(kc, nil, nodeFeat, edgeFeat, src, dst))
-		keep := f.KeepCtx(kc, nil, nodeFeat, edgeFeat, src, dst)
+		scoresBitsEqual(t, "scores", want, NewInference[float64](f).ScoresCtx(kc, nil, nodeFeat, edgeFeat, src, dst))
+		keep := NewInference[float64](f).KeepCtx(kc, nil, nodeFeat, edgeFeat, src, dst)
 		for i, s := range want {
 			if keep[i] != (s >= f.cfg.Threshold) {
 				t.Fatalf("keep %d disagrees with score %v at threshold %v", i, s, f.cfg.Threshold)
@@ -84,7 +84,7 @@ func TestInferenceDegenerateEvents(t *testing.T) {
 	inf32 := NewInference[float32](f)
 	node32 := tensor.ConvertFrom[float32](nil, nodeFeat)
 	for _, none := range [][]int{nil, {}} {
-		if got := f.KeepCtx(kernels.Context{}, nil, nodeFeat, tensor.New(0, cfg.EdgeFeatures), none, none); len(got) != 0 {
+		if got := NewInference[float64](f).KeepCtx(kernels.Context{}, nil, nodeFeat, tensor.New(0, cfg.EdgeFeatures), none, none); len(got) != 0 {
 			t.Fatalf("f64, no edges: %d keeps", len(got))
 		}
 		got := inf32.ScoresCtx(kernels.Context{}, nil, node32, tensor.NewOf[float32](0, cfg.EdgeFeatures), none, none)
@@ -96,7 +96,7 @@ func TestInferenceDegenerateEvents(t *testing.T) {
 	oneHit := tensor.RandN(r, 1, cfg.NodeFeatures, 1)
 	loops := []int{0, 0}
 	edgeFeat := tensor.RandN(r, len(loops), cfg.EdgeFeatures, 1)
-	scoresBitsEqual(t, "one hit f64", tapeScores(f, oneHit, edgeFeat, loops, loops), f.ScoresCtx(kernels.Context{}, nil, oneHit, edgeFeat, loops, loops))
+	scoresBitsEqual(t, "one hit f64", tapeScores(f, oneHit, edgeFeat, loops, loops), NewInference[float64](f).ScoresCtx(kernels.Context{}, nil, oneHit, edgeFeat, loops, loops))
 
 	hit32, edge32 := tensor.ConvertFrom[float32](nil, oneHit), tensor.ConvertFrom[float32](nil, edgeFeat)
 	in := tensor.NewOf[float32](len(loops), 2*cfg.NodeFeatures+cfg.EdgeFeatures)
@@ -111,7 +111,7 @@ func TestInferenceDegenerateEvents(t *testing.T) {
 
 func TestInferenceF32WithinTolerance(t *testing.T) {
 	f, nodeFeat, edgeFeat, src, dst := inferenceFixture(13)
-	want := f.ScoresCtx(kernels.Context{}, nil, nodeFeat, edgeFeat, src, dst)
+	want := NewInference[float64](f).ScoresCtx(kernels.Context{}, nil, nodeFeat, edgeFeat, src, dst)
 	inf := NewInference[float32](f)
 	got := inf.ScoresCtx(kernels.Context{}, nil,
 		tensor.ConvertFrom[float32](nil, nodeFeat), tensor.ConvertFrom[float32](nil, edgeFeat), src, dst)

@@ -10,11 +10,9 @@ import (
 	"fmt"
 
 	"repro/internal/autograd"
-	"repro/internal/kernels"
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/tensor"
-	"repro/internal/workspace"
 )
 
 // Config describes the model.
@@ -34,10 +32,6 @@ type Model struct {
 	edgeNets    []*nn.MLP // per step: [Y' X'src X'dst] → Y_{l+1}
 	nodeNets    []*nn.MLP // per step: [Msrc Mdst X'] → X_{l+1}
 	head        *nn.MLP   // Y_L → logit
-
-	// inf is the tape-free forward over these parameters' own storage —
-	// what EdgeScoresCtx runs; Forward on a tape is the training path.
-	inf *Inference[float64]
 }
 
 // New builds a model with deterministic initialization.
@@ -70,7 +64,6 @@ func New(cfg Config, r *rng.Rand) *Model {
 	m.head = nn.NewMLP(r, "ignn.head", nn.MLPConfig{
 		In: h, Hidden: []int{h}, Out: 1, Activation: nn.ReLU,
 	})
-	m.inf = NewInference[float64](m)
 	return m
 }
 
@@ -148,20 +141,6 @@ func (m *Model) Forward(t *autograd.Tape, src, dst []int, x, y *tensor.Dense) *a
 		xl = m.nodeNets[l].ForwardSegs(t, seg{N: msrc}, seg{N: mdst}, seg{N: xl}, seg{N: xr}) // n × h
 	}
 	return m.head.ForwardSegs(t, seg{N: yl})
-}
-
-// EdgeScoresCtx runs inference and returns the per-edge sigmoid scores
-// under an explicit intra-op worker budget for the forward kernels.
-// The forward pass's activations are borrowed from the arena's
-// workspace pools and returned before the call completes, so
-// steady-state inference reuses one warm buffer set instead of
-// allocating per event; a nil arena falls back to heap allocation.
-// Scores are bitwise identical at every budget; the engine passes each
-// worker its share of the host so event-level and kernel-level
-// parallelism compose. It runs the tape-free Inference[float64] view of
-// the parameters, whose scores are bitwise those of Forward on a tape.
-func (m *Model) EdgeScoresCtx(kc kernels.Context, arena *workspace.Arena, src, dst []int, x, y *tensor.Dense) []float64 {
-	return m.inf.EdgeScoresCtx(kc, arena, src, dst, x, y)
 }
 
 // EstimateActivationElements predicts the number of float64 elements the

@@ -30,7 +30,7 @@ func TestForwardShapes(t *testing.T) {
 	r := rng.New(1)
 	m := New(cfg, r)
 	src, dst, x, y := ring(r, 6, cfg)
-	tp := autograd.NewTape()
+	tp := autograd.NewTapeArena(nil)
 	out := m.Forward(tp, src, dst, x, y)
 	if out.Value.Rows() != 6 || out.Value.Cols() != 1 {
 		t.Fatalf("logits %dx%d, want 6x1", out.Value.Rows(), out.Value.Cols())
@@ -46,7 +46,7 @@ func TestAllParamsReceiveGradient(t *testing.T) {
 	for i := range labels {
 		labels[i] = float64(i % 2)
 	}
-	tp := autograd.NewTape()
+	tp := autograd.NewTapeArena(nil)
 	loss := tp.BCEWithLogits(m.Forward(tp, src, dst, x, y), labels, 1)
 	tp.Backward(loss)
 	for _, p := range m.Params() {
@@ -76,8 +76,8 @@ func TestDeterministicForward(t *testing.T) {
 	b := New(cfg, rng.New(7))
 	r := rng.New(8)
 	src, dst, x, y := ring(r, 5, cfg)
-	sa := a.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
-	sb := b.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
+	sa := NewInference[float64](a).EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
+	sb := NewInference[float64](b).EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
 	for i := range sa {
 		if sa[i] != sb[i] {
 			t.Fatalf("same-seed models disagree at edge %d", i)
@@ -92,7 +92,7 @@ func TestPermutationEquivariance(t *testing.T) {
 	r := rng.New(4)
 	m := New(cfg, r)
 	src, dst, x, y := ring(r, 7, cfg)
-	base := m.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
+	base := NewInference[float64](m).EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
 
 	perm := rng.New(5).Perm(7)
 	inv := make([]int, 7)
@@ -106,7 +106,7 @@ func TestPermutationEquivariance(t *testing.T) {
 		psrc[k] = perm[src[k]]
 		pdst[k] = perm[dst[k]]
 	}
-	got := m.EdgeScoresCtx(kernels.Context{}, nil, psrc, pdst, px, y)
+	got := NewInference[float64](m).EdgeScoresCtx(kernels.Context{}, nil, psrc, pdst, px, y)
 	for k := range base {
 		if math.Abs(base[k]-got[k]) > 1e-9 {
 			t.Fatalf("edge %d score changed under relabeling: %v vs %v", k, base[k], got[k])
@@ -129,12 +129,12 @@ func TestLearnsEdgeParity(t *testing.T) {
 	}
 	opt := nn.NewAdam(5e-3)
 	for step := 0; step < 150; step++ {
-		tp := autograd.NewTape()
+		tp := autograd.NewTapeArena(nil)
 		loss := tp.BCEWithLogits(m.Forward(tp, src, dst, x, y), labels, 1)
 		tp.Backward(loss)
 		opt.Step(m.Params())
 	}
-	scores := m.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
+	scores := NewInference[float64](m).EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
 	correct := 0
 	for i, s := range scores {
 		if (s > 0.5) == (labels[i] > 0.5) {
@@ -160,7 +160,7 @@ func TestEstimateActivationElementsTracksTape(t *testing.T) {
 			src, dst []int
 			x, y     *tensor.Dense
 		}{{"ring", rs, rd, rx, ry}, {"multigraph", gs, gd, gx, gy}} {
-			tp := autograd.NewTape()
+			tp := autograd.NewTapeArena(nil)
 			m.Forward(tp, g.src, g.dst, g.x, g.y)
 			actual := tp.ActivationElements()
 			est := EstimateActivationElements(cfg, g.x.Rows(), len(g.src))
@@ -195,7 +195,7 @@ func TestForwardValidation(t *testing.T) {
 			t.Fatal("mismatched edge features did not panic")
 		}
 	}()
-	tp := autograd.NewTape()
+	tp := autograd.NewTapeArena(nil)
 	m.Forward(tp, []int{0, 1}, []int{1, 0}, tensor.New(2, 3), tensor.New(5, 2))
 }
 
@@ -270,7 +270,7 @@ func TestForwardMatchesConcatFormulationBitwise(t *testing.T) {
 			}
 			return loss.Value.At(0, 0), grads
 		}
-		wantLoss, want := step(autograd.NewTape(), func(tp *autograd.Tape) *autograd.Node {
+		wantLoss, want := step(autograd.NewTapeArena(nil), func(tp *autograd.Tape) *autograd.Node {
 			return concatForward(tp, m, src, dst, x, y)
 		})
 		for _, w := range []int{1, 2, 4, 7} {

@@ -99,7 +99,10 @@ func (inf *Inference[T]) Scales() QuantScales {
 // and edge features y (already in T) and returns the per-edge sigmoid
 // scores as float64 — the boundary back into the threshold/metric
 // domain. Activations borrow from the arena and are released before
-// returning; a nil arena falls back to the heap.
+// returning, so steady-state inference reuses one warm buffer set; a nil
+// arena falls back to the heap. Scores are bitwise identical at every
+// worker budget; the engine passes each worker its share of the host so
+// event-level and kernel-level parallelism compose.
 //
 // Nothing transient is materialised: the edge network reads
 // [Yl ‖ Y0 ‖ Xl[src] ‖ X0[src] ‖ Xl[dst] ‖ X0[dst]] and the node

@@ -42,7 +42,7 @@ func randomGraph(r *rng.Rand, n, e int, cfg Config) (src, dst []int, x, y *tenso
 // tapeScores is the training-path forward: Model.Forward on a serial
 // tape, then the sigmoid.
 func tapeScores(m *Model, src, dst []int, x, y *tensor.Dense) []float64 {
-	logits := m.Forward(autograd.NewTape(), src, dst, x, y).Value
+	logits := m.Forward(autograd.NewTapeArena(nil), src, dst, x, y).Value
 	out := make([]float64, len(src))
 	for i := range out {
 		out[i] = nn.SigmoidScore(logits.At(i, 0))
@@ -63,7 +63,7 @@ func scoresBitsEqual(t *testing.T, name string, want, got []float64) {
 }
 
 // TestInferenceF64MatchesTapeScores keeps tape == inference a gate now
-// that Model.EdgeScoresCtx no longer runs the tape: the float64 view
+// that serving no longer runs the tape: the float64 view
 // reproduces an explicit Forward on a tape bit for bit, with and
 // without LayerNorm, at every worker count.
 func TestInferenceF64MatchesTapeScores(t *testing.T) {
@@ -77,7 +77,7 @@ func TestInferenceF64MatchesTapeScores(t *testing.T) {
 		arena := workspace.NewArena()
 		defer arena.Reset()
 		for _, w := range inferenceWorkers {
-			got := m.EdgeScoresCtx(kernels.Context{Workers: w}, arena, src, dst, x, y)
+			got := NewInference[float64](m).EdgeScoresCtx(kernels.Context{Workers: w}, arena, src, dst, x, y)
 			scoresBitsEqual(t, "ring", want, got)
 		}
 	}
@@ -89,7 +89,7 @@ func TestInferenceF64MatchesTapeScores(t *testing.T) {
 	src, dst, x, y := randomGraph(rng.New(6), 41, 97, cfg)
 	want := tapeScores(m, src, dst, x, y)
 	for _, w := range inferenceWorkers {
-		got := m.EdgeScoresCtx(kernels.Context{Workers: w}, nil, src, dst, x, y)
+		got := NewInference[float64](m).EdgeScoresCtx(kernels.Context{Workers: w}, nil, src, dst, x, y)
 		scoresBitsEqual(t, "random graph", want, got)
 	}
 }
@@ -157,11 +157,11 @@ func refMLP[T fp.Float](kc kernels.Context, m *nn.MLP, x *tensor.Matrix[T], rr r
 		z := tensor.NewOf[T](h.Rows(), w.Cols())
 		tensor.MatMulIntoCtx(kc, z, h, w)
 		if i == nl-1 {
-			tensor.AddBiasIntoCtx(kc, z, z, b)
+			tensor.AddBiasRef(z, z, b)
 			foldRange(rr, m, nl, z)
 			return z
 		}
-		tensor.AddBiasReLUIntoCtx(kc, z, z, b)
+		tensor.AddBiasReLURef(z, z, b)
 		if len(ps) > 2*nl { // the LayerNorm gains and biases follow the linear layers
 			refLayerNorm(z, conv(ps[2*nl+2*i]).Data(), conv(ps[2*nl+2*i+1]).Data())
 		}
@@ -203,9 +203,9 @@ func refEdgeScores[T fp.Float](kc kernels.Context, m *Model, src, dst []int, x, 
 	xl, yl := x0, y0
 	for l := 0; l < m.cfg.Steps; l++ {
 		xc := tensor.NewOf[T](n, 2*h)
-		tensor.ConcatColsIntoCtx(kc, xc, xl, x0)
+		tensor.ConcatColsRef(xc, xl, x0)
 		yc := tensor.NewOf[T](e, 2*h)
-		tensor.ConcatColsIntoCtx(kc, yc, yl, y0)
+		tensor.ConcatColsRef(yc, yl, y0)
 		msgIn := tensor.NewOf[T](e, 6*h)
 		tensor.GatherConcat3IntoCtx(kc, msgIn, yc, nil, xc, src, xc, dst)
 		yl = refMLP(kc, m.edgeNets[l], msgIn, rr)
@@ -215,7 +215,7 @@ func refEdgeScores[T fp.Float](kc kernels.Context, m *Model, src, dst []int, x, 
 		msrc := aggregateRows(kc, yl, src, n)
 		mdst := aggregateRows(kc, yl, dst, n)
 		nodeIn := tensor.NewOf[T](n, 4*h)
-		tensor.ConcatColsIntoCtx(kc, nodeIn, msrc, mdst, xc)
+		tensor.ConcatColsRef(nodeIn, msrc, mdst, xc)
 		xl = refMLP(kc, m.nodeNets[l], nodeIn, rr)
 	}
 	logits := refMLP(kc, m.head, yl, rr)
@@ -359,7 +359,7 @@ func TestInferenceDegenerateGraphs(t *testing.T) {
 		x := tensor.RandN(rng.New(18), nodes, cfg.NodeFeatures, 1)
 		for _, none := range [][]int{nil, {}} {
 			y := tensor.New(0, cfg.EdgeFeatures)
-			if got := m.EdgeScoresCtx(kernels.Context{}, nil, none, none, x, y); len(got) != 0 {
+			if got := NewInference[float64](m).EdgeScoresCtx(kernels.Context{}, nil, none, none, x, y); len(got) != 0 {
 				t.Fatalf("f64, %d nodes, no edges: %d scores", nodes, len(got))
 			}
 			got := inf32.EdgeScoresCtx(kernels.Context{}, nil, none, none,
@@ -372,7 +372,7 @@ func TestInferenceDegenerateGraphs(t *testing.T) {
 	loops := []int{0, 0, 0}
 	x := tensor.RandN(rng.New(19), 1, cfg.NodeFeatures, 1)
 	y := tensor.RandN(rng.New(20), len(loops), cfg.EdgeFeatures, 1)
-	scoresBitsEqual(t, "one hit f64", tapeScores(m, loops, loops, x, y), m.EdgeScoresCtx(kernels.Context{}, nil, loops, loops, x, y))
+	scoresBitsEqual(t, "one hit f64", tapeScores(m, loops, loops, x, y), NewInference[float64](m).EdgeScoresCtx(kernels.Context{}, nil, loops, loops, x, y))
 	x32, y32 := tensor.ConvertFrom[float32](nil, x), tensor.ConvertFrom[float32](nil, y)
 	scoresBitsEqual(t, "one hit f32",
 		refEdgeScores(kernels.Context{Workers: 1}, m, loops, loops, x32, y32, nil),
@@ -387,12 +387,12 @@ func TestInferenceF64ViewTracksParams(t *testing.T) {
 	m := New(cfg, rng.New(21))
 	src, dst, x, y := ring(rng.New(22), 12, cfg)
 	x32, y32 := tensor.ConvertFrom[float32](nil, x), tensor.ConvertFrom[float32](nil, y)
-	inf32 := NewInference[float32](m)
-	before := m.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
+	inf64, inf32 := NewInference[float64](m), NewInference[float32](m)
+	before := inf64.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
 	before32 := inf32.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x32, y32)
 
 	jitter(m, 210)
-	after := m.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
+	after := inf64.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
 	scoresBitsEqual(t, "view after in-place update", tapeScores(m, src, dst, x, y), after)
 	same := true
 	for i := range before {
@@ -413,7 +413,7 @@ func TestInferenceF32WithinTolerance(t *testing.T) {
 	m := New(cfg, rng.New(5))
 	src, dst, x, y := ring(rng.New(6), 24, cfg)
 
-	want := m.EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
+	want := NewInference[float64](m).EdgeScoresCtx(kernels.Context{}, nil, src, dst, x, y)
 	inf32 := NewInference[float32](m)
 	got := inf32.EdgeScoresCtx(kernels.Context{}, nil, src, dst,
 		tensor.ConvertFrom[float32](nil, x), tensor.ConvertFrom[float32](nil, y))

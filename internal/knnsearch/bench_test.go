@@ -25,7 +25,7 @@ func embeddedEvent(b *testing.B) *tensor.Dense {
 		b.Fatal(err)
 	}
 	ev := detector.GenerateEvent(detector.Ex3Like(0.1), rng.New(4))
-	return e.EmbedCtx(kernels.Context{Workers: 1}, nil, ev.Features)
+	return embed.NewInference[float64](e).EmbedCtx(kernels.Context{Workers: 1}, nil, ev.Features)
 }
 
 // BenchmarkBuildRadiusGraph times stage 2 at graph_build's shape: one

@@ -30,7 +30,7 @@ func TestMLPInferenceF64MatchesTapeForward(t *testing.T) {
 		m := NewMLP(rng.New(uint64(40+ci)), "m", cfg)
 		x := tensor.RandN(rng.New(uint64(90+ci)), 17, cfg.In, 1)
 
-		tape := autograd.NewTape()
+		tape := autograd.NewTapeArena(nil)
 		want := m.ForwardSegs(tape, autograd.Seg{N: tape.Constant(x)}).Value
 
 		inf := NewMLPInference[float64](m)
@@ -86,7 +86,7 @@ func TestMLPInferenceSegmentsMatchTape(t *testing.T) {
 			}
 		}
 
-		tape := autograd.NewTape()
+		tape := autograd.NewTapeArena(nil)
 		xs := tape.Constant(x)
 		want := m.ForwardSegs(tape, autograd.Seg{N: tape.ConcatCols(tape.GatherRows(xs, src), tape.GatherRows(xs, dst), tape.Constant(e))}).Value
 
@@ -137,7 +137,7 @@ func TestMLPInferenceImmutableUnderForward(t *testing.T) {
 	cfg := MLPConfig{In: 4, Hidden: []int{6}, Out: 2, Activation: ReLU, LayerNorm: true}
 	m := NewMLP(rng.New(7), "m", cfg)
 	inf := NewMLPInference[float32](m)
-	before := make([]*tensor.Dense32, len(inf.w))
+	before := make([]*tensor.Matrix[float32], len(inf.w))
 	for i, w := range inf.w {
 		before[i] = w.Clone()
 	}

@@ -147,6 +147,3 @@ func (m *MLP) Params() []*autograd.Param {
 	}
 	return ps
 }
-
-// NumLayers returns the count of linear layers (hidden + output).
-func (m *MLP) NumLayers() int { return len(m.layers) }

@@ -12,7 +12,7 @@ import (
 func TestLinearShapes(t *testing.T) {
 	r := rng.New(1)
 	l := NewLinear(r, "lin", 4, 7)
-	tp := autograd.NewTape()
+	tp := autograd.NewTapeArena(nil)
 	x := tp.Constant(tensor.RandN(r, 10, 4, 1))
 	y := tp.Linear(tp.Use(l.W), tp.Use(l.B), false, autograd.Seg{N: x})
 	if y.Value.Rows() != 10 || y.Value.Cols() != 7 {
@@ -50,13 +50,13 @@ func trainXOR(t *testing.T, opt Optimizer, layerNorm bool) float64 {
 	x := tensor.FromRows([][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}})
 	y := []float64{0, 1, 1, 0}
 	for epoch := 0; epoch < 800; epoch++ {
-		tp := autograd.NewTape()
+		tp := autograd.NewTapeArena(nil)
 		out := m.ForwardSegs(tp, autograd.Seg{N: tp.Constant(x)})
 		loss := tp.BCEWithLogits(out, y, 1)
 		tp.Backward(loss)
 		opt.Step(m.Params())
 	}
-	tp := autograd.NewTape()
+	tp := autograd.NewTapeArena(nil)
 	out := m.ForwardSegs(tp, autograd.Seg{N: tp.Constant(x)})
 	correct := 0
 	for i, target := range y {

@@ -13,22 +13,6 @@ type Optimizer interface {
 	Step(params []*autograd.Param)
 }
 
-// SGD is plain stochastic gradient descent.
-type SGD struct {
-	LR float64
-}
-
-// NewSGD returns a plain SGD optimizer.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// Step applies one SGD update to each parameter and zeroes gradients.
-func (o *SGD) Step(params []*autograd.Param) {
-	for _, p := range params {
-		p.Value.AXPY(-o.LR, p.Grad)
-		p.ZeroGrad()
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba), the optimizer used by the
 // acorn training configs.
 type Adam struct {

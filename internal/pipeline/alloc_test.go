@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/detector"
+	"repro/internal/embed"
 	"repro/internal/kernels"
 	"repro/internal/knnsearch"
 	"repro/internal/nn"
@@ -61,7 +62,7 @@ func TestKDTreeBuildAllocs(t *testing.T) {
 
 	arena := workspace.NewArena()
 	defer arena.Reset()
-	embedded := emb.EmbedCtx(kernels.Context{}, arena, ev.Features)
+	embedded := embed.NewInference[float64](emb).EmbedCtx(kernels.Context{}, arena, ev.Features)
 	kc := kernels.Context{Workers: 1}
 	src, _ := knnsearch.BuildRadiusGraphCtx(kc, embedded, cfg.Radius, cfg.MaxDegree) // warm the pools
 	if len(src) == 0 {

@@ -21,7 +21,7 @@ import (
 func rebuildFilterEpoch(kc kernels.Context, arena *workspace.Arena, cfg Config, e *embed.Embedder, f *filter.EdgeFilter, opt nn.Optimizer, train []*detector.Event) {
 	for _, ev := range train {
 		mark := arena.Checkpoint()
-		embedded := e.EmbedCtx(kc, arena, ev.Features)
+		embedded := embed.NewInference[float64](e).EmbedCtx(kc, arena, ev.Features)
 		src, dst := knnsearch.BuildRadiusGraphCtx(kc, embedded, cfg.Radius, cfg.MaxDegree)
 		if len(src) == 0 {
 			arena.ResetTo(mark)

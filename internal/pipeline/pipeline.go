@@ -188,6 +188,7 @@ func FitStages13(ctx context.Context, kc kernels.Context, cfg Config, e *embed.E
 // embedding is borrowed from an arena and released once its radius
 // search is done; the graphs are heap-owned.
 func candidateGraphs(ctx context.Context, kc kernels.Context, cfg Config, e *embed.Embedder, events []*detector.Event) ([]*EventGraph, error) {
+	inf := embed.NewInference[float64](e)
 	arena := workspace.NewArena()
 	defer arena.Reset()
 	graphs := make([]*EventGraph, 0, len(events))
@@ -196,7 +197,7 @@ func candidateGraphs(ctx context.Context, kc kernels.Context, cfg Config, e *emb
 			return nil, err
 		}
 		mark := arena.Checkpoint()
-		src, dst := knnsearch.BuildRadiusGraphCtx(kc, e.EmbedCtx(kc, arena, ev.Features), cfg.Radius, cfg.MaxDegree)
+		src, dst := knnsearch.BuildRadiusGraphCtx(kc, inf.EmbedCtx(kc, arena, ev.Features), cfg.Radius, cfg.MaxDegree)
 		arena.ResetTo(mark)
 		if len(src) > 0 {
 			graphs = append(graphs, AssembleGraph(cfg.Spec, ev, src, dst))

@@ -73,9 +73,9 @@ func filterCandidates(t *testing.T, cfg Config, train, held []*detector.Event) (
 		t.Fatal(err)
 	}
 	for _, ev := range held {
-		src, dst := knnsearch.BuildRadiusGraphCtx(kc, emb.EmbedCtx(kc, nil, ev.Features), cfg.Radius, cfg.MaxDegree)
+		src, dst := knnsearch.BuildRadiusGraphCtx(kc, embed.NewInference[float64](emb).EmbedCtx(kc, nil, ev.Features), cfg.Radius, cfg.MaxDegree)
 		cand := AssembleGraph(cfg.Spec, ev, src, dst)
-		keep := filt.KeepCtx(kc, nil, cand.X, cand.Y, src, dst)
+		keep := filter.NewInference[float64](filt).KeepCtx(kc, nil, cand.X, cand.Y, src, dst)
 		var fsrc, fdst []int
 		for k := range src {
 			if keep[k] {

@@ -11,8 +11,6 @@
 package sparse
 
 import (
-	"sort"
-
 	"repro/internal/fp"
 	"repro/internal/workspace"
 )
@@ -53,16 +51,6 @@ func (m *CSROf[T]) RowNnz(i int) int { return m.RowPtr[i+1] - m.RowPtr[i] }
 func (m *CSROf[T]) Row(i int) (cols []int, vals []T) {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 	return m.ColIdx[lo:hi], m.Vals[lo:hi]
-}
-
-// At returns element (i, j) using binary search within the row.
-func (m *CSROf[T]) At(i, j int) T {
-	cols, vals := m.Row(i)
-	k := sort.SearchInts(cols, j)
-	if k < len(cols) && cols[k] == j {
-		return vals[k]
-	}
-	return 0
 }
 
 // Transpose returns mᵀ in CSR form.

@@ -34,11 +34,11 @@ func fixture32(n, nnzPerRow int, seed uint64) *CSROf[float32] {
 	return convertCSR[float32](benchCSR(n, nnzPerRow, seed))
 }
 
-func dense32Of(d *tensor.Dense, _ uint64) *tensor.Dense32 {
+func dense32Of(d *tensor.Dense, _ uint64) *tensor.Matrix[float32] {
 	return tensor.ConvertFrom[float32](nil, d)
 }
 
-func bits32Equal(t *testing.T, name string, want, got *tensor.Dense32) {
+func bits32Equal(t *testing.T, name string, want, got *tensor.Matrix[float32]) {
 	t.Helper()
 	if want.Rows() != got.Rows() || want.Cols() != got.Cols() {
 		t.Fatalf("%s: shape mismatch", name)

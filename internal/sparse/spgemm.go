@@ -240,16 +240,3 @@ func spmmBody[T fp.Float](cx spmmCtx[T], lo, hi int) {
 		}
 	}
 }
-
-// ToDense materializes the matrix (for tests and small examples only).
-func (m *CSROf[T]) ToDense() *tensor.Matrix[T] {
-	out := tensor.NewOf[T](m.RowsN, m.ColsN)
-	for i := 0; i < m.RowsN; i++ {
-		cols, vals := m.Row(i)
-		row := out.Row(i)
-		for k, c := range cols {
-			row[c] = vals[k]
-		}
-	}
-	return out
-}

@@ -59,12 +59,12 @@ func TestElementwiseIntoZeroAllocs(t *testing.T) {
 		AddInto(out, a, b)
 		MulInto(out, a, b)
 		ScaleInto(out, 2.5, a)
-		AddBiasIntoCtx(kernels.Context{}, out, a, bias)
+		AddBiasRef(out, a, bias)
 		a.ColSumsInto(cs)
 		a.RowSumsInto(rs)
 		GatherRowsIntoCtx(kernels.Context{}, gather, a, idx)
 		ExtractColsInto(band, a, 2)
-		ConcatColsIntoCtx(kernels.Context{}, cat, parts...)
+		ConcatColsRef(cat, parts...)
 	})
 	if allocs != 0 {
 		t.Fatalf("elementwise Into kernels allocated %.1f per run, want 0", allocs)
@@ -180,11 +180,11 @@ func TestIntoVariantsMatchReference(t *testing.T) {
 		}
 
 		bias := RandN(r, 1, k, 1)
-		AddBiasIntoCtx(kernels.Context{}, out2, c, bias)
+		AddBiasRef(out2, c, bias)
 		for i := 0; i < m; i++ {
 			for j := 0; j < k; j++ {
 				if want := c.At(i, j) + bias.At(0, j); out2.At(i, j) != want {
-					t.Fatalf("trial %d: AddBiasIntoCtx (%d,%d) = %v, want %v", trial, i, j, out2.At(i, j), want)
+					t.Fatalf("trial %d: AddBiasRef (%d,%d) = %v, want %v", trial, i, j, out2.At(i, j), want)
 				}
 			}
 		}
@@ -215,10 +215,10 @@ func TestIntoVariantsMatchReference(t *testing.T) {
 
 		cc := New(m, 2*k)
 		cc.Fill(777)
-		ConcatColsIntoCtx(kernels.Context{}, cc, c, d)
+		ConcatColsRef(cc, c, d)
 		for i := 0; i < m; i++ {
 			if !slices.Equal(cc.Row(i), append(slices.Clone(c.Row(i)), d.Row(i)...)) {
-				t.Fatalf("trial %d: ConcatColsIntoCtx row %d differs", trial, i)
+				t.Fatalf("trial %d: ConcatColsRef row %d differs", trial, i)
 			}
 		}
 		// ExtractColsInto inverts ConcatCols segments.

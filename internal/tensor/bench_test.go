@@ -114,30 +114,6 @@ func BenchmarkGatherRows(b *testing.B) {
 	}
 }
 
-// BenchmarkAddBias measures the broadcast bias add.
-func BenchmarkAddBias(b *testing.B) {
-	x := benchMat(4096, 64, 1)
-	bias := benchMat(1, 64, 2)
-	out := New(4096, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AddBiasIntoCtx(kernels.Context{}, out, x, bias)
-	}
-}
-
-// BenchmarkAddBiasReLUInto measures the fused bias+activation kernel
-// against the AddBias + ReLU chain it replaces in the MLP hidden
-// layers.
-func BenchmarkAddBiasReLUInto(b *testing.B) {
-	x := benchMat(4096, 64, 1)
-	bias := benchMat(1, 64, 2)
-	out := New(4096, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AddBiasReLUIntoCtx(kernels.Context{}, out, x, bias)
-	}
-}
-
 // BenchmarkGatherConcat3Into measures the fused edge-feature assembly
 // [E ‖ X[src] ‖ X[dst]] at IGNN message-input shape.
 func BenchmarkGatherConcat3Into(b *testing.B) {

@@ -3,8 +3,8 @@
 // in for the GPU kernels used by the paper's PyTorch stack.
 //
 // The storage and every kernel are generic over the element type
-// (Matrix[T] for T in fp.Float); Dense and Dense32 alias the float64
-// and float32 instantiations. The float64 surface is unchanged from the
+// (Matrix[T] for T in fp.Float); Dense aliases the float64
+// instantiation. The float64 surface is unchanged from the
 // pre-generic package — same names, same semantics, bitwise-identical
 // results — while the float32 instantiation halves the memory traffic
 // of the bandwidth-bound inference kernels.
@@ -12,7 +12,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/fp"
 	"repro/internal/workspace"
@@ -27,10 +26,6 @@ type Matrix[T fp.Float] struct {
 // Dense is the float64 matrix — the training and default-precision
 // type, and the element type of every historical API in this package.
 type Dense = Matrix[float64]
-
-// Dense32 is the float32 matrix used by the reduced-precision
-// inference path.
-type Dense32 = Matrix[float32]
 
 // New returns a zeroed rows×cols float64 matrix.
 func New(rows, cols int) *Dense { return NewOf[float64](rows, cols) }
@@ -72,22 +67,6 @@ func FromSlice[T fp.Float](rows, cols int, data []T) *Matrix[T] {
 	return &Matrix[T]{rows: rows, cols: cols, data: data}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows (copying).
-func FromRows[T fp.Float](rows [][]T) *Matrix[T] {
-	if len(rows) == 0 {
-		return NewOf[T](0, 0)
-	}
-	c := len(rows[0])
-	m := NewOf[T](len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			panic("tensor: ragged rows")
-		}
-		copy(m.data[i*c:(i+1)*c], r)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix[T]) Rows() int { return m.rows }
 
@@ -108,13 +87,6 @@ func (m *Matrix[T]) Set(i, j int, v T) { m.data[i*m.cols+j] = v }
 
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix[T]) Row(i int) []T { return m.data[i*m.cols : (i+1)*m.cols] }
-
-// Clone returns a deep copy.
-func (m *Matrix[T]) Clone() *Matrix[T] {
-	c := NewOf[T](m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
 
 // CopyFrom copies src into m. Shapes must match.
 func (m *Matrix[T]) CopyFrom(src *Matrix[T]) {
@@ -160,20 +132,6 @@ type shapeError struct {
 
 func (e shapeError) Error() string { return fmt.Sprintf(e.format, e.a, e.b, e.c) }
 
-// MaxAbsDiff returns max |m[i]-o[i]|; shapes must match.
-func (m *Matrix[T]) MaxAbsDiff(o *Matrix[T]) float64 {
-	if !m.SameShape(o) {
-		panic("tensor: MaxAbsDiff shape mismatch")
-	}
-	worst := 0.0
-	for i := range m.data {
-		if d := math.Abs(float64(m.data[i]) - float64(o.data[i])); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
 // Convert copies src into dst elementwise, converting between element
 // types (float64→float32 rounds to nearest; float32→float64 is exact).
 // Shapes must match. This is the precision boundary of the f32
@@ -194,20 +152,4 @@ func ConvertFrom[D, S fp.Float](a *workspace.Arena, src *Matrix[S]) *Matrix[D] {
 	dst := NewFromOf[D](a, src.rows, src.cols)
 	Convert(dst, src)
 	return dst
-}
-
-// String renders small matrices for debugging.
-func (m *Matrix[T]) String() string {
-	if m.rows*m.cols > 400 {
-		return fmt.Sprintf("Dense{%dx%d}", m.rows, m.cols)
-	}
-	s := fmt.Sprintf("Dense{%dx%d}[\n", m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		s += " "
-		for j := 0; j < m.cols; j++ {
-			s += fmt.Sprintf(" %8.4f", float64(m.At(i, j)))
-		}
-		s += "\n"
-	}
-	return s + "]"
 }

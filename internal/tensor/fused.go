@@ -8,45 +8,13 @@ import (
 	"repro/internal/parallel"
 )
 
-// This file holds two fused kernels: edge-feature gather+concat in one
-// pass and bias+ReLU in one pass. Each performs exactly the arithmetic
-// of its unfused composition in the same order, so outputs are bitwise
-// identical to the chain it replaces — the fusion only removes the
-// intermediate materialization (one full write + read of each
-// intermediate matrix). Neither runs on the GNN's hot paths any more:
-// the segmented GEMM (tiled.go) reads concatenations in place and folds
-// bias and ReLU into its store. They remain the references the GEMM is
-// tested against and the kernels the benchmark's kernel rows time.
-
-// AddBiasReLUIntoCtx computes out = max(0, m + bias) in one pass,
-// fusing AddBiasIntoCtx + ReLU: the sum never round-trips through memory.
-// bias is a 1×cols row vector; out may alias m. Bitwise identical at
-// every worker count.
-func AddBiasReLUIntoCtx[T fp.Float](kc kernels.Context, out, m, bias *Matrix[T]) {
-	if bias.rows != 1 || bias.cols != m.cols {
-		panic(fmt.Sprintf("tensor: AddBiasReLU bias %dx%d vs matrix cols %d", bias.rows, bias.cols, m.cols))
-	}
-	checkSame("AddBiasReLUInto", out, m)
-	parallel.ForWithN(kc.Cap(), m.rows, 64, matCtx[T]{out, m, bias},
-		pickBody[T, matCtx[T]](addBiasReLUBody64, addBiasReLUBody32))
-}
-
-// addBiasReLUBody computes rows [lo, hi) of out = max(0, m + bias).
-func addBiasReLUBody[T fp.Float](c matCtx[T], lo, hi int) {
-	out, m, b := c.out, c.a, c.b
-	for i := lo; i < hi; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		oRow := out.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			s := v + b.data[j]
-			if s > 0 {
-				oRow[j] = s
-			} else {
-				oRow[j] = 0
-			}
-		}
-	}
-}
+// This file holds the fused edge-feature gather+concat: it performs
+// exactly the arithmetic of the GatherRows + ConcatColsRef chain in the
+// same order, so its output is bitwise that chain's, without
+// materializing the intermediate matrices. It does not run on the GNN's
+// hot paths any more: the segmented GEMM (tiled.go) reads
+// concatenations in place. It remains the reference the GEMM is tested
+// against and the kernel the benchmark's kernel row times.
 
 // gcSegment is one segment of a fused gather+concat: rows of M, taken
 // directly (Idx nil) or gathered at Idx.

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"unsafe"
 
 	"repro/internal/fp"
@@ -29,24 +28,11 @@ var (
 	matMulTBody32       any = matMulTBody[float32]
 	tMatMulBody64       any = tMatMulBody[float64]
 	tMatMulBody32       any = tMatMulBody[float32]
-	addBiasBody64       any = addBiasBody[float64]
-	addBiasBody32       any = addBiasBody[float32]
-	concatColsBody64    any = concatColsBody[float64]
-	concatColsBody32    any = concatColsBody[float32]
 	gatherRowsBody64    any = gatherRowsBody[float64]
 	gatherRowsBody32    any = gatherRowsBody[float32]
-	addBiasReLUBody64   any = addBiasReLUBody[float64]
-	addBiasReLUBody32   any = addBiasReLUBody[float32]
 	gatherConcat3Body64 any = gatherConcat3Body[float64]
 	gatherConcat3Body32 any = gatherConcat3Body[float32]
 )
-
-// MatMul returns a×b. Panics on an inner-dimension mismatch.
-func MatMul[T fp.Float](a, b *Matrix[T]) *Matrix[T] {
-	out := NewOf[T](a.rows, b.cols)
-	MatMulIntoCtx(kernels.Context{}, out, a, b)
-	return out
-}
 
 // MatMulIntoCtx computes out = a×b under an explicit intra-op worker
 // budget. out must be preallocated with shape a.rows × b.cols and must
@@ -249,18 +235,6 @@ func tMatMulTile[T fp.Float](o []T, n int, a []T, lda int, b []T, p int) {
 		(*float64)(unsafe.Pointer(&b[0])), p)
 }
 
-// Transpose returns mᵀ as a new matrix.
-func (m *Matrix[T]) Transpose() *Matrix[T] {
-	out := NewOf[T](m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			out.data[j*m.rows+i] = v
-		}
-	}
-	return out
-}
-
 // AddInto computes out = a+b elementwise. out may alias a or b.
 func AddInto[T fp.Float](out, a, b *Matrix[T]) {
 	checkSame("Add", a, b)
@@ -303,29 +277,6 @@ func (m *Matrix[T]) AXPY(s T, o *Matrix[T]) {
 	}
 }
 
-// AddBiasIntoCtx computes out = m with the 1×cols row vector b added to
-// every row, under an explicit intra-op worker budget. out may alias m.
-func AddBiasIntoCtx[T fp.Float](kc kernels.Context, out, m, b *Matrix[T]) {
-	if b.rows != 1 || b.cols != m.cols {
-		panic(fmt.Sprintf("tensor: AddBias bias %dx%d vs matrix cols %d", b.rows, b.cols, m.cols))
-	}
-	checkSame("AddBiasIntoCtx", out, m)
-	parallel.ForWithN(kc.Cap(), m.rows, 64, matCtx[T]{out, m, b},
-		pickBody[T, matCtx[T]](addBiasBody64, addBiasBody32))
-}
-
-// addBiasBody computes rows [lo, hi) of out = m + bias (broadcast).
-func addBiasBody[T fp.Float](c matCtx[T], lo, hi int) {
-	out, m, b := c.out, c.a, c.b
-	for i := lo; i < hi; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		oRow := out.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			oRow[j] = v + b.data[j]
-		}
-	}
-}
-
 // ColSumsInto computes the per-column sums into the 1×cols matrix out.
 func (m *Matrix[T]) ColSumsInto(out *Matrix[T]) {
 	if out.rows != 1 || out.cols != m.cols {
@@ -357,126 +308,12 @@ func (m *Matrix[T]) RowSumsInto(out *Matrix[T]) {
 	}
 }
 
-// Sum returns the sum of all elements (accumulated in T).
-func (m *Matrix[T]) Sum() float64 {
-	var s T
-	for _, v := range m.data {
-		s += v
-	}
-	return float64(s)
-}
-
-// Mean returns the mean of all elements (0 for an empty matrix).
-func (m *Matrix[T]) Mean() float64 {
-	if len(m.data) == 0 {
-		return 0
-	}
-	return m.Sum() / float64(len(m.data))
-}
-
-// Norm2 returns the Frobenius norm.
-func (m *Matrix[T]) Norm2() float64 {
-	var s T
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(float64(s))
-}
-
 // ApplyInto computes out = f applied elementwise to m. out may alias m.
 func ApplyInto[T fp.Float](out, m *Matrix[T], f func(T) T) {
 	checkSame("ApplyInto", out, m)
 	for i, v := range m.data {
 		out.data[i] = f(v)
 	}
-}
-
-func concatColsShape[T fp.Float](ms []*Matrix[T]) (rows, totalCols int) {
-	if len(ms) == 0 {
-		return 0, 0
-	}
-	rows = ms[0].rows
-	for _, m := range ms {
-		if m.rows != rows {
-			panic(fmt.Sprintf("tensor: ConcatCols row mismatch %d vs %d", m.rows, rows))
-		}
-		totalCols += m.cols
-	}
-	return rows, totalCols
-}
-
-// concatCtx carries ConcatColsIntoCtx operands into capture-free
-// parallel bodies.
-type concatCtx[T fp.Float] struct {
-	out *Matrix[T]
-	ms  []*Matrix[T]
-}
-
-// ConcatColsIntoCtx concatenates matrices horizontally into out, which
-// must have the combined shape and must not alias any input, under an
-// explicit intra-op worker budget.
-func ConcatColsIntoCtx[T fp.Float](kc kernels.Context, out *Matrix[T], ms ...*Matrix[T]) {
-	rows, totalCols := concatColsShape(ms)
-	if out.rows != rows || out.cols != totalCols {
-		panic("tensor: ConcatColsIntoCtx output shape mismatch")
-	}
-	parallel.ForWithN(kc.Cap(), rows, 64, concatCtx[T]{out, ms},
-		pickBody[T, concatCtx[T]](concatColsBody64, concatColsBody32))
-}
-
-// concatColsBody copies rows [lo, hi) of the horizontal concatenation.
-func concatColsBody[T fp.Float](c concatCtx[T], lo, hi int) {
-	out, totalCols := c.out, c.out.cols
-	for i := lo; i < hi; i++ {
-		off := i * totalCols
-		for _, m := range c.ms {
-			copy(out.data[off:off+m.cols], m.data[i*m.cols:(i+1)*m.cols])
-			off += m.cols
-		}
-	}
-}
-
-// ExtractColsInto copies the colOff..colOff+dst.cols column band of src
-// into dst (the inverse of one ConcatCols segment, used by its backward
-// pass without materializing every split).
-func ExtractColsInto[T fp.Float](dst, src *Matrix[T], colOff int) {
-	if dst.rows != src.rows || colOff < 0 || colOff+dst.cols > src.cols {
-		panic(fmt.Sprintf("tensor: ExtractColsInto band [%d,%d) of %d cols, rows %d vs %d",
-			colOff, colOff+dst.cols, src.cols, dst.rows, src.rows))
-	}
-	for i := 0; i < dst.rows; i++ {
-		copy(dst.data[i*dst.cols:(i+1)*dst.cols], src.data[i*src.cols+colOff:i*src.cols+colOff+dst.cols])
-	}
-}
-
-// ConcatRows concatenates matrices vertically. All inputs must have the
-// same column count.
-func ConcatRows[T fp.Float](ms ...*Matrix[T]) *Matrix[T] {
-	if len(ms) == 0 {
-		return NewOf[T](0, 0)
-	}
-	cols := ms[0].cols
-	totalRows := 0
-	for _, m := range ms {
-		if m.cols != cols {
-			panic(fmt.Sprintf("tensor: ConcatRows col mismatch %d vs %d", m.cols, cols))
-		}
-		totalRows += m.rows
-	}
-	out := NewOf[T](totalRows, cols)
-	off := 0
-	for _, m := range ms {
-		copy(out.data[off:off+len(m.data)], m.data)
-		off += len(m.data)
-	}
-	return out
-}
-
-// GatherRows returns the matrix whose i-th row is m's row idx[i].
-func GatherRows[T fp.Float](m *Matrix[T], idx []int) *Matrix[T] {
-	out := NewOf[T](len(idx), m.cols)
-	GatherRowsIntoCtx(kernels.Context{}, out, m, idx)
-	return out
 }
 
 // gatherCtx carries GatherRowsIntoCtx operands into capture-free

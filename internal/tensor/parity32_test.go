@@ -13,11 +13,11 @@ import (
 // instantiations.
 
 // benchMat32 mirrors benchMat at float32 (same RNG stream, rounded).
-func benchMat32(rows, cols int, seed uint64) *Dense32 {
+func benchMat32(rows, cols int, seed uint64) *Matrix[float32] {
 	return ConvertFrom[float32](nil, benchMat(rows, cols, seed))
 }
 
-func bits32Equal(t *testing.T, name string, want, got *Dense32) {
+func bits32Equal(t *testing.T, name string, want, got *Matrix[float32]) {
 	t.Helper()
 	if want.Rows() != got.Rows() || want.Cols() != got.Cols() {
 		t.Fatalf("%s: shape %dx%d vs %dx%d", name, want.Rows(), want.Cols(), got.Rows(), got.Cols())
@@ -44,7 +44,7 @@ func TestF32KernelsWorkerCountParity(t *testing.T) {
 	}
 
 	ref := struct {
-		mm, mmt, tmm, ab, abr, gat, cc, gc3 *Dense32
+		mm, mmt, tmm, ab, abr, gat, cc, gc3 *Matrix[float32]
 	}{
 		mm:  NewOf[float32](130, 50),
 		mmt: NewOf[float32](130, 130),
@@ -64,13 +64,13 @@ func TestF32KernelsWorkerCountParity(t *testing.T) {
 		tmm := NewOf[float32](40, 50)
 		TMatMulIntoCtx(kc, tmm, a, g)
 		ab := NewOf[float32](130, 50)
-		AddBiasIntoCtx(kc, ab, g, bias)
+		AddBiasRef(ab, g, bias)
 		abr := NewOf[float32](130, 50)
-		AddBiasReLUIntoCtx(kc, abr, g, bias)
+		AddBiasReLURef(abr, g, bias)
 		gat := NewOf[float32](200, 40)
 		GatherRowsIntoCtx(kc, gat, a, idx)
 		cc := NewOf[float32](130, 90)
-		ConcatColsIntoCtx(kc, cc, a, g)
+		ConcatColsRef(cc, a, g)
 		gc3 := NewOf[float32](200, 120)
 		GatherConcat3IntoCtx(kc, gc3, a, idx, a, idx, a, idx)
 		if wi == 0 {
@@ -134,8 +134,8 @@ func TestF32IntoKernelsZeroAllocs(t *testing.T) {
 		AddInto(out, a, b)
 		MulInto(out, a, b)
 		ScaleInto(out, 2.5, a)
-		AddBiasIntoCtx(kernels.Context{}, out, a, bias)
-		AddBiasReLUIntoCtx(kernels.Context{}, out, a, bias)
+		AddBiasRef(out, a, bias)
+		AddBiasReLURef(out, a, bias)
 		GatherRowsIntoCtx(kernels.Context{}, gather, a, idx)
 		GatherConcat3IntoCtx(kernels.Context{}, gc3, a, idx, a, idx, b, idx)
 	})

@@ -42,7 +42,6 @@ func TestDenseKernelsWorkerCountParity(t *testing.T) {
 	b := RandN(r, 23, 29, 1)
 	bt := RandN(r, 29, 23, 1)
 	g := RandN(r, 37, 29, 1)
-	bias := RandN(r, 1, 23, 1)
 	idx := parityIdx(r, 53, 37)
 
 	type kernel struct {
@@ -65,24 +64,9 @@ func TestDenseKernelsWorkerCountParity(t *testing.T) {
 			TMatMulIntoCtx(kc, out, g, a)
 			return out
 		}},
-		{"AddBiasIntoCtx", func(kc kernels.Context) *Dense {
-			out := New(37, 23)
-			AddBiasIntoCtx(kc, out, a, bias)
-			return out
-		}},
-		{"AddBiasReLUIntoCtx", func(kc kernels.Context) *Dense {
-			out := New(37, 23)
-			AddBiasReLUIntoCtx(kc, out, a, bias)
-			return out
-		}},
 		{"GatherRowsIntoCtx", func(kc kernels.Context) *Dense {
 			out := New(53, 23)
 			GatherRowsIntoCtx(kc, out, a, idx)
-			return out
-		}},
-		{"ConcatColsIntoCtx", func(kc kernels.Context) *Dense {
-			out := New(37, 23+29)
-			ConcatColsIntoCtx(kc, out, a, g)
 			return out
 		}},
 		{"GatherConcat3IntoCtx", func(kc kernels.Context) *Dense {
@@ -104,17 +88,15 @@ func TestAddBiasReLUMatchesUnfused(t *testing.T) {
 	m := RandN(r, 19, 13, 1)
 	bias := RandN(r, 1, 13, 1)
 	ref := New(19, 13)
-	AddBiasIntoCtx(kernels.Context{}, ref, m, bias)
+	AddBiasRef(ref, m, bias)
 	for i, v := range ref.Data() {
 		if v < 0 {
 			ref.Data()[i] = 0
 		}
 	}
 	out := New(19, 13)
-	for _, w := range parityWorkers {
-		AddBiasReLUIntoCtx(kernels.Context{Workers: w}, out, m, bias)
-		bitsEqual(t, "AddBiasReLU vs unfused", ref, out)
-	}
+	AddBiasReLURef(out, m, bias)
+	bitsEqual(t, "AddBiasReLU vs unfused", ref, out)
 }
 
 func TestGatherConcat3MatchesUnfused(t *testing.T) {
@@ -144,13 +126,10 @@ func TestGatherConcat3MatchesUnfused(t *testing.T) {
 func TestFusedKernelsZeroAllocsWarm(t *testing.T) {
 	r := rng.New(15)
 	m := RandN(r, 8, 8, 1)
-	bias := RandN(r, 1, 8, 1)
 	e := RandN(r, 6, 4, 1)
 	idx := []int{3, 0, 7, 7, 2, 5}
-	outRelu := New(8, 8)
 	outGC := New(6, 8+8+4)
 	allocs := testing.AllocsPerRun(100, func() {
-		AddBiasReLUIntoCtx(kernels.Context{}, outRelu, m, bias)
 		GatherConcat3IntoCtx(kernels.Context{}, outGC, m, idx, m, idx, e, nil)
 	})
 	if allocs != 0 {

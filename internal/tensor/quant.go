@@ -48,9 +48,6 @@ func (m *QMat) Rows() int { return m.rows }
 // Cols returns the number of columns.
 func (m *QMat) Cols() int { return m.cols }
 
-// Data returns the underlying row-major backing slice (not a copy).
-func (m *QMat) Data() []int8 { return m.data }
-
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *QMat) Row(i int) []int8 { return m.data[i*m.cols : (i+1)*m.cols] }
 

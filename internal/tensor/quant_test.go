@@ -185,7 +185,7 @@ func TestQGEMMDequantizeTracksFloat(t *testing.T) {
 	QuantizeInto(kernels.Context{Workers: 1}, a, ConvertFrom[float32](nil, src64), float32(maxAbs(src64)/127))
 	qw := QuantizeWeights(w64)
 	want := MatMul(src64, w64)
-	AddBiasIntoCtx(kernels.Context{}, want, want, bias64)
+	AddBiasRef(want, want, bias64)
 	for i, v := range want.Data() {
 		want.Data()[i] = math.Max(v, 0)
 	}

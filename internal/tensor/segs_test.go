@@ -11,7 +11,7 @@ import (
 
 // The segmented GEMM must equal, bit for bit, the three-kernel chain it
 // stands in for — materialise [seg₀ ‖ seg₁ ‖ …] with GatherRows and
-// ConcatColsIntoCtx, MatMulIntoCtx, then AddBias[ReLU]IntoCtx — for any
+// ConcatColsRef, MatMulIntoCtx, then AddBias[ReLU]Ref — for any
 // segment count and widths, any k%4 and n%4, any direct/gathered mix,
 // any row count around the register block and any worker count.
 
@@ -88,8 +88,8 @@ func testMatMulSegsMatchesChain[T fp.Float](t *testing.T, seed uint64) {
 				prod := NewOf[T](rows, n)
 				MatMulIntoCtx(serial, prod, c.cat, b)
 				withBias, withReLU := NewOf[T](rows, n), NewOf[T](rows, n)
-				AddBiasIntoCtx(serial, withBias, prod, bias)
-				AddBiasReLUIntoCtx(serial, withReLU, prod, bias)
+				AddBiasRef(withBias, prod, bias)
+				AddBiasReLURef(withReLU, prod, bias)
 				for _, w := range parityWorkers {
 					kc := kernels.Context{Workers: w}
 					got := NewOf[T](rows, n)
@@ -128,7 +128,7 @@ func testMatMulSegsWideOutput(t *testing.T) {
 	bias := RandN(r, 1, n, 1)
 	want := New(13, n)
 	MatMulIntoCtx(kernels.Context{}, want, c.cat, b)
-	AddBiasReLUIntoCtx(kernels.Context{}, want, want, bias)
+	AddBiasReLURef(want, want, bias)
 	for _, w := range parityWorkers {
 		got := New(13, n)
 		MatMulSegsIntoCtx(kernels.Context{Workers: w}, got, b, bias, true, c.segs...)

@@ -136,10 +136,10 @@ func TestAddBias(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{10, 20}})
 	got := New(2, 2)
-	AddBiasIntoCtx(kernels.Context{}, got, m, b)
+	AddBiasRef(got, m, b)
 	want := FromRows([][]float64{{11, 22}, {13, 24}})
 	if !got.equalApprox(want, 0) {
-		t.Fatalf("AddBiasIntoCtx got %v", got)
+		t.Fatalf("AddBiasRef got %v", got)
 	}
 }
 
@@ -167,13 +167,13 @@ func TestConcatSplitColsRoundTrip(t *testing.T) {
 	r := rng.New(8)
 	a, b, c := randomMat(r, 7, 3), randomMat(r, 7, 1), randomMat(r, 7, 5)
 	cat := New(7, 9)
-	ConcatColsIntoCtx(kernels.Context{}, cat, a, b, c)
+	ConcatColsRef(cat, a, b, c)
 	off := 0
 	for i, want := range []*Dense{a, b, c} {
 		part := New(7, want.Cols())
 		ExtractColsInto(part, cat, off)
 		if !part.equalApprox(want, 0) {
-			t.Fatalf("ExtractColsInto did not invert ConcatColsIntoCtx for part %d", i)
+			t.Fatalf("ExtractColsInto did not invert ConcatColsRef for part %d", i)
 		}
 		off += want.Cols()
 	}
@@ -259,8 +259,8 @@ func TestShapeMismatchPanics(t *testing.T) {
 	cases := []func(){
 		func() { MatMul(New(2, 3), New(2, 3)) },
 		func() { AddInto(New(2, 3), New(2, 3), New(3, 2)) },
-		func() { AddBiasIntoCtx(kernels.Context{}, New(2, 3), New(2, 3), New(1, 2)) },
-		func() { ConcatColsIntoCtx(kernels.Context{}, New(2, 6), New(2, 3), New(3, 3)) },
+		func() { AddBiasRef(New(2, 3), New(2, 3), New(1, 2)) },
+		func() { ConcatColsRef(New(2, 6), New(2, 3), New(3, 3)) },
 		func() { FromSlice(2, 2, []float64{1}) },
 	}
 	for i, f := range cases {
@@ -307,10 +307,27 @@ func (m *Matrix[T]) equalApprox(o *Matrix[T], tol float64) bool {
 	return m.SameShape(o) && m.MaxAbsDiff(o) <= tol
 }
 
-// concatCols concatenates matrices horizontally through ConcatColsIntoCtx.
+// concatCols concatenates matrices horizontally through ConcatColsRef.
 func concatCols[T fp.Float](ms ...*Matrix[T]) *Matrix[T] {
 	rows, cols := concatColsShape(ms)
 	out := NewOf[T](rows, cols)
-	ConcatColsIntoCtx(kernels.Context{}, out, ms...)
+	ConcatColsRef(out, ms...)
 	return out
+}
+
+// Sum returns the sum of all elements (accumulated in T).
+func (m *Matrix[T]) Sum() float64 {
+	var s T
+	for _, v := range m.data {
+		s += v
+	}
+	return float64(s)
+}
+
+// Mean returns the mean of all elements (0 for an empty matrix).
+func (m *Matrix[T]) Mean() float64 {
+	if len(m.data) == 0 {
+		return 0
+	}
+	return m.Sum() / float64(len(m.data))
 }

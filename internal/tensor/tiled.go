@@ -33,8 +33,8 @@ import (
 // partition statically and no accumulation crosses rows, so the result
 // is identical at any worker count. Padded panel columns accumulate
 // zeros into accumulators that are never stored. The micro-kernels see
-// byte for byte the row ConcatColsIntoCtx/GatherConcat3IntoCtx would
-// have built, and the epilogue performs AddBias[ReLU]IntoCtx's
+// byte for byte the row ConcatColsRef/GatherConcat3IntoCtx would
+// have built, and the epilogue performs AddBias[ReLU]Ref's
 // arithmetic on the stored sum, so MatMulSegsIntoCtx equals that
 // three-kernel chain bit for bit.
 //
@@ -118,8 +118,8 @@ type gemmCtx[T fp.Float] struct {
 // MatMulSegsIntoCtx computes out = [seg₀ ‖ seg₁ ‖ …]×b, then
 // out += bias on every row when bias is non-nil (a 1×b.cols row
 // vector) and out = max(0, out) when relu is set, without building the
-// concatenated operand: the result is bitwise what ConcatColsIntoCtx /
-// GatherConcat3IntoCtx → MatMulIntoCtx → AddBias[ReLU]IntoCtx store,
+// concatenated operand: the result is bitwise what ConcatColsRef /
+// GatherConcat3IntoCtx → MatMulIntoCtx → AddBias[ReLU]Ref store,
 // at every worker count. All segments must agree on the row count,
 // their widths must sum to b.rows, and out must not alias any operand.
 // A steady-state call that runs on one worker performs no heap

@@ -85,8 +85,3 @@ func (a *Arena) ResetTo(m Mark) {
 
 // Reset releases everything the arena holds back to the pools.
 func (a *Arena) Reset() { a.ResetTo(Mark{}) }
-
-// Live reports how many slices the arena currently holds.
-func (a *Arena) Live() int {
-	return len(a.f64s) + len(a.f32s) + len(a.ints)
-}

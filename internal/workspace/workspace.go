@@ -86,9 +86,6 @@ func ReadStats() Stats {
 	}
 }
 
-// InUseBytes returns the bytes currently checked out across all pools.
-func InUseBytes() int64 { return inUseBytes.Load() }
-
 // typedPools is a bucketed free-list set for one element type.
 type typedPools[T any] struct {
 	mu        sync.Mutex

@@ -23,7 +23,7 @@ func stageOutputs(t *testing.T, r *Reconstructor, ev *Event) (emb, filt, gnn []f
 		t.Fatal(err)
 	}
 	src, dst := ev.TruthSrc, ev.TruthDst
-	filt = r.filterModel.ScoresCtx(kernels.From(ctx), nil, ev.Features, detector.EdgeFeatures(r.spec, ev, src, dst), src, dst)
+	filt = r.filter.(mlpFilter[float64]).fw.filter.ScoresCtx(kernels.From(ctx), nil, ev.Features, detector.EdgeFeatures(r.spec, ev, src, dst), src, dst)
 	gnn, err = r.classifier.ScoreEdges(ctx, nil, pipeline.AssembleGraph(r.spec, ev, src, dst))
 	if err != nil {
 		t.Fatal(err)

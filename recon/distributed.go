@@ -108,7 +108,7 @@ func TrainDistributed(ctx context.Context, graphs []*EventGraph, opts ...Option)
 
 	m := tr.Model()
 	res := &DistTrainResult{
-		Classifier: gnnClassifier[float64]{m: m, fw: &forwards[float64]{gnn: m}},
+		Classifier: gnnClassifier[float64]{m: m, fw: &forwards[float64]{gnn: ignn.NewInference[float64](m)}},
 		Buckets:    tr.NumBuckets(),
 	}
 	for _, es := range epochs {
@@ -141,7 +141,6 @@ func trainerConfig(set settings, gnn ignn.Config) dtrain.Config {
 	cfg.Ranks = set.ranks
 	cfg.Strategy = set.sync
 	cfg.BulkBatches = set.bulkBatches
-	cfg.KernelWorkers = set.kernelWorkers
 	cfg.Seed = set.seed
 	return cfg
 }

@@ -39,10 +39,9 @@ import (
 //     *StageError; sibling events keep completing and the worker
 //     replaces its arena rather than dying.
 type Engine struct {
-	rec           *Reconstructor
-	workers       int
-	kernelWorkers int
-	timeout       time.Duration
+	rec     *Reconstructor
+	workers int
+	timeout time.Duration
 
 	limit    int64        // admission window: workers + queueDepth events
 	inflight atomic.Int64 // events admitted and not yet finished
@@ -97,9 +96,9 @@ func (e *Engine) admit(n int) bool {
 }
 
 // NewEngine wraps a reconstructor in a concurrent execution core.
-// Relevant options: WithWorkers, WithQueueDepth, WithKernelWorkers
-// (defaulting to the reconstructor's own setting, then to an automatic
-// GOMAXPROCS/workers share so pool and kernel parallelism compose).
+// Relevant options: WithWorkers and WithQueueDepth. Each worker runs its
+// kernels on a GOMAXPROCS/workers share of the host, so pool and kernel
+// parallelism compose.
 // Options already applied to the Reconstructor (thresholds, stages)
 // are not re-interpreted here.
 func NewEngine(rec *Reconstructor, opts ...Option) (*Engine, error) {
@@ -107,13 +106,9 @@ func NewEngine(rec *Reconstructor, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if set.kernelWorkers == 0 {
-		set.kernelWorkers = rec.set.kernelWorkers
-	}
 	e := &Engine{
 		rec:            rec,
 		workers:        set.workers,
-		kernelWorkers:  set.kernelWorkers,
 		timeout:        set.requestTimeout,
 		limit:          int64(set.workers + set.queueDepth),
 		batchWindow:    set.batchWindow,
@@ -186,7 +181,7 @@ func (e *Engine) newUnit(ctx context.Context, events []*Event) *unit {
 func (e *Engine) work(pool int, next func() (*unit, int, bool)) {
 	arena := workspace.NewArena()
 	defer func() { arena.Reset() }()
-	budget := kernels.Budget(pool, e.kernelWorkers)
+	budget := kernels.Budget(pool, 0)
 	for {
 		u, i, ok := next()
 		if !ok {

@@ -11,9 +11,10 @@ import (
 )
 
 // KernelWorkersFromContext reports the intra-op worker budget installed
-// on ctx by the Reconstructor's serial entry points or by an Engine
-// worker (see WithKernelWorkers). A WithEdgeClassifier or StageWrapper
-// stage that runs its own parallel loops can honour it to stay inside the same
+// on ctx by the Reconstructor's serial entry points (GOMAXPROCS) or by
+// an Engine worker (GOMAXPROCS divided by the worker count, at least
+// one). A WithEdgeClassifier or StageWrapper stage that runs its own
+// parallel loops can honour it to stay inside the same
 // oversubscription-free budget as the built-in kernels; ignoring it is
 // also safe.
 func KernelWorkersFromContext(ctx context.Context) int {
@@ -44,7 +45,6 @@ type settings struct {
 	// Engine execution knobs.
 	workers        int
 	queueDepth     int
-	kernelWorkers  int
 	requestTimeout time.Duration
 	batchWindow    time.Duration
 	maxBatchEvents int
@@ -289,25 +289,6 @@ type StageWrapper interface {
 // same panic isolation as any other stage implementation.
 func WithStageWrapper(w StageWrapper) Option {
 	return func(s *settings) { s.wrapper = w }
-}
-
-// WithKernelWorkers bounds the intra-op parallelism of the hot kernels
-// (GEMM, SpGEMM, SpMM, fused gathers) inside a single Reconstruct call,
-// a Fit, or a TrainDistributed rank. 0 (the default) derives the budget
-// automatically: GOMAXPROCS for serial use, divided by the worker or
-// rank count when an Engine or TrainDistributed runs units
-// concurrently, so inter-op × intra-op parallelism never oversubscribes
-// the host (an explicit request is likewise capped by that rule).
-// Results are bit-identical at every value — this is purely a
-// performance knob.
-func WithKernelWorkers(n int) Option {
-	return func(s *settings) {
-		if n < 0 {
-			s.fail("WithKernelWorkers: need ≥0, got %d", n)
-			return
-		}
-		s.kernelWorkers = n
-	}
 }
 
 // WithRanks sets the number of simulated DDP ranks P for

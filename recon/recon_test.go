@@ -9,6 +9,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -86,9 +89,6 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := recon.New(spec, recon.WithWorkers(0)); err == nil {
 		t.Fatal("WithWorkers(0) accepted")
 	}
-	if _, err := recon.New(spec, recon.WithKernelWorkers(-1)); err == nil {
-		t.Fatal("WithKernelWorkers(-1) accepted")
-	}
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, c := range []struct {
 		name string
@@ -120,9 +120,8 @@ func TestOptionValidation(t *testing.T) {
 }
 
 // TestKernelWorkersFromContext: a wrapped-in stage reads the budget API.md
-// documents — the full host for serial Reconstruct, GOMAXPROCS/workers
-// (at least 1) in each worker of an engine pool, and an explicit
-// WithKernelWorkers value as given.
+// documents — the full host for serial Reconstruct and GOMAXPROCS/workers
+// (at least 1) in each worker of an engine pool.
 func TestKernelWorkersFromContext(t *testing.T) {
 	ds := testDataset(t, 0.02, 2, 91)
 	host := runtime.GOMAXPROCS(0)
@@ -134,7 +133,6 @@ func TestKernelWorkersFromContext(t *testing.T) {
 	}{
 		{"serial", nil, 0, host},
 		{"engine two workers", nil, 2, max(host/2, 1)},
-		{"explicit one", []recon.Option{recon.WithKernelWorkers(1)}, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			emb := &budgetEmbedder{}
@@ -170,17 +168,20 @@ func TestKernelWorkersFromContext(t *testing.T) {
 	}
 }
 
-// TestKernelWorkersParity: the intra-op worker budget is a pure
-// performance knob — serial reconstruction at explicit budgets 1, 2,
-// and 7 must be bit-identical, an engine combining worker-level and
-// kernel-level parallelism must match too, and Fit, whose tapes run
-// under the same budget, must train to byte-identical checkpoints.
+// TestKernelWorkersParity: the intra-op worker budget, which follows
+// GOMAXPROCS, is a pure performance knob — serial reconstruction at
+// budgets 1, 2, and 7 must be bit-identical, an engine combining
+// worker-level and kernel-level parallelism must match too, and Fit,
+// whose tapes run under the same budget, must train to byte-identical
+// checkpoints.
 func TestKernelWorkersParity(t *testing.T) {
 	ds := testDataset(t, 0.02, 6, 91)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	var ref []*recon.Result
 	for _, kw := range []int{1, 2, 7} {
-		r, err := recon.New(ds.Spec, recon.WithSeed(5), recon.WithKernelWorkers(kw))
+		runtime.GOMAXPROCS(kw)
+		r, err := recon.New(ds.Spec, recon.WithSeed(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +200,9 @@ func TestKernelWorkersParity(t *testing.T) {
 		}
 	}
 
-	r, err := recon.New(ds.Spec, recon.WithSeed(5), recon.WithKernelWorkers(2))
+	// Three engine workers with two kernel workers each.
+	runtime.GOMAXPROCS(6)
+	r, err := recon.New(ds.Spec, recon.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +220,8 @@ func TestKernelWorkersParity(t *testing.T) {
 
 	var refCkpt []byte
 	for _, kw := range []int{1, 2} {
-		r, err := recon.New(ds.Spec, recon.WithSeed(5), recon.WithGNN(8, 2), recon.WithGNNTraining(2, 3e-3, 2.0), recon.WithKernelWorkers(kw))
+		runtime.GOMAXPROCS(kw)
+		r, err := recon.New(ds.Spec, recon.WithSeed(5), recon.WithGNN(8, 2), recon.WithGNNTraining(2, 3e-3, 2.0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,13 +419,23 @@ func TestFitCancelled(t *testing.T) {
 
 // countdownCtx answers Err with nil for its first left calls and with
 // context.Canceled from then on, so a test can stop Fit at every point
-// where it looks at the context.
+// where it looks at the context. With record set it also notes the
+// function that made each call.
 type countdownCtx struct {
 	context.Context
-	left atomic.Int64
+	left    atomic.Int64
+	record  bool
+	mu      sync.Mutex
+	callers []string
 }
 
 func (c *countdownCtx) Err() error {
+	if c.record {
+		pc, _, _, _ := runtime.Caller(1)
+		c.mu.Lock()
+		c.callers = append(c.callers, runtime.FuncForPC(pc).Name())
+		c.mu.Unlock()
+	}
 	if c.left.Add(-1) < 0 {
 		return context.Canceled
 	}
@@ -431,31 +445,35 @@ func (c *countdownCtx) Err() error {
 // TestCancelledFitServesSavedWeights: wherever Fit is cancelled — in
 // stages 1–3, between them and the GNN, or inside GNN training — the
 // reduced-precision forwards serve the weights SaveCheckpoint writes,
-// i.e. what a fresh reconstructor loaded from that file serves.
+// i.e. what a fresh reconstructor loaded from that file serves. Each
+// case refits from scratch, so the sweep takes every context check of
+// the GNN stage but, of the embedder's and the filter's, only the first,
+// one interior epoch and the last: their epochs repeat one another.
 func TestCancelledFitServesSavedWeights(t *testing.T) {
 	ds := testDataset(t, 0.01, 2, 35)
 	ev := ds.Events[0]
 	path := filepath.Join(t.TempDir(), "fit.ckpt.gz")
 	for _, prec := range []recon.Precision{recon.Float32, recon.Int8} {
 		opts := []recon.Option{recon.WithSeed(4), recon.WithGNN(8, 2), recon.WithGNNTraining(2, 3e-3, 2.0), recon.WithPrecision(prec)}
-		fit := func(left int64) (*recon.Reconstructor, *countdownCtx, error) {
+		fit := func(ctx *countdownCtx) (*recon.Reconstructor, error) {
 			t.Helper()
 			r, err := recon.New(ds.Spec, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx := &countdownCtx{Context: context.Background()}
-			ctx.left.Store(left)
-			return r, ctx, r.Fit(ctx, ds.Events)
+			return r, r.Fit(ctx, ds.Events)
 		}
-		// An uncancelled Fit counts the context checks to sweep over.
-		_, probe, err := fit(math.MaxInt64)
-		if err != nil {
+		// An uncancelled Fit lists the context checks to sweep over.
+		probe := &countdownCtx{Context: context.Background(), record: true}
+		probe.left.Store(math.MaxInt64)
+		if _, err := fit(probe); err != nil {
 			t.Fatal(err)
 		}
-		checks := math.MaxInt64 - probe.left.Load()
-		for k := int64(0); k < checks; k++ {
-			r, _, err := fit(k)
+		checks := int64(len(probe.callers))
+		for _, k := range cancelPoints(probe.callers) {
+			ctx := &countdownCtx{Context: context.Background()}
+			ctx.left.Store(k)
+			r, err := fit(ctx)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("%v, cancelled at check %d of %d: Fit returned %v", prec, k, checks, err)
 			}
@@ -515,4 +533,47 @@ func TestReconstructAfterGNNTraining(t *testing.T) {
 	}
 	t.Logf("reconstruct: edgeP=%.3f edgeR=%.3f trackEff=%.3f fakeRate=%.3f tracks=%d",
 		counts.Precision(), counts.Recall(), res.Match.Efficiency(), res.Match.FakeRate(), len(res.Tracks))
+}
+
+// cancelPoints picks, from the functions that made each context check of
+// a Fit, the checks TestCancelledFitServesSavedWeights cancels at: the
+// first and last check of the embedder's training, of the filter's
+// (which begins with its graph build) and of the GNN stage, one interior
+// epoch each of the embedder's and the filter's loops, and every check
+// of the GNN stage.
+func cancelPoints(callers []string) []int64 {
+	stage := func(fn string) string {
+		switch {
+		case strings.HasPrefix(fn, "repro/internal/embed."):
+			return "embed"
+		case strings.HasPrefix(fn, "repro/internal/pipeline."):
+			return "filter"
+		}
+		return "gnn"
+	}
+	var points []int64
+	for i, fn := range callers {
+		s := stage(fn)
+		if s == "gnn" || i == 0 || stage(callers[i-1]) != s || i == len(callers)-1 || stage(callers[i+1]) != s {
+			points = append(points, int64(i))
+		}
+	}
+	// One interior epoch each: the middle check of the embedder's loop
+	// and of the filter's epoch loop (the checks FitStages13 makes).
+	for _, interior := range []func(string) bool{
+		func(fn string) bool { return stage(fn) == "embed" },
+		func(fn string) bool { return strings.HasSuffix(fn, "pipeline.FitStages13") },
+	} {
+		var idx []int64
+		for i, fn := range callers {
+			if interior(fn) {
+				idx = append(idx, int64(i))
+			}
+		}
+		if len(idx) > 0 {
+			points = append(points, idx[len(idx)/2])
+		}
+	}
+	slices.Sort(points)
+	return slices.Compact(points)
 }

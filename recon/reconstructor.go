@@ -96,10 +96,11 @@ func assemble(spec DetectorSpec, cfg pipeline.Config, set settings) *Reconstruct
 		gnnModel:    ignn.New(cfg.GNN, seeds.Split()),
 	}
 	// The one place a precision picks the element type of the stage
-	// adapters: float64 over the models themselves, float32 over the
+	// adapters: float64 over the models' own views, float32 over the
 	// forwards syncInference fills in.
 	if set.precision == Float64 {
-		resolveStages(r, &forwards[float64]{embed: r.embedModel, filter: r.filterModel, gnn: r.gnnModel})
+		fw := newForwards[float64](r.embedModel, r.filterModel, r.gnnModel)
+		resolveStages(r, &fw)
 	} else {
 		r.low = &forwards[float32]{}
 		resolveStages(r, r.low)
@@ -155,11 +156,7 @@ func (r *Reconstructor) syncInference() {
 	case Int8:
 		emb, filt, gnn = r.int8Models()
 	}
-	*r.low = forwards[float32]{
-		embed:  embed.NewInference[float32](emb),
-		filter: filter.NewInference[float32](filt),
-		gnn:    ignn.NewInference[float32](gnn),
-	}
+	*r.low = newForwards[float32](emb, filt, gnn)
 }
 
 // int8Models returns throw-away copies of the three stage models whose
@@ -195,7 +192,7 @@ func (r *Reconstructor) Threshold() float64 { return r.cfg.GNNThreshold }
 // stage adapters (see stages.go). Engine workers install their
 // own divided budget instead.
 func (r *Reconstructor) kernelCtx(ctx context.Context) context.Context {
-	return kernels.Into(ctx, kernels.Budget(1, r.set.kernelWorkers))
+	return kernels.Into(ctx, kernels.Budget(1, 0))
 }
 
 // BuildGraph runs stages 1–3 on an event. The returned EventGraph is
@@ -359,8 +356,7 @@ func (r *Reconstructor) Fit(ctx context.Context, events []*Event) error {
 	if !r.set.truthLevel {
 		// The staged Exa.TrkX procedure: embedder first, then the filter
 		// on radius graphs built in the trained embedding space. Training
-		// is serial: its tapes run under the serial entry points' budget
-		// (WithKernelWorkers).
+		// is serial: its tapes run under the serial entry points' budget.
 		kc := kernels.From(r.kernelCtx(ctx))
 		if err := pipeline.FitStages13(ctx, kc, r.cfg, r.embedModel, r.filterModel, events, r.set.seed+1); err != nil {
 			return err

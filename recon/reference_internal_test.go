@@ -161,7 +161,7 @@ func TestFitMatchesStraightLineReference(t *testing.T) {
 				continue
 			}
 			nn.ZeroGrads(params)
-			tape := autograd.NewTape()
+			tape := autograd.NewTapeArena(nil)
 			loss := tape.BCEWithLogitsSum(ref.Forward(tape, eg.G.Src, eg.G.Dst, eg.X, eg.Y), eg.Label, posWeight)
 			tape.Backward(loss)
 			inv := 1 / float64(eg.NumEdges())

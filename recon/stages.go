@@ -4,6 +4,8 @@ import (
 	"context"
 
 	"repro/internal/detector"
+	"repro/internal/embed"
+	"repro/internal/filter"
 	"repro/internal/fp"
 	"repro/internal/graph"
 	"repro/internal/ignn"
@@ -32,21 +34,20 @@ import (
 // only the standard context.Context signature while the built-in
 // kernels compose with worker-level parallelism.
 
-// forwards holds the forward pass of the three learned stages
-// at element type T — the method sets embed/filter/ignn.Inference[T]
-// share with the stage models (T = float64). At Float32 and Int8 it
-// holds the Inference[float32] snapshots syncInference builds; int8
-// export calibration builds one over recording instances.
+// forwards holds the forward pass of the three learned stages at
+// element type T. At Float64 it holds the models' parameter-aliasing
+// Inference[float64] views; at Float32 and Int8 the Inference[float32]
+// snapshots syncInference builds; int8 export calibration builds one
+// over recording instances.
 type forwards[T fp.Float] struct {
-	embed interface {
-		EmbedCtx(kc kernels.Context, a *Arena, features *tensor.Matrix[T]) *tensor.Matrix[T]
-	}
-	filter interface {
-		KeepCtx(kc kernels.Context, a *Arena, nodeFeat, edgeFeat *tensor.Matrix[T], src, dst []int) []bool
-	}
-	gnn interface {
-		EdgeScoresCtx(kc kernels.Context, a *Arena, src, dst []int, x, y *tensor.Matrix[T]) []float64
-	}
+	embed  *embed.Inference[T]
+	filter *filter.Inference[T]
+	gnn    *ignn.Inference[T]
+}
+
+// newForwards returns the forwards of the three models at element type T.
+func newForwards[T fp.Float](e *embed.Embedder, f *filter.EdgeFilter, m *ignn.Model) forwards[T] {
+	return forwards[T]{embed.NewInference[T](e), filter.NewInference[T](f), ignn.NewInference[T](m)}
 }
 
 // convert returns m at element type D: m itself when that is its type
