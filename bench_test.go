@@ -107,16 +107,16 @@ func BenchmarkFigure3_EpochTime_P4(b *testing.B) { benchmarkFigure3(b, 4) }
 // BenchmarkFigure3_EpochTime_P8 regenerates the P=8 bars of Figure 3.
 func BenchmarkFigure3_EpochTime_P8(b *testing.B) { benchmarkFigure3(b, 8) }
 
-// BenchmarkFigure4_Convergence regenerates Figure 4's three convergence
-// curves (full-graph vs PyG-style ShaDow vs ours) at reduced epochs.
+// BenchmarkFigure4_Convergence regenerates Figure 4's convergence curves
+// (full-graph vs ShaDow) at reduced epochs.
 func BenchmarkFigure4_Convergence(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
 		res, _ := experiments.RunFigure4Context(context.Background(), o)
-		if len(res.Ours.Points) != o.Epochs {
+		if len(res.ShaDow.Points) != o.Epochs {
 			b.Fatal("figure 4 incomplete")
 		}
-		b.ReportMetric(res.Ours.Final().Recall, "recall")
+		b.ReportMetric(res.ShaDow.Final().Recall, "recall")
 	}
 }
 

@@ -238,9 +238,9 @@ func figure3(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 
 // figure4 prints precision and recall convergence on Ex3 for full-graph
 // training (the original Exa.TrkX behaviour, skipping graphs that exceed
-// device memory), ShaDow training with the PyG-style implementation, and
-// ShaDow training with ours. Its rows pair the three curves, so an
-// interrupted run prints none.
+// device memory) and ShaDow training, under both of the paper's ShaDow
+// labels: the PyG-style implementation and ours train the same curve.
+// Its rows pair the curves, so an interrupted run prints none.
 func figure4(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	scale := fs.Float64("scale", 0.05, "dataset scale factor")
 	events := fs.Int("events", 8, "event graphs")
@@ -268,14 +268,14 @@ func figure4(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 		fmt.Fprintf(w, "%5s | %10s %10s | %10s %10s | %10s %10s\n",
 			"epoch", "precision", "recall", "precision", "recall", "precision", "recall")
 		for i := range res.FullGraph.Points {
-			fg, pyg, ours := res.FullGraph.Points[i], res.PyG.Points[i], res.Ours.Points[i]
+			fg, sd := res.FullGraph.Points[i], res.ShaDow.Points[i]
 			fmt.Fprintf(w, "%5d | %10.4f %10.4f | %10.4f %10.4f | %10.4f %10.4f\n",
-				i, fg.Precision, fg.Recall, pyg.Precision, pyg.Recall, ours.Precision, ours.Recall)
+				i, fg.Precision, fg.Recall, sd.Precision, sd.Recall, sd.Precision, sd.Recall)
 		}
 		fmt.Fprintln(w, "\nfinal:")
 		fmt.Fprintf(w, "  full-graph:        P=%.4f R=%.4f\n", res.FullGraph.Final().Precision, res.FullGraph.Final().Recall)
-		fmt.Fprintf(w, "  ShaDow (PyG impl): P=%.4f R=%.4f\n", res.PyG.Final().Precision, res.PyG.Final().Recall)
-		fmt.Fprintf(w, "  ShaDow (ours):     P=%.4f R=%.4f\n", res.Ours.Final().Precision, res.Ours.Final().Recall)
+		fmt.Fprintf(w, "  ShaDow (PyG impl): P=%.4f R=%.4f\n", res.ShaDow.Final().Precision, res.ShaDow.Final().Recall)
+		fmt.Fprintf(w, "  ShaDow (ours):     P=%.4f R=%.4f\n", res.ShaDow.Final().Precision, res.ShaDow.Final().Recall)
 		return nil
 	}
 }

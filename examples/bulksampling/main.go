@@ -1,9 +1,8 @@
 // Command bulksampling demonstrates the matrix-based bulk ShaDow sampler
 // (Figure 2 of the paper): it shows that the matrix formulation and the
 // standard Algorithm 2 sampler, given the same per-root random streams,
-// produce byte-identical subgraphs, that the SpGEMM extraction step
-// matches the edge-list assembly, and how bulk sampling throughput scales
-// with the number of stacked minibatches.
+// produce byte-identical subgraphs, and how bulk sampling throughput
+// scales with the number of stacked minibatches.
 package main
 
 import (
@@ -55,20 +54,6 @@ func main() {
 	if !same {
 		log.Fatal("the matrix and Algorithm 2 samplers disagree on the same streams")
 	}
-
-	// The paper's extraction: row/column-selection SpGEMMs vs edge lists.
-	var sets [][]int
-	for i := 0; i < len(mtx.Roots); i++ {
-		end := mtx.NumVertices()
-		if i+1 < len(mtx.Roots) {
-			end = mtx.Roots[i+1]
-		}
-		sets = append(sets, mtx.Vertices[mtx.Roots[i]:end])
-	}
-	viaSpGEMM := sampling.ExtractComponentsSpGEMM(eg.G, sets)
-	viaEdges := sampling.SubgraphAdjacency(mtx)
-	fmt.Printf("\nSpGEMM extraction == edge-list assembly: %v (A_S is %dx%d, %d nnz)\n",
-		viaSpGEMM.Equal(viaEdges), viaSpGEMM.Rows(), viaSpGEMM.Cols(), viaSpGEMM.Nnz())
 
 	// Bulk throughput: sampling k batches per invocation.
 	fmt.Println("\n=== bulk sampling throughput ===")

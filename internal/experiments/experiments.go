@@ -38,22 +38,17 @@ type Options struct {
 	FakeRatio float64 // fake edges per true edge in the event graphs; default 1.5
 	Seed      uint64  // default 7
 
-	// DeviceBytes is the per-device activation budget. Default sizes the
-	// device so the largest training graphs exceed it, reproducing the
-	// full-graph skip behaviour at laptop scale.
-	DeviceBytes int64
-
 	// SamplerOverhead is the modelled per-invocation sampler launch cost
 	// (see dtrain.Config). Default 2ms (Figure 3 uses 15ms; calibration
 	// in PERF.md, "Figure 3 timing model").
 	SamplerOverhead time.Duration
-
-	// ComputeSpeedup models accelerator dense-compute throughput relative
-	// to this host (see dtrain.Config). Zero means the runner's default:
-	// 1 everywhere except Figure 3, which uses 25 so the paper's
-	// sampling:training proportions are recovered.
-	ComputeSpeedup float64
 }
+
+// figure3ComputeSpeedup models accelerator dense-compute throughput
+// relative to this host in Figure 3 (see dtrain.Config.ComputeSpeedup),
+// so the paper's sampling:training proportions are recovered; every
+// other runner trains at 1×.
+const figure3ComputeSpeedup = 25
 
 func (o Options) withDefaults() Options {
 	if o.Dataset == "" {
@@ -259,47 +254,41 @@ func run(ctx context.Context, cfg dtrain.Config, train, val []*pipeline.EventGra
 	return h, stats, nil
 }
 
-// ConvergenceResult holds the three curves of Figure 4.
+// ConvergenceResult holds the curves of Figure 4. The PyG-style and
+// our ShaDow implementations draw the same subgraphs from the same
+// per-root streams and, at one rank, communicate nothing, so they train
+// the same model: ShaDow is the one curve both plot.
 type ConvergenceResult struct {
 	FullGraph *metrics.History // original Exa.TrkX full-graph training
-	PyG       *metrics.History // ShaDow minibatch, PyG-style implementation
-	Ours      *metrics.History // ShaDow minibatch, matrix-bulk + coalesced
+	ShaDow    *metrics.History // ShaDow minibatch, PyG-style and ours alike
 	Skipped   int              // graphs skipped per epoch by full-graph
 }
 
 // RunFigure4Context reproduces the convergence comparison on Ex3:
-// full-graph vs ShaDow with the PyG implementation vs ShaDow with our
-// implementation, precision and recall per epoch on the validation set —
-// the three dtrain.Sampler values at one rank. The two ShaDow curves are
-// equal point for point: the samplers draw identical subgraphs. A
-// cancelled context stops the run in progress; the partial result holds
-// the curves finished so far (later curves nil) alongside ctx.Err().
+// full-graph vs ShaDow minibatch training, precision and recall per
+// epoch on the validation set, at one rank. The ShaDow curve is trained
+// once, with our implementation. A cancelled context stops the run in
+// progress; the partial result holds the curves finished so far (later
+// curves nil) alongside ctx.Err().
 func RunFigure4Context(ctx context.Context, o Options) (*ConvergenceResult, error) {
 	o = o.withDefaults()
 	train, val, gnn, err := buildGraphs(o)
 	if err != nil {
 		return nil, err
 	}
-	deviceBytes := o.DeviceBytes
-	if deviceBytes == 0 {
-		deviceBytes = defaultDeviceBytes(train, gnn)
-	}
 
 	// Full-graph on a memory-constrained device (skips the largest
-	// graphs), then the PyG baseline, then ours.
+	// graphs), then ShaDow.
 	fullCfg := dtrain.DefaultConfig(gnn)
 	fullCfg.Sampler = dtrain.SamplerFullGraph
-	fullCfg.Device = gpumem.ScaledDevice(deviceBytes)
+	fullCfg.Device = gpumem.ScaledDevice(defaultDeviceBytes(train, gnn))
 	res := &ConvergenceResult{}
 	var stats dtrain.EpochStats
 	if res.FullGraph, stats, err = run(ctx, o.trainerConfig(fullCfg), train, val); err != nil {
 		return res, err
 	}
 	res.Skipped = stats.Skipped
-	if res.PyG, _, err = run(ctx, o.trainerConfig(dtrain.PyGBaselineConfig(gnn, 1)), train, val); err != nil {
-		return res, err
-	}
-	res.Ours, _, err = run(ctx, o.trainerConfig(dtrain.OursConfig(gnn, 1)), train, val)
+	res.ShaDow, _, err = run(ctx, o.trainerConfig(dtrain.OursConfig(gnn, 1)), train, val)
 	return res, err
 }
 
@@ -347,9 +336,6 @@ func RunFigure3Context(ctx context.Context, o Options, procs []int) ([]EpochTime
 	if o.SamplerOverhead == 0 {
 		o.SamplerOverhead = 15 * time.Millisecond
 	}
-	if o.ComputeSpeedup == 0 {
-		o.ComputeSpeedup = 25
-	}
 	o = o.withDefaults()
 	if len(procs) == 0 {
 		procs = []int{1, 4, 8}
@@ -370,18 +356,14 @@ func RunFigure3Context(ctx context.Context, o Options, procs []int) ([]EpochTime
 		for _, impl := range []string{"PyG", "Ours"} {
 			cfg := dtrain.PyGBaselineConfig(gnn, p)
 			if impl == "Ours" {
+				// Bulk-k derives from aggregate device memory (A100-sized).
 				cfg = dtrain.OursConfig(gnn, p)
-				// Bulk-k derives from aggregate device memory: A100-sized
-				// by default, overridable to force memory-limited k.
-				if o.DeviceBytes != 0 {
-					cfg.Device = gpumem.ScaledDevice(o.DeviceBytes)
-				}
 			}
 			cfg = o.trainerConfig(cfg)
 			cfg.Epochs = 2 // warm epoch (allocators, k probe), then the measured one
 			cfg.GradBlocks = gradBlocks
 			cfg.SamplerOverhead = o.SamplerOverhead
-			cfg.ComputeSpeedup = o.ComputeSpeedup
+			cfg.ComputeSpeedup = figure3ComputeSpeedup
 			_, stats, err := run(ctx, cfg, train, nil)
 			if err != nil {
 				return rows, err

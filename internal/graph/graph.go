@@ -11,7 +11,7 @@ import (
 )
 
 // Graph is an undirected graph stored both as an edge list (the GNN
-// consumes edges in COO order: Src[k] → Dst[k]) and as a symmetric CSR
+// consumes edges in list order: Src[k] → Dst[k]) and as a symmetric CSR
 // adjacency for traversal and sampling.
 type Graph struct {
 	N   int   // number of vertices

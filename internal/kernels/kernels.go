@@ -1,5 +1,5 @@
 // Package kernels defines the intra-op parallelism budget threaded
-// through the hot kernels (GEMM, SpGEMM, SpMM, gathers, fused ops).
+// through the hot kernels (GEMM, SpMM, gathers, fused ops).
 //
 // Every parallel kernel in internal/tensor and internal/sparse is
 // row-partitioned with static chunking and no cross-chunk floating-point

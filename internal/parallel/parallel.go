@@ -22,7 +22,7 @@ func MaxWorkers() int {
 // functions, so the single-chunk (serial) path performs no heap
 // allocation at all — a capturing closure always escapes because of the
 // goroutine fan-out path, costing one allocation per call even for tiny
-// inputs. The hot kernels (GEMM, SpGEMM, SpMM, gathers) use this to
+// inputs. The hot kernels (GEMM, SpMM, gathers) use this to
 // honour their zero-allocation warm-path contract.
 func ForWith[T any](n, grain int, ctx T, body func(ctx T, lo, hi int)) {
 	ForWithN(MaxWorkers(), n, grain, ctx, body)

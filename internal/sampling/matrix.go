@@ -11,7 +11,7 @@ import (
 //
 //  1. Q_d is the (Σ batch sizes)×n row-selection matrix of all batch
 //     vertices across all k batches, stacked per equation (1).
-//  2. Repeat d times: P ← Q_l·A (one SpGEMM for every walker of every
+//  2. Repeat d times: P ← Q_l·A (one product for every walker of every
 //     batch simultaneously); divide each row by its sum to get a uniform
 //     distribution and sample s nonzeros (SampleRowsStreams); expand
 //     Q_{l-1} to one nonzero per newly visited vertex; accumulate the
@@ -20,7 +20,7 @@ import (
 //     assemble one block-diagonal subgraph per batch.
 //
 // Sampling all k batches in one call is the utilization optimization the
-// paper introduces: the SpGEMM and row-sampling kernels run over matrices
+// paper introduces: the Q·A row gather and row sampling run over matrices
 // k× taller, amortizing per-invocation overhead exactly as bulk sampling
 // amortizes kernel launches on a GPU.
 //
@@ -108,24 +108,4 @@ func BulkMatrixShaDowStreams(g *graph.Graph, eidx *EdgeIndex, batches [][]int, c
 		out[bi] = assembleComponents(g, eidx, sets)
 	}
 	return out
-}
-
-// ExtractComponentsSpGEMM reproduces the paper's extraction step
-// literally: for each component's vertex set, build the induced adjacency
-// with row- and column-selection SpGEMMs and assemble the block-diagonal
-// sampled matrix A_S. It is used by tests and examples to demonstrate
-// equivalence with the edge-list assembly the trainers use.
-func ExtractComponentsSpGEMM(g *graph.Graph, visitedSets [][]int) *sparse.CSR {
-	adj := g.Adjacency()
-	blocks := make([]*sparse.CSR, len(visitedSets))
-	for i, set := range visitedSets {
-		blocks[i] = sparse.ExtractSubmatrix(adj, set)
-	}
-	return sparse.BlockDiag(blocks...)
-}
-
-// SubgraphAdjacency builds the block-diagonal adjacency matrix of a
-// sampled Subgraph (symmetric, unit values) — the A_S of the paper.
-func SubgraphAdjacency(s *Subgraph) *sparse.CSR {
-	return sparse.FromEdges(s.NumVertices(), s.Src, s.Dst, true)
 }

@@ -14,20 +14,6 @@ import (
 // are the kernels' own. With warmed workspace pools and reused outputs,
 // the sparse kernels must not touch the heap at all.
 
-func TestSpGEMMIntoZeroAllocsWarm(t *testing.T) {
-	r := rng.New(1)
-	a := randomCSR(r, 12, 12, 0.4)
-	b := randomCSR(r, 12, 12, 0.4)
-	out := new(CSR)
-	SpGEMMIntoCtx(kernels.Context{}, out, a, b) // warm pools and output storage
-	allocs := testing.AllocsPerRun(100, func() {
-		SpGEMMIntoCtx(kernels.Context{}, out, a, b)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm SpGEMMIntoCtx allocated %.1f per run, want 0", allocs)
-	}
-}
-
 func TestSpMMIntoZeroAllocsWarm(t *testing.T) {
 	r := rng.New(2)
 	a := randomCSR(r, 16, 16, 0.4)
@@ -57,16 +43,21 @@ func TestGatherRowsIntoZeroAllocsWarm(t *testing.T) {
 }
 
 // TestValueKernelAllocs bounds the value-returning sparse kernels at
-// their benchmark shapes on the serial path: SpGEMM allocates its CSR
-// (header, row pointers, column indices and values).
+// event-graph shapes: FromEdges allocates its CSR (header, row pointers,
+// column indices and values) and one row-cursor scratch, whatever the
+// edge count.
 func TestValueKernelAllocs(t *testing.T) {
-	a, b := benchCSR(2000, 8, 1), benchCSR(2000, 8, 2)
+	r := rng.New(1)
+	src, dst := make([]int, 8000), make([]int, 8000)
+	for k := range src {
+		src[k], dst[k] = r.Intn(2000), r.Intn(2000)
+	}
 	for _, tc := range []struct {
 		name string
 		max  float64
 		run  func()
 	}{
-		{"SpGEMM", 4, func() { SpGEMM(a, b) }},
+		{"FromEdges", 5, func() { FromEdges(2000, src, dst, true) }},
 	} {
 		if allocs := testing.AllocsPerRun(10, tc.run); allocs > tc.max {
 			t.Errorf("%s allocated %.1f per run, want ≤ %.0f", tc.name, allocs, tc.max)
@@ -116,23 +107,8 @@ func TestSpMMF32Bytes(t *testing.T) {
 }
 
 // Parity: the pooled/in-place variants must be bit-identical to the
-// allocating references, and SpGEMM must match the dense oracle.
-
-func TestSpGEMMIntoMatchesSpGEMMReference(t *testing.T) {
-	r := rng.New(4)
-	out := new(CSR)
-	for trial := 0; trial < 40; trial++ {
-		m, k, n := r.Intn(30)+1, r.Intn(30)+1, r.Intn(30)+1
-		a := randomCSR(r, m, k, 0.3)
-		b := randomCSR(r, k, n, 0.3)
-		ref := SpGEMM(a, b)
-		SpGEMMIntoCtx(kernels.Context{}, out, a, b) // reused output across trials
-		out.checkValid()
-		if !ref.Equal(out) {
-			t.Fatalf("trial %d: SpGEMMIntoCtx differs from SpGEMM", trial)
-		}
-	}
-}
+// allocating references, and the reference SpGEMM must match the dense
+// oracle.
 
 func TestSpGEMMMatchesDenseOracleRandomized(t *testing.T) {
 	r := rng.New(5)
@@ -195,10 +171,10 @@ func TestGatherRowsIntoMatchesReference(t *testing.T) {
 func TestCSRReleaseRecycles(t *testing.T) {
 	r := rng.New(8)
 	a := randomCSR(r, 10, 10, 0.4)
-	b := randomCSR(r, 10, 10, 0.4)
+	idx := []int{3, 9, 0, 3, 5}
 	out := new(CSR)
-	SpGEMMIntoCtx(kernels.Context{}, out, a, b)
-	want := SpGEMM(a, b)
+	GatherRowsInto(out, a, idx)
+	want := SpGEMM(RowSelection(idx, 10), a)
 	if !want.Equal(out) {
 		t.Fatal("precondition failed")
 	}
@@ -207,7 +183,7 @@ func TestCSRReleaseRecycles(t *testing.T) {
 		t.Fatal("Release left state behind")
 	}
 	// The released storage must be safely reusable.
-	SpGEMMIntoCtx(kernels.Context{}, out, a, b)
+	GatherRowsInto(out, a, idx)
 	if !want.Equal(out) {
 		t.Fatal("CSR reuse after Release corrupted result")
 	}

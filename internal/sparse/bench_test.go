@@ -12,13 +12,13 @@ import (
 // nnzPerRow nonzeros per row.
 func benchCSR(n, nnzPerRow int, seed uint64) *CSR {
 	r := rng.New(seed)
-	coo := NewCOO(n, n)
+	es := make([]entry, 0, n*nnzPerRow)
 	for i := 0; i < n; i++ {
 		for k := 0; k < nnzPerRow; k++ {
-			coo.Add(i, r.Intn(n), 1+r.Float64())
+			es = append(es, entry{i, r.Intn(n), 1 + r.Float64()})
 		}
 	}
-	return coo.ToCSR()
+	return csrOf(n, n, es)
 }
 
 func benchDense(rows, cols int, seed uint64) *tensor.Dense {
@@ -29,17 +29,6 @@ func benchDense(rows, cols int, seed uint64) *tensor.Dense {
 		d[i] = r.Float64()
 	}
 	return m
-}
-
-// BenchmarkSpGEMM measures the sparse×sparse product on a graph-like
-// operand pair (the Qd·A expansion shape of bulk sampling).
-func BenchmarkSpGEMM(b *testing.B) {
-	a := benchCSR(2000, 8, 1)
-	c := benchCSR(2000, 8, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SpGEMM(a, c)
-	}
 }
 
 // BenchmarkSpMM measures the sparse×dense product (message aggregation).

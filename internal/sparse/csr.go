@@ -1,8 +1,10 @@
 // Package sparse implements the sparse matrix kernels that matrix-based
-// bulk sampling (Figure 2 of the paper) is built from: COO/CSR storage,
-// SpGEMM and SpMM products, row/column selection matrices, per-row
-// nonzero sampling, and vertical stacking of selection matrices across
-// minibatches.
+// bulk sampling (Figure 2 of the paper) and the GNN run: CSR storage
+// built from edge lists, the row gather that computes the sampler's
+// selection product Q·A, per-row nonzero sampling, and the SpMM message
+// aggregation. The paper's general SpGEMM and selection-matrix
+// extraction (R·A·Rᵀ) are kept in reference.go as the oracle the tests
+// hold the row gather and the sampler's edge-list extraction to.
 //
 // Storage and kernels are generic over the value element type
 // (CSROf[T] for T in fp.Float); CSR aliases the float64 instantiation.
@@ -11,6 +13,9 @@
 package sparse
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/fp"
 	"repro/internal/workspace"
 )
@@ -35,15 +40,6 @@ func NewCSROf[T fp.Float](rows, cols int) *CSROf[T] {
 	return &CSROf[T]{RowsN: rows, ColsN: cols, RowPtr: make([]int, rows+1)}
 }
 
-// Rows returns the row count.
-func (m *CSROf[T]) Rows() int { return m.RowsN }
-
-// Cols returns the column count.
-func (m *CSROf[T]) Cols() int { return m.ColsN }
-
-// Nnz returns the number of stored nonzeros.
-func (m *CSROf[T]) Nnz() int { return len(m.ColIdx) }
-
 // RowNnz returns the number of nonzeros in row i.
 func (m *CSROf[T]) RowNnz(i int) int { return m.RowPtr[i+1] - m.RowPtr[i] }
 
@@ -53,31 +49,60 @@ func (m *CSROf[T]) Row(i int) (cols []int, vals []T) {
 	return m.ColIdx[lo:hi], m.Vals[lo:hi]
 }
 
-// Transpose returns mᵀ in CSR form.
-func (m *CSROf[T]) Transpose() *CSROf[T] {
-	out := &CSROf[T]{
-		RowsN:  m.ColsN,
-		ColsN:  m.RowsN,
-		RowPtr: make([]int, m.ColsN+1),
-		ColIdx: make([]int, m.Nnz()),
-		Vals:   make([]T, m.Nnz()),
+// FromEdges builds an n×n CSR adjacency matrix from an edge list with all
+// values 1. If symmetric, each edge is inserted in both directions.
+// Self-loops and duplicate edges collapse to a single unit entry. It
+// counts the entries of each row, places them, then sorts each row and
+// drops its repeated columns in place.
+func FromEdges(n int, src, dst []int, symmetric bool) *CSR {
+	if len(src) != len(dst) {
+		panic("sparse: FromEdges src/dst length mismatch")
 	}
-	// Count entries per output row (input column).
-	for _, c := range m.ColIdx {
-		out.RowPtr[c+1]++
+	out := &CSR{RowsN: n, ColsN: n, RowPtr: make([]int, n+1)}
+	for k, s := range src {
+		d := dst[k]
+		if s < 0 || s >= n || d < 0 || d >= n {
+			panic(fmt.Sprintf("sparse: FromEdges edge (%d,%d) outside %dx%d", s, d, n, n))
+		}
+		out.RowPtr[s+1]++
+		if symmetric && s != d {
+			out.RowPtr[d+1]++
+		}
 	}
-	for i := 0; i < m.ColsN; i++ {
+	for i := 0; i < n; i++ {
 		out.RowPtr[i+1] += out.RowPtr[i]
 	}
-	next := append([]int(nil), out.RowPtr[:m.ColsN]...)
-	for i := 0; i < m.RowsN; i++ {
-		cols, vals := m.Row(i)
-		for k, c := range cols {
-			pos := next[c]
-			out.ColIdx[pos] = i
-			out.Vals[pos] = vals[k]
-			next[c]++
+	cols := make([]int, out.RowPtr[n])
+	next := slices.Clone(out.RowPtr[:n])
+	for k, s := range src {
+		d := dst[k]
+		cols[next[s]] = d
+		next[s]++
+		if symmetric && s != d {
+			cols[next[d]] = s
+			next[d]++
 		}
+	}
+	// Compact row by row: the write cursor w never passes the row being
+	// read, so the unique sorted columns move down in place.
+	w, lo := 0, 0
+	for i := 0; i < n; i++ {
+		hi := out.RowPtr[i+1]
+		row := cols[lo:hi]
+		slices.Sort(row)
+		for k, c := range row {
+			if k == 0 || c != row[k-1] {
+				cols[w] = c
+				w++
+			}
+		}
+		out.RowPtr[i+1] = w
+		lo = hi
+	}
+	out.ColIdx = cols[:w]
+	out.Vals = make([]float64, w)
+	for i := range out.Vals {
+		out.Vals[i] = 1
 	}
 	return out
 }
@@ -122,42 +147,9 @@ func IncidenceInto[T fp.Float](out *CSROf[T], rows int, idx []int) *CSROf[T] {
 	return out
 }
 
-// BlockDiag assembles matrices along the diagonal: the result has
-// sum(rows)×sum(cols) shape with each input occupying its own block.
-// ShaDow's sampled adjacency "with b disjoint components" is exactly this.
-func BlockDiag[T fp.Float](ms ...*CSROf[T]) *CSROf[T] {
-	rows, cols, nnz := 0, 0, 0
-	for _, m := range ms {
-		rows += m.RowsN
-		cols += m.ColsN
-		nnz += m.Nnz()
-	}
-	out := &CSROf[T]{
-		RowsN:  rows,
-		ColsN:  cols,
-		RowPtr: make([]int, 0, rows+1),
-		ColIdx: make([]int, 0, nnz),
-		Vals:   make([]T, 0, nnz),
-	}
-	out.RowPtr = append(out.RowPtr, 0)
-	colOff, nnzOff := 0, 0
-	for _, m := range ms {
-		for i := 1; i <= m.RowsN; i++ {
-			out.RowPtr = append(out.RowPtr, nnzOff+m.RowPtr[i])
-		}
-		for _, c := range m.ColIdx {
-			out.ColIdx = append(out.ColIdx, c+colOff)
-		}
-		out.Vals = append(out.Vals, m.Vals...)
-		colOff += m.ColsN
-		nnzOff += m.Nnz()
-	}
-	return out
-}
-
 // Release returns the matrix's storage to the workspace pools and leaves
 // m empty. Only call it on matrices whose storage the caller exclusively
-// owns (e.g. scratch CSRs filled by SpGEMMIntoCtx/GatherRowsInto); rows
+// owns (e.g. scratch CSRs filled by GatherRowsInto); rows
 // returned by Row alias that storage and must no longer be in use.
 func (m *CSROf[T]) Release() {
 	workspace.PutInt(m.RowPtr)
@@ -165,24 +157,6 @@ func (m *CSROf[T]) Release() {
 	workspace.PutFloat(m.Vals)
 	m.RowPtr, m.ColIdx, m.Vals = nil, nil, nil
 	m.RowsN, m.ColsN = 0, 0
-}
-
-// Equal reports exact structural and numeric equality.
-func (m *CSROf[T]) Equal(o *CSROf[T]) bool {
-	if m.RowsN != o.RowsN || m.ColsN != o.ColsN || m.Nnz() != o.Nnz() {
-		return false
-	}
-	for i := range m.RowPtr {
-		if m.RowPtr[i] != o.RowPtr[i] {
-			return false
-		}
-	}
-	for i := range m.ColIdx {
-		if m.ColIdx[i] != o.ColIdx[i] || m.Vals[i] != o.Vals[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // checkValid panics if the CSR invariants are violated (used in tests).

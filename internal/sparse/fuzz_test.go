@@ -7,8 +7,8 @@ import (
 // decodeEdges interprets fuzz bytes as a small graph: first byte sizes
 // the vertex set, the rest pair up into (src, dst) edges reduced mod n.
 // Every decoded graph is structurally valid input — the fuzzing surface
-// is the CSR construction and SpGEMM symbolic/numeric passes, which
-// must uphold their invariants for ANY edge list, not crash on one.
+// is the CSR construction and the reference SpGEMM, which must uphold
+// their invariants for ANY edge list, not crash on one.
 func decodeEdges(data []byte) (n int, src, dst []int) {
 	if len(data) == 0 {
 		return 1, nil, nil
@@ -46,7 +46,7 @@ func checkCSRInvariants(t *testing.T, m *CSR) {
 	}
 }
 
-// FuzzCSRFromEdges: CSR construction (COO sort+dedup path) upholds its
+// FuzzCSRFromEdges: CSR construction (per-row sort and dedup) upholds its
 // invariants and agrees with a brute-force dense adjacency for any edge
 // list, symmetric or not.
 func FuzzCSRFromEdges(f *testing.F) {
@@ -78,7 +78,7 @@ func FuzzCSRFromEdges(f *testing.F) {
 	})
 }
 
-// FuzzSpGEMM: the two-pass symbolic+numeric SpGEMM produces a valid CSR
+// FuzzSpGEMM: the reference SpGEMM produces a valid CSR
 // that matches the dense reference product A·B for arbitrary sparse
 // operands (B = Aᵀ so shapes always agree and transposition is stressed
 // too).
@@ -116,8 +116,8 @@ func FuzzSpGEMM(f *testing.F) {
 				}
 			}
 		}
-		// The symbolic pass must not fabricate stored zeros outside the
-		// structural product: every stored entry needs a matching k.
+		// No stored entry outside the structural product: every stored
+		// entry needs a matching k.
 		for i := 0; i < n; i++ {
 			cols, _ := c.Row(i)
 			for _, j := range cols {

@@ -51,18 +51,6 @@ func bits32Equal(t *testing.T, name string, want, got *tensor.Matrix[float32]) {
 	}
 }
 
-func TestSpGEMM32WorkerCountParity(t *testing.T) {
-	a := fixture32(300, 6, 1)
-	b := fixture32(300, 6, 2)
-	ref := SpGEMMIntoCtx(kernels.Context{Workers: 1}, new(CSROf[float32]), a, b)
-	for _, w := range []int{2, 4, 7} {
-		got := SpGEMMIntoCtx(kernels.Context{Workers: w}, new(CSROf[float32]), a, b)
-		if !ref.Equal(got) {
-			t.Fatalf("f32 SpGEMM differs at %d workers", w)
-		}
-	}
-}
-
 func TestSpMM32WorkerCountParity(t *testing.T) {
 	a := fixture32(300, 6, 1)
 	x := dense32Of(benchDense(300, 16, 3), 3)
@@ -104,14 +92,10 @@ func TestSpMM32MatchesF64WithinTolerance(t *testing.T) {
 
 func TestSparse32ZeroAllocsWarm(t *testing.T) {
 	a := fixture32(64, 4, 1)
-	b := fixture32(64, 4, 2)
 	x := dense32Of(benchDense(64, 8, 3), 3)
 	res := dense32Of(benchDense(64, 8, 4), 4)
 	out := tensor.NewOf[float32](64, 8)
-	prod := new(CSROf[float32])
-	SpGEMMIntoCtx(kernels.Context{}, prod, a, b) // warm the pooled storage
 	allocs := testing.AllocsPerRun(100, func() {
-		SpGEMMIntoCtx(kernels.Context{}, prod, a, b)
 		SpMMIntoCtx(kernels.Context{}, out, a, x)
 		SpMMAddIntoCtx(kernels.Context{}, out, a, x, res)
 	})

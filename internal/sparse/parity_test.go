@@ -28,19 +28,6 @@ func denseBitsEqual(t *testing.T, name string, want, got *tensor.Dense) {
 	}
 }
 
-func TestSpGEMMWorkerCountParity(t *testing.T) {
-	r := rng.New(21)
-	a := randomCSR(r, 67, 53, 0.15)
-	b := randomCSR(r, 53, 41, 0.15)
-	ref := SpGEMMIntoCtx(kernels.Context{Workers: 1}, new(CSR), a, b)
-	for _, w := range parityWorkers[1:] {
-		got := SpGEMMIntoCtx(kernels.Context{Workers: w}, new(CSR), a, b)
-		if !ref.Equal(got) {
-			t.Fatalf("SpGEMM at %d workers differs from 1 worker", w)
-		}
-	}
-}
-
 func TestSpMMWorkerCountParity(t *testing.T) {
 	r := rng.New(22)
 	a := randomCSR(r, 67, 53, 0.2)

@@ -1,41 +1,16 @@
 package sparse
 
 import (
-	"fmt"
-
 	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/workspace"
 )
 
-// RowSelection builds the k×n selection matrix with a single unit nonzero
-// per row at column idx[i]. Multiplying RowSelection(idx, n) × A extracts
-// rows idx of A — the Q matrices of matrix-based sampling are exactly
-// these.
-func RowSelection(idx []int, n int) *CSR {
-	out := &CSR{
-		RowsN:  len(idx),
-		ColsN:  n,
-		RowPtr: make([]int, len(idx)+1),
-		ColIdx: make([]int, len(idx)),
-		Vals:   make([]float64, len(idx)),
-	}
-	for i, j := range idx {
-		if j < 0 || j >= n {
-			panic(fmt.Sprintf("sparse: selection index %d outside [0,%d)", j, n))
-		}
-		out.RowPtr[i+1] = i + 1
-		out.ColIdx[i] = j
-		out.Vals[i] = 1
-	}
-	return out
-}
-
 // GatherRowsInto writes into out the matrix whose i-th row is m's row
 // idx[i]. This is the specialized Q·A product for a row-selection matrix
 // Q with one unit nonzero per row — the structure the sampling Q
-// matrices always have — and avoids the general SpGEMM accumulator;
-// equivalence with SpGEMM(RowSelection(idx, n), A) is covered by tests.
+// matrices always have — and needs no product accumulator; tests hold
+// it to the reference SpGEMM(RowSelection(idx, n), A) (reference.go).
 // out's storage is reused when large enough and grown through the
 // workspace pools otherwise — this is how the bulk sampler reuses one
 // Q·A product matrix across all k stacked minibatches and all walk
@@ -67,15 +42,6 @@ func GatherRowsInto(out *CSR, m *CSR, idx []int) *CSR {
 		}
 	})
 	return out
-}
-
-// ExtractSubmatrix returns A[idx, idx] computed with the paper's
-// row-and-column-selection SpGEMM formulation: R·A·Rᵀ where R is the
-// RowSelection matrix of idx. Output row/column i corresponds to vertex
-// idx[i].
-func ExtractSubmatrix(a *CSR, idx []int) *CSR {
-	r := RowSelection(idx, a.RowsN)
-	return SpGEMM(SpGEMM(r, a), r.Transpose())
 }
 
 // SampleRowsResult is the output of SampleRowsStreams: for each input

@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,51 +11,45 @@ import (
 	"repro/internal/tensor"
 )
 
+// entry is one (row, column, value) triple for csrOf.
+type entry struct {
+	r, c int
+	v    float64
+}
+
+// csrOf builds a rows×cols CSR from entries in any order, sorting them
+// by (row, column) and summing the values of repeated coordinates.
+func csrOf(rows, cols int, es []entry) *CSR {
+	slices.SortStableFunc(es, func(a, b entry) int {
+		return cmp.Or(cmp.Compare(a.r, b.r), cmp.Compare(a.c, b.c))
+	})
+	out := &CSR{RowsN: rows, ColsN: cols, RowPtr: make([]int, rows+1)}
+	for k, e := range es {
+		if k > 0 && e.r == es[k-1].r && e.c == es[k-1].c {
+			out.Vals[len(out.Vals)-1] += e.v
+			continue
+		}
+		out.ColIdx = append(out.ColIdx, e.c)
+		out.Vals = append(out.Vals, e.v)
+		out.RowPtr[e.r+1]++
+	}
+	for i := 0; i < rows; i++ {
+		out.RowPtr[i+1] += out.RowPtr[i]
+	}
+	return out
+}
+
 // randomCSR generates a random rows×cols CSR with the given density.
 func randomCSR(r *rng.Rand, rows, cols int, density float64) *CSR {
-	coo := NewCOO(rows, cols)
+	var es []entry
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
 			if r.Float64() < density {
-				coo.Add(i, j, r.NormFloat64())
+				es = append(es, entry{i, j, r.NormFloat64()})
 			}
 		}
 	}
-	return coo.ToCSR()
-}
-
-func TestCOOToCSRSumsDuplicates(t *testing.T) {
-	coo := NewCOO(2, 3)
-	coo.Add(0, 1, 1)
-	coo.Add(0, 1, 2)
-	coo.Add(1, 2, 5)
-	coo.Add(0, 0, -1)
-	csr := coo.ToCSR()
-	csr.checkValid()
-	if csr.At(0, 1) != 3 || csr.At(0, 0) != -1 || csr.At(1, 2) != 5 {
-		t.Fatalf("duplicate sum wrong: %v", csr.ToDense())
-	}
-	if csr.Nnz() != 3 {
-		t.Fatalf("nnz %d, want 3", csr.Nnz())
-	}
-}
-
-func TestCSRCOORoundTrip(t *testing.T) {
-	check := func(seed uint64) bool {
-		r := rng.New(seed)
-		a := randomCSR(r, r.Intn(15)+1, r.Intn(15)+1, 0.3)
-		coo := NewCOO(a.Rows(), a.Cols())
-		for i := 0; i < a.Rows(); i++ {
-			cols, vals := a.Row(i)
-			for k, c := range cols {
-				coo.Add(i, c, vals[k])
-			}
-		}
-		return coo.ToCSR().Equal(a)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
+	return csrOf(rows, cols, es)
 }
 
 func TestDenseRoundTrip(t *testing.T) {
@@ -193,6 +189,20 @@ func TestFromEdgesSymmetric(t *testing.T) {
 	}
 	if a.At(1, 2) != 1 || a.Nnz() != 4 {
 		t.Fatalf("duplicate edge not collapsed: nnz=%d", a.Nnz())
+	}
+	for name, build := range map[string]func(){
+		"length mismatch": func() { FromEdges(4, []int{0, 1}, []int{1}, true) },
+		"source ≥ n":      func() { FromEdges(4, []int{4}, []int{1}, false) },
+		"negative dest":   func() { FromEdges(4, []int{0}, []int{-1}, true) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: FromEdges did not panic", name)
+				}
+			}()
+			build()
+		}()
 	}
 }
 
@@ -342,14 +352,13 @@ func assembleRows(rows, cols int, rowCols [][]int, rowVals [][]float64) *CSR {
 
 // fromDense converts a dense matrix to CSR, dropping exact zeros.
 func fromDense(d *tensor.Dense) *CSR {
-	coo := NewCOO(d.Rows(), d.Cols())
+	var es []entry
 	for i := 0; i < d.Rows(); i++ {
-		row := d.Row(i)
-		for j, v := range row {
+		for j, v := range d.Row(i) {
 			if v != 0 {
-				coo.Add(i, j, v)
+				es = append(es, entry{i, j, v})
 			}
 		}
 	}
-	return coo.ToCSR()
+	return csrOf(d.Rows(), d.Cols(), es)
 }

@@ -1,10 +1,10 @@
 // Package workspace provides reusable host-memory scratch buffers for the
 // hot kernels of the pipeline: size-bucketed, goroutine-safe pools of
-// []float64, []int, and []bool slices, plus an Arena that checkpoints and
+// float, int, int8 and int32 slices, plus an Arena that checkpoints and
 // releases groups of allocations together (one arena per trainer rank,
 // reset between optimizer steps).
 //
-// The pools exist because every stage of the paper's pipeline — SpGEMM
+// The pools exist because every stage of the paper's pipeline — the Q·A
 // neighborhood expansion, SpMM aggregation, dense GEMM in the MLPs, and
 // the autograd tape built for every training step — otherwise allocates
 // fresh output buffers per call, and at bulk-sampling scale the garbage
@@ -151,12 +151,11 @@ func (p *typedPools[T]) put(s []T) {
 }
 
 var (
-	f64Pools  = &typedPools[float64]{elemBytes: 8}
-	f32Pools  = &typedPools[float32]{elemBytes: 4}
-	intPools  = &typedPools[int]{elemBytes: 8}
-	boolPools = &typedPools[bool]{elemBytes: 1}
-	i8Pools   = &typedPools[int8]{elemBytes: 1}
-	i32Pools  = &typedPools[int32]{elemBytes: 4}
+	f64Pools = &typedPools[float64]{elemBytes: 8}
+	f32Pools = &typedPools[float32]{elemBytes: 4}
+	intPools = &typedPools[int]{elemBytes: 8}
+	i8Pools  = &typedPools[int8]{elemBytes: 1}
+	i32Pools = &typedPools[int32]{elemBytes: 4}
 )
 
 // floatPool returns the shared bucketed pool set for the float element
@@ -198,12 +197,6 @@ func GetInt(n int) []int { return intPools.get(n) }
 
 // PutInt returns a slice obtained from GetInt to the pools.
 func PutInt(s []int) { intPools.put(s) }
-
-// GetBool returns a zeroed []bool of length n from the pools.
-func GetBool(n int) []bool { return boolPools.get(n) }
-
-// PutBool returns a slice obtained from GetBool to the pools.
-func PutBool(s []bool) { boolPools.put(s) }
 
 // GetI8 returns a zeroed []int8 of length n from the pools — the int8
 // GEMM's packed weight panels.

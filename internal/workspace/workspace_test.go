@@ -48,19 +48,16 @@ func TestGetReturnsZeroed(t *testing.T) {
 
 func TestIntAndBoolPools(t *testing.T) {
 	is := GetInt(33)
-	bs := GetBool(500)
-	if len(is) != 33 || len(bs) != 500 {
-		t.Fatal("wrong lengths")
+	if len(is) != 33 {
+		t.Fatal("wrong length")
 	}
-	is[0], bs[0] = 7, true
+	is[0] = 7
 	PutInt(is)
-	PutBool(bs)
-	is2, bs2 := GetInt(33), GetBool(500)
-	if is2[0] != 0 || bs2[0] {
-		t.Fatal("recycled slices not zeroed")
+	is2 := GetInt(33)
+	if is2[0] != 0 {
+		t.Fatal("recycled slice not zeroed")
 	}
 	PutInt(is2)
-	PutBool(bs2)
 }
 
 func TestOversizeRequestsFallThrough(t *testing.T) {
