@@ -5,9 +5,9 @@
 //
 // The op set is exactly what the Exa.TrkX pipeline needs: affine layers
 // over virtual column segments (Linear, which reads the Interaction GNN's
-// concatenation residuals and endpoint gathers in place), activations,
-// row gather/scatter (message passing on edges), layer normalization, and
-// the losses used by the embedding, filter, and GNN stages.
+// concatenation residuals and endpoint gathers in place) with the ReLU in
+// their epilogue, row gather/scatter (message passing on edges), and the
+// losses used by the embedding, filter, and GNN stages.
 //
 // Tapes can be bound to a workspace.Arena (NewTapeArena): every
 // activation and gradient buffer the tape creates is then borrowed from

@@ -110,19 +110,11 @@ func TestActivationGrads(t *testing.T) {
 		}
 	}
 	x := NewParam("x", base)
-	acts := map[string]func(*Tape, *Node) *Node{
-		"relu":    func(tp *Tape, n *Node) *Node { return tp.ReLU(n) },
-		"sigmoid": func(tp *Tape, n *Node) *Node { return tp.Sigmoid(n) },
-		"tanh":    func(tp *Tape, n *Node) *Node { return tp.Tanh(n) },
-	}
-	for name, act := range acts {
-		act := act
-		checkGrad(t, name, []*Param{x}, func() (*Tape, *Node) {
-			tp := NewTapeArena(nil)
-			out := act(tp, tp.Use(x))
-			return tp, tp.mean(tp.Mul(out, out))
-		})
-	}
+	checkGrad(t, "relu", []*Param{x}, func() (*Tape, *Node) {
+		tp := NewTapeArena(nil)
+		out := tp.ReLU(tp.Use(x))
+		return tp, tp.mean(tp.Mul(out, out))
+	})
 }
 
 func TestReductionGrads(t *testing.T) {
@@ -150,18 +142,6 @@ func TestElementwiseGrads(t *testing.T) {
 		tp := NewTapeArena(nil)
 		an, bn := tp.Use(a), tp.Use(b)
 		out := tp.Mul(tp.Add(an, tp.Scale(0.5, bn)), tp.Sub(an, bn))
-		return tp, tp.mean(tp.Mul(out, out))
-	})
-}
-
-func TestLayerNormGrad(t *testing.T) {
-	r := rng.New(7)
-	x := NewParam("x", tensor.RandN(r, 4, 6, 1))
-	gain := NewParam("g", tensor.RandUniform(r, 1, 6, 0.5, 1.5))
-	bias := NewParam("b", tensor.RandN(r, 1, 6, 0.5))
-	checkGrad(t, "layernorm", []*Param{x, gain, bias}, func() (*Tape, *Node) {
-		tp := NewTapeArena(nil)
-		out := tp.LayerNorm(tp.Use(x), tp.Use(gain), tp.Use(bias), 1e-5)
 		return tp, tp.mean(tp.Mul(out, out))
 	})
 }

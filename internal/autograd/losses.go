@@ -118,3 +118,12 @@ func (t *Tape) HingePairLoss(d2 *Node, labels []float64, margin float64) *Node {
 	}
 	return out
 }
+
+// sigmoid is the numerically stable logistic function.
+func sigmoid(x float64) float64 {
+	if x >= 0 {
+		return 1 / (1 + math.Exp(-x))
+	}
+	e := math.Exp(x)
+	return e / (1 + e)
+}

@@ -43,7 +43,7 @@ func TestStrategyString(t *testing.T) {
 }
 
 func TestBucketLayout(t *testing.T) {
-	m := nn.NewMLP(rng.New(3), "b", nn.MLPConfig{In: 8, Hidden: []int{16, 16}, Out: 4, Activation: nn.ReLU})
+	m := nn.NewMLP(rng.New(3), "b", nn.MLPConfig{In: 8, Hidden: []int{16, 16}, Out: 4})
 	params := m.Params()
 	total := nn.GradElements(params)
 	// Per-matrix: one bucket per parameter, tiling [0, total) in order.

@@ -56,10 +56,9 @@ func New(cfg Config, r *rng.Rand) *Embedder {
 	return &Embedder{
 		cfg: cfg,
 		mlp: nn.NewMLP(r, "embed", nn.MLPConfig{
-			In:         cfg.InputFeatures,
-			Hidden:     hidden,
-			Out:        cfg.EmbedDim,
-			Activation: nn.ReLU,
+			In:     cfg.InputFeatures,
+			Hidden: hidden,
+			Out:    cfg.EmbedDim,
 		}),
 	}
 }

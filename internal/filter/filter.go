@@ -65,10 +65,9 @@ func New(cfg Config, r *rng.Rand) *EdgeFilter {
 	return &EdgeFilter{
 		cfg: cfg,
 		mlp: nn.NewMLP(r, "filter", nn.MLPConfig{
-			In:         2*cfg.NodeFeatures + cfg.EdgeFeatures,
-			Hidden:     hidden,
-			Out:        1,
-			Activation: nn.ReLU,
+			In:     2*cfg.NodeFeatures + cfg.EdgeFeatures,
+			Hidden: hidden,
+			Out:    1,
 		}),
 	}
 }

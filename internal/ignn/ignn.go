@@ -21,7 +21,6 @@ type Config struct {
 	EdgeFeatures int // input per-edge feature width
 	Hidden       int // hidden width f (paper: 64)
 	Steps        int // message-passing iterations L (paper: 8)
-	LayerNorm    bool
 }
 
 // Model is an Interaction GNN for binary edge classification.
@@ -41,29 +40,21 @@ func New(cfg Config, r *rng.Rand) *Model {
 	}
 	h := cfg.Hidden
 	m := &Model{cfg: cfg}
-	m.nodeEncoder = nn.NewMLP(r, "ignn.nodeEnc", nn.MLPConfig{
-		In: cfg.NodeFeatures, Hidden: []int{h}, Out: h, Activation: nn.ReLU, LayerNorm: cfg.LayerNorm,
-	})
-	m.edgeEncoder = nn.NewMLP(r, "ignn.edgeEnc", nn.MLPConfig{
-		In: cfg.EdgeFeatures, Hidden: []int{h}, Out: h, Activation: nn.ReLU, LayerNorm: cfg.LayerNorm,
-	})
+	m.nodeEncoder = nn.NewMLP(r, "ignn.nodeEnc", nn.MLPConfig{In: cfg.NodeFeatures, Hidden: []int{h}, Out: h})
+	m.edgeEncoder = nn.NewMLP(r, "ignn.edgeEnc", nn.MLPConfig{In: cfg.EdgeFeatures, Hidden: []int{h}, Out: h})
 	for l := 0; l < cfg.Steps; l++ {
 		// X' and Y' are [current ‖ initial] → width 2h each.
-		m.edgeNets = append(m.edgeNets, nn.NewMLP(r, fmt.Sprintf("ignn.edge%d", l), nn.MLPConfig{
-			In: 6 * h, Hidden: []int{h}, Out: h, Activation: nn.ReLU, LayerNorm: cfg.LayerNorm,
-		}))
+		m.edgeNets = append(m.edgeNets, nn.NewMLP(r, fmt.Sprintf("ignn.edge%d", l),
+			nn.MLPConfig{In: 6 * h, Hidden: []int{h}, Out: h}))
 		if l < cfg.Steps-1 {
 			// Algorithm 1 computes X_{l+1} on the final iteration too, but
 			// the classifier consumes only Y_L, so that update is dead
 			// weight; we omit it and save its compute and activations.
-			m.nodeNets = append(m.nodeNets, nn.NewMLP(r, fmt.Sprintf("ignn.node%d", l), nn.MLPConfig{
-				In: 4 * h, Hidden: []int{h}, Out: h, Activation: nn.ReLU, LayerNorm: cfg.LayerNorm,
-			}))
+			m.nodeNets = append(m.nodeNets, nn.NewMLP(r, fmt.Sprintf("ignn.node%d", l),
+				nn.MLPConfig{In: 4 * h, Hidden: []int{h}, Out: h}))
 		}
 	}
-	m.head = nn.NewMLP(r, "ignn.head", nn.MLPConfig{
-		In: h, Hidden: []int{h}, Out: 1, Activation: nn.ReLU,
-	})
+	m.head = nn.NewMLP(r, "ignn.head", nn.MLPConfig{In: h, Hidden: []int{h}, Out: 1})
 	return m
 }
 
@@ -148,8 +139,7 @@ func (m *Model) Forward(t *autograd.Tape, src, dst []int, x, y *tensor.Dense) *a
 // — the quantity the paper's full-graph trainer compares against GPU
 // memory before deciding to skip a graph. It counts what Forward records
 // (Tape.ActivationElements, which leaves out parameters and Identity
-// views): the two input matrices, and per MLP the output of every layer,
-// plus each hidden layer's LayerNorm output when cfg.LayerNorm is set.
+// views): the two input matrices, and per MLP the output of every layer.
 // Bias and ReLU run inside each layer's GEMM and the concatenations are
 // read as segments, so nothing else is stored; per step that is the edge
 // network's activations over E rows and, on every step but the last,
@@ -158,15 +148,12 @@ func (m *Model) Forward(t *autograd.Tape, src, dst []int, x, y *tensor.Dense) *a
 func EstimateActivationElements(cfg Config, n, mEdges int) int {
 	h := cfg.Hidden
 	// perRow is what a one-hidden-layer MLP with h-wide output stores per
-	// input row: the hidden activation, its LayerNorm, the output.
+	// input row: the hidden activation and the output.
 	perRow := 2 * h
-	if cfg.LayerNorm {
-		perRow += h
-	}
 	inputs := n*cfg.NodeFeatures + mEdges*cfg.EdgeFeatures
 	encoders := (n + mEdges) * perRow
 	edgeSteps := cfg.Steps * mEdges * perRow
 	nodeSteps := (cfg.Steps - 1) * n * (2*h + perRow)
-	head := mEdges * (h + 1) // hidden + logits; the head has no LayerNorm
+	head := mEdges * (h + 1) // hidden + logits
 	return inputs + encoders + edgeSteps + nodeSteps + head
 }

@@ -62,8 +62,8 @@ func TestParamCountScalesWithSteps(t *testing.T) {
 	m2 := New(cfg, r)
 	cfg.Steps = 4
 	m4 := New(cfg, r)
-	// Each extra step adds an edge MLP + node MLP (4 params each without
-	// layer norm: two linear layers ×(W,b)).
+	// Each extra step adds an edge MLP + node MLP (4 params each: two
+	// linear layers ×(W,b)).
 	extra := len(m4.Params()) - len(m2.Params())
 	if extra != 2*2*4 {
 		t.Fatalf("extra params for 2 extra steps: %d, want 16", extra)
@@ -147,27 +147,25 @@ func TestLearnsEdgeParity(t *testing.T) {
 }
 
 // TestEstimateActivationElementsTracksTape holds the estimate within
-// ±10% of what a forward tape stores, with and without LayerNorm, on the
-// ring and on a multigraph with repeated endpoints and self-loops.
+// ±10% of what a forward tape stores, on the ring and on a multigraph
+// with repeated endpoints and self-loops.
 func TestEstimateActivationElementsTracksTape(t *testing.T) {
-	for _, layerNorm := range []bool{false, true} {
-		cfg := Config{NodeFeatures: 3, EdgeFeatures: 2, Hidden: 16, Steps: 3, LayerNorm: layerNorm}
-		m := New(cfg, rng.New(9))
-		rs, rd, rx, ry := ring(rng.New(10), 40, cfg)
-		gs, gd, gx, gy := randomGraph(rng.New(11), 23, 71, cfg)
-		for _, g := range []struct {
-			name     string
-			src, dst []int
-			x, y     *tensor.Dense
-		}{{"ring", rs, rd, rx, ry}, {"multigraph", gs, gd, gx, gy}} {
-			tp := autograd.NewTapeArena(nil)
-			m.Forward(tp, g.src, g.dst, g.x, g.y)
-			actual := tp.ActivationElements()
-			est := EstimateActivationElements(cfg, g.x.Rows(), len(g.src))
-			if ratio := float64(est) / float64(actual); ratio < 0.9 || ratio > 1.1 {
-				t.Fatalf("%s, LayerNorm %v: estimate %d vs actual %d (ratio %v) outside [0.9, 1.1]",
-					g.name, layerNorm, est, actual, ratio)
-			}
+	cfg := Config{NodeFeatures: 3, EdgeFeatures: 2, Hidden: 16, Steps: 3}
+	m := New(cfg, rng.New(9))
+	rs, rd, rx, ry := ring(rng.New(10), 40, cfg)
+	gs, gd, gx, gy := randomGraph(rng.New(11), 23, 71, cfg)
+	for _, g := range []struct {
+		name     string
+		src, dst []int
+		x, y     *tensor.Dense
+	}{{"ring", rs, rd, rx, ry}, {"multigraph", gs, gd, gx, gy}} {
+		tp := autograd.NewTapeArena(nil)
+		m.Forward(tp, g.src, g.dst, g.x, g.y)
+		actual := tp.ActivationElements()
+		est := EstimateActivationElements(cfg, g.x.Rows(), len(g.src))
+		if ratio := float64(est) / float64(actual); ratio < 0.9 || ratio > 1.1 {
+			t.Fatalf("%s: estimate %d vs actual %d (ratio %v) outside [0.9, 1.1]",
+				g.name, est, actual, ratio)
 		}
 	}
 }
@@ -200,8 +198,7 @@ func TestForwardValidation(t *testing.T) {
 }
 
 // concatMLP is nn.MLP.ForwardSegs over a materialised input, composed
-// from the unfused tape ops: MatMul, AddBias, ReLU and LayerNorm nodes
-// per layer.
+// from the unfused tape ops: MatMul, AddBias and ReLU nodes per layer.
 func concatMLP(t *autograd.Tape, m *nn.MLP, x *autograd.Node) *autograd.Node {
 	ps, nl := m.Params(), m.NumLayers()
 	h := x
@@ -211,9 +208,6 @@ func concatMLP(t *autograd.Tape, m *nn.MLP, x *autograd.Node) *autograd.Node {
 			return h
 		}
 		h = t.ReLU(h)
-		if len(ps) > 2*nl { // the LayerNorm gains and biases follow the linear layers
-			h = t.LayerNorm(h, t.Use(ps[2*nl+2*i]), t.Use(ps[2*nl+2*i+1]), 1e-5)
-		}
 	}
 }
 
@@ -244,52 +238,49 @@ func concatForward(t *autograd.Tape, m *Model, src, dst []int, x, y *tensor.Dens
 
 // TestForwardMatchesConcatFormulationBitwise is the differential test of
 // the segmented training forward: loss and every parameter gradient are
-// Float64bits-equal to the concat formulation's, with LayerNorm off and
-// on, at every intra-op worker count. Hidden 18 puts every backward GEMM
-// on its AVX tiles and their remainders, and the multigraph has repeated
-// endpoints and self-loops.
+// Float64bits-equal to the concat formulation's at every intra-op worker
+// count. Hidden 18 puts every backward GEMM on its AVX tiles and their
+// remainders, and the multigraph has repeated endpoints and self-loops.
 func TestForwardMatchesConcatFormulationBitwise(t *testing.T) {
-	for _, layerNorm := range []bool{false, true} {
-		cfg := Config{NodeFeatures: 3, EdgeFeatures: 2, Hidden: 18, Steps: 3, LayerNorm: layerNorm}
-		m := New(cfg, rng.New(21))
-		jitter(m, 22)
-		src, dst, x, y := randomGraph(rng.New(23), 19, 53, cfg)
-		labels := make([]float64, len(src))
-		for i := range labels {
-			labels[i] = float64(i % 3 % 2)
+	cfg := Config{NodeFeatures: 3, EdgeFeatures: 2, Hidden: 18, Steps: 3}
+	m := New(cfg, rng.New(21))
+	jitter(m, 22)
+	src, dst, x, y := randomGraph(rng.New(23), 19, 53, cfg)
+	labels := make([]float64, len(src))
+	for i := range labels {
+		labels[i] = float64(i % 3 % 2)
+	}
+	step := func(tp *autograd.Tape, forward func(*autograd.Tape) *autograd.Node) (float64, [][]float64) {
+		for _, p := range m.Params() {
+			p.ZeroGrad()
 		}
-		step := func(tp *autograd.Tape, forward func(*autograd.Tape) *autograd.Node) (float64, [][]float64) {
-			for _, p := range m.Params() {
-				p.ZeroGrad()
-			}
-			loss := tp.BCEWithLogitsSum(forward(tp), labels, 1.5)
-			tp.Backward(loss)
-			var grads [][]float64
-			for _, p := range m.Params() {
-				grads = append(grads, append([]float64(nil), p.Grad.Data()...))
-			}
-			return loss.Value.At(0, 0), grads
+		loss := tp.BCEWithLogitsSum(forward(tp), labels, 1.5)
+		tp.Backward(loss)
+		var grads [][]float64
+		for _, p := range m.Params() {
+			grads = append(grads, append([]float64(nil), p.Grad.Data()...))
 		}
-		wantLoss, want := step(autograd.NewTapeArena(nil), func(tp *autograd.Tape) *autograd.Node {
-			return concatForward(tp, m, src, dst, x, y)
+		return loss.Value.At(0, 0), grads
+	}
+	wantLoss, want := step(autograd.NewTapeArena(nil), func(tp *autograd.Tape) *autograd.Node {
+		return concatForward(tp, m, src, dst, x, y)
+	})
+	for _, w := range []int{1, 2, 4, 7} {
+		arena := workspace.NewArena()
+		tp := autograd.NewTapeArena(arena)
+		tp.SetKernels(kernels.Context{Workers: w})
+		gotLoss, got := step(tp, func(tp *autograd.Tape) *autograd.Node {
+			return m.Forward(tp, src, dst, x, y)
 		})
-		for _, w := range []int{1, 2, 4, 7} {
-			arena := workspace.NewArena()
-			tp := autograd.NewTapeArena(arena)
-			tp.SetKernels(kernels.Context{Workers: w})
-			gotLoss, got := step(tp, func(tp *autograd.Tape) *autograd.Node {
-				return m.Forward(tp, src, dst, x, y)
-			})
-			arena.Reset()
-			if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
-				t.Fatalf("LayerNorm %v, %d workers: loss %v, concat formulation %v", layerNorm, w, gotLoss, wantLoss)
-			}
-			for i, p := range m.Params() {
-				for j := range want[i] {
-					if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
-						t.Fatalf("LayerNorm %v, %d workers: %s gradient element %d is %v, concat formulation %v",
-							layerNorm, w, p.Name, j, got[i][j], want[i][j])
-					}
+		arena.Reset()
+		if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+			t.Fatalf("%d workers: loss %v, concat formulation %v", w, gotLoss, wantLoss)
+		}
+		for i, p := range m.Params() {
+			for j := range want[i] {
+				if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+					t.Fatalf("%d workers: %s gradient element %d is %v, concat formulation %v",
+						w, p.Name, j, got[i][j], want[i][j])
 				}
 			}
 		}

@@ -17,9 +17,8 @@ import (
 
 var inferenceWorkers = []int{1, 2, 3}
 
-// jitter perturbs every parameter in place, so biases and LayerNorm
-// shifts stop being the zeros (and gains the ones) a fresh model has
-// and the GEMM epilogue has something to add.
+// jitter perturbs every parameter in place, so biases stop being the
+// zeros a fresh model has and the GEMM epilogue has something to add.
 func jitter(m *Model, seed uint64) {
 	r := rng.New(seed)
 	for _, p := range m.Params() {
@@ -64,30 +63,27 @@ func scoresBitsEqual(t *testing.T, name string, want, got []float64) {
 
 // TestInferenceF64MatchesTapeScores keeps tape == inference a gate now
 // that serving no longer runs the tape: the float64 view
-// reproduces an explicit Forward on a tape bit for bit, with and
-// without LayerNorm, at every worker count.
+// reproduces an explicit Forward on a tape bit for bit, at every worker
+// count.
 func TestInferenceF64MatchesTapeScores(t *testing.T) {
-	for _, layerNorm := range []bool{false, true} {
-		cfg := tinyConfig()
-		cfg.LayerNorm = layerNorm
-		m := New(cfg, rng.New(3))
-		jitter(m, 30)
-		src, dst, x, y := ring(rng.New(4), 24, cfg)
-		want := tapeScores(m, src, dst, x, y)
-		arena := workspace.NewArena()
-		defer arena.Reset()
-		for _, w := range inferenceWorkers {
-			got := NewInference[float64](m).EdgeScoresCtx(kernels.Context{Workers: w}, arena, src, dst, x, y)
-			scoresBitsEqual(t, "ring", want, got)
-		}
+	cfg := tinyConfig()
+	m := New(cfg, rng.New(3))
+	jitter(m, 30)
+	src, dst, x, y := ring(rng.New(4), 24, cfg)
+	want := tapeScores(m, src, dst, x, y)
+	arena := workspace.NewArena()
+	defer arena.Reset()
+	for _, w := range inferenceWorkers {
+		got := NewInference[float64](m).EdgeScoresCtx(kernels.Context{Workers: w}, arena, src, dst, x, y)
+		scoresBitsEqual(t, "ring", want, got)
 	}
 	// A deeper, wider model on a random multigraph: three ping-pong
 	// swaps, repeated and out-of-order gather indices, k = 6·12.
-	cfg := Config{NodeFeatures: 3, EdgeFeatures: 2, Hidden: 12, Steps: 4, LayerNorm: true}
-	m := New(cfg, rng.New(5))
+	cfg = Config{NodeFeatures: 3, EdgeFeatures: 2, Hidden: 12, Steps: 4}
+	m = New(cfg, rng.New(5))
 	jitter(m, 50)
-	src, dst, x, y := randomGraph(rng.New(6), 41, 97, cfg)
-	want := tapeScores(m, src, dst, x, y)
+	src, dst, x, y = randomGraph(rng.New(6), 41, 97, cfg)
+	want = tapeScores(m, src, dst, x, y)
 	for _, w := range inferenceWorkers {
 		got := NewInference[float64](m).EdgeScoresCtx(kernels.Context{Workers: w}, nil, src, dst, x, y)
 		scoresBitsEqual(t, "random graph", want, got)
@@ -144,7 +140,7 @@ func (rr refRanges) scales(m *Model) QuantScales {
 
 // refMLP is nn.MLPInference.Forward as it was before the segmented
 // GEMM: per layer a MatMulIntoCtx over a materialised input, then the
-// bias(+ReLU) pass, then LayerNorm. Weights convert from the float64
+// bias(+ReLU) pass. Weights convert from the float64
 // parameters exactly as NewMLPInference converts them. Ranges fold
 // into rr.
 func refMLP[T fp.Float](kc kernels.Context, m *nn.MLP, x *tensor.Matrix[T], rr refRanges) *tensor.Matrix[T] {
@@ -162,34 +158,9 @@ func refMLP[T fp.Float](kc kernels.Context, m *nn.MLP, x *tensor.Matrix[T], rr r
 			return z
 		}
 		tensor.AddBiasReLURef(z, z, b)
-		if len(ps) > 2*nl { // the LayerNorm gains and biases follow the linear layers
-			refLayerNorm(z, conv(ps[2*nl+2*i]).Data(), conv(ps[2*nl+2*i+1]).Data())
-		}
 		h = z
 	}
 	panic("unreachable")
-}
-
-// refLayerNorm is the tape's LayerNorm forward in T: mean and variance
-// accumulate in T, the reciprocal square root is taken in float64.
-func refLayerNorm[T fp.Float](m *tensor.Matrix[T], gain, shift []T) {
-	cf := T(m.Cols())
-	for i := 0; i < m.Rows(); i++ {
-		row := m.Row(i)
-		var mean, variance T
-		for _, v := range row {
-			mean += v
-		}
-		mean /= cf
-		for _, v := range row {
-			variance += (v - mean) * (v - mean)
-		}
-		variance /= cf
-		is := T(1) / T(math.Sqrt(float64(variance)+1e-5))
-		for j, v := range row {
-			row[j] = (v-mean)*is*gain[j] + shift[j]
-		}
-	}
 }
 
 // refEdgeScores is Inference.EdgeScoresCtx as it was before the
@@ -248,19 +219,16 @@ func testInferenceMatchesUnfused[T fp.Float](t *testing.T) {
 			scoresBitsEqual(t, name, want, got)
 		}
 	}
-	for _, layerNorm := range []bool{false, true} {
-		cfg := tinyConfig()
-		cfg.LayerNorm = layerNorm
-		m := New(cfg, rng.New(13))
-		jitter(m, 130)
-		src, dst, x, y := ring(rng.New(14), 24, cfg)
-		check("ring", m, src, dst, x, y)
-	}
+	cfg := tinyConfig()
+	m := New(cfg, rng.New(13))
+	jitter(m, 130)
+	src, dst, x, y := ring(rng.New(14), 24, cfg)
+	check("ring", m, src, dst, x, y)
 	// The recon_gnn_* shape: V 1272, E 2217, hidden 32, 4 steps.
-	cfg := Config{NodeFeatures: 3, EdgeFeatures: 2, Hidden: 32, Steps: 4}
-	m := New(cfg, rng.New(15))
+	cfg = Config{NodeFeatures: 3, EdgeFeatures: 2, Hidden: 32, Steps: 4}
+	m = New(cfg, rng.New(15))
 	jitter(m, 150)
-	src, dst, x, y := randomGraph(rng.New(16), 1272, 2217, cfg)
+	src, dst, x, y = randomGraph(rng.New(16), 1272, 2217, cfg)
 	check("benchmark shape", m, src, dst, x, y)
 }
 
@@ -275,8 +243,8 @@ func TestInferenceMatchesUnfusedComposition(t *testing.T) {
 
 // TestInferenceCalibrationScales pins the activation-scale tables of a
 // recording Inference[float32] to ranges taken over the materialised
-// concat composition, bit for bit: at Steps 1 and 3, with and without
-// LayerNorm, at 1 and 4 workers, over two graphs each holding one
+// concat composition, bit for bit: at Steps 1 and 3, at 1 and 4
+// workers, over two graphs each holding one
 // isolated node with the largest |x| — a range every node-side table
 // must see and no gathered message input may.
 func TestInferenceCalibrationScales(t *testing.T) {
@@ -291,28 +259,26 @@ func TestInferenceCalibrationScales(t *testing.T) {
 	}
 	serial := kernels.Context{Workers: 1}
 	for _, steps := range []int{1, 3} {
-		for _, layerNorm := range []bool{false, true} {
-			cfg := Config{NodeFeatures: 3, EdgeFeatures: 2, Hidden: 8, Steps: steps, LayerNorm: layerNorm}
-			m := New(cfg, rng.New(23))
-			jitter(m, 230)
-			rr := refRanges{}
-			var want [][]float64
+		cfg := Config{NodeFeatures: 3, EdgeFeatures: 2, Hidden: 8, Steps: steps}
+		m := New(cfg, rng.New(23))
+		jitter(m, 230)
+		rr := refRanges{}
+		var want [][]float64
+		for g := range 2 {
+			src, dst, x, y := graph(uint64(24+g), cfg)
+			want = append(want, refEdgeScores(serial, m, src, dst, x, y, rr))
+		}
+		wantSc := rr.scales(m)
+		for _, w := range []int{1, 4} {
+			cal := NewCalibration(m)
+			arena := workspace.NewArena()
 			for g := range 2 {
 				src, dst, x, y := graph(uint64(24+g), cfg)
-				want = append(want, refEdgeScores(serial, m, src, dst, x, y, rr))
+				scoresBitsEqual(t, "recording forward", want[g], cal.EdgeScoresCtx(kernels.Context{Workers: w}, arena, src, dst, x, y))
 			}
-			wantSc := rr.scales(m)
-			for _, w := range []int{1, 4} {
-				cal := NewCalibration(m)
-				arena := workspace.NewArena()
-				for g := range 2 {
-					src, dst, x, y := graph(uint64(24+g), cfg)
-					scoresBitsEqual(t, "recording forward", want[g], cal.EdgeScoresCtx(kernels.Context{Workers: w}, arena, src, dst, x, y))
-				}
-				arena.Reset()
-				name := fmt.Sprintf("steps %d, layerNorm %v, %d workers", steps, layerNorm, w)
-				scalesBitsEqual(t, name, wantSc, cal.Scales())
-			}
+			arena.Reset()
+			name := fmt.Sprintf("steps %d, %d workers", steps, w)
+			scalesBitsEqual(t, name, wantSc, cal.Scales())
 		}
 	}
 }

@@ -176,10 +176,9 @@ func SnapInt8(dst, src []*autograd.Param) {
 // SaveParamsInt8 writes a v4 quantized checkpoint: every matrix
 // parameter is quantized per output column to int8 + float32 scales
 // (via tensor.QuantizeWeights, so a load/requantize round trip is
-// bitwise exact), row-vector parameters (biases, LayerNorm
-// gains/shifts) stay float32, and act carries the calibrated
-// activation-scale tables. act entries must have non-empty unique names
-// and positive finite scales.
+// bitwise exact), row-vector parameters (the biases) stay float32, and
+// act carries the calibrated activation-scale tables. act entries must
+// have non-empty unique names and positive finite scales.
 func SaveParamsInt8(w io.Writer, params []*autograd.Param, act []ActScales) error {
 	if err := validateActScales(act); err != nil {
 		return err

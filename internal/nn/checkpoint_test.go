@@ -13,14 +13,14 @@ import (
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	r := rng.New(1)
-	m := NewMLP(r, "m", MLPConfig{In: 3, Hidden: []int{8}, Out: 2, Activation: ReLU, LayerNorm: true})
+	m := NewMLP(r, "m", MLPConfig{In: 3, Hidden: []int{8}, Out: 2})
 	params := m.Params()
 	var buf bytes.Buffer
 	if err := SaveParams(&buf, params); err != nil {
 		t.Fatal(err)
 	}
 	// Restore into a differently initialized twin.
-	m2 := NewMLP(rng.New(99), "m", MLPConfig{In: 3, Hidden: []int{8}, Out: 2, Activation: ReLU, LayerNorm: true})
+	m2 := NewMLP(rng.New(99), "m", MLPConfig{In: 3, Hidden: []int{8}, Out: 2})
 	if err := LoadParams(&buf, m2.Params()); err != nil {
 		t.Fatal(err)
 	}
@@ -33,12 +33,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 func TestCheckpointFileRoundTrip(t *testing.T) {
 	r := rng.New(2)
-	m := NewMLP(r, "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1, Activation: Tanh})
+	m := NewMLP(r, "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1})
 	path := filepath.Join(t.TempDir(), "model.ckpt.gz")
 	if err := SaveParamsFile(path, m.Params()); err != nil {
 		t.Fatal(err)
 	}
-	m2 := NewMLP(rng.New(3), "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1, Activation: Tanh})
+	m2 := NewMLP(rng.New(3), "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1})
 	if err := LoadParamsFile(path, m2.Params()); err != nil {
 		t.Fatal(err)
 	}
@@ -49,18 +49,18 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 
 func TestCheckpointValidation(t *testing.T) {
 	r := rng.New(4)
-	m := NewMLP(r, "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1, Activation: ReLU})
+	m := NewMLP(r, "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1})
 	var buf bytes.Buffer
 	if err := SaveParams(&buf, m.Params()); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong shape.
-	other := NewMLP(r, "m", MLPConfig{In: 3, Hidden: []int{4}, Out: 1, Activation: ReLU})
+	other := NewMLP(r, "m", MLPConfig{In: 3, Hidden: []int{4}, Out: 1})
 	if err := LoadParams(bytes.NewReader(buf.Bytes()), other.Params()); err == nil {
 		t.Fatal("shape mismatch not detected")
 	}
 	// Wrong name.
-	renamed := NewMLP(r, "other", MLPConfig{In: 2, Hidden: []int{4}, Out: 1, Activation: ReLU})
+	renamed := NewMLP(r, "other", MLPConfig{In: 2, Hidden: []int{4}, Out: 1})
 	if err := LoadParams(bytes.NewReader(buf.Bytes()), renamed.Params()); err == nil {
 		t.Fatal("name mismatch not detected")
 	}
@@ -87,7 +87,7 @@ func legacySaveParams(buf *bytes.Buffer, params []*autograd.Param) error {
 }
 
 func TestCheckpointMagicHeader(t *testing.T) {
-	m := NewMLP(rng.New(5), "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1, Activation: ReLU})
+	m := NewMLP(rng.New(5), "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1})
 	var buf bytes.Buffer
 	if err := SaveParams(&buf, m.Params()); err != nil {
 		t.Fatal(err)
@@ -100,12 +100,12 @@ func TestCheckpointMagicHeader(t *testing.T) {
 // TestCheckpointLegacyReadCompat: a headerless v1 file, which no
 // writer produces any more, is refused and changes no parameter.
 func TestCheckpointLegacyReadCompat(t *testing.T) {
-	m := NewMLP(rng.New(6), "m", MLPConfig{In: 3, Hidden: []int{4}, Out: 2, Activation: Tanh})
+	m := NewMLP(rng.New(6), "m", MLPConfig{In: 3, Hidden: []int{4}, Out: 2})
 	var buf bytes.Buffer
 	if err := legacySaveParams(&buf, m.Params()); err != nil {
 		t.Fatal(err)
 	}
-	m2 := NewMLP(rng.New(66), "m", MLPConfig{In: 3, Hidden: []int{4}, Out: 2, Activation: Tanh})
+	m2 := NewMLP(rng.New(66), "m", MLPConfig{In: 3, Hidden: []int{4}, Out: 2})
 	assertRejected(t, "headerless v1", buf.Bytes(), m2.Params())
 }
 
@@ -126,10 +126,10 @@ func assertRejected(t *testing.T, what string, data []byte, params []*autograd.P
 // mismatched checkpoint must not modify ANY parameter, not fail halfway
 // through with the early parameters already overwritten.
 func TestCheckpointNoPartialMutation(t *testing.T) {
-	save := NewMLP(rng.New(7), "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1, Activation: ReLU})
+	save := NewMLP(rng.New(7), "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1})
 	// Mismatch only in the LAST parameter's shape: same layer count,
 	// different output width — earlier params agree in name and shape.
-	load := NewMLP(rng.New(77), "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 3, Activation: ReLU})
+	load := NewMLP(rng.New(77), "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 3})
 	before := make([]*tensor.Dense, len(load.Params()))
 	for i, p := range load.Params() {
 		before[i] = p.Value.Clone()
@@ -157,7 +157,7 @@ func TestCheckpointNoPartialMutation(t *testing.T) {
 }
 
 func TestCheckpointGarbageRejected(t *testing.T) {
-	m := NewMLP(rng.New(8), "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1, Activation: ReLU})
+	m := NewMLP(rng.New(8), "m", MLPConfig{In: 2, Hidden: []int{4}, Out: 1})
 	garbage := []byte("definitely not a checkpoint file, not even close")
 	if err := LoadParams(bytes.NewReader(garbage), m.Params()); err == nil {
 		t.Fatal("garbage accepted as checkpoint")

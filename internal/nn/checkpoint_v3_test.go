@@ -77,17 +77,17 @@ func v3DtypeBytes(t *testing.T, params []*autograd.Param, dtype string) []byte {
 // TestCheckpointV2ReadCompat: a v2 file, which no writer produces any
 // more, is refused at its magic and changes no parameter.
 func TestCheckpointV2ReadCompat(t *testing.T) {
-	m := NewMLP(rng.New(31), "m", MLPConfig{In: 3, Hidden: []int{4}, Out: 2, Activation: ReLU, LayerNorm: true})
+	m := NewMLP(rng.New(31), "m", MLPConfig{In: 3, Hidden: []int{4}, Out: 2})
 	var buf bytes.Buffer
 	if err := v2SaveParams(&buf, m.Params()); err != nil {
 		t.Fatal(err)
 	}
-	m2 := NewMLP(rng.New(32), "m", MLPConfig{In: 3, Hidden: []int{4}, Out: 2, Activation: ReLU, LayerNorm: true})
+	m2 := NewMLP(rng.New(32), "m", MLPConfig{In: 3, Hidden: []int{4}, Out: 2})
 	assertRejected(t, "v2", buf.Bytes(), m2.Params())
 }
 
 func TestCheckpointV3Magic(t *testing.T) {
-	m := NewMLP(rng.New(33), "m", MLPConfig{In: 2, Hidden: []int{3}, Out: 1, Activation: ReLU})
+	m := NewMLP(rng.New(33), "m", MLPConfig{In: 2, Hidden: []int{3}, Out: 1})
 	var buf bytes.Buffer
 	if err := SaveParams(&buf, m.Params()); err != nil {
 		t.Fatal(err)
@@ -105,8 +105,8 @@ func TestCheckpointV3Magic(t *testing.T) {
 // v3 payload) or of a garbage dtype is refused, even though each record
 // is internally consistent, and changes no parameter.
 func TestCheckpointUnknownDtypeRejected(t *testing.T) {
-	m := NewMLP(rng.New(37), "m", MLPConfig{In: 2, Hidden: []int{3}, Out: 1, Activation: ReLU, LayerNorm: true})
-	load := NewMLP(rng.New(38), "m", MLPConfig{In: 2, Hidden: []int{3}, Out: 1, Activation: ReLU, LayerNorm: true})
+	m := NewMLP(rng.New(37), "m", MLPConfig{In: 2, Hidden: []int{3}, Out: 1})
+	load := NewMLP(rng.New(38), "m", MLPConfig{In: 2, Hidden: []int{3}, Out: 1})
 	for _, dtype := range []string{dtypeF32, "f16"} {
 		assertRejected(t, "v3 "+dtype, v3DtypeBytes(t, m.Params(), dtype), load.Params())
 	}
@@ -116,7 +116,7 @@ func TestCheckpointUnknownDtypeRejected(t *testing.T) {
 // cross-wiring cases: a record whose dtype tag disagrees with which
 // payload array it carries must be rejected before any copy.
 func TestCheckpointDtypePayloadMismatchRejected(t *testing.T) {
-	m := NewMLP(rng.New(39), "m", MLPConfig{In: 2, Hidden: []int{3}, Out: 1, Activation: ReLU})
+	m := NewMLP(rng.New(39), "m", MLPConfig{In: 2, Hidden: []int{3}, Out: 1})
 	params := m.Params()
 
 	build := func(mut func(rec *checkpointRecord)) []byte {
@@ -169,7 +169,7 @@ func TestCheckpointDtypePayloadMismatchRejected(t *testing.T) {
 		},
 	}
 	for name, mut := range cases {
-		load := NewMLP(rng.New(40), "m", MLPConfig{In: 2, Hidden: []int{3}, Out: 1, Activation: ReLU})
+		load := NewMLP(rng.New(40), "m", MLPConfig{In: 2, Hidden: []int{3}, Out: 1})
 		assertRejected(t, name, build(mut), load.Params())
 	}
 }

@@ -34,7 +34,7 @@ func randInputs32(r *rng.Rand, rows, cols int) *tensor.Matrix[float32] {
 // input does not name is not recorded.
 func TestMLPCalibrationScales(t *testing.T) {
 	r := rng.New(21)
-	m := NewMLP(r, "m", MLPConfig{In: 6, Hidden: []int{16, 8}, Out: 3, Activation: ReLU})
+	m := NewMLP(r, "m", MLPConfig{In: 6, Hidden: []int{16, 8}, Out: 3})
 	kc := kernels.Context{Workers: 1}
 	inf := NewMLPInference[float32](m)
 	cal := NewMLPCalibration(m)
@@ -79,7 +79,7 @@ func TestMLPCalibrationScales(t *testing.T) {
 
 func v4Fixture(t *testing.T, seed uint64) ([]*autograd.Param, []ActScales) {
 	t.Helper()
-	m := NewMLP(rng.New(seed), "m", MLPConfig{In: 3, Hidden: []int{8}, Out: 2, Activation: ReLU, LayerNorm: true})
+	m := NewMLP(rng.New(seed), "m", MLPConfig{In: 3, Hidden: []int{8}, Out: 2})
 	act := []ActScales{
 		{Name: "stage.a", Scales: []float32{0.5, 0.25}},
 		{Name: "stage.b", Scales: []float32{1, 2, 3}},
@@ -162,15 +162,14 @@ func TestSnapInt8MatchesV4Load(t *testing.T) {
 
 // TestSnapInt8TracksFloatForward bounds the storage noise of int8
 // weights: the float32 forward over SnapInt8'd parameters stays close
-// to the forward over the originals, with and without LayerNorm and at
-// a non-ReLU activation.
+// to the forward over the originals, at one and two hidden layers.
 func TestSnapInt8TracksFloatForward(t *testing.T) {
 	r := rng.New(22)
 	kc := kernels.Context{Workers: 1}
 	for _, cfg := range []MLPConfig{
-		{In: 5, Hidden: []int{32, 32}, Out: 2, Activation: ReLU},
-		{In: 5, Hidden: []int{32}, Out: 2, Activation: ReLU, LayerNorm: true},
-		{In: 5, Hidden: []int{16}, Out: 2, Activation: Tanh},
+		{In: 5, Hidden: []int{32, 32}, Out: 2},
+		{In: 5, Hidden: []int{32}, Out: 2},
+		{In: 5, Hidden: []int{16}, Out: 2},
 	} {
 		m := NewMLP(r, "m", cfg)
 		snapped := NewMLP(rng.New(1), "m", cfg)

@@ -15,7 +15,7 @@ import (
 
 // fuzzModel builds the small fixed model every fuzz iteration loads into.
 func fuzzModel() []*autograd.Param {
-	m := NewMLP(rng.New(11), "fz", MLPConfig{In: 3, Hidden: []int{4}, Out: 2, Activation: ReLU, LayerNorm: true})
+	m := NewMLP(rng.New(11), "fz", MLPConfig{In: 3, Hidden: []int{4}, Out: 2})
 	return m.Params()
 }
 
@@ -224,7 +224,7 @@ func FuzzLoadParamsMismatchedModel(f *testing.F) {
 	f.Add(valid.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		other := NewMLP(rng.New(12), "other", MLPConfig{In: 2, Hidden: []int{3}, Out: 1, Activation: Tanh}).Params()
+		other := NewMLP(rng.New(12), "other", MLPConfig{In: 2, Hidden: []int{3}, Out: 1}).Params()
 		snap := snapshotParams(other)
 		err := LoadParams(bytes.NewReader(data), other)
 		if err == nil {

@@ -14,9 +14,9 @@ import (
 // MLP's trained weights. Forward runs entirely in T with no autograd
 // bookkeeping — the serving path of the paper's pipeline, where float32
 // halves the bytes every GEMM moves. Each linear layer is one GEMM
-// with the bias (and ReLU) applied in its epilogue, and the first layer
-// reads its input as column segments, so a concatenated or gathered
-// input is never built.
+// with the bias (and, on a hidden layer, the ReLU) applied in its
+// epilogue, and the first layer reads its input as column segments, so
+// a concatenated or gathered input is never built.
 //
 // For T = float64 the weights alias the parameters' own storage: the
 // view tracks every in-place update (optimizer steps, DDP unflatten,
@@ -30,10 +30,7 @@ import (
 // An instance built by NewMLPCalibration also records activation
 // ranges (see Scales) and is not safe for concurrent use.
 type MLPInference[T fp.Float] struct {
-	cfg   MLPConfig
-	w, b  []*tensor.Matrix[T] // per linear layer (hidden... , output)
-	gain  []*tensor.Matrix[T] // per LayerNorm, when cfg.LayerNorm
-	shift []*tensor.Matrix[T]
+	w, b []*tensor.Matrix[T] // per linear layer (hidden... , output)
 	// maxAbs is nil on a serving instance. On a calibration instance
 	// maxAbs[i] is the largest |value| seen entering linear layer i and
 	// maxAbs[len(w)] the largest seen leaving the last one.
@@ -44,14 +41,10 @@ type MLPInference[T fp.Float] struct {
 // view of m's parameters at float64, a converted copy at float32
 // (float64→float32 rounds to nearest even, here, once — not per event).
 func NewMLPInference[T fp.Float](m *MLP) *MLPInference[T] {
-	mi := &MLPInference[T]{cfg: m.cfg}
+	mi := &MLPInference[T]{}
 	for _, l := range m.layers {
 		mi.w = append(mi.w, convertParam[T](l.W))
 		mi.b = append(mi.b, convertParam[T](l.B))
-	}
-	for _, n := range m.norms {
-		mi.gain = append(mi.gain, convertParam[T](n.Gain))
-		mi.shift = append(mi.shift, convertParam[T](n.Bias))
 	}
 	return mi
 }
@@ -103,17 +96,10 @@ func (mi *MLPInference[T]) ForwardInto(kc kernels.Context, out *tensor.Matrix[T]
 	if len(hid) != last {
 		panic("nn: ForwardInto needs one buffer per hidden layer")
 	}
-	relu := mi.cfg.Activation == ReLU
 	var prev [1]tensor.Seg[T]
 	for i, z := range hid {
 		mi.record(i, in)
-		tensor.MatMulSegsIntoCtx(kc, z, mi.w[i], mi.b[i], relu, in...)
-		if !relu {
-			applyActivation(mi.cfg.Activation, z)
-		}
-		if mi.cfg.LayerNorm {
-			layerNormInto(z, mi.gain[i], mi.shift[i], 1e-5)
-		}
+		tensor.MatMulSegsIntoCtx(kc, z, mi.w[i], mi.b[i], true, in...)
 		prev[0] = tensor.Seg[T]{M: z}
 		in = prev[:]
 	}
@@ -175,22 +161,8 @@ func symmetricScale(maxAbs float64) float32 {
 	return float32(maxAbs / 127)
 }
 
-// applyActivation applies the nonlinearity in place. ReLU is handled by
-// the GEMM epilogue and never reaches here.
-func applyActivation[T fp.Float](act Activation, m *tensor.Matrix[T]) {
-	switch act {
-	case Tanh:
-		tensor.ApplyInto(m, m, func(v T) T { return T(math.Tanh(float64(v))) })
-	case Sigmoid:
-		tensor.ApplyInto(m, m, func(v T) T { return T(sigmoidStable(float64(v))) })
-	case None:
-	default:
-		panic("nn: unsupported inference activation")
-	}
-}
-
 // sigmoidStable is the numerically stable logistic function (the same
-// form the autograd tape and the stage packages use).
+// form the autograd loss uses).
 func sigmoidStable(x float64) float64 {
 	if x >= 0 {
 		return 1 / (1 + math.Exp(-x))
@@ -203,32 +175,3 @@ func sigmoidStable(x float64) float64 {
 // where the f32 inference path returns to the float64 metric/threshold
 // domain.
 func SigmoidScore[T fp.Float](logit T) float64 { return sigmoidStable(float64(logit)) }
-
-// layerNormInto normalizes each row of m in place and applies the
-// gain/shift pair — exactly the forward arithmetic of the tape's
-// LayerNorm op (mean and variance accumulate in T, the reciprocal
-// square root is taken in float64), so the float64 instantiation is
-// bitwise identical to training-path inference.
-func layerNormInto[T fp.Float](m, gain, shift *tensor.Matrix[T], eps float64) {
-	rows, cols := m.Rows(), m.Cols()
-	cf := T(cols)
-	gd, bd := gain.Data(), shift.Data()
-	for i := 0; i < rows; i++ {
-		row := m.Row(i)
-		var mean T
-		for _, x := range row {
-			mean += x
-		}
-		mean /= cf
-		var variance T
-		for _, x := range row {
-			d := x - mean
-			variance += d * d
-		}
-		variance /= cf
-		is := T(1) / T(math.Sqrt(float64(variance)+eps))
-		for j, x := range row {
-			row[j] = (x-mean)*is*gd[j] + bd[j]
-		}
-	}
-}

@@ -11,14 +11,13 @@ import (
 	"repro/internal/workspace"
 )
 
-// inferenceConfigs spans the MLP shapes the pipeline instantiates:
-// fused ReLU hidden layers, LayerNorm, and each alternate activation.
+// inferenceConfigs spans the MLP shapes the pipeline instantiates: one
+// and two hidden layers, and one- and several-wide outputs.
 var inferenceConfigs = []MLPConfig{
-	{In: 5, Hidden: []int{8, 8}, Out: 3, Activation: ReLU},
-	{In: 5, Hidden: []int{8}, Out: 1, Activation: ReLU, LayerNorm: true},
-	{In: 4, Hidden: []int{6}, Out: 2, Activation: Tanh, LayerNorm: true},
-	{In: 4, Hidden: []int{6}, Out: 2, Activation: Sigmoid},
-	{In: 3, Hidden: []int{4}, Out: 2, Activation: None},
+	{In: 5, Hidden: []int{8, 8}, Out: 3},
+	{In: 5, Hidden: []int{8}, Out: 1},
+	{In: 4, Hidden: []int{6}, Out: 2},
+	{In: 3, Hidden: []int{4}, Out: 2},
 }
 
 // TestMLPInferenceF64MatchesTapeForward is the load-bearing refactor
@@ -134,7 +133,7 @@ func TestMLPInferenceF32WithinTolerance(t *testing.T) {
 // TestMLPInferenceImmutableUnderForward guards the concurrency
 // contract: Forward must not touch the weights.
 func TestMLPInferenceImmutableUnderForward(t *testing.T) {
-	cfg := MLPConfig{In: 4, Hidden: []int{6}, Out: 2, Activation: ReLU, LayerNorm: true}
+	cfg := MLPConfig{In: 4, Hidden: []int{6}, Out: 2}
 	m := NewMLP(rng.New(7), "m", cfg)
 	inf := NewMLPInference[float32](m)
 	before := make([]*tensor.Matrix[float32], len(inf.w))
@@ -153,7 +152,7 @@ func TestMLPInferenceImmutableUnderForward(t *testing.T) {
 // TestMLPInferenceConversionRoundsOnce pins the conversion semantics:
 // each f32 weight is the one-step rounding of the trained f64 weight.
 func TestMLPInferenceConversionRoundsOnce(t *testing.T) {
-	m := NewMLP(rng.New(17), "m", MLPConfig{In: 3, Hidden: []int{5}, Out: 2, Activation: ReLU})
+	m := NewMLP(rng.New(17), "m", MLPConfig{In: 3, Hidden: []int{5}, Out: 2})
 	inf := NewMLPInference[float32](m)
 	params := m.Params()
 	// Layer weights come first in Params order (W, b per layer).

@@ -26,15 +26,10 @@ func TestLinearShapes(t *testing.T) {
 
 func TestMLPParamCount(t *testing.T) {
 	r := rng.New(2)
-	m := NewMLP(r, "mlp", MLPConfig{In: 6, Hidden: []int{16, 16}, Out: 1, Activation: ReLU})
+	m := NewMLP(r, "mlp", MLPConfig{In: 6, Hidden: []int{16, 16}, Out: 1})
 	// 3 linear layers × (W, b) = 6 params.
 	if got := len(m.Params()); got != 6 {
 		t.Fatalf("param count %d, want 6", got)
-	}
-	mn := NewMLP(r, "mlpn", MLPConfig{In: 6, Hidden: []int{16, 16}, Out: 1, Activation: ReLU, LayerNorm: true})
-	// + 2 layer norms × (gain, bias) = 10.
-	if got := len(mn.Params()); got != 10 {
-		t.Fatalf("layernorm param count %d, want 10", got)
 	}
 	if m.NumLayers() != 3 {
 		t.Fatalf("NumLayers = %d, want 3", m.NumLayers())
@@ -43,10 +38,10 @@ func TestMLPParamCount(t *testing.T) {
 
 // trainXOR trains an MLP on XOR and returns final accuracy — the smoke
 // test that forward, backward, and the optimizer compose correctly.
-func trainXOR(t *testing.T, opt Optimizer, layerNorm bool) float64 {
+func trainXOR(t *testing.T, opt Optimizer) float64 {
 	t.Helper()
 	r := rng.New(42)
-	m := NewMLP(r, "xor", MLPConfig{In: 2, Hidden: []int{16}, Out: 1, Activation: Tanh, LayerNorm: layerNorm})
+	m := NewMLP(r, "xor", MLPConfig{In: 2, Hidden: []int{16}, Out: 1})
 	x := tensor.FromRows([][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}})
 	y := []float64{0, 1, 1, 0}
 	for epoch := 0; epoch < 800; epoch++ {
@@ -72,20 +67,14 @@ func trainXOR(t *testing.T, opt Optimizer, layerNorm bool) float64 {
 }
 
 func TestMLPLearnsXORWithSGD(t *testing.T) {
-	if acc := trainXOR(t, NewSGD(0.5), false); acc < 1.0 {
+	if acc := trainXOR(t, NewSGD(0.5)); acc < 1.0 {
 		t.Fatalf("SGD XOR accuracy %v, want 1.0", acc)
 	}
 }
 
 func TestMLPLearnsXORWithAdam(t *testing.T) {
-	if acc := trainXOR(t, NewAdam(0.01), false); acc < 1.0 {
+	if acc := trainXOR(t, NewAdam(0.01)); acc < 1.0 {
 		t.Fatalf("Adam XOR accuracy %v, want 1.0", acc)
-	}
-}
-
-func TestMLPLearnsXORWithLayerNorm(t *testing.T) {
-	if acc := trainXOR(t, NewAdam(0.01), true); acc < 1.0 {
-		t.Fatalf("LayerNorm XOR accuracy %v, want 1.0", acc)
 	}
 }
 
@@ -113,7 +102,7 @@ func TestAdamFirstStepMagnitude(t *testing.T) {
 
 func TestFlattenUnflattenRoundTrip(t *testing.T) {
 	r := rng.New(3)
-	m := NewMLP(r, "m", MLPConfig{In: 3, Hidden: []int{5}, Out: 2, Activation: ReLU})
+	m := NewMLP(r, "m", MLPConfig{In: 3, Hidden: []int{5}, Out: 2})
 	params := m.Params()
 	for _, p := range params {
 		p.Grad.CopyFrom(tensor.RandN(r, p.Grad.Rows(), p.Grad.Cols(), 1))
@@ -136,8 +125,8 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 }
 
 func TestDeterministicInit(t *testing.T) {
-	a := NewMLP(rng.New(7), "a", MLPConfig{In: 4, Hidden: []int{8}, Out: 2, Activation: ReLU})
-	b := NewMLP(rng.New(7), "a", MLPConfig{In: 4, Hidden: []int{8}, Out: 2, Activation: ReLU})
+	a := NewMLP(rng.New(7), "a", MLPConfig{In: 4, Hidden: []int{8}, Out: 2})
+	b := NewMLP(rng.New(7), "a", MLPConfig{In: 4, Hidden: []int{8}, Out: 2})
 	pa, pb := a.Params(), b.Params()
 	for i := range pa {
 		if pa[i].Value.MaxAbsDiff(pb[i].Value) != 0 {

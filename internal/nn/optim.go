@@ -17,7 +17,6 @@ type Optimizer interface {
 // acorn training configs.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
-	WeightDecay           float64
 
 	t int
 	m map[*autograd.Param]*tensor.Dense
@@ -40,9 +39,6 @@ func (o *Adam) Step(params []*autograd.Param) {
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
 	for _, p := range params {
 		g := p.Grad
-		if o.WeightDecay != 0 {
-			g.AXPY(o.WeightDecay, p.Value)
-		}
 		m, ok := o.m[p]
 		if !ok {
 			m = tensor.New(g.Rows(), g.Cols())

@@ -82,7 +82,7 @@ func BulkMatrixShaDowStreams(g *graph.Graph, eidx *EdgeIndex, batches [][]int, c
 
 		var nextVertex []int
 		var nextRoot []int
-		for row, picks := range sampled.Samples {
+		for row, picks := range sampled {
 			root := rootOf[row]
 			for _, u := range picks {
 				if !visitedSet[root][u] {

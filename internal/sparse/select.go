@@ -44,34 +44,28 @@ func GatherRowsInto(out *CSR, m *CSR, idx []int) *CSR {
 	return out
 }
 
-// SampleRowsResult is the output of SampleRowsStreams: for each input
-// row, the sampled column indices.
-type SampleRowsResult struct {
-	Samples [][]int
-}
-
 // SampleRowsStreams draws up to s distinct nonzero column indices
-// uniformly from each row of m; rows with ≤ s nonzeros return all of
-// them. Row i draws from rowRand[i]. Rows sharing a generator are processed in row order,
-// so a caller that routes every row of one logical stream (e.g. one
-// ShaDow batch vertex) through the same generator gets draw sequences
-// that do not depend on which other rows are stacked into the matrix —
-// the property bulk sampling needs for results independent of batch
-// stacking and rank sharding.
+// uniformly from each row of m and returns them per row; rows with ≤ s
+// nonzeros return all of them. Row i draws from rowRand[i]. Rows sharing
+// a generator are processed in row order, so a caller that routes every
+// row of one logical stream (e.g. one ShaDow batch vertex) through the
+// same generator gets draw sequences that do not depend on which other
+// rows are stacked into the matrix — the property bulk sampling needs
+// for results independent of batch stacking and rank sharding.
 //
 // This implements the "divide each row by its sum to get a uniform
 // distribution and sample s neighbors" step of matrix-based ShaDow: for
 // boolean adjacency rows, normalizing and sampling s times without
 // replacement is exactly uniform sampling of s distinct neighbors.
-func SampleRowsStreams(m *CSR, s int, rowRand []*rng.Rand) *SampleRowsResult {
+func SampleRowsStreams(m *CSR, s int, rowRand []*rng.Rand) [][]int {
 	if len(rowRand) != m.RowsN {
 		panic("sparse: SampleRowsStreams wants one generator per row")
 	}
-	out := &SampleRowsResult{Samples: make([][]int, m.RowsN)}
+	out := make([][]int, m.RowsN)
 	for i := 0; i < m.RowsN; i++ {
 		cols, _ := m.Row(i)
 		if len(cols) <= s {
-			out.Samples[i] = append([]int(nil), cols...)
+			out[i] = append([]int(nil), cols...)
 			continue
 		}
 		picks := rowRand[i].SampleWithoutReplacement(len(cols), s)
@@ -79,7 +73,7 @@ func SampleRowsStreams(m *CSR, s int, rowRand []*rng.Rand) *SampleRowsResult {
 		for k, p := range picks {
 			sel[k] = cols[p]
 		}
-		out.Samples[i] = sel
+		out[i] = sel
 	}
 	return out
 }

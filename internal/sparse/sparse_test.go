@@ -220,7 +220,7 @@ func TestSampleRowsBounds(t *testing.T) {
 	a := FromEdges(30, seqInts(29), seqIntsFrom(1, 29), true) // path graph
 	for _, s := range []int{1, 2, 5} {
 		res := SampleRowsStreams(a, s, rowStreams(r, a.Rows()))
-		for i, samp := range res.Samples {
+		for i, samp := range res {
 			if len(samp) > s {
 				t.Fatalf("row %d sampled %d > fanout %d", i, len(samp), s)
 			}
@@ -245,12 +245,12 @@ func TestSampleRowsDeterministic(t *testing.T) {
 	a := FromEdges(50, seqInts(49), seqIntsFrom(1, 49), true)
 	s1 := SampleRowsStreams(a, 2, rowStreams(rng.New(9), a.Rows()))
 	s2 := SampleRowsStreams(a, 2, rowStreams(rng.New(9), a.Rows()))
-	for i := range s1.Samples {
-		if len(s1.Samples[i]) != len(s2.Samples[i]) {
+	for i := range s1 {
+		if len(s1[i]) != len(s2[i]) {
 			t.Fatalf("row %d lengths differ", i)
 		}
-		for k := range s1.Samples[i] {
-			if s1.Samples[i][k] != s2.Samples[i][k] {
+		for k := range s1[i] {
+			if s1[i][k] != s2[i][k] {
 				t.Fatalf("row %d sample %d differs", i, k)
 			}
 		}

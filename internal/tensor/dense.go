@@ -103,13 +103,6 @@ func (m *Matrix[T]) Zero() {
 	}
 }
 
-// Fill sets all elements to v.
-func (m *Matrix[T]) Fill(v T) {
-	for i := range m.data {
-		m.data[i] = v
-	}
-}
-
 // SameShape reports whether m and o have identical dimensions.
 func (m *Matrix[T]) SameShape(o *Matrix[T]) bool { return m.rows == o.rows && m.cols == o.cols }
 

@@ -269,30 +269,6 @@ func ScaleInto[T fp.Float](out *Matrix[T], s T, m *Matrix[T]) {
 	}
 }
 
-// AXPY computes m += s*o.
-func (m *Matrix[T]) AXPY(s T, o *Matrix[T]) {
-	checkSame("AXPY", m, o)
-	for i, v := range o.data {
-		m.data[i] += s * v
-	}
-}
-
-// ColSumsInto computes the per-column sums into the 1×cols matrix out.
-func (m *Matrix[T]) ColSumsInto(out *Matrix[T]) {
-	if out.rows != 1 || out.cols != m.cols {
-		panic("tensor: ColSumsInto output shape mismatch")
-	}
-	for j := range out.data {
-		out.data[j] = 0
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			out.data[j] += v
-		}
-	}
-}
-
 // RowSumsInto computes the per-row sums into the rows×1 matrix out.
 func (m *Matrix[T]) RowSumsInto(out *Matrix[T]) {
 	if out.rows != m.rows || out.cols != 1 {
@@ -305,14 +281,6 @@ func (m *Matrix[T]) RowSumsInto(out *Matrix[T]) {
 			s += v
 		}
 		out.data[i] = s
-	}
-}
-
-// ApplyInto computes out = f applied elementwise to m. out may alias m.
-func ApplyInto[T fp.Float](out, m *Matrix[T], f func(T) T) {
-	checkSame("ApplyInto", out, m)
-	for i, v := range m.data {
-		out.data[i] = f(v)
 	}
 }
 

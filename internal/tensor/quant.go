@@ -137,7 +137,7 @@ func quantizeValue(v, scale float64) int8 {
 // QuantizeInto quantizes the float32 matrix src at the given per-tensor
 // scale into out (same shape): out[i] = clamp(round(src[i]/scale)).
 // This is the precision boundary on the way into every int8 GEMM whose
-// input was produced in float32 (event features, LayerNorm outputs,
+// input was produced in float32 (event features, hidden-layer outputs,
 // gather/concat assemblies). Elementwise, so bitwise identical at any
 // worker count; steady-state calls perform no heap allocation.
 func QuantizeInto(kc kernels.Context, out *QMat, src *Matrix[float32], scale float32) {

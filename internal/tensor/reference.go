@@ -113,6 +113,45 @@ func (m *Matrix[T]) MaxAbsDiff(o *Matrix[T]) float64 {
 	return worst
 }
 
+// Fill sets all elements to v.
+func (m *Matrix[T]) Fill(v T) {
+	for i := range m.data {
+		m.data[i] = v
+	}
+}
+
+// AXPY computes m += s*o.
+func (m *Matrix[T]) AXPY(s T, o *Matrix[T]) {
+	checkSame("AXPY", m, o)
+	for i, v := range o.data {
+		m.data[i] += s * v
+	}
+}
+
+// ColSumsInto computes the per-column sums into the 1×cols matrix out.
+func (m *Matrix[T]) ColSumsInto(out *Matrix[T]) {
+	if out.rows != 1 || out.cols != m.cols {
+		panic("tensor: ColSumsInto output shape mismatch")
+	}
+	for j := range out.data {
+		out.data[j] = 0
+	}
+	for i := 0; i < m.rows; i++ {
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		for j, v := range row {
+			out.data[j] += v
+		}
+	}
+}
+
+// ApplyInto computes out = f applied elementwise to m. out may alias m.
+func ApplyInto[T fp.Float](out, m *Matrix[T], f func(T) T) {
+	checkSame("ApplyInto", out, m)
+	for i, v := range m.data {
+		out.data[i] = f(v)
+	}
+}
+
 // MatMul returns a×b. Panics on an inner-dimension mismatch.
 func MatMul[T fp.Float](a, b *Matrix[T]) *Matrix[T] {
 	out := NewOf[T](a.rows, b.cols)

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/recon"
+	"repro/recon/wire"
 )
 
 // The chaos suite: deterministic fault injection (internal/faultinject)
@@ -320,7 +321,7 @@ func gatedServer(t *testing.T, opts ...recon.Option) (*recon.Server, gateExtract
 }
 
 func syntheticReq() recon.ReconstructRequest {
-	return recon.ReconstructRequest{Synthetic: &recon.SyntheticJSON{Count: 1, Seed: 7}}
+	return recon.ReconstructRequest{Synthetic: &wire.Synthetic{Count: 1, Seed: 7}}
 }
 
 // TestServerOverload429: with the engine saturated, a concurrent
@@ -650,7 +651,7 @@ func TestChaosServerSurvives(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			w := postJSON(t, srv, "/v1/reconstruct", recon.ReconstructRequest{
-				Synthetic: &recon.SyntheticJSON{Count: 4, Seed: uint64(i)},
+				Synthetic: &wire.Synthetic{Count: 4, Seed: uint64(i)},
 			})
 			codes[i] = w.Code
 		}(i)

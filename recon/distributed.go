@@ -14,15 +14,10 @@ import (
 // SyncStrategy selects how distributed training synchronizes gradients.
 type SyncStrategy = ddp.SyncStrategy
 
-// The gradient synchronization strategies of TrainDistributed.
-const (
-	// PerMatrixSync all-reduces each parameter matrix separately — the
-	// baseline the paper measures against.
-	PerMatrixSync SyncStrategy = ddp.PerMatrix
-	// CoalescedSync stacks every gradient into one buffer and reduces
-	// once — the paper's optimization.
-	CoalescedSync SyncStrategy = ddp.Coalesced
-)
+// CoalescedSync stacks every gradient into one buffer and reduces once —
+// the paper's optimization, and TrainDistributed's default. The per-matrix
+// baseline the paper measures against is ddp.PerMatrix.
+const CoalescedSync SyncStrategy = ddp.Coalesced
 
 // DistEpoch summarizes one epoch of distributed training.
 type DistEpoch struct {

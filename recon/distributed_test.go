@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/ddp"
 	"repro/internal/detector"
 	"repro/internal/metrics"
 	"repro/recon"
@@ -74,7 +75,7 @@ func TestTrainDistributedRankParity(t *testing.T) {
 func TestTrainDistributedClassifierPlugsIn(t *testing.T) {
 	spec, egs := distGraphs(t, 2)
 	ctx := context.Background()
-	res, err := recon.TrainDistributed(ctx, egs, distOpts(recon.WithRanks(2), recon.WithSyncStrategy(recon.PerMatrixSync))...)
+	res, err := recon.TrainDistributed(ctx, egs, distOpts(recon.WithRanks(2), recon.WithSyncStrategy(ddp.PerMatrix))...)
 	if err != nil {
 		t.Fatal(err)
 	}

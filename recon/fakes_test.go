@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/kernels"
 	"repro/internal/tensor"
 	"repro/recon"
 )
@@ -121,8 +122,8 @@ func (singleTrack) ExtractTracks(ctx context.Context, eg *recon.EventGraph, keep
 	return [][]int{track}, ctx.Err()
 }
 
-// budgetEmbedder is a stage 1 that records the kernel budget
-// KernelWorkersFromContext reads on each call. Its embedding puts every
+// budgetEmbedder is a stage 1 that records the kernel budget its
+// context carries on each call. Its embedding puts every
 // hit on a line, so the radius graph still has edges to classify.
 type budgetEmbedder struct {
 	mu   sync.Mutex
@@ -131,7 +132,7 @@ type budgetEmbedder struct {
 
 func (e *budgetEmbedder) Embed(ctx context.Context, a *recon.Arena, ev *recon.Event) (*recon.Matrix, error) {
 	e.mu.Lock()
-	e.seen = append(e.seen, recon.KernelWorkersFromContext(ctx))
+	e.seen = append(e.seen, kernels.From(ctx).Cap())
 	e.mu.Unlock()
 	emb := tensor.NewFrom(a, ev.NumHits(), 2)
 	for i := 0; i < ev.NumHits(); i++ {

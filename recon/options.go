@@ -1,25 +1,12 @@
 package recon
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/ddp"
-	"repro/internal/kernels"
 )
-
-// KernelWorkersFromContext reports the intra-op worker budget installed
-// on ctx by the Reconstructor's serial entry points (GOMAXPROCS) or by
-// an Engine worker (GOMAXPROCS divided by the worker count, at least
-// one). A WithEdgeClassifier or StageWrapper stage that runs its own
-// parallel loops can honour it to stay inside the same
-// oversubscription-free budget as the built-in kernels; ignoring it is
-// also safe.
-func KernelWorkersFromContext(ctx context.Context) int {
-	return kernels.From(ctx).Cap()
-}
 
 // settings collects everything the functional options control. The
 // zero-ish defaults come from pipeline.DefaultConfig for the model
@@ -318,7 +305,8 @@ func WithBulkBatches(k int) Option {
 }
 
 // WithSyncStrategy selects how TrainDistributed synchronizes gradients:
-// PerMatrixSync (baseline) or CoalescedSync (the paper's optimization).
+// CoalescedSync (the paper's optimization, the default) or the per-matrix
+// baseline.
 // The strategy changes which collectives are issued and charged, never
 // the numbers.
 func WithSyncStrategy(strategy SyncStrategy) Option {

@@ -102,6 +102,13 @@ func TestOptionValidation(t *testing.T) {
 		{"WithGNNTraining posWeight +Inf", recon.WithGNNTraining(1, 3e-3, inf)},
 		{"WithGNNTraining posWeight -1", recon.WithGNNTraining(1, 3e-3, -1)},
 		{"WithThreshold(NaN)", recon.WithThreshold(nan)},
+		{"WithGNN(0, 2)", recon.WithGNN(0, 2)},
+		{"WithQueueDepth(-1)", recon.WithQueueDepth(-1)},
+		{"WithBatchWindow(-1)", recon.WithBatchWindow(-1)},
+		{"WithMaxBatchEvents(0)", recon.WithMaxBatchEvents(0)},
+		{"WithRequestTimeout(-1)", recon.WithRequestTimeout(-1)},
+		{"WithMaxBodyBytes(0)", recon.WithMaxBodyBytes(0)},
+		{"WithPrecision(99)", recon.WithPrecision(99)},
 	} {
 		if _, err := recon.New(spec, c.opt); err == nil {
 			t.Errorf("%s accepted", c.name)
@@ -119,9 +126,10 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
-// TestKernelWorkersFromContext: a wrapped-in stage reads the budget API.md
-// documents — the full host for serial Reconstruct and GOMAXPROCS/workers
-// (at least 1) in each worker of an engine pool.
+// TestKernelWorkersFromContext: the kernel budget a wrapped-in stage's
+// context carries is the one API.md documents — the full host for serial
+// Reconstruct and GOMAXPROCS/workers (at least 1) in each worker of an
+// engine pool.
 func TestKernelWorkersFromContext(t *testing.T) {
 	ds := testDataset(t, 0.02, 2, 91)
 	host := runtime.GOMAXPROCS(0)
@@ -161,7 +169,7 @@ func TestKernelWorkersFromContext(t *testing.T) {
 			}
 			for _, got := range emb.seen {
 				if got != tc.want {
-					t.Fatalf("KernelWorkersFromContext = %d, want %d (GOMAXPROCS %d)", got, tc.want, host)
+					t.Fatalf("kernel workers from context = %d, want %d (GOMAXPROCS %d)", got, tc.want, host)
 				}
 			}
 		})

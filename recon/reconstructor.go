@@ -185,9 +185,6 @@ func (r *Reconstructor) Precision() Precision { return r.set.precision }
 // Spec returns the detector spec the reconstructor was built for.
 func (r *Reconstructor) Spec() DetectorSpec { return r.spec }
 
-// Threshold returns the stage-4 decision threshold.
-func (r *Reconstructor) Threshold() float64 { return r.cfg.GNNThreshold }
-
 // kernelCtx installs the serial intra-op worker budget on ctx for the
 // stage adapters (see stages.go). Engine workers install their
 // own divided budget instead.

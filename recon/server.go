@@ -28,8 +28,6 @@ type (
 	HitJSON = wire.Hit
 	// EventJSON is one collision event on the wire.
 	EventJSON = wire.Event
-	// SyntheticJSON asks the server to generate events server-side.
-	SyntheticJSON = wire.Synthetic
 	// ReconstructRequest is the POST /v1/reconstruct body.
 	ReconstructRequest = wire.Request
 	// TrackResultJSON is one event's reconstruction on the wire.
@@ -182,9 +180,6 @@ func NewServer(engine *Engine, opts ...Option) *Server {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Draining reports whether graceful shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Shutdown begins a graceful drain: /healthz flips to 503 "draining" so
 // load balancers stop routing here, new reconstruct requests are

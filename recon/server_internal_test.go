@@ -16,6 +16,10 @@ import (
 	"repro/recon/wire"
 )
 
+// Draining reports whether graceful shutdown has begun: the external
+// tests' view of s.draining.
+func (s *Server) Draining() bool { return s.draining.Load() }
+
 // TestDecodeBodyHintBounded: a Content-Length reserves at most
 // bodyHintMax before the body arrives, however large the declared length
 // under the cap. A client that declares the cap and sends a few bytes

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/recon"
+	"repro/recon/wire"
 )
 
 // testServer builds a two-worker server over an untrained truth-level
@@ -47,7 +48,7 @@ func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.Res
 func TestServerSynthetic(t *testing.T) {
 	srv, _ := testServer(t)
 	w := postJSON(t, srv, "/v1/reconstruct", recon.ReconstructRequest{
-		Synthetic: &recon.SyntheticJSON{Count: 2, Seed: 7},
+		Synthetic: &wire.Synthetic{Count: 2, Seed: 7},
 	})
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
@@ -107,7 +108,7 @@ func TestServerHealthAndStats(t *testing.T) {
 	}
 
 	postJSON(t, srv, "/v1/reconstruct", recon.ReconstructRequest{
-		Synthetic: &recon.SyntheticJSON{Count: 1, Seed: 3},
+		Synthetic: &wire.Synthetic{Count: 1, Seed: 3},
 	})
 
 	w = httptest.NewRecorder()

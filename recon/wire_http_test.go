@@ -74,7 +74,7 @@ func TestServerBinaryWireBytes(t *testing.T) {
 }
 
 func syntheticRequest() recon.ReconstructRequest {
-	return recon.ReconstructRequest{Synthetic: &recon.SyntheticJSON{Count: 2, Seed: 7}}
+	return recon.ReconstructRequest{Synthetic: &wire.Synthetic{Count: 2, Seed: 7}}
 }
 
 // TestServerBinaryNegotiation: the four content negotiation quadrants

@@ -16,12 +16,13 @@ import (
 	"testing"
 )
 
-// TestInternalExportsAreUsed enforces the rule that an exported name in
-// internal/ is there because a program uses it.
+// TestInternalExportsAreUsed enforces the rule that an exported name in a
+// library package of the module (internal/, recon, recon/wire: every
+// package that is not a command) is there because a program uses it.
 //
 // Every exported function, method, type, variable and constant declared in
-// a non-test file of internal/ other than a reference.go must be used by a
-// program: a non-test file anywhere in the module that is not a
+// a non-test file of a library package other than a reference.go must be
+// used by a program: a non-test file anywhere in the module that is not a
 // reference.go. A package's reference.go holds its test oracles (the
 // simplest implementations that tests compare the fast paths against):
 // each of its exported names must be used by a test or by another
@@ -35,7 +36,9 @@ import (
 // receiver base type and name, so a method named like a used method of
 // another type is not kept alive by it. A method also counts as used when
 // its type implements an interface that has that method and is declared in
-// the module, in a package a program imports, or is error. There is no
+// the module, in a package a program imports, or is error; a generic type
+// is checked as its instance over its own type parameters. Unwrap counts
+// on an error type, since errors.Is and errors.As call it. There is no
 // allow-list.
 func TestInternalExportsAreUsed(t *testing.T) {
 	t.Parallel()
@@ -49,7 +52,9 @@ func TestInternalExportsAreUsed(t *testing.T) {
 }
 
 // TestExportGuardFixture runs the guard over a small module built to hold
-// one case of each finding, next to a method that an interface keeps.
+// one case of each finding, in internal/ and in a public package, next to
+// methods that an interface keeps: on a plain type, on a generic type, and
+// an error's Unwrap.
 func TestExportGuardFixture(t *testing.T) {
 	t.Parallel()
 	got, err := unusedExports(filepath.Join("testdata", "exportguard"))
@@ -59,7 +64,8 @@ func TestExportGuardFixture(t *testing.T) {
 	want := []string{
 		"internal/shapes/reference.go:4:6: shapes.RefArea is used by a program",
 		"internal/shapes/reference.go:7:6: shapes.RefPerimeter is in reference.go but nothing uses it",
-		"internal/shapes/shapes.go:18:17: shapes.Square.Area is exported from internal/ but no program uses it",
+		"internal/shapes/shapes.go:18:17: shapes.Square.Area is exported but no program uses it",
+		"report/report.go:11:6: report.Lines is exported but no program uses it",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -145,7 +151,7 @@ func unusedExports(root string) ([]string, error) {
 		case d.reference && use == 0:
 			msg = "is in reference.go but nothing uses it"
 		case !d.reference && use&byProgram == 0 && !g.satisfies(d, ifaces):
-			msg = "is exported from internal/ but no program uses it"
+			msg = "is exported but no program uses it"
 		default:
 			continue
 		}
@@ -281,14 +287,14 @@ func (g *exportGuard) imports(from, to string, seen map[string]bool) bool {
 
 // checkWithTests type-checks pkg with its in-package tests, and then its
 // external test package, recording the uses in each file and, for
-// internal/, the exported declarations of its non-test files.
+// a library package, the exported declarations of its non-test files.
 func (g *exportGuard) checkWithTests(pkg *guardPkg, programImports map[string]bool) error {
 	files := append(append([]*ast.File(nil), pkg.src...), pkg.inTest...)
 	tp, info, err := g.check(pkg.path, files, g)
 	if err != nil {
 		return err
 	}
-	internal := strings.HasPrefix(pkg.path, g.module+"/internal/")
+	library := tp.Name() != "main"
 	for _, f := range files {
 		kind := g.fileKind(f)
 		if kind == byProgram {
@@ -296,7 +302,7 @@ func (g *exportGuard) checkWithTests(pkg *guardPkg, programImports map[string]bo
 				programImports[strings.Trim(is.Path.Value, `"`)] = true
 			}
 		}
-		g.recordUses(f, info, kind, internal && kind != byTest)
+		g.recordUses(f, info, kind, library && kind != byTest)
 	}
 	if len(pkg.xTest) == 0 {
 		return nil
@@ -422,10 +428,17 @@ func baseNamed(t types.Type) *types.Named {
 	return nil
 }
 
-// interfaces returns error and the package-level interfaces of the module
-// and of every package a program imports.
+// interfaces returns error, the two Unwrap methods errors.Is and errors.As
+// look for on an error, and the package-level interfaces of the module and
+// of every package a program imports.
 func (g *exportGuard) interfaces(programImports map[string]bool) ([]*types.Interface, error) {
-	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	errType := types.Universe.Lookup("error").Type()
+	ifaces := []*types.Interface{errType.Underlying().(*types.Interface)}
+	for _, res := range []types.Type{errType, types.NewSlice(errType)} {
+		sig := types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(types.NewParam(token.NoPos, nil, "", res)), false)
+		unwrap := types.NewFunc(token.NoPos, nil, "Unwrap", sig)
+		ifaces = append(ifaces, types.NewInterfaceType([]*types.Func{unwrap}, []types.Type{errType}).Complete())
+	}
 	for path := range g.pkgs {
 		programImports[path] = true
 	}
@@ -451,7 +464,9 @@ func (g *exportGuard) interfaces(programImports map[string]bool) ([]*types.Inter
 }
 
 // satisfies reports whether d is a method whose type, or a pointer to it,
-// implements one of ifaces that has a method of d's name.
+// implements one of ifaces that has a method of d's name. A generic type
+// is instantiated over its own type parameters, as a generic function's
+// body sees it.
 func (g *exportGuard) satisfies(d guardDecl, ifaces []*types.Interface) bool {
 	if d.recv == "" {
 		return false
@@ -461,12 +476,24 @@ func (g *exportGuard) satisfies(d guardDecl, ifaces []*types.Interface) bool {
 		return false
 	}
 	named, ok := tn.Type().(*types.Named)
-	if !ok || named.TypeParams().Len() > 0 {
+	if !ok {
 		return false
+	}
+	var recv types.Type = named
+	if tps := named.TypeParams(); tps.Len() > 0 {
+		targs := make([]types.Type, tps.Len())
+		for i := range targs {
+			targs[i] = tps.At(i)
+		}
+		inst, err := types.Instantiate(nil, named, targs, false)
+		if err != nil {
+			return false
+		}
+		recv = inst
 	}
 	for _, it := range ifaces {
 		for i := 0; i < it.NumMethods(); i++ {
-			if it.Method(i).Name() == d.name && (types.Implements(named, it) || types.Implements(types.NewPointer(named), it)) {
+			if it.Method(i).Name() == d.name && (types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)) {
 				return true
 			}
 		}
