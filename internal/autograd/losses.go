@@ -62,7 +62,7 @@ func (t *Tape) bceWithLogits(logits *Node, targets []float64, posWeight float64,
 			if y > 0.5 {
 				w = posWeight
 			}
-			gd[i] = scale * w * (sigmoid(z[i]) - y)
+			gd[i] = scale * w * (Logistic(z[i]) - y)
 		}
 		logits.accumOwned(g)
 	})
@@ -119,8 +119,10 @@ func (t *Tape) HingePairLoss(d2 *Node, labels []float64, margin float64) *Node {
 	return out
 }
 
-// sigmoid is the numerically stable logistic function.
-func sigmoid(x float64) float64 {
+// Logistic is the numerically stable logistic function 1/(1+e^-x): the
+// loss's backward here and the serving scores (nn.SigmoidScore) share it,
+// so a score and the loss it was trained under use the same arithmetic.
+func Logistic(x float64) float64 {
 	if x >= 0 {
 		return 1 / (1 + math.Exp(-x))
 	}

@@ -161,17 +161,7 @@ func symmetricScale(maxAbs float64) float32 {
 	return float32(maxAbs / 127)
 }
 
-// sigmoidStable is the numerically stable logistic function (the same
-// form the autograd loss uses).
-func sigmoidStable(x float64) float64 {
-	if x >= 0 {
-		return 1 / (1 + math.Exp(-x))
-	}
-	e := math.Exp(x)
-	return e / (1 + e)
-}
-
 // SigmoidScore converts one logit to a float64 score — the boundary
 // where the f32 inference path returns to the float64 metric/threshold
 // domain.
-func SigmoidScore[T fp.Float](logit T) float64 { return sigmoidStable(float64(logit)) }
+func SigmoidScore[T fp.Float](logit T) float64 { return autograd.Logistic(float64(logit)) }

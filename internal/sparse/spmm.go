@@ -76,7 +76,6 @@ func SpMMAddIntoCtx[T fp.Float](kc kernels.Context, out *tensor.Matrix[T], a *CS
 // function so both entry points share one capture-free body.
 func spmmBody[T fp.Float](cx spmmCtx[T], lo, hi int) {
 	out, a, x := cx.out, cx.a, cx.x
-	c := x.Cols()
 	for i := lo; i < hi; i++ {
 		oRow := out.Row(i)
 		if cx.res != nil {
@@ -89,9 +88,8 @@ func spmmBody[T fp.Float](cx spmmCtx[T], lo, hi int) {
 		cols, vals := a.Row(i)
 		for k, col := range cols {
 			v := vals[k]
-			xRow := x.Row(col)
-			for j := 0; j < c; j++ {
-				oRow[j] += v * xRow[j]
+			for j, xv := range x.Row(col)[:len(oRow)] {
+				oRow[j] += v * xv
 			}
 		}
 	}

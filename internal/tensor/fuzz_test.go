@@ -41,8 +41,9 @@ func (d *fuzzBytes) fill(data []float64) {
 
 // FuzzMatMulSegs is a differential test of the two tile
 // implementations: on shapes of m ≤ 9 rows, k from 1 to 12 (every
-// residue mod 4), n from 1 to 20 (every residue mod 8, so wide tiles,
-// odd 4-wide tiles and partial panels all occur) and up to three
+// residue mod 4), n from 1 to 40 (every residue mod 16, so at both
+// panel widths, 4 columns at float64 and 8 at float32, wide tiles, odd
+// one-panel tiles and partial panels all occur) and up to three
 // segments, one of them gathered, with the bias and ReLU epilogue on or
 // off, MatMulSegsIntoCtx must store the same bits on the AVX tile
 // kernels as on the Go micro-kernels, at float64 and float32.
@@ -51,12 +52,13 @@ func FuzzMatMulSegs(f *testing.F) {
 	f.Add([]byte{4, 3, 3, 2, 3, 1, 1, 5, 0, 2, 1, 3, 2, 8, 9, 10, 0, 0, 0, 0, 7, 4})
 	f.Add([]byte{9, 11, 11, 1, 3, 0, 2, 10, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 1, 2})
 	f.Add([]byte{8, 7, 5, 0, 2, 0, 0, 0, 10, 10, 10, 10, 8, 0, 9, 1, 6, 5, 4, 3})
+	f.Add([]byte{9, 10, 26, 1, 12, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1, 2, 3, 4, 5, 6, 7})
 	if !simdGEMM {
 		f.Skip("CPU has no AVX tile kernel to compare")
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := fuzzBytes(data)
-		m, k, n := d.next()%10, 1+d.next()%12, 1+d.next()%20
+		m, k, n := d.next()%10, 1+d.next()%12, 1+d.next()%40
 		nseg := min(1+d.next()%3, k)
 		flags := d.next()
 		gathered := flags % nseg

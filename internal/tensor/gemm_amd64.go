@@ -1,9 +1,9 @@
 package tensor
 
 // simdGEMM selects the AVX tile kernels in gemm_amd64.s for gemmBody's
-// full MR×8 and MR×4 tiles and for the float64 full tiles of matMulTBody
-// and tMatMulBody. It is set once from the CPU probe; tests flip it to run
-// the Go bodies on the same inputs.
+// full two-panel and one-panel tiles and for the float64 full tiles of
+// matMulTBody and tMatMulBody. It is set once from the CPU probe; tests
+// flip it to run the Go bodies on the same inputs.
 var simdGEMM = cpuHasAVX()
 
 // cpuHasAVX reports whether the CPU has AVX and the OS saves YMM state.
@@ -16,10 +16,13 @@ func cpuHasAVX() bool
 //go:noescape
 func gemmTile4x4F64(o *float64, n int, a *float64, panel *float64, k int, bias *float64, relu bool)
 
-// gemmTile2x4F32 is gemmTile4x4F64 for a float32 2×4 tile.
+// gemmTile4x8F32 is gemmTile4x4F64 for a float32 4×8 tile: o[r*n+j]
+// (r < 4, j < 8) against one packed 8-wide panel of 8k elements, with
+// bias[0:8]. A panel row is 32 bytes at either precision, so each YMM
+// lane does gemmTile4x4F64's arithmetic in float32.
 //
 //go:noescape
-func gemmTile2x4F32(o *float32, n int, a *float32, panel *float32, k int, bias *float32, relu bool)
+func gemmTile4x8F32(o *float32, n int, a *float32, panel *float32, k int, bias *float32, relu bool)
 
 // gemmTile4x8F64 is gemmTile4x4F64 for a float64 4×8 tile: o[r*n+j]
 // (r < 4, j < 8) against two adjacent packed panels of 4k elements each
@@ -30,10 +33,12 @@ func gemmTile2x4F32(o *float32, n int, a *float32, panel *float32, k int, bias *
 //go:noescape
 func gemmTile4x8F64(o *float64, n int, a *float64, panel *float64, k int, bias *float64, relu bool)
 
-// gemmTile2x8F32 is gemmTile4x8F64 for a float32 2×8 tile.
+// gemmTile4x16F32 is gemmTile4x8F64 for a float32 4×16 tile: o[r*n+j]
+// (r < 4, j < 16) against two adjacent packed 8-wide panels of 8k
+// elements each (panel, then panel+8k), with bias[0:16].
 //
 //go:noescape
-func gemmTile2x8F32(o *float32, n int, a *float32, panel *float32, k int, bias *float32, relu bool)
+func gemmTile4x16F32(o *float32, n int, a *float32, panel *float32, k int, bias *float32, relu bool)
 
 // matMulTTiles2x4F64 stores, for r < 2 and c < 4·tiles, the quad part
 // of the dot product of row a[r*k:(r+1)*k] with row b[c*k:(c+1)*k] to

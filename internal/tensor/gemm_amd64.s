@@ -1,8 +1,11 @@
 #include "textflag.h"
 
-// AVX tile kernels for gemmBody: MR×4 tiles against one packed panel and
-// MR×8 tiles against two adjacent ones. Each vector lane is one output
-// column doing microGEMM4 / microGEMM2's scalar arithmetic, per quad
+// AVX tile kernels for gemmBody: four output rows against one packed
+// panel (4×4 at float64, 4×8 at float32) and against two adjacent ones
+// (4×8, 4×16). A panel row is 32 bytes, one YMM register, at either
+// precision, so the float32 tiles read the panels at the float64 tiles'
+// offsets and differ only in A's element stride. Each vector lane is one
+// output column doing microGEMM4's scalar arithmetic, per quad
 // t = a0·B0; t = t + a1·B1; t = t + a2·B2; t = t + a3·B3; c = c + t,
 // then per tail element c = c + a·B; tiled.go's file comment states the
 // contract and why the operand order below (a first in a multiply, the
@@ -308,37 +311,43 @@ w64out:
 	VZEROUPPER
 	RET
 
-// F32QUAD is F64QUAD at float32 width: one XMM of four columns.
-#define F32QUAD(ap, acc, skip) \
+// F32X8QUAD is F64QUAD at float32 width: a panel row is eight float32
+// columns in one YMM, at F64QUAD's 32-byte offsets, and the zero test
+// reads the quad's four a values as one XMM. Y8 holds +0; Y9, Y10, Y11
+// and AX are clobbered.
+#define F32X8QUAD(ap, acc, skip) \
 	VCMPPS       $4, (ap), X8, X9; \
 	VMOVMSKPS    X9, AX; \
 	TESTL        AX, AX; \
 	JZ           skip; \
-	VBROADCASTSS 0(ap), X10; \
-	VMULPS       X4, X10, X10; \
-	VBROADCASTSS 4(ap), X11; \
-	VMULPS       X5, X11, X11; \
-	VADDPS       X11, X10, X10; \
-	VBROADCASTSS 8(ap), X11; \
-	VMULPS       X6, X11, X11; \
-	VADDPS       X11, X10, X10; \
-	VBROADCASTSS 12(ap), X11; \
-	VMULPS       X7, X11, X11; \
-	VADDPS       X11, X10, X10; \
-	VADDPS       X10, acc, acc
+	VBROADCASTSS 0(ap), Y10; \
+	VMULPS       Y4, Y10, Y10; \
+	VBROADCASTSS 4(ap), Y11; \
+	VMULPS       Y5, Y11, Y11; \
+	VADDPS       Y11, Y10, Y10; \
+	VBROADCASTSS 8(ap), Y11; \
+	VMULPS       Y6, Y11, Y11; \
+	VADDPS       Y11, Y10, Y10; \
+	VBROADCASTSS 12(ap), Y11; \
+	VMULPS       Y7, Y11, Y11; \
+	VADDPS       Y11, Y10, Y10; \
+	VADDPS       Y10, acc, acc
 
-// F32TAIL is F64TAIL at float32 width.
-#define F32TAIL(ap, acc, skip) \
-	VBROADCASTSS 0(ap), X9; \
-	VCMPPS       $4, X8, X9, X10; \
-	VMOVMSKPS    X10, AX; \
+// F32X8TAIL is F64TAIL at float32 width. Y8 holds +0; Y9, Y10 and AX
+// are clobbered.
+#define F32X8TAIL(ap, acc, skip) \
+	VBROADCASTSS 0(ap), Y9; \
+	VCMPPS       $4, Y8, Y9, Y10; \
+	VMOVMSKPS    Y10, AX; \
 	TESTL        AX, AX; \
 	JZ           skip; \
-	VMULPS       X4, X9, X9; \
-	VADDPS       X9, acc, acc
+	VMULPS       Y4, Y9, Y9; \
+	VADDPS       Y9, acc, acc
 
-// func gemmTile2x4F32(o *float32, n int, a *float32, panel *float32, k int, bias *float32, relu bool)
-TEXT ·gemmTile2x4F32(SB), NOSPLIT, $0-49
+// func gemmTile4x8F32(o *float32, n int, a *float32, panel *float32, k int, bias *float32, relu bool)
+// gemmTile4x4F64 at float32 against one 8-wide panel: only the A and
+// output strides change (4-byte elements, 16-byte quads).
+TEXT ·gemmTile4x8F32(SB), NOSPLIT, $0-49
 	MOVQ o+0(FP), DI
 	MOVQ n+8(FP), DX
 	SHLQ $2, DX
@@ -346,30 +355,42 @@ TEXT ·gemmTile2x4F32(SB), NOSPLIT, $0-49
 	MOVQ panel+24(FP), BX
 	MOVQ k+32(FP), CX
 	LEAQ (SI)(CX*4), R8
+	LEAQ (R8)(CX*4), R9
+	LEAQ (R9)(CX*4), R10
 
-	VXORPS X0, X0, X0
-	VXORPS X1, X1, X1
-	VXORPS X8, X8, X8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y8, Y8, Y8
 
 	MOVQ CX, R11
 	SHRQ $2, R11
 	JZ   f32tail
 
 f32quad:
-	VMOVUPS 0(BX), X4
-	VMOVUPS 16(BX), X5
-	VMOVUPS 32(BX), X6
-	VMOVUPS 48(BX), X7
+	VMOVUPS 0(BX), Y4
+	VMOVUPS 32(BX), Y5
+	VMOVUPS 64(BX), Y6
+	VMOVUPS 96(BX), Y7
 
-	F32QUAD(SI, X0, f32q1)
+	F32X8QUAD(SI, Y0, f32q1)
 
 f32q1:
-	F32QUAD(R8, X1, f32qnext)
+	F32X8QUAD(R8, Y1, f32q2)
+
+f32q2:
+	F32X8QUAD(R9, Y2, f32q3)
+
+f32q3:
+	F32X8QUAD(R10, Y3, f32qnext)
 
 f32qnext:
 	ADDQ $16, SI
 	ADDQ $16, R8
-	ADDQ $64, BX
+	ADDQ $16, R9
+	ADDQ $16, R10
+	ADDQ $128, BX
 	DECQ R11
 	JNZ  f32quad
 
@@ -378,82 +399,101 @@ f32tail:
 	JZ   f32store
 
 f32tailloop:
-	VMOVUPS 0(BX), X4
-	F32TAIL(SI, X0, f32t1)
+	VMOVUPS 0(BX), Y4
+	F32X8TAIL(SI, Y0, f32t1)
 
 f32t1:
-	F32TAIL(R8, X1, f32tnext)
+	F32X8TAIL(R8, Y1, f32t2)
+
+f32t2:
+	F32X8TAIL(R9, Y2, f32t3)
+
+f32t3:
+	F32X8TAIL(R10, Y3, f32tnext)
 
 f32tnext:
 	ADDQ $4, SI
 	ADDQ $4, R8
-	ADDQ $16, BX
+	ADDQ $4, R9
+	ADDQ $4, R10
+	ADDQ $32, BX
 	DECQ CX
 	JNZ  f32tailloop
 
 f32store:
+	// gemmTile4x4F64's epilogue on eight columns.
 	MOVQ  bias+40(FP), AX
 	TESTQ AX, AX
 	JZ    f32out
-	VMOVUPS (AX), X9
-	VADDPS  X9, X0, X0
-	VADDPS  X9, X1, X1
+	VMOVUPS (AX), Y9
+	VADDPS  Y9, Y0, Y0
+	VADDPS  Y9, Y1, Y1
+	VADDPS  Y9, Y2, Y2
+	VADDPS  Y9, Y3, Y3
 	CMPB    relu+48(FP), $0
 	JEQ     f32out
-	VMAXPS  X8, X0, X0
-	VMAXPS  X8, X1, X1
+	VMAXPS  Y8, Y0, Y0
+	VMAXPS  Y8, Y1, Y1
+	VMAXPS  Y8, Y2, Y2
+	VMAXPS  Y8, Y3, Y3
 
 f32out:
-	VMOVUPS X0, (DI)
-	VMOVUPS X1, (DI)(DX*1)
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, (DI)(DX*1)
+	LEAQ    (DI)(DX*2), DI
+	VMOVUPS Y2, (DI)
+	VMOVUPS Y3, (DI)(DX*1)
 	VZEROUPPER
 	RET
 
-// F32QUAD2 is F64QUAD2 at float32 width, against the panels at BX (into
-// acc0) and R12 (into acc1). X8 holds +0; X9, X12..X15 and AX are
-// clobbered.
-#define F32QUAD2(ap, acc0, acc1, skip) \
+// F32X8QUAD2 is F64QUAD2 at float32 width, against the 8-wide panel
+// rows at BX (into acc0) and R12 (into acc1). Y8 holds +0; Y9,
+// Y12..Y15 and AX are clobbered.
+#define F32X8QUAD2(ap, acc0, acc1, skip) \
 	VCMPPS       $4, (ap), X8, X9; \
 	VMOVMSKPS    X9, AX; \
 	TESTL        AX, AX; \
 	JZ           skip; \
-	VBROADCASTSS 0(ap), X12; \
-	VMULPS       0(BX), X12, X13; \
-	VMULPS       0(R12), X12, X14; \
-	VBROADCASTSS 4(ap), X12; \
-	VMULPS       16(BX), X12, X15; \
-	VADDPS       X15, X13, X13; \
-	VMULPS       16(R12), X12, X15; \
-	VADDPS       X15, X14, X14; \
-	VBROADCASTSS 8(ap), X12; \
-	VMULPS       32(BX), X12, X15; \
-	VADDPS       X15, X13, X13; \
-	VMULPS       32(R12), X12, X15; \
-	VADDPS       X15, X14, X14; \
-	VBROADCASTSS 12(ap), X12; \
-	VMULPS       48(BX), X12, X15; \
-	VADDPS       X15, X13, X13; \
-	VMULPS       48(R12), X12, X15; \
-	VADDPS       X15, X14, X14; \
-	VADDPS       X13, acc0, acc0; \
-	VADDPS       X14, acc1, acc1
+	VBROADCASTSS 0(ap), Y12; \
+	VMULPS       0(BX), Y12, Y13; \
+	VMULPS       0(R12), Y12, Y14; \
+	VBROADCASTSS 4(ap), Y12; \
+	VMULPS       32(BX), Y12, Y15; \
+	VADDPS       Y15, Y13, Y13; \
+	VMULPS       32(R12), Y12, Y15; \
+	VADDPS       Y15, Y14, Y14; \
+	VBROADCASTSS 8(ap), Y12; \
+	VMULPS       64(BX), Y12, Y15; \
+	VADDPS       Y15, Y13, Y13; \
+	VMULPS       64(R12), Y12, Y15; \
+	VADDPS       Y15, Y14, Y14; \
+	VBROADCASTSS 12(ap), Y12; \
+	VMULPS       96(BX), Y12, Y15; \
+	VADDPS       Y15, Y13, Y13; \
+	VMULPS       96(R12), Y12, Y15; \
+	VADDPS       Y15, Y14, Y14; \
+	VADDPS       Y13, acc0, acc0; \
+	VADDPS       Y14, acc1, acc1
 
-// F32TAIL2 is F64TAIL2 at float32 width.
-#define F32TAIL2(ap, acc0, acc1, skip) \
-	VBROADCASTSS 0(ap), X9; \
-	VCMPPS       $4, X8, X9, X10; \
-	VMOVMSKPS    X10, AX; \
+// F32X8TAIL2 is F64TAIL2 at float32 width. Y8 holds +0; Y9, Y10, Y11
+// and AX are clobbered.
+#define F32X8TAIL2(ap, acc0, acc1, skip) \
+	VBROADCASTSS 0(ap), Y9; \
+	VCMPPS       $4, Y8, Y9, Y10; \
+	VMOVMSKPS    Y10, AX; \
 	TESTL        AX, AX; \
 	JZ           skip; \
-	VMULPS       0(BX), X9, X10; \
-	VADDPS       X10, acc0, acc0; \
-	VMULPS       0(R12), X9, X11; \
-	VADDPS       X11, acc1, acc1
+	VMULPS       0(BX), Y9, Y10; \
+	VADDPS       Y10, acc0, acc0; \
+	VMULPS       0(R12), Y9, Y11; \
+	VADDPS       Y11, acc1, acc1
 
-// func gemmTile2x8F32(o *float32, n int, a *float32, panel *float32, k int, bias *float32, relu bool)
-// gemmTile4x8F64 at float32 with two rows: X0, X1 accumulate the first
-// panel's columns, X2, X3 the second's.
-TEXT ·gemmTile2x8F32(SB), NOSPLIT, $0-49
+// func gemmTile4x16F32(o *float32, n int, a *float32, panel *float32, k int, bias *float32, relu bool)
+// gemmTile4x8F64 at float32 against two 8-wide panels: the second
+// starts 8k elements (32k bytes, as at float64) after the first. Y0..Y3
+// accumulate rows 0..3 of the first panel's columns, Y4..Y7 the same
+// rows of the second's.
+TEXT ·gemmTile4x16F32(SB), NOSPLIT, $0-49
 	MOVQ o+0(FP), DI
 	MOVQ n+8(FP), DX
 	SHLQ $2, DX
@@ -461,31 +501,45 @@ TEXT ·gemmTile2x8F32(SB), NOSPLIT, $0-49
 	MOVQ panel+24(FP), BX
 	MOVQ k+32(FP), CX
 	LEAQ (SI)(CX*4), R8
+	LEAQ (R8)(CX*4), R9
+	LEAQ (R9)(CX*4), R10
 	MOVQ CX, R12
-	SHLQ $4, R12
+	SHLQ $5, R12
 	ADDQ BX, R12
 
-	VXORPS X0, X0, X0
-	VXORPS X1, X1, X1
-	VXORPS X2, X2, X2
-	VXORPS X3, X3, X3
-	VXORPS X8, X8, X8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
 
 	MOVQ CX, R11
 	SHRQ $2, R11
 	JZ   w32tail
 
 w32quad:
-	F32QUAD2(SI, X0, X2, w32q1)
+	F32X8QUAD2(SI, Y0, Y4, w32q1)
 
 w32q1:
-	F32QUAD2(R8, X1, X3, w32qnext)
+	F32X8QUAD2(R8, Y1, Y5, w32q2)
+
+w32q2:
+	F32X8QUAD2(R9, Y2, Y6, w32q3)
+
+w32q3:
+	F32X8QUAD2(R10, Y3, Y7, w32qnext)
 
 w32qnext:
 	ADDQ $16, SI
 	ADDQ $16, R8
-	ADDQ $64, BX
-	ADDQ $64, R12
+	ADDQ $16, R9
+	ADDQ $16, R10
+	ADDQ $128, BX
+	ADDQ $128, R12
 	DECQ R11
 	JNZ  w32quad
 
@@ -494,41 +548,64 @@ w32tail:
 	JZ   w32store
 
 w32tailloop:
-	F32TAIL2(SI, X0, X2, w32t1)
+	F32X8TAIL2(SI, Y0, Y4, w32t1)
 
 w32t1:
-	F32TAIL2(R8, X1, X3, w32tnext)
+	F32X8TAIL2(R8, Y1, Y5, w32t2)
+
+w32t2:
+	F32X8TAIL2(R9, Y2, Y6, w32t3)
+
+w32t3:
+	F32X8TAIL2(R10, Y3, Y7, w32tnext)
 
 w32tnext:
 	ADDQ $4, SI
 	ADDQ $4, R8
-	ADDQ $16, BX
-	ADDQ $16, R12
+	ADDQ $4, R9
+	ADDQ $4, R10
+	ADDQ $32, BX
+	ADDQ $32, R12
 	DECQ CX
 	JNZ  w32tailloop
 
 w32store:
+	// gemmTile4x8F64's epilogue, bias[0:8] on the first panel's
+	// columns and bias[8:16] on the second's.
 	MOVQ  bias+40(FP), AX
 	TESTQ AX, AX
 	JZ    w32out
-	VMOVUPS (AX), X9
-	VMOVUPS 16(AX), X10
-	VADDPS  X9, X0, X0
-	VADDPS  X9, X1, X1
-	VADDPS  X10, X2, X2
-	VADDPS  X10, X3, X3
+	VMOVUPS (AX), Y9
+	VMOVUPS 32(AX), Y10
+	VADDPS  Y9, Y0, Y0
+	VADDPS  Y9, Y1, Y1
+	VADDPS  Y9, Y2, Y2
+	VADDPS  Y9, Y3, Y3
+	VADDPS  Y10, Y4, Y4
+	VADDPS  Y10, Y5, Y5
+	VADDPS  Y10, Y6, Y6
+	VADDPS  Y10, Y7, Y7
 	CMPB    relu+48(FP), $0
 	JEQ     w32out
-	VMAXPS  X8, X0, X0
-	VMAXPS  X8, X1, X1
-	VMAXPS  X8, X2, X2
-	VMAXPS  X8, X3, X3
+	VMAXPS  Y8, Y0, Y0
+	VMAXPS  Y8, Y1, Y1
+	VMAXPS  Y8, Y2, Y2
+	VMAXPS  Y8, Y3, Y3
+	VMAXPS  Y8, Y4, Y4
+	VMAXPS  Y8, Y5, Y5
+	VMAXPS  Y8, Y6, Y6
+	VMAXPS  Y8, Y7, Y7
 
 w32out:
-	VMOVUPS X0, (DI)
-	VMOVUPS X2, 16(DI)
-	VMOVUPS X1, (DI)(DX*1)
-	VMOVUPS X3, 16(DI)(DX*1)
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y4, 32(DI)
+	VMOVUPS Y1, (DI)(DX*1)
+	VMOVUPS Y5, 32(DI)(DX*1)
+	LEAQ    (DI)(DX*2), DI
+	VMOVUPS Y2, (DI)
+	VMOVUPS Y6, 32(DI)
+	VMOVUPS Y3, (DI)(DX*1)
+	VMOVUPS Y7, 32(DI)(DX*1)
 	VZEROUPPER
 	RET
 

@@ -10,7 +10,7 @@ func gemmTile4x4F64(o *float64, n int, a *float64, panel *float64, k int, bias *
 	panic("tensor: no tile kernel on this architecture")
 }
 
-func gemmTile2x4F32(o *float32, n int, a *float32, panel *float32, k int, bias *float32, relu bool) {
+func gemmTile4x8F32(o *float32, n int, a *float32, panel *float32, k int, bias *float32, relu bool) {
 	panic("tensor: no tile kernel on this architecture")
 }
 
@@ -18,7 +18,7 @@ func gemmTile4x8F64(o *float64, n int, a *float64, panel *float64, k int, bias *
 	panic("tensor: no tile kernel on this architecture")
 }
 
-func gemmTile2x8F32(o *float32, n int, a *float32, panel *float32, k int, bias *float32, relu bool) {
+func gemmTile4x16F32(o *float32, n int, a *float32, panel *float32, k int, bias *float32, relu bool) {
 	panic("tensor: no tile kernel on this architecture")
 }
 

@@ -35,12 +35,15 @@ func forEachGEMMKernel(t *testing.T, body func(t *testing.T)) {
 	})
 }
 
-// gemmShapesUnderTest exercises k%4 remainders (every residue), n%4
-// remainders (every residue), rows below the MR=4 block,
-// panel-boundary-straddling widths, and the AVX tile's panel pairing:
-// a pair plus an odd full panel (n = 12), a pair alone (n = 8), and an
-// odd panel count in the second gemmJB column block (n = 76: eight
-// pairs, then a pair and an odd panel).
+// gemmShapesUnderTest exercises k%4 remainders (every residue), n%4 and
+// n%8 remainders (every residue), rows below the MR=4 block,
+// panel-boundary-straddling widths, and the AVX tiles' panel pairing at
+// both panel widths (4 columns at float64, 8 at float32): a pair plus an
+// odd full panel (n = 12 at float64, 24 at float32), a pair alone and a
+// lone panel (n = 8 at float64 and at float32), an odd panel count in
+// the second gemmJB column block (n = 76: eight pairs, then a pair and
+// an odd panel at float64; four pairs, then an odd panel and a partial
+// one at float32), and two pairs plus an odd panel (n = 40 at float32).
 var gemmShapesUnderTest = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{3, 5, 7},
@@ -52,6 +55,8 @@ var gemmShapesUnderTest = []struct{ m, k, n int }{
 	{9, 12, 12},
 	{6, 7, 76},
 	{4, 16, 8},
+	{10, 9, 24},
+	{13, 6, 40},
 }
 
 // refMatMul is the accumulation contract of MatMulIntoCtx written flat,
@@ -146,14 +151,14 @@ func TestTiledAVXTilesCoverEachFullPanelOnce(t *testing.T) {
 }
 
 func testTilesCoverEachFullPanelOnce[T fp.Float](t *testing.T) {
-	mr := gemmMR[T]()
+	pw := panelWidth[T]()
 	for _, sh := range append(gemmShapesUnderTest, struct{ m, k, n int }{5, 3, 140}) {
 		want := map[int]int{} // output offset → panel count
-		for i := 0; i+mr <= sh.m; i += mr {
-			for q0 := 0; q0 < (sh.n+3)/4; q0 += gemmJB / 4 {
-				full := min(q0+gemmJB/4, sh.n/4) - q0
+		for i := 0; i+gemmMR <= sh.m; i += gemmMR {
+			for q0 := 0; q0 < (sh.n+pw-1)/pw; q0 += gemmJB / pw {
+				full := min(q0+gemmJB/pw, sh.n/pw) - q0
 				for q := 0; q < full; q += 2 {
-					want[i*sh.n+(q0+q)*4] = min(full-q, 2)
+					want[i*sh.n+(q0+q)*pw] = min(full-q, 2)
 				}
 			}
 		}
@@ -169,7 +174,7 @@ func testTilesCoverEachFullPanelOnce[T fp.Float](t *testing.T) {
 		MatMulIntoCtx(kernels.Context{Workers: 1}, NewOf[T](sh.m, sh.n), a, b)
 		testHookTile = nil
 		if !maps.Equal(got, want) {
-			t.Fatalf("%v at MR %d: tiles (offset → panels) %v, want %v", sh, mr, got, want)
+			t.Fatalf("%v at panel width %d: tiles (offset → panels) %v, want %v", sh, pw, got, want)
 		}
 	}
 }
@@ -219,8 +224,8 @@ func testTiledMatMulZeroSkipMasksSpecialValues(t *testing.T) {
 // ±Inf, +0, negative and positive sums (a -0 sum cannot occur:
 // accumulators start at +0), which then meet biases of +0, -0, NaN and
 // both signs. ReLU must give +0 for NaN and every s ≤ 0, as addBiasRow's
-// s > 0 test does. Every (sum, bias) pair is placed in columns 0–3 and
-// in columns 4–7 of a wide tile, and in the odd 4-wide tile.
+// s > 0 test does. Every (sum, bias) pair is placed in the first and in
+// the second panel of a wide tile, and in the odd one-panel tile.
 func TestTiledEpilogueSpecialValues(t *testing.T) {
 	forEachGEMMKernel(t, func(t *testing.T) {
 		testEpilogueSpecialValues[float64](t)
@@ -233,21 +238,23 @@ func testEpilogueSpecialValues[T fp.Float](t *testing.T) {
 	sums := []float64{nan, 0, math.Copysign(0, -1), -1.5, 2.5, inf, -inf}
 	biases := []float64{0, math.Copysign(0, -1), nan, -2, 0.75}
 	pairs := len(sums) * len(biases) // 35
-	// 78 columns: a gemmJB block of eight wide tiles, then a wide tile
-	// (columns 64–71), the odd 4-wide tile (72–75) and a partial panel.
-	// Column j holds pair (j+shift) % 35; the nine shifts place every
-	// pair in each of the first three kinds of columns.
-	const n = 78
-	// kind is 0 or 1 in the first or second half of a wide tile, 2 in
+	// With panel width pw (4 at float64, 8 at float32), n = gemmJB+3pw+2
+	// columns: a gemmJB block of wide tiles, then a wide tile, the odd
+	// one-panel tile and a partial panel. Column j holds pair
+	// (j+shift) % 35; the nine shifts place every pair in each of the
+	// first three kinds of columns.
+	pw := panelWidth[T]()
+	n := gemmJB + 3*pw + 2
+	// kind is 0 or 1 in the first or second panel of a wide tile, 2 in
 	// the odd tile and 3 in the partial panel.
 	kind := func(j int) int {
 		switch {
-		case j >= 76:
+		case j >= gemmJB+3*pw:
 			return 3
-		case j >= 72:
+		case j >= gemmJB+2*pw:
 			return 2
 		}
-		return j / 4 % 2
+		return j / pw % 2
 	}
 	placed := make([][4]bool, pairs)
 	// Each s sits at every row position of a tile.
