@@ -20,9 +20,9 @@ import (
 	"repro/recon/wire"
 )
 
-// The wire DTOs live in recon/wire (shared with cmd/loadgen and any
-// external client); these aliases keep the historical recon names
-// working unchanged.
+// The wire DTOs live in recon/wire (shared with the benchmark's serving
+// workload and any external client); these aliases keep the historical
+// recon names working unchanged.
 type (
 	// HitJSON is one detector hit on the wire.
 	HitJSON = wire.Hit
@@ -428,7 +428,10 @@ func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 
 // eventFromJSON validates and converts a wire event. Feature widths
 // must match the spec the models were built for, so a missing or ragged
-// feature matrix is an error.
+// feature matrix is an error. Every coordinate (R and Phi as derived)
+// and feature must be finite: JSON cannot carry NaN or Inf but the
+// binary format carries raw IEEE-754 bits, and both formats accept the
+// same events.
 func eventFromJSON(spec DetectorSpec, ej *EventJSON) (*Event, error) {
 	n := len(ej.Hits)
 	if n == 0 {
@@ -443,10 +446,18 @@ func eventFromJSON(spec DetectorSpec, ej *EventJSON) (*Event, error) {
 		if len(ej.Features[i]) != spec.VertexFeatures {
 			return nil, fmt.Errorf("feature row %d has width %d, spec wants %d", i, len(ej.Features[i]), spec.VertexFeatures)
 		}
+		for j, v := range ej.Features[i] {
+			if !finite(v) {
+				return nil, fmt.Errorf("hit %d: feature %d is %v", i, j, v)
+			}
+		}
 		copy(feat.Row(i), ej.Features[i])
 		r, phi := h.R, h.Phi
 		if r == 0 && phi == 0 {
 			r, phi = math.Hypot(h.X, h.Y), math.Atan2(h.Y, h.X)
+		}
+		if !finite(h.X) || !finite(h.Y) || !finite(h.Z) || !finite(r) || !finite(phi) {
+			return nil, fmt.Errorf("hit %d: non-finite coordinate (x=%v y=%v z=%v r=%v phi=%v)", i, h.X, h.Y, h.Z, r, phi)
 		}
 		ev.Hits[i] = detector.Hit{
 			X: h.X, Y: h.Y, Z: h.Z,
@@ -467,6 +478,8 @@ func eventFromJSON(spec DetectorSpec, ej *EventJSON) (*Event, error) {
 	ev.TruthDst = append([]int(nil), ej.TruthDst...)
 	return ev, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // EventToJSON converts an event to its wire form — the inverse of the
 // request codec, used by clients and tests.

@@ -60,7 +60,8 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 // FuzzDecodeResponse mirrors FuzzDecodeRequest for the response side,
-// which cmd/loadgen and other clients decode from server replies.
+// which the benchmark's serving workload and other clients decode
+// from server replies.
 func FuzzDecodeResponse(f *testing.F) {
 	seed := func(resp *Response) {
 		buf, err := AppendResponse(nil, resp)

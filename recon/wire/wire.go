@@ -1,6 +1,7 @@
 // Package wire defines the /v1/reconstruct wire surface shared by
-// recon.Server and its clients (cmd/loadgen and external callers):
-// the JSON DTOs and a compact binary encoding of the same messages.
+// recon.Server and its clients (the benchmark's serving workload and
+// external callers): the JSON DTOs and a compact binary encoding of the
+// same messages.
 //
 // JSON is the readable default. DecodeRequestJSON (json.go) reads a
 // request in the shape clients send in one pass over the bytes, with a
