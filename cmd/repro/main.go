@@ -30,7 +30,6 @@ import (
 	"repro/internal/dtrain"
 	"repro/internal/experiments"
 	"repro/internal/ignn"
-	"repro/internal/metrics"
 	"repro/internal/trackio"
 	"repro/recon"
 )
@@ -179,10 +178,10 @@ func table1(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	}
 }
 
-// figure3 prints epoch time split into Sampling / Training / AllReduce
-// for the PyG-style baseline (sequential per-batch ShaDow, per-matrix
-// all-reduce) and our implementation (matrix-based bulk sampling,
-// coalesced all-reduce).
+// figure3 prints epoch time split into Sampling / Launch / Training /
+// AllReduce for the PyG-style baseline (sequential per-batch ShaDow,
+// per-matrix all-reduce) and our implementation (matrix-based bulk
+// sampling, coalesced all-reduce).
 func figure3(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	dataset := detector.Ex3
 	fs.Var(&dataset, "dataset", "dataset `family`: ex3 or ctd")
@@ -217,7 +216,7 @@ func figure3(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 			SamplerOverhead: *overhead,
 		}
 		fmt.Fprintf(w, "FIGURE 3: epoch time, dataset=%s scale=%v procs=%v\n", dataset, *scale, procs)
-		fmt.Fprintln(w, "(measured compute sections under a modelled device clock; see \"Timing\" in internal/dtrain)")
+		fmt.Fprintf(w, "(sampling: measured; launch: sampler calls × %v; training: measured, on the modelled device; allreduce: modelled ring; see PERF.md, \"Figure 3 timing model\")\n", o.SamplerOverhead)
 		rows, err := experiments.RunFigure3Context(ctx, o, procs)
 		for _, r := range rows {
 			fmt.Fprintln(w, " ", r)
@@ -291,13 +290,12 @@ func ablation(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 	seed := fs.Uint64("seed", 7, "seed")
 	return func(ctx context.Context, w io.Writer) error {
 		o := experiments.Options{
-			Scale:           *scale,
-			Events:          *events,
-			Epochs:          *epochs,
-			Hidden:          16,
-			Steps:           3,
-			Seed:            *seed,
-			SamplerOverhead: 2 * time.Millisecond,
+			Scale:  *scale,
+			Events: *events,
+			Epochs: *epochs,
+			Hidden: 16,
+			Steps:  3,
+			Seed:   *seed,
 		}
 		var err error
 		switch *exp {
@@ -310,7 +308,7 @@ func ablation(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 					r.Procs, r.Strategy, r.Collectives, r.ModeledTime)
 			}
 		case "bulk":
-			fmt.Fprintln(w, "ABLATION §IV-C: bulk batch count k vs sampling time")
+			fmt.Fprintln(w, "ABLATION §IV-C: bulk batch count k vs sampler calls and measured sampling time")
 			var rows []experiments.BulkKRow
 			rows, err = experiments.RunBulkKAblationContext(ctx, o, []int{1, 2, 4, 8, 16})
 			for _, r := range rows {
@@ -453,8 +451,8 @@ func trainpipe(fs *flag.FlagSet) func(context.Context, io.Writer) error {
 			}
 			fmt.Fprintf(w, "epoch %2d: loss=%.6f steps=%d P=%.4f R=%.4f [sampling=%v training=%v comm=%v wait=%v]%s\n",
 				e, stats.Loss, stats.Steps, counts.Precision(), counts.Recall(),
-				stats.Timer.Get(metrics.PhaseSampling).Round(time.Millisecond),
-				stats.Timer.Get(metrics.PhaseTraining).Round(time.Millisecond),
+				stats.Sampling.Round(time.Millisecond),
+				stats.Training.Round(time.Millisecond),
 				stats.Comm.Modeled.Round(time.Microsecond), stats.CommWait.Round(time.Microsecond), extra)
 		}
 		cs := tr.CommStats()

@@ -87,10 +87,3 @@ func ShardRange(n, p, rank int) (lo, hi int) {
 	}
 	return lo, lo + size
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

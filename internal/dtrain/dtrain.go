@@ -55,7 +55,8 @@
 //
 // # Timing
 //
-// EpochStats separates what is measured from what is modelled.
+// EpochStats reports what the trainer measures, plus the one modelled
+// cost it owns.
 //
 // Measured: each rank times its compute sections (a sampler call; one
 // block's gather, forward, backward and flatten; the tree combine and
@@ -63,20 +64,17 @@
 // collectives, packing payloads and blocked on the ring
 // (EpochStats.CommWait). Sampling, Training and CommWait
 // are each the maximum across ranks, the bulk-synchronous cost of a
-// data-parallel step.
+// data-parallel step. EpochStats.SamplerCalls counts a rank's sampler
+// invocations.
 //
-// Modelled: AllReduce is the α–β ring time on NVLink 3.0 of the logical
-// collectives a production NCCL deployment would run for the same
-// payload (k·2(P−1)·α latency for per-matrix, one 2(P−1)·α for
+// Modelled: Comm.Modeled is the α–β ring time on NVLink 3.0 of the
+// logical collectives a production NCCL deployment would run for the
+// same payload (k·2(P−1)·α latency for per-matrix, one 2(P−1)·α for
 // coalesced), because channel hops on a host do not resemble a GPU
-// interconnect. Config.SamplerOverhead is added to Sampling once per
-// sampler invocation per rank (EpochStats.SamplerCalls), standing in
-// for the kernel-launch and dataloader cost that makes batch-by-batch
-// GPU sampling expensive, and Config.ComputeSpeedup divides Training,
-// standing in for accelerator
-// dense-compute throughput. Both are applied where EpochStats is
-// assembled and charge nothing at their zero value; PERF.md ("Figure 3
-// timing model") records the calibration.
+// interconnect. A device clock for the other phases (a sampler launch
+// charge, an accelerator's compute throughput) is the caller's to
+// apply: Figure 3 applies one in internal/experiments, and PERF.md
+// ("Figure 3 timing model") records its calibration.
 //
 // The gate: compute sections run under a semaphore of
 // GOMAXPROCS / (kernel workers per rank) slots, so a rank is timed
@@ -98,7 +96,6 @@ import (
 	"repro/internal/gpumem"
 	"repro/internal/ignn"
 	"repro/internal/kernels"
-	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/pipeline"
 	"repro/internal/rng"
@@ -158,16 +155,6 @@ type Config struct {
 	// idle through compute) and must stay fixed across runs that are
 	// expected to match bitwise. Default 8.
 	GradBlocks int
-
-	// SamplerOverhead is the modelled fixed cost of one sampler
-	// invocation (kernel launch, dataloader orchestration), charged to
-	// the Sampling phase per invocation per rank.
-	SamplerOverhead time.Duration
-	// ComputeSpeedup models the dense-compute throughput of the device
-	// relative to this host: charged Training is measured Training
-	// divided by it (0 or 1 charges the measurement). Sampling is a
-	// sparse host-side workload and is never scaled.
-	ComputeSpeedup float64
 
 	Seed uint64
 }
@@ -244,11 +231,10 @@ type EpochStats struct {
 	// vertices of the sampled subgraphs and the batch vertices they
 	// were grown from.
 	SampledVertices, SampledRoots int
-	// Timer breaks the epoch into Sampling / Training (compute sections,
-	// max across ranks, with SamplerOverhead and ComputeSpeedup applied)
-	// and AllReduce (modeled collective time). See "Timing" in the
-	// package comment.
-	Timer *metrics.PhaseTimer
+	// Sampling and Training are the measured compute sections of a
+	// rank's sampler calls and of its training, each the maximum across
+	// ranks. See "Timing" in the package comment.
+	Sampling, Training time.Duration
 	// CommWait is the measured time a rank spent in its collectives,
 	// packing their payloads and blocked on the ring (max across ranks).
 	CommWait time.Duration
@@ -630,7 +616,7 @@ func (t *Trainer) TrainEpoch(ctx context.Context, graphs []*pipeline.EventGraph)
 			}
 		}
 	}
-	stats := EpochStats{Timer: metrics.NewPhaseTimer()}
+	var stats EpochStats
 	var plan []planStep
 	plan, stats.Skipped, stats.BulkK = t.buildPlan(epoch, graphs)
 
@@ -651,30 +637,21 @@ func (t *Trainer) TrainEpoch(ctx context.Context, graphs []*pipeline.EventGraph)
 		}
 		stats.Loss = sum / float64(stats.Steps)
 	}
-	// The modelled device is a clock applied to the measured phases:
-	// one SamplerOverhead per invocation, Training over ComputeSpeedup.
-	var samplingMax, trainingMax time.Duration
 	for _, st := range t.ranks {
 		ep := st.ep
-		samplingMax = max(samplingMax, ep.sampling+time.Duration(ep.samplerCalls)*t.Cfg.SamplerOverhead)
-		trainingMax = max(trainingMax, ep.training)
+		stats.Sampling = max(stats.Sampling, ep.sampling)
+		stats.Training = max(stats.Training, ep.training)
 		stats.CommWait = max(stats.CommWait, ep.commWait)
 		stats.SamplerCalls = max(stats.SamplerCalls, ep.samplerCalls)
 		stats.SampledVertices += ep.sampledVertices
 		stats.SampledRoots += ep.sampledRoots
 	}
-	if t.Cfg.ComputeSpeedup > 1 {
-		trainingMax = time.Duration(float64(trainingMax) / t.Cfg.ComputeSpeedup)
-	}
-	stats.Timer.AddDuration(metrics.PhaseSampling, samplingMax)
-	stats.Timer.AddDuration(metrics.PhaseTraining, trainingMax)
 	after := t.CommStats()
 	stats.Comm = CommStats{
 		Calls:        after.Calls - commBefore.Calls,
 		LogicalBytes: after.LogicalBytes - commBefore.LogicalBytes,
 		Modeled:      after.Modeled - commBefore.Modeled,
 	}
-	stats.Timer.AddDuration(metrics.PhaseAllReduce, stats.Comm.Modeled)
 	if stopped.Load() {
 		return stats, ctx.Err()
 	}

@@ -334,12 +334,10 @@ func flatParams(tr *Trainer) []float64 {
 // per k batches), never a bit of the losses or the trained weights.
 func TestSamplerParity(t *testing.T) {
 	egs, gnn := testGraphs(t, 2, 0.02)
-	const overhead = time.Millisecond
 	for _, p := range []int{1, 2} {
 		std := fastConfig(gnn)
 		std.Ranks = p
 		std.Sampler = SamplerStandard
-		std.SamplerOverhead = overhead
 		stdTr, stdStats := runEpochs(t, std, egs)
 		for _, k := range []int{1, 4} {
 			bulk := std
@@ -371,8 +369,8 @@ func TestSamplerParity(t *testing.T) {
 			if s.SamplerCalls != s.Steps {
 				t.Fatalf("P=%d: standard sampler made %d calls over %d steps", p, s.SamplerCalls, s.Steps)
 			}
-			if min := time.Duration(s.SamplerCalls) * overhead; s.Timer.Get(metrics.PhaseSampling) < min {
-				t.Fatalf("P=%d: sampling %v below the %v of charged overhead", p, s.Timer.Get(metrics.PhaseSampling), min)
+			if s.Sampling <= 0 {
+				t.Fatalf("P=%d: %d sampler calls measured %v of sampling", p, s.SamplerCalls, s.Sampling)
 			}
 			if s.SampledRoots == 0 || s.SampledVertices < s.SampledRoots {
 				t.Fatalf("P=%d: %d vertices sampled from %d roots", p, s.SampledVertices, s.SampledRoots)
@@ -487,27 +485,24 @@ func TestFixedBulkK(t *testing.T) {
 	}
 }
 
-func TestPhaseTimerPopulated(t *testing.T) {
+// TestEpochPhasesMeasured: at P=2 every phase EpochStats reports is
+// populated: the measured Sampling, Training and CommWait, and the
+// modelled all-reduce.
+func TestEpochPhasesMeasured(t *testing.T) {
 	egs, gnn := testGraphs(t, 1, 0.02)
 	cfg := fastConfig(gnn)
 	cfg.Epochs = 1
 	cfg.Ranks = 2
 	_, stats := runEpochs(t, cfg, egs)
-	timer := stats[0].Timer
-	if timer.Get(metrics.PhaseSampling) == 0 || timer.Get(metrics.PhaseTraining) == 0 {
-		t.Fatalf("phases not timed: %v", timer)
+	s := stats[0]
+	if s.Sampling == 0 || s.Training == 0 {
+		t.Fatalf("phases not timed: sampling %v, training %v", s.Sampling, s.Training)
 	}
-	if timer.Get(metrics.PhaseAllReduce) == 0 {
-		t.Fatal("allreduce phase empty with P=2")
+	if s.Comm.Modeled == 0 {
+		t.Fatal("modelled all-reduce empty with P=2")
 	}
-	if stats[0].CommWait == 0 {
+	if s.CommWait == 0 {
 		t.Fatal("no collective wait measured with P=2")
-	}
-	// The modelled device divides the measured Training phase.
-	cfg.ComputeSpeedup = 1e6
-	_, fast := runEpochs(t, cfg, egs)
-	if got := fast[0].Timer.Get(metrics.PhaseTraining); got >= timer.Get(metrics.PhaseTraining)/100 {
-		t.Fatalf("ComputeSpeedup 1e6 charged %v of training against %v unscaled", got, timer.Get(metrics.PhaseTraining))
 	}
 }
 

@@ -38,16 +38,15 @@ type Options struct {
 	FakeRatio float64 // fake edges per true edge in the event graphs; default 1.5
 	Seed      uint64  // default 7
 
-	// SamplerOverhead is the modelled per-invocation sampler launch cost
-	// (see dtrain.Config). Default 2ms (Figure 3 uses 15ms; calibration
-	// in PERF.md, "Figure 3 timing model").
+	// SamplerOverhead is Figure 3's modelled launch cost of one sampler
+	// invocation (EpochTimeRow.Launch). Default 15ms, the calibration in
+	// PERF.md ("Figure 3 timing model").
 	SamplerOverhead time.Duration
 }
 
 // figure3ComputeSpeedup models accelerator dense-compute throughput
-// relative to this host in Figure 3 (see dtrain.Config.ComputeSpeedup),
-// so the paper's sampling:training proportions are recovered; every
-// other runner trains at 1×.
+// relative to this host: Figure 3 charges measured Training divided by
+// it, so the paper's sampling:training proportions are recovered.
 const figure3ComputeSpeedup = 25
 
 func (o Options) withDefaults() Options {
@@ -79,7 +78,7 @@ func (o Options) withDefaults() Options {
 		o.Seed = 7
 	}
 	if o.SamplerOverhead == 0 {
-		o.SamplerOverhead = 2 * time.Millisecond
+		o.SamplerOverhead = 15 * time.Millisecond
 	}
 	return o
 }
@@ -293,19 +292,23 @@ func RunFigure4Context(ctx context.Context, o Options) (*ConvergenceResult, erro
 }
 
 // EpochTimeRow is one bar of Figure 3: an (implementation, process count)
-// pair with its stacked phase breakdown.
+// pair with its stacked phase breakdown. Sampling is measured; Launch,
+// Training and AllReduce put the measurements on the modelled device.
 type EpochTimeRow struct {
 	Dataset   string
 	Procs     int
-	Impl      string // "PyG" or "Ours"
-	Sampling  time.Duration
-	Training  time.Duration
-	AllReduce time.Duration
-	BulkK     int // minibatches sampled in bulk (Ours only)
+	Impl      string        // "PyG" or "Ours"
+	Sampling  time.Duration // measured sampler calls, max across ranks
+	Launch    time.Duration // modelled: SamplerCalls × SamplerOverhead
+	Training  time.Duration // measured training over figure3ComputeSpeedup
+	AllReduce time.Duration // modelled NVLink ring time (Comm.Modeled)
+	BulkK     int           // minibatches sampled in bulk (Ours only)
 }
 
 // Total returns the stacked epoch time.
-func (r EpochTimeRow) Total() time.Duration { return r.Sampling + r.Training + r.AllReduce }
+func (r EpochTimeRow) Total() time.Duration {
+	return r.Sampling + r.Launch + r.Training + r.AllReduce
+}
 
 // String renders the row like the figure's annotations.
 func (r EpochTimeRow) String() string {
@@ -313,10 +316,26 @@ func (r EpochTimeRow) String() string {
 	if r.BulkK > 0 {
 		k = fmt.Sprintf(" k=%d", r.BulkK)
 	}
-	return fmt.Sprintf("%-4s p=%-2d %-5s total=%-12v sampling=%-12v training=%-12v allreduce=%v%s",
+	return fmt.Sprintf("%-4s p=%-2d %-5s total=%-12v sampling=%-12v launch=%-12v training=%-12v allreduce=%v%s",
 		r.Dataset, r.Procs, r.Impl,
 		r.Total().Round(time.Microsecond), r.Sampling.Round(time.Microsecond),
-		r.Training.Round(time.Microsecond), r.AllReduce.Round(time.Microsecond), k)
+		r.Launch.Round(time.Microsecond), r.Training.Round(time.Microsecond),
+		r.AllReduce.Round(time.Microsecond), k)
+}
+
+// epochTimeRow composes one bar from an epoch's measurements under the
+// modelled device clock: each sampler call costs overhead, and training
+// runs figure3ComputeSpeedup times faster. Every rank makes
+// stats.SamplerCalls calls when GradBlocks ≥ P, so Sampling + Launch is
+// each rank's measured sampling plus its launch charge, maximised.
+func epochTimeRow(stats dtrain.EpochStats, overhead time.Duration) EpochTimeRow {
+	return EpochTimeRow{
+		Sampling:  stats.Sampling,
+		Launch:    time.Duration(stats.SamplerCalls) * overhead,
+		Training:  time.Duration(float64(stats.Training) / figure3ComputeSpeedup),
+		AllReduce: stats.Comm.Modeled,
+		BulkK:     stats.BulkK,
+	}
 }
 
 // RunFigure3Context measures epoch time across process counts for the PyG
@@ -332,10 +351,6 @@ func (r EpochTimeRow) String() string {
 // It checks the context between (process count, implementation) cells
 // and returns the rows measured so far alongside ctx.Err().
 func RunFigure3Context(ctx context.Context, o Options, procs []int) ([]EpochTimeRow, error) {
-	// Figure-3-specific defaults, applied before the generic ones.
-	if o.SamplerOverhead == 0 {
-		o.SamplerOverhead = 15 * time.Millisecond
-	}
 	o = o.withDefaults()
 	if len(procs) == 0 {
 		procs = []int{1, 4, 8}
@@ -362,21 +377,13 @@ func RunFigure3Context(ctx context.Context, o Options, procs []int) ([]EpochTime
 			cfg = o.trainerConfig(cfg)
 			cfg.Epochs = 2 // warm epoch (allocators, k probe), then the measured one
 			cfg.GradBlocks = gradBlocks
-			cfg.SamplerOverhead = o.SamplerOverhead
-			cfg.ComputeSpeedup = figure3ComputeSpeedup
 			_, stats, err := run(ctx, cfg, train, nil)
 			if err != nil {
 				return rows, err
 			}
-			rows = append(rows, EpochTimeRow{
-				Dataset:   o.Dataset,
-				Procs:     p,
-				Impl:      impl,
-				Sampling:  stats.Timer.Get(metrics.PhaseSampling),
-				Training:  stats.Timer.Get(metrics.PhaseTraining),
-				AllReduce: stats.Timer.Get(metrics.PhaseAllReduce),
-				BulkK:     stats.BulkK,
-			})
+			row := epochTimeRow(stats, o.SamplerOverhead)
+			row.Dataset, row.Procs, row.Impl = o.Dataset, p, impl
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil

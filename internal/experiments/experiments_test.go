@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -177,6 +178,53 @@ func TestRunFigure3Shapes(t *testing.T) {
 	}
 	if sp := Speedups(rows); len(sp) != 2 {
 		t.Fatalf("speedups %v", sp)
+	}
+}
+
+// TestEpochTimeRowComposition: Figure 3 puts the trainer's measurements
+// on the modelled device. Launch is calls × overhead, Training is the
+// measured value over figure3ComputeSpeedup (truncated to the
+// nanosecond), and the total is the sum of the four columns. That is
+// the total the trainer charged when it applied the clock itself,
+// max_r(s_r + c·o) + T/25 + A, since every rank makes the same c calls.
+func TestEpochTimeRowComposition(t *testing.T) {
+	const overhead = 15 * time.Millisecond
+	rankSampling := []time.Duration{7608 * time.Microsecond, 5 * time.Millisecond}
+	stats := dtrain.EpochStats{
+		Sampling:     max(rankSampling[0], rankSampling[1]),
+		Training:     2144400013, // /25 = 85776000.52ns
+		SamplerCalls: 23,
+		BulkK:        3,
+		Comm:         dtrain.CommStats{Modeled: 30737 * time.Microsecond},
+	}
+	r := epochTimeRow(stats, overhead)
+	if r.Sampling != stats.Sampling || r.AllReduce != stats.Comm.Modeled || r.BulkK != 3 {
+		t.Fatalf("measured fields not carried over: %+v", r)
+	}
+	if r.Launch != 345*time.Millisecond {
+		t.Fatalf("launch %v, want 23 calls × 15ms = 345ms", r.Launch)
+	}
+	if r.Training != 85776000 {
+		t.Fatalf("training %d ns, want 85776000 (measured / 25)", r.Training)
+	}
+	if want := 7608*time.Microsecond + 345*time.Millisecond + 85776*time.Microsecond + 30737*time.Microsecond; r.Total() != want {
+		t.Fatalf("total %v, want %v", r.Total(), want)
+	}
+	var clocked time.Duration // the trainer's old Sampling phase
+	for _, s := range rankSampling {
+		clocked = max(clocked, s+time.Duration(stats.SamplerCalls)*overhead)
+	}
+	if old := clocked + time.Duration(float64(stats.Training)/25) + stats.Comm.Modeled; r.Total() != old {
+		t.Fatalf("total %v, want the clocked trainer's %v", r.Total(), old)
+	}
+
+	pyg, ours := r, epochTimeRow(dtrain.EpochStats{Sampling: time.Millisecond, SamplerCalls: 8}, overhead)
+	pyg.Procs, pyg.Impl, ours.Procs, ours.Impl = 4, "PyG", 4, "Ours"
+	if got, want := Speedups([]EpochTimeRow{pyg, ours})[4], float64(r.Total())/float64(121*time.Millisecond); got != want {
+		t.Fatalf("speedup %v, want %v", got, want)
+	}
+	if !strings.Contains(r.String(), "launch=345ms ") {
+		t.Fatalf("row %q has no launch column", r)
 	}
 }
 

@@ -1,13 +1,7 @@
 // Package metrics implements the evaluation quantities the paper reports:
-// edge-classification precision and recall (Figure 4), AUC, track-level
-// efficiency and fake rate, and the per-phase epoch timers behind the
-// stacked bars of Figure 3 (Sampling / Training / AllReduce).
+// edge-classification precision and recall and their per-epoch history
+// (Figure 4), AUC, and track-level efficiency and fake rate.
 package metrics
-
-import (
-	"fmt"
-	"time"
-)
 
 // BinaryCounts is a binary-classification confusion summary.
 type BinaryCounts struct {
@@ -131,51 +125,6 @@ func MatchTracks(candidates [][]int, hitParticle []int, trueHits map[int]int, mi
 		}
 	}
 	return tm
-}
-
-// Phase identifies one component of the epoch-time breakdown in Figure 3.
-type Phase string
-
-// The phases of Figure 3's stacked bars.
-const (
-	PhaseSampling  Phase = "Sampling"
-	PhaseTraining  Phase = "Training"
-	PhaseAllReduce Phase = "AllReduce"
-)
-
-// PhaseTimer accumulates wall-clock per phase.
-type PhaseTimer struct {
-	durations map[Phase]time.Duration
-}
-
-// NewPhaseTimer returns an empty timer.
-func NewPhaseTimer() *PhaseTimer {
-	return &PhaseTimer{durations: make(map[Phase]time.Duration)}
-}
-
-// AddDuration adds d to the phase total.
-func (p *PhaseTimer) AddDuration(ph Phase, d time.Duration) {
-	p.durations[ph] += d
-}
-
-// Get returns the accumulated duration of a phase.
-func (p *PhaseTimer) Get(ph Phase) time.Duration { return p.durations[ph] }
-
-// Total returns the sum over all phases.
-func (p *PhaseTimer) Total() time.Duration {
-	var t time.Duration
-	for _, d := range p.durations {
-		t += d
-	}
-	return t
-}
-
-// String renders the breakdown in a stable order.
-func (p *PhaseTimer) String() string {
-	return fmt.Sprintf("sampling=%v training=%v allreduce=%v",
-		p.Get(PhaseSampling).Round(time.Microsecond),
-		p.Get(PhaseTraining).Round(time.Microsecond),
-		p.Get(PhaseAllReduce).Round(time.Microsecond))
 }
 
 // ConvergencePoint is one epoch of Figure 4.

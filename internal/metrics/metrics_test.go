@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 func TestBinaryCountsBasics(t *testing.T) {
@@ -120,19 +119,6 @@ func TestMatchTracksDoubleMatchCountsOnce(t *testing.T) {
 	tm := MatchTracks(candidates, hitParticle, trueHits, 2)
 	if tm.Matched != 1 {
 		t.Fatalf("matched %d, want 1", tm.Matched)
-	}
-}
-
-func TestPhaseTimer(t *testing.T) {
-	pt := NewPhaseTimer()
-	pt.AddDuration(PhaseSampling, 100*time.Millisecond)
-	pt.AddDuration(PhaseTraining, 50*time.Millisecond)
-	pt.AddDuration(PhaseSampling, 25*time.Millisecond)
-	if pt.Get(PhaseSampling) != 125*time.Millisecond {
-		t.Fatalf("sampling %v", pt.Get(PhaseSampling))
-	}
-	if pt.Total() != 175*time.Millisecond {
-		t.Fatalf("total %v", pt.Total())
 	}
 }
 

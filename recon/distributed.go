@@ -8,7 +8,6 @@ import (
 	"repro/internal/ddp"
 	"repro/internal/dtrain"
 	"repro/internal/ignn"
-	"repro/internal/metrics"
 )
 
 // SyncStrategy selects how distributed training synchronizes gradients.
@@ -111,8 +110,8 @@ func TrainDistributed(ctx context.Context, graphs []*EventGraph, opts ...Option)
 		res.Epochs = append(res.Epochs, DistEpoch{
 			Loss:     es.Loss,
 			Steps:    es.Steps,
-			Sampling: es.Timer.Get(metrics.PhaseSampling),
-			Training: es.Timer.Get(metrics.PhaseTraining),
+			Sampling: es.Sampling,
+			Training: es.Training,
 			Comm:     es.Comm.Modeled,
 		})
 	}

@@ -151,8 +151,10 @@ type Server struct {
 
 	// Graceful-drain lifecycle: the draining flag /healthz reports, the
 	// in-flight reconstruct requests Shutdown waits for, and the budget
-	// Serve gives them.
+	// Serve gives them. drainMu orders every inflight.Add before the
+	// flag is set, so no Add runs once Shutdown may be in Wait.
 	drainTimeout time.Duration
+	drainMu      sync.Mutex
 	draining     atomic.Bool
 	inflight     sync.WaitGroup
 }
@@ -188,7 +190,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // stragglers are then cut off by the HTTP server teardown). Safe to
 // call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.drainMu.Lock()
 	s.draining.Store(true)
+	s.drainMu.Unlock()
 	done := make(chan struct{})
 	go func() { s.inflight.Wait(); close(done) }()
 	select {
@@ -549,14 +553,19 @@ func (s *Server) httpServer(addr string) *http.Server {
 // enter is the drain gate at the top of handleReconstruct. It counts
 // the request in flight and reports true, and the caller must then
 // defer s.inflight.Done(); while draining it answers 503 instead and
-// reports false. Add comes before the draining check so Shutdown's Wait
-// can never miss a request that saw draining=false.
+// reports false. The check and the Add are one step under drainMu, so
+// Shutdown's Wait never misses a request that saw draining=false and
+// never runs alongside an Add.
 func (s *Server) enter(w http.ResponseWriter, start time.Time) bool {
-	s.inflight.Add(1)
-	if !s.draining.Load() {
+	s.drainMu.Lock()
+	admitted := !s.draining.Load()
+	if admitted {
+		s.inflight.Add(1)
+	}
+	s.drainMu.Unlock()
+	if admitted {
 		return true
 	}
-	s.inflight.Done()
 	s.stats.record(time.Since(start), 0, true)
 	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": ErrDraining.Error()})
 	return false

@@ -2,6 +2,7 @@ package recon
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,6 +21,39 @@ import (
 // Draining reports whether graceful shutdown has begun: the external
 // tests' view of s.draining.
 func (s *Server) Draining() bool { return s.draining.Load() }
+
+// TestShutdownRacesEnter: requests keep arriving while Shutdown waits
+// on the last in-flight one. Each is either counted before the drain
+// begins or refused without touching the in-flight count, so the
+// drain's Wait never runs alongside an Add. Run it under -race: an Add
+// from a zero count during that Wait is a data race, and can panic the
+// drain goroutine ("WaitGroup is reused before previous Wait has
+// returned").
+func TestShutdownRacesEnter(t *testing.T) {
+	for range 200 {
+		s := NewServer(nil)
+		var clients sync.WaitGroup
+		start := make(chan struct{})
+		for range 4 {
+			clients.Add(1)
+			go func() {
+				defer clients.Done()
+				<-start
+				for s.enter(httptest.NewRecorder(), time.Now()) {
+					s.inflight.Done()
+				}
+			}()
+		}
+		close(start)
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		clients.Wait()
+		if s.enter(httptest.NewRecorder(), time.Now()) {
+			t.Fatal("a request entered after Shutdown returned")
+		}
+	}
+}
 
 // TestDecodeBodyHintBounded: a Content-Length reserves at most
 // bodyHintMax before the body arrives, however large the declared length
